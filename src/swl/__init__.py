@@ -19,7 +19,6 @@ from .core import (
     GCoordVec,
     MINUS,
     PLUS,
-    Tolerances,
     TransIndex,
     Window,
     coord_equal,
@@ -37,7 +36,7 @@ from .bases import (
     eval_spec,
     parse_function_spec,
 )
-from .quadrature import QuadPlan, inner_product, oracle_F_coords, oracle_G_coords
+from .quadrature import inner_product, oracle_F_coords, oracle_G_coords
 from .alpha import AlphaMatrix, alpha_entry, alpha_row, f_from_g, g_from_f
 from .group_action import (
     act_DT_on_F,

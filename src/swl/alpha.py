@@ -6,6 +6,11 @@ translated basis function (i, n) against the dilated basis function
 been cross-validated against the brute-force integration oracle (see the
 test suite), which is the point of keeping the two routes separate.
 
+The Haar family has one value table, the row enumeration ``_haar_row``:
+a Haar entry is read from its row.  The column table ``_haar_column`` is
+coded independently as the transpose, so the two cross-check each other,
+and the oracle stays the outside check on both.
+
 Row/column structure
 --------------------
 Haar rows are finite except for four case families whose entries form a
@@ -163,84 +168,6 @@ def _exp_column(s: int, j: int, m: int, w: Window) -> list[tuple[TransIndex, com
 
 # -- Haar family ---------------------------------------------------------------
 
-def _alpha_haar(i: int, n: int, s: int, j: int, m: int) -> complex:
-    if n == 0:
-        if s != PLUS:
-            return 0j
-        if i == 0:
-            return complex(_pow2h(-m)) if (j == 0 and m > 0) else 0j
-        if _is_pow2(i):
-            r = i.bit_length() - 1
-            if j != 0:
-                return 0j
-            if m == r + 1:
-                return complex(-_SQRT1_2)
-            if m > r + 1:
-                return complex(_pow2h(r - m))
-            return 0j
-        r, t = split_haar_label(i)
-        p = t.bit_length() - 1
-        return complex(1.0) if (j == t and m == r - p) else 0j
-    if n == 1:
-        return complex(1.0) if (s == PLUS and j == i and m == 0) else 0j
-    if n > 1:
-        if s != PLUS:
-            return 0j
-        u = n.bit_length() - 1
-        v = n - (1 << u)
-        if m != -u:
-            return 0j
-        if i > 0:
-            r = i.bit_length() - 1
-            t = i - (1 << r)
-            return complex(1.0) if j == (n << r) + t else 0j
-        return _coarse_box_value(u, v, j)
-    if n == -1:
-        if s != MINUS:
-            return 0j
-        if i == 0:
-            return complex(_pow2h(-m)) if (j == 0 and m > 0) else 0j
-        if _is_pow2(i + 1):
-            r = (i + 1).bit_length() - 2
-            if j != 0:
-                return 0j
-            if m == r + 1:
-                return complex(_SQRT1_2)
-            if m > r + 1:
-                return complex(-_pow2h(r - m))
-            return 0j
-        r, t = split_haar_label(i)
-        p = ((1 << r) - t - 1).bit_length() - 1
-        q = t - (1 << r) + (1 << (p + 1))
-        return complex(1.0) if (j == (1 << p) + q and m == r - p) else 0j
-    if n == -2:
-        return complex(1.0) if (s == MINUS and j == i and m == 0) else 0j
-    # n < -2, parametrized as n = -2^{u+1} + v
-    if s != MINUS:
-        return 0j
-    u = (-n - 1).bit_length() - 1
-    v = n + (1 << (u + 1))
-    if m != -u:
-        return 0j
-    if i > 0:
-        r = i.bit_length() - 1
-        t = i - (1 << r)
-        return complex(1.0) if j == (((1 << u) + v) << r) + t else 0j
-    return _coarse_box_value(u, v, j)
-
-
-def _coarse_box_value(u: int, v: int, j: int) -> complex:
-    # row (0, n) at scale m = -u: the unit box expands into the coarse box
-    # plus one wavelet per scale p < u along the dyadic path to its cell
-    if j == 0:
-        return complex(_pow2h(-u))
-    p = j.bit_length() - 1
-    if p >= u or j != (1 << p) + (v >> (u - p)):
-        return 0j
-    sign = -1.0 if bit_sign_exponent(u, v, p) else 1.0
-    return complex(sign * _pow2h(p - u))
-
-
 def _ladder_tail(r: int, m_hi: int) -> float:
     # clipped mass of a geometric scale ladder whose entries start at m = r + 1
     if m_hi <= r:
@@ -248,8 +175,7 @@ def _ladder_tail(r: int, m_hi: int) -> float:
     return 2.0 ** (r - m_hi)
 
 
-def _haar_row(i: int, n: int, w: Window) -> tuple[list[tuple[DilIndex, complex]], float]:
-    m_hi = w.dil_range[1]
+def _haar_row(i: int, n: int, m_hi: int) -> tuple[list[tuple[DilIndex, complex]], float]:
     out: list[tuple[DilIndex, complex]] = []
     if n == 0:
         if i == 0:
@@ -294,6 +220,7 @@ def _haar_row(i: int, n: int, w: Window) -> tuple[list[tuple[DilIndex, complex]]
         return [(DilIndex(MINUS, (1 << p) + q, r - p), 1.0 + 0j)], 0.0
     if n == -2:
         return [(DilIndex(MINUS, i, 0), 1.0 + 0j)], 0.0
+    # n < -2, parametrized as n = -2^{u+1} + v
     u = (-n - 1).bit_length() - 1
     v = n + (1 << (u + 1))
     if i > 0:
@@ -364,7 +291,13 @@ class AlphaMatrix:
         check_dil_label(self.fam, s, j)
         if self.fam.name == "exponential":
             return _alpha_exp(int(i), int(n), s, int(j), int(m))
-        return _alpha_haar(int(i), int(n), s, int(j), int(m))
+        i, j, m = int(i), int(j), int(m)
+        # Only scale-ladder rows grow with the top scale.  Their amplitudes
+        # are 2^{(r-m)/2} with r <= i.bit_length(), and 2.0 ** -1075 rounds
+        # to 0.0, so past scale i.bit_length() + 1076 every ladder entry is
+        # exactly 0.0 in double precision and the row need not go further.
+        entries, _ = _haar_row(i, int(n), min(m, i.bit_length() + 1076))
+        return dict(entries).get((s, j, m), 0j)
 
     def row(self, i: int, n: int, w: Window) -> tuple[list[tuple[DilIndex, complex]], float]:
         """Nonzero entries of row (i, n) within the window, plus clipped mass.
@@ -375,7 +308,7 @@ class AlphaMatrix:
         """
         check_trans_label(self.fam, i)
         if self.fam.name == "haar":
-            return _haar_row(int(i), int(n), w)
+            return _haar_row(int(i), int(n), w.dil_range[1])
         entries = _exp_row(int(i), int(n), w)
         captured = math.fsum(abs(v) ** 2 for _, v in entries)
         return entries, max(0.0, 1.0 - captured)

@@ -3,9 +3,7 @@
 Every subcommand writes a single JSON document to standard output
 (deterministic: sorted keys, 17-significant-digit floats) and exits with
 0 on success/pass, 1 when a check fails, 2 on usage or input errors.
-Diagnostics go to standard error.  ``SWL_THREADS`` caps the oracle's
-worker threads (default 1; results are identical either way since every
-operation is pure).
+Diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -17,14 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .alpha import AlphaMatrix, alpha_row
-from .bases import (
-    BasisFamily,
-    InvalidLabelError,
-    SpecParseError,
-    UnboundedSupportError,
-    family,
-    parse_function_spec,
-)
+from .bases import BasisFamily, family, parse_function_spec
 from .core import (
     CheckReport,
     FCoordVec,
@@ -39,7 +30,6 @@ from .core import (
     sign_value,
 )
 from .fourier import (
-    PeriodizationError,
     check_orthonormal_translates,
     check_scaling_hypotheses,
     haar_scaling_hat,
@@ -62,7 +52,6 @@ from .filters import (
 )
 from .group_action import act_DT_on_F, act_DT_on_G, act_TD_on_F, act_TD_on_G
 from .quadrature import (
-    QuadratureError,
     g_window_tail_bound,
     inner_product,
     oracle_F_coords,
@@ -116,7 +105,7 @@ def _load_coords(path: str):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         return coords_from_doc(doc)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read coefficient file {path!r}: {exc}") from exc
 
 
@@ -128,9 +117,18 @@ def _filter_from_arg(text: str) -> LaurentPoly:
                 raw = json.load(fh)
         else:
             raw = json.loads(text)
+        if not (isinstance(raw, dict) and all(isinstance(v, list) and len(v) == 2
+                                              for v in raw.values())):
+            raise ValueError("expected a JSON object of [re, im] pairs")
         return LaurentPoly.from_map({int(k): complex(v[0], v[1]) for k, v in raw.items()})
-    except (OSError, ValueError, TypeError, IndexError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot parse filter {text!r}: {exc}") from exc
+
+
+def _required(value, flag: str):
+    if value is None:
+        raise InputError(f"{flag} is required")
+    return value
 
 
 def _filter_to_doc(h: LaurentPoly) -> dict:
@@ -199,7 +197,7 @@ def _cmd_act(args) -> int:
         if basis != fam.name:
             raise InputError(f"coefficient file basis {basis!r} does not match --basis")
     else:
-        spec = parse_function_spec(args.function)
+        spec = parse_function_spec(_required(args.function, "--function or --coords"))
         vec = (
             oracle_F_coords(spec, fam, w) if args.model == "F" else oracle_G_coords(spec, fam, w)
         )
@@ -232,7 +230,7 @@ def _cmd_check_wavelet(args) -> int:
             raise InputError("check-wavelet needs dilation-model coordinates")
         tail_sq = 0.0
     else:
-        spec = parse_function_spec(args.function)
+        spec = parse_function_spec(_required(args.function, "--function or --coords"))
         vec = oracle_G_coords(spec, fam, w)
         tail_sq = max(0.0, inner_product(spec, spec).real - vec.norm_sq())
     report = check_wavelet_orthonormality(
@@ -254,7 +252,7 @@ def _cmd_check_scaling(args) -> int:
         if not isinstance(vec, FCoordVec):
             raise InputError("check-scaling needs translation-model coordinates")
     else:
-        spec = parse_function_spec(args.function)
+        spec = parse_function_spec(_required(args.function, "--function or --coords"))
         vec = oracle_F_coords(spec, fam, w)
     report = check_scaling_coordinate_identity(vec, args.krange, args.tol)
     _emit(_report_doc(report, args, krange=args.krange), args.out)
@@ -276,7 +274,10 @@ def _fhat_from_arg(text: str):
 
     m = re.match(r"^indicator\(\s*(-?[\d/.]+)\s*,\s*(-?[\d/.]+)\s*\)$", text)
     if m:
-        lo, hi = Fraction(m.group(1)), Fraction(m.group(2))
+        try:
+            lo, hi = Fraction(m.group(1)), Fraction(m.group(2))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad indicator bound in {text!r}: {exc}") from exc
         if hi <= lo:
             raise InputError("indicator needs a < b")
         return indicator_hat([(lo, hi, 1.0)])
@@ -312,22 +313,20 @@ def _write_norm_csv(P, path: str) -> None:
 def _cmd_filter(args) -> int:
     fam = family(args.basis)
     if args.verb == "extract":
-        spec = parse_function_spec(args.function)
+        spec = parse_function_spec(_required(args.function, "--function"))
         h = extract_two_scale(spec, fam, args.krange)
         _emit({"filter": _filter_to_doc(h), "config": _effective(args)}, args.out)
         return 0
+    h = _filter_from_arg(_required(args.coeffs, "--coeffs"))
     if args.verb == "mirror":
-        h = _filter_from_arg(args.coeffs)
         g = mirror_filter(h, args.shift_m)
         _emit({"filter": _filter_to_doc(g), "config": _effective(args)}, args.out)
         return 0
     if args.verb == "check-orthogonality":
-        h = _filter_from_arg(args.coeffs)
         report = check_filter_orthogonality(h, args.krange, args.tol, args.grid)
         _emit(_report_doc(report, args), args.out)
         return 0 if report.passed else _CHECK_FAIL
     if args.verb == "check-pair":
-        h = _filter_from_arg(args.coeffs)
         g = _filter_from_arg(args.g_coeffs) if args.g_coeffs else mirror_filter(h, args.shift_m)
         report = check_pair_conditions(h, g, args.krange, args.grid, args.tol)
         _emit(_report_doc(report, args), args.out)
@@ -335,8 +334,7 @@ def _cmd_filter(args) -> int:
     # reconstruct: rebuild the scaling coords and emit the wavelet candidate
     A = AlphaMatrix(fam)
     w = _window(fam, args.window, args.mmax)
-    h = _filter_from_arg(args.coeffs)
-    spec = parse_function_spec(args.function)
+    spec = parse_function_spec(_required(args.function, "--function"))
     phi = oracle_F_coords(spec, fam, w)
     rebuilt, report = reconstruct_scaling_coords(phi, h, A, w, args.tol)
     psi = construct_wavelet_coords(phi, h, A, w)
@@ -459,8 +457,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (InputError, SpecParseError, InvalidLabelError, UnboundedSupportError,
-            PeriodizationError, QuadratureError, ValueError) as exc:
+    except ValueError as exc:  # every input error the library raises is a ValueError
         print(f"swl: error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

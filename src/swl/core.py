@@ -185,13 +185,6 @@ def coord_norm_sq(v: FCoordVec | GCoordVec) -> float:
     return v.norm_sq()
 
 
-def coord_dot(a: _SparseCoords, b: _SparseCoords) -> complex:
-    """<a, b> = sum a_k * conj(b_k) over the common support."""
-    if len(a) > len(b):
-        return csum(b[k].conjugate() * v for k, v in a.items() if k in b)
-    return csum(a[k] * b[k].conjugate() for k in a.keys() if k in b)
-
-
 @dataclass(frozen=True)
 class Window:
     """Finite index box bounding every truncated sum in the library.
@@ -260,20 +253,6 @@ class Window:
             "dil_labels": [min(j for _, j in self.dil_labels), max(j for _, j in self.dil_labels)],
             "dil_range": list(self.dil_range),
         }
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances shared by the verification operations."""
-
-    abs_tol: float = 1e-9
-    rank_svd_threshold: float = 1e-8
-    quadrature_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("abs_tol", "rank_svd_threshold", "quadrature_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
 
 
 _DETAIL_CAP = 24
@@ -368,21 +347,29 @@ def coords_to_doc(vec: FCoordVec | GCoordVec, basis: str) -> dict:
 
 
 def coords_from_doc(doc: Mapping) -> tuple[FCoordVec | GCoordVec, str]:
-    """Inverse of :func:`coords_to_doc`; returns (vector, basis name)."""
-    model = doc["model"]
-    basis = doc["basis"]
-    entries = doc.get("entries", [])
-    if model == "F":
-        vec: FCoordVec | GCoordVec = FCoordVec(
-            ((rec["i_or_j"], rec["n_or_m"]), complex(rec["re"], rec["im"])) for rec in entries
-        )
-    elif model == "G":
-        vec = GCoordVec(
-            ((sign_value(rec["s"]), rec["i_or_j"], rec["n_or_m"]), complex(rec["re"], rec["im"]))
-            for rec in entries
-        )
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    """Inverse of :func:`coords_to_doc`; returns (vector, basis name).
+
+    A document of the wrong shape raises ValueError.
+    """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"coefficient document must be an object, not {type(doc).__name__}")
+    try:
+        model = doc["model"]
+        basis = doc["basis"]
+        entries = doc.get("entries", [])
+        if model == "F":
+            vec: FCoordVec | GCoordVec = FCoordVec(
+                ((rec["i_or_j"], rec["n_or_m"]), complex(rec["re"], rec["im"])) for rec in entries
+            )
+        elif model == "G":
+            vec = GCoordVec(
+                ((sign_value(rec["s"]), rec["i_or_j"], rec["n_or_m"]), complex(rec["re"], rec["im"]))
+                for rec in entries
+            )
+        else:
+            raise ValueError(f"unknown model {model!r}")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed coefficient document: {exc!r}") from exc
     return vec, basis
 
 

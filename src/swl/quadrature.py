@@ -19,10 +19,9 @@ at machine precision even for large frequencies.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -45,19 +44,6 @@ from .core import (
     Window,
     cis_frac,
 )
-
-
-class QuadratureError(ValueError):
-    """The requested integral cannot be evaluated under the given plan."""
-
-
-@dataclass(frozen=True)
-class QuadPlan:
-    """How to integrate: exact piecewise closed forms or sampled GL16."""
-
-    breakpoints: tuple[Fraction, ...] = ()
-    rule: str = "auto"  # "auto" | "exact-piecewise" | "gauss-legendre(16)"
-    max_subdivisions: int = 40
 
 
 # -- atoms: p(x) * e^{2 pi i freq x} on [a, b) -------------------------------
@@ -189,9 +175,8 @@ def _adaptive(fn, a: float, b: float, tol: float, depth: int) -> complex:
     return _adaptive(fn, a, mid, tol / 2, depth - 1) + _adaptive(fn, mid, b, tol / 2, depth - 1)
 
 
-def inner_product(f, g, plan: QuadPlan | None = None, quadrature_tol: float = 1e-10) -> complex:
+def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     """integral f(x) conj(g(x)) dx for FunctionSpecs and basis elements."""
-    plan = plan or QuadPlan()
     sup_f = _support_of(f)
     sup_g = _support_of(g)
     if sup_f is None or sup_g is None:
@@ -203,7 +188,7 @@ def inner_product(f, g, plan: QuadPlan | None = None, quadrature_tol: float = 1e
 
     fa = _atoms_of(f)
     ga = _atoms_of(g)
-    if fa is not None and ga is not None and plan.rule in ("auto", "exact-piecewise"):
+    if fa is not None and ga is not None:
         acc_re = []
         acc_im = []
         for at_f in fa:
@@ -218,16 +203,12 @@ def inner_product(f, g, plan: QuadPlan | None = None, quadrature_tol: float = 1e
                 acc_im.append(val.imag)
         return complex(math.fsum(acc_re), math.fsum(acc_im))
 
-    if plan.rule == "exact-piecewise":
-        raise QuadratureError("exact-piecewise rule cannot integrate unbounded-support factors")
-
     # sampled route: GL16 with dyadic bisection on breakpoint-split intervals
     points = {Fraction(lo), Fraction(hi)}
-    for obj, atoms in ((f, fa), (g, ga)):
+    for atoms in (fa, ga):
         if atoms is not None:
             for at in atoms:
                 points.update((at.a, at.b))
-    points.update(plan.breakpoints)
     cuts = sorted(p for p in points if lo <= p <= hi)
     if cuts[0] != lo:
         cuts.insert(0, Fraction(lo))
@@ -246,75 +227,45 @@ def inner_product(f, g, plan: QuadPlan | None = None, quadrature_tol: float = 1e
         if b <= a:
             continue
         share = quadrature_tol * float(b - a) / total_len
-        acc += _adaptive(integrand, float(a), float(b), share, plan.max_subdivisions)
+        acc += _adaptive(integrand, float(a), float(b), share, 40)
     return acc
 
 
 # -- coefficient grids --------------------------------------------------------
-
-def _threads() -> int:
-    raw = os.environ.get("SWL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items: Iterable):
-    items = list(items)
-    n = _threads()
-    if n <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
 
 def _overlaps(sup, lo: Fraction, hi: Fraction) -> bool:
     return sup is not None and sup[0] < hi and sup[1] > lo
 
 
 def oracle_F_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
-                    plan: QuadPlan | None = None, quadrature_tol: float = 1e-10) -> FCoordVec:
+                    quadrature_tol: float = 1e-10) -> FCoordVec:
     """All translation-model coefficients of ``f`` inside the window."""
     sup = _support_of(f)
-    work = []
+    pairs = []
     for i in w.trans_labels:
         for n in range(w.trans_range[0], w.trans_range[1] + 1):
             elem = L_elem(fam, i, n)
             if _overlaps(sup, *elem.support()):
-                work.append((TransIndex(i, n), elem))
-
-    def one(pair):
-        idx, elem = pair
-        return idx, inner_product(f, elem, plan, quadrature_tol)
-
-    return FCoordVec(_pmap(one, work))
+                pairs.append((TransIndex(i, n), inner_product(f, elem, quadrature_tol)))
+    return FCoordVec(pairs)
 
 
 def oracle_G_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
-                    plan: QuadPlan | None = None, quadrature_tol: float = 1e-10) -> GCoordVec:
+                    quadrature_tol: float = 1e-10) -> GCoordVec:
     """All dilation-model coefficients of ``f`` inside the window."""
     sup = _support_of(f)
-    work = []
+    pairs = []
     for s, j in w.dil_labels:
         for m in range(w.dil_range[0], w.dil_range[1] + 1):
             elem = K_elem(fam, s, j, m)
             if _overlaps(sup, *elem.support()):
-                work.append((DilIndex(s, j, m), elem))
-
-    def one(pair):
-        idx, elem = pair
-        return idx, inner_product(f, elem, plan, quadrature_tol)
-
-    return GCoordVec(_pmap(one, work))
+                pairs.append((DilIndex(s, j, m), inner_product(f, elem, quadrature_tol)))
+    return GCoordVec(pairs)
 
 
-def norm_sq_of_spec(f: FunctionSpec, plan: QuadPlan | None = None,
-                    quadrature_tol: float = 1e-12) -> float:
+def norm_sq_of_spec(f: FunctionSpec, quadrature_tol: float = 1e-12) -> float:
     """||f||^2 by direct integration (used for truncation-tail accounting)."""
-    return inner_product(f, f, plan, quadrature_tol).real
+    return inner_product(f, f, quadrature_tol).real
 
 
 def g_window_tail_bound(f: FunctionSpec, m_max: int,
@@ -340,4 +291,4 @@ def g_window_tail_bound(f: FunctionSpec, m_max: int,
     if not pieces:
         return 0.0
     clipped = FunctionSpec.piecewise(pieces)
-    return inner_product(clipped, clipped, None, quadrature_tol).real
+    return inner_product(clipped, clipped, quadrature_tol).real

@@ -35,16 +35,24 @@ from .group_action import act_DT_on_G
 _WINDOW_SURROGATE_NOTE = "necessary-condition check at a finite window, not a proof"
 
 
+def _radius(r: int) -> int:
+    # a negative radius is an empty grid, and a check over it would pass vacuously
+    if r < 0:
+        raise ValueError(f"grid radius must be non-negative, got {r}")
+    return r
+
+
 def _pq_grid(pq_range) -> list[tuple[int, int]]:
     if isinstance(pq_range, int):
-        r = pq_range
+        r = _radius(pq_range)
         return [(p, q) for p in range(-r, r + 1) for q in range(-r, r + 1)]
     return [(int(p), int(q)) for p, q in pq_range]
 
 
 def _k_grid(k_range) -> list[int]:
     if isinstance(k_range, int):
-        return list(range(-k_range, k_range + 1))
+        r = _radius(k_range)
+        return list(range(-r, r + 1))
     return [int(k) for k in k_range]
 
 

@@ -2,6 +2,15 @@ import pytest
 
 from swl import AlphaMatrix, EXPONENTIAL, HAAR, Window
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # same examples on every run, no example database, no timing flakes
+    settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+    settings.load_profile("deterministic")
+
 
 @pytest.fixture(scope="session")
 def A_haar():

@@ -6,8 +6,10 @@ that truncation dust sits below the stated tolerance, label sets as
 stated.  The exponential-family round trip is verified under its own
 qualifying condition (reported clipped tail at or below 1e-10); vectors
 whose rows cannot be captured at the stated window are checked against
-the reported-tail contract instead -- see notes/decisions.md for the
-analysis of why no feasible window makes those rows hit 1e-9.
+the reported-tail contract instead.  No feasible window makes those rows
+hit 1e-9: exponential rows and columns decay like 1/label, so the mass
+clipped at label radius J falls only like 1/J (about 0.4/J for column
+(+, 0, 2)), and an l2 tail of 1e-9 would need J near 4e17.
 """
 
 import math

@@ -166,3 +166,45 @@ def test_deterministic_output(capsys):
     # canonical floats: 17 significant digits survive a JSON round trip
     doc = json.loads(first)
     assert doc["entries"][0]["re"] == pytest.approx(1 / math.sqrt(2))
+
+
+@pytest.mark.parametrize("argv", [
+    ("fourier-check", "--fhat", "indicator(1/0,1)"),
+    ("filter", "check-orthogonality", "--coeffs", '{"0": {"a": 1}}'),
+    ("filter", "check-orthogonality", "--coeffs", "[1,2]"),
+    ("act", "--coords", "@list", "-p", "0", "-q", "0"),
+    ("act", "--coords", "@string_re", "-p", "0", "-q", "0"),
+    ("act", "-p", "0", "-q", "0"),
+    ("check-wavelet",),
+    ("check-scaling",),
+    ("filter", "extract"),
+    ("filter", "mirror"),
+    ("filter", "check-pair"),
+    ("filter", "reconstruct"),
+    ("filter", "reconstruct", "--coeffs", '{"0": [0.7071067811865476, 0]}'),
+])
+def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
+    # "@name" stands for a coefficient file holding files[name]
+    files = {
+        "list": "[1, 2]",
+        "string_re": json.dumps({"model": "F", "basis": "haar", "entries": [
+            {"i_or_j": 1, "n_or_m": 0, "re": "1", "im": 0.0}]}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out, err = _invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("swl: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-scaling", "--function", "indicator(0,2)", "--krange", "-1"),
+    ("check-wavelet", "--function", "haar_wavelet", "--pq", "-1"),
+])
+def test_negative_grid_radius_is_an_input_error(capsys, argv):
+    # an empty grid would make the check pass vacuously
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "non-negative" in err

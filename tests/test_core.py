@@ -1,4 +1,4 @@
-"""Coordinate-vector containers, windows, tolerances and reports."""
+"""Coordinate-vector containers, windows and reports."""
 
 import json
 
@@ -8,7 +8,6 @@ from swl import (
     FCoordVec,
     GCoordVec,
     HAAR,
-    Tolerances,
     Window,
     coord_equal,
     coord_norm_sq,
@@ -117,17 +116,6 @@ def test_window_symmetric_exponential_labels():
     w = Window.symmetric("exponential", 3, 1, 2)
     assert w.trans_labels == (-3, -2, -1, 0, 1, 2, 3)
     assert w.dil_range == (-2, 2)
-
-
-def test_tolerances_defaults_and_validation():
-    t = Tolerances()
-    assert t.abs_tol == 1e-9
-    assert t.rank_svd_threshold == 1e-8
-    assert t.quadrature_tol == 1e-10
-    with pytest.raises(ValueError):
-        Tolerances(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(quadrature_tol=-1e-3)
 
 
 def test_report_pass_iff_within_tolerance():

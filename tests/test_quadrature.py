@@ -8,8 +8,6 @@ import pytest
 from swl import EXPONENTIAL, HAAR, K_elem, L_elem, Window, coord_norm_sq
 from swl.bases import FunctionSpec, parse_function_spec
 from swl.quadrature import (
-    QuadPlan,
-    QuadratureError,
     inner_product,
     norm_sq_of_spec,
     oracle_F_coords,
@@ -68,11 +66,6 @@ def test_gaussian_closed_forms():
     # against the unit box: sqrt(pi/2) erf(1/sqrt 2)
     want = math.sqrt(math.pi / 2) * math.erf(1 / math.sqrt(2))
     assert inner_product(g1, FunctionSpec.indicator(0, 1)).real == pytest.approx(want, abs=1e-10)
-
-
-def test_exact_rule_rejects_gaussian():
-    with pytest.raises(QuadratureError):
-        inner_product(FunctionSpec.gaussian(1.0), PHI, QuadPlan(rule="exact-piecewise"))
 
 
 def test_exponential_against_polynomial_is_machine_precision():
@@ -140,10 +133,3 @@ def test_g_window_tail_bound():
     # ~ 2 * 2^-6 for a function that is ~1 near the origin
     assert g_window_tail_bound(g, 6) == pytest.approx(2.0 ** -5, rel=1e-3)
 
-
-def test_threads_env_gives_identical_results(monkeypatch):
-    w = Window.symmetric(HAAR, 6, 3, 8)
-    base = oracle_F_coords(PSI, HAAR, w)
-    monkeypatch.setenv("SWL_THREADS", "4")
-    threaded = oracle_F_coords(PSI, HAAR, w)
-    assert dict(base.items()) == dict(threaded.items())
