@@ -31,9 +31,6 @@ from .bases import (
     HAAR,
     K_elem,
     L_elem,
-    eval_K,
-    eval_L,
-    eval_spec,
     parse_function_spec,
 )
 from .quadrature import inner_product, oracle_F_coords, oracle_G_coords

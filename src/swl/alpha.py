@@ -61,12 +61,6 @@ def bit_sign_exponent(u: int, v: int, p: int) -> int:
     return (v >> (u - p - 1)) & 1
 
 
-def floor_sign_exponent(u: int, v: int, p: int) -> int:
-    """Floor-expression form of the same sign exponent, kept as a cross-check."""
-    r = v - (1 << (u - p)) * (v // (1 << (u - p)))
-    return r // (1 << (u - p - 1))
-
-
 # -- exponential family -------------------------------------------------------
 
 def _alpha_exp(k: int, n: int, s: int, j: int, m: int) -> complex:

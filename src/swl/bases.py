@@ -10,6 +10,11 @@ step 1:
   label 2^p + q standing for the Haar wavelet at scale p and offset q
   (recovered by bit inspection); label 0 is the box function.
 
+Every basis element and every piecewise test function is described once,
+as atoms: polynomial pieces times e^{2 pi i freq x} on half-open dyadic
+intervals.  Supports, point values (on scalars or whole arrays) and the
+oracle's exact inner products all read the atoms.
+
 All intervals are half-open [a, b); pointwise values at breakpoints follow
 the left-closed rule.  This is a measure-zero convention with no effect on
 any integral, fixed once so evaluation is deterministic.
@@ -21,8 +26,11 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .core import DilIndex, MINUS, PLUS, TransIndex
+import numpy as np
+
+from .core import DilIndex, MINUS, PLUS, TransIndex, ceil_float
 
 
 class InvalidLabelError(ValueError):
@@ -84,19 +92,34 @@ def split_haar_label(label: int) -> tuple[int, int]:
     return p, label - (1 << p)
 
 
-# -- pointwise Haar atoms -----------------------------------------------------
+# -- atoms: p(x) * e^{2 pi i freq x} on [a, b) ---------------------------------
 
-def _haar_psi(y: float) -> float:
-    if 0.0 <= y < 0.5:
-        return 1.0
-    if 0.5 <= y < 1.0:
-        return -1.0
-    return 0.0
+class Atom(NamedTuple):
+    """One polynomial-times-exponential piece; coefficients in increasing degree."""
+
+    a: Fraction
+    b: Fraction
+    coeffs: tuple[complex, ...]
+    freq: Fraction
 
 
-def _psi_scaled(a: int, b: int, x: float) -> float:
-    # 2^{a/2} psi(2^a x - b)
-    return math.sqrt(2.0 ** a) * _haar_psi((2.0 ** a) * x - b)
+_NO_FREQ = Fraction(0)
+_TICKS = 53  # phases are counted in 2^-53 turns
+_TICK_MASK = (1 << _TICKS) - 1
+
+
+def _box_atom(a: int, b: int, freq: Fraction = _NO_FREQ) -> Atom:
+    # 2^{a/2} e^{2 pi i freq x} on [b 2^-a, (b+1) 2^-a)
+    step = Fraction(2) ** (-a)
+    return Atom(b * step, (b + 1) * step, (math.sqrt(2.0 ** a) + 0j,), freq)
+
+
+def _psi_atoms(a: int, b: int) -> tuple[Atom, Atom]:
+    # 2^{a/2} psi(2^a x - b): +2^{a/2}, then -2^{a/2}, on the halves of the box at scale a
+    step = Fraction(2) ** (-a)
+    amp = math.sqrt(2.0 ** a)
+    lo, mid, hi = b * step, (b + Fraction(1, 2)) * step, (b + 1) * step
+    return Atom(lo, mid, (amp + 0j,), _NO_FREQ), Atom(mid, hi, (-amp + 0j,), _NO_FREQ)
 
 
 def haar_dil_atom(s: int, j: int, m: int) -> tuple[str, int, int]:
@@ -115,82 +138,75 @@ def haar_dil_atom(s: int, j: int, m: int) -> tuple[str, int, int]:
     return ("psi", p + m, -(1 << (p + 1)) + q)
 
 
-def eval_L(fam: BasisFamily, idx: TransIndex, x: float) -> complex:
-    """Pointwise value of the shifted translation-side basis function."""
-    i, n = TransIndex(*idx)
-    i = check_trans_label(fam, i)
-    if fam.name == "exponential":
-        if n <= x < n + 1:
-            t = (i * (x - n)) % 1.0
-            return complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
-        return 0j
-    # haar
-    if i == 0:
-        return complex(1.0 if n <= x < n + 1 else 0.0)
-    p, q = split_haar_label(i)
-    return complex(_psi_scaled(p, q + (n << p), x))
+def _turns(freq: Fraction, x: np.ndarray) -> np.ndarray:
+    """freq * x in turns, reduced to within two 2^-53 turns of its value modulo one.
+
+    ``freq`` is dyadic, odd * 2^e.  Scaling x by 2^e and dropping the
+    integer part are exact.  The fraction is split into whole 2^-53 turns,
+    multiplied by ``odd`` exactly in wrapping 64-bit arithmetic, and a
+    remainder below one such turn, multiplied in floating point; the bound
+    holds for |odd| < 2^53.
+    """
+    num, den = freq.numerator, freq.denominator
+    low_bit = (num & -num).bit_length()
+    odd = num >> (low_bit - 1)
+    rest, ticks = np.modf(np.ldexp(np.modf(np.ldexp(x, low_bit - den.bit_length()))[0], _TICKS))
+    ticks = (ticks.astype(np.int64).view(np.uint64) * np.uint64(odd & _TICK_MASK)) & _TICK_MASK
+    return np.ldexp(ticks.astype(float) + rest * odd, -_TICKS)
 
 
-def eval_K(fam: BasisFamily, idx: DilIndex, x: float) -> complex:
-    """Pointwise value of the dilated dilation-side basis function."""
-    s, j, m = DilIndex(*idx)
-    s, j = check_dil_label(fam, s, j)
-    if fam.name == "exponential":
-        lo, hi = dil_support(fam, DilIndex(s, j, m))
-        if lo <= x < hi:
-            t = (Fraction(j) * Fraction(2) ** m * Fraction(x)) % 1
-            amp = math.sqrt(2.0 ** m)
-            return amp * complex(math.cos(2 * math.pi * float(t)), math.sin(2 * math.pi * float(t)))
-        return 0j
-    kind, a, b = haar_dil_atom(s, j, m)
-    if kind == "psi":
-        return complex(_psi_scaled(a, b, x))
-    # box 2^{a/2} chi_{[b*2^-a, (b+1)*2^-a)}
-    amp = math.sqrt(2.0 ** a)
-    lo = b * 2.0 ** (-a)
-    hi = (b + 1) * 2.0 ** (-a)
-    return complex(amp if lo <= x < hi else 0.0)
+def _evaluate(atoms, x):
+    """Pointwise sum of atoms, left-closed at every breakpoint.
 
-
-def trans_support(fam: BasisFamily, idx: TransIndex) -> tuple[Fraction, Fraction]:
-    i, n = TransIndex(*idx)
-    check_trans_label(fam, i)
-    if fam.name == "exponential" or i == 0:
-        return Fraction(n), Fraction(n + 1)
-    p, q = split_haar_label(i)
-    step = Fraction(1, 1 << p)
-    return n + q * step, n + (q + 1) * step
-
-
-def dil_support(fam: BasisFamily, idx: DilIndex) -> tuple[Fraction, Fraction]:
-    s, j, m = DilIndex(*idx)
-    check_dil_label(fam, s, j)
-    scale = Fraction(2) ** (-m)
-    if fam.name == "exponential" or j == 0:
-        if s == PLUS:
-            return scale, 2 * scale
-        return -2 * scale, -scale
-    kind, a, b = haar_dil_atom(s, j, m)
-    step = Fraction(2) ** (-a)
-    return b * step, (b + 1) * step
+    ``x`` is a scalar or an array; a scalar gives a complex scalar.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=complex)
+    for at in atoms:
+        sel = (x >= ceil_float(at.a)) & (x < ceil_float(at.b))
+        xs = x[sel]
+        val = np.zeros(xs.shape, dtype=complex)
+        for c in reversed(at.coeffs):
+            val = val * xs + c
+        if at.freq:
+            val *= np.exp(2j * np.pi * _turns(at.freq, xs))
+        out[sel] = val
+    return out[()]
 
 
 @dataclass(frozen=True)
 class BasisElement:
-    """A single basis function bound to its family, usable by the oracle."""
+    """A single basis function bound to its family.
+
+    Its atoms are the one description: the support, the point values and
+    the oracle's exact inner products all read them.
+    """
 
     fam: BasisFamily
     index: TransIndex | DilIndex
 
-    def evaluate(self, x: float) -> complex:
+    def atoms(self) -> tuple[Atom, ...]:
+        """Atoms in increasing position."""
         if isinstance(self.index, TransIndex):
-            return eval_L(self.fam, self.index, x)
-        return eval_K(self.fam, self.index, x)
+            i, n = self.index
+            if self.fam.name == "exponential":
+                return (_box_atom(0, n, Fraction(i)),)
+            if i == 0:
+                return (_box_atom(0, n),)
+            p, q = split_haar_label(i)
+            return _psi_atoms(p, q + (n << p))
+        s, j, m = self.index
+        if self.fam.name == "exponential":
+            return (_box_atom(m, 1 if s == PLUS else -2, j * Fraction(2) ** m),)
+        kind, a, b = haar_dil_atom(s, j, m)
+        return (_box_atom(a, b),) if kind == "phi" else _psi_atoms(a, b)
+
+    def evaluate(self, x):
+        return _evaluate(self.atoms(), x)
 
     def support(self) -> tuple[Fraction, Fraction]:
-        if isinstance(self.index, TransIndex):
-            return trans_support(self.fam, self.index)
-        return dil_support(self.fam, self.index)
+        atoms = self.atoms()
+        return atoms[0].a, atoms[-1].b
 
 
 def L_elem(fam: BasisFamily, i: int, n: int) -> BasisElement:
@@ -270,16 +286,18 @@ class FunctionSpec:
         return FunctionSpec("piecewise", (), label="zero")
 
     # behaviour
-    def evaluate(self, x: float) -> complex:
+    def atoms(self) -> tuple[Atom, ...] | None:
+        """The pieces as atoms of frequency 0; None for the gaussian."""
         if self.kind == "gaussian":
-            return complex(math.exp(-(x * x) / (2.0 * self.sigma * self.sigma)))
-        for lo, hi, coeffs in self.pieces:
-            if lo <= x < hi:
-                acc = 0j
-                for c in reversed(coeffs):
-                    acc = acc * x + c
-                return acc
-        return 0j
+            return None
+        return tuple(Atom(lo, hi, coeffs, _NO_FREQ) for lo, hi, coeffs in self.pieces)
+
+    def evaluate(self, x):
+        """Value at a scalar or at every point of an array."""
+        if self.kind == "gaussian":
+            x = np.asarray(x, dtype=float)
+            return (np.exp(-(x * x) / (2.0 * self.sigma * self.sigma)) + 0j)[()]
+        return _evaluate(self.atoms(), x)
 
     def support(self) -> tuple[Fraction, Fraction] | None:
         """Support interval, or None for the empty (zero) function."""
@@ -292,10 +310,6 @@ class FunctionSpec:
 
     def is_compact(self) -> bool:
         return self.kind == "piecewise"
-
-
-def eval_spec(spec: FunctionSpec, x: float) -> complex:
-    return spec.evaluate(x)
 
 
 def translate_spec(spec: FunctionSpec, q: int) -> FunctionSpec:

@@ -71,6 +71,21 @@ def cis_frac(turns: Fraction) -> complex:
     return complex(math.cos(_TWO_PI * t), math.sin(_TWO_PI * t))
 
 
+def check_radius(r: int) -> int:
+    """A grid radius; a negative one is an empty grid, and a check over it
+    would pass vacuously."""
+    if r < 0:
+        raise ValueError(f"grid radius must be non-negative, got {r}")
+    return r
+
+
+def ceil_float(q: Fraction) -> float:
+    """Least double >= q: for a double x, x >= q iff x >= ceil_float(q), and
+    x < q iff x < ceil_float(q), so half-open bounds compare exactly."""
+    f = float(q)
+    return f if f >= q else math.nextafter(f, math.inf)
+
+
 def csum(values: Iterable[complex]) -> complex:
     """Compensated complex sum (fsum on each component)."""
     vals = [complex(v) for v in values]

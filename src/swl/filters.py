@@ -30,6 +30,7 @@ from .core import (
     FCoordVec,
     TransIndex,
     Window,
+    check_radius,
     coord_equal,
     csum,
 )
@@ -91,17 +92,24 @@ def daubechies4() -> LaurentPoly:
     return LaurentPoly.from_map({0: (1 + s3) / d, 1: (3 + s3) / d, 2: (3 - s3) / d, 3: (1 - s3) / d})
 
 
+def _span(k_range) -> range:
+    # a radius r is [-r, r]; an empty span would extract nothing or pass vacuously
+    if isinstance(k_range, int):
+        r = check_radius(k_range)
+        return range(-r, r + 1)
+    lo, hi = int(k_range[0]), int(k_range[1])
+    if hi < lo:
+        raise ValueError(f"empty range ({lo}, {hi})")
+    return range(lo, hi + 1)
+
+
 def extract_two_scale(phi: FunctionSpec, fam: BasisFamily, k_range,
                       quadrature_tol: float = 1e-12) -> LaurentPoly:
     """Refinement coefficients h_k = (phi, D T^k phi) by direct integration."""
     if not phi.is_compact():
         raise UnboundedSupportError("two-scale extraction needs a compactly supported function")
-    if isinstance(k_range, int):
-        ks = range(-k_range, k_range + 1)
-    else:
-        ks = range(int(k_range[0]), int(k_range[1]) + 1)
     out = {}
-    for k in ks:
+    for k in _span(k_range):
         out[k] = inner_product(phi, dilate_spec(translate_spec(phi, k), 1),
                                quadrature_tol=quadrature_tol)
     return LaurentPoly.from_map(out)
@@ -109,13 +117,9 @@ def extract_two_scale(phi: FunctionSpec, fam: BasisFamily, k_range,
 
 def _even_correlations(a: LaurentPoly, b: LaurentPoly, n_range) -> dict[int, complex]:
     """c_n = sum_k conj(a_k) b_{k+2n}."""
-    if isinstance(n_range, int):
-        ns = range(-n_range, n_range + 1)
-    else:
-        ns = range(int(n_range[0]), int(n_range[1]) + 1)
     bmap = b.as_dict()
     out = {}
-    for n in ns:
+    for n in _span(n_range):
         out[n] = csum(v.conjugate() * bmap.get(k + 2 * n, 0j) for k, v in a.coeffs)
     return out
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CheckReport
+from .core import CheckReport, ceil_float
 
 _AE_NOTE = "grid sampling check of an almost-everywhere condition, not a proof"
 
@@ -36,7 +36,7 @@ _AE_NOTE = "grid sampling check of an almost-everywhere condition, not a proof"
 class PeriodizationError(ValueError):
     """The frequency window fails to cover the transform's support."""
 
-    def __init__(self, message: str, missed_mass: float | None = None):
+    def __init__(self, message: str, missed_mass: float):
         super().__init__(message)
         self.missed_mass = missed_mass
 
@@ -59,51 +59,33 @@ class FourierSideSpec:
     parts: tuple[tuple[Fraction, Fraction, complex], ...] = ()
     shift: int = 0
 
-    def value(self, y: float) -> complex:
-        base: complex
-        if self.kind == "zero":
-            base = 0j
-        elif self.kind == "indicator_union":
-            base = 0j
-            for lo, hi, amp in self.parts:
-                if lo <= y < hi:
-                    base += amp
-        elif self.kind == "box_transform":
-            if y == 0.0:
-                base = 1.0 + 0j
-            else:
-                s = math.sin(math.pi * y) / (math.pi * y)
-                base = complex(math.cos(math.pi * y), -math.sin(math.pi * y)) * s
-        else:  # pragma: no cover
-            raise ValueError(f"unknown spec kind {self.kind!r}")
-        if self.shift and base != 0j:
-            t = math.tau * self.shift * y
-            base *= complex(math.cos(t), -math.sin(t))
-        return base
+    def value(self, y):
+        """Value at a scalar or at every point of an array."""
+        y = np.asarray(y, dtype=float)
+        if self.kind == "box_transform":
+            base = np.exp(-1j * np.pi * y) * np.sinc(y)
+        else:
+            base = np.zeros(y.shape, dtype=complex)
+            for lo, hi, amp in self.parts:  # none for "zero"
+                base[(y >= ceil_float(lo)) & (y < ceil_float(hi))] += amp
+        if self.shift:
+            base = base * np.exp(-1j * (math.tau * self.shift * y))
+        return base[()]
 
-    def tail_sq(self, theta: float, k_min: int, k_max: int) -> float | None:
-        """Exact sum of |value(theta+k)|^2 over k outside [k_min, k_max].
+    def tail_sq(self, thetas: np.ndarray, k_min: int, k_max: int) -> np.ndarray:
+        """Exact sum of |value(theta+k)|^2 over k outside [k_min, k_max], per theta.
 
-        None when no closed form is available; 0 when the window provably
-        captures everything.
+        Zero for the indicator unions that ``covered_by`` accepts for the window.
         """
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "indicator_union":
-            lo = min(p[0] for p in self.parts)
-            hi = max(p[1] for p in self.parts)
-            if k_min <= lo and hi <= k_max + 1:
-                return 0.0
-            return None
+        if self.kind != "box_transform":
+            return np.zeros(len(thetas))
         # box transform: sum sin^2(pi t)/ (pi (t+k))^2 outside the window
-        s = math.sin(math.pi * theta)
-        if s == 0.0:
-            return 0.0
-        return (s * s / (math.pi * math.pi)) * (
-            trigamma(theta + k_max + 1) + trigamma(1 - k_min - theta)
-        )
+        s = np.sin(np.pi * thetas)
+        tails = [trigamma(t + k_max + 1) + trigamma(1 - k_min - t) if sd else 0.0
+                 for t, sd in zip(thetas.tolist(), s)]
+        return (s * s / (math.pi * math.pi)) * np.array(tails)
 
-    def covered_by(self, k_min: int, k_max: int) -> tuple[bool, float | None]:
+    def covered_by(self, k_min: int, k_max: int) -> tuple[bool, float]:
         if self.kind in ("zero", "box_transform"):
             return True, 0.0
         lo = min(p[0] for p in self.parts)
@@ -170,17 +152,14 @@ class PeriodizedFourier:
     k_min: int
     k_max: int
     values: np.ndarray  # (k_max - k_min + 1, n_grid) complex
-    tail_sq: np.ndarray | None  # (n_grid,) float, exact clipped mass per theta
+    tail_sq: np.ndarray  # (n_grid,) float, exact clipped mass per theta
     source: FourierSideSpec
 
     def thetas(self) -> np.ndarray:
         return np.arange(self.n_grid) / self.n_grid
 
     def column_norm_sq(self) -> np.ndarray:
-        out = np.sum(np.abs(self.values) ** 2, axis=0)
-        if self.tail_sq is not None:
-            out = out + self.tail_sq
-        return out
+        return np.sum(np.abs(self.values) ** 2, axis=0) + self.tail_sq
 
 
 def periodize(fhat: FourierSideSpec, n_grid: int = 512,
@@ -195,15 +174,15 @@ def periodize(fhat: FourierSideSpec, n_grid: int = 512,
     if not ok:
         raise PeriodizationError(
             f"k_range [{k_min}, {k_max}] misses part of the transform's support"
-            + (f" (missed mass {missed:.6g})" if missed is not None else ""),
+            f" (missed mass {missed:.6g})",
             missed,
         )
     thetas = np.arange(n_grid) / n_grid
     values = np.empty((k_max - k_min + 1, n_grid), dtype=complex)
     for row, k in enumerate(range(k_min, k_max + 1)):
-        values[row] = [fhat.value(float(t) + k).conjugate() for t in thetas]
-    tails = np.array([fhat.tail_sq(float(t), k_min, k_max) for t in thetas], dtype=object)
-    tail_sq = None if any(t is None for t in tails) else tails.astype(float)
+        # row by row: one expression for the whole grid holds several grid-sized temporaries
+        values[row] = np.conjugate(fhat.value(thetas + k))
+    tail_sq = fhat.tail_sq(thetas, k_min, k_max)
     return PeriodizedFourier(n_grid, k_min, k_max, values, tail_sq, fhat)
 
 
@@ -212,7 +191,7 @@ def check_orthonormal_translates(P: PeriodizedFourier, tol: float = 1e-9) -> Che
     norms = P.column_norm_sq()
     residuals = {("theta", d): abs(float(norms[d]) - 1.0) for d in range(P.n_grid)}
     notes = [_AE_NOTE]
-    if P.tail_sq is not None and float(np.max(P.tail_sq)) > 0.0:
+    if float(np.max(P.tail_sq)) > 0.0:
         notes.append(
             f"clipped k-tail restored analytically (max {float(np.max(P.tail_sq)):.3e})"
         )

@@ -1,15 +1,18 @@
 """Brute-force inner products: the provenance oracle for every closed form.
 
 Inner products ``\\int f(x) conj(g(x)) dx`` are evaluated by one of two
-routes:
+routes, both reading the factors' own description from ``bases``: the
+atoms (polynomial pieces times complex exponentials) that every basis
+element and every piecewise FunctionSpec is made of, and the support
+derived from them.
 
-* exact piecewise integration when both factors reduce to polynomial
-  pieces times complex exponentials (all basis functions and every
-  piecewise FunctionSpec fall in this class) -- the antiderivatives are
-  closed forms, so the only error is double rounding;
+* exact piecewise integration of each pair of atoms when both factors
+  have atoms -- the antiderivatives are closed forms, so the only error
+  is double rounding;
 * adaptive Gauss-Legendre of order 16 with dyadic bisection when the
-  gaussian preset is involved, subdividing until the two-level estimate
-  difference is below the quadrature tolerance.
+  gaussian preset is involved, evaluating both factors on each whole node
+  array and subdividing until the two-level estimate difference is below
+  the quadrature tolerance.
 
 Phases of the exponential atoms are reduced modulo one turn in exact
 rational arithmetic before rounding, which keeps the exact route accurate
@@ -19,23 +22,12 @@ at machine precision even for large frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .bases import (
-    BasisElement,
-    BasisFamily,
-    FunctionSpec,
-    K_elem,
-    L_elem,
-    haar_dil_atom,
-    split_haar_label,
-    trans_support,
-    dil_support,
-)
+from .bases import BasisFamily, FunctionSpec, K_elem, L_elem
 from .core import (
     DilIndex,
     FCoordVec,
@@ -44,65 +36,6 @@ from .core import (
     Window,
     cis_frac,
 )
-
-
-# -- atoms: p(x) * e^{2 pi i freq x} on [a, b) -------------------------------
-
-@dataclass(frozen=True)
-class _Atom:
-    a: Fraction
-    b: Fraction
-    coeffs: tuple[complex, ...]
-    freq: Fraction
-
-
-def _atoms_of(obj) -> list[_Atom] | None:
-    """Atom decomposition, or None when only pointwise evaluation exists."""
-    if isinstance(obj, FunctionSpec):
-        if obj.kind == "gaussian":
-            return None
-        return [_Atom(lo, hi, coeffs, Fraction(0)) for lo, hi, coeffs in obj.pieces]
-    if isinstance(obj, BasisElement):
-        fam, idx = obj.fam, obj.index
-        if isinstance(idx, TransIndex):
-            i, n = idx
-            if fam.name == "exponential":
-                lo, hi = trans_support(fam, idx)
-                return [_Atom(lo, hi, (1.0 + 0j,), Fraction(i))]
-            if i == 0:
-                lo, hi = trans_support(fam, idx)
-                return [_Atom(lo, hi, (1.0 + 0j,), Fraction(0))]
-            p, q = split_haar_label(i)
-            return _psi_atoms(p, q + (n << p))
-        s, j, m = idx
-        if fam.name == "exponential":
-            lo, hi = dil_support(fam, idx)
-            amp = math.sqrt(2.0 ** m)
-            return [_Atom(lo, hi, (amp + 0j,), Fraction(j) * Fraction(2) ** m)]
-        kind, a, b = haar_dil_atom(s, j, m)
-        if kind == "phi":
-            step = Fraction(2) ** (-a)
-            amp = math.sqrt(2.0 ** a)
-            return [_Atom(b * step, (b + 1) * step, (amp + 0j,), Fraction(0))]
-        return _psi_atoms(a, b)
-    raise TypeError(f"cannot integrate objects of type {type(obj).__name__}")
-
-
-def _psi_atoms(a: int, b: int) -> list[_Atom]:
-    step = Fraction(2) ** (-a)
-    amp = math.sqrt(2.0 ** a)
-    lo = b * step
-    mid = lo + step / 2
-    hi = (b + 1) * step
-    return [_Atom(lo, mid, (amp + 0j,), Fraction(0)), _Atom(mid, hi, (-amp + 0j,), Fraction(0))]
-
-
-def _support_of(obj) -> tuple[Fraction, Fraction] | None:
-    if isinstance(obj, FunctionSpec):
-        return obj.support()
-    if isinstance(obj, BasisElement):
-        return obj.support()
-    raise TypeError(f"no support for {type(obj).__name__}")
 
 
 def _poly_mul(p: tuple[complex, ...], q: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -177,8 +110,8 @@ def _adaptive(fn, a: float, b: float, tol: float, depth: int) -> complex:
 
 def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     """integral f(x) conj(g(x)) dx for FunctionSpecs and basis elements."""
-    sup_f = _support_of(f)
-    sup_g = _support_of(g)
+    sup_f = f.support()
+    sup_g = g.support()
     if sup_f is None or sup_g is None:
         return 0j
     lo = max(sup_f[0], sup_g[0])
@@ -186,8 +119,8 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     if hi <= lo:
         return 0j
 
-    fa = _atoms_of(f)
-    ga = _atoms_of(g)
+    fa = f.atoms()
+    ga = g.atoms()
     if fa is not None and ga is not None:
         acc_re = []
         acc_im = []
@@ -215,11 +148,8 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     if cuts[-1] != hi:
         cuts.append(Fraction(hi))
 
-    f_eval = (lambda xs: np.array([f.evaluate(x) for x in xs], dtype=complex))
-    g_eval = (lambda xs: np.array([g.evaluate(x) for x in xs], dtype=complex))
-
     def integrand(xs: np.ndarray) -> np.ndarray:
-        return f_eval(xs) * np.conjugate(g_eval(xs))
+        return f.evaluate(xs) * np.conjugate(g.evaluate(xs))
 
     total_len = float(hi - lo)
     acc = 0j
@@ -240,7 +170,7 @@ def _overlaps(sup, lo: Fraction, hi: Fraction) -> bool:
 def oracle_F_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> FCoordVec:
     """All translation-model coefficients of ``f`` inside the window."""
-    sup = _support_of(f)
+    sup = f.support()
     pairs = []
     for i in w.trans_labels:
         for n in range(w.trans_range[0], w.trans_range[1] + 1):
@@ -253,7 +183,7 @@ def oracle_F_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
 def oracle_G_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> GCoordVec:
     """All dilation-model coefficients of ``f`` inside the window."""
-    sup = _support_of(f)
+    sup = f.support()
     pairs = []
     for s, j in w.dil_labels:
         for m in range(w.dil_range[0], w.dil_range[1] + 1):
@@ -278,11 +208,8 @@ def g_window_tail_bound(f: FunctionSpec, m_max: int,
     """
     half = Fraction(1, 1 << m_max) if m_max >= 0 else Fraction(1 << (-m_max))
     if f.kind == "gaussian":
-        def integrand(xs: np.ndarray) -> np.ndarray:
-            vals = np.array([f.evaluate(x) for x in xs], dtype=complex)
-            return (vals * np.conjugate(vals)).real.astype(complex)
-
-        return _adaptive(integrand, float(-half), float(half), quadrature_tol, 30).real
+        return _adaptive(lambda xs: np.abs(f.evaluate(xs)) ** 2,
+                         float(-half), float(half), quadrature_tol, 30).real
     pieces = []
     for lo, hi, coeffs in f.pieces:
         a, b = max(lo, -half), min(hi, half)

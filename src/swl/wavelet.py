@@ -29,29 +29,23 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alpha import AlphaMatrix
-from .core import CheckReport, FCoordVec, GCoordVec, PLUS, Window, csum
+from .core import CheckReport, FCoordVec, GCoordVec, PLUS, Window, check_radius, csum
+from .filters import coords_at_omega
 from .group_action import act_DT_on_G
 
 _WINDOW_SURROGATE_NOTE = "necessary-condition check at a finite window, not a proof"
 
 
-def _radius(r: int) -> int:
-    # a negative radius is an empty grid, and a check over it would pass vacuously
-    if r < 0:
-        raise ValueError(f"grid radius must be non-negative, got {r}")
-    return r
-
-
 def _pq_grid(pq_range) -> list[tuple[int, int]]:
     if isinstance(pq_range, int):
-        r = _radius(pq_range)
+        r = check_radius(pq_range)
         return [(p, q) for p in range(-r, r + 1) for q in range(-r, r + 1)]
     return [(int(p), int(q)) for p, q in pq_range]
 
 
 def _k_grid(k_range) -> list[int]:
     if isinstance(k_range, int):
-        r = _radius(k_range)
+        r = check_radius(k_range)
         return list(range(-r, r + 1))
     return [int(k) for k in k_range]
 
@@ -290,13 +284,8 @@ def check_scaling_coordinate_identity(phi: FCoordVec, k_range,
     omega_pows = {k: np.exp(2j * np.pi * k * thetas) for k in ks}
     poly = sum(auto[k] * omega_pows[k] for k in ks)
     # direct per-omega norm: sum_i |sum_n phi_i^(n) omega^n|^2
-    by_label: dict[int, dict[int, complex]] = {}
-    for (i, n), val in phi.items():
-        by_label.setdefault(i, {})[n] = val
-    direct = np.zeros(256)
-    for i, coeffs in by_label.items():
-        g = sum(val * np.exp(2j * np.pi * n * thetas) for n, val in coeffs.items())
-        direct += np.abs(g) ** 2
+    per_label = coords_at_omega(phi, np.exp(2j * np.pi * thetas))
+    direct = sum((np.abs(g) ** 2 for g in per_label.values()), np.zeros(256))
     cross = float(np.max(np.abs(poly - direct)))
 
     notes = [f"autocorrelation polynomial matches per-omega norm within {cross:.3e}"]

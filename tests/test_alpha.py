@@ -19,7 +19,6 @@ from swl import (
     g_from_f,
     oracle_G_coords,
 )
-from swl.alpha import bit_sign_exponent, floor_sign_exponent
 from swl.bases import FunctionSpec, InvalidLabelError
 from swl.core import MINUS, PLUS, coord_equal
 from swl.quadrature import inner_product
@@ -79,13 +78,6 @@ def test_invalid_labels():
         alpha_entry(HAAR, -1, 0, PLUS, 0, 1)
     with pytest.raises(InvalidLabelError):
         alpha_entry(HAAR, 0, 0, 2, 0, 1)
-
-
-def test_sign_exponent_bit_vs_floor_forms():
-    for u in range(1, 6):
-        for v in range(1 << u):
-            for p in range(u):
-                assert bit_sign_exponent(u, v, p) == floor_sign_exponent(u, v, p)
 
 
 # -- rows -----------------------------------------------------------------------

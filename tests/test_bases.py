@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from swl import EXPONENTIAL, HAAR, K_elem, L_elem, eval_K, eval_L, eval_spec
+from swl import EXPONENTIAL, HAAR, K_elem, L_elem
 from swl.bases import (
     FunctionSpec,
     InvalidLabelError,
@@ -16,30 +16,29 @@ from swl.bases import (
     parse_function_spec,
     translate_spec,
 )
-from swl.core import DilIndex, TransIndex
 from swl.quadrature import inner_product
 
 
 def test_eval_L_haar_scaling():
-    assert eval_L(HAAR, TransIndex(0, 0), 0.3) == 1.0
+    assert L_elem(HAAR, 0, 0).evaluate(0.3) == 1.0
 
 
 def test_eval_L_haar_wavelet_second_half():
-    assert eval_L(HAAR, TransIndex(1, 0), 0.7) == -1.0
+    assert L_elem(HAAR, 1, 0).evaluate(0.7) == -1.0
 
 
 def test_eval_L_exponential():
     # e^{2 pi i k (x - n)} with k=2, n=1, x=1.25: phase is half a turn
-    got = eval_L(EXPONENTIAL, TransIndex(2, 1), 1.25)
+    got = L_elem(EXPONENTIAL, 2, 1).evaluate(1.25)
     assert got == pytest.approx(complex(math.cos(math.pi), math.sin(math.pi)), abs=1e-15)
     assert got == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_eval_K_haar_examples():
     # (+, 0, 0) is the box on [1, 2)
-    assert eval_K(HAAR, DilIndex(1, 0, 0), 1.5) == 1.0
+    assert K_elem(HAAR, 1, 0, 0).evaluate(1.5) == 1.0
     # one dilation up: sqrt(2) * box on [1/2, 1)
-    assert eval_K(HAAR, DilIndex(1, 0, 1), 0.6) == pytest.approx(math.sqrt(2))
+    assert K_elem(HAAR, 1, 0, 1).evaluate(0.6) == pytest.approx(math.sqrt(2))
 
 
 @pytest.mark.parametrize("fam", [HAAR, EXPONENTIAL])
@@ -47,24 +46,24 @@ def test_eval_K_haar_examples():
 def test_eval_K_zero_outside_support(fam, s, j, m):
     lo, hi = K_elem(fam, s, j, m).support()
     for x in (float(lo) - 1e-12, float(hi), float(hi) + 1e-12, float(lo) - 5.0):
-        assert eval_K(fam, DilIndex(s, j, m), x) == 0j
+        assert K_elem(fam, s, j, m).evaluate(x) == 0j
     mid = (float(lo) + float(hi)) / 2
-    assert eval_K(fam, DilIndex(s, j, m), mid) != 0j
+    assert K_elem(fam, s, j, m).evaluate(mid) != 0j
 
 
 def test_eval_L_zero_outside_support():
     for i, n in [(0, 0), (3, -2), (5, 4)]:
         lo, hi = L_elem(HAAR, i, n).support()
-        assert eval_L(HAAR, TransIndex(i, n), float(lo) - 1e-12) == 0j
-        assert eval_L(HAAR, TransIndex(i, n), float(hi)) == 0j
-        assert eval_L(HAAR, TransIndex(i, n), float(hi) + 1e-12) == 0j
+        assert L_elem(HAAR, i, n).evaluate(float(lo) - 1e-12) == 0j
+        assert L_elem(HAAR, i, n).evaluate(float(hi)) == 0j
+        assert L_elem(HAAR, i, n).evaluate(float(hi) + 1e-12) == 0j
 
 
 def test_invalid_labels_rejected():
     with pytest.raises(InvalidLabelError):
-        eval_L(HAAR, TransIndex(-1, 0), 0.5)
+        L_elem(HAAR, -1, 0)
     with pytest.raises(InvalidLabelError):
-        eval_K(HAAR, DilIndex(1, -2, 0), 1.5)
+        K_elem(HAAR, 1, -2, 0)
     with pytest.raises(InvalidLabelError):
         K_elem(EXPONENTIAL, 0, 1, 0)
 
@@ -108,12 +107,12 @@ def test_orthogonality_of_distinct_indices(fam):
 
 
 def test_eval_spec_presets():
-    assert eval_spec(FunctionSpec.haar_wavelet(), 0.25) == 1.0
-    assert eval_spec(FunctionSpec.haar_wavelet(), 0.75) == -1.0
+    assert FunctionSpec.haar_wavelet().evaluate(0.25) == 1.0
+    assert FunctionSpec.haar_wavelet().evaluate(0.75) == -1.0
     # right-open convention
-    assert eval_spec(FunctionSpec.indicator(1, 2), 2.0) == 0j
-    assert eval_spec(FunctionSpec.indicator(1, 2), 1.0) == 1.0
-    assert eval_spec(FunctionSpec.gaussian(1.0), 0.0) == 1.0
+    assert FunctionSpec.indicator(1, 2).evaluate(2.0) == 0j
+    assert FunctionSpec.indicator(1, 2).evaluate(1.0) == 1.0
+    assert FunctionSpec.gaussian(1.0).evaluate(0.0) == 1.0
 
 
 def test_spec_validation():
@@ -128,16 +127,16 @@ def test_spec_validation():
 def test_parse_presets_and_indicator():
     assert parse_function_spec("haar_wavelet").label == "haar_wavelet"
     spec = parse_function_spec("indicator(1,2)")
-    assert eval_spec(spec, 1.5) == 1.0
+    assert spec.evaluate(1.5) == 1.0
     g = parse_function_spec("gaussian(2)")
     assert g.sigma == 2.0
 
 
 def test_parse_piecewise_with_dyadic_fractions():
     spec = parse_function_spec("piecewise[(0,3/8):1+2*x; (1/2,1):-x^2]")
-    assert eval_spec(spec, 0.25) == pytest.approx(1.5)
-    assert eval_spec(spec, 0.75) == pytest.approx(-0.5625)
-    assert eval_spec(spec, 0.45) == 0j
+    assert spec.evaluate(0.25) == pytest.approx(1.5)
+    assert spec.evaluate(0.75) == pytest.approx(-0.5625)
+    assert spec.evaluate(0.45) == 0j
 
 
 @pytest.mark.parametrize("bad", [
@@ -155,12 +154,12 @@ def test_parse_errors(bad):
 def test_translate_dilate_exact():
     psi = FunctionSpec.haar_wavelet()
     shifted = translate_spec(psi, 3)
-    assert eval_spec(shifted, 3.25) == 1.0
+    assert shifted.evaluate(3.25) == 1.0
     scaled = dilate_spec(psi, 1)
-    assert eval_spec(scaled, 0.2) == pytest.approx(math.sqrt(2))
+    assert scaled.evaluate(0.2) == pytest.approx(math.sqrt(2))
     both = apply_DT(psi, 1, 1)  # sqrt(2) psi(2x - 1)
-    assert eval_spec(both, 0.6) == pytest.approx(math.sqrt(2))
-    assert eval_spec(both, 0.9) == pytest.approx(-math.sqrt(2))
+    assert both.evaluate(0.6) == pytest.approx(math.sqrt(2))
+    assert both.evaluate(0.9) == pytest.approx(-math.sqrt(2))
     with pytest.raises(UnboundedSupportError):
         dilate_spec(FunctionSpec.gaussian(1.0), 1)
 

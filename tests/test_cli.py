@@ -202,6 +202,10 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("check-scaling", "--function", "indicator(0,2)", "--krange", "-1"),
     ("check-wavelet", "--function", "haar_wavelet", "--pq", "-1"),
+    ("filter", "extract", "--function", "haar_scaling", "--krange", "-1"),
+    ("filter", "check-orthogonality", "--krange", "-1",
+     "--coeffs", '{"0": [0.7071067811865476, 0], "1": [0.7071067811865476, 0]}'),
+    ("filter", "check-pair", "--coeffs", '{"0": [1, 0], "1": [1, 0]}', "--krange", "-1"),
 ])
 def test_negative_grid_radius_is_an_input_error(capsys, argv):
     # an empty grid would make the check pass vacuously

@@ -64,6 +64,17 @@ def test_extract_zero_function():
     assert len(extract_two_scale(FunctionSpec.zero(), HAAR, 3)) == 0
 
 
+@pytest.mark.parametrize("span", [-1, (1, 0)])
+def test_empty_span_is_an_input_error(span):
+    # an empty span would extract nothing and let every filter check pass
+    with pytest.raises(ValueError):
+        extract_two_scale(FunctionSpec.haar_scaling(), HAAR, span)
+    with pytest.raises(ValueError):
+        check_filter_orthogonality(haar_filter(), span)
+    with pytest.raises(ValueError):
+        check_pair_conditions(haar_filter(), mirror_filter(haar_filter()), span)
+
+
 def test_filter_orthogonality_haar_and_d4():
     assert check_filter_orthogonality(haar_filter(), 6, 1e-12).passed
     rep = check_filter_orthogonality(daubechies4(), 8, 1e-12)

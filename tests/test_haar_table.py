@@ -60,3 +60,15 @@ def test_ladder_entry_far_past_underflow_is_zero():
     assert A.entry(1, 0, PLUS, 0, 10**9) == 0j
     assert A.entry(0, -1, MINUS, 0, 1074) != 0j
     assert A.entry(0, -1, MINUS, 0, 1075) == 0j
+
+
+def test_coarse_box_rows_match_oracle():
+    # rows (0, n), n >= 2 or n <= -3, are coarse boxes whose signs are bits of n
+    w = _top(0)
+    for n in [*range(2, 64), *range(-65, -2)]:
+        entries, clipped = A.row(0, n, w)
+        assert clipped == 0.0
+        assert abs(sum(abs(val) ** 2 for _, val in entries) - 1.0) <= 1e-12
+        for key, val in entries:
+            oracle = inner_product(L_elem(HAAR, 0, n), K_elem(HAAR, *key))
+            assert abs(val - oracle) <= 1e-12
