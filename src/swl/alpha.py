@@ -308,12 +308,15 @@ class AlphaMatrix:
         return entries, max(0.0, 1.0 - captured)
 
     def column(self, s: int, j: int, m: int, w: Window) -> tuple[list[tuple[TransIndex, complex]], float]:
-        """Nonzero entries of column (s, j, m) within the window, plus clipped mass."""
+        """Nonzero entries of column (s, j, m) within the window, plus clipped mass.
+
+        Haar columns are finite and enumerated whole, so nothing is clipped;
+        exponential clipping is accounted as 1 minus the captured mass.
+        """
         check_dil_label(self.fam, s, j)
-        if self.fam.name == "exponential":
-            entries = _exp_column(s, int(j), int(m), w)
-        else:
-            entries = _haar_column(s, int(j), int(m), w)
+        if self.fam.name == "haar":
+            return _haar_column(s, int(j), int(m), w), 0.0
+        entries = _exp_column(s, int(j), int(m), w)
         captured = math.fsum(abs(v) ** 2 for _, v in entries)
         return entries, max(0.0, 1.0 - captured)
 

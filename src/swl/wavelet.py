@@ -12,13 +12,19 @@ evaluate the sums here:
   and take the coordinate dot product.
 
 Both are computed and must agree; the report carries the worse residual
-and the route disagreement.
+and the route disagreement.  Each route transports the candidate one
+translation q at a time: the literal column pass is built once, then for
+each q the literal row pass and the group-action copy are built, that q's
+sums for every p are taken as aligned array products with compensated
+(``fsum``) totals, and both copies are dropped before the next q.  So only
+one q's copies are ever held, whatever the size of the (p, q) grid.
 
 Completeness is probed by the rank of a window-truncated coordinate
-matrix.  A finite window can only ever certify a *necessary* condition, so
-reports label the rank test as a window surrogate; singular values too
-close to the decision threshold yield an ``inconclusive`` verdict instead
-of a pass/fail call.
+matrix, read from the same literal row passes, again one q at a time.  A
+finite window can only ever certify a *necessary* condition, so reports
+label the rank test as a window surrogate; singular values too close to
+the decision threshold yield an ``inconclusive`` verdict instead of a
+pass/fail call.
 """
 
 from __future__ import annotations
@@ -60,62 +66,120 @@ def _slack(candidate_tail_sq: float, per_q_tails: Iterable[float]) -> float:
 
 # -- orthonormality -----------------------------------------------------------
 
-def _pair_sums_literal(psi: GCoordVec, A: AlphaMatrix, qs: Sequence[int],
-                       w: Window) -> dict[int, GCoordVec]:
-    """Literal innermost-first evaluation of the nested coordinate sums.
-
-    For each q, returns the vector U_q with
-    U_q[(s,j,mu)] = sum_{i,n} alpha_{i,n}^{s,j,mu} sum_{r,k,l}
-                    conj(alpha_{i,n-q}^{r,k,l}) psi[(r,k,l)],
-    so that the (p, q) sum is <psi, shift of U_q by p>.
+def _column_pass(psi: GCoordVec, A: AlphaMatrix, w: Window) -> dict:
+    """Innermost literal sum, shared by every q:
+    X[(i, nu)] = sum_{r,k,l} conj(alpha_{i,nu}^{r,k,l}) psi[(r,k,l)].
     """
-    # innermost: X[(i, nu)] = sum conj(alpha_{i,nu}^{r,k,l}) psi[(r,k,l)]
     x: dict = {}
     for (r, k, l), val in psi.items():
         entries, _ = A.column(r, k, l, w)
         for key, a in entries:
             x[key] = x.get(key, 0j) + a.conjugate() * val
-    out: dict[int, GCoordVec] = {}
-    for q in qs:
-        u: dict = {}
-        for (i, nu), val in x.items():
-            entries, _ = A.row(i, nu + q, w)
-            for key, a in entries:
-                u[key] = u.get(key, 0j) + a * val
-        out[q] = GCoordVec._from_clean(u)
-    return out
+    return x
+
+
+def _row_pass(x: dict, q: int, A: AlphaMatrix, w: Window) -> GCoordVec:
+    """Outer literal sum for one q:
+    U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)],
+    so that the (p, q) sum is <psi, shift of U_q by p>.
+    """
+    u: dict = {}
+    for (i, nu), val in x.items():
+        entries, _ = A.row(i, nu + q, w)
+        for key, a in entries:
+            u[key] = u.get(key, 0j) + a * val
+    return GCoordVec._from_clean(u)
+
+
+def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """Compensated sum of a * conj(b), the same sum as ``csum``.
+
+    Each component of each product is rounded as Python's complex product
+    rounds it; numpy's complex multiply may fuse it into one FMA instead.
+    """
+    re = a.real * b.real + a.imag * b.imag
+    im = a.imag * b.real - a.real * b.imag
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+
+
+class _ShiftedPsi:
+    """The candidate's keys as int64 codes, for sums against shifted vectors.
+
+    Each (s, j) group of psi gets a dense id and key (s, j, m) the code
+    ``id * span + (m - base)``, where [base, base + span) holds every
+    m - p for the shifts p asked for.  Labels never enter the code, so Haar
+    labels of any size cannot overflow it.
+    """
+
+    def __init__(self, psi: GCoordVec, ps: Sequence[int]):
+        self.groups: dict[tuple[int, int], int] = {}
+        ids, ms, vals = [], [], []
+        for (s, j, m), val in psi.items():
+            ids.append(self.groups.setdefault((s, j), len(self.groups)))
+            ms.append(m)
+            vals.append(val)
+        self.base = min(ms, default=0) - max(ps, default=0)
+        self.span = max(ms, default=0) - min(ps, default=0) - self.base + 1
+        self.codes = np.array(ids, dtype=np.int64) * self.span + (
+            np.array(ms, dtype=np.int64) - self.base)
+        self.values = np.array(vals, dtype=complex)
+
+    def sums(self, vec: GCoordVec, ps: Iterable[int]) -> dict[int, complex]:
+        """For each p, the compensated sum over psi's keys (s, j, m) of
+        psi[(s, j, m)] * conj(vec[(s, j, m - p)])."""
+        group, base, span = self.groups.get, self.base, self.span
+        codes, vals = [], []
+        for (s, j, m), val in vec.items():
+            g = group((s, j))
+            if g is not None and base <= m < base + span:
+                codes.append(g * span + (m - base))
+                vals.append(val)
+        codes = np.array(codes, dtype=np.int64)
+        order = np.argsort(codes)
+        codes, vals = codes[order], np.array(vals, dtype=complex)[order]
+        out = {}
+        for p in ps:
+            want = self.codes - p
+            at = np.searchsorted(codes, want)
+            hit = at < len(codes)
+            hit[hit] = codes[at[hit]] == want[hit]
+            out[p] = _cdot(self.values[hit], vals[at[hit]])
+        return out
 
 
 def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window):
     """Residual grid |LHS(p,q) - delta| plus the two-route disagreement.
 
-    Returns (residuals, disagreement, per_q_transfer_tails).
+    Returns (residuals, disagreement, per_q_transfer_tails).  Each q is
+    transported by both routes, summed for every p of that q with
+    compensated totals, and dropped before the next q.
     """
     grid = _pq_grid(pq_range)
-    qs = sorted({q for _, q in grid})
+    ps_of: dict[int, set[int]] = {}
+    for p, q in grid:
+        ps_of.setdefault(q, set()).add(p)
 
-    route_a = _pair_sums_literal(psi, A, qs, w)
-    route_b = {}
+    index = _ShiftedPsi(psi, [p for p, _ in grid])
+    x = _column_pass(psi, A, w)
+    route_a, route_b = {}, {}
     per_q_tails: list[float] = []
-    for q in qs:
+    for q in sorted(ps_of):
+        # route A: <psi, U_q shifted by p> with U_q from the literal sums
+        for p, lhs in index.sums(_row_pass(x, q, A, w), ps_of[q]).items():
+            route_a[(p, q)] = lhs
+        # route B: <psi, D^p T^q psi> via the group action, the conjugate
+        # of the coordinate sum (D^p T^q psi, psi)
         sink: list[float] = []
-        route_b[q] = act_DT_on_G(psi, 0, q, A, w, sink)
+        for p, lhs in index.sums(act_DT_on_G(psi, 0, q, A, w, sink), ps_of[q]).items():
+            route_b[(p, q)] = lhs
         per_q_tails.append(math.fsum(sink))
 
     residuals = {}
     disagreement = 0.0
     for p, q in grid:
         delta = 1.0 if (p == 0 and q == 0) else 0.0
-        # route A: <psi, U_q shifted by p> with U_q from the literal sums
-        uq = route_a[q]
-        lhs_a = csum(val * uq[(s, j, m - p)].conjugate() for (s, j, m), val in psi.items())
-        # route B: (D^p T^q psi, psi) via the group action
-        vq = route_b[q]
-        lhs_b = csum(
-            vq[(s, j, m - p)] * val.conjugate() for (s, j, m), val in psi.items()
-        )
-        residuals[(p, q)] = abs(lhs_a - delta)
-        disagreement = max(disagreement, abs(lhs_a - lhs_b.conjugate()))
+        residuals[(p, q)] = abs(route_a[(p, q)] - delta)
+        disagreement = max(disagreement, abs(route_a[(p, q)] - route_b[(p, q)]))
     return residuals, disagreement, per_q_tails
 
 
@@ -143,19 +207,27 @@ def check_wavelet_orthonormality(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Wi
 
 def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[int, int]],
                         row_window, w: Window) -> np.ndarray:
-    """Window-truncated completeness matrix: rows (m, q), columns (s, j)."""
+    """Window-truncated completeness matrix: rows (m, q), columns (s, j).
+
+    Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]).  Each U_q is built from
+    the shared column pass for one q at a time, and dropped once its rows
+    are read.
+    """
     if isinstance(row_window, int):
         rows = [(m, q) for m in range(-row_window, row_window + 1)
                 for q in range(-row_window, row_window + 1)]
     else:
         rows = [(int(m), int(q)) for m, q in row_window]
-    qs = sorted({q for _, q in rows})
-    uq = _pair_sums_literal(psi, A, qs, w)
-    mat = np.zeros((len(rows), len(labels)), dtype=complex)
+    rows_of: dict[int, list[tuple[int, int]]] = {}
     for r, (m, q) in enumerate(rows):
-        vec = uq[q]
-        for c, (s, j) in enumerate(labels):
-            mat[r, c] = vec[(s, j, m)].conjugate()
+        rows_of.setdefault(q, []).append((r, m))
+    x = _column_pass(psi, A, w)
+    mat = np.zeros((len(rows), len(labels)), dtype=complex)
+    for q in sorted(rows_of):
+        uq = _row_pass(x, q, A, w)
+        for r, m in rows_of[q]:
+            for c, (s, j) in enumerate(labels):
+                mat[r, c] = uq[(s, j, m)].conjugate()
     return mat
 
 

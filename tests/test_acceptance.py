@@ -271,12 +271,16 @@ def test_criterion_7_filters():
     d4_tilde = g_from_f(d4_psi, A, w_d4)
     rep_d4_wav = check_wavelet_orthonormality(d4_tilde, A, 2, w_d4, 1e-4,
                                               candidate_tail_sq=d4_tail)
+    agree_note = next(n for n in rep_d4_wav.notes if "routes agree" in n)
+    d4_disagreement = float(agree_note.split()[-1])
 
     elapsed = time.monotonic() - start
     ok = (extract_ok and rep_h.passed and rep_d4.passed and rep_pair.passed
           and min_det >= 1.0 and rep_rec.passed and construct_ok
-          and rep_d4_wav.passed and rep_d4_wav.max_residual <= 1e-4 and elapsed < 60.0)
+          and rep_d4_wav.passed and rep_d4_wav.max_residual <= 1e-4
+          and d4_disagreement <= 1e-12 and elapsed < 60.0)
     _verdict(7, f"filters, d4 wavelet residual {rep_d4_wav.max_residual:.2e}, "
+                f"route disagreement {d4_disagreement:.2e}, "
                 f"min det {min_det:.3g}, {elapsed:.1f}s", ok)
     assert extract_ok
     assert rep_h.passed and rep_h.max_residual <= 1e-12
@@ -286,4 +290,5 @@ def test_criterion_7_filters():
     assert rep_rec.passed and rep_rec.max_residual <= 1e-10
     assert construct_ok
     assert rep_d4_wav.passed and rep_d4_wav.max_residual <= 1e-4
+    assert d4_disagreement <= 1e-12
     assert elapsed < 60.0

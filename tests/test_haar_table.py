@@ -4,6 +4,8 @@ independently coded column table must be its exact transpose.
 The oracle stays the outside check on the values themselves.
 """
 
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -43,7 +45,10 @@ def test_row_entries_appear_in_columns_and_entry(i, n, m_hi):
 @given(s=signs, j=st.one_of(st.just(0), labels), m=st.integers(-10, 40))
 def test_column_entries_are_row_entries(s, j, m):
     w = _top(m)
-    for (i, n), val in A.column(s, j, m, w)[0]:
+    entries, tail = A.column(s, j, m, w)
+    assert tail == 0.0
+    assert abs(math.fsum(abs(val) ** 2 for _, val in entries) - 1.0) <= 1e-12
+    for (i, n), val in entries:
         assert dict(A.row(i, n, w)[0])[(s, j, m)] == val
 
 

@@ -47,7 +47,7 @@ def test_haar_wavelet_passes_orthonormality(psi_tilde, A_haar, w_haar):
 def test_routes_agree(psi_tilde, phi_tilde, A_haar, w_haar):
     for cand in (psi_tilde, phi_tilde):
         _, disagreement, _ = orthonormality_residuals(cand, A_haar, 3, w_haar)
-        assert disagreement <= 1e-8
+        assert disagreement <= 1e-12
 
 
 def test_haar_scaling_fails_at_one_zero(phi_tilde, A_haar, w_haar):
