@@ -233,7 +233,7 @@ def _coarse_box_row(s: int, u: int, v: int) -> list[tuple[DilIndex, complex]]:
     return out
 
 
-def _haar_column(s: int, j: int, m: int, w: Window) -> list[tuple[TransIndex, complex]]:
+def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
     if j == 0:
         if m > 0:
             n = 0 if s == PLUS else -1
@@ -315,7 +315,7 @@ class AlphaMatrix:
         """
         check_dil_label(self.fam, s, j)
         if self.fam.name == "haar":
-            return _haar_column(s, int(j), int(m), w), 0.0
+            return _haar_column(s, int(j), int(m)), 0.0
         entries = _exp_column(s, int(j), int(m), w)
         captured = math.fsum(abs(v) ** 2 for _, v in entries)
         return entries, max(0.0, 1.0 - captured)

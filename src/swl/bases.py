@@ -43,17 +43,14 @@ class UnboundedSupportError(ValueError):
 
 @dataclass(frozen=True)
 class BasisFamily:
-    """One of the two concrete basis families; r=2 and t=1 are fixed."""
+    """One of the two concrete basis families, both with dilation ratio 2
+    and translation step 1."""
 
     name: str
-    r: int = 2
-    t: int = 1
 
     def __post_init__(self):
         if self.name not in ("exponential", "haar"):
             raise ValueError(f"unknown basis family {self.name!r}")
-        if self.r != 2 or self.t != 1:
-            raise ValueError("only r=2, t=1 is supported")
 
 
 EXPONENTIAL = BasisFamily("exponential")

@@ -314,7 +314,7 @@ def _cmd_filter(args) -> int:
     fam = family(args.basis)
     if args.verb == "extract":
         spec = parse_function_spec(_required(args.function, "--function"))
-        h = extract_two_scale(spec, fam, args.krange)
+        h = extract_two_scale(spec, args.krange)
         _emit({"filter": _filter_to_doc(h), "config": _effective(args)}, args.out)
         return 0
     h = _filter_from_arg(_required(args.coeffs, "--coeffs"))

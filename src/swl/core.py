@@ -97,7 +97,7 @@ class _SparseCoords:
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Mapping | Iterable = (), *, drop: float = DROP_THRESHOLD):
+    def __init__(self, entries: Mapping | Iterable = ()):
         data: dict = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for key, val in items:
@@ -106,8 +106,7 @@ class _SparseCoords:
             if key in data:
                 z += data[key]
             data[key] = z
-        if drop > 0.0:
-            data = {k: v for k, v in data.items() if abs(v) > drop}
+        data = {k: v for k, v in data.items() if abs(v) > DROP_THRESHOLD}
         object.__setattr__(self, "_entries", data)
 
     # -- mapping-ish interface -------------------------------------------
@@ -159,18 +158,15 @@ class _SparseCoords:
             out[k] = out.get(k, 0j) + v
         return type(self)(out)
 
-    def minus(self, other: "_SparseCoords"):
-        return self.plus(other.scaled(-1.0))
-
     @staticmethod
     def _check_key(key):  # pragma: no cover - overridden
         raise NotImplementedError
 
     @classmethod
-    def _from_clean(cls, data: Mapping, *, drop: float = DROP_THRESHOLD):
+    def _from_clean(cls, data: Mapping):
         """Internal fast path: keys already validated by the producer."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_entries", {k: v for k, v in data.items() if abs(v) > drop})
+        object.__setattr__(obj, "_entries", {k: v for k, v in data.items() if abs(v) > DROP_THRESHOLD})
         return obj
 
 
@@ -277,23 +273,26 @@ _DETAIL_CAP = 24
 class CheckReport:
     """Outcome of one coordinate-level verification.
 
-    ``passed`` holds exactly when ``max_residual <= tol + slack``; ``slack``
-    collects window-truncation allowances accumulated while the check ran
-    (zero when nothing was clipped).  ``verdict`` is ``"pass"``, ``"fail"``
-    or ``"inconclusive"``; the inconclusive verdict (rank decisions too
-    close to the singular-value threshold) forces ``passed`` to False
-    regardless of the residual.
+    ``verdict`` is ``"pass"``, ``"fail"`` or ``"inconclusive"``, and
+    ``passed`` reads it.  A residual check passes exactly when
+    ``max_residual <= tol + slack``; ``slack`` collects window-truncation
+    allowances accumulated while the check ran (zero when nothing was
+    clipped).  The inconclusive verdict (rank decisions too close to the
+    singular-value threshold) is not a pass, whatever the residual.
     """
 
     check_name: str
-    passed: bool
+    verdict: str
     max_residual: float
     tol: float
     window: Window | None = None
     details: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     slack: float = 0.0
-    verdict: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
 
     @classmethod
     def from_residuals(cls, name: str, residuals: Mapping, tol: float, *,
@@ -302,24 +301,22 @@ class CheckReport:
         res = {k: float(r) for k, r in residuals.items()}
         worst = sorted(res.items(), key=lambda kv: (-kv[1], repr(kv[0])))
         max_res = worst[0][1] if worst else 0.0
-        ok = max_res <= tol + slack
         return cls(
             check_name=name,
-            passed=ok,
+            verdict="pass" if max_res <= tol + slack else "fail",
             max_residual=max_res,
             tol=tol,
             window=window,
             details=worst[:_DETAIL_CAP],
             notes=list(notes),
             slack=slack,
-            verdict="pass" if ok else "fail",
         )
 
     def to_dict(self) -> dict:
         return {
             "check": self.check_name,
             "pass": self.passed,
-            "verdict": self.verdict or ("pass" if self.passed else "fail"),
+            "verdict": self.verdict,
             "max_residual": self.max_residual,
             "tol": self.tol,
             "slack": self.slack,

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .alpha import AlphaMatrix, f_from_g, g_from_f
-from .bases import BasisFamily, FunctionSpec, UnboundedSupportError, dilate_spec, translate_spec
+from .bases import FunctionSpec, UnboundedSupportError, dilate_spec, translate_spec
 from .core import (
     CheckReport,
     DROP_THRESHOLD,
@@ -38,6 +38,7 @@ from .group_action import shift_D
 from .quadrature import inner_product
 
 _SQRT1_2 = math.sqrt(0.5)
+_DET_FLOOR = 1e-6  # least grid |det| of the pair matrix that check_pair_conditions accepts
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,12 @@ class LaurentPoly:
     coeffs: tuple[tuple[int, complex], ...]
 
     @staticmethod
-    def from_map(m: Mapping[int, complex] | Iterable[tuple[int, complex]],
-                 drop: float = DROP_THRESHOLD) -> "LaurentPoly":
+    def from_map(m: Mapping[int, complex] | Iterable[tuple[int, complex]]) -> "LaurentPoly":
         items = m.items() if isinstance(m, Mapping) else m
         acc: dict[int, complex] = {}
         for k, v in items:
             acc[int(k)] = acc.get(int(k), 0j) + complex(v)
-        return LaurentPoly(tuple(sorted((k, v) for k, v in acc.items() if abs(v) > drop)))
+        return LaurentPoly(tuple(sorted((k, v) for k, v in acc.items() if abs(v) > DROP_THRESHOLD)))
 
     def as_dict(self) -> dict[int, complex]:
         return dict(self.coeffs)
@@ -103,15 +103,17 @@ def _span(k_range) -> range:
     return range(lo, hi + 1)
 
 
-def extract_two_scale(phi: FunctionSpec, fam: BasisFamily, k_range,
-                      quadrature_tol: float = 1e-12) -> LaurentPoly:
-    """Refinement coefficients h_k = (phi, D T^k phi) by direct integration."""
+def extract_two_scale(phi: FunctionSpec, k_range) -> LaurentPoly:
+    """Refinement coefficients h_k = (phi, D T^k phi) by direct integration.
+
+    Both factors are compactly supported, so the oracle integrates them
+    exactly and no quadrature tolerance applies.
+    """
     if not phi.is_compact():
         raise UnboundedSupportError("two-scale extraction needs a compactly supported function")
     out = {}
     for k in _span(k_range):
-        out[k] = inner_product(phi, dilate_spec(translate_spec(phi, k), 1),
-                               quadrature_tol=quadrature_tol)
+        out[k] = inner_product(phi, dilate_spec(translate_spec(phi, k), 1))
     return LaurentPoly.from_map(out)
 
 
@@ -165,14 +167,14 @@ def mirror_filter(h: LaurentPoly, m: int = 0) -> LaurentPoly:
 
 
 def check_pair_conditions(h: LaurentPoly, g: LaurentPoly, n_range=8, grid: int = 1024,
-                          tol: float = 1e-12, det_floor: float = 1e-6) -> CheckReport:
+                          tol: float = 1e-12) -> CheckReport:
     """Joint low/high-pass conditions for a candidate filter pair.
 
     Coefficient domain: both filters are self-orthogonal under even shifts
     and mutually orthogonal at *all* even lags.  Circle domain:
     g(omega) conj(h(omega)) + g(-omega) conj(h(-omega)) = 0 on a grid, and
     the 2x2 matrix [[h(w), g(w)], [h(-w), g(-w)]] stays invertible, judged
-    by the minimum grid |det| against ``det_floor``.  Completeness of the
+    by the minimum grid |det| against the floor 1e-6.  Completeness of the
     even-shift span has no finite certificate; the report carries the grid
     determinant as supporting evidence only.
     """
@@ -194,12 +196,11 @@ def check_pair_conditions(h: LaurentPoly, g: LaurentPoly, n_range=8, grid: int =
     min_det = float(np.min(np.abs(det)))
 
     notes = [
-        f"min grid |det| = {min_det:.6g} (floor {det_floor:g})",
+        f"min grid |det| = {min_det:.6g} (floor {_DET_FLOOR:g})",
         "span completeness not decidable at a finite window; grid determinant is evidence only",
     ]
     report = CheckReport.from_residuals("filter_pair_conditions", residuals, tol, notes=notes)
-    if min_det < det_floor:
-        report.passed = False
+    if min_det < _DET_FLOOR:
         report.verdict = "fail"
         report.notes.append("determinant not bounded away from zero on the grid")
     report.details.append((("grid", "min_abs_det"), min_det))
@@ -227,8 +228,7 @@ def coords_at_omega(coords: FCoordVec, omegas: np.ndarray) -> dict[int, np.ndarr
 
 
 def reconstruct_scaling_coords(phi_coords: FCoordVec, h: LaurentPoly, A: AlphaMatrix,
-                           w: Window, tol: float = 1e-10,
-                           tail_sink: list | None = None) -> tuple[FCoordVec, CheckReport]:
+                           w: Window, tol: float = 1e-10) -> tuple[FCoordVec, CheckReport]:
     """Recover the scaling coordinates from their own filtered version.
 
     Pipeline: convolve by h (coordinates of the once-unscaled function),
@@ -237,14 +237,14 @@ def reconstruct_scaling_coords(phi_coords: FCoordVec, h: LaurentPoly, A: AlphaMa
     compares the two.
     """
     filtered = filter_action_on_coords(phi_coords, h)
-    lifted = shift_D(g_from_f(filtered, A, w, tail_sink), 1)
-    rebuilt = f_from_g(lifted, A, w, tail_sink)
+    lifted = shift_D(g_from_f(filtered, A, w), 1)
+    rebuilt = f_from_g(lifted, A, w)
     report = coord_equal(rebuilt, phi_coords, tol, name="two_scale_reconstruction", window=w)
     return rebuilt, report
 
 
 def construct_wavelet_coords(phi_coords: FCoordVec, h: LaurentPoly, A: AlphaMatrix,
-                             w: Window, tail_sink: list | None = None) -> FCoordVec:
+                             w: Window) -> FCoordVec:
     """Candidate wavelet coordinates built from the scaling coordinates.
 
     Same pipeline as the reconstruction but with the alternating-flip
@@ -255,8 +255,8 @@ def construct_wavelet_coords(phi_coords: FCoordVec, h: LaurentPoly, A: AlphaMatr
         {1 - k_h: ((-1.0) ** k_h) * v for k_h, v in h.coeffs}
     )
     filtered = filter_action_on_coords(phi_coords, flipped)
-    lifted = shift_D(g_from_f(filtered, A, w, tail_sink), 1)
-    return f_from_g(lifted, A, w, tail_sink)
+    lifted = shift_D(g_from_f(filtered, A, w), 1)
+    return f_from_g(lifted, A, w)
 
 
 def scaling_coords_from_filter(h: LaurentPoly, levels: int = 12) -> tuple[FCoordVec, float]:

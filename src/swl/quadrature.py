@@ -8,11 +8,19 @@ derived from them.
 
 * exact piecewise integration of each pair of atoms when both factors
   have atoms -- the antiderivatives are closed forms, so the only error
-  is double rounding;
+  is double rounding.  The atom-pair loop is also the overlap test: a
+  pair of disjoint atoms is skipped, so factors that do not meet give 0j
+  without any support check beforehand;
 * adaptive Gauss-Legendre of order 16 with dyadic bisection when the
-  gaussian preset is involved, evaluating both factors on each whole node
-  array and subdividing until the two-level estimate difference is below
-  the quadrature tolerance.
+  gaussian preset is involved, on the intersection of the two supports
+  split at every atom breakpoint, evaluating both factors on each whole
+  node array and subdividing until the two-level estimate difference is
+  below the quadrature tolerance.
+
+The coefficient grids pass every window element to ``inner_product`` and
+rely on the coordinate vectors' zero rule to drop the 0j of each element
+that does not meet the function, so on the exact route each element's
+atoms are built once.
 
 Phases of the exponential atoms are reduced modulo one turn in exact
 rational arithmetic before rounding, which keeps the exact route accurate
@@ -110,18 +118,10 @@ def _adaptive(fn, a: float, b: float, tol: float, depth: int) -> complex:
 
 def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     """integral f(x) conj(g(x)) dx for FunctionSpecs and basis elements."""
-    sup_f = f.support()
-    sup_g = g.support()
-    if sup_f is None or sup_g is None:
-        return 0j
-    lo = max(sup_f[0], sup_g[0])
-    hi = min(sup_f[1], sup_g[1])
-    if hi <= lo:
-        return 0j
-
     fa = f.atoms()
     ga = g.atoms()
     if fa is not None and ga is not None:
+        # the atom-pair loop is the overlap test: disjoint factors leave it empty
         acc_re = []
         acc_im = []
         for at_f in fa:
@@ -137,16 +137,20 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
         return complex(math.fsum(acc_re), math.fsum(acc_im))
 
     # sampled route: GL16 with dyadic bisection on breakpoint-split intervals
+    sup_f = f.support()
+    sup_g = g.support()
+    if sup_f is None or sup_g is None:
+        return 0j
+    lo = max(sup_f[0], sup_g[0])
+    hi = min(sup_f[1], sup_g[1])
+    if hi <= lo:
+        return 0j
     points = {Fraction(lo), Fraction(hi)}
     for atoms in (fa, ga):
         if atoms is not None:
             for at in atoms:
                 points.update((at.a, at.b))
     cuts = sorted(p for p in points if lo <= p <= hi)
-    if cuts[0] != lo:
-        cuts.insert(0, Fraction(lo))
-    if cuts[-1] != hi:
-        cuts.append(Fraction(hi))
 
     def integrand(xs: np.ndarray) -> np.ndarray:
         return f.evaluate(xs) * np.conjugate(g.evaluate(xs))
@@ -154,8 +158,6 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     total_len = float(hi - lo)
     acc = 0j
     for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
-            continue
         share = quadrature_tol * float(b - a) / total_len
         acc += _adaptive(integrand, float(a), float(b), share, 40)
     return acc
@@ -163,43 +165,32 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
 
 # -- coefficient grids --------------------------------------------------------
 
-def _overlaps(sup, lo: Fraction, hi: Fraction) -> bool:
-    return sup is not None and sup[0] < hi and sup[1] > lo
-
-
 def oracle_F_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> FCoordVec:
     """All translation-model coefficients of ``f`` inside the window."""
-    sup = f.support()
-    pairs = []
-    for i in w.trans_labels:
-        for n in range(w.trans_range[0], w.trans_range[1] + 1):
-            elem = L_elem(fam, i, n)
-            if _overlaps(sup, *elem.support()):
-                pairs.append((TransIndex(i, n), inner_product(f, elem, quadrature_tol)))
-    return FCoordVec(pairs)
+    return FCoordVec(
+        (TransIndex(i, n), inner_product(f, L_elem(fam, i, n), quadrature_tol))
+        for i in w.trans_labels
+        for n in range(w.trans_range[0], w.trans_range[1] + 1)
+    )
 
 
 def oracle_G_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> GCoordVec:
     """All dilation-model coefficients of ``f`` inside the window."""
-    sup = f.support()
-    pairs = []
-    for s, j in w.dil_labels:
-        for m in range(w.dil_range[0], w.dil_range[1] + 1):
-            elem = K_elem(fam, s, j, m)
-            if _overlaps(sup, *elem.support()):
-                pairs.append((DilIndex(s, j, m), inner_product(f, elem, quadrature_tol)))
-    return GCoordVec(pairs)
+    return GCoordVec(
+        (DilIndex(s, j, m), inner_product(f, K_elem(fam, s, j, m), quadrature_tol))
+        for s, j in w.dil_labels
+        for m in range(w.dil_range[0], w.dil_range[1] + 1)
+    )
 
 
-def norm_sq_of_spec(f: FunctionSpec, quadrature_tol: float = 1e-12) -> float:
+def norm_sq_of_spec(f: FunctionSpec) -> float:
     """||f||^2 by direct integration (used for truncation-tail accounting)."""
-    return inner_product(f, f, quadrature_tol).real
+    return inner_product(f, f, 1e-12).real
 
 
-def g_window_tail_bound(f: FunctionSpec, m_max: int,
-                        quadrature_tol: float = 1e-12) -> float:
+def g_window_tail_bound(f: FunctionSpec, m_max: int) -> float:
     """Bound on the dilation-coefficient mass beyond the scale cap.
 
     Coefficients at scales above ``m_max`` only see the part of ``f``
@@ -209,7 +200,7 @@ def g_window_tail_bound(f: FunctionSpec, m_max: int,
     half = Fraction(1, 1 << m_max) if m_max >= 0 else Fraction(1 << (-m_max))
     if f.kind == "gaussian":
         return _adaptive(lambda xs: np.abs(f.evaluate(xs)) ** 2,
-                         float(-half), float(half), quadrature_tol, 30).real
+                         float(-half), float(half), 1e-12, 30).real
     pieces = []
     for lo, hi, coeffs in f.pieces:
         a, b = max(lo, -half), min(hi, half)
@@ -218,4 +209,4 @@ def g_window_tail_bound(f: FunctionSpec, m_max: int,
     if not pieces:
         return 0.0
     clipped = FunctionSpec.piecewise(pieces)
-    return inner_product(clipped, clipped, quadrature_tol).real
+    return inner_product(clipped, clipped).real

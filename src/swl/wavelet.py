@@ -66,29 +66,37 @@ def _slack(candidate_tail_sq: float, per_q_tails: Iterable[float]) -> float:
 
 # -- orthonormality -----------------------------------------------------------
 
-def _column_pass(psi: GCoordVec, A: AlphaMatrix, w: Window) -> dict:
+def _column_pass(psi: GCoordVec, A: AlphaMatrix, w: Window) -> tuple[dict, float]:
     """Innermost literal sum, shared by every q:
-    X[(i, nu)] = sum_{r,k,l} conj(alpha_{i,nu}^{r,k,l}) psi[(r,k,l)].
+    X[(i, nu)] = sum_{r,k,l} conj(alpha_{i,nu}^{r,k,l}) psi[(r,k,l)],
+    plus an l2-norm bound on what the window clipped from the columns.
     """
     x: dict = {}
+    tail = 0.0
     for (r, k, l), val in psi.items():
-        entries, _ = A.column(r, k, l, w)
+        entries, clipped = A.column(r, k, l, w)
         for key, a in entries:
             x[key] = x.get(key, 0j) + a.conjugate() * val
-    return x
+        if clipped > 0.0:
+            tail += abs(val) * math.sqrt(clipped)
+    return x, tail
 
 
-def _row_pass(x: dict, q: int, A: AlphaMatrix, w: Window) -> GCoordVec:
+def _row_pass(x: dict, q: int, A: AlphaMatrix, w: Window) -> tuple[GCoordVec, float]:
     """Outer literal sum for one q:
     U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)],
-    so that the (p, q) sum is <psi, shift of U_q by p>.
+    so that the (p, q) sum is <psi, shift of U_q by p>; plus an l2-norm
+    bound on what the window clipped from the rows.
     """
     u: dict = {}
+    tail = 0.0
     for (i, nu), val in x.items():
-        entries, _ = A.row(i, nu + q, w)
+        entries, clipped = A.row(i, nu + q, w)
         for key, a in entries:
             u[key] = u.get(key, 0j) + a * val
-    return GCoordVec._from_clean(u)
+        if clipped > 0.0:
+            tail += abs(val) * math.sqrt(clipped)
+    return GCoordVec._from_clean(u), tail
 
 
 def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -152,7 +160,9 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
 
     Returns (residuals, disagreement, per_q_transfer_tails).  Each q is
     transported by both routes, summed for every p of that q with
-    compensated totals, and dropped before the next q.
+    compensated totals, and dropped before the next q.  The reported
+    residuals are route A's, so each q's tail is what route A clipped: the
+    column pass's tail plus that q's row-pass tail.
     """
     grid = _pq_grid(pq_range)
     ps_of: dict[int, set[int]] = {}
@@ -160,19 +170,20 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
         ps_of.setdefault(q, set()).add(p)
 
     index = _ShiftedPsi(psi, [p for p, _ in grid])
-    x = _column_pass(psi, A, w)
+    x, column_tail = _column_pass(psi, A, w)
     route_a, route_b = {}, {}
     per_q_tails: list[float] = []
     for q in sorted(ps_of):
         # route A: <psi, U_q shifted by p> with U_q from the literal sums
-        for p, lhs in index.sums(_row_pass(x, q, A, w), ps_of[q]).items():
+        uq, row_tail = _row_pass(x, q, A, w)
+        for p, lhs in index.sums(uq, ps_of[q]).items():
             route_a[(p, q)] = lhs
+        per_q_tails.append(column_tail + row_tail)
+        del uq  # hold one copy at a time: route B builds its own next
         # route B: <psi, D^p T^q psi> via the group action, the conjugate
         # of the coordinate sum (D^p T^q psi, psi)
-        sink: list[float] = []
-        for p, lhs in index.sums(act_DT_on_G(psi, 0, q, A, w, sink), ps_of[q]).items():
+        for p, lhs in index.sums(act_DT_on_G(psi, 0, q, A, w), ps_of[q]).items():
             route_b[(p, q)] = lhs
-        per_q_tails.append(math.fsum(sink))
 
     residuals = {}
     disagreement = 0.0
@@ -221,10 +232,10 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     rows_of: dict[int, list[tuple[int, int]]] = {}
     for r, (m, q) in enumerate(rows):
         rows_of.setdefault(q, []).append((r, m))
-    x = _column_pass(psi, A, w)
+    x, _ = _column_pass(psi, A, w)
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
     for q in sorted(rows_of):
-        uq = _row_pass(x, q, A, w)
+        uq, _ = _row_pass(x, q, A, w)
         for r, m in rows_of[q]:
             for c, (s, j) in enumerate(labels):
                 mat[r, c] = uq[(s, j, m)].conjugate()
@@ -242,26 +253,24 @@ def check_wavelet_completeness(psi: GCoordVec, A: AlphaMatrix,
     near = [float(s) for s in sigma if rank_svd_threshold / 10.0 < s < rank_svd_threshold * 10.0]
     zero_cols = [lab for c, lab in enumerate(labels) if not np.any(np.abs(mat[:, c]) > 0.0)]
 
-    passed = rank == len(labels)
-    residual = 0.0 if passed else float(len(labels) - rank)
+    full = rank == len(labels)
+    residual = 0.0 if full else float(len(labels) - rank)
     notes = [_WINDOW_SURROGATE_NOTE, f"rank {rank} of {len(labels)} wanted"]
-    verdict = "pass" if passed else "fail"
+    verdict = "pass" if full else "fail"
     if near:
         verdict = "inconclusive"
-        passed = False
         notes.append(f"singular values near threshold: {near}")
     if zero_cols:
         notes.append(f"columns with no support in the window: {zero_cols}")
     details = [(("sigma", c), float(s)) for c, s in enumerate(sigma)]
     return CheckReport(
         check_name="wavelet_completeness",
-        passed=passed,
+        verdict=verdict,
         max_residual=residual,
         tol=0.0,
         window=w,
         details=details,
         notes=notes,
-        verdict=verdict,
     )
 
 
@@ -327,7 +336,6 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
         "compact_support_wavelet", residuals, tol, window=w, notes=notes
     )
     if rank != len(labels):
-        ortho.passed = False
         ortho.verdict = "fail"
         ortho.notes.append("completeness rank deficient")
     return ortho

@@ -246,7 +246,7 @@ def test_criterion_7_filters():
     A = AlphaMatrix(HAAR)
     w = Window.symmetric(HAAR, 8, 10, 70)
 
-    h = extract_two_scale(FunctionSpec.haar_scaling(), HAAR, 4)
+    h = extract_two_scale(FunctionSpec.haar_scaling(), 4)
     hmap = h.as_dict()
     extract_ok = (set(hmap) == {0, 1}
                   and abs(hmap[0] - 1 / SQ2) <= 1e-12 and abs(hmap[1] - 1 / SQ2) <= 1e-12)

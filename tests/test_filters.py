@@ -48,7 +48,7 @@ def test_laurent_basics():
 
 
 def test_extract_haar_two_scale():
-    h = extract_two_scale(FunctionSpec.haar_scaling(), HAAR, 4)
+    h = extract_two_scale(FunctionSpec.haar_scaling(), 4)
     coeffs = h.as_dict()
     assert set(coeffs) == {0, 1}
     assert coeffs[0] == pytest.approx(1 / SQ2, abs=1e-12)
@@ -57,18 +57,18 @@ def test_extract_haar_two_scale():
 
 def test_extract_rejects_unbounded_support():
     with pytest.raises(UnboundedSupportError):
-        extract_two_scale(FunctionSpec.gaussian(1.0), HAAR, 4)
+        extract_two_scale(FunctionSpec.gaussian(1.0), 4)
 
 
 def test_extract_zero_function():
-    assert len(extract_two_scale(FunctionSpec.zero(), HAAR, 3)) == 0
+    assert len(extract_two_scale(FunctionSpec.zero(), 3)) == 0
 
 
 @pytest.mark.parametrize("span", [-1, (1, 0)])
 def test_empty_span_is_an_input_error(span):
     # an empty span would extract nothing and let every filter check pass
     with pytest.raises(ValueError):
-        extract_two_scale(FunctionSpec.haar_scaling(), HAAR, span)
+        extract_two_scale(FunctionSpec.haar_scaling(), span)
     with pytest.raises(ValueError):
         check_filter_orthogonality(haar_filter(), span)
     with pytest.raises(ValueError):

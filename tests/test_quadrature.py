@@ -2,11 +2,12 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from swl import EXPONENTIAL, HAAR, K_elem, L_elem, Window, coord_norm_sq
-from swl.bases import FunctionSpec, parse_function_spec
+from swl import EXPONENTIAL, HAAR, DilIndex, K_elem, L_elem, TransIndex, Window, coord_norm_sq
+from swl.bases import BasisElement, FunctionSpec, parse_function_spec
 from swl.quadrature import (
     inner_product,
     norm_sq_of_spec,
@@ -133,3 +134,26 @@ def test_g_window_tail_bound():
     # ~ 2 * 2^-6 for a function that is ~1 near the origin
     assert g_window_tail_bound(g, 6) == pytest.approx(2.0 ** -5, rel=1e-3)
 
+
+
+def test_exact_route_builds_each_element_atoms_once(monkeypatch):
+    # the atom-pair loop is the only overlap test: no support() read precedes it
+    built = Counter()
+    real_atoms = BasisElement.atoms
+
+    def counting_atoms(self):
+        built[self.index] += 1
+        return real_atoms(self)
+
+    monkeypatch.setattr(BasisElement, "atoms", counting_atoms)
+    f = parse_function_spec("piecewise[(-1,1/2):1+x; (5/8,3/4):-2]")
+    for fam in (HAAR, EXPONENTIAL):
+        w = Window.symmetric(fam, 3, 3, 4)
+        built.clear()
+        assert oracle_F_coords(f, fam, w)
+        assert built == Counter(TransIndex(i, n) for i in w.trans_labels
+                                for n in range(w.trans_range[0], w.trans_range[1] + 1))
+        built.clear()
+        assert oracle_G_coords(f, fam, w)
+        assert built == Counter(DilIndex(s, j, m) for s, j in w.dil_labels
+                                for m in range(w.dil_range[0], w.dil_range[1] + 1))

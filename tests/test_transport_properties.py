@@ -36,21 +36,27 @@ from swl.wavelet import _cdot, completeness_matrix, orthonormality_residuals  # 
 
 
 def reference_pair_sums(psi, A, qs, w):
-    """U_q for every q at once, by the literal nested sums."""
-    x = {}
+    """U_q for every q at once, by the literal nested sums, and for each q
+    an l2-norm bound on what its column and row passes clipped."""
+    x, column_tail = {}, 0.0
     for (r, k, l), val in psi.items():
-        entries, _ = A.column(r, k, l, w)
+        entries, clipped = A.column(r, k, l, w)
         for key, a in entries:
             x[key] = x.get(key, 0j) + a.conjugate() * val
-    out = {}
+        if clipped > 0.0:
+            column_tail += abs(val) * math.sqrt(clipped)
+    out, tails = {}, {}
     for q in qs:
-        u = {}
+        u, row_tail = {}, 0.0
         for (i, nu), val in x.items():
-            entries, _ = A.row(i, nu + q, w)
+            entries, clipped = A.row(i, nu + q, w)
             for key, a in entries:
                 u[key] = u.get(key, 0j) + a * val
+            if clipped > 0.0:
+                row_tail += abs(val) * math.sqrt(clipped)
         out[q] = GCoordVec._from_clean(u)
-    return out
+        tails[q] = column_tail + row_tail
+    return out, tails
 
 
 def _grid(pq):
@@ -62,12 +68,8 @@ def _grid(pq):
 def reference_residuals(psi, A, pq, w):
     grid = _grid(pq)
     qs = sorted({q for _, q in grid})
-    route_a = reference_pair_sums(psi, A, qs, w)
-    route_b, per_q_tails = {}, []
-    for q in qs:
-        sink = []
-        route_b[q] = act_DT_on_G(psi, 0, q, A, w, sink)
-        per_q_tails.append(math.fsum(sink))
+    route_a, tails = reference_pair_sums(psi, A, qs, w)
+    route_b = {q: act_DT_on_G(psi, 0, q, A, w) for q in qs}
     residuals, disagreement = {}, 0.0
     for p, q in grid:
         delta = 1.0 if (p == 0 and q == 0) else 0.0
@@ -76,12 +78,12 @@ def reference_residuals(psi, A, pq, w):
         lhs_b = csum(vq[(s, j, m - p)] * val.conjugate() for (s, j, m), val in psi.items())
         residuals[(p, q)] = abs(lhs_a - delta)
         disagreement = max(disagreement, abs(lhs_a - lhs_b.conjugate()))
-    return residuals, disagreement, per_q_tails
+    return residuals, disagreement, [tails[q] for q in qs]
 
 
 def reference_completeness(psi, A, labels, row_window, w):
     rows = _grid(row_window)
-    uq = reference_pair_sums(psi, A, sorted({q for _, q in rows}), w)
+    uq, _ = reference_pair_sums(psi, A, sorted({q for _, q in rows}), w)
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
     for r, (m, q) in enumerate(rows):
         for c, (s, j) in enumerate(labels):
@@ -132,6 +134,17 @@ def test_streamed_residuals_match_all_q_reference(case, pq):
         assert abs(residuals[key] - ref) <= tol
     assert abs(disagreement - ref_disagreement) <= tol
     assert tails == ref_tails
+
+
+@given(case=family_and_psi, ps=st.lists(st.integers(-12, 12), min_size=1, max_size=6))
+def test_q0_route_gap_within_literal_tail(case, ps):
+    # at q = 0 the group action is an exact shift, so the whole gap between
+    # the routes is what the literal round trip clipped, and its tail covers it
+    fam, psi = case
+    A, w = FAMILIES[fam]
+    _, disagreement, tails = orthonormality_residuals(psi, A, [(p, 0) for p in ps], w)
+    norm_sq = psi.norm_sq()
+    assert disagreement <= math.sqrt(norm_sq) * tails[0] + 1e-12 * max(1.0, norm_sq)
 
 
 @given(case=family_and_psi, picks=st.lists(st.integers(0, 13), min_size=1, max_size=4),

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from swl import (
+    EXPONENTIAL,
     FCoordVec,
     GCoordVec,
     HAAR,
@@ -62,6 +63,15 @@ def test_zero_candidate_fails_at_origin(A_haar, w_haar):
     rep = check_wavelet_orthonormality(GCoordVec({}), A_haar, 1, w_haar, 1e-10)
     assert not rep.passed
     assert dict(rep.details)[(0, 0)] == pytest.approx(1.0)
+
+
+def test_literal_round_trip_clipping_is_in_the_slack(A_exp):
+    # an exactly represented unit vector: the whole residual is what the
+    # literal passes clip at q = 0, where the group action does no transfer
+    w = Window.symmetric(EXPONENTIAL, 3, 3, 6)
+    rep = check_wavelet_orthonormality(GCoordVec({(PLUS, 0, 1): 1.0}), A_exp, 0, w, 1e-6)
+    assert rep.max_residual > 1e-2
+    assert rep.passed and rep.max_residual <= rep.slack
 
 
 def test_translate_of_wavelet_still_passes(psi_tilde, A_haar, w_haar):
