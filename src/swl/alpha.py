@@ -24,6 +24,17 @@ clipped mass is reported exactly as 1 - (captured mass).
 Transfer directions follow the change-of-representation identities:
 dilation coordinates are ``sum alpha * f_hat`` and translation
 coordinates are ``sum conj(alpha) * f_tilde``.
+
+Batched transfers
+-----------------
+Almost every Haar row and column is a single entry of value exactly 1.0,
+a relabelling of the key (j = (n << r) + t at scale -u, and the like).
+``_haar_row_map`` and ``_haar_column_map`` compute those targets for whole
+int64 key arrays and flag the other keys -- ladders, coarse boxes, wavelet
+columns with p + m < 0, and keys whose target would leave int64 -- which
+go through ``AlphaMatrix.row``/``column`` one at a time, as every
+exponential key does.  The terms keep source order, so the transfers sum
+exactly as the term-by-term loop over ``row``/``column`` sums.
 """
 
 from __future__ import annotations
@@ -31,6 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+
+import numpy as np
 
 from .bases import BasisFamily, check_dil_label, check_trans_label, split_haar_label
 from .core import (
@@ -42,6 +56,8 @@ from .core import (
     TransIndex,
     Window,
     cis_frac,
+    cmul,
+    key_columns,
 )
 
 _SQRT1_2 = math.sqrt(0.5)
@@ -272,6 +288,156 @@ def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
     return out
 
 
+# -- batched Haar maps (see "Batched transfers" above) -------------------------
+
+_WIDE = 1 << 62  # key components at or past this magnitude take the scalar tables
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of each entry of a non-negative int64 array."""
+    e = np.frexp(x)[1].astype(np.int64)
+    if len(x) and x.max() >= 1 << 53:
+        # the float may round up to 2^e, and then x < 2^(e-1)
+        e -= ((x >> np.maximum(e - 1, 0)) == 0) & (x > 0)
+    return e
+
+
+def _haar_row_cases(i: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the Haar rows (i, n) that are geometric scale ladders and
+    of those that are coarse boxes (a box plus one wavelet per intermediate
+    scale); every other row is a single entry.  Takes int64 or object
+    arrays."""
+    k = i + (n == -1)  # row (i, -1) mirrors row (i + 1, 0)
+    ladder = ((n == 0) | (n == -1)) & ((k & (k - 1)) == 0)
+    box = (i == 0) & ((n > 1) | (n < -2))
+    return ladder, box
+
+
+def _haar_row_map(i: np.ndarray, n: np.ndarray):
+    """Batched ``_haar_row`` on int64 keys.
+
+    Returns the target (s, j, m) of each single-entry row, whose value is
+    1.0, and the mask of the rows that need the scalar table (the targets
+    skip those rows).
+    """
+    ladder, box = _haar_row_cases(i, n)
+    # i in [0, 2^62) and |n| < 2^62 (abs leaves -2^63 negative, so it fails too)
+    single = ~(ladder | box) & (((i | np.abs(n)) >> 62) == 0)
+    if not single.all():
+        i, n = i[single], n[single]
+    r = _bit_length(i) - 1  # i = 2^r + t; r = -1 only for i = 0
+    rc = np.maximum(r, 0)
+    t = i - (1 << rc)
+    # n >= 1 is 2^u + v and n <= -2 is -2^(u+1) + v, both at scale -u, with
+    # label (lead << r) + t for lead = 2^u + v (so n = 1 and n = -2 give i)
+    up = n > 0
+    u = _bit_length(np.where(up, n, ~n) | 1) - 1
+    j = (np.where(up, n, n + (3 << u)) << rc) + t
+    m = -u
+    edge = (n == 0) | (n == -1)
+    if edge.any():
+        # n = 0: label t at scale r - p, p = bit_length(t) - 1; n = -1: label
+        # 2^p + q at scale r - p, p from the mirrored offset 2^r - t - 1
+        zero = n == 0
+        p = _bit_length(np.where(zero, t, (1 << rc) - t - 1) | 1) - 1
+        j = np.where(zero, t, np.where(edge, (3 << p) + t - (1 << rc), j))
+        m = np.where(edge, r - p, m)
+    s = np.where(n >= 0, PLUS, MINUS)
+    scalar = ~single
+    wide = u + r > 61  # the label (lead << r) + t would reach 2^63
+    if wide.any():
+        scalar[single.nonzero()[0][wide]] = True
+        s, j, m = s[~wide], j[~wide], m[~wide]
+    return (s, j, m), scalar
+
+
+def _haar_column_map(s: np.ndarray, j: np.ndarray, m: np.ndarray):
+    """Batched ``_haar_column`` on int64 keys.
+
+    Returns the target (i, n) of each single-entry column, whose value is
+    1.0, and the mask of the columns that need the scalar table (the
+    targets skip those columns).
+    """
+    box = j == 0
+    label = (j > 0) & (j < _WIDE)
+    # a wavelet label j = 2^p + q gives one entry when 0 <= a = p + m <= 61
+    p = _bit_length(np.where(label, j, 1)) - 1
+    a = p + np.minimum(np.maximum(m, -64), 64)
+    single = np.where(box, m == 0, label & (a >= 0) & (a <= 61))
+    if not single.any():
+        return (j[:0], j[:0]), ~single
+    s, j, p, a, box = s[single], j[single], p[single], a[single], box[single]
+    # the translated wavelet at scale a and offset b = 2^p + q or -2^(p+1) + q
+    b = np.where(s == PLUS, j, j - (3 << p))
+    i = np.where(box, 0, (1 << a) + (b & ((1 << a) - 1)))
+    n = np.where(box, np.where(s == PLUS, 1, -2), b >> a)
+    return (i, n), ~single
+
+
+def _terms(keys, vals: np.ndarray, mapped, entries_of, conj: bool):
+    """The terms of a transfer, in source order.
+
+    ``mapped`` is (targets of the single-entry keys, scalar mask) from a
+    batched map, or None when every key takes the scalar table.  A single
+    entry's term is the key's value (alpha is 1.0); a scalar key's terms
+    come from ``entries_of(*key)``, each alpha (conjugated for ``conj``)
+    times the value, in place.  Returns (target key columns, term values,
+    l2 bound on the clipped part).
+    """
+    width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
+    if mapped is None:
+        mapped = (None,) * width, np.ones(len(vals), dtype=bool)
+    targets, scalar = mapped
+    at = scalar.nonzero()[0]
+    if not len(at) and targets[0] is not None:
+        return targets, vals, 0.0
+    table, lengths = [], []
+    tail = 0.0
+    for key, val in zip(zip(*(c[at].tolist() for c in keys)), vals[at].tolist()):
+        entries, clipped = entries_of(*key)
+        lengths.append(len(entries))
+        table += entries
+        if clipped > 0.0:
+            tail += abs(val) * math.sqrt(clipped)
+    alphas = np.fromiter(map(itemgetter(1), table), dtype=complex, count=len(table))
+    table_terms = cmul(alphas.conjugate() if conj else alphas, np.repeat(vals[at], lengths))
+    table_keys = list(map(itemgetter(0), table))
+    if len(at) == len(vals):
+        return key_columns(table_keys, width), table_terms, tail
+    counts = np.ones(len(vals), dtype=np.int64)
+    counts[at] = lengths
+    single = ~scalar
+    single_at = (np.cumsum(counts) - counts)[single]
+    table_at = np.ones(int(counts.sum()), dtype=bool)
+    table_at[single_at] = False
+    cols = []
+    for target, from_table in zip(targets, key_columns(table_keys, width)):
+        col = np.empty(len(table_at), dtype=from_table.dtype)
+        col[single_at] = target
+        col[table_at] = from_table
+        cols.append(col)
+    terms = np.empty(len(table_at), dtype=complex)
+    terms[single_at] = vals[single]
+    terms[table_at] = table_terms
+    return tuple(cols), terms, tail
+
+
+def row_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window):
+    """Terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a transfer to the
+    dilation model, for translation-model key columns and values."""
+    batched = A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys)
+    mapped = _haar_row_map(*keys) if batched else None
+    return _terms(keys, vals, mapped, lambda i, n: A.row(i, n, w), conj=False)
+
+
+def column_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window):
+    """Terms sum_(s,j,m) conj(alpha_{i,n}^{s,j,m}) v[(s, j, m)] of a transfer
+    to the translation model, for dilation-model key columns and values."""
+    batched = A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys)
+    mapped = _haar_column_map(*keys) if batched else None
+    return _terms(keys, vals, mapped, lambda s, j, m: A.column(s, j, m, w), conj=True)
+
+
 # -- public surface ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -328,13 +494,12 @@ class AlphaMatrix:
             if n in (1, -2):
                 return "single entry"
             return "all labels at one scale (window-clipped)"
-        if n in (0, -1):
-            if i == 0 or _is_pow2(i if n == 0 else i + 1):
-                return "geometric scale ladder (truncated at the window top)"
-            return "single entry"
-        if n in (1, -2) or i > 0:
-            return "single entry"
-        return "coarse box plus one wavelet per intermediate scale"
+        ladder, box = _haar_row_cases(np.array([i], dtype=object), np.array([n], dtype=object))
+        if ladder[0]:
+            return "geometric scale ladder (truncated at the window top)"
+        if box[0]:
+            return "coarse box plus one wavelet per intermediate scale"
+        return "single entry"
 
 
 def alpha_entry(fam: BasisFamily, i: int, n: int, s: int, j: int, m: int) -> complex:
@@ -354,30 +519,16 @@ def g_from_f(v: FCoordVec, A: AlphaMatrix, w: Window,
     Truncation happens only through the window; when ``tail_sink`` is
     given, an l2-norm bound on the clipped part is appended to it.
     """
-    out: dict = {}
-    tail = 0.0
-    for (i, n), val in v.items():
-        entries, clipped = A.row(i, n, w)
-        for key, a in entries:
-            out[key] = out.get(key, 0j) + a * val
-        if clipped > 0.0:
-            tail += abs(val) * math.sqrt(clipped)
+    keys, terms, tail = row_terms(A, v._cols, v._vals, w)
     if tail_sink is not None:
         tail_sink.append(tail)
-    return GCoordVec._from_clean(out)
+    return GCoordVec._from_terms(keys, terms)
 
 
 def f_from_g(v: GCoordVec, A: AlphaMatrix, w: Window,
              tail_sink: list | None = None) -> FCoordVec:
     """Adjoint transfer: dilation-model coordinates to the translation model."""
-    out: dict = {}
-    tail = 0.0
-    for (s, j, m), val in v.items():
-        entries, clipped = A.column(s, j, m, w)
-        for key, a in entries:
-            out[key] = out.get(key, 0j) + a.conjugate() * val
-        if clipped > 0.0:
-            tail += abs(val) * math.sqrt(clipped)
+    keys, terms, tail = column_terms(A, v._cols, v._vals, w)
     if tail_sink is not None:
         tail_sink.append(tail)
-    return FCoordVec._from_clean(out)
+    return FCoordVec._from_terms(keys, terms)

@@ -9,9 +9,12 @@ Diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .alpha import AlphaMatrix, alpha_row
@@ -120,7 +123,10 @@ def _filter_from_arg(text: str) -> LaurentPoly:
         if not (isinstance(raw, dict) and all(isinstance(v, list) and len(v) == 2
                                               for v in raw.values())):
             raise ValueError("expected a JSON object of [re, im] pairs")
-        return LaurentPoly.from_map({int(k): complex(v[0], v[1]) for k, v in raw.items()})
+        coeffs = {int(k): complex(v[0], v[1]) for k, v in raw.items()}
+        if not all(cmath.isfinite(c) for c in coeffs.values()):
+            raise ValueError("filter coefficients must be finite")
+        return LaurentPoly.from_map(coeffs)
     except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot parse filter {text!r}: {exc}") from exc
 
@@ -315,7 +321,8 @@ def _cmd_filter(args) -> int:
     if args.verb == "extract":
         spec = parse_function_spec(_required(args.function, "--function"))
         h = extract_two_scale(spec, args.krange)
-        _emit({"filter": _filter_to_doc(h), "config": _effective(args)}, args.out)
+        config = {"function": args.function, "krange": args.krange}
+        _emit({"filter": _filter_to_doc(h), "config": config}, args.out)
         return 0
     h = _filter_from_arg(_required(args.coeffs, "--coeffs"))
     if args.verb == "mirror":
@@ -433,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_fourier_check)
 
-    p = sub.add_parser("filter", help="two-scale filter tooling")
+    p = sub.add_parser("filter", help="two-scale filter tooling",
+                       description="Two-scale filter tooling.  extract reads only "
+                       "--function and --krange; the other options do not change it.")
     common(p, tol_default=1e-12)
     p.add_argument("verb", choices=["extract", "mirror", "check-orthogonality",
                                     "check-pair", "reconstruct"])
@@ -456,9 +465,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        # floating-point overflow and invalid operations raise instead of warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args)
     except ValueError as exc:  # every input error the library raises is a ValueError
         print(f"swl: error: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
+    except ArithmeticError as exc:  # an input too large for the arithmetic
+        print(f"swl: error: numbers out of range: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 
 

@@ -12,6 +12,13 @@ Absent keys are exact zeros.  All values are double-precision complex; after
 arithmetic, entries with modulus <= ``DROP_THRESHOLD`` are dropped so sparse
 supports do not fill up with rounding dust.  Every type here is an immutable
 value and every operation is pure.
+
+A coordinate vector is stored as key columns (one int64 array per key
+component, or object arrays of Python ints once some component is past
+int64) and a complex128 value array, each key once in the order it first
+appeared.  Transfers produce terms (target key, value) and ``sum_by_key``
+adds the terms of each key in term order, as a dict accumulating them one
+by one would; the mapping view with NamedTuple keys is built on first use.
 """
 
 from __future__ import annotations
@@ -19,7 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 PLUS = 1
 MINUS = -1
@@ -92,10 +102,83 @@ def csum(values: Iterable[complex]) -> complex:
     return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
 
-class _SparseCoords:
-    """Common machinery of the two coordinate-vector types."""
+def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, each component rounded as Python's complex
+    product rounds it (numpy's complex multiply may fuse it into an FMA)."""
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    __slots__ = ("_entries",)
+
+def key_columns(keys, width: int) -> tuple[np.ndarray, ...]:
+    """Columns of a list of ``width``-tuples of ints: int64 when every
+    component fits, else object arrays of Python ints."""
+    try:
+        flat = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=width * len(keys))
+    except OverflowError:
+        return tuple(np.array(c, dtype=object) for c in zip(*keys))
+    return tuple(flat[k::width].copy() for k in range(width))
+
+
+def _as_int64(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    # one dtype per vector: int64 unless some component is past int64
+    if all(c.dtype == np.int64 for c in cols):
+        return cols
+    try:
+        return tuple(np.array(c.tolist(), dtype=np.int64) for c in cols)
+    except OverflowError:
+        return tuple(c.astype(object) for c in cols)
+
+
+def offset_column(col: np.ndarray, d: int) -> np.ndarray:
+    """``col + d`` exactly: int64 while the result fits, else Python ints."""
+    if col.dtype == np.int64:
+        lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
+        if -(1 << 63) <= lo + d and hi + d < (1 << 63):
+            return col + d
+    return col.astype(object) + d
+
+
+def sum_by_key(cols: tuple[np.ndarray, ...], terms: np.ndarray):
+    """Sum the terms that share a key.
+
+    Returns (key columns, sums): each key once, in order of its first term,
+    and each sum taken from 0j in term order, as a dict accumulating the
+    terms one by one would take it.  No entry is dropped.
+    """
+    size = len(terms)
+    if size == 0:
+        return tuple(c[:0] for c in cols), np.zeros(0, dtype=complex)
+    order = np.lexsort(cols[::-1])  # stable: equal keys keep their term order
+    new = np.zeros(size, dtype=bool)  # where a run of equal keys starts
+    new[0] = True
+    for c in cols:
+        run = c[order]
+        new[1:] |= run[1:] != run[:-1]
+    if new.all():
+        return cols, terms + 0j
+    first = order[new]  # the first term of each key
+    sums = np.zeros(len(first), dtype=complex)
+    np.add.at(sums, np.cumsum(new) - 1, terms[order])
+    by_first = first.argsort()
+    firsts = first[by_first]
+    return tuple(c[firsts] for c in cols), sums[by_first]
+
+
+class _SparseCoords:
+    """Common machinery of the two coordinate-vector types.
+
+    Stored as key columns (``_cols``: one array per key component, int64,
+    or object arrays of Python ints when some component is past int64) and
+    complex128 values (``_vals``), each key once, in the order the entries
+    first appeared.  The mapping view (keys as NamedTuples) is built on
+    first use.
+    """
+
+    __slots__ = ("_cols", "_vals", "_view")
+    _key: type
+    _width: int
 
     def __init__(self, entries: Mapping | Iterable = ()):
         data: dict = {}
@@ -107,7 +190,16 @@ class _SparseCoords:
                 z += data[key]
             data[key] = z
         data = {k: v for k, v in data.items() if abs(v) > DROP_THRESHOLD}
-        object.__setattr__(self, "_entries", data)
+        object.__setattr__(self, "_cols", key_columns(list(data), self._width))
+        object.__setattr__(self, "_vals", np.array(list(data.values()), dtype=complex))
+        object.__setattr__(self, "_view", data)
+
+    @property
+    def _entries(self) -> dict:
+        if self._view is None:
+            keys = map(self._key._make, zip(*(c.tolist() for c in self._cols)))
+            object.__setattr__(self, "_view", dict(zip(keys, self._vals.tolist())))
+        return self._view
 
     # -- mapping-ish interface -------------------------------------------
     def items(self):
@@ -126,10 +218,10 @@ class _SparseCoords:
         return key in self._entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._vals)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return len(self._vals) > 0
 
     def __iter__(self) -> Iterator:
         return iter(self._entries)
@@ -139,7 +231,7 @@ class _SparseCoords:
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {v:.6g}" for k, v in sorted(self._entries.items())[:6])
-        more = "" if len(self._entries) <= 6 else f", ... ({len(self._entries)} entries)"
+        more = "" if len(self) <= 6 else f", ... ({len(self)} entries)"
         return f"{type(self).__name__}({{{body}{more}}})"
 
     def __setattr__(self, *a):  # pragma: no cover - defensive
@@ -147,7 +239,8 @@ class _SparseCoords:
 
     # -- algebra ----------------------------------------------------------
     def norm_sq(self) -> float:
-        return math.fsum(v.real * v.real + v.imag * v.imag for v in self._entries.values())
+        v = self._vals
+        return math.fsum((v.real * v.real + v.imag * v.imag).tolist())
 
     def scaled(self, factor: complex):
         return type(self)((k, factor * v) for k, v in self._entries.items())
@@ -163,15 +256,27 @@ class _SparseCoords:
         raise NotImplementedError
 
     @classmethod
-    def _from_clean(cls, data: Mapping):
-        """Internal fast path: keys already validated by the producer."""
+    def _from_columns(cls, cols: tuple[np.ndarray, ...], vals: np.ndarray):
+        """Internal fast path: unique valid keys and values, zero rule applied."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_entries", {k: v for k, v in data.items() if abs(v) > DROP_THRESHOLD})
+        object.__setattr__(obj, "_cols", _as_int64(cols))
+        object.__setattr__(obj, "_vals", vals)
+        object.__setattr__(obj, "_view", None)
         return obj
+
+    @classmethod
+    def _from_terms(cls, cols: tuple[np.ndarray, ...], terms: np.ndarray):
+        """Internal fast path: sum the terms per key (``sum_by_key``) and
+        drop the sums at or below ``DROP_THRESHOLD``."""
+        keys, sums = sum_by_key(cols, terms)
+        keep = np.abs(sums) > DROP_THRESHOLD
+        return cls._from_columns(tuple(c[keep] for c in keys), sums[keep])
 
 
 class FCoordVec(_SparseCoords):
     """Sparse translation-model coordinate vector: (i, n) -> complex."""
+
+    _key, _width = TransIndex, 2
 
     @staticmethod
     def _check_key(key) -> TransIndex:
@@ -181,6 +286,8 @@ class FCoordVec(_SparseCoords):
 
 class GCoordVec(_SparseCoords):
     """Sparse dilation-model coordinate vector: (s, j, m) -> complex."""
+
+    _key, _width = DilIndex, 3
 
     @staticmethod
     def _check_key(key) -> DilIndex:

@@ -28,11 +28,12 @@ from .core import (
     CheckReport,
     DROP_THRESHOLD,
     FCoordVec,
-    TransIndex,
     Window,
     check_radius,
+    cmul,
     coord_equal,
     csum,
+    offset_column,
 )
 from .group_action import shift_D
 from .quadrature import inner_product
@@ -208,13 +209,19 @@ def check_pair_conditions(h: LaurentPoly, g: LaurentPoly, n_range=8, grid: int =
 
 
 def filter_action_on_coords(coords: FCoordVec, h: LaurentPoly) -> FCoordVec:
-    """Convolve the coordinates along the translation exponent, per label."""
-    out: dict = {}
-    for (i, n), val in coords.items():
-        for k, hk in h.coeffs:
-            key = TransIndex(i, n + k)
-            out[key] = out.get(key, 0j) + hk * val
-    return FCoordVec._from_clean(out)
+    """Convolve the coordinates along the translation exponent, per label.
+
+    The terms h_k * coords[(i, n)] go to (i, n + k), in the order (i, n)
+    then k, and are summed per key in that order.
+    """
+    if not h.coeffs:
+        return FCoordVec()
+    (i, n), vals = coords._cols, coords._vals
+    taps = len(h.coeffs)
+    shifted = np.stack([offset_column(n, k) for k, _ in h.coeffs], axis=1).ravel()
+    hs = np.array([hk for _, hk in h.coeffs], dtype=complex)
+    terms = cmul(np.tile(hs, len(vals)), np.repeat(vals, taps))
+    return FCoordVec._from_terms((np.repeat(i, taps), shifted), terms)
 
 
 def coords_at_omega(coords: FCoordVec, omegas: np.ndarray) -> dict[int, np.ndarray]:
@@ -297,7 +304,8 @@ def scaling_coords_from_filter(h: LaurentPoly, levels: int = 12) -> tuple[FCoord
     mu = np.real(vecs[:, pick])
     mu = mu / mu.sum()
 
-    entries: dict = {TransIndex(0, n): complex(mu[n]) for n in range(width)}
+    # label 0 at n < width, then each level's wavelets (i, n), i = 2^p + (l mod 2^p)
+    labels, shifts, values = [np.zeros(width, dtype=np.int64)], [np.arange(width)], [mu]
     c_prev = mu
     for level in range(1, levels + 1):
         n_k = width << level
@@ -311,11 +319,15 @@ def scaling_coords_from_filter(h: LaurentPoly, levels: int = 12) -> tuple[FCoord
                 c_next[a:b] += v * c_prev[a - lo: b - lo]
         p = level - 1
         detail = (c_next[0::2] - c_next[1::2]) / math.sqrt(2.0)
-        for l, d in enumerate(detail):
-            if abs(d) > DROP_THRESHOLD:
-                entries[TransIndex((1 << p) + (l & ((1 << p) - 1)), l >> p)] = complex(d)
+        l = (np.abs(detail) > DROP_THRESHOLD).nonzero()[0]
+        labels.append((1 << p) + (l & ((1 << p) - 1)))
+        shifts.append(l >> p)
+        values.append(detail[l])
         c_prev = c_next
 
-    vec = FCoordVec._from_clean(entries)
+    vals = np.concatenate(values).astype(complex)
+    keep = np.abs(vals) > DROP_THRESHOLD
+    vec = FCoordVec._from_columns((np.concatenate(labels)[keep], np.concatenate(shifts)[keep]),
+                                  vals[keep])
     tail = max(0.0, 1.0 - vec.norm_sq())
     return vec, tail

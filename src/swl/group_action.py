@@ -11,21 +11,23 @@ translation side, q = 0 on the dilation side) collapse to exact shifts.
 from __future__ import annotations
 
 from .alpha import AlphaMatrix, f_from_g, g_from_f
-from .core import DilIndex, FCoordVec, GCoordVec, TransIndex, Window
+from .core import FCoordVec, GCoordVec, Window, offset_column
 
 
 def shift_T(v: FCoordVec, q: int) -> FCoordVec:
     """Translation by q in the translation model: entry (i, n) -> (i, n + q)."""
     if q == 0:
         return v
-    return FCoordVec._from_clean({TransIndex(i, n + q): val for (i, n), val in v.items()})
+    i, n = v._cols
+    return FCoordVec._from_columns((i, offset_column(n, q)), v._vals)
 
 
 def shift_D(v: GCoordVec, p: int) -> GCoordVec:
     """Dilation by p in the dilation model: entry (s, j, m) -> (s, j, m + p)."""
     if p == 0:
         return v
-    return GCoordVec._from_clean({DilIndex(s, j, m + p): val for (s, j, m), val in v.items()})
+    s, j, m = v._cols
+    return GCoordVec._from_columns((s, j, offset_column(m, p)), v._vals)
 
 
 def act_DT_on_F(v: FCoordVec, p: int, q: int, A: AlphaMatrix, w: Window,

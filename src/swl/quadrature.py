@@ -19,8 +19,9 @@ derived from them.
 
 The coefficient grids pass every window element to ``inner_product`` and
 rely on the coordinate vectors' zero rule to drop the 0j of each element
-that does not meet the function, so on the exact route each element's
-atoms are built once.
+that does not meet the function.  ``inner_product`` reads each factor's
+atoms once and both routes work from them, so each element's atoms are
+built once per coefficient.
 
 Phases of the exponential atoms are reduced modulo one turn in exact
 rational arithmetic before rounding, which keeps the exact route accurate
@@ -31,11 +32,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .bases import BasisFamily, FunctionSpec, K_elem, L_elem
+from .bases import BasisFamily, FunctionSpec, K_elem, L_elem, _evaluate
 from .core import (
     DilIndex,
     FCoordVec,
@@ -116,6 +118,13 @@ def _adaptive(fn, a: float, b: float, tol: float, depth: int) -> complex:
     return _adaptive(fn, a, mid, tol / 2, depth - 1) + _adaptive(fn, mid, b, tol / 2, depth - 1)
 
 
+def _span(fn, atoms):
+    """Support of a factor: from its atoms when it has them, else its own."""
+    if atoms is None:
+        return fn.support()
+    return (atoms[0].a, atoms[-1].b) if atoms else None
+
+
 def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     """integral f(x) conj(g(x)) dx for FunctionSpecs and basis elements."""
     fa = f.atoms()
@@ -136,9 +145,10 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
                 acc_im.append(val.imag)
         return complex(math.fsum(acc_re), math.fsum(acc_im))
 
-    # sampled route: GL16 with dyadic bisection on breakpoint-split intervals
-    sup_f = f.support()
-    sup_g = g.support()
+    # sampled route: GL16 with dyadic bisection on breakpoint-split intervals;
+    # a factor with atoms is spanned and evaluated from the atoms read above
+    sup_f = _span(f, fa)
+    sup_g = _span(g, ga)
     if sup_f is None or sup_g is None:
         return 0j
     lo = max(sup_f[0], sup_g[0])
@@ -152,8 +162,11 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
                 points.update((at.a, at.b))
     cuts = sorted(p for p in points if lo <= p <= hi)
 
+    f_at = f.evaluate if fa is None else partial(_evaluate, fa)
+    g_at = g.evaluate if ga is None else partial(_evaluate, ga)
+
     def integrand(xs: np.ndarray) -> np.ndarray:
-        return f.evaluate(xs) * np.conjugate(g.evaluate(xs))
+        return f_at(xs) * np.conjugate(g_at(xs))
 
     total_len = float(hi - lo)
     acc = 0j

@@ -34,8 +34,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .alpha import AlphaMatrix
-from .core import CheckReport, FCoordVec, GCoordVec, PLUS, Window, check_radius, csum
+from .alpha import AlphaMatrix, column_terms, row_terms
+from .core import (
+    CheckReport,
+    FCoordVec,
+    GCoordVec,
+    MINUS,
+    PLUS,
+    Window,
+    check_radius,
+    csum,
+    offset_column,
+    sum_by_key,
+)
 from .filters import coords_at_omega
 from .group_action import act_DT_on_G
 
@@ -66,37 +77,25 @@ def _slack(candidate_tail_sq: float, per_q_tails: Iterable[float]) -> float:
 
 # -- orthonormality -----------------------------------------------------------
 
-def _column_pass(psi: GCoordVec, A: AlphaMatrix, w: Window) -> tuple[dict, float]:
+def _column_pass(psi: GCoordVec, A: AlphaMatrix, w: Window):
     """Innermost literal sum, shared by every q:
     X[(i, nu)] = sum_{r,k,l} conj(alpha_{i,nu}^{r,k,l}) psi[(r,k,l)],
-    plus an l2-norm bound on what the window clipped from the columns.
+    as (key columns, values) with nothing dropped, plus an l2-norm bound on
+    what the window clipped from the columns.
     """
-    x: dict = {}
-    tail = 0.0
-    for (r, k, l), val in psi.items():
-        entries, clipped = A.column(r, k, l, w)
-        for key, a in entries:
-            x[key] = x.get(key, 0j) + a.conjugate() * val
-        if clipped > 0.0:
-            tail += abs(val) * math.sqrt(clipped)
-    return x, tail
+    keys, terms, tail = column_terms(A, psi._cols, psi._vals, w)
+    return sum_by_key(keys, terms), tail
 
 
-def _row_pass(x: dict, q: int, A: AlphaMatrix, w: Window) -> tuple[GCoordVec, float]:
+def _row_pass(x, q: int, A: AlphaMatrix, w: Window) -> tuple[GCoordVec, float]:
     """Outer literal sum for one q:
     U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)],
     so that the (p, q) sum is <psi, shift of U_q by p>; plus an l2-norm
     bound on what the window clipped from the rows.
     """
-    u: dict = {}
-    tail = 0.0
-    for (i, nu), val in x.items():
-        entries, clipped = A.row(i, nu + q, w)
-        for key, a in entries:
-            u[key] = u.get(key, 0j) + a * val
-        if clipped > 0.0:
-            tail += abs(val) * math.sqrt(clipped)
-    return GCoordVec._from_clean(u), tail
+    (i, nu), vals = x
+    keys, terms, tail = row_terms(A, (i, offset_column(nu, q)), vals, w)
+    return GCoordVec._from_terms(keys, terms), tail
 
 
 def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -120,31 +119,39 @@ class _ShiftedPsi:
     """
 
     def __init__(self, psi: GCoordVec, ps: Sequence[int]):
-        self.groups: dict[tuple[int, int], int] = {}
-        ids, ms, vals = [], [], []
-        for (s, j, m), val in psi.items():
-            ids.append(self.groups.setdefault((s, j), len(self.groups)))
-            ms.append(m)
-            vals.append(val)
-        self.base = min(ms, default=0) - max(ps, default=0)
-        self.span = max(ms, default=0) - min(ps, default=0) - self.base + 1
-        self.codes = np.array(ids, dtype=np.int64) * self.span + (
-            np.array(ms, dtype=np.int64) - self.base)
-        self.values = np.array(vals, dtype=complex)
+        s, j, m = psi._cols
+        # the groups of each sign, as sorted labels; ids count PLUS's first
+        self.labels = {sg: np.unique(j[s == sg]) for sg in (PLUS, MINUS)}
+        self.base = (int(m.min()) if len(m) else 0) - max(ps, default=0)
+        self.span = (int(m.max()) if len(m) else 0) - min(ps, default=0) - self.base + 1
+        codes = self._ids(s, j) * self.span + (m - self.base).astype(np.int64)
+        # sorted, so that each p searches sorted needles (fsum is exact in any order)
+        order = codes.argsort()
+        self.codes, self.values = codes[order], psi._vals[order]
+
+    def _ids(self, s, j) -> np.ndarray:
+        """The group id of each (s, j), or -1 where psi has no such group."""
+        ids = np.full(len(s), -1, dtype=np.int64)
+        start = 0
+        for sg, labels in self.labels.items():
+            sel = np.flatnonzero(s == sg)
+            if len(labels) and len(sel):
+                at = np.searchsorted(labels, j[sel])
+                found = at < len(labels)
+                found[found] = labels[at[found]] == j[sel[found]]
+                ids[sel[found]] = start + at[found]
+            start += len(labels)
+        return ids
 
     def sums(self, vec: GCoordVec, ps: Iterable[int]) -> dict[int, complex]:
         """For each p, the compensated sum over psi's keys (s, j, m) of
         psi[(s, j, m)] * conj(vec[(s, j, m - p)])."""
-        group, base, span = self.groups.get, self.base, self.span
-        codes, vals = [], []
-        for (s, j, m), val in vec.items():
-            g = group((s, j))
-            if g is not None and base <= m < base + span:
-                codes.append(g * span + (m - base))
-                vals.append(val)
-        codes = np.array(codes, dtype=np.int64)
+        s, j, m = vec._cols
+        ids, rel = self._ids(s, j), m - self.base
+        hit = np.flatnonzero((ids >= 0) & (rel >= 0) & (rel < self.span))
+        codes = ids[hit] * self.span + rel[hit].astype(np.int64)
         order = np.argsort(codes)
-        codes, vals = codes[order], np.array(vals, dtype=complex)[order]
+        codes, vals = codes[order], vec._vals[hit][order]
         out = {}
         for p in ps:
             want = self.codes - p
@@ -234,11 +241,16 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
         rows_of.setdefault(q, []).append((r, m))
     x, _ = _column_pass(psi, A, w)
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
+    j_lo, j_hi = min((j for _, j in labels), default=0), max((j for _, j in labels), default=0)
+    m_lo, m_hi = min((m for m, _ in rows), default=0), max((m for m, _ in rows), default=0)
     for q in sorted(rows_of):
         uq, _ = _row_pass(x, q, A, w)
+        js, ms = uq._cols[1:]
+        at = ((js >= j_lo) & (js <= j_hi) & (ms >= m_lo) & (ms <= m_hi)).nonzero()[0]
+        read = dict(zip(zip(*(c[at].tolist() for c in uq._cols)), uq._vals[at].tolist()))
         for r, m in rows_of[q]:
             for c, (s, j) in enumerate(labels):
-                mat[r, c] = uq[(s, j, m)].conjugate()
+                mat[r, c] = read.get((s, j, m), 0j).conjugate()
     return mat
 
 

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, JSON shape, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -182,6 +184,12 @@ def test_deterministic_output(capsys):
     ("filter", "check-pair"),
     ("filter", "reconstruct"),
     ("filter", "reconstruct", "--coeffs", '{"0": [0.7071067811865476, 0]}'),
+    # numbers past what the arithmetic holds, and non-finite filter coefficients
+    ("coords", "--basis", "haar", "--function", "piecewise[(0,1):x^99999]"),
+    ("act", "--basis", "haar", "--function", "haar_wavelet", "-p", "99999999999999999999",
+     "-q", "0", "--window", "2"),
+    ("filter", "check-orthogonality", "--coeffs", '{"0":[NaN,0]}'),
+    ("filter", "check-orthogonality", "--coeffs", '{"0":[1e400,0]}'),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
     # "@name" stands for a coefficient file holding files[name]
@@ -212,3 +220,76 @@ def test_negative_grid_radius_is_an_input_error(capsys, argv):
     code, out, err = _invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert "non-negative" in err
+
+
+def test_filter_extract_echoes_only_what_it_reads(capsys):
+    # --basis and the other shared options are accepted but do not change extraction
+    outs = [_invoke(capsys, "filter", "extract", "--function", "haar_scaling", "--krange", "2",
+                    *extra)[1] for extra in ((), ("--basis", "exponential", "--window", "3"))]
+    assert outs[0] == outs[1]
+    assert _doc(outs[0])["config"] == {"function": "haar_scaling", "krange": 2}
+
+
+# -- fuzz: mini-language and filter JSON through the whole CLI -------------------
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_NUM = st.one_of(st.builds("{}/{}".format, st.integers(-9, 9), st.sampled_from([1, 2, 4, 8])),
+                 st.sampled_from(["0.5", "-1.25", "1/3", "1/0", "99999999999999999999", "x", ""]))
+_TERM = st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]), _NUM,
+                  st.sampled_from(["", "x", "*x", "x^2", "*x^3", "x^12", "x^9999", "**2"]))
+_POLY = st.lists(_TERM, min_size=1, max_size=3).map("".join)
+
+
+def _pieces(cuts, polys):
+    # sorted dyadic breakpoints in quarters, so that most texts parse
+    cuts = sorted(set(cuts))
+    return "piecewise[" + "; ".join(
+        f"({a}/4,{b}/4):{p}" for a, b, p in zip(cuts[::2], cuts[1::2], polys)) + "]"
+
+
+_SPEC = st.one_of(
+    st.builds(_pieces, st.lists(st.integers(-12, 12), min_size=2, max_size=6),
+              st.lists(_POLY, min_size=3, max_size=3)),
+    st.sampled_from(["haar_wavelet", "haar_scaling", "zero", "gaussian(1)", "gaussian(0)",
+                     "indicator(0,3/4)", "piecewise[]", "piecewise[(0,1):"]),
+    st.builds("indicator({},{})".format, _NUM, _NUM),
+    st.builds("gaussian({})".format, _NUM),
+    st.lists(st.builds("({},{}):{}".format, _NUM, _NUM, _POLY), max_size=3).map(
+        lambda ps: "piecewise[" + "; ".join(ps) + "]"),
+    st.text(max_size=24),
+)
+_REAL = st.one_of(st.floats(), st.integers(-(10 ** 20), 10 ** 20))
+_ANY = st.one_of(_REAL, st.text(max_size=2), st.none(), st.lists(_REAL, max_size=3))
+_FILTER = st.one_of(
+    st.dictionaries(st.integers(-4, 4).map(str), st.lists(_REAL, min_size=2, max_size=2),
+                    min_size=1, max_size=4).map(json.dumps),
+    st.dictionaries(st.one_of(st.integers(-(10 ** 20), 10 ** 20).map(str), st.text(max_size=2)),
+                    _ANY, max_size=3).map(json.dumps),
+    st.text(max_size=24).filter(lambda t: not t.startswith("@")),  # "@" names a file
+)
+
+
+def _exits_cleanly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err
+
+
+@settings(max_examples=150)
+@given(text=_SPEC, basis=st.sampled_from(["haar", "exponential"]),
+       model=st.sampled_from(["F", "G"]))
+def test_function_text_never_crashes_the_cli(text, basis, model):
+    _exits_cleanly("coords", "--basis", basis, "--model", model, "--function", text,
+                   "--window", "1", "--mmax", "2")
+
+
+@settings(max_examples=150)
+@given(text=_FILTER, verb=st.sampled_from(["check-orthogonality", "check-pair", "mirror"]))
+def test_filter_text_never_crashes_the_cli(text, verb):
+    _exits_cleanly("filter", verb, "--coeffs", text, "--krange", "1", "--grid", "8")

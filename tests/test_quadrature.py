@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -137,7 +138,8 @@ def test_g_window_tail_bound():
 
 
 def test_exact_route_builds_each_element_atoms_once(monkeypatch):
-    # the atom-pair loop is the only overlap test: no support() read precedes it
+    # the atom-pair loop is the only overlap test: no support() read precedes
+    # it; the GL16 route takes supports and values from the same atoms
     built = Counter()
     real_atoms = BasisElement.atoms
 
@@ -146,8 +148,9 @@ def test_exact_route_builds_each_element_atoms_once(monkeypatch):
         return real_atoms(self)
 
     monkeypatch.setattr(BasisElement, "atoms", counting_atoms)
-    f = parse_function_spec("piecewise[(-1,1/2):1+x; (5/8,3/4):-2]")
-    for fam in (HAAR, EXPONENTIAL):
+    # the exact route (piecewise f) and the GL16 route (gaussian f)
+    for f, fam in product((parse_function_spec("piecewise[(-1,1/2):1+x; (5/8,3/4):-2]"),
+                           FunctionSpec.gaussian(0.5)), (HAAR, EXPONENTIAL)):
         w = Window.symmetric(fam, 3, 3, 4)
         built.clear()
         assert oracle_F_coords(f, fam, w)

@@ -54,7 +54,7 @@ def reference_pair_sums(psi, A, qs, w):
                 u[key] = u.get(key, 0j) + a * val
             if clipped > 0.0:
                 row_tail += abs(val) * math.sqrt(clipped)
-        out[q] = GCoordVec._from_clean(u)
+        out[q] = GCoordVec(u)
         tails[q] = column_tail + row_tail
     return out, tails
 
