@@ -306,7 +306,7 @@ def _haar_row_cases(i: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Masks of the Haar rows (i, n) that are geometric scale ladders and
     of those that are coarse boxes (a box plus one wavelet per intermediate
     scale); every other row is a single entry.  Takes int64 or object
-    arrays."""
+    arrays, or plain ints."""
     k = i + (n == -1)  # row (i, -1) mirrors row (i + 1, 0)
     ladder = ((n == 0) | (n == -1)) & ((k & (k - 1)) == 0)
     box = (i == 0) & ((n > 1) | (n < -2))
@@ -494,10 +494,10 @@ class AlphaMatrix:
             if n in (1, -2):
                 return "single entry"
             return "all labels at one scale (window-clipped)"
-        ladder, box = _haar_row_cases(np.array([i], dtype=object), np.array([n], dtype=object))
-        if ladder[0]:
+        ladder, box = _haar_row_cases(int(i), int(n))
+        if ladder:
             return "geometric scale ladder (truncated at the window top)"
-        if box[0]:
+        if box:
             return "coarse box plus one wavelet per intermediate scale"
         return "single entry"
 
