@@ -139,6 +139,21 @@ def test_row_case_descriptions(A_haar, A_exp):
     assert A_haar.row_case(3, 0) == "single entry"
     assert "coarse box" in A_haar.row_case(0, 4)
     assert "window-clipped" in A_exp.row_case(0, 0)
+    # every Haar case, with labels and shifts past int64
+    cases = {
+        "single entry": [(3, 0), (5, -1), (7, 1), (0, 1), (9, -2), (0, -2), (5, 6), (5, -6),
+                         ((1 << 70) + 1, 0), (1 << 70, 5)],
+        "geometric scale ladder (truncated at the window top)": [
+            (0, 0), (4, 0), (0, -1), (3, -1), (1 << 70, 0), ((1 << 70) - 1, -1)],
+        "coarse box plus one wavelet per intermediate scale": [
+            (0, 2), (0, 6), (0, -3), (0, 1 << 70)],
+    }
+    for text, rows in cases.items():
+        for i, n in rows:
+            assert A_haar.row_case(i, n) == text
+    assert A_exp.row_case(2, 0) == "all labels at every positive scale (window-clipped)"
+    assert A_exp.row_case(2, -2) == "single entry"
+    assert A_exp.row_case(2, 5) == "all labels at one scale (window-clipped)"
 
 
 # -- transfers ------------------------------------------------------------------

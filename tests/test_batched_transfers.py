@@ -225,21 +225,3 @@ def test_vectors_keep_python_int_keys_past_int64():
     assert v[(PLUS, big, 0)] == 1.0
     # a shift back into int64 range gives int64 columns again
     assert shift_D(GCoordVec({(PLUS, 1, big): 1.0}), -big)._cols[2].dtype == np.int64
-
-
-def test_row_case_on_every_case():
-    cases = {
-        "single entry": [(3, 0), (5, -1), (7, 1), (0, 1), (9, -2), (0, -2), (5, 6), (5, -6),
-                         ((1 << 70) + 1, 0), (1 << 70, 5)],
-        "geometric scale ladder (truncated at the window top)": [
-            (0, 0), (4, 0), (0, -1), (3, -1), (1 << 70, 0), ((1 << 70) - 1, -1)],
-        "coarse box plus one wavelet per intermediate scale": [(0, 2), (0, 6), (0, -3),
-                                                               (0, 1 << 70)],
-    }
-    for text, rows in cases.items():
-        for i, n in rows:
-            assert A.row_case(i, n) == text
-    A_exp = AlphaMatrix(EXPONENTIAL)
-    assert A_exp.row_case(2, 0) == "all labels at every positive scale (window-clipped)"
-    assert A_exp.row_case(2, -2) == "single entry"
-    assert A_exp.row_case(2, 5) == "all labels at one scale (window-clipped)"
