@@ -50,33 +50,65 @@ from .core import (
 
 def _poly_mul(p: tuple[complex, ...], q: tuple[complex, ...]) -> tuple[complex, ...]:
     out = [0j] * (len(p) + len(q) - 1)
-    for i, ci in enumerate(p):
-        if ci == 0:
+    for k, ck in enumerate(q):
+        if ck == 0:
             continue
-        for k, ck in enumerate(q):
+        for i, ci in enumerate(p):
             out[i + k] += ci * ck
     return tuple(out)
 
 
-def _int_monomial_exp(l: int, c: complex, h: float) -> complex:
-    """integral_0^h u^l e^{c u} du, stable for small and large |c h|."""
+def _int_monomials_exp(top: int, c: complex, h: float) -> list[complex]:
+    """integral_0^h u^l e^{c u} du for l = 0..top and imaginary c, each
+    accurate to a few ulps of integral_0^h u^l du.
+
+    With z = c h these are h^{l+1} E_l, E_l = integral_0^1 t^l e^{z t} dt.
+    The upward recurrence E_l = (e^z - l E_{l-1}) / z multiplies an error
+    by l / |z| per step, so it is taken while l <= |z| (and |z| >= 1, where
+    E_0 = (e^z - 1) / z does not cancel).  Above that, E_top comes from the
+    series e^z sum_t (-z)^t top! / (top + t + 1)!, whose terms fall from the
+    first one on, and the downward (Miller) recurrence
+    E_{l-1} = (e^z - z E_l) / l, which divides an error by l / |z|, fills in
+    the rest.
+    """
+    hp = [h]  # h^{l+1}
+    for _ in range(top):
+        hp.append(hp[-1] * h)
     if c == 0:
-        return h ** (l + 1) / (l + 1)
-    if abs(c) * h < 0.5:
-        # series: sum_t c^t h^{l+t+1} / (t! (l+t+1))
-        acc = 0j
-        term = 1.0 + 0j  # c^t / t!
-        for t in range(0, 24):
-            acc += term * h ** (l + t + 1) / (l + t + 1)
-            term *= c / (t + 1)
-            if abs(term) * h ** (l + t + 2) < 1e-20 * max(1.0, abs(acc)):
-                break
-        return acc
-    e = np.exp(c * h)
-    val = (e - 1.0) / c
-    for deg in range(1, l + 1):
-        val = (h ** deg) * e / c - (deg / c) * val
-    return complex(val)
+        return [hp[l] / (l + 1) for l in range(top + 1)]
+    z = c * h
+    x = abs(z)
+    ez = complex(math.cos(z.imag), math.sin(z.imag))
+    up = min(top, math.floor(x)) if x >= 1 else -1
+    E = [0j] * (top + 1)
+    if up >= 0:
+        e = (ez - 1.0) / z
+        E[0] = e
+        for l in range(1, up + 1):
+            e = (ez - l * e) / z
+            E[l] = e
+    if up < top:
+        term = s = 1.0 / (top + 1) + 0j
+        for t in range(1, _series_terms(top) + 1):
+            term *= -z / (top + 1 + t)
+            s += term
+        e = ez * s
+        E[top] = e
+        for l in range(top, up + 1, -1):
+            e = (ez - z * e) / l
+            E[l - 1] = e
+    return [hp[l] * E[l] for l in range(top + 1)]
+
+
+def _series_terms(top: int) -> int:
+    """Terms t = 1.. the E_top series takes: term t is x^t (top + 1)! /
+    (top + t + 1)! of the first, and x < top + 1, so after these the next
+    is below 2^-60 of the first."""
+    t, ratio = 0, 1.0
+    while ratio >= 2.0 ** -60:
+        t += 1
+        ratio *= (top + 1) / (top + 1 + t)
+    return t
 
 
 def _integrate_atom(coeffs: tuple[complex, ...], freq: Fraction, a: Fraction, b: Fraction) -> complex:
@@ -84,17 +116,20 @@ def _integrate_atom(coeffs: tuple[complex, ...], freq: Fraction, a: Fraction, b:
     h = float(b - a)
     af = float(a)
     # shift to u = x - a
+    apow = [1.0]
+    for _ in coeffs[1:]:
+        apow.append(apow[-1] * af)
     shifted = [0j] * len(coeffs)
     for k, ck in enumerate(coeffs):
         if ck == 0:
             continue
         for l in range(k + 1):
-            shifted[l] += ck * math.comb(k, l) * af ** (k - l)
+            shifted[l] += ck * math.comb(k, l) * apow[k - l]
     c = 2j * math.pi * float(freq)
     acc = 0j
-    for l, cl in enumerate(shifted):
+    for cl, jl in zip(shifted, _int_monomials_exp(len(shifted) - 1, c, h)):
         if cl != 0:
-            acc += cl * _int_monomial_exp(l, c, h)
+            acc += cl * jl
     return cis_frac(freq * a) * acc
 
 
