@@ -12,8 +12,10 @@ step 1:
 
 Every basis element and every piecewise test function is described once,
 as atoms: polynomial pieces times e^{2 pi i freq x} on half-open dyadic
-intervals.  Supports, point values (on scalars or whole arrays) and the
-oracle's exact inner products all read the atoms.
+intervals.  A basis element's atoms are read from its ``atom_code``, a
+scale, shift and frequency in integers.  Supports, point values (on
+scalars or whole arrays) and the oracle's exact inner products all read
+the atoms or that code.
 
 All intervals are half-open [a, b); pointwise values at breakpoints follow
 the left-closed rule.  This is a measure-zero convention with no effect on
@@ -171,12 +173,36 @@ def _evaluate(atoms, x):
     return out[()]
 
 
+def atom_code(fam: BasisFamily, index) -> tuple[str, int, int, int, int]:
+    """The one description of a basis element, as integers: (kind, a, b, k, e).
+
+    Kind "phi" is 2^{a/2} e^{2 pi i k 2^e x} on [b 2^-a, (b+1) 2^-a); kind
+    "psi" is 2^{a/2} psi(2^a x - b), +2^{a/2} then -2^{a/2} on the halves
+    of that box, with k = 0.  ``index`` is a (i, n) or (s, j, m) tuple of a
+    valid label.
+    """
+    if len(index) == 2:
+        i, n = index
+        if fam.name == "exponential":
+            return "phi", 0, n, i, 0
+        if i == 0:
+            return "phi", 0, n, 0, 0
+        p, q = split_haar_label(i)
+        return "psi", p, q + (n << p), 0, 0
+    s, j, m = index
+    if fam.name == "exponential":
+        return "phi", m, 1 if s == PLUS else -2, j, m
+    kind, a, b = haar_dil_atom(s, j, m)
+    return kind, a, b, 0, 0
+
+
 @dataclass(frozen=True)
 class BasisElement:
     """A single basis function bound to its family.
 
-    Its atoms are the one description: the support, the point values and
-    the oracle's exact inner products all read them.
+    Its atoms, read from its ``atom_code``, are the one description: the
+    support, the point values and the oracle's inner products all read
+    them.
     """
 
     fam: BasisFamily
@@ -184,19 +210,10 @@ class BasisElement:
 
     def atoms(self) -> tuple[Atom, ...]:
         """Atoms in increasing position."""
-        if isinstance(self.index, TransIndex):
-            i, n = self.index
-            if self.fam.name == "exponential":
-                return (_box_atom(0, n, Fraction(i)),)
-            if i == 0:
-                return (_box_atom(0, n),)
-            p, q = split_haar_label(i)
-            return _psi_atoms(p, q + (n << p))
-        s, j, m = self.index
-        if self.fam.name == "exponential":
-            return (_box_atom(m, 1 if s == PLUS else -2, j * Fraction(2) ** m),)
-        kind, a, b = haar_dil_atom(s, j, m)
-        return (_box_atom(a, b),) if kind == "phi" else _psi_atoms(a, b)
+        kind, a, b, k, e = atom_code(self.fam, self.index)
+        if kind == "psi":
+            return _psi_atoms(a, b)
+        return (_box_atom(a, b, k * Fraction(2) ** e if k else _NO_FREQ),)
 
     def evaluate(self, x):
         return _evaluate(self.atoms(), x)

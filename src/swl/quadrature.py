@@ -3,29 +3,35 @@
 Inner products ``\\int f(x) conj(g(x)) dx`` are evaluated by one of two
 routes, both reading the factors' own description from ``bases``: the
 atoms (polynomial pieces times complex exponentials) that every basis
-element and every piecewise FunctionSpec is made of, and the support
-derived from them.
+element and every piecewise FunctionSpec is made of.  A basis element's
+atoms come from its ``bases.atom_code``.  The oracle never reads ``alpha``.
 
 * exact piecewise integration of each pair of atoms when both factors
   have atoms -- the antiderivatives are closed forms, so the only error
-  is double rounding.  The atom-pair loop is also the overlap test: a
-  pair of disjoint atoms is skipped, so factors that do not meet give 0j
-  without any support check beforehand;
+  is double rounding.  Every atom endpoint is an integer over one common
+  power of two (int64, or Python ints past 2^62), so the overlapping
+  pairs come from integer comparisons and factors that do not meet give
+  0j.  All pairs are integrated at once on arrays: the product
+  polynomial, its binomial shift about the left end a, the moments
+  integral_0^h u^l e^{i omega u} du (upward recurrence where l <= |omega
+  h|, else a series and the downward recurrence), and the phase
+  e^{2 pi i freq a}, reduced modulo one turn in exact integer arithmetic
+  before rounding, which keeps it accurate for any frequency.  Each
+  pair's value depends on that pair alone, and the pairs of one element
+  are summed with ``math.fsum``;
 * adaptive Gauss-Legendre of order 16 with dyadic bisection when the
   gaussian preset is involved, on the intersection of the two supports
   split at every atom breakpoint, evaluating both factors on each whole
   node array and subdividing until the two-level estimate difference is
   below the quadrature tolerance.
 
-The coefficient grids pass every window element to ``inner_product`` and
-rely on the coordinate vectors' zero rule to drop the 0j of each element
-that does not meet the function.  ``inner_product`` reads each factor's
-atoms once and both routes work from them, so each element's atoms are
-built once per coefficient.
-
-Phases of the exponential atoms are reduced modulo one turn in exact
-rational arithmetic before rounding, which keeps the exact route accurate
-at machine precision even for large frequencies.
+The coefficient grids of a piecewise function integrate the whole window
+in one exact pass: the atoms of every window element against those of
+the function, summed per element.  ``inner_product`` runs the same pass
+on one element, so a grid holds exactly the values ``inner_product``
+gives.  The zero rule of the coordinate vectors drops the elements that
+do not meet the function.  For the gaussian, each element goes through
+the GL16 route.
 """
 
 from __future__ import annotations
@@ -37,67 +43,89 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import BasisFamily, FunctionSpec, K_elem, L_elem, _evaluate
-from .core import (
-    DilIndex,
-    FCoordVec,
-    GCoordVec,
-    TransIndex,
-    Window,
-    cis_frac,
+from . import bases
+from .bases import (
+    BasisElement,
+    BasisFamily,
+    FunctionSpec,
+    K_elem,
+    L_elem,
+    _evaluate,
+    check_dil_label,
+    check_trans_label,
 )
+from .core import _TWO_PI, DROP_THRESHOLD, FCoordVec, GCoordVec, Window, key_columns
 
 
-def _poly_mul(p: tuple[complex, ...], q: tuple[complex, ...]) -> tuple[complex, ...]:
-    out = [0j] * (len(p) + len(q) - 1)
-    for k, ck in enumerate(q):
-        if ck == 0:
-            continue
-        for i, ci in enumerate(p):
-            out[i + k] += ci * ck
+# -- exact route: atom pairs on integer dyadic endpoints ----------------------
+#
+# An atom here is a tuple (lo, hi, exp, coeffs, fnum, fexp): the polynomial
+# ``coeffs`` (increasing degree) times e^{2 pi i fnum 2^fexp x} on
+# [lo 2^-exp, hi 2^-exp), with integer lo, hi, exp, fnum and fexp.
+
+_WIDE = 1 << 62  # integer columns at or past this magnitude are Python ints
+
+
+def _code_atoms(code: tuple) -> tuple[tuple, ...]:
+    """A basis element's atoms from its ``bases.atom_code``."""
+    kind, a, b, k, e = code
+    amp = math.sqrt(2.0 ** a)
+    if kind == "phi":
+        return ((b, b + 1, a, (amp + 0j,), k, e),)
+    b *= 2
+    return ((b, b + 1, a + 1, (amp + 0j,), 0, 0), (b + 1, b + 2, a + 1, (-amp + 0j,), 0, 0))
+
+
+def _exact_atoms(factor) -> tuple[tuple, ...] | None:
+    """A factor's atoms in integer form, or None when it has none (the gaussian)."""
+    if isinstance(factor, BasisElement):
+        return _code_atoms(bases.atom_code(factor.fam, factor.index))
+    atoms = factor.atoms()
+    if atoms is None:
+        return None
+    out = []
+    for at in atoms:
+        la, lb = at.a.denominator.bit_length() - 1, at.b.denominator.bit_length() - 1
+        exp = max(la, lb)
+        out.append((at.a.numerator << (exp - la), at.b.numerator << (exp - lb), exp, at.coeffs,
+                    at.freq.numerator, 1 - at.freq.denominator.bit_length()))
     return tuple(out)
 
 
-def _int_monomials_exp(top: int, c: complex, h: float) -> list[complex]:
-    """integral_0^h u^l e^{c u} du for l = 0..top and imaginary c, each
-    accurate to a few ulps of integral_0^h u^l du.
+def _int_columns(*cols: list[int]) -> list[np.ndarray]:
+    """int64 arrays when every entry is below 2^62 in magnitude, else
+    object arrays of Python ints, one dtype for all."""
+    try:
+        arrs = [np.array(c, dtype=np.int64) for c in cols]
+        if all(a.min() > -_WIDE and a.max() < _WIDE for a in arrs if len(a)):
+            return arrs
+    except OverflowError:
+        pass
+    return [np.array(c, dtype=object) for c in cols]
 
-    With z = c h these are h^{l+1} E_l, E_l = integral_0^1 t^l e^{z t} dt.
-    The upward recurrence E_l = (e^z - l E_{l-1}) / z multiplies an error
-    by l / |z| per step, so it is taken while l <= |z| (and |z| >= 1, where
-    E_0 = (e^z - 1) / z does not cancel).  Above that, E_top comes from the
-    series e^z sum_t (-z)^t top! / (top + t + 1)!, whose terms fall from the
-    first one on, and the downward (Miller) recurrence
-    E_{l-1} = (e^z - z E_l) / l, which divides an error by l / |z|, fills in
-    the rest.
-    """
-    hp = [h]  # h^{l+1}
-    for _ in range(top):
-        hp.append(hp[-1] * h)
-    if c == 0:
-        return [hp[l] / (l + 1) for l in range(top + 1)]
-    z = c * h
-    x = abs(z)
-    ez = complex(math.cos(z.imag), math.sin(z.imag))
-    up = min(top, math.floor(x)) if x >= 1 else -1
-    E = [0j] * (top + 1)
-    if up >= 0:
-        e = (ez - 1.0) / z
-        E[0] = e
-        for l in range(1, up + 1):
-            e = (ez - l * e) / z
-            E[l] = e
-    if up < top:
-        term = s = 1.0 / (top + 1) + 0j
-        for t in range(1, _series_terms(top) + 1):
-            term *= -z / (top + 1 + t)
-            s += term
-        e = ez * s
-        E[top] = e
-        for l in range(top, up + 1, -1):
-            e = (ez - z * e) / l
-            E[l - 1] = e
-    return [hp[l] * E[l] for l in range(top + 1)]
+
+def _over_pow2(x: np.ndarray, k: int) -> np.ndarray:
+    """x / 2^k correctly rounded, for int64 or Python-int arrays."""
+    if x.dtype == object:
+        den = 1 << k
+        return np.array([v / den for v in x.tolist()], dtype=float)
+    return np.ldexp(x.astype(float), -k)
+
+
+def _int_turns(freq: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
+    """(freq x / 2^e) mod 1 for integer arrays, reduced exactly before rounding."""
+    if e <= 0:
+        return np.zeros(len(x))
+    if x.dtype == np.int64 and e <= 64:
+        # exact modulo 2^64 in wrapping unsigned arithmetic
+        r = (freq.view(np.uint64) * x.view(np.uint64)) & np.uint64((1 << e) - 1)
+        return np.ldexp(r.astype(float), -e)
+    return _over_pow2((freq * x) % (1 << e), e)
+
+
+def _coefficients(atoms: tuple[tuple, ...]) -> np.ndarray:
+    width = max(len(at[3]) for at in atoms)
+    return np.array([at[3] + (0j,) * (width - len(at[3])) for at in atoms], dtype=complex)
 
 
 def _series_terms(top: int) -> int:
@@ -111,26 +139,141 @@ def _series_terms(top: int) -> int:
     return t
 
 
-def _integrate_atom(coeffs: tuple[complex, ...], freq: Fraction, a: Fraction, b: Fraction) -> complex:
-    """integral_a^b p(x) e^{2 pi i freq x} dx with exact phase reduction."""
-    h = float(b - a)
-    af = float(a)
-    # shift to u = x - a
-    apow = [1.0]
-    for _ in coeffs[1:]:
-        apow.append(apow[-1] * af)
-    shifted = [0j] * len(coeffs)
-    for k, ck in enumerate(coeffs):
-        if ck == 0:
-            continue
-        for l in range(k + 1):
-            shifted[l] += ck * math.comb(k, l) * apow[k - l]
-    c = 2j * math.pi * float(freq)
-    acc = 0j
-    for cl, jl in zip(shifted, _int_monomials_exp(len(shifted) - 1, c, h)):
-        if cl != 0:
-            acc += cl * jl
-    return cis_frac(freq * a) * acc
+def _moments(top: np.ndarray, x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """E_l = integral_0^1 t^l e^{i x t} dt for l = 0..top of each pair, as
+    (real, imaginary) arrays of ``width`` columns (zero past a pair's top).
+
+    The upward recurrence E_l = (e^{ix} - l E_{l-1}) / (ix) multiplies an
+    error by l / |x| per step, so it is taken while l <= |x| (and |x| >= 1,
+    where E_0 = (e^{ix} - 1) / (ix) does not cancel).  Above that, E_top
+    comes from the series e^{ix} sum_t (-ix)^t top! / (top + t + 1)!, whose
+    terms fall from the first one on, and the downward (Miller) recurrence
+    E_{l-1} = (e^{ix} - ix E_l) / l, which divides an error by l / |x|,
+    fills in the rest.  Every step is taken in the component arithmetic of
+    Python's complex numbers, so a pair's moments depend on that pair alone.
+    """
+    size = len(x)
+    er_out, ei_out = np.zeros((size, width)), np.zeros((size, width))
+    ax = np.abs(x)
+    up = np.where(ax >= 1, np.minimum(top, np.floor(ax)), -1)
+    cos, sin = np.cos(x), np.sin(x)
+
+    rows = np.flatnonzero(up >= 0)
+    if len(rows):
+        xs, c, s, u = x[rows], cos[rows], sin[rows], up[rows]
+        er, ei = s / xs, -(c - 1.0) / xs
+        er_out[rows, 0], ei_out[rows, 0] = er, ei
+        for l in range(1, int(u.max()) + 1):
+            er, ei = (s - l * ei) / xs, -(c - l * er) / xs
+            keep = u >= l
+            er, ei = np.where(keep, er, 0.0), np.where(keep, ei, 0.0)
+            er_out[rows[keep], l], ei_out[rows[keep], l] = er[keep], ei[keep]
+
+    rows = np.flatnonzero(up < top)
+    if len(rows):
+        xs, c, s, u, tops = x[rows], cos[rows], sin[rows], up[rows], top[rows]
+        hi = int(tops.max())
+        terms = np.array([_series_terms(t) for t in range(hi + 1)])[tops]
+        tr, ti = 1.0 / (tops + 1), np.zeros(len(rows))
+        sr, si = tr, ti
+        for t in range(1, int(terms.max()) + 1):
+            q = xs / (tops + 1 + t)
+            tr, ti = ti * q, -(tr * q)
+            live = terms >= t
+            sr, si = np.where(live, sr + tr, sr), np.where(live, si + ti, si)
+        top_r, top_i = c * sr - s * si, c * si + s * sr
+        er_out[rows, tops], ei_out[rows, tops] = top_r, top_i
+        er, ei = np.zeros(len(rows)), np.zeros(len(rows))
+        for l in range(hi, 0, -1):
+            start = tops == l
+            er, ei = np.where(start, top_r, er), np.where(start, top_i, ei)
+            er, ei = (c + xs * ei) / l, (s - xs * er) / l
+            keep = (tops >= l) & (u < l - 1)
+            er, ei = np.where(keep, er, 0.0), np.where(keep, ei, 0.0)
+            er_out[rows[keep], l - 1], ei_out[rows[keep], l - 1] = er[keep], ei[keep]
+    return er_out, ei_out
+
+
+def _exact_sums(fa: tuple[tuple, ...], ga: tuple[tuple, ...], owner: list[int],
+                size: int) -> list[complex]:
+    """For each of ``size`` owners, integral f conj(g) over the g atoms it owns.
+
+    Every endpoint is an integer over one 2^K, so the overlapping atom pairs
+    come from integer comparisons and atoms that meet nothing cost nothing.
+    All pairs are integrated at once, and each owner's pair integrals are
+    summed with ``math.fsum``, which is correctly rounded, so a value does
+    not depend on which other pairs share the batch.
+    """
+    out = [0j] * size
+    if not fa or not ga:
+        return out
+    K = max(0, max(at[2] for at in fa), max(at[2] for at in ga))
+    D = max([0] + [-at[5] for at in fa + ga if at[4]])  # frequencies over 2^D
+    lo_f, hi_f, nu_f, lo_g, hi_g, nu_g = _int_columns(
+        [at[0] << (K - at[2]) for at in fa], [at[1] << (K - at[2]) for at in fa],
+        [at[4] << (at[5] + D) if at[4] else 0 for at in fa],
+        [at[0] << (K - at[2]) for at in ga], [at[1] << (K - at[2]) for at in ga],
+        [at[4] << (at[5] + D) if at[4] else 0 for at in ga])
+    fi, gi = np.nonzero((lo_f[:, None] < hi_g) & (lo_g < hi_f[:, None]))
+    if not len(fi):
+        return out
+    cf, cg = _coefficients(fa), np.conj(_coefficients(ga))
+    width = cf.shape[1] + cg.shape[1] - 1
+    # binomials from the top row down, so a degree past double range stops here
+    comb = [[float(math.comb(k, l)) for l in range(k + 1)] for k in range(width - 1, -1, -1)][::-1]
+
+    A = np.maximum(lo_f[fi], lo_g[gi])
+    h = _over_pow2(np.minimum(hi_f[fi], hi_g[gi]) - A, K)
+    a = _over_pow2(A, K)
+    nu = nu_f[fi] - nu_g[gi]
+    omega = _TWO_PI * _over_pow2(nu, D)
+    pairs = len(fi)
+
+    # the product polynomial p_f conj(p_g), then p(a + u) in powers of u
+    F, G = cf[fi], cg[gi]
+    pr, pi = np.zeros((pairs, width)), np.zeros((pairs, width))
+    for k in range(cg.shape[1]):
+        g_re, g_im = G[:, k, None].real, G[:, k, None].imag
+        pr[:, k:k + cf.shape[1]] += F.real * g_re - F.imag * g_im
+        pi[:, k:k + cf.shape[1]] += F.real * g_im + F.imag * g_re
+    apow = np.ones((pairs, width))
+    hpow = np.empty((pairs, width))  # h^{l+1}
+    hpow[:, 0] = h
+    for l in range(1, width):
+        apow[:, l] = apow[:, l - 1] * a
+        hpow[:, l] = hpow[:, l - 1] * h
+    sr, si = np.zeros((pairs, width)), np.zeros((pairs, width))
+    for k in range(width):
+        ck = np.array(comb[k])
+        sr[:, :k + 1] += (pr[:, k, None] * ck) * apow[:, k::-1]
+        si[:, :k + 1] += (pi[:, k, None] * ck) * apow[:, k::-1]
+
+    # integral_0^h u^l e^{i omega u} du = h^{l+1} E_l(omega h)
+    top = (np.array([len(at[3]) for at in fa]) - 1)[fi] + (np.array([len(at[3]) for at in ga]) - 1)[gi]
+    jr, ji = hpow / np.arange(1, width + 1), np.zeros((pairs, width))
+    osc = np.flatnonzero(omega != 0)
+    if len(osc):
+        er, ei = _moments(top[osc], omega[osc] * h[osc], width)
+        jr[osc], ji[osc] = hpow[osc] * er, hpow[osc] * ei
+    vr, vi = np.zeros(pairs), np.zeros(pairs)
+    for l in range(width):
+        vr += sr[:, l] * jr[:, l] - si[:, l] * ji[:, l]
+        vi += sr[:, l] * ji[:, l] + si[:, l] * jr[:, l]
+
+    # times e^{2 pi i nu a}, the phase reduced exactly
+    if nu.any():
+        turns = _TWO_PI * _int_turns(nu, A, K + D)
+        c, s = np.cos(turns), np.sin(turns)
+        vr, vi = c * vr - s * vi, c * vi + s * vr
+
+    own = np.array(owner)[gi]
+    order = np.argsort(own, kind="stable")
+    own = own[order].tolist()
+    vr, vi = vr[order].tolist(), vi[order].tolist()
+    cuts = [0] + [k for k in range(1, pairs) if own[k] != own[k - 1]] + [pairs]
+    for lo, hi in zip(cuts, cuts[1:]):
+        out[own[lo]] = complex(math.fsum(vr[lo:hi]), math.fsum(vi[lo:hi]))
+    return out
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -162,24 +305,13 @@ def _span(fn, atoms):
 
 def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     """integral f(x) conj(g(x)) dx for FunctionSpecs and basis elements."""
+    fe = _exact_atoms(f)
+    ge = None if fe is None else _exact_atoms(g)
+    if ge is not None:
+        return _exact_sums(fe, ge, [0] * len(ge), 1)[0]
+
     fa = f.atoms()
     ga = g.atoms()
-    if fa is not None and ga is not None:
-        # the atom-pair loop is the overlap test: disjoint factors leave it empty
-        acc_re = []
-        acc_im = []
-        for at_f in fa:
-            for at_g in ga:
-                a = max(at_f.a, at_g.a)
-                b = min(at_f.b, at_g.b)
-                if b <= a:
-                    continue
-                coeffs = _poly_mul(at_f.coeffs, tuple(c.conjugate() for c in at_g.coeffs))
-                val = _integrate_atom(coeffs, at_f.freq - at_g.freq, a, b)
-                acc_re.append(val.real)
-                acc_im.append(val.imag)
-        return complex(math.fsum(acc_re), math.fsum(acc_im))
-
     # sampled route: GL16 with dyadic bisection on breakpoint-split intervals;
     # a factor with atoms is spanned and evaluated from the atoms read above
     sup_f = _span(f, fa)
@@ -213,24 +345,40 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
 
 # -- coefficient grids --------------------------------------------------------
 
+def _grid(f: FunctionSpec, fam: BasisFamily, keys: list[tuple], vec_type, quadrature_tol: float):
+    """The coordinates of ``f`` against the elements ``keys``, in key order,
+    zero rule applied: all at once on the exact route, else one
+    ``inner_product`` per element."""
+    fe = _exact_atoms(f)
+    if fe is None:
+        make = L_elem if vec_type is FCoordVec else K_elem
+        vals = [inner_product(f, make(fam, *key), quadrature_tol) for key in keys]
+    else:
+        ga, owner = [], []
+        for k, key in enumerate(keys):
+            atoms = _code_atoms(bases.atom_code(fam, key))
+            ga += atoms
+            owner += [k] * len(atoms)
+        vals = _exact_sums(fe, tuple(ga), owner, len(keys))
+    kept = [k for k, v in enumerate(vals) if abs(v) > DROP_THRESHOLD]
+    cols = key_columns([keys[k] for k in kept], vec_type._width)
+    return vec_type._from_columns(cols, np.array([vals[k] for k in kept], dtype=complex))
+
+
 def oracle_F_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> FCoordVec:
     """All translation-model coefficients of ``f`` inside the window."""
-    return FCoordVec(
-        (TransIndex(i, n), inner_product(f, L_elem(fam, i, n), quadrature_tol))
-        for i in w.trans_labels
-        for n in range(w.trans_range[0], w.trans_range[1] + 1)
-    )
+    keys = [(check_trans_label(fam, i), n) for i in w.trans_labels
+            for n in range(w.trans_range[0], w.trans_range[1] + 1)]
+    return _grid(f, fam, keys, FCoordVec, quadrature_tol)
 
 
 def oracle_G_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> GCoordVec:
     """All dilation-model coefficients of ``f`` inside the window."""
-    return GCoordVec(
-        (DilIndex(s, j, m), inner_product(f, K_elem(fam, s, j, m), quadrature_tol))
-        for s, j in w.dil_labels
-        for m in range(w.dil_range[0], w.dil_range[1] + 1)
-    )
+    keys = [(*check_dil_label(fam, s, j), m) for s, j in w.dil_labels
+            for m in range(w.dil_range[0], w.dil_range[1] + 1)]
+    return _grid(f, fam, keys, GCoordVec, quadrature_tol)
 
 
 def norm_sq_of_spec(f: FunctionSpec) -> float:

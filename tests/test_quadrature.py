@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from swl import EXPONENTIAL, HAAR, DilIndex, K_elem, L_elem, TransIndex, Window, coord_norm_sq
-from swl.bases import BasisElement, FunctionSpec, parse_function_spec
+from swl.bases import FunctionSpec, parse_function_spec
 from swl.quadrature import (
     inner_product,
     norm_sq_of_spec,
@@ -138,16 +138,19 @@ def test_g_window_tail_bound():
 
 
 def test_exact_route_builds_each_element_atoms_once(monkeypatch):
-    # the atom-pair loop is the only overlap test: no support() read precedes
-    # it; the GL16 route takes supports and values from the same atoms
+    # each element's atoms are read from its code once per coefficient: the
+    # exact route reads the code of every window element for its one pass,
+    # the GL16 route builds atoms() once per element for spans and values
+    from swl import bases
+
     built = Counter()
-    real_atoms = BasisElement.atoms
+    real_code = bases.atom_code
 
-    def counting_atoms(self):
-        built[self.index] += 1
-        return real_atoms(self)
+    def counting_code(fam, index):
+        built[tuple(index)] += 1
+        return real_code(fam, index)
 
-    monkeypatch.setattr(BasisElement, "atoms", counting_atoms)
+    monkeypatch.setattr(bases, "atom_code", counting_code)
     # the exact route (piecewise f) and the GL16 route (gaussian f)
     for f, fam in product((parse_function_spec("piecewise[(-1,1/2):1+x; (5/8,3/4):-2]"),
                            FunctionSpec.gaussian(0.5)), (HAAR, EXPONENTIAL)):
