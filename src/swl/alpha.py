@@ -254,7 +254,8 @@ def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
         if m > 0:
             n = 0 if s == PLUS else -1
             out = [(TransIndex(0, n), complex(_pow2h(-m)))]
-            for r in range(m - 1, -1, -1):
+            # below r = m - 1074 every amplitude 2^{(r-m)/2} is 0.0 in double precision
+            for r in range(m - 1, max(m - 1075, -1), -1):
                 i = (1 << r) if s == PLUS else (1 << (r + 1)) - 1
                 if r == m - 1:
                     val = -_SQRT1_2 if s == PLUS else _SQRT1_2

@@ -130,3 +130,63 @@ def test_model_consistency(A_haar, w_haar):
         lhs = g_from_f(act_DT_on_F(v, p, q, A_haar, w_haar), A_haar, w_haar)
         rhs = act_DT_on_G(g_from_f(v, A_haar, w_haar), p, q, A_haar, w_haar)
         assert coord_equal(lhs, rhs, 1e-7).passed
+
+
+def _uncapped_ladder_column(s, j, m):
+    # the whole ladder column (s, 0, m), m > 0: the box, then one wavelet per scale r < m
+    from swl.alpha import _SQRT1_2, _pow2h
+    from swl.core import PLUS, TransIndex
+
+    n = 0 if s == PLUS else -1
+    out = [(TransIndex(0, n), complex(_pow2h(-m)))]
+    for r in range(m - 1, -1, -1):
+        i = (1 << r) if s == PLUS else (1 << (r + 1)) - 1
+        if r == m - 1:
+            val = -_SQRT1_2 if s == PLUS else _SQRT1_2
+        else:
+            val = _pow2h(r - m) if s == PLUS else -_pow2h(r - m)
+        out.append((TransIndex(i, n), complex(val)))
+    return out
+
+
+def test_capped_ladder_column_gives_the_uncapped_action(monkeypatch):
+    # entries more than 1074 scales below m have amplitude exactly 0.0, so the
+    # column stops there; the action must not see the difference
+    from swl import AlphaMatrix, alpha
+
+    w = Window.symmetric(HAAR, 2)
+    A = AlphaMatrix(HAAR)
+    capped = act_DT_on_F(PSI_HAT, 1200, 0, A, w)
+    real = alpha._haar_column
+
+    def uncapped(s, j, m):
+        return _uncapped_ladder_column(s, j, m) if j == 0 and m > 0 else real(s, j, m)
+
+    monkeypatch.setattr(alpha, "_haar_column", uncapped)
+    whole = act_DT_on_F(PSI_HAT, 1200, 0, A, w)
+    assert [(k, repr(v)) for k, v in capped.items()] == [(k, repr(v)) for k, v in whole.items()]
+
+
+def test_ladder_column_stays_small_at_large_scales():
+    import time
+    import tracemalloc
+
+    from swl import AlphaMatrix
+    from swl.alpha import _haar_column
+
+    # the box, then the wavelets at scales m - 1 down to m - 1074
+    assert len(_haar_column(1, 0, 3000)) == 1 + 1074
+    assert len(_haar_column(-1, 0, 3000)) == 1 + 1074
+    assert len(_haar_column(1, 0, 500)) == 1 + 500
+    w = Window.symmetric(HAAR, 2)
+    tracemalloc.start()
+    start = time.perf_counter()
+    out = act_DT_on_F(PSI_HAT, 100000, 0, AlphaMatrix(HAAR), w)
+    took = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the kept wavelets have labels near 2^100000 (12.5 kB each); the whole
+    # column would hold 100000 of them
+    assert len(out) == 97
+    assert peak < 64e6
+    assert took < 10.0
