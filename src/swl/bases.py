@@ -12,10 +12,10 @@ step 1:
 
 Every basis element and every piecewise test function is described once,
 as atoms: polynomial pieces times e^{2 pi i freq x} on half-open dyadic
-intervals.  A basis element's atoms are read from its ``atom_code``, a
-scale, shift and frequency in integers.  Supports, point values (on
-scalars or whole arrays) and the oracle's exact inner products all read
-the atoms or that code.
+intervals.  A basis element's atoms are given in integers by
+``int_atoms``: endpoints and frequency as integers times powers of two.
+Supports, point values (on scalars or whole arrays) and the oracle's
+exact inner products all read them.
 
 All intervals are half-open [a, b); pointwise values at breakpoints follow
 the left-closed rule.  This is a measure-zero convention with no effect on
@@ -107,18 +107,21 @@ _TICKS = 53  # phases are counted in 2^-53 turns
 _TICK_MASK = (1 << _TICKS) - 1
 
 
-def _box_atom(a: int, b: int, freq: Fraction = _NO_FREQ) -> Atom:
-    # 2^{a/2} e^{2 pi i freq x} on [b 2^-a, (b+1) 2^-a)
-    step = Fraction(2) ** (-a)
-    return Atom(b * step, (b + 1) * step, (math.sqrt(2.0 ** a) + 0j,), freq)
+def _box(a: int, b: int, k: int = 0, e: int = 0) -> tuple[tuple, ...]:
+    # 2^{a/2} e^{2 pi i k 2^e x} on [b 2^-a, (b+1) 2^-a)
+    return ((b, b + 1, a, (math.sqrt(2.0 ** a) + 0j,), k, e),)
 
 
-def _psi_atoms(a: int, b: int) -> tuple[Atom, Atom]:
+def _psi(a: int, b: int) -> tuple[tuple, ...]:
     # 2^{a/2} psi(2^a x - b): +2^{a/2}, then -2^{a/2}, on the halves of the box at scale a
-    step = Fraction(2) ** (-a)
     amp = math.sqrt(2.0 ** a)
-    lo, mid, hi = b * step, (b + Fraction(1, 2)) * step, (b + 1) * step
-    return Atom(lo, mid, (amp + 0j,), _NO_FREQ), Atom(mid, hi, (-amp + 0j,), _NO_FREQ)
+    b *= 2
+    return ((b, b + 1, a + 1, (amp + 0j,), 0, 0), (b + 1, b + 2, a + 1, (-amp + 0j,), 0, 0))
+
+
+def _dyadic(num: int, exp: int) -> Fraction:
+    # num 2^-exp
+    return Fraction(num, 1 << exp) if exp >= 0 else Fraction(num << -exp)
 
 
 def haar_dil_atom(s: int, j: int, m: int) -> tuple[str, int, int]:
@@ -173,34 +176,34 @@ def _evaluate(atoms, x):
     return out[()]
 
 
-def atom_code(fam: BasisFamily, index) -> tuple[str, int, int, int, int]:
-    """The one description of a basis element, as integers: (kind, a, b, k, e).
+def int_atoms(fam: BasisFamily, index) -> tuple[tuple, ...]:
+    """The one description of a basis element: its atoms in integers.
 
-    Kind "phi" is 2^{a/2} e^{2 pi i k 2^e x} on [b 2^-a, (b+1) 2^-a); kind
-    "psi" is 2^{a/2} psi(2^a x - b), +2^{a/2} then -2^{a/2} on the halves
-    of that box, with k = 0.  ``index`` is a (i, n) or (s, j, m) tuple of a
+    An atom (lo, hi, exp, coeffs, fnum, fexp) is the polynomial ``coeffs``
+    (increasing degree) times e^{2 pi i fnum 2^fexp x} on
+    [lo 2^-exp, hi 2^-exp).  ``index`` is an (i, n) or (s, j, m) tuple of a
     valid label.
     """
     if len(index) == 2:
         i, n = index
         if fam.name == "exponential":
-            return "phi", 0, n, i, 0
+            return _box(0, n, i)
         if i == 0:
-            return "phi", 0, n, 0, 0
+            return _box(0, n)
         p, q = split_haar_label(i)
-        return "psi", p, q + (n << p), 0, 0
+        return _psi(p, q + (n << p))
     s, j, m = index
     if fam.name == "exponential":
-        return "phi", m, 1 if s == PLUS else -2, j, m
+        return _box(m, 1 if s == PLUS else -2, j, m)
     kind, a, b = haar_dil_atom(s, j, m)
-    return kind, a, b, 0, 0
+    return _box(a, b) if kind == "phi" else _psi(a, b)
 
 
 @dataclass(frozen=True)
 class BasisElement:
     """A single basis function bound to its family.
 
-    Its atoms, read from its ``atom_code``, are the one description: the
+    Its atoms, read from ``int_atoms``, are the one description: the
     support, the point values and the oracle's inner products all read
     them.
     """
@@ -209,11 +212,11 @@ class BasisElement:
     index: TransIndex | DilIndex
 
     def atoms(self) -> tuple[Atom, ...]:
-        """Atoms in increasing position."""
-        kind, a, b, k, e = atom_code(self.fam, self.index)
-        if kind == "psi":
-            return _psi_atoms(a, b)
-        return (_box_atom(a, b, k * Fraction(2) ** e if k else _NO_FREQ),)
+        """Atoms in increasing position, with Fraction endpoints and frequency."""
+        return tuple(
+            Atom(_dyadic(lo, exp), _dyadic(hi, exp), coeffs, _dyadic(k, -e) if k else _NO_FREQ)
+            for lo, hi, exp, coeffs, k, e in int_atoms(self.fam, self.index)
+        )
 
     def evaluate(self, x):
         return _evaluate(self.atoms(), x)

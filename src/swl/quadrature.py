@@ -3,8 +3,9 @@
 Inner products ``\\int f(x) conj(g(x)) dx`` are evaluated by one of two
 routes, both reading the factors' own description from ``bases``: the
 atoms (polynomial pieces times complex exponentials) that every basis
-element and every piecewise FunctionSpec is made of.  A basis element's
-atoms come from its ``bases.atom_code``.  The oracle never reads ``alpha``.
+element and every piecewise FunctionSpec is made of, a basis element's
+read in integers from ``bases.int_atoms``.  The oracle never reads
+``alpha``.
 
 * exact piecewise integration of each pair of atoms when both factors
   have atoms -- the antiderivatives are closed forms, so the only error
@@ -59,27 +60,17 @@ from .core import _TWO_PI, DROP_THRESHOLD, FCoordVec, GCoordVec, Window, key_col
 
 # -- exact route: atom pairs on integer dyadic endpoints ----------------------
 #
-# An atom here is a tuple (lo, hi, exp, coeffs, fnum, fexp): the polynomial
-# ``coeffs`` (increasing degree) times e^{2 pi i fnum 2^fexp x} on
-# [lo 2^-exp, hi 2^-exp), with integer lo, hi, exp, fnum and fexp.
+# Atoms are in the integer form of ``bases.int_atoms``: (lo, hi, exp, coeffs,
+# fnum, fexp) is ``coeffs`` times e^{2 pi i fnum 2^fexp x} on
+# [lo 2^-exp, hi 2^-exp).
 
 _WIDE = 1 << 62  # integer columns at or past this magnitude are Python ints
-
-
-def _code_atoms(code: tuple) -> tuple[tuple, ...]:
-    """A basis element's atoms from its ``bases.atom_code``."""
-    kind, a, b, k, e = code
-    amp = math.sqrt(2.0 ** a)
-    if kind == "phi":
-        return ((b, b + 1, a, (amp + 0j,), k, e),)
-    b *= 2
-    return ((b, b + 1, a + 1, (amp + 0j,), 0, 0), (b + 1, b + 2, a + 1, (-amp + 0j,), 0, 0))
 
 
 def _exact_atoms(factor) -> tuple[tuple, ...] | None:
     """A factor's atoms in integer form, or None when it has none (the gaussian)."""
     if isinstance(factor, BasisElement):
-        return _code_atoms(bases.atom_code(factor.fam, factor.index))
+        return bases.int_atoms(factor.fam, factor.index)
     atoms = factor.atoms()
     if atoms is None:
         return None
@@ -95,13 +86,16 @@ def _exact_atoms(factor) -> tuple[tuple, ...] | None:
 def _int_columns(*cols: list[int]) -> list[np.ndarray]:
     """int64 arrays when every entry is below 2^62 in magnitude, else
     object arrays of Python ints, one dtype for all."""
+    flat = [v for c in cols for v in c]
     try:
-        arrs = [np.array(c, dtype=np.int64) for c in cols]
-        if all(a.min() > -_WIDE and a.max() < _WIDE for a in arrs if len(a)):
-            return arrs
+        arr = np.array(flat, dtype=np.int64)
+        wide = len(arr) and (arr.min() <= -_WIDE or arr.max() >= _WIDE)
     except OverflowError:
-        pass
-    return [np.array(c, dtype=object) for c in cols]
+        wide = True
+    if wide:
+        arr = np.array(flat, dtype=object)
+    ends = np.cumsum([len(c) for c in cols]).tolist()
+    return [arr[end - len(c):end] for c, end in zip(cols, ends)]
 
 
 def _over_pow2(x: np.ndarray, k: int) -> np.ndarray:
@@ -356,7 +350,7 @@ def _grid(f: FunctionSpec, fam: BasisFamily, keys: list[tuple], vec_type, quadra
     else:
         ga, owner = [], []
         for k, key in enumerate(keys):
-            atoms = _code_atoms(bases.atom_code(fam, key))
+            atoms = bases.int_atoms(fam, key)
             ga += atoms
             owner += [k] * len(atoms)
         vals = _exact_sums(fe, tuple(ga), owner, len(keys))

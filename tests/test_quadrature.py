@@ -138,19 +138,19 @@ def test_g_window_tail_bound():
 
 
 def test_exact_route_builds_each_element_atoms_once(monkeypatch):
-    # each element's atoms are read from its code once per coefficient: the
-    # exact route reads the code of every window element for its one pass,
-    # the GL16 route builds atoms() once per element for spans and values
+    # each element's atoms are built once per coefficient: the exact route
+    # reads the integer atoms of every window element for its one pass, the
+    # GL16 route builds atoms() from them once per element for spans and values
     from swl import bases
 
     built = Counter()
-    real_code = bases.atom_code
+    real_atoms = bases.int_atoms
 
-    def counting_code(fam, index):
+    def counting_atoms(fam, index):
         built[tuple(index)] += 1
-        return real_code(fam, index)
+        return real_atoms(fam, index)
 
-    monkeypatch.setattr(bases, "atom_code", counting_code)
+    monkeypatch.setattr(bases, "int_atoms", counting_atoms)
     # the exact route (piecewise f) and the GL16 route (gaussian f)
     for f, fam in product((parse_function_spec("piecewise[(-1,1/2):1+x; (5/8,3/4):-2]"),
                            FunctionSpec.gaussian(0.5)), (HAAR, EXPONENTIAL)):
