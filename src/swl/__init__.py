@@ -33,7 +33,7 @@ from .bases import (
     L_elem,
     parse_function_spec,
 )
-from .quadrature import inner_product, oracle_F_coords, oracle_G_coords
+from .quadrature import inner_product, inner_products, oracle_F_coords, oracle_G_coords
 from .alpha import AlphaMatrix, alpha_entry, alpha_row, f_from_g, g_from_f
 from .group_action import (
     act_DT_on_F,

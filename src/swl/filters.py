@@ -36,7 +36,7 @@ from .core import (
     offset_column,
 )
 from .group_action import shift_D
-from .quadrature import inner_product
+from .quadrature import inner_products
 
 _SQRT1_2 = math.sqrt(0.5)
 _DET_FLOOR = 1e-6  # least grid |det| of the pair matrix that check_pair_conditions accepts
@@ -112,10 +112,9 @@ def extract_two_scale(phi: FunctionSpec, k_range) -> LaurentPoly:
     """
     if not phi.is_compact():
         raise UnboundedSupportError("two-scale extraction needs a compactly supported function")
-    out = {}
-    for k in _span(k_range):
-        out[k] = inner_product(phi, dilate_spec(translate_spec(phi, k), 1))
-    return LaurentPoly.from_map(out)
+    ks = _span(k_range)
+    vals = inner_products(phi, [dilate_spec(translate_spec(phi, k), 1) for k in ks])
+    return LaurentPoly.from_map(dict(zip(ks, vals)))
 
 
 def _even_correlations(a: LaurentPoly, b: LaurentPoly, n_range) -> dict[int, complex]:

@@ -188,27 +188,33 @@ def _moments(top: np.ndarray, x: np.ndarray, width: int) -> tuple[np.ndarray, np
     return er_out, ei_out
 
 
-def _exact_sums(fa: tuple[tuple, ...], ga: tuple[tuple, ...], owner: list[int],
-                size: int) -> list[complex]:
-    """For each of ``size`` owners, integral f conj(g) over the g atoms it owns.
+def _exact_sums(fa: tuple[tuple, ...] | None, gas: list[tuple[tuple, ...] | None]) -> list[complex]:
+    """integral f conj(g) for each g of ``gas``, f and each g given by their
+    atoms; a g without atoms (None) is left at 0j.
 
     Every endpoint is an integer over one 2^K, so the overlapping atom pairs
     come from integer comparisons and atoms that meet nothing cost nothing.
-    All pairs are integrated at once, and each owner's pair integrals are
+    All pairs are integrated at once, and each g's pair integrals are
     summed with ``math.fsum``, which is correctly rounded, so a value does
     not depend on which other pairs share the batch.
     """
-    out = [0j] * size
+    out = [0j] * len(gas)
+    ga, owner = [], []
+    for k, atoms in enumerate(gas):
+        if atoms:
+            ga += atoms
+            owner += [k] * len(atoms)
     if not fa or not ga:
         return out
     K = max(0, max(at[2] for at in fa), max(at[2] for at in ga))
-    D = max([0] + [-at[5] for at in fa + ga if at[4]])  # frequencies over 2^D
+    D = max([0] + [-at[5] for at in (*fa, *ga) if at[4]])  # frequencies over 2^D
     lo_f, hi_f, nu_f, lo_g, hi_g, nu_g = _int_columns(
         [at[0] << (K - at[2]) for at in fa], [at[1] << (K - at[2]) for at in fa],
         [at[4] << (at[5] + D) if at[4] else 0 for at in fa],
         [at[0] << (K - at[2]) for at in ga], [at[1] << (K - at[2]) for at in ga],
         [at[4] << (at[5] + D) if at[4] else 0 for at in ga])
-    fi, gi = np.nonzero((lo_f[:, None] < hi_g) & (lo_g < hi_f[:, None]))
+    # pairs in g-atom order, so each g's pairs are consecutive
+    gi, fi = np.nonzero((lo_g[:, None] < hi_f) & (lo_f < hi_g[:, None]))
     if not len(fi):
         return out
     cf, cg = _coefficients(fa), np.conj(_coefficients(ga))
@@ -260,10 +266,8 @@ def _exact_sums(fa: tuple[tuple, ...], ga: tuple[tuple, ...], owner: list[int],
         c, s = np.cos(turns), np.sin(turns)
         vr, vi = c * vr - s * vi, c * vi + s * vr
 
-    own = np.array(owner)[gi]
-    order = np.argsort(own, kind="stable")
-    own = own[order].tolist()
-    vr, vi = vr[order].tolist(), vi[order].tolist()
+    own = np.array(owner)[gi].tolist()
+    vr, vi = vr.tolist(), vi.tolist()
     cuts = [0] + [k for k in range(1, pairs) if own[k] != own[k - 1]] + [pairs]
     for lo, hi in zip(cuts, cuts[1:]):
         out[own[lo]] = complex(math.fsum(vr[lo:hi]), math.fsum(vi[lo:hi]))
@@ -297,17 +301,26 @@ def _span(fn, atoms):
     return (atoms[0].a, atoms[-1].b) if atoms else None
 
 
+def inner_products(f, gs, quadrature_tol: float = 1e-10) -> list[complex]:
+    """integral f(x) conj(g(x)) dx for each g of ``gs`` (FunctionSpecs and
+    basis elements): the exact route in one pass over every g with atoms,
+    the GL16 route one g at a time."""
+    fe = _exact_atoms(f)
+    ges = [None] * len(gs) if fe is None else [_exact_atoms(g) for g in gs]
+    out = _exact_sums(fe, ges)
+    return [_sampled(f, g, quadrature_tol) if ge is None else v for g, ge, v in zip(gs, ges, out)]
+
+
 def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     """integral f(x) conj(g(x)) dx for FunctionSpecs and basis elements."""
-    fe = _exact_atoms(f)
-    ge = None if fe is None else _exact_atoms(g)
-    if ge is not None:
-        return _exact_sums(fe, ge, [0] * len(ge), 1)[0]
+    return inner_products(f, (g,), quadrature_tol)[0]
 
+
+def _sampled(f, g, quadrature_tol: float) -> complex:
+    """The GL16 route: dyadic bisection on breakpoint-split intervals; a
+    factor with atoms is spanned and evaluated from them."""
     fa = f.atoms()
     ga = g.atoms()
-    # sampled route: GL16 with dyadic bisection on breakpoint-split intervals;
-    # a factor with atoms is spanned and evaluated from the atoms read above
     sup_f = _span(f, fa)
     sup_g = _span(g, ga)
     if sup_f is None or sup_g is None:
@@ -341,19 +354,13 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
 
 def _grid(f: FunctionSpec, fam: BasisFamily, keys: list[tuple], vec_type, quadrature_tol: float):
     """The coordinates of ``f`` against the elements ``keys``, in key order,
-    zero rule applied: all at once on the exact route, else one
-    ``inner_product`` per element."""
+    zero rule applied."""
     fe = _exact_atoms(f)
     if fe is None:
         make = L_elem if vec_type is FCoordVec else K_elem
-        vals = [inner_product(f, make(fam, *key), quadrature_tol) for key in keys]
+        vals = inner_products(f, [make(fam, *key) for key in keys], quadrature_tol)
     else:
-        ga, owner = [], []
-        for k, key in enumerate(keys):
-            atoms = bases.int_atoms(fam, key)
-            ga += atoms
-            owner += [k] * len(atoms)
-        vals = _exact_sums(fe, tuple(ga), owner, len(keys))
+        vals = _exact_sums(fe, [bases.int_atoms(fam, key) for key in keys])
     kept = [k for k, v in enumerate(vals) if abs(v) > DROP_THRESHOLD]
     cols = key_columns([keys[k] for k in kept], vec_type._width)
     return vec_type._from_columns(cols, np.array([vals[k] for k in kept], dtype=complex))
