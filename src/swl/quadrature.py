@@ -28,11 +28,11 @@ read in integers from ``bases.int_atoms``.  The oracle never reads
 
 The coefficient grids of a piecewise function integrate the whole window
 in one exact pass: the atoms of every window element against those of
-the function, summed per element.  ``inner_product`` runs the same pass
-on one element, so a grid holds exactly the values ``inner_product``
-gives.  The zero rule of the coordinate vectors drops the elements that
-do not meet the function.  For the gaussian, each element goes through
-the GL16 route.
+the function, summed per element.  ``inner_products`` runs the same pass
+over any list of factors and ``inner_product`` over a list of one, so a
+grid holds exactly the values ``inner_product`` gives.  The zero rule of
+the coordinate vectors drops the elements that do not meet the function.
+For the gaussian, each element goes through the GL16 route.
 """
 
 from __future__ import annotations
