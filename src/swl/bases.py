@@ -11,11 +11,12 @@ step 1:
   (recovered by bit inspection); label 0 is the box function.
 
 Every basis element and every piecewise test function is described once,
-as atoms: polynomial pieces times e^{2 pi i freq x} on half-open dyadic
-intervals.  A basis element's atoms are given in integers by
-``int_atoms``: endpoints and frequency as integers times powers of two.
-Supports, point values (on scalars or whole arrays) and the oracle's
-exact inner products all read them.
+as atoms in integers: (lo, hi, exp, coeffs, fnum, fexp) is the polynomial
+``coeffs`` times e^{2 pi i fnum 2^fexp x} on [lo 2^-exp, hi 2^-exp).
+``int_atoms`` gives a basis element's, ``factor_atoms`` those of any
+factor (a piecewise FunctionSpec's pieces at frequency 0).  A basis
+element's support, the point values (on scalars or whole arrays) and both
+oracle routes read them.
 
 All intervals are half-open [a, b); pointwise values at breakpoints follow
 the left-closed rule.  This is a measure-zero convention with no effect on
@@ -28,11 +29,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import DilIndex, MINUS, PLUS, TransIndex, ceil_float
+from .core import DilIndex, MINUS, PLUS, TransIndex
 
 
 class InvalidLabelError(ValueError):
@@ -91,18 +91,8 @@ def split_haar_label(label: int) -> tuple[int, int]:
     return p, label - (1 << p)
 
 
-# -- atoms: p(x) * e^{2 pi i freq x} on [a, b) ---------------------------------
+# -- atoms: p(x) * e^{2 pi i fnum 2^fexp x} on [lo 2^-exp, hi 2^-exp) ----------
 
-class Atom(NamedTuple):
-    """One polynomial-times-exponential piece; coefficients in increasing degree."""
-
-    a: Fraction
-    b: Fraction
-    coeffs: tuple[complex, ...]
-    freq: Fraction
-
-
-_NO_FREQ = Fraction(0)
 _TICKS = 53  # phases are counted in 2^-53 turns
 _TICK_MASK = (1 << _TICKS) - 1
 
@@ -140,38 +130,47 @@ def haar_dil_atom(s: int, j: int, m: int) -> tuple[str, int, int]:
     return ("psi", p + m, -(1 << (p + 1)) + q)
 
 
-def _turns(freq: Fraction, x: np.ndarray) -> np.ndarray:
-    """freq * x in turns, reduced to within two 2^-53 turns of its value modulo one.
+def _turns(fnum: int, fexp: int, x: np.ndarray) -> np.ndarray:
+    """fnum 2^fexp x in turns, reduced to within two 2^-53 turns of its value modulo one.
 
-    ``freq`` is dyadic, odd * 2^e.  Scaling x by 2^e and dropping the
-    integer part are exact.  The fraction is split into whole 2^-53 turns,
-    multiplied by ``odd`` exactly in wrapping 64-bit arithmetic, and a
-    remainder below one such turn, multiplied in floating point; the bound
-    holds for |odd| < 2^53.
+    The frequency is odd * 2^e with ``odd`` = fnum without its trailing
+    zero bits.  Scaling x by 2^e and dropping the integer part are exact.
+    The fraction is split into whole 2^-53 turns, multiplied by ``odd``
+    exactly in wrapping 64-bit arithmetic, and a remainder below one such
+    turn, multiplied in floating point; the bound holds for |odd| < 2^53.
     """
-    num, den = freq.numerator, freq.denominator
-    low_bit = (num & -num).bit_length()
-    odd = num >> (low_bit - 1)
-    rest, ticks = np.modf(np.ldexp(np.modf(np.ldexp(x, low_bit - den.bit_length()))[0], _TICKS))
+    zeros = (fnum & -fnum).bit_length() - 1
+    odd = fnum >> zeros
+    rest, ticks = np.modf(np.ldexp(np.modf(np.ldexp(x, fexp + zeros))[0], _TICKS))
     ticks = (ticks.astype(np.int64).view(np.uint64) * np.uint64(odd & _TICK_MASK)) & _TICK_MASK
     return np.ldexp(ticks.astype(float) + rest * odd, -_TICKS)
 
 
+def _ceil_dyadic(num: int, exp: int) -> float:
+    """Least double >= num 2^-exp, in integer arithmetic (exact past 2^53):
+    a double x is >= the dyadic iff x >= this bound, and < it iff x < it."""
+    if exp < 0:
+        num, exp = num << -exp, 0
+    x = num / (1 << exp)  # correctly rounded
+    top, den = x.as_integer_ratio()
+    return x if top << exp >= num * den else math.nextafter(x, math.inf)
+
+
 def _evaluate(atoms, x):
-    """Pointwise sum of atoms, left-closed at every breakpoint.
+    """Pointwise sum of integer atoms, left-closed at every breakpoint.
 
     ``x`` is a scalar or an array; a scalar gives a complex scalar.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
-    for at in atoms:
-        sel = (x >= ceil_float(at.a)) & (x < ceil_float(at.b))
+    for lo, hi, exp, coeffs, fnum, fexp in atoms:
+        sel = (x >= _ceil_dyadic(lo, exp)) & (x < _ceil_dyadic(hi, exp))
         xs = x[sel]
         val = np.zeros(xs.shape, dtype=complex)
-        for c in reversed(at.coeffs):
+        for c in reversed(coeffs):
             val = val * xs + c
-        if at.freq:
-            val *= np.exp(2j * np.pi * _turns(at.freq, xs))
+        if fnum:
+            val *= np.exp(2j * np.pi * _turns(fnum, fexp, xs))
         out[sel] = val
     return out[()]
 
@@ -199,6 +198,22 @@ def int_atoms(fam: BasisFamily, index) -> tuple[tuple, ...]:
     return _box(a, b) if kind == "phi" else _psi(a, b)
 
 
+def factor_atoms(factor) -> tuple[tuple, ...] | None:
+    """The integer atoms of a basis element or FunctionSpec, None for the
+    gaussian: a piecewise spec's pieces at frequency 0, each on the
+    coarsest 2^-exp that holds both of its ends."""
+    if isinstance(factor, BasisElement):
+        return int_atoms(factor.fam, factor.index)
+    if factor.kind == "gaussian":
+        return None
+    out = []
+    for lo, hi, coeffs in factor.pieces:
+        la, lb = lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1
+        exp = max(la, lb)
+        out.append((lo.numerator << (exp - la), hi.numerator << (exp - lb), exp, coeffs, 0, 0))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BasisElement:
     """A single basis function bound to its family.
@@ -211,19 +226,12 @@ class BasisElement:
     fam: BasisFamily
     index: TransIndex | DilIndex
 
-    def atoms(self) -> tuple[Atom, ...]:
-        """Atoms in increasing position, with Fraction endpoints and frequency."""
-        return tuple(
-            Atom(_dyadic(lo, exp), _dyadic(hi, exp), coeffs, _dyadic(k, -e) if k else _NO_FREQ)
-            for lo, hi, exp, coeffs, k, e in int_atoms(self.fam, self.index)
-        )
-
     def evaluate(self, x):
-        return _evaluate(self.atoms(), x)
+        return _evaluate(int_atoms(self.fam, self.index), x)
 
     def support(self) -> tuple[Fraction, Fraction]:
-        atoms = self.atoms()
-        return atoms[0].a, atoms[-1].b
+        atoms = int_atoms(self.fam, self.index)
+        return _dyadic(atoms[0][0], atoms[0][2]), _dyadic(atoms[-1][1], atoms[-1][2])
 
 
 def L_elem(fam: BasisFamily, i: int, n: int) -> BasisElement:
@@ -303,18 +311,12 @@ class FunctionSpec:
         return FunctionSpec("piecewise", (), label="zero")
 
     # behaviour
-    def atoms(self) -> tuple[Atom, ...] | None:
-        """The pieces as atoms of frequency 0; None for the gaussian."""
-        if self.kind == "gaussian":
-            return None
-        return tuple(Atom(lo, hi, coeffs, _NO_FREQ) for lo, hi, coeffs in self.pieces)
-
     def evaluate(self, x):
         """Value at a scalar or at every point of an array."""
         if self.kind == "gaussian":
             x = np.asarray(x, dtype=float)
             return (np.exp(-(x * x) / (2.0 * self.sigma * self.sigma)) + 0j)[()]
-        return _evaluate(self.atoms(), x)
+        return _evaluate(factor_atoms(self), x)
 
     def support(self) -> tuple[Fraction, Fraction] | None:
         """Support interval, or None for the empty (zero) function."""

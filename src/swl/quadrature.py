@@ -1,11 +1,11 @@
 """Brute-force inner products: the provenance oracle for every closed form.
 
 Inner products ``\\int f(x) conj(g(x)) dx`` are evaluated by one of two
-routes, both reading the factors' own description from ``bases``: the
-atoms (polynomial pieces times complex exponentials) that every basis
-element and every piecewise FunctionSpec is made of, a basis element's
-read in integers from ``bases.int_atoms``.  The oracle never reads
-``alpha``.
+routes, both reading the factors' integer atoms from
+``bases.factor_atoms``: (lo, hi, exp, coeffs, fnum, fexp) is ``coeffs``
+times e^{2 pi i fnum 2^fexp x} on [lo 2^-exp, hi 2^-exp), the one
+description of every basis element and every piecewise FunctionSpec.
+The oracle never reads ``alpha``.
 
 * exact piecewise integration of each pair of atoms when both factors
   have atoms -- the antiderivatives are closed forms, so the only error
@@ -24,7 +24,10 @@ read in integers from ``bases.int_atoms``.  The oracle never reads
   gaussian preset is involved, on the intersection of the two supports
   split at every atom breakpoint, evaluating both factors on each whole
   node array and subdividing until the two-level estimate difference is
-  below the quadrature tolerance.
+  below the quadrature tolerance; a panel that has not converged when the
+  bisection depth runs out raises ``ArithmeticError``.  The breakpoints
+  and the gaussian's +-10 sigma cut are integers over one denominator, so
+  they are sorted and clipped exactly.
 
 The coefficient grids of a piecewise function integrate the whole window
 in one exact pass: the atoms of every window element against those of
@@ -46,7 +49,6 @@ import numpy as np
 
 from . import bases
 from .bases import (
-    BasisElement,
     BasisFamily,
     FunctionSpec,
     K_elem,
@@ -54,33 +56,14 @@ from .bases import (
     _evaluate,
     check_dil_label,
     check_trans_label,
+    factor_atoms,
 )
 from .core import _TWO_PI, DROP_THRESHOLD, FCoordVec, GCoordVec, Window, key_columns
 
 
 # -- exact route: atom pairs on integer dyadic endpoints ----------------------
-#
-# Atoms are in the integer form of ``bases.int_atoms``: (lo, hi, exp, coeffs,
-# fnum, fexp) is ``coeffs`` times e^{2 pi i fnum 2^fexp x} on
-# [lo 2^-exp, hi 2^-exp).
 
 _WIDE = 1 << 62  # integer columns at or past this magnitude are Python ints
-
-
-def _exact_atoms(factor) -> tuple[tuple, ...] | None:
-    """A factor's atoms in integer form, or None when it has none (the gaussian)."""
-    if isinstance(factor, BasisElement):
-        return bases.int_atoms(factor.fam, factor.index)
-    atoms = factor.atoms()
-    if atoms is None:
-        return None
-    out = []
-    for at in atoms:
-        la, lb = at.a.denominator.bit_length() - 1, at.b.denominator.bit_length() - 1
-        exp = max(la, lb)
-        out.append((at.a.numerator << (exp - la), at.b.numerator << (exp - lb), exp, at.coeffs,
-                    at.freq.numerator, 1 - at.freq.denominator.bit_length()))
-    return tuple(out)
 
 
 def _int_columns(*cols: list[int]) -> list[np.ndarray]:
@@ -289,24 +272,20 @@ def _adaptive(fn, a: float, b: float, tol: float, depth: int) -> complex:
     mid = 0.5 * (a + b)
     left = _gl16(fn, a, mid)
     right = _gl16(fn, mid, b)
-    if abs(whole - (left + right)) <= tol or depth <= 0:
+    if abs(whole - (left + right)) <= tol:
         return left + right
+    if depth <= 0:
+        raise ArithmeticError(f"GL16 quadrature did not converge on [{a!r}, {b!r}] "
+                              f"within tolerance {tol!r}: bisection depth exhausted")
     return _adaptive(fn, a, mid, tol / 2, depth - 1) + _adaptive(fn, mid, b, tol / 2, depth - 1)
-
-
-def _span(fn, atoms):
-    """Support of a factor: from its atoms when it has them, else its own."""
-    if atoms is None:
-        return fn.support()
-    return (atoms[0].a, atoms[-1].b) if atoms else None
 
 
 def inner_products(f, gs, quadrature_tol: float = 1e-10) -> list[complex]:
     """integral f(x) conj(g(x)) dx for each g of ``gs`` (FunctionSpecs and
     basis elements): the exact route in one pass over every g with atoms,
     the GL16 route one g at a time."""
-    fe = _exact_atoms(f)
-    ges = [None] * len(gs) if fe is None else [_exact_atoms(g) for g in gs]
+    fe = factor_atoms(f)
+    ges = [None] * len(gs) if fe is None else [factor_atoms(g) for g in gs]
     out = _exact_sums(fe, ges)
     return [_sampled(f, g, quadrature_tol) if ge is None else v for g, ge, v in zip(gs, ges, out)]
 
@@ -318,23 +297,27 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
 
 def _sampled(f, g, quadrature_tol: float) -> complex:
     """The GL16 route: dyadic bisection on breakpoint-split intervals; a
-    factor with atoms is spanned and evaluated from them."""
-    fa = f.atoms()
-    ga = g.atoms()
-    sup_f = _span(f, fa)
-    sup_g = _span(g, ga)
-    if sup_f is None or sup_g is None:
+    factor with atoms is spanned and evaluated from them.
+
+    Every breakpoint is an integer over one denominator, 2^K times the
+    denominators of the gaussians' +-10 sigma cuts, so spans and cuts are
+    sorted and clipped exactly and each length is rounded to a double once.
+    """
+    fa, ga = factor_atoms(f), factor_atoms(g)
+    if fa == () or ga == ():
         return 0j
-    lo = max(sup_f[0], sup_g[0])
-    hi = min(sup_f[1], sup_g[1])
+    halves = [fn.support()[1] for fn, atoms in ((f, fa), (g, ga)) if atoms is None]
+    q = math.lcm(*(h.denominator for h in halves))
+    K = max([0] + [at[2] for atoms in (fa, ga) if atoms for at in atoms])
+    den = q << K
+    # each factor's breakpoints over den; the gaussian's are its cut
+    points = [{(end * q) << (K - at[2]) for at in atoms for end in at[:2]}
+              for atoms in (fa, ga) if atoms]
+    points += [{-cut, cut} for cut in (h.numerator * (den // h.denominator) for h in halves)]
+    lo, hi = max(map(min, points)), min(map(max, points))
     if hi <= lo:
         return 0j
-    points = {Fraction(lo), Fraction(hi)}
-    for atoms in (fa, ga):
-        if atoms is not None:
-            for at in atoms:
-                points.update((at.a, at.b))
-    cuts = sorted(p for p in points if lo <= p <= hi)
+    cuts = sorted(p for p in set().union(*points) if lo <= p <= hi)
 
     f_at = f.evaluate if fa is None else partial(_evaluate, fa)
     g_at = g.evaluate if ga is None else partial(_evaluate, ga)
@@ -342,11 +325,11 @@ def _sampled(f, g, quadrature_tol: float) -> complex:
     def integrand(xs: np.ndarray) -> np.ndarray:
         return f_at(xs) * np.conjugate(g_at(xs))
 
-    total_len = float(hi - lo)
+    total_len = (hi - lo) / den
     acc = 0j
     for a, b in zip(cuts, cuts[1:]):
-        share = quadrature_tol * float(b - a) / total_len
-        acc += _adaptive(integrand, float(a), float(b), share, 40)
+        share = quadrature_tol * ((b - a) / den) / total_len
+        acc += _adaptive(integrand, a / den, b / den, share, 40)
     return acc
 
 
@@ -355,7 +338,7 @@ def _sampled(f, g, quadrature_tol: float) -> complex:
 def _grid(f: FunctionSpec, fam: BasisFamily, keys: list[tuple], vec_type, quadrature_tol: float):
     """The coordinates of ``f`` against the elements ``keys``, in key order,
     zero rule applied."""
-    fe = _exact_atoms(f)
+    fe = factor_atoms(f)
     if fe is None:
         make = L_elem if vec_type is FCoordVec else K_elem
         vals = inner_products(f, [make(fam, *key) for key in keys], quadrature_tol)

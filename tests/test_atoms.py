@@ -1,4 +1,5 @@
-"""Basis elements as atoms: one description for supports, point values and the oracle."""
+"""Basis elements and piecewise specs as integer atoms: one description for
+supports, point values and the oracle."""
 
 import math
 from fractions import Fraction
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from swl import EXPONENTIAL, HAAR, FunctionSpec, K_elem, L_elem  # noqa: E402
+from swl.bases import int_atoms  # noqa: E402
 from swl.core import MINUS, PLUS  # noqa: E402
 from swl.quadrature import inner_product  # noqa: E402
 
@@ -18,8 +20,11 @@ shifts = st.integers(-1024, 1024)
 scales = st.integers(-10, 48)
 exp_labels = st.integers(-64, 64)
 haar_labels = st.integers(0, 64)
+# past 2^53 an integer endpoint is not a double, so the half-open bounds must round up exactly
+wide_haar_labels = st.one_of(haar_labels, st.integers(0, 2 ** 62))
+wide_shifts = st.one_of(shifts, st.integers(-2 ** 40, 2 ** 40))
 elements = st.one_of(
-    st.builds(lambda i, n: L_elem(HAAR, i, n), haar_labels, shifts),
+    st.builds(lambda i, n: L_elem(HAAR, i, n), wide_haar_labels, wide_shifts),
     st.builds(lambda i, n: L_elem(EXPONENTIAL, i, n), exp_labels, shifts),
     st.builds(lambda s, j, m: K_elem(HAAR, s, j, m), signs, haar_labels, scales),
     st.builds(lambda s, j, m: K_elem(EXPONENTIAL, s, j, m), signs, exp_labels, scales),
@@ -31,20 +36,64 @@ def _inside(lo: Fraction, hi: Fraction, us) -> list[float]:
     return [float(lo + (hi - lo) * Fraction(u)) for u in us]
 
 
+def _near(points) -> np.ndarray:
+    """The double nearest each point and its two neighbours."""
+    xs = [float(p) for p in points]
+    return np.array(sorted({y for x in xs for y in (math.nextafter(x, -math.inf), x,
+                                                    math.nextafter(x, math.inf))}))
+
+
+def _dyadic(num: int, exp: int) -> Fraction:
+    return num * Fraction(2) ** -exp
+
+
+# the wavelet's midpoint n + (2q+1) 2^-40 lies halfway between two doubles and rounds down
+@example(elem=L_elem(HAAR, 2 ** 39 + 2, 2 ** 13), us=[0.5])
 @given(elem=elements, us=positions)
 def test_array_values_are_point_values_and_vanish_off_support(elem, us):
     lo, hi = elem.support()
-    width = float(hi - lo)
-    xs = np.array(_inside(lo, hi, us) + [float(lo), float(hi), float(lo) - width,
-                                         float(hi) + width, np.nextafter(float(lo), -math.inf)])
+    width = hi - lo
+    atoms = [(_dyadic(a, e), _dyadic(b, e), coeffs, fnum)
+             for a, b, e, coeffs, fnum, _ in int_atoms(elem.fam, elem.index)]
+    xs = _near([lo + width * Fraction(u) for u in us] + [lo - width, hi + width]
+               + [p for a, b, _, _ in atoms for p in (a, b)])
     vals = elem.evaluate(xs)
     for x, val in zip(xs, vals):
         point = elem.evaluate(x)
         assert isinstance(point, complex)
         assert point == val
-    off = (xs < float(lo)) | (xs >= float(hi))
-    assert np.all(vals[off] == 0)
-    assert np.all(vals[~off] != 0)
+        # the atom holding x, judged exactly: float(lo) is not lo past 2^53
+        held = [(coeffs, fnum) for a, b, coeffs, fnum in atoms if a <= Fraction(x) < b]
+        if not held:
+            assert val == 0
+        elif held[0][1]:
+            assert val != 0
+        else:
+            assert val == held[0][0][0]  # Haar atoms are constants
+
+
+# breakpoints on a 2^-70 grid up to 10^6 from the origin: most are not doubles,
+# and several may round to the same double
+grid_cuts = st.builds(
+    lambda base, offsets: sorted({base + d for d in offsets}),
+    st.integers(-10 ** 6 << 70, 10 ** 6 << 70),
+    st.sampled_from([2 ** 4, 2 ** 37, 2 ** 64]).flatmap(
+        lambda spread: st.lists(st.integers(0, spread), min_size=2, max_size=8)),
+)
+
+
+@given(cuts=grid_cuts, keep=st.lists(st.booleans(), min_size=7, max_size=7))
+def test_piecewise_values_follow_exact_breakpoints(cuts, keep):
+    grid = Fraction(1, 1 << 70)
+    pieces = [(a * grid, b * grid, (float(k + 1),))
+              for k, (a, b) in enumerate(zip(cuts, cuts[1:])) if keep[k] or k == 0]
+    spec = FunctionSpec.piecewise(pieces)
+    xs = _near([c * grid for c in cuts])
+    vals = spec.evaluate(xs)
+    for x, val in zip(xs, vals):
+        want = next((c[0] for lo, hi, c in pieces if lo <= Fraction(x) < hi), 0.0)
+        assert val == want
+        assert spec.evaluate(x) == val
 
 
 # past 2^10 the phase count in 2^-53 turns overflows 64 bits and must wrap exactly

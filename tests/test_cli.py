@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,18 @@ def _doc(out):
     doc = json.loads(out)
     assert doc["schema_version"] == 1
     return doc
+
+
+def test_readme_cli_examples_run(capsys):
+    # every "swl ..." line of the README's CLI block, as a shell would split it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("swl ")]
+    assert len(lines) >= 7  # one per subcommand at least
+    for line in lines:
+        code, out, err = _invoke(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
+        assert isinstance(json.loads(out), dict), line
 
 
 def test_check_wavelet_haar_passes(capsys):

@@ -5,11 +5,13 @@ import random
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from swl import EXPONENTIAL, HAAR, DilIndex, K_elem, L_elem, TransIndex, Window, coord_norm_sq
 from swl.bases import FunctionSpec, parse_function_spec
 from swl.quadrature import (
+    _adaptive,
     inner_product,
     norm_sq_of_spec,
     oracle_F_coords,
@@ -136,11 +138,16 @@ def test_g_window_tail_bound():
     assert g_window_tail_bound(g, 6) == pytest.approx(2.0 ** -5, rel=1e-3)
 
 
+def test_gl16_non_convergence_raises():
+    # 8 panels of width 1/8 cannot resolve sin(10^6 x): their sum, -4.6e-4, is no answer
+    with pytest.raises(ArithmeticError, match=r"did not converge on \[0\.0, 0\.125\].*depth"):
+        _adaptive(lambda xs: np.sin(1e6 * xs) + 0j, 0.0, 1.0, 1e-10, 3)
+
 
 def test_exact_route_builds_each_element_atoms_once(monkeypatch):
     # each element's atoms are built once per coefficient: the exact route
     # reads the integer atoms of every window element for its one pass, the
-    # GL16 route builds atoms() from them once per element for spans and values
+    # GL16 route reads them once per element for its span, breakpoints and values
     from swl import bases
 
     built = Counter()
