@@ -102,6 +102,48 @@ def csum(values: Iterable[complex]) -> complex:
     return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
 
+# Below this many terms, every per-exponent bin of 27-bit mantissa halves
+# stays an integer under 2^52, so ``np.bincount``'s double sums are exact.
+_FSUM_TERMS = 1 << 25
+
+
+def array_fsum(x: np.ndarray) -> float:
+    """``math.fsum(x.tolist())`` of a 1-D float64 array, bit for bit.
+
+    Each value is a 53-bit integer mantissa times a power of two; the
+    mantissas are split into 27- and 26-bit halves and summed exactly per
+    exponent, the bins are combined as one Python int, and a single
+    correctly rounded division gives the sum (``fsum`` rounds correctly
+    too, and returns +0.0 for an exact zero).  Non-finite input, sums that
+    could come near the overflow threshold and arrays of ``_FSUM_TERMS``
+    or more go to ``math.fsum`` itself, so its results and exceptions are
+    kept.
+    """
+    n = len(x)
+    if n == 0:
+        return 0.0
+    # the absolute sum is at most n max|x|; a nan makes numpy's max and min
+    # nan, and fails the test too
+    if n >= _FSUM_TERMS or not max(float(x.max()), -float(x.min())) * n < 2.0 ** 1020:
+        return math.fsum(x.tolist())
+    mant, exp = np.frexp(x)
+    # x = (high 2^26 + low) 2^(exp - 53) with integers |high| <= 2^27 and
+    # |low| < 2^26, split exactly in place
+    mant *= 2.0 ** 27
+    high = np.trunc(mant)
+    mant -= high
+    mant *= 2.0 ** 26
+    lo = int(exp.min())
+    bins = np.subtract(exp, lo, dtype=np.intp)
+    high = np.bincount(bins, high).tolist()
+    low = np.bincount(bins, mant).tolist()
+    total = 0
+    for k, (h, l) in enumerate(zip(high, low)):
+        if h or l:
+            total += ((int(h) << 26) + int(l)) << k
+    return total / (1 << (53 - lo)) if lo < 53 else float(total << (lo - 53))
+
+
 def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b elementwise, each component rounded as Python's complex
     product rounds it (numpy's complex multiply may fuse it into an FMA)."""
@@ -240,7 +282,7 @@ class _SparseCoords:
     # -- algebra ----------------------------------------------------------
     def norm_sq(self) -> float:
         v = self._vals
-        return math.fsum((v.real * v.real + v.imag * v.imag).tolist())
+        return array_fsum(v.real * v.real + v.imag * v.imag)
 
     def scaled(self, factor: complex):
         return type(self)((k, factor * v) for k, v in self._entries.items())

@@ -287,7 +287,12 @@ def inner_products(f, gs, quadrature_tol: float = 1e-10) -> list[complex]:
     fe = factor_atoms(f)
     ges = [None] * len(gs) if fe is None else [factor_atoms(g) for g in gs]
     out = _exact_sums(fe, ges)
-    return [_sampled(f, g, quadrature_tol) if ge is None else v for g, ge, v in zip(gs, ges, out)]
+    sampled = [k for k, ge in enumerate(ges) if ge is None]
+    if sampled:
+        ff = _gl_factor(f, fe)  # f's cut, once for every g
+        for k in sampled:
+            out[k] = _sampled(ff, _gl_factor(gs[k], factor_atoms(gs[k])), quadrature_tol)
+    return out
 
 
 def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
@@ -295,18 +300,25 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     return inner_products(f, (g,), quadrature_tol)[0]
 
 
-def _sampled(f, g, quadrature_tol: float) -> complex:
-    """The GL16 route: dyadic bisection on breakpoint-split intervals; a
-    factor with atoms is spanned and evaluated from them.
+def _gl_factor(fn, atoms):
+    """A factor of the GL16 route: (factor, its atoms, and the half-width
+    of its +-10 sigma cut when it has no atoms)."""
+    return fn, atoms, fn.support()[1] if atoms is None else None
+
+
+def _sampled(ff, gg, quadrature_tol: float) -> complex:
+    """The GL16 route for two ``_gl_factor``s: dyadic bisection on
+    breakpoint-split intervals; a factor with atoms is spanned and
+    evaluated from them.
 
     Every breakpoint is an integer over one denominator, 2^K times the
     denominators of the gaussians' +-10 sigma cuts, so spans and cuts are
     sorted and clipped exactly and each length is rounded to a double once.
     """
-    fa, ga = factor_atoms(f), factor_atoms(g)
+    (f, fa, f_half), (g, ga, g_half) = ff, gg
     if fa == () or ga == ():
         return 0j
-    halves = [fn.support()[1] for fn, atoms in ((f, fa), (g, ga)) if atoms is None]
+    halves = [h for h in (f_half, g_half) if h is not None]
     q = math.lcm(*(h.denominator for h in halves))
     K = max([0] + [at[2] for atoms in (fa, ga) if atoms for at in atoms])
     den = q << K

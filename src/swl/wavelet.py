@@ -12,19 +12,21 @@ evaluate the sums here:
   and take the coordinate dot product.
 
 Both are computed and must agree; the report carries the worse residual
-and the route disagreement.  Each route transports the candidate one
-translation q at a time: the literal column pass is built once, then for
-each q the literal row pass and the group-action copy are built, that q's
-sums for every p are taken as aligned array products with compensated
-(``fsum``) totals, and both copies are dropped before the next q.  So only
-one q's copies are ever held, whatever the size of the (p, q) grid.
+and the route disagreement.  Each route moves the candidate to the
+translation model once, whatever the size of the (p, q) grid (route A's
+literal column pass, route B's ``f_from_g`` of psi, which T^q shifts
+there), and neither reuses the other's.  Then each route transports one
+translation q at a time: that q's sums for every p are taken as aligned
+array products with exact ``fsum`` totals (``core.array_fsum``), and the
+copy is dropped before the next q.  Route A runs before route B, so only
+one route's transfer and one q's copy are ever held.
 
 Completeness is probed by the rank of a window-truncated coordinate
-matrix, read from the same literal row passes, again one q at a time.  A
-finite window can only ever certify a *necessary* condition, so reports
-label the rank test as a window surrogate; singular values too close to
-the decision threshold yield an ``inconclusive`` verdict instead of a
-pass/fail call.
+matrix, read from the same literal row passes, again one q at a time and
+kept only where the matrix reads them.  A finite window can only ever
+certify a *necessary* condition, so reports label the rank test as a
+window surrogate; singular values too close to the decision threshold
+yield an ``inconclusive`` verdict instead of a pass/fail call.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .alpha import AlphaMatrix, column_terms, row_terms
+from .alpha import AlphaMatrix, column_terms, f_from_g, g_from_f, row_terms
 from .core import (
     CheckReport,
     FCoordVec,
@@ -42,13 +44,14 @@ from .core import (
     MINUS,
     PLUS,
     Window,
+    array_fsum,
     check_radius,
     csum,
     offset_column,
     sum_by_key,
 )
 from .filters import coords_at_omega
-from .group_action import act_DT_on_G
+from .group_action import shift_T
 
 _WINDOW_SURROGATE_NOTE = "necessary-condition check at a finite window, not a proof"
 
@@ -99,14 +102,15 @@ def _row_pass(x, q: int, A: AlphaMatrix, w: Window) -> tuple[GCoordVec, float]:
 
 
 def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """Compensated sum of a * conj(b), the same sum as ``csum``.
+    """Compensated sum of a * conj(b), the same sum as ``csum`` (each
+    component's ``fsum``, bit for bit).
 
     Each component of each product is rounded as Python's complex product
     rounds it; numpy's complex multiply may fuse it into one FMA instead.
     """
     re = a.real * b.real + a.imag * b.imag
     im = a.imag * b.real - a.real * b.imag
-    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+    return complex(array_fsum(re), array_fsum(im))
 
 
 class _ShiftedPsi:
@@ -162,14 +166,48 @@ class _ShiftedPsi:
         return out
 
 
+def _literal_sums(index: _ShiftedPsi, psi: GCoordVec, ps_of: dict[int, set[int]],
+                  A: AlphaMatrix, w: Window):
+    """Route A: each (p, q) sum as <psi, U_q shifted by p>, with U_q from
+    the literal nested sums over one shared column pass; plus each q's
+    tail, the column pass's plus that q's row pass's."""
+    x, column_tail = _column_pass(psi, A, w)
+    sums, tails = {}, []
+    for q in sorted(ps_of):
+        uq, row_tail = _row_pass(x, q, A, w)
+        for p, lhs in index.sums(uq, ps_of[q]).items():
+            sums[(p, q)] = lhs
+        tails.append(column_tail + row_tail)
+        del uq  # hold one q's copy at a time
+    return sums, tails
+
+
+def _group_action_sums(index: _ShiftedPsi, psi: GCoordVec, ps_of: dict[int, set[int]],
+                       A: AlphaMatrix, w: Window) -> dict:
+    """Route B: each (p, q) sum as <psi, D^p T^q psi> by the group action,
+    the conjugate of the coordinate sum (D^p T^q psi, psi).  T^q psi is psi
+    moved to the translation model once, shifted by q there and moved
+    back; at q = 0 it is psi itself."""
+    f0 = f_from_g(psi, A, w) if ps_of.keys() - {0} else None
+    sums = {}
+    for q in sorted(ps_of):
+        # one q's copy at a time: it is dropped once its sums are taken
+        vq = psi if q == 0 else g_from_f(shift_T(f0, q), A, w)
+        for p, lhs in index.sums(vq, ps_of[q]).items():
+            sums[(p, q)] = lhs
+        del vq
+    return sums
+
+
 def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window):
     """Residual grid |LHS(p,q) - delta| plus the two-route disagreement.
 
-    Returns (residuals, disagreement, per_q_transfer_tails).  Each q is
-    transported by both routes, summed for every p of that q with
-    compensated totals, and dropped before the next q.  The reported
-    residuals are route A's, so each q's tail is what route A clipped: the
-    column pass's tail plus that q's row-pass tail.
+    Returns (residuals, disagreement, per_q_transfer_tails).  Each route
+    transports psi one q at a time, sums every p of that q with exact
+    compensated totals and drops the copy before the next q; route A runs
+    first, and its column pass is gone before route B moves psi.  The
+    reported residuals are route A's, so each q's tail is what route A
+    clipped: the column pass's tail plus that q's row-pass tail.
     """
     grid = _pq_grid(pq_range)
     ps_of: dict[int, set[int]] = {}
@@ -177,20 +215,8 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
         ps_of.setdefault(q, set()).add(p)
 
     index = _ShiftedPsi(psi, [p for p, _ in grid])
-    x, column_tail = _column_pass(psi, A, w)
-    route_a, route_b = {}, {}
-    per_q_tails: list[float] = []
-    for q in sorted(ps_of):
-        # route A: <psi, U_q shifted by p> with U_q from the literal sums
-        uq, row_tail = _row_pass(x, q, A, w)
-        for p, lhs in index.sums(uq, ps_of[q]).items():
-            route_a[(p, q)] = lhs
-        per_q_tails.append(column_tail + row_tail)
-        del uq  # hold one copy at a time: route B builds its own next
-        # route B: <psi, D^p T^q psi> via the group action, the conjugate
-        # of the coordinate sum (D^p T^q psi, psi)
-        for p, lhs in index.sums(act_DT_on_G(psi, 0, q, A, w), ps_of[q]).items():
-            route_b[(p, q)] = lhs
+    route_a, per_q_tails = _literal_sums(index, psi, ps_of, A, w)
+    route_b = _group_action_sums(index, psi, ps_of, A, w)
 
     residuals = {}
     disagreement = 0.0
@@ -228,8 +254,8 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     """Window-truncated completeness matrix: rows (m, q), columns (s, j).
 
     Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]).  Each U_q is built from
-    the shared column pass for one q at a time, and dropped once its rows
-    are read.
+    the shared column pass for one q at a time, only where its rows are
+    read, and dropped once they are.
     """
     if isinstance(row_window, int):
         rows = [(m, q) for m in range(-row_window, row_window + 1)
@@ -241,17 +267,28 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
         rows_of.setdefault(q, []).append((r, m))
     x, _ = _column_pass(psi, A, w)
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
-    j_lo, j_hi = min((j for _, j in labels), default=0), max((j for _, j in labels), default=0)
-    m_lo, m_hi = min((m for m, _ in rows), default=0), max((m for m, _ in rows), default=0)
+    box = (min((j for _, j in labels), default=0), max((j for _, j in labels), default=0),
+           min((m for m, _ in rows), default=0), max((m for m, _ in rows), default=0))
     for q in sorted(rows_of):
-        uq, _ = _row_pass(x, q, A, w)
-        js, ms = uq._cols[1:]
-        at = ((js >= j_lo) & (js <= j_hi) & (ms >= m_lo) & (ms <= m_hi)).nonzero()[0]
-        read = dict(zip(zip(*(c[at].tolist() for c in uq._cols)), uq._vals[at].tolist()))
+        read = _read_box(x, q, box, A, w)
         for r, m in rows_of[q]:
             for c, (s, j) in enumerate(labels):
                 mat[r, c] = read.get((s, j, m), 0j).conjugate()
     return mat
+
+
+def _read_box(x, q: int, box: tuple[int, int, int, int], A: AlphaMatrix, w: Window) -> dict:
+    """U_q's entries (s, j, m) with j_lo <= j <= j_hi and m_lo <= m <= m_hi,
+    for box = (j_lo, j_hi, m_lo, m_hi).  Only the terms inside the box are
+    summed: ``sum_by_key`` sums each key's terms in term order, so each
+    value is U_q's, bit for bit."""
+    j_lo, j_hi, m_lo, m_hi = box
+    (i, nu), vals = x
+    keys, terms, _ = row_terms(A, (i, offset_column(nu, q)), vals, w)
+    _, js, ms = keys
+    at = ((js >= j_lo) & (js <= j_hi) & (ms >= m_lo) & (ms <= m_hi)).nonzero()[0]
+    uq = GCoordVec._from_terms(tuple(c[at] for c in keys), terms[at])
+    return dict(zip(zip(*(c.tolist() for c in uq._cols)), uq._vals.tolist()))
 
 
 def check_wavelet_completeness(psi: GCoordVec, A: AlphaMatrix,

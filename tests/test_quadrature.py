@@ -170,3 +170,26 @@ def test_exact_route_builds_each_element_atoms_once(monkeypatch):
         assert oracle_G_coords(f, fam, w)
         assert built == Counter(DilIndex(s, j, m) for s, j in w.dil_labels
                                 for m in range(w.dil_range[0], w.dil_range[1] + 1))
+
+
+def test_gl16_grid_cuts_the_gaussian_once(monkeypatch):
+    # the +-10 sigma cut is the same for every element of a grid, so a
+    # grid computes it once; a gaussian against a gaussian cuts each once
+    cuts = []
+    real_support = FunctionSpec.support
+
+    def counting_support(spec):
+        cuts.append(spec)
+        return real_support(spec)
+
+    monkeypatch.setattr(FunctionSpec, "support", counting_support)
+    g = FunctionSpec.gaussian(0.5)
+    for fam in (HAAR, EXPONENTIAL):
+        w = Window.symmetric(fam, 3, 3, 4)
+        for grid in (oracle_F_coords, oracle_G_coords):
+            cuts.clear()
+            assert grid(g, fam, w)
+            assert cuts == [g]
+    cuts.clear()
+    assert norm_sq_of_spec(g) > 0.0
+    assert cuts == [g, g]

@@ -51,6 +51,33 @@ def test_routes_agree(psi_tilde, phi_tilde, A_haar, w_haar):
         assert disagreement <= 1e-12
 
 
+@pytest.mark.parametrize("fam", ["haar", "exponential"])
+def test_column_transfers_do_not_grow_with_the_q_radius(fam, psi_tilde, A_haar, A_exp,
+                                                         w_haar, w_exp, monkeypatch):
+    # route A's column pass and route B's one transfer of psi to the
+    # translation model, whatever the number of q
+    import swl.alpha
+    import swl.wavelet
+
+    A, w = (A_haar, w_haar) if fam == "haar" else (A_exp, w_exp)
+    psi = psi_tilde if fam == "haar" else GCoordVec({(PLUS, 0, 1): 1.0, (MINUS, 2, 0): 0.5j})
+    calls = []
+    real = swl.alpha.column_terms
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(swl.alpha, "column_terms", counting)
+    monkeypatch.setattr(swl.wavelet, "column_terms", counting)
+    counts = {}
+    for pq in (1, 3):
+        calls.clear()
+        orthonormality_residuals(psi, A, pq, w)
+        counts[pq] = len(calls)
+    assert counts == {1: 2, 3: 2}
+
+
 def test_haar_scaling_fails_at_one_zero(phi_tilde, A_haar, w_haar):
     rep = check_wavelet_orthonormality(phi_tilde, A_haar, 3, w_haar, 1e-10)
     assert not rep.passed
