@@ -102,8 +102,9 @@ def csum(values: Iterable[complex]) -> complex:
     return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
 
-# Below this many terms, every per-exponent bin of 27-bit mantissa halves
-# stays an integer under 2^52, so ``np.bincount``'s double sums are exact.
+# Below this many terms, every per-exponent bin of the mantissa halves
+# (|high| <= 2^27, |low| < 2^26) stays an integer of at most 2^52, so
+# ``np.bincount``'s double sums are exact.
 _FSUM_TERMS = 1 << 25
 
 
