@@ -30,11 +30,16 @@ Batched transfers
 Almost every Haar row and column is a single entry of value exactly 1.0,
 a relabelling of the key (j = (n << r) + t at scale -u, and the like).
 ``_haar_row_map`` and ``_haar_column_map`` compute those targets for whole
-int64 key arrays and flag the other keys -- ladders, coarse boxes, wavelet
-columns with p + m < 0, and keys whose target would leave int64 -- which
-go through ``AlphaMatrix.row``/``column`` one at a time, as every
-exponential key does.  The terms keep source order, so the transfers sum
-exactly as the term-by-term loop over ``row``/``column`` sums.
+int64 key arrays and flag the other keys.  Of those, ``_haar_row_runs`` and
+``_haar_column_runs`` expand the ladders, the coarse boxes, the label-0 box
+columns and the wavelet columns with p + m < 0 as arrays, entry for entry
+as the tables enumerate them and with the same alpha values.  What is left
+-- keys whose entries would leave int64 (ladder columns past m = 62, boxes
+past u = 61, shifts reaching 2^62), object-dtype keys and every
+exponential key -- goes through ``AlphaMatrix.row``/``column`` one at a
+time.  The terms keep source order, and the clipped tails are summed over
+the keys in order with Python's ``abs``, so the transfers give what the
+term-by-term loop over ``row``/``column`` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -375,67 +380,185 @@ def _haar_column_map(s: np.ndarray, j: np.ndarray, m: np.ndarray):
     return (i, n), ~single
 
 
+def _haar_row_runs(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
+    """Array form of ``_haar_row`` for the multi-entry rows among int64
+    keys: the scale ladders, and the coarse boxes with u <= 61.
+
+    Returns one block per case present: (positions of its keys, entries
+    per key, target columns (s, j, m), alphas, clipped mass per key), each
+    key's entries in the table's order and with its values.  A magnitude
+    2^(k/2) is ``np.sqrt(np.ldexp(1.0, k))``, rounded once as in ``_pow2h``.
+    """
+    ladder, box = _haar_row_cases(i, n)
+    blocks = []
+    at = np.flatnonzero(ladder & (i >= 0))
+    if len(at):
+        li, ln = i[at], n[at]
+        r = np.maximum(_bit_length(li) - 1, 0)  # the ladder starts at scale r + 1
+        counts = np.maximum(m_hi - r, 0)
+        clipped = np.where(m_hi <= r, 1.0, np.ldexp(1.0, np.minimum(r - m_hi, 0)))  # _ladder_tail
+        key, pos = _runs(counts)
+        # entry pos: scale r + 1 + pos at 2^(-(1 + pos)/2), negative first in
+        # (2^r, 0) and after the first in (2^(r+1) - 1, -1)
+        up = ln[key] == 0
+        neg = (li[key] > 0) & ((pos == 0) == up)
+        mag = np.sqrt(np.ldexp(1.0, -1 - pos))
+        cols = np.where(up, PLUS, MINUS), np.zeros_like(pos), r[key] + 1 + pos
+        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), clipped))
+    at = np.flatnonzero(box)
+    if len(at):
+        bn = n[at]
+        u = _bit_length(np.where(bn > 0, bn, ~bn)) - 1  # n = 2^u + v or -2^(u+1) + v
+        fit = u <= 61
+        at, bn, u = at[fit], bn[fit], u[fit]
+    if len(at):
+        v = bn - np.where(bn > 0, 1 << u, -(2 << u))
+        counts = u + 1
+        key, pos = _runs(counts)
+        # entry 0 is the box at 2^(-u/2), entry p + 1 the wavelet
+        # 2^p + (v >> (u - p)) at 2^((p - u)/2), negative where bit u - p - 1
+        # of v is set
+        bn, u, v = bn[key], u[key], v[key]
+        first = pos == 0
+        p = np.maximum(pos - 1, 0)
+        neg = ~first & (((v >> (u - p - 1)) & 1) == 1)
+        mag = np.sqrt(np.ldexp(1.0, np.where(first, -u, p - u)))
+        cols = np.where(bn > 0, PLUS, MINUS), np.where(first, 0, (1 << p) + (v >> (u - p))), -u
+        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex),
+                       np.zeros(len(counts))))
+    return blocks
+
+
+def _haar_column_runs(s: np.ndarray, j: np.ndarray, m: np.ndarray) -> list:
+    """Array form of ``_haar_column`` for the multi-entry columns among
+    int64 keys: the ladder columns (s, 0, m) with 0 < m <= 62, and the box
+    columns (s, 0, m < 0) and wavelet columns with p + m < 0 whose entries
+    stay below 2^62.  Returns blocks as ``_haar_row_runs``, with no clipped
+    mass (None).
+    """
+    blocks = []
+    at = np.flatnonzero((j == 0) & (m > 0) & (m <= 62))
+    if len(at):
+        counts = m[at] + 1
+        key, pos = _runs(counts)
+        # entry 0 is (0, n) at 2^(-m/2), entry k the ladder row of scale
+        # r = m - k at 2^(-k/2), negative at k = 1 for PLUS and past it for MINUS
+        plus, r = s[at][key] == PLUS, m[at][key] - pos
+        first = pos == 0
+        i = np.where(first, 0, np.where(plus, 1 << r, (2 << r) - 1))
+        neg = ~first & ((pos == 1) == plus)
+        mag = np.sqrt(np.ldexp(1.0, np.where(first, pos - r, -pos)))
+        cols = i, np.where(plus, 0, -1)
+        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), None))
+    # box and wavelet columns: the 2^u shifts (b << u) + k of label 0, with
+    # b = 1 or -2 for boxes (u = -m), 2^p + q or -2^(p+1) + q for j = 2^p + q
+    # at u = -(p + m); the wavelets' second half is negative
+    at = np.flatnonzero((j >= 0) & (j < _WIDE) & (m < 0))
+    if len(at):
+        bj, plus = j[at], s[at] == PLUS
+        p = _bit_length(bj | 1) - 1
+        b = np.where(bj == 0, np.where(plus, 1, -2), np.where(plus, bj, bj - (3 << p)))
+        u = -(p + np.maximum(m[at], -64))
+        fit = (u > 0) & (u <= 61)
+        fit &= ((np.abs(b) + 1) >> (62 - np.clip(u, 0, 61))) == 0  # (|b| + 1) 2^u < 2^62
+        at, bj, b, u = at[fit], bj[fit], b[fit], u[fit]
+    if len(at):
+        counts = 1 << u
+        key, pos = _runs(counts)
+        neg = (bj[key] > 0) & (pos >= counts[key] >> 1)
+        mag = np.sqrt(np.ldexp(1.0, -u[key]))
+        cols = np.zeros_like(pos), (b[key] << u[key]) + pos
+        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), None))
+    return blocks
+
+
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of ``counts`` entries: each entry's run and its place in it."""
+    starts = np.cumsum(counts) - counts
+    key = np.repeat(np.arange(len(counts)), counts)
+    return key, np.arange(len(key)) - starts[key]
+
+
 def _terms(keys, vals: np.ndarray, mapped, entries_of, conj: bool):
     """The terms of a transfer, in source order.
 
-    ``mapped`` is (targets of the single-entry keys, scalar mask) from a
-    batched map, or None when every key takes the scalar table.  A single
-    entry's term is the key's value (alpha is 1.0); a scalar key's terms
-    come from ``entries_of(*key)``, each alpha (conjugated for ``conj``)
-    times the value, in place.  Returns (target key columns, term values,
-    l2 bound on the clipped part).
+    ``mapped`` is (targets of the single-entry keys, mask of the other keys,
+    blocks from ``_haar_row_runs``/``_haar_column_runs``) from a batched
+    map, or None when every key takes the scalar table.  A single entry's
+    term is the key's value (alpha is 1.0); the other keys' terms are each
+    alpha (conjugated for ``conj``) times the value, from their block or,
+    for keys in no block, from ``entries_of(*key)``.  Returns (target key
+    columns, term values, l2 bound on the clipped part), the bound summed
+    over the keys in order with Python's ``abs`` (numpy's complex abs may
+    differ from it in the last bit).
     """
     width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
-    if mapped is None:
-        mapped = (None,) * width, np.ones(len(vals), dtype=bool)
-    targets, scalar = mapped
-    at = scalar.nonzero()[0]
-    if not len(at) and targets[0] is not None:
+    targets, scalar, blocks = mapped or ((None,) * width, np.ones(len(vals), dtype=bool), [])
+    if not scalar.any() and targets[0] is not None:
         return targets, vals, 0.0
-    table, lengths = [], []
+    rest = scalar.copy()
+    for block in blocks:
+        rest[block[0]] = False
+    at = rest.nonzero()[0]
+    if len(at):
+        table, lengths, clipped = [], [], []
+        for key in zip(*(c[at].tolist() for c in keys)):
+            entries, c = entries_of(*key)
+            table += entries
+            lengths.append(len(entries))
+            clipped.append(c)
+        alphas = np.fromiter(map(itemgetter(1), table), dtype=complex, count=len(table))
+        blocks = [*blocks, (at, np.array(lengths, dtype=np.int64),
+                            key_columns(list(map(itemgetter(0), table)), width), alphas,
+                            np.array(clipped))]
+    tails = [(at[clipped > 0.0], clipped[clipped > 0.0])
+             for at, _, _, _, clipped in blocks if clipped is not None]
     tail = 0.0
-    for key, val in zip(zip(*(c[at].tolist() for c in keys)), vals[at].tolist()):
-        entries, clipped = entries_of(*key)
-        lengths.append(len(entries))
-        table += entries
-        if clipped > 0.0:
-            tail += abs(val) * math.sqrt(clipped)
-    alphas = np.fromiter(map(itemgetter(1), table), dtype=complex, count=len(table))
-    table_terms = cmul(alphas.conjugate() if conj else alphas, np.repeat(vals[at], lengths))
-    table_keys = list(map(itemgetter(0), table))
-    if len(at) == len(vals):
-        return key_columns(table_keys, width), table_terms, tail
+    if tails:
+        at, clipped = (np.concatenate(x) for x in zip(*tails))
+        order = at.argsort()
+        for val, c in zip(vals[at[order]].tolist(), clipped[order].tolist()):
+            tail += abs(val) * math.sqrt(c)
+    # each key's terms start after the terms of the keys before it
     counts = np.ones(len(vals), dtype=np.int64)
-    counts[at] = lengths
-    single = ~scalar
-    single_at = (np.cumsum(counts) - counts)[single]
-    table_at = np.ones(int(counts.sum()), dtype=bool)
-    table_at[single_at] = False
+    for at, block_counts, *_ in blocks:
+        counts[at] = block_counts
+    starts = np.cumsum(counts) - counts
+    terms = np.empty(int(counts.sum()), dtype=complex)
+    single_at = starts[~scalar]
+    terms[single_at] = vals[~scalar]
+    places = []
+    for at, block_counts, _, alphas, _ in blocks:
+        key, pos = _runs(block_counts)
+        places.append(starts[at][key] + pos)
+        terms[places[-1]] = cmul(alphas.conjugate() if conj else alphas, vals[at][key])
     cols = []
-    for target, from_table in zip(targets, key_columns(table_keys, width)):
-        col = np.empty(len(table_at), dtype=from_table.dtype)
-        col[single_at] = target
-        col[table_at] = from_table
+    for k, target in enumerate(targets):
+        parts = [block[2][k] for block in blocks]
+        col = np.empty(len(terms), dtype=np.result_type(np.int64, *parts))
+        if target is not None:
+            col[single_at] = target
+        for place, part in zip(places, parts):
+            col[place] = part
         cols.append(col)
-    terms = np.empty(len(table_at), dtype=complex)
-    terms[single_at] = vals[single]
-    terms[table_at] = table_terms
     return tuple(cols), terms, tail
 
 
 def row_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window):
     """Terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a transfer to the
     dilation model, for translation-model key columns and values."""
-    batched = A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys)
-    mapped = _haar_row_map(*keys) if batched else None
+    mapped = None
+    if A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys):
+        mapped = *_haar_row_map(*keys), _haar_row_runs(*keys, w.dil_range[1])
     return _terms(keys, vals, mapped, lambda i, n: A.row(i, n, w), conj=False)
 
 
 def column_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window):
     """Terms sum_(s,j,m) conj(alpha_{i,n}^{s,j,m}) v[(s, j, m)] of a transfer
     to the translation model, for dilation-model key columns and values."""
-    batched = A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys)
-    mapped = _haar_column_map(*keys) if batched else None
+    mapped = None
+    if A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys):
+        mapped = *_haar_column_map(*keys), _haar_column_runs(*keys)
     return _terms(keys, vals, mapped, lambda s, j, m: A.column(s, j, m, w), conj=True)
 
 

@@ -145,6 +145,28 @@ def array_fsum(x: np.ndarray) -> float:
     return total / (1 << (53 - lo)) if lo < 53 else float(total << (lo - 53))
 
 
+# moduli within this relative distance of DROP_THRESHOLD are re-decided
+# with ``np.hypot``; numpy's complex abs is a few ulps off it at most
+_NEAR_DROP = DROP_THRESHOLD * 2.0 ** -48
+
+
+def keep_mask(values) -> np.ndarray:
+    """The zero rule: which values have modulus above ``DROP_THRESHOLD``.
+
+    The modulus is Python's ``abs`` of a complex (``hypot``), for arrays and
+    dicts alike.  numpy's complex ``abs`` may differ from it in the last
+    bit, so it only screens, and the moduli near the threshold are taken
+    again with ``np.hypot``.
+    """
+    v = np.asarray(values, dtype=complex)
+    mod = np.abs(v)
+    keep = mod > DROP_THRESHOLD
+    near = np.flatnonzero(np.abs(mod - DROP_THRESHOLD) <= _NEAR_DROP)
+    if len(near):
+        keep[near] = np.hypot(v.real[near], v.imag[near]) > DROP_THRESHOLD
+    return keep
+
+
 def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b elementwise, each component rounded as Python's complex
     product rounds it (numpy's complex multiply may fuse it into an FMA)."""
@@ -232,9 +254,13 @@ class _SparseCoords:
             if key in data:
                 z += data[key]
             data[key] = z
-        data = {k: v for k, v in data.items() if abs(v) > DROP_THRESHOLD}
+        vals = np.array(list(data.values()), dtype=complex)
+        keep = keep_mask(vals)
+        if not keep.all():
+            data = {k: v for k, v, kept in zip(data, data.values(), keep.tolist()) if kept}
+            vals = vals[keep]
         object.__setattr__(self, "_cols", key_columns(list(data), self._width))
-        object.__setattr__(self, "_vals", np.array(list(data.values()), dtype=complex))
+        object.__setattr__(self, "_vals", vals)
         object.__setattr__(self, "_view", data)
 
     @property
@@ -312,7 +338,7 @@ class _SparseCoords:
         """Internal fast path: sum the terms per key (``sum_by_key``) and
         drop the sums at or below ``DROP_THRESHOLD``."""
         keys, sums = sum_by_key(cols, terms)
-        keep = np.abs(sums) > DROP_THRESHOLD
+        keep = keep_mask(sums)
         return cls._from_columns(tuple(c[keep] for c in keys), sums[keep])
 
 

@@ -26,13 +26,13 @@ from .alpha import AlphaMatrix, f_from_g, g_from_f
 from .bases import FunctionSpec, UnboundedSupportError, dilate_spec, translate_spec
 from .core import (
     CheckReport,
-    DROP_THRESHOLD,
     FCoordVec,
     Window,
     check_radius,
     cmul,
     coord_equal,
     csum,
+    keep_mask,
     offset_column,
 )
 from .group_action import shift_D
@@ -54,7 +54,8 @@ class LaurentPoly:
         acc: dict[int, complex] = {}
         for k, v in items:
             acc[int(k)] = acc.get(int(k), 0j) + complex(v)
-        return LaurentPoly(tuple(sorted((k, v) for k, v in acc.items() if abs(v) > DROP_THRESHOLD)))
+        keep = keep_mask(list(acc.values())).tolist()
+        return LaurentPoly(tuple(sorted(kv for kv, kept in zip(acc.items(), keep) if kept)))
 
     def as_dict(self) -> dict[int, complex]:
         return dict(self.coeffs)
@@ -318,14 +319,14 @@ def scaling_coords_from_filter(h: LaurentPoly, levels: int = 12) -> tuple[FCoord
                 c_next[a:b] += v * c_prev[a - lo: b - lo]
         p = level - 1
         detail = (c_next[0::2] - c_next[1::2]) / math.sqrt(2.0)
-        l = (np.abs(detail) > DROP_THRESHOLD).nonzero()[0]
+        l = np.arange(len(detail))
         labels.append((1 << p) + (l & ((1 << p) - 1)))
         shifts.append(l >> p)
-        values.append(detail[l])
+        values.append(detail)
         c_prev = c_next
 
     vals = np.concatenate(values).astype(complex)
-    keep = np.abs(vals) > DROP_THRESHOLD
+    keep = keep_mask(vals)
     vec = FCoordVec._from_columns((np.concatenate(labels)[keep], np.concatenate(shifts)[keep]),
                                   vals[keep])
     tail = max(0.0, 1.0 - vec.norm_sq())

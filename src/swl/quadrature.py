@@ -22,9 +22,11 @@ The oracle never reads ``alpha``.
   are summed with ``math.fsum``;
 * adaptive Gauss-Legendre of order 16 with dyadic bisection when the
   gaussian preset is involved, on the intersection of the two supports
-  split at every atom breakpoint, evaluating both factors on each whole
-  node array and subdividing until the two-level estimate difference is
-  below the quadrature tolerance; a panel that has not converged when the
+  split at every atom breakpoint, subdividing until the two-level estimate
+  difference is below the quadrature tolerance.  Each bisection step
+  evaluates both factors once, on the nodes of all its panels: 48 for the
+  top panel and its halves, then 32 for a child's halves, since the child's
+  own sum is its parent's half.  A panel that has not converged when the
   bisection depth runs out raises ``ArithmeticError``.  The breakpoints
   and the gaussian's +-10 sigma cut are integers over one denominator, so
   they are sorted and clipped exactly.
@@ -58,7 +60,7 @@ from .bases import (
     check_trans_label,
     factor_atoms,
 )
-from .core import _TWO_PI, DROP_THRESHOLD, FCoordVec, GCoordVec, Window, key_columns
+from .core import _TWO_PI, FCoordVec, GCoordVec, Window, key_columns, keep_mask
 
 
 # -- exact route: atom pairs on integer dyadic endpoints ----------------------
@@ -260,24 +262,32 @@ def _exact_sums(fa: tuple[tuple, ...] | None, gas: list[tuple[tuple, ...] | None
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _gl16(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> complex:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = fn(mid + half * _GL_NODES)
-    return half * complex(np.dot(_GL_WEIGHTS, vals))
+def _gl16(fn: Callable[[np.ndarray], np.ndarray], panels) -> list[complex]:
+    """The GL16 sums over the panels (a, b), from one call of ``fn`` on
+    all their nodes."""
+    mids = [0.5 * (a + b) for a, b in panels]
+    halves = [0.5 * (b - a) for a, b in panels]
+    vals = fn(np.concatenate([mid + half * _GL_NODES for mid, half in zip(mids, halves)]))
+    return [half * complex(np.dot(_GL_WEIGHTS, vals[16 * k:16 * k + 16]))
+            for k, half in enumerate(halves)]
 
 
-def _adaptive(fn, a: float, b: float, tol: float, depth: int) -> complex:
-    whole = _gl16(fn, a, b)
+def _adaptive(fn, a: float, b: float, tol: float, depth: int,
+              whole: complex | None = None) -> complex:
+    """GL16 on [a, b] against its two halves, bisecting until they agree;
+    ``whole`` is [a, b]'s own sum when the parent panel has it."""
     mid = 0.5 * (a + b)
-    left = _gl16(fn, a, mid)
-    right = _gl16(fn, mid, b)
+    if whole is None:
+        whole, left, right = _gl16(fn, [(a, b), (a, mid), (mid, b)])
+    else:
+        left, right = _gl16(fn, [(a, mid), (mid, b)])
     if abs(whole - (left + right)) <= tol:
         return left + right
     if depth <= 0:
         raise ArithmeticError(f"GL16 quadrature did not converge on [{a!r}, {b!r}] "
                               f"within tolerance {tol!r}: bisection depth exhausted")
-    return _adaptive(fn, a, mid, tol / 2, depth - 1) + _adaptive(fn, mid, b, tol / 2, depth - 1)
+    return (_adaptive(fn, a, mid, tol / 2, depth - 1, left)
+            + _adaptive(fn, mid, b, tol / 2, depth - 1, right))
 
 
 def inner_products(f, gs, quadrature_tol: float = 1e-10) -> list[complex]:
@@ -356,9 +366,10 @@ def _grid(f: FunctionSpec, fam: BasisFamily, keys: list[tuple], vec_type, quadra
         vals = inner_products(f, [make(fam, *key) for key in keys], quadrature_tol)
     else:
         vals = _exact_sums(fe, [bases.int_atoms(fam, key) for key in keys])
-    kept = [k for k, v in enumerate(vals) if abs(v) > DROP_THRESHOLD]
-    cols = key_columns([keys[k] for k in kept], vec_type._width)
-    return vec_type._from_columns(cols, np.array([vals[k] for k in kept], dtype=complex))
+    vals = np.array(vals, dtype=complex)
+    kept = np.flatnonzero(keep_mask(vals))
+    cols = key_columns([keys[k] for k in kept.tolist()], vec_type._width)
+    return vec_type._from_columns(cols, vals[kept])
 
 
 def oracle_F_coords(f: FunctionSpec, fam: BasisFamily, w: Window,

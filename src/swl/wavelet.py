@@ -155,14 +155,19 @@ class _ShiftedPsi:
         hit = np.flatnonzero((ids >= 0) & (rel >= 0) & (rel < self.span))
         codes = ids[hit] * self.span + rel[hit].astype(np.int64)
         order = np.argsort(codes)
-        codes, vals = codes[order], vec._vals[hit][order]
-        out = {}
-        for p in ps:
+        # the codes are unique, and the sentinel past them matches no want
+        codes = np.append(codes[order], np.iinfo(np.int64).max)
+        vals = vec._vals[hit][order]
+        out, last = {}, None
+        for p in sorted(ps, reverse=True):
             want = self.codes - p
-            at = np.searchsorted(codes, want)
-            hit = at < len(codes)
-            hit[hit] = codes[at[hit]] == want[hit]
-            out[p] = _cdot(self.values[hit], vals[at[hit]])
+            if last is not None and p == last - 1:
+                # each want is one more than at the last p: past one more code where it hit
+                at = at + found
+            else:
+                at = np.searchsorted(codes, want)
+            found = codes[at] == want
+            out[p], last = _cdot(self.values[found], vals[at[found]]), p
         return out
 
 

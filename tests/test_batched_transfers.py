@@ -28,7 +28,14 @@ from swl import (  # noqa: E402
     shift_D,
     shift_T,
 )
-from swl.alpha import _haar_column, _haar_column_map, _haar_row, _haar_row_map  # noqa: E402
+from swl.alpha import (  # noqa: E402
+    _haar_column,
+    _haar_column_map,
+    _haar_column_runs,
+    _haar_row,
+    _haar_row_map,
+    _haar_row_runs,
+)
 from swl.core import MINUS, PLUS, key_columns  # noqa: E402
 
 A = AlphaMatrix(HAAR)
@@ -225,3 +232,128 @@ def test_vectors_keep_python_int_keys_past_int64():
     assert v[(PLUS, big, 0)] == 1.0
     # a shift back into int64 range gives int64 columns again
     assert shift_D(GCoordVec({(PLUS, 1, big): 1.0}), -big)._cols[2].dtype == np.int64
+
+
+# -- the array expansions of the multi-entry rows and columns ----------------------
+
+def _expanded(blocks):
+    # position of each expanded key -> (its entries as (key tuple, alpha), clipped mass)
+    out = {}
+    for at, counts, cols, alphas, clipped in blocks:
+        keys = list(zip(*(c.tolist() for c in cols)))
+        alphas, end = alphas.tolist(), 0
+        for k, (a, count) in enumerate(zip(at.tolist(), counts.tolist())):
+            assert a not in out
+            out[a] = (list(zip(keys[end:end + count], alphas[end:end + count])),
+                      0.0 if clipped is None else clipped[k])
+            end += count
+        assert end == len(keys) == len(alphas)
+    return out
+
+
+def _same_entries(got, want):
+    # keys, their order, and alpha bit for bit
+    return len(got) == len(want) and all(
+        tuple(kg) == tuple(kw) and ag.real.hex() == aw.real.hex() and ag.imag.hex() == aw.imag.hex()
+        for (kg, ag), (kw, aw) in zip(got, want))
+
+
+# ladders at r = 61 and 62, coarse boxes at u = 61 (expanded) and u = 62 (scalar)
+edge_rows = st.sampled_from([(1 << 61, 0), ((1 << 62) - 1, -1), (1 << 62, 0), ((1 << 63) - 1, -1),
+                             (0, (1 << 61) + 5), (0, -(1 << 62) + 5), (0, (1 << 62) + 5),
+                             (0, -(1 << 62) - 1)])
+
+
+@given(keys=st.lists(st.one_of(st.tuples(labels, shifts), edge_rows), min_size=1, max_size=40),
+       m_hi=st.integers(-4, 70))
+def test_row_runs_match_the_row_table(keys, m_hi):
+    expanded = _expanded(_haar_row_runs(*key_columns(keys, 2), m_hi))
+    for at, (ki, kn) in enumerate(keys):
+        entries, tail = _haar_row(ki, kn, m_hi)
+        if at in expanded:
+            got, clipped = expanded[at]
+            assert _same_entries(got, entries) and clipped == tail
+        else:
+            # a single entry, or a coarse box at u = 62
+            assert _single(entries) or (ki == 0 and not -(1 << 62) <= kn < 1 << 62)
+
+
+def _edge_columns(u):
+    # wavelet columns at p + m = -u whose shifts (b << u) + k come to 2^62:
+    # the first of each pair is expanded, the second takes the scalar table
+    p = 61 - u
+    return st.sampled_from([(PLUS, (1 << (p + 1)) - 2, -61), (PLUS, (1 << (p + 1)) - 1, -61),
+                            (MINUS, (1 << p) + 2, -61), (MINUS, (1 << p) + 1, -61)])
+
+
+edge_columns = st.one_of(st.sampled_from([(PLUS, 0, 62), (MINUS, 0, 62), (PLUS, 0, 63),
+                                          (MINUS, 0, 63)]),
+                         st.integers(1, 4).flatmap(_edge_columns))
+
+
+@given(keys=st.lists(st.one_of(st.tuples(signs, labels, scales), edge_columns),
+                     min_size=1, max_size=40))
+def test_column_runs_match_the_column_table(keys):
+    expanded = _expanded(_haar_column_runs(*key_columns(keys, 3)))
+    for at, (ks, kj, km) in enumerate(keys):
+        entries = _haar_column(ks, kj, km)
+        if at in expanded:
+            got, clipped = expanded[at]
+            assert _same_entries(got, entries) and clipped == 0.0
+        else:
+            # a single entry, a ladder past m = 62, or shifts that come to 2^62
+            shifts = [abs(n) for (_, n), _ in entries]
+            assert _single(entries) or (kj == 0 and km > 62) or max(shifts) + len(shifts) >= 1 << 62
+
+
+def test_runs_fall_back_at_the_int64_edge():
+    rows = [(1 << 62, 0), ((1 << 63) - 1, -1), (0, (1 << 61) + 5), (0, -(1 << 62) + 5),
+            (0, (1 << 62) + 5), (0, -(1 << 62) - 1), (5, 3)]
+    assert sorted(_expanded(_haar_row_runs(*key_columns(rows, 2), 70))) == [0, 1, 2, 3]
+    cols = [(PLUS, 0, 62), (PLUS, 0, 63), (MINUS, 0, 63), (PLUS, 0, -12), (PLUS, (1 << 60) - 2, -61),
+            (PLUS, (1 << 60) - 1, -61), (MINUS, (1 << 59) + 2, -61), (MINUS, (1 << 59) + 1, -61),
+            (PLUS, 1, -62), (PLUS, 5, 1)]
+    assert sorted(_expanded(_haar_column_runs(*key_columns(cols, 3)))) == [0, 3, 4, 6]
+    # expanded or not, the transfers are the term-by-term ones
+    w = Window.symmetric(HAAR, 4, 4, 70)
+    f = FCoordVec({key: 1.0 + 0.5j * k for k, key in enumerate(rows)})
+    g = GCoordVec({key: 0.5 - 1j * k for k, key in enumerate(cols) if key != (PLUS, 1, -62)})
+    tails = []
+    want, tail = reference_transfer(f, True, A, w)
+    assert _same(g_from_f(f, A, w, tails), want) and tails == [tail]
+    assert _same(f_from_g(g, A, w), reference_transfer(g, False, A, w)[0])
+
+
+def test_ladder_tail_takes_python_abs():
+    # |e^{3i}| is 1.0, and numpy's complex abs may make it 0.9999999999999999;
+    # the tail is summed over the keys in order from Python's abs
+    w = Window.symmetric(HAAR, 4, 4, 3)
+    z = complex(math.cos(3.0), math.sin(3.0))
+    v = FCoordVec({(0, 0): z, (4, 0): 3 * z, (5, 0): z, (0, -1): 0.5 * z, (7, -1): z, (8, 0): z})
+    want = 0.0
+    for (i, n), val in v.items():
+        _, clipped = _haar_row(i, n, 3)
+        if clipped > 0.0:
+            want += abs(val) * math.sqrt(clipped)
+    tails = []
+    g_from_f(v, A, w, tails)
+    assert tails[0].hex() == want.hex()
+
+
+def test_d4_check_makes_no_table_calls(monkeypatch):
+    # orthonormality at pq = 2 and completeness read no row or column one key at a time
+    from swl.filters import construct_wavelet_coords, daubechies4, scaling_coords_from_filter
+    from swl.wavelet import check_wavelet_completeness, check_wavelet_orthonormality
+
+    w = Window.symmetric(HAAR, 8, 10, 50)
+    phi, tail = scaling_coords_from_filter(daubechies4(), 8)
+    psi = g_from_f(construct_wavelet_coords(phi, daubechies4(), A, w), A, w)
+    calls = []
+    for name in ("row", "column"):
+        real = getattr(AlphaMatrix, name)
+        monkeypatch.setattr(AlphaMatrix, name,
+                            lambda self, *key, _real=real, _name=name: calls.append(_name) or _real(self, *key))
+    orth = check_wavelet_orthonormality(psi, A, 2, w, 1e-3, candidate_tail_sq=tail)
+    comp = check_wavelet_completeness(psi, A, [(PLUS, 0), (PLUS, 1), (MINUS, 0)], 4, w)
+    assert orth.passed and comp.passed
+    assert calls == []

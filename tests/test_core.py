@@ -1,7 +1,9 @@
 """Coordinate-vector containers, windows and reports."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from swl import (
@@ -15,11 +17,14 @@ from swl import (
 )
 from swl.bases import FunctionSpec
 from swl.core import (
+    DROP_THRESHOLD,
     CheckReport,
     canonical_json,
     coords_from_doc,
     coords_to_doc,
     csum,
+    keep_mask,
+    key_columns,
 )
 
 
@@ -150,3 +155,22 @@ def test_canonical_json_is_sorted_and_precise():
 def test_csum_compensates():
     vals = [complex(1e16, 0), complex(1.0, 1.0), complex(-1e16, 0)]
     assert csum(vals) == complex(1.0, 1.0)
+
+
+def test_zero_rule_takes_one_modulus():
+    # values within 4 ulps of the threshold, where numpy's complex abs and
+    # Python's abs can disagree: the array and dict paths keep the same ones
+    rng = np.random.default_rng(7)
+    ulp = math.ulp(DROP_THRESHOLD)
+    mod = DROP_THRESHOLD + ulp * rng.integers(-4, 5, 100_000)
+    theta = rng.uniform(0.0, 2.0 * math.pi, len(mod))
+    vals = mod * np.cos(theta) + 1j * (mod * np.sin(theta))
+    want = [abs(v) > DROP_THRESHOLD for v in vals.tolist()]
+    assert keep_mask(vals).tolist() == want
+    keys = [(k, 0) for k in range(len(vals))]
+    built = FCoordVec(zip(keys, vals.tolist()))
+    summed = FCoordVec._from_terms(key_columns(keys, 2), vals)
+    assert list(built.keys()) == list(summed.keys()) == [keys[k] for k, w in enumerate(want) if w]
+    # numpy's abs puts this one above 1e-15, Python's abs at it
+    v = -9.953673776295952e-16 - 9.61445970961608e-17j
+    assert not FCoordVec([((0, 0), v)]) and not FCoordVec._from_terms(key_columns([(0, 0)], 2), np.array([v]))

@@ -144,6 +144,40 @@ def test_gl16_non_convergence_raises():
         _adaptive(lambda xs: np.sin(1e6 * xs) + 0j, 0.0, 1.0, 1e-10, 3)
 
 
+def _three_call_adaptive(fn, a, b, tol, depth):
+    # GL16 on the whole panel and on each half, each from its own call of fn
+    def gl16(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return half * complex(np.dot(np.polynomial.legendre.leggauss(16)[1], fn(mid + half * _NODES)))
+
+    whole, mid = gl16(a, b), 0.5 * (a + b)
+    left, right = gl16(a, mid), gl16(mid, b)
+    if abs(whole - (left + right)) <= tol or depth <= 0:
+        return left + right
+    return (_three_call_adaptive(fn, a, mid, tol / 2, depth - 1)
+            + _three_call_adaptive(fn, mid, b, tol / 2, depth - 1))
+
+
+_NODES = np.polynomial.legendre.leggauss(16)[0]
+
+
+def test_gl16_calls_the_integrand_once_per_step():
+    # 48 nodes for the top panel and its halves, then 32 for each child's
+    # halves (its own sum is the parent's half), with the sums of three calls
+    sizes = []
+
+    def fn(xs):
+        sizes.append(len(xs))
+        return np.exp(-xs * xs + 3j * xs) * np.cos(40.0 * xs)
+
+    for a, b, tol in ((-3.0, 2.5, 1e-12), (-0.5, 1.5, 1e-10), (-1e-3, 4.0, 1e-13)):
+        sizes.clear()
+        got = _adaptive(fn, a, b, tol, 30)
+        assert sizes[0] == 48 and set(sizes[1:]) <= {32} and len(sizes) > 1
+        want = _three_call_adaptive(fn, a, b, tol, 30)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_exact_route_builds_each_element_atoms_once(monkeypatch):
     # each element's atoms are built once per coefficient: the exact route
     # reads the integer atoms of every window element for its one pass, the

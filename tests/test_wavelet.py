@@ -224,3 +224,24 @@ def test_scaling_identity_cross_check_catches_norm(A_haar, w_haar):
     # translate-invariance: a shifted box still passes
     rep = check_scaling_coordinate_identity(FCoordVec({(0, 5): 1.0}), 4, 1e-12)
     assert rep.passed
+
+
+def test_shifted_sums_match_a_dict_reference():
+    # adjacent shifts reuse the last search, the others search again; each
+    # sum is the compensated sum over psi's keys, bit for bit
+    from swl.core import csum
+    from swl.wavelet import _ShiftedPsi
+
+    rng = random.Random(3)
+
+    def vec(size):
+        return GCoordVec({(rng.choice((PLUS, MINUS)), rng.randrange(6), rng.randrange(-6, 7)):
+                          complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(size)})
+
+    ps = {4, 3, 2, 0, -1, -5, -6}
+    for _ in range(20):
+        psi, other = vec(40), vec(60)
+        got = _ShiftedPsi(psi, sorted(ps)).sums(other, ps)
+        for p in ps:
+            want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
+            assert (got[p].real.hex(), got[p].imag.hex()) == (want.real.hex(), want.imag.hex())
