@@ -16,10 +16,18 @@ Row/column structure
 Haar rows are finite except for four case families whose entries form a
 geometric ladder in the scale exponent m (rows (0, 0), (2^r, 0), (0, -1)
 and (2^{r+1}-1, -1)); those ladders are truncated at the window's upper
-scale bound and the clipped l2 mass is reported.  Haar columns are always
-finite.  Exponential rows and columns are infinite in the label direction
-with ~1/label decay and are clipped to the window's label set; again the
-clipped mass is reported exactly as 1 - (captured mass).
+scale bound and the clipped l2 mass is reported.  A ladder starting at
+scale r + 1 is listed up to r + 1074 at most: past it every entry is 0.0
+in double precision.  Haar columns are always finite.  Exponential rows
+and columns are infinite in the label direction with ~1/label decay and
+are clipped to the window's label set; again the clipped mass is reported
+exactly as 1 - (captured mass).
+
+Haar scale rule: give a translation key (i, n) the level bit_length(i) and
+a dilation key (s, j, m) the level m + bit_length(j).  Where
+alpha_{i,n}^{s,j,m} != 0 and i >= 1, level(i, n) <= level(s, j, m), with
+equality when the row or the column has a single entry.  ``scale_reach``
+reads it as a mask of the keys whose transfers can reach a given level.
 
 Transfer directions follow the change-of-representation identities:
 dilation coordinates are ``sum alpha * f_hat`` and translation
@@ -183,6 +191,16 @@ def _exp_column(s: int, j: int, m: int, w: Window) -> list[tuple[TransIndex, com
 
 # -- Haar family ---------------------------------------------------------------
 
+# A ladder starting at m = r + 1 has entries 2^{(r-m)/2}: 0.0 in double
+# precision past m = r + 1074, as 2.0 ** -1075 is.
+_LADDER_DEPTH = 1074
+
+
+def _ladder_top(r: int, m_hi: int) -> int:
+    # the last scale a ladder starting at m = r + 1 lists
+    return min(m_hi, r + _LADDER_DEPTH)
+
+
 def _ladder_tail(r: int, m_hi: int) -> float:
     # clipped mass of a geometric scale ladder whose entries start at m = r + 1
     if m_hi <= r:
@@ -194,15 +212,15 @@ def _haar_row(i: int, n: int, m_hi: int) -> tuple[list[tuple[DilIndex, complex]]
     out: list[tuple[DilIndex, complex]] = []
     if n == 0:
         if i == 0:
-            out = [(DilIndex(PLUS, 0, m), complex(_pow2h(-m))) for m in range(1, m_hi + 1)]
+            out = [(DilIndex(PLUS, 0, m), complex(_pow2h(-m)))
+                   for m in range(1, _ladder_top(0, m_hi) + 1)]
             return out, _ladder_tail(0, m_hi)
         if _is_pow2(i):
             r = i.bit_length() - 1
             if r + 1 <= m_hi:
                 out.append((DilIndex(PLUS, 0, r + 1), complex(-_SQRT1_2)))
-            out.extend(
-                (DilIndex(PLUS, 0, m), complex(_pow2h(r - m))) for m in range(r + 2, m_hi + 1)
-            )
+            out.extend((DilIndex(PLUS, 0, m), complex(_pow2h(r - m)))
+                       for m in range(r + 2, _ladder_top(r, m_hi) + 1))
             return out, _ladder_tail(r, m_hi)
         r, t = split_haar_label(i)
         p = t.bit_length() - 1
@@ -219,15 +237,15 @@ def _haar_row(i: int, n: int, m_hi: int) -> tuple[list[tuple[DilIndex, complex]]
         return _coarse_box_row(PLUS, u, v), 0.0
     if n == -1:
         if i == 0:
-            out = [(DilIndex(MINUS, 0, m), complex(_pow2h(-m))) for m in range(1, m_hi + 1)]
+            out = [(DilIndex(MINUS, 0, m), complex(_pow2h(-m)))
+                   for m in range(1, _ladder_top(0, m_hi) + 1)]
             return out, _ladder_tail(0, m_hi)
         if _is_pow2(i + 1):
             r = (i + 1).bit_length() - 2
             if r + 1 <= m_hi:
                 out.append((DilIndex(MINUS, 0, r + 1), complex(_SQRT1_2)))
-            out.extend(
-                (DilIndex(MINUS, 0, m), complex(-_pow2h(r - m))) for m in range(r + 2, m_hi + 1)
-            )
+            out.extend((DilIndex(MINUS, 0, m), complex(-_pow2h(r - m)))
+                       for m in range(r + 2, _ladder_top(r, m_hi) + 1))
             return out, _ladder_tail(r, m_hi)
         r, t = split_haar_label(i)
         p = ((1 << r) - t - 1).bit_length() - 1
@@ -306,6 +324,25 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
         # the float may round up to 2^e, and then x < 2^(e-1)
         e -= ((x >> np.maximum(e - 1, 0)) == 0) & (x > 0)
     return e
+
+
+def scale_reach(A: "AlphaMatrix", keys, top: int) -> np.ndarray:
+    """Which keys can lead to a dilation target of level at most ``top``
+    by the Haar scale rule (module docstring).
+
+    A row (i, n) has no entry there unless i = 0 or its level is at most
+    ``top``.  A column (s, j, m) with j >= 1 and level >= 1 has one entry,
+    a row (i >= 1) of its own level, so it feeds a row that reaches there
+    only if its level is at most ``top``; every other column is kept.  All
+    True for the exponential family and for object-dtype keys.
+    """
+    if A.fam.name != "haar" or any(c.dtype != np.int64 for c in keys):
+        return np.ones(len(keys[0]), dtype=bool)
+    if len(keys) == 3:
+        label, level = keys[1], _bit_length(keys[1]) + keys[2]
+    else:
+        label, level = keys[0], _bit_length(keys[0])
+    return (label == 0) | (level <= max(top, 0))
 
 
 def _haar_row_cases(i: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +432,7 @@ def _haar_row_runs(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
     if len(at):
         li, ln = i[at], n[at]
         r = np.maximum(_bit_length(li) - 1, 0)  # the ladder starts at scale r + 1
-        counts = np.maximum(m_hi - r, 0)
+        counts = np.clip(m_hi - r, 0, _LADDER_DEPTH)  # up to _ladder_top
         clipped = np.where(m_hi <= r, 1.0, np.ldexp(1.0, np.minimum(r - m_hi, 0)))  # _ladder_tail
         key, pos = _runs(counts)
         # entry pos: scale r + 1 + pos at 2^(-(1 + pos)/2), negative first in
@@ -575,13 +612,9 @@ class AlphaMatrix:
         check_dil_label(self.fam, s, j)
         if self.fam.name == "exponential":
             return _alpha_exp(int(i), int(n), s, int(j), int(m))
-        i, j, m = int(i), int(j), int(m)
-        # Only scale-ladder rows grow with the top scale.  Their amplitudes
-        # are 2^{(r-m)/2} with r <= i.bit_length(), and 2.0 ** -1075 rounds
-        # to 0.0, so past scale i.bit_length() + 1076 every ladder entry is
-        # exactly 0.0 in double precision and the row need not go further.
-        entries, _ = _haar_row(i, int(n), min(m, i.bit_length() + 1076))
-        return dict(entries).get((s, j, m), 0j)
+        # a scale-ladder row stops where its entries become 0.0 (_ladder_top)
+        entries, _ = _haar_row(int(i), int(n), int(m))
+        return dict(entries).get((s, int(j), int(m)), 0j)
 
     def row(self, i: int, n: int, w: Window) -> tuple[list[tuple[DilIndex, complex]], float]:
         """Nonzero entries of row (i, n) within the window, plus clipped mass.

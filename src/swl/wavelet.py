@@ -16,14 +16,21 @@ and the route disagreement.  Each route moves the candidate to the
 translation model once, whatever the size of the (p, q) grid (route A's
 literal column pass, route B's ``f_from_g`` of psi, which T^q shifts
 there), and neither reuses the other's.  Then each route transports one
-translation q at a time: that q's sums for every p are taken as aligned
-array products with exact ``fsum`` totals (``core.array_fsum``), and the
-copy is dropped before the next q.  Route A runs before route B, so only
-one route's transfer and one q's copy are ever held.
+translation q at a time.  The transfer back to the dilation model is
+summed only where psi's shifts read it: ``_ShiftedPsi`` keys its raw terms
+by psi's (s, j) groups and sums them per key in term order, so no
+coordinate vector is built for a q.  That q's sums for every p are taken
+as aligned array products with exact ``fsum`` totals
+(``core.array_fsum``), and its terms are dropped before the next q.
+Route A runs before route B, so only one route's transfer and one q's
+terms are ever held.
 
 Completeness is probed by the rank of a window-truncated coordinate
 matrix, read from the same literal row passes, again one q at a time and
-kept only where the matrix reads them.  A finite window can only ever
+summed only where the matrix reads them.  By the Haar scale rule
+(``alpha.scale_reach``) only keys up to the matrix's top level can reach
+it, so the column pass takes only those keys of psi and each row pass
+only those entries of its output.  A finite window can only ever
 certify a *necessary* condition, so reports label the rank test as a
 window surrogate; singular values too close to the decision threshold
 yield an ``inconclusive`` verdict instead of a pass/fail call.
@@ -36,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .alpha import AlphaMatrix, column_terms, f_from_g, g_from_f, row_terms
+from .alpha import AlphaMatrix, column_terms, f_from_g, row_terms, scale_reach
 from .core import (
     CheckReport,
     FCoordVec,
@@ -47,6 +54,7 @@ from .core import (
     array_fsum,
     check_radius,
     csum,
+    keep_mask,
     offset_column,
     sum_by_key,
 )
@@ -80,25 +88,14 @@ def _slack(candidate_tail_sq: float, per_q_tails: Iterable[float]) -> float:
 
 # -- orthonormality -----------------------------------------------------------
 
-def _column_pass(psi: GCoordVec, A: AlphaMatrix, w: Window):
-    """Innermost literal sum, shared by every q:
+def _column_pass(keys, vals: np.ndarray, A: AlphaMatrix, w: Window):
+    """Innermost literal sum over the dilation keys given:
     X[(i, nu)] = sum_{r,k,l} conj(alpha_{i,nu}^{r,k,l}) psi[(r,k,l)],
     as (key columns, values) with nothing dropped, plus an l2-norm bound on
     what the window clipped from the columns.
     """
-    keys, terms, tail = column_terms(A, psi._cols, psi._vals, w)
+    keys, terms, tail = column_terms(A, keys, vals, w)
     return sum_by_key(keys, terms), tail
-
-
-def _row_pass(x, q: int, A: AlphaMatrix, w: Window) -> tuple[GCoordVec, float]:
-    """Outer literal sum for one q:
-    U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)],
-    so that the (p, q) sum is <psi, shift of U_q by p>; plus an l2-norm
-    bound on what the window clipped from the rows.
-    """
-    (i, nu), vals = x
-    keys, terms, tail = row_terms(A, (i, offset_column(nu, q)), vals, w)
-    return GCoordVec._from_terms(keys, terms), tail
 
 
 def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -111,6 +108,9 @@ def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
     re = a.real * b.real + a.imag * b.imag
     im = a.imag * b.real - a.real * b.imag
     return complex(array_fsum(re), array_fsum(im))
+
+
+_PAST_CODES = np.iinfo(np.int64).max  # a sentinel after every code
 
 
 class _ShiftedPsi:
@@ -128,10 +128,14 @@ class _ShiftedPsi:
         self.labels = {sg: np.unique(j[s == sg]) for sg in (PLUS, MINUS)}
         self.base = (int(m.min()) if len(m) else 0) - max(ps, default=0)
         self.span = (int(m.max()) if len(m) else 0) - min(ps, default=0) - self.base + 1
-        codes = self._ids(s, j) * self.span + (m - self.base).astype(np.int64)
+        rel = m - self.base
+        codes = self._ids(s, j) * self.span + rel.astype(np.int64)
         # sorted, so that each p searches sorted needles (fsum is exact in any order)
         order = codes.argsort()
         self.codes, self.values = codes[order], psi._vals[order]
+        # psi as the shifted vector: its keys whose m lies in the span
+        inside = ((rel >= 0) & (rel < self.span))[order]
+        self.own = self.codes[inside], self.values[inside]
 
     def _ids(self, s, j) -> np.ndarray:
         """The group id of each (s, j), or -1 where psi has no such group."""
@@ -147,17 +151,31 @@ class _ShiftedPsi:
             start += len(labels)
         return ids
 
-    def sums(self, vec: GCoordVec, ps: Iterable[int]) -> dict[int, complex]:
-        """For each p, the compensated sum over psi's keys (s, j, m) of
-        psi[(s, j, m)] * conj(vec[(s, j, m - p)])."""
-        s, j, m = vec._cols
+    def _keyed(self, keys, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A transfer's terms summed per key, where psi's shifts can read
+        them: the targets (s, j, m) in psi's groups with m - base in the
+        span, as sorted codes, and each one's sum, taken from 0j in term
+        order as ``sum_by_key`` takes it, with the zero rule applied."""
+        s, j, m = keys
         ids, rel = self._ids(s, j), m - self.base
         hit = np.flatnonzero((ids >= 0) & (rel >= 0) & (rel < self.span))
         codes = ids[hit] * self.span + rel[hit].astype(np.int64)
-        order = np.argsort(codes)
+        order = codes.argsort(kind="stable")  # equal codes keep their term order
+        codes = codes[order]
+        new = np.ones(len(codes), dtype=bool)  # where a run of equal codes starts
+        new[1:] = codes[1:] != codes[:-1]
+        sums = np.zeros(np.count_nonzero(new), dtype=complex)
+        np.add.at(sums, np.cumsum(new) - 1, terms[hit[order]])
+        keep = keep_mask(sums)
+        return codes[new][keep], sums[keep]
+
+    def sums(self, ps: Iterable[int], transfer=None) -> dict[int, complex]:
+        """For each p, the compensated sum over psi's keys (s, j, m) of
+        psi[(s, j, m)] * conj(v[(s, j, m - p)]), where v is the transfer
+        ``(target key columns, terms)`` summed per key, or psi for None."""
+        codes, vals = self.own if transfer is None else self._keyed(*transfer)
         # the codes are unique, and the sentinel past them matches no want
-        codes = np.append(codes[order], np.iinfo(np.int64).max)
-        vals = vec._vals[hit][order]
+        codes = np.append(codes, _PAST_CODES)
         out, last = {}, None
         for p in sorted(ps, reverse=True):
             want = self.codes - p
@@ -173,17 +191,18 @@ class _ShiftedPsi:
 
 def _literal_sums(index: _ShiftedPsi, psi: GCoordVec, ps_of: dict[int, set[int]],
                   A: AlphaMatrix, w: Window):
-    """Route A: each (p, q) sum as <psi, U_q shifted by p>, with U_q from
-    the literal nested sums over one shared column pass; plus each q's
-    tail, the column pass's plus that q's row pass's."""
-    x, column_tail = _column_pass(psi, A, w)
+    """Route A: each (p, q) sum as <psi, U_q shifted by p>, where
+    U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)] is the
+    literal outer sum over one shared column pass, summed only at psi's
+    keys; plus each q's tail, the column pass's plus that q's row pass's."""
+    ((i, nu), x), column_tail = _column_pass(psi._cols, psi._vals, A, w)
     sums, tails = {}, []
     for q in sorted(ps_of):
-        uq, row_tail = _row_pass(x, q, A, w)
-        for p, lhs in index.sums(uq, ps_of[q]).items():
+        keys, terms, row_tail = row_terms(A, (i, offset_column(nu, q)), x, w)
+        for p, lhs in index.sums(ps_of[q], (keys, terms)).items():
             sums[(p, q)] = lhs
         tails.append(column_tail + row_tail)
-        del uq  # hold one q's copy at a time
+        del keys, terms  # hold one q's terms at a time
     return sums, tails
 
 
@@ -192,15 +211,18 @@ def _group_action_sums(index: _ShiftedPsi, psi: GCoordVec, ps_of: dict[int, set[
     """Route B: each (p, q) sum as <psi, D^p T^q psi> by the group action,
     the conjugate of the coordinate sum (D^p T^q psi, psi).  T^q psi is psi
     moved to the translation model once, shifted by q there and moved
-    back; at q = 0 it is psi itself."""
+    back (``g_from_f``'s terms, summed only at psi's keys); at q = 0 it is
+    psi itself."""
     f0 = f_from_g(psi, A, w) if ps_of.keys() - {0} else None
     sums = {}
     for q in sorted(ps_of):
-        # one q's copy at a time: it is dropped once its sums are taken
-        vq = psi if q == 0 else g_from_f(shift_T(f0, q), A, w)
-        for p, lhs in index.sums(vq, ps_of[q]).items():
+        transfer = None
+        if q != 0:
+            fq = shift_T(f0, q)
+            transfer = row_terms(A, fq._cols, fq._vals, w)[:2]
+        for p, lhs in index.sums(ps_of[q], transfer).items():
             sums[(p, q)] = lhs
-        del vq
+        del transfer  # hold one q's terms at a time
     return sums
 
 
@@ -260,7 +282,11 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
 
     Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]).  Each U_q is built from
     the shared column pass for one q at a time, only where its rows are
-    read, and dropped once they are.
+    read, and dropped once they are.  By the Haar scale rule
+    (``alpha.scale_reach``) no key of level past m_hi + bit_length(j_hi)
+    reaches the matrix, so the column pass takes only psi's keys that can
+    and each row pass only those entries of X: every entry read is summed
+    from the same terms in the same order, bit for bit.
     """
     if isinstance(row_window, int):
         rows = [(m, q) for m in range(-row_window, row_window + 1)
@@ -270,10 +296,14 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     rows_of: dict[int, list[tuple[int, int]]] = {}
     for r, (m, q) in enumerate(rows):
         rows_of.setdefault(q, []).append((r, m))
-    x, _ = _column_pass(psi, A, w)
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
     box = (min((j for _, j in labels), default=0), max((j for _, j in labels), default=0),
            min((m for m, _ in rows), default=0), max((m for m, _ in rows), default=0))
+    top = box[3] + int(box[1]).bit_length()
+    reach = scale_reach(A, psi._cols, top)
+    (keys, x), _ = _column_pass(tuple(c[reach] for c in psi._cols), psi._vals[reach], A, w)
+    reach = scale_reach(A, keys, top)
+    x = tuple(c[reach] for c in keys), x[reach]
     for q in sorted(rows_of):
         read = _read_box(x, q, box, A, w)
         for r, m in rows_of[q]:

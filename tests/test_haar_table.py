@@ -5,14 +5,28 @@ The oracle stays the outside check on the values themselves.
 """
 
 import math
+import tracemalloc
+
+import numpy as np
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from swl import HAAR, AlphaMatrix, K_elem, L_elem, Window  # noqa: E402
-from swl.core import MINUS, PLUS  # noqa: E402
+from swl import (  # noqa: E402
+    EXPONENTIAL,
+    HAAR,
+    AlphaMatrix,
+    FCoordVec,
+    GCoordVec,
+    K_elem,
+    L_elem,
+    Window,
+    g_from_f,
+)
+from swl.alpha import _haar_column, _haar_row, scale_reach  # noqa: E402
+from swl.core import MINUS, PLUS, key_columns  # noqa: E402
 from swl.quadrature import inner_product  # noqa: E402
 
 A = AlphaMatrix(HAAR)
@@ -67,6 +81,48 @@ def test_ladder_entry_far_past_underflow_is_zero():
     assert A.entry(0, -1, MINUS, 0, 1075) == 0j
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ladder_rows_stop_where_their_entries_underflow():
+    # a ladder row from scale r + 1 lists entries 2^{(r-m)/2} up to r + 1074;
+    # past it they are 0.0, and listing them to the window top only added
+    # about 4 m_hi zero terms to this transfer
+    assert math.sqrt(2.0 ** -1074) > 0.0 and math.sqrt(2.0 ** -1075) == 0.0
+    v = FCoordVec({(0, 0): 0.3 + 0.1j, (1, 0): -0.7j, (3, -1): 1.1, (2, 0): 0.25 - 0.5j})
+
+    def window(m_hi):
+        return Window.symmetric(HAAR, 4, 4, 4).with_dil_range(-4, m_hi)
+
+    w = window(2000)
+    ref, tail, lasts = {}, 0.0, []
+    for (i, n), val in v.items():
+        entries, clipped = A.row(i, n, w)
+        (s, _, last), _ = entries[-1]
+        lasts.append(last)
+        # the row as listed to the window top, zeros included
+        entries += [((s, 0, m), 0j) for m in range(last + 1, 2001)]
+        for key, a in entries:
+            ref[key] = ref.get(key, 0j) + a * val
+        tail += abs(val) * math.sqrt(clipped)
+    assert lasts == [1074, 1074, 1075, 1075]  # r = 0, 0, 1, 1
+    tails = []
+    got = g_from_f(v, A, w, tails)
+    want = GCoordVec(ref)
+    assert [(k, x.real.hex(), x.imag.hex()) for k, x in got.items()] == \
+        [(k, x.real.hex(), x.imag.hex()) for k, x in want.items()]
+    assert tails == [tail]
+
+    small = _traced_peak(g_from_f, v, A, window(2_000))
+    assert _traced_peak(g_from_f, v, A, window(20_000)) <= 1.5 * small
+
+
 def test_coarse_box_rows_match_oracle():
     # rows (0, n), n >= 2 or n <= -3, are coarse boxes whose signs are bits of n
     w = _top(0)
@@ -77,3 +133,65 @@ def test_coarse_box_rows_match_oracle():
         for key, val in entries:
             oracle = inner_product(L_elem(HAAR, 0, n), K_elem(HAAR, *key))
             assert abs(val - oracle) <= 1e-12
+
+
+# -- the scale rule ----------------------------------------------------------------
+#
+# level(i, n) = bit_length(i) and level(s, j, m) = m + bit_length(j): where
+# alpha_{i,n}^{s,j,m} != 0 and i >= 1, level(i, n) <= level(s, j, m), with
+# equality when the row or the column has a single entry
+
+
+def _level(j: int, m: int) -> int:
+    return m + j.bit_length()
+
+
+wide_labels = st.one_of(
+    st.integers(1, (1 << 62) - 1),
+    st.integers(0, 61).map(lambda r: 1 << r),
+    st.integers(1, 61).map(lambda r: (1 << r) - 1),
+)
+wide_shifts = st.one_of(
+    st.sampled_from([0, -1, 1, -2, 2]),
+    st.integers(-64, 64),
+    st.integers(-(1 << 40), 1 << 40),
+)
+
+
+@given(i=wide_labels, n=wide_shifts, m_hi=st.integers(-8, 80))
+def test_row_entries_keep_the_scale_rule(i, n, m_hi):
+    entries, _ = _haar_row(i, n, m_hi)
+    for (s, j, m), _ in entries:
+        assert i.bit_length() <= _level(j, m)
+        if len(entries) == 1:
+            assert i.bit_length() == _level(j, m)
+
+
+@given(s=signs, j=st.one_of(st.just(0), wide_labels), level=st.integers(-9, 80))
+def test_column_entries_keep_the_scale_rule(s, j, level):
+    # a column of level below 0 has 2^{-level} entries (2^{1-level} for j >= 1)
+    m = level - j.bit_length()
+    entries = _haar_column(s, j, m)
+    for (i, n), _ in entries:
+        if i >= 1:
+            assert i.bit_length() <= _level(j, m)
+            if len(entries) == 1:
+                assert i.bit_length() == _level(j, m)
+
+
+@given(keys=st.lists(st.tuples(st.integers(0, (1 << 62) - 1), st.integers(-(1 << 40), 1 << 40)),
+                     min_size=1, max_size=8),
+       dil=st.lists(st.tuples(signs, st.integers(0, (1 << 62) - 1), st.integers(-80, 80)),
+                    min_size=1, max_size=8),
+       top=st.integers(-10, 80))
+def test_scale_reach_is_the_rule(keys, dil, top):
+    # rows: label 0 or level <= top; columns: label 0, or level <= max(top, 0)
+    A = AlphaMatrix(HAAR)
+    want = [i == 0 or i.bit_length() <= top for i, _ in keys]
+    assert scale_reach(A, key_columns(keys, 2), top).tolist() == want
+    want = [j == 0 or _level(j, m) <= max(top, 0) for _, j, m in dil]
+    assert scale_reach(A, key_columns(dil, 3), top).tolist() == want
+    # one code path: object-dtype keys and the exponential family keep every key
+    wide = tuple(np.array(c, dtype=object) for c in key_columns(dil, 3))
+    assert scale_reach(A, wide, top).all()
+    assert scale_reach(AlphaMatrix(EXPONENTIAL), key_columns(keys, 2), top).all()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from swl import (  # noqa: E402
     EXPONENTIAL,
@@ -28,6 +28,7 @@ from swl import (  # noqa: E402
     daubechies4,
     g_from_f,
     scaling_coords_from_filter,
+    wavelet,
 )
 from swl.core import MINUS, PLUS, csum  # noqa: E402
 from swl.wavelet import _cdot, completeness_matrix, orthonormality_residuals  # noqa: E402
@@ -95,7 +96,21 @@ def reference_completeness(psi, A, labels, row_window, w):
 
 W_HAAR = Window.symmetric(HAAR, 4, 4, 6)
 W_EXP = Window.symmetric(EXPONENTIAL, 3, 3, 3)
-FAMILIES = {"haar": (AlphaMatrix(HAAR), W_HAAR), "exponential": (AlphaMatrix(EXPONENTIAL), W_EXP)}
+W_D4 = Window.symmetric(HAAR, 8, 10, 50)
+FAMILIES = {"haar": (AlphaMatrix(HAAR), W_HAAR), "exponential": (AlphaMatrix(EXPONENTIAL), W_EXP),
+            "d4": (AlphaMatrix(HAAR), W_D4)}
+
+
+def d4_psi(levels: int) -> GCoordVec:
+    """The D4 wavelet's dilation-model coordinates after ``levels`` cascade steps."""
+    A = AlphaMatrix(HAAR)
+    phi, _ = scaling_coords_from_filter(daubechies4(), levels)
+    return g_from_f(construct_wavelet_coords(phi, daubechies4(), A, W_D4), A, W_D4)
+
+
+D4_PSI = d4_psi(8)
+# (+, 0), (+, 1), (-, 0) and (+, 5) among W_D4's labels
+D4_PICKS = [W_D4.dil_labels.index(lab) for lab in [(PLUS, 0), (PLUS, 1), (MINUS, 0), (PLUS, 5)]]
 
 values = st.builds(
     lambda r, t: r * complex(math.cos(t), math.sin(t)),
@@ -151,6 +166,11 @@ def test_q0_route_gap_within_literal_tail(case, ps):
        row_window=st.one_of(
            st.integers(0, 3),
            st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=6)))
+# rows below scale 0 read only label-0 rows, here fed by a column of level -1
+@example(case=("haar", GCoordVec({(PLUS, 1, -3): 1.0})),
+         picks=[W_HAAR.dil_labels.index((PLUS, 0))], row_window=[(-4, 1)])
+@example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=4)
+@example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=8)
 def test_streamed_completeness_matches_all_q_reference(case, picks, row_window):
     fam, psi = case
     A, w = FAMILIES[fam]
@@ -159,6 +179,29 @@ def test_streamed_completeness_matches_all_q_reference(case, picks, row_window):
     ref = reference_completeness(psi, A, labels, row_window, w)
     assert mat.shape == ref.shape
     assert mat.tobytes() == ref.tobytes()
+
+
+def test_completeness_passes_take_only_keys_that_reach_the_matrix():
+    # by the Haar scale rule, 184 of the D4 candidate's 24,648 keys and 96
+    # entries of X can reach rows m in [-4, 4] at labels (+, 0), (+, 1), (-, 0)
+    psi = d4_psi(12)
+    A, w = FAMILIES["d4"]
+    taken = {"column": [], "row": []}
+    calls = {"column": wavelet.column_terms, "row": wavelet.row_terms}
+
+    def counting(kind):
+        def terms(A, keys, vals, w):
+            taken[kind].append(len(vals))
+            return calls[kind](A, keys, vals, w)
+        return terms
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavelet, "column_terms", counting("column"))
+        mp.setattr(wavelet, "row_terms", counting("row"))
+        completeness_matrix(psi, A, [(PLUS, 0), (PLUS, 1), (MINUS, 0)], 4, w)
+    assert len(psi) > 24_000
+    assert taken["column"] == [184]
+    assert taken["row"] == [96] * 9
 
 
 def test_array_sums_are_compensated():
@@ -179,10 +222,8 @@ def _traced_peak(fn, *args):
 
 
 def test_streamed_checks_hold_one_q_of_copies():
-    A = AlphaMatrix(HAAR)
-    w = Window.symmetric(HAAR, 8, 10, 50)
-    phi, _ = scaling_coords_from_filter(daubechies4(), 8)
-    psi = g_from_f(construct_wavelet_coords(phi, daubechies4(), A, w), A, w)
+    A, w = FAMILIES["d4"]
+    psi = D4_PSI
     labels = [(PLUS, 0), (PLUS, 1), (MINUS, 0)]
     streamed = _traced_peak(orthonormality_residuals, psi, A, 2, w)
     all_q = _traced_peak(reference_residuals, psi, A, 2, w)

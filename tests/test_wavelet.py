@@ -227,21 +227,51 @@ def test_scaling_identity_cross_check_catches_norm(A_haar, w_haar):
 
 
 def test_shifted_sums_match_a_dict_reference():
-    # adjacent shifts reuse the last search, the others search again; each
-    # sum is the compensated sum over psi's keys, bit for bit
-    from swl.core import csum
+    # a transfer's raw terms are summed only where psi's shifts read them:
+    # repeated targets in term order, targets outside psi's groups or span
+    # skipped, and a sum at the threshold dropped by the zero rule.
+    # Adjacent shifts reuse the last search, the others search again.  Each
+    # sum is the compensated sum against the summed vector, bit for bit.
+    import numpy as np
+
+    from swl.core import DROP_THRESHOLD, csum, key_columns
     from swl.wavelet import _ShiftedPsi
 
     rng = random.Random(3)
 
-    def vec(size):
-        return GCoordVec({(rng.choice((PLUS, MINUS)), rng.randrange(6), rng.randrange(-6, 7)):
-                          complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(size)})
+    def key(labels):
+        return rng.choice((PLUS, MINUS)), rng.randrange(labels), rng.randrange(-6, 7)
+
+    def value():
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
 
     ps = {4, 3, 2, 0, -1, -5, -6}
     for _ in range(20):
-        psi, other = vec(40), vec(60)
-        got = _ShiftedPsi(psi, sorted(ps)).sums(other, ps)
+        psi = GCoordVec({**{key(6): value() for _ in range(40)},
+                         (PLUS, 0, 6): value(), (MINUS, 0, 6): value()})
+        # labels 6-8 are outside psi's groups, and m - p may leave the span
+        keys = [key(9) for _ in range(60)]
+        keys += rng.choices(keys, k=30)
+        terms = [value() for _ in keys]
+        # read at p = -1: one sum at the threshold, one just above it
+        half = DROP_THRESHOLD / 2
+        keys += [(PLUS, 0, 7), (MINUS, 0, 7), (PLUS, 0, 7)]
+        terms += [complex(half), complex(np.nextafter(DROP_THRESHOLD, 1.0)), complex(half)]
+        order = rng.sample(range(len(keys)), len(keys))
+        keys, terms = [keys[k] for k in order], [terms[k] for k in order]
+
+        other = GCoordVec._from_terms(key_columns(keys, 3), np.array(terms))
+        assert (PLUS, 0, 7) not in other and (MINUS, 0, 7) in other
+        index = _ShiftedPsi(psi, sorted(ps))
+        got = index.sums(ps, (key_columns(keys, 3), np.array(terms)))
+        own = index.sums(ps)
         for p in ps:
             want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
-            assert (got[p].real.hex(), got[p].imag.hex()) == (want.real.hex(), want.imag.hex())
+            assert bits(got[p]) == bits(want)
+            want = csum(x * psi[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
+            assert bits(own[p]) == bits(want)
+        empty = index.sums(ps, (key_columns([], 3), np.zeros(0, dtype=complex)))
+        assert empty == dict.fromkeys(ps, 0j)
