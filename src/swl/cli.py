@@ -112,6 +112,27 @@ def _load_coords(path: str):
         raise InputError(f"cannot read coefficient file {path!r}: {exc}") from exc
 
 
+def _candidate(args, fam: BasisFamily, w: Window, model: str):
+    """The coordinates a subcommand acts on, in model "F" or "G", and the
+    function they come from (None for a file).
+
+    ``--coords`` is a coefficient file of that model whose basis is
+    ``--basis``; otherwise the oracle takes the coordinates of
+    ``--function`` on the window.
+    """
+    if args.coords:
+        vec, basis = _load_coords(args.coords)
+        if basis != fam.name:
+            raise InputError(f"coefficient file basis {basis!r} does not match --basis")
+        if not isinstance(vec, FCoordVec if model == "F" else GCoordVec):
+            kind = "translation" if model == "F" else "dilation"
+            raise InputError(f"{args.command} needs {kind}-model coordinates (model {model})")
+        return vec, None
+    spec = parse_function_spec(_required(args.function, "--function or --coords"))
+    oracle = oracle_F_coords if model == "F" else oracle_G_coords
+    return oracle(spec, fam, w), spec
+
+
 def _filter_from_arg(text: str) -> LaurentPoly:
     """Filters come as JSON maps {"k": [re, im]} inline or via @file."""
     try:
@@ -198,25 +219,13 @@ def _cmd_act(args) -> int:
     fam = family(args.basis)
     A = AlphaMatrix(fam)
     w = _window(fam, args.window, args.mmax)
-    if args.coords:
-        vec, basis = _load_coords(args.coords)
-        if basis != fam.name:
-            raise InputError(f"coefficient file basis {basis!r} does not match --basis")
-    else:
-        spec = parse_function_spec(_required(args.function, "--function or --coords"))
-        vec = (
-            oracle_F_coords(spec, fam, w) if args.model == "F" else oracle_G_coords(spec, fam, w)
-        )
+    vec, _ = _candidate(args, fam, w, args.model)
     ops = {
         ("DT", "F"): act_DT_on_F,
         ("TD", "F"): act_TD_on_F,
         ("DT", "G"): act_DT_on_G,
         ("TD", "G"): act_TD_on_G,
     }
-    if args.model == "F" and not isinstance(vec, FCoordVec):
-        raise InputError("model F needs translation-model coordinates")
-    if args.model == "G" and not isinstance(vec, GCoordVec):
-        raise InputError("model G needs dilation-model coordinates")
     tails: list[float] = []
     out = ops[(args.order, args.model)](vec, args.p, args.q, A, w, tails)
     doc = coords_to_doc(out, fam.name)
@@ -230,15 +239,8 @@ def _cmd_check_wavelet(args) -> int:
     fam = family(args.basis)
     A = AlphaMatrix(fam)
     w = _window(fam, args.window, args.mmax)
-    if args.coords:
-        vec, basis = _load_coords(args.coords)
-        if not isinstance(vec, GCoordVec):
-            raise InputError("check-wavelet needs dilation-model coordinates")
-        tail_sq = 0.0
-    else:
-        spec = parse_function_spec(_required(args.function, "--function or --coords"))
-        vec = oracle_G_coords(spec, fam, w)
-        tail_sq = max(0.0, inner_product(spec, spec).real - vec.norm_sq())
+    vec, spec = _candidate(args, fam, w, "G")
+    tail_sq = 0.0 if spec is None else max(0.0, inner_product(spec, spec).real - vec.norm_sq())
     report = check_wavelet_orthonormality(
         vec, A, args.pq, w, args.tol, candidate_tail_sq=tail_sq
     )
@@ -253,13 +255,7 @@ def _cmd_check_wavelet(args) -> int:
 def _cmd_check_scaling(args) -> int:
     fam = family(args.basis)
     w = _window(fam, args.window, args.mmax)
-    if args.coords:
-        vec, _ = _load_coords(args.coords)
-        if not isinstance(vec, FCoordVec):
-            raise InputError("check-scaling needs translation-model coordinates")
-    else:
-        spec = parse_function_spec(_required(args.function, "--function or --coords"))
-        vec = oracle_F_coords(spec, fam, w)
+    vec, _ = _candidate(args, fam, w, "F")
     report = check_scaling_coordinate_identity(vec, args.krange, args.tol)
     _emit(_report_doc(report, args, krange=args.krange), args.out)
     return 0 if report.passed else _CHECK_FAIL

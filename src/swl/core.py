@@ -16,9 +16,12 @@ value and every operation is pure.
 A coordinate vector is stored as key columns (one int64 array per key
 component, or object arrays of Python ints once some component is past
 int64) and a complex128 value array, each key once in the order it first
-appeared.  Transfers produce terms (target key, value) and ``sum_by_key``
-adds the terms of each key in term order, as a dict accumulating them one
-by one would; the mapping view with NamedTuple keys is built on first use.
+appeared.  Every vector is built from key columns and terms: construction
+from (key, value) pairs, ``plus`` and the transfers all call
+``sum_by_key``, which sums each key's terms from 0j in term order, and then
+apply the zero rule (``keep_mask``); ``scaled`` multiplies each value as
+Python's complex product does (``cmul``).  The mapping view with NamedTuple
+keys is built on first use, only to be read.
 """
 
 from __future__ import annotations
@@ -237,8 +240,9 @@ class _SparseCoords:
     Stored as key columns (``_cols``: one array per key component, int64,
     or object arrays of Python ints when some component is past int64) and
     complex128 values (``_vals``), each key once, in the order the entries
-    first appeared.  The mapping view (keys as NamedTuples) is built on
-    first use.
+    first appeared.  The constructor checks each key (``_check_key``) and
+    sums the pairs as ``_from_terms`` sums terms.  The mapping view (keys as
+    NamedTuples) is built on first use.
     """
 
     __slots__ = ("_cols", "_vals", "_view")
@@ -246,22 +250,14 @@ class _SparseCoords:
     _width: int
 
     def __init__(self, entries: Mapping | Iterable = ()):
-        data: dict = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
+        keys, vals = [], []
         for key, val in items:
-            key = self._check_key(key)
-            z = complex(val)
-            if key in data:
-                z += data[key]
-            data[key] = z
-        vals = np.array(list(data.values()), dtype=complex)
-        keep = keep_mask(vals)
-        if not keep.all():
-            data = {k: v for k, v, kept in zip(data, data.values(), keep.tolist()) if kept}
-            vals = vals[keep]
-        object.__setattr__(self, "_cols", key_columns(list(data), self._width))
-        object.__setattr__(self, "_vals", vals)
-        object.__setattr__(self, "_view", data)
+            keys.append(self._check_key(key))
+            vals.append(complex(val))
+        built = self._from_terms(key_columns(keys, self._width), np.array(vals, dtype=complex))
+        for name in _SparseCoords.__slots__:
+            object.__setattr__(self, name, getattr(built, name))
 
     @property
     def _entries(self) -> dict:
@@ -312,13 +308,15 @@ class _SparseCoords:
         return array_fsum(v.real * v.real + v.imag * v.imag)
 
     def scaled(self, factor: complex):
-        return type(self)((k, factor * v) for k, v in self._entries.items())
+        vals = cmul(np.full(len(self._vals), complex(factor)), self._vals)
+        keep = keep_mask(vals)
+        return self._from_columns(tuple(c[keep] for c in self._cols), vals[keep])
 
     def plus(self, other: "_SparseCoords"):
-        out = dict(self._entries)
-        for k, v in other.items():
-            out[k] = out.get(k, 0j) + v
-        return type(self)(out)
+        if type(other) is not type(self):
+            raise ValueError(f"cannot add {type(other).__name__} to {type(self).__name__}")
+        cols = tuple(map(np.concatenate, zip(self._cols, other._cols)))
+        return self._from_terms(cols, np.concatenate((self._vals, other._vals)))
 
     @staticmethod
     def _check_key(key):  # pragma: no cover - overridden

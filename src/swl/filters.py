@@ -234,6 +234,13 @@ def coords_at_omega(coords: FCoordVec, omegas: np.ndarray) -> dict[int, np.ndarr
     return out
 
 
+def _refine(coords: FCoordVec, h: LaurentPoly, A: AlphaMatrix, w: Window) -> FCoordVec:
+    """Convolve by h, then go one scale up through the dilation model:
+    f_from_g(shift_D(g_from_f(h * coords), 1))."""
+    lifted = shift_D(g_from_f(filter_action_on_coords(coords, h), A, w), 1)
+    return f_from_g(lifted, A, w)
+
+
 def reconstruct_scaling_coords(phi_coords: FCoordVec, h: LaurentPoly, A: AlphaMatrix,
                            w: Window, tol: float = 1e-10) -> tuple[FCoordVec, CheckReport]:
     """Recover the scaling coordinates from their own filtered version.
@@ -243,9 +250,7 @@ def reconstruct_scaling_coords(phi_coords: FCoordVec, h: LaurentPoly, A: AlphaMa
     a true refinement pair (phi, h) this reproduces the input; the report
     compares the two.
     """
-    filtered = filter_action_on_coords(phi_coords, h)
-    lifted = shift_D(g_from_f(filtered, A, w), 1)
-    rebuilt = f_from_g(lifted, A, w)
+    rebuilt = _refine(phi_coords, h, A, w)
     report = coord_equal(rebuilt, phi_coords, tol, name="two_scale_reconstruction", window=w)
     return rebuilt, report
 
@@ -261,9 +266,7 @@ def construct_wavelet_coords(phi_coords: FCoordVec, h: LaurentPoly, A: AlphaMatr
     flipped = LaurentPoly.from_map(
         {1 - k_h: ((-1.0) ** k_h) * v for k_h, v in h.coeffs}
     )
-    filtered = filter_action_on_coords(phi_coords, flipped)
-    lifted = shift_D(g_from_f(filtered, A, w), 1)
-    return f_from_g(lifted, A, w)
+    return _refine(phi_coords, flipped, A, w)
 
 
 def scaling_coords_from_filter(h: LaurentPoly, levels: int = 12) -> tuple[FCoordVec, float]:

@@ -17,23 +17,24 @@ translation model once, whatever the size of the (p, q) grid (route A's
 literal column pass, route B's ``f_from_g`` of psi, which T^q shifts
 there), and neither reuses the other's.  Then each route transports one
 translation q at a time.  The transfer back to the dilation model is
-summed only where psi's shifts read it: ``_ShiftedPsi`` keys its raw terms
-by psi's (s, j) groups and sums them per key in term order, so no
-coordinate vector is built for a q.  That q's sums for every p are taken
-as aligned array products with exact ``fsum`` totals
+summed only where psi's shifts read it: a ``_KeyIndex`` over psi's keys
+codes its raw terms by psi's (s, j) groups and sums them per key in term
+order, so no coordinate vector is built for a q.  That q's sums for every
+p are taken as aligned array products with exact ``fsum`` totals
 (``core.array_fsum``), and its terms are dropped before the next q.
 Route A runs before route B, so only one route's transfer and one q's
 terms are ever held.
 
 Completeness is probed by the rank of a window-truncated coordinate
 matrix, read from the same literal row passes, again one q at a time and
-summed only where the matrix reads them.  By the Haar scale rule
-(``alpha.scale_reach``) only keys up to the matrix's top level can reach
-it, so the column pass takes only those keys of psi and each row pass
-only those entries of its output.  A finite window can only ever
-certify a *necessary* condition, so reports label the rank test as a
-window surrogate; singular values too close to the decision threshold
-yield an ``inconclusive`` verdict instead of a pass/fail call.
+summed only where the matrix reads them, by a ``_KeyIndex`` over the
+matrix's cells: both checks sum terms per key through that one index.  By
+the Haar scale rule (``alpha.scale_reach``) only keys up to the matrix's
+top level can reach it, so the column pass takes only those keys of psi
+and each row pass only those entries of its output.  A finite window can
+only ever certify a *necessary* condition, so reports label the rank test
+as a window surrogate; singular values too close to the decision
+threshold yield an ``inconclusive`` verdict instead of a pass/fail call.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .core import (
     check_radius,
     csum,
     keep_mask,
+    key_columns,
     offset_column,
     sum_by_key,
 )
@@ -88,16 +90,6 @@ def _slack(candidate_tail_sq: float, per_q_tails: Iterable[float]) -> float:
 
 # -- orthonormality -----------------------------------------------------------
 
-def _column_pass(keys, vals: np.ndarray, A: AlphaMatrix, w: Window):
-    """Innermost literal sum over the dilation keys given:
-    X[(i, nu)] = sum_{r,k,l} conj(alpha_{i,nu}^{r,k,l}) psi[(r,k,l)],
-    as (key columns, values) with nothing dropped, plus an l2-norm bound on
-    what the window clipped from the columns.
-    """
-    keys, terms, tail = column_terms(A, keys, vals, w)
-    return sum_by_key(keys, terms), tail
-
-
 def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
     """Compensated sum of a * conj(b), the same sum as ``csum`` (each
     component's ``fsum``, bit for bit).
@@ -113,17 +105,18 @@ def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
 _PAST_CODES = np.iinfo(np.int64).max  # a sentinel after every code
 
 
-class _ShiftedPsi:
-    """The candidate's keys as int64 codes, for sums against shifted vectors.
+class _KeyIndex:
+    """Dilation keys (s, j, m) with values, as int64 codes, for sums of a
+    transfer's terms read at those keys shifted by each p.
 
-    Each (s, j) group of psi gets a dense id and key (s, j, m) the code
-    ``id * span + (m - base)``, where [base, base + span) holds every
+    Each (s, j) group of the keys gets a dense id and key (s, j, m) the
+    code ``id * span + (m - base)``, where [base, base + span) holds every
     m - p for the shifts p asked for.  Labels never enter the code, so Haar
     labels of any size cannot overflow it.
     """
 
-    def __init__(self, psi: GCoordVec, ps: Sequence[int]):
-        s, j, m = psi._cols
+    def __init__(self, cols, vals: np.ndarray, ps: Sequence[int]):
+        s, j, m = cols
         # the groups of each sign, as sorted labels; ids count PLUS's first
         self.labels = {sg: np.unique(j[s == sg]) for sg in (PLUS, MINUS)}
         self.base = (int(m.min()) if len(m) else 0) - max(ps, default=0)
@@ -132,13 +125,13 @@ class _ShiftedPsi:
         codes = self._ids(s, j) * self.span + rel.astype(np.int64)
         # sorted, so that each p searches sorted needles (fsum is exact in any order)
         order = codes.argsort()
-        self.codes, self.values = codes[order], psi._vals[order]
-        # psi as the shifted vector: its keys whose m lies in the span
+        self.codes, self.values = codes[order], vals[order]
+        # the keys as the shifted vector: those whose m lies in the span
         inside = ((rel >= 0) & (rel < self.span))[order]
         self.own = self.codes[inside], self.values[inside]
 
     def _ids(self, s, j) -> np.ndarray:
-        """The group id of each (s, j), or -1 where psi has no such group."""
+        """The group id of each (s, j), or -1 where the keys have no such group."""
         ids = np.full(len(s), -1, dtype=np.int64)
         start = 0
         for sg, labels in self.labels.items():
@@ -152,8 +145,8 @@ class _ShiftedPsi:
         return ids
 
     def _keyed(self, keys, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A transfer's terms summed per key, where psi's shifts can read
-        them: the targets (s, j, m) in psi's groups with m - base in the
+        """A transfer's terms summed per key, where the shifted keys can read
+        them: the targets (s, j, m) in the keys' groups with m - base in the
         span, as sorted codes, and each one's sum, taken from 0j in term
         order as ``sum_by_key`` takes it, with the zero rule applied."""
         s, j, m = keys
@@ -170,9 +163,10 @@ class _ShiftedPsi:
         return codes[new][keep], sums[keep]
 
     def sums(self, ps: Iterable[int], transfer=None) -> dict[int, complex]:
-        """For each p, the compensated sum over psi's keys (s, j, m) of
-        psi[(s, j, m)] * conj(v[(s, j, m - p)]), where v is the transfer
-        ``(target key columns, terms)`` summed per key, or psi for None."""
+        """For each p, the compensated sum over the keys (s, j, m) of
+        value[(s, j, m)] * conj(v[(s, j, m - p)]), where v is the transfer
+        ``(target key columns, terms)`` summed per key, or the keyed values
+        themselves for None."""
         codes, vals = self.own if transfer is None else self._keyed(*transfer)
         # the codes are unique, and the sentinel past them matches no want
         codes = np.append(codes, _PAST_CODES)
@@ -189,13 +183,14 @@ class _ShiftedPsi:
         return out
 
 
-def _literal_sums(index: _ShiftedPsi, psi: GCoordVec, ps_of: dict[int, set[int]],
+def _literal_sums(index: _KeyIndex, psi: GCoordVec, ps_of: dict[int, set[int]],
                   A: AlphaMatrix, w: Window):
     """Route A: each (p, q) sum as <psi, U_q shifted by p>, where
     U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)] is the
     literal outer sum over one shared column pass, summed only at psi's
     keys; plus each q's tail, the column pass's plus that q's row pass's."""
-    ((i, nu), x), column_tail = _column_pass(psi._cols, psi._vals, A, w)
+    keys, terms, column_tail = column_terms(A, psi._cols, psi._vals, w)
+    (i, nu), x = sum_by_key(keys, terms)
     sums, tails = {}, []
     for q in sorted(ps_of):
         keys, terms, row_tail = row_terms(A, (i, offset_column(nu, q)), x, w)
@@ -206,7 +201,7 @@ def _literal_sums(index: _ShiftedPsi, psi: GCoordVec, ps_of: dict[int, set[int]]
     return sums, tails
 
 
-def _group_action_sums(index: _ShiftedPsi, psi: GCoordVec, ps_of: dict[int, set[int]],
+def _group_action_sums(index: _KeyIndex, psi: GCoordVec, ps_of: dict[int, set[int]],
                        A: AlphaMatrix, w: Window) -> dict:
     """Route B: each (p, q) sum as <psi, D^p T^q psi> by the group action,
     the conjugate of the coordinate sum (D^p T^q psi, psi).  T^q psi is psi
@@ -241,7 +236,7 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
     for p, q in grid:
         ps_of.setdefault(q, set()).add(p)
 
-    index = _ShiftedPsi(psi, [p for p, _ in grid])
+    index = _KeyIndex(psi._cols, psi._vals, [p for p, _ in grid])
     route_a, per_q_tails = _literal_sums(index, psi, ps_of, A, w)
     route_b = _group_action_sums(index, psi, ps_of, A, w)
 
@@ -281,49 +276,38 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     """Window-truncated completeness matrix: rows (m, q), columns (s, j).
 
     Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]).  Each U_q is built from
-    the shared column pass for one q at a time, only where its rows are
-    read, and dropped once they are.  By the Haar scale rule
-    (``alpha.scale_reach``) no key of level past m_hi + bit_length(j_hi)
-    reaches the matrix, so the column pass takes only psi's keys that can
-    and each row pass only those entries of X: every entry read is summed
-    from the same terms in the same order, bit for bit.
+    the shared column pass for one q at a time and summed only at the cells
+    the matrix reads: one ``_KeyIndex`` over the labels and the rows' m
+    values keys its terms, which fill that q's row of a table over the
+    cells, and the matrix is one gather from the table.  By the Haar scale
+    rule (``alpha.scale_reach``) no key of level past m_hi +
+    bit_length(j_hi) reaches the matrix, so the column pass takes only
+    psi's keys that can and each row pass only those entries of X: every
+    entry read is summed from the same terms in the same order, bit for bit.
     """
-    if isinstance(row_window, int):
-        rows = [(m, q) for m in range(-row_window, row_window + 1)
-                for q in range(-row_window, row_window + 1)]
-    else:
-        rows = [(int(m), int(q)) for m, q in row_window]
-    rows_of: dict[int, list[tuple[int, int]]] = {}
-    for r, (m, q) in enumerate(rows):
-        rows_of.setdefault(q, []).append((r, m))
-    mat = np.zeros((len(rows), len(labels)), dtype=complex)
-    box = (min((j for _, j in labels), default=0), max((j for _, j in labels), default=0),
-           min((m for m, _ in rows), default=0), max((m for m, _ in rows), default=0))
-    top = box[3] + int(box[1]).bit_length()
+    rows = _pq_grid(row_window)
+    ms, qs = (sorted({row[k] for row in rows}) for k in (0, 1))
+    index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3),
+                      np.zeros(len(labels) * len(ms), dtype=complex), (0,))
+    # the cells' codes, sorted, and a sentinel past them that no code matches
+    cells = np.append(index.codes, _PAST_CODES)
+    top = max(ms, default=0) + int(max((j for _, j in labels), default=0)).bit_length()
     reach = scale_reach(A, psi._cols, top)
-    (keys, x), _ = _column_pass(tuple(c[reach] for c in psi._cols), psi._vals[reach], A, w)
-    reach = scale_reach(A, keys, top)
-    x = tuple(c[reach] for c in keys), x[reach]
-    for q in sorted(rows_of):
-        read = _read_box(x, q, box, A, w)
-        for r, m in rows_of[q]:
-            for c, (s, j) in enumerate(labels):
-                mat[r, c] = read.get((s, j, m), 0j).conjugate()
-    return mat
-
-
-def _read_box(x, q: int, box: tuple[int, int, int, int], A: AlphaMatrix, w: Window) -> dict:
-    """U_q's entries (s, j, m) with j_lo <= j <= j_hi and m_lo <= m <= m_hi,
-    for box = (j_lo, j_hi, m_lo, m_hi).  Only the terms inside the box are
-    summed: ``sum_by_key`` sums each key's terms in term order, so each
-    value is U_q's, bit for bit."""
-    j_lo, j_hi, m_lo, m_hi = box
-    (i, nu), vals = x
-    keys, terms, _ = row_terms(A, (i, offset_column(nu, q)), vals, w)
-    _, js, ms = keys
-    at = ((js >= j_lo) & (js <= j_hi) & (ms >= m_lo) & (ms <= m_hi)).nonzero()[0]
-    uq = GCoordVec._from_terms(tuple(c[at] for c in keys), terms[at])
-    return dict(zip(zip(*(c.tolist() for c in uq._cols)), uq._vals.tolist()))
+    keys, terms, _ = column_terms(A, tuple(c[reach] for c in psi._cols), psi._vals[reach], w)
+    (i, nu), x = sum_by_key(keys, terms)
+    reach = scale_reach(A, (i, nu), top)
+    i, nu, x = i[reach], nu[reach], x[reach]
+    table = np.zeros((len(qs), len(cells)), dtype=complex)
+    for k, q in enumerate(qs):
+        keys, terms, _ = row_terms(A, (i, offset_column(nu, q)), x, w)
+        codes, sums = index._keyed(keys, terms)
+        at = np.searchsorted(cells, codes)
+        hit = cells[at] == codes
+        table[k, at[hit]] = sums[hit]
+    m, q = key_columns(rows, 2)
+    ids = index._ids(*key_columns(labels, 2))
+    read = ids * index.span + (m - index.base)[:, None]
+    return np.conj(table[np.searchsorted(qs, q)[:, None], np.searchsorted(cells, read)])
 
 
 def check_wavelet_completeness(psi: GCoordVec, A: AlphaMatrix,
@@ -399,8 +383,7 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
     # rank matrix with entries sum_k alpha_{k,1+q}^{s,j,m} c_k
     if row_window is None:
         row_window = pq_range if isinstance(pq_range, int) else 3
-    rows = [(m, q) for m in range(-row_window, row_window + 1)
-            for q in range(-row_window, row_window + 1)]
+    rows = _pq_grid(row_window)
     labels = [(int(s), int(j)) for s, j in labels]
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
     for r, (m, q) in enumerate(rows):

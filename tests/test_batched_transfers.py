@@ -36,7 +36,7 @@ from swl.alpha import (  # noqa: E402
     _haar_row_map,
     _haar_row_runs,
 )
-from swl.core import MINUS, PLUS, key_columns  # noqa: E402
+from swl.core import DROP_THRESHOLD, MINUS, PLUS, key_columns  # noqa: E402
 
 A = AlphaMatrix(HAAR)
 W = Window.symmetric(HAAR, 4, 4, 8)  # rows read only the top scale, 8
@@ -201,27 +201,59 @@ def test_round_trip_within_the_ladder_tail(entries, m_hi):
 
 # -- the array-backed vectors ------------------------------------------------------
 
-keys_f = st.tuples(st.one_of(st.integers(0, 6), st.just(1 << 70)), st.integers(-3, 3))
-pairs_f = st.lists(st.tuples(keys_f, st.one_of(values, st.just(1e-16), st.just(0j))),
-                   max_size=30)
+big_labels = st.one_of(st.integers(0, 6), st.just(1 << 70))
+keys_f = st.tuples(big_labels, st.integers(-3, 3))
+keys_g = st.tuples(signs, big_labels, st.integers(-3, 3))
 
 
-@given(pairs=pairs_f)
-def test_array_vectors_match_a_vector_built_from_pairs(pairs):
-    # summed from the same terms: same keys in first-appearance order,
-    # NamedTuple keys, the zero rule, and equality
-    built = FCoordVec(pairs)
-    keys = [k for k, _ in pairs]
-    terms = np.array([complex(x) for _, x in pairs], dtype=complex)
-    summed = FCoordVec._from_terms(key_columns(keys, 2), terms)
-    assert summed == built
-    assert list(summed.keys()) == list(built.keys())
-    assert all(type(k) is TransIndex for k in summed)
-    assert all(abs(x) > 1e-15 for _, x in summed.items())
-    assert len(summed) == len(built) and bool(summed) == bool(built)
-    for key, x in built.items():
-        assert key in summed and summed[key] == x and summed.get(key) == x
-    assert summed.norm_sq() == built.norm_sq()
+def _pairs(keys):
+    # repeated keys, values under the zero rule, and the first values cancelled later
+    pairs = st.lists(st.tuples(keys, st.one_of(values, st.just(1e-16), st.just(0j))),
+                     max_size=30)
+    return pairs.map(lambda ps: ps + [(k, -x) for k, x in ps[:3]])
+
+
+def _bits(items):
+    return [(tuple(k), x.real.hex(), x.imag.hex()) for k, x in items]
+
+
+def _dict_sum(pairs):
+    """The reference: each key's values summed from 0j in order in a dict,
+    then the zero rule, keys in first-appearance order."""
+    acc = {}
+    for key, x in pairs:
+        acc[tuple(key)] = acc.get(tuple(key), 0j) + complex(x)
+    return [(k, x) for k, x in acc.items() if abs(x) > DROP_THRESHOLD]
+
+
+@given(pairs=_pairs(keys_f), g_pairs=_pairs(keys_g),
+       factor=st.one_of(values, st.just(-1.0), st.just(1e-16)))
+def test_array_vectors_match_a_vector_built_from_pairs(pairs, g_pairs, factor):
+    # construction, plus and scaled against a dict accumulation: the same
+    # keys in first-appearance order and the same value bits; NamedTuple
+    # keys and the mapping interface read the same entries
+    for cls, key_type, ps in ((FCoordVec, TransIndex, pairs), (GCoordVec, DilIndex, g_pairs)):
+        built = cls(ps)
+        want = _dict_sum(ps)
+        assert _bits(built.items()) == _bits(want)
+        assert all(type(k) is key_type for k in built)
+        assert len(built) == len(want) and bool(built) == bool(want)
+        for key, x in want:
+            assert key in built and built[key] == x and built.get(key) == x
+        assert built.norm_sq() == math.fsum(x.real * x.real + x.imag * x.imag for _, x in want)
+        terms = np.array([complex(x) for _, x in ps], dtype=complex)
+        assert built == cls._from_terms(key_columns([k for k, _ in ps], len(key_type._fields)), terms)
+
+        other = cls(ps[::-1])
+        both = built.plus(other)
+        assert _bits(both.items()) == _bits(_dict_sum(list(built.items()) + list(other.items())))
+        scaled = [(k, complex(factor) * x) for k, x in built.items()]
+        assert _bits(built.scaled(factor).items()) == _bits(
+            (k, x) for k, x in scaled if abs(x) > DROP_THRESHOLD)
+    with pytest.raises(ValueError):
+        FCoordVec(pairs).plus(GCoordVec(g_pairs))
+    with pytest.raises(ValueError):
+        GCoordVec(g_pairs).plus(FCoordVec(pairs))
 
 
 def test_vectors_keep_python_int_keys_past_int64():

@@ -204,6 +204,12 @@ def test_deterministic_output(capsys):
      "-q", "0", "--window", "2"),
     ("filter", "check-orthogonality", "--coeffs", '{"0":[NaN,0]}'),
     ("filter", "check-orthogonality", "--coeffs", '{"0":[1e400,0]}'),
+    # a coefficient file of another basis or of the other model
+    ("act", "--basis", "haar", "--coords", "@exp_g", "--model", "G", "-p", "0", "-q", "0"),
+    ("check-wavelet", "--basis", "haar", "--coords", "@exp_g"),
+    ("check-scaling", "--basis", "haar", "--coords", "@exp_f"),
+    ("check-wavelet", "--basis", "exponential", "--coords", "@exp_f"),
+    ("check-scaling", "--basis", "exponential", "--coords", "@exp_g"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
     # "@name" stands for a coefficient file holding files[name]
@@ -211,6 +217,11 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
         "list": "[1, 2]",
         "string_re": json.dumps({"model": "F", "basis": "haar", "entries": [
             {"i_or_j": 1, "n_or_m": 0, "re": "1", "im": 0.0}]}),
+        "exp_f": json.dumps({"model": "F", "basis": "exponential", "entries": [
+            {"i_or_j": 0, "n_or_m": 0, "re": 1.0, "im": 0.0}]}),
+        "exp_g": json.dumps({"model": "G", "basis": "exponential", "entries": [
+            {"s": "+", "i_or_j": 1, "n_or_m": 0, "re": 0.5, "im": 0.0},
+            {"s": "-", "i_or_j": 0, "n_or_m": 1, "re": 0.5, "im": 0.0}]}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -156,6 +156,15 @@ def test_completeness_matrix_columns_disjoint_for_haar(psi_tilde, A_haar, w_haar
     assert float(np.max(np.abs(off))) < 1e-12
 
 
+def test_negative_row_window_is_an_input_error(psi_tilde, A_haar, w_haar):
+    # an empty row grid reads no entry, as an empty (p, q) grid checks none
+    with pytest.raises(ValueError, match="non-negative"):
+        completeness_matrix(psi_tilde, A_haar, F6, -1, w_haar)
+    with pytest.raises(ValueError, match="non-negative"):
+        check_example_unit_interval(GCoordVec({(PLUS, 1, 0): 1.0}), A_haar, 1, F6, w_haar,
+                                    row_window=-1)
+
+
 # -- compact support on [1, 2] -----------------------------------------------------
 
 def test_example_shifted_haar_wavelet_passes(A_haar, w_haar):
@@ -235,7 +244,7 @@ def test_shifted_sums_match_a_dict_reference():
     import numpy as np
 
     from swl.core import DROP_THRESHOLD, csum, key_columns
-    from swl.wavelet import _ShiftedPsi
+    from swl.wavelet import _KeyIndex
 
     rng = random.Random(3)
 
@@ -265,7 +274,7 @@ def test_shifted_sums_match_a_dict_reference():
 
         other = GCoordVec._from_terms(key_columns(keys, 3), np.array(terms))
         assert (PLUS, 0, 7) not in other and (MINUS, 0, 7) in other
-        index = _ShiftedPsi(psi, sorted(ps))
+        index = _KeyIndex(psi._cols, psi._vals, sorted(ps))
         got = index.sums(ps, (key_columns(keys, 3), np.array(terms)))
         own = index.sums(ps)
         for p in ps:
