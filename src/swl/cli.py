@@ -4,6 +4,10 @@ Every subcommand writes a single JSON document to standard output
 (deterministic: sorted keys, 17-significant-digit floats) and exits with
 0 on success/pass, 1 when a check fails, 2 on usage or input errors.
 Diagnostics go to standard error.
+
+A request builds the top-level parser and then only the parser of the
+subcommand it names (``_Command``): the other subcommands' arguments are
+never declared.
 """
 
 from __future__ import annotations
@@ -366,40 +370,53 @@ def _default_labels(fam: BasisFamily, count: int) -> list[tuple[int, int]]:
 
 # -- parser ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="swl",
-        description="Coordinate spectral models for dyadic dilation and integer "
-        "translation: transfers, wavelet/MRA coordinate tests, filter tooling.",
-    )
-    top.add_argument("--version", action="version", version=f"swl {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
+class _Command:
+    """A subcommand whose ``ArgumentParser`` is built only when a request names it.
 
-    def common(p, basis=True, window=True, tol_default=1e-9):
-        if basis:
-            p.add_argument("--basis", choices=["exponential", "haar"], default="haar")
-        if window:
-            p.add_argument("--window", type=int, default=6, help="symmetric window radius")
-            p.add_argument("--mmax", type=int, default=48,
-                           help="scale-ladder truncation depth (dilation model)")
-        p.add_argument("--tol", type=float, default=tol_default)
-        p.add_argument("--out", help="also write the JSON document to this path")
+    ``_SubParsersAction`` calls nothing on a subparser but
+    ``parse_known_args``, so that builds the real parser from the
+    ``add_parser`` keyword arguments (``prog``, ``description``), lets
+    ``declare`` add its arguments and defaults, and delegates to it.
+    """
 
-    p = sub.add_parser("coords", help="oracle coefficients of a test function")
-    common(p, tol_default=1e-10)
+    def __init__(self, declare, **kwargs):
+        self._declare = declare
+        self._kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._declare(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def _common(p, basis=True, window=True, tol_default=1e-9):
+    if basis:
+        p.add_argument("--basis", choices=["exponential", "haar"], default="haar")
+    if window:
+        p.add_argument("--window", type=int, default=6, help="symmetric window radius")
+        p.add_argument("--mmax", type=int, default=48,
+                       help="scale-ladder truncation depth (dilation model)")
+    p.add_argument("--tol", type=float, default=tol_default)
+    p.add_argument("--out", help="also write the JSON document to this path")
+
+
+def _declare_coords(p):
+    _common(p, tol_default=1e-10)
     p.add_argument("--function", required=True)
     p.add_argument("--model", choices=["F", "G"], default="F")
     p.set_defaults(fn=_cmd_coords)
 
-    p = sub.add_parser("alpha", help="change-of-representation entries and rows")
-    common(p)
+
+def _declare_alpha(p):
+    _common(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--entry", nargs=5, metavar=("i", "n", "s", "j", "m"))
     group.add_argument("--row", nargs=2, metavar=("i", "n"))
     p.set_defaults(fn=_cmd_alpha)
 
-    p = sub.add_parser("act", help="apply a group word D^p T^q or T^q D^p")
-    common(p)
+
+def _declare_act(p):
+    _common(p)
     p.add_argument("--function")
     p.add_argument("--coords", help="coefficient JSON file instead of --function")
     p.add_argument("--model", choices=["F", "G"], default="F")
@@ -408,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", type=int, required=True)
     p.set_defaults(fn=_cmd_act)
 
-    p = sub.add_parser("check-wavelet", help="coordinate orthonormality + completeness")
-    common(p)
+
+def _declare_check_wavelet(p):
+    _common(p)
     p.add_argument("--function")
     p.add_argument("--coords")
     p.add_argument("--pq", type=int, default=3, help="orthonormality grid radius")
@@ -417,14 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svd-threshold", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_check_wavelet)
 
-    p = sub.add_parser("check-scaling", help="translate-autocorrelation identity")
-    common(p)
+
+def _declare_check_scaling(p):
+    _common(p)
     p.add_argument("--function")
     p.add_argument("--coords")
     p.add_argument("--krange", type=int, default=6)
     p.set_defaults(fn=_cmd_check_scaling)
 
-    p = sub.add_parser("fourier-check", help="periodization-model checks")
+
+def _declare_fourier_check(p):
     p.add_argument("--fhat", required=True,
                    help="shannon_phi | shannon_psi | haar_phi | zero | indicator(a,b)")
     p.add_argument("--check", choices=["translates", "scaling", "multiplication"],
@@ -436,10 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_fourier_check)
 
-    p = sub.add_parser("filter", help="two-scale filter tooling",
-                       description="Two-scale filter tooling.  extract reads only "
-                       "--function and --krange; the other options do not change it.")
-    common(p, tol_default=1e-12)
+
+def _declare_filter(p):
+    _common(p, tol_default=1e-12)
     p.add_argument("verb", choices=["extract", "mirror", "check-orthogonality",
                                     "check-pair", "reconstruct"])
     p.add_argument("--function")
@@ -450,6 +469,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-m", type=int, default=0)
     p.set_defaults(fn=_cmd_filter)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="swl",
+        description="Coordinate spectral models for dyadic dilation and integer "
+        "translation: transfers, wavelet/MRA coordinate tests, filter tooling.",
+    )
+    top.add_argument("--version", action="version", version=f"swl {__version__}")
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub.add_parser("coords", help="oracle coefficients of a test function",
+                   declare=_declare_coords)
+    sub.add_parser("alpha", help="change-of-representation entries and rows",
+                   declare=_declare_alpha)
+    sub.add_parser("act", help="apply a group word D^p T^q or T^q D^p", declare=_declare_act)
+    sub.add_parser("check-wavelet", help="coordinate orthonormality + completeness",
+                   declare=_declare_check_wavelet)
+    sub.add_parser("check-scaling", help="translate-autocorrelation identity",
+                   declare=_declare_check_scaling)
+    sub.add_parser("fourier-check", help="periodization-model checks",
+                   declare=_declare_fourier_check)
+    sub.add_parser("filter", help="two-scale filter tooling",
+                   description="Two-scale filter tooling.  extract reads only "
+                   "--function and --krange; the other options do not change it.",
+                   declare=_declare_filter)
     return top
 
 

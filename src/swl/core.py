@@ -26,6 +26,7 @@ keys is built on first use, only to be read.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -561,47 +562,43 @@ def coords_from_doc(doc: Mapping) -> tuple[FCoordVec | GCoordVec, str]:
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats with 17 significant digits."""
-    return "".join(_canon(obj))
+    out: list[str] = []
+    _canon(obj, out)
+    return "".join(out)
 
 
-def _canon(obj):
+def _canon(obj, out: list[str]) -> None:
     if obj is None:
-        yield "null"
+        out.append("null")
     elif obj is True:
-        yield "true"
+        out.append("true")
     elif obj is False:
-        yield "false"
+        out.append("false")
     elif isinstance(obj, str):
-        import json as _json
-
-        yield _json.dumps(obj)
+        out.append(json.dumps(obj))
     elif isinstance(obj, int):
-        yield str(obj)
+        out.append(str(obj))
     elif isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
             raise ValueError("non-finite float in report")
-        yield format(obj, ".17g")
+        out.append(format(obj, ".17g"))
     elif isinstance(obj, complex):
-        yield from _canon({"re": obj.real, "im": obj.imag})
+        _canon({"re": obj.real, "im": obj.imag}, out)
     elif isinstance(obj, Mapping):
-        yield "{"
-        first = True
-        for key in sorted(obj.keys(), key=str):
-            if not first:
-                yield ","
-            first = False
-            import json as _json
-
-            yield _json.dumps(str(key))
-            yield ":"
-            yield from _canon(obj[key])
-        yield "}"
+        out.append("{")
+        for pos, key in enumerate(sorted(obj.keys(), key=str)):
+            if pos:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _canon(obj[key], out)
+        out.append("}")
     elif isinstance(obj, (list, tuple)):
-        yield "["
+        out.append("[")
         for pos, item in enumerate(obj):
             if pos:
-                yield ","
-            yield from _canon(item)
-        yield "]"
+                out.append(",")
+            _canon(item, out)
+        out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -45,6 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alpha import AlphaMatrix, column_terms, f_from_g, row_terms, scale_reach
+from .bases import check_dil_label
 from .core import (
     CheckReport,
     FCoordVec,
@@ -271,6 +272,12 @@ def check_wavelet_orthonormality(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Wi
 
 # -- completeness -------------------------------------------------------------
 
+def _dil_labels(A: AlphaMatrix, labels) -> list[tuple[int, int]]:
+    """The completeness labels (s, j) as ints; a label that is not one of
+    the family's raises ``ValueError``."""
+    return [check_dil_label(A.fam, int(s), int(j)) for s, j in labels]
+
+
 def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[int, int]],
                         row_window, w: Window) -> np.ndarray:
     """Window-truncated completeness matrix: rows (m, q), columns (s, j).
@@ -285,6 +292,7 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     psi's keys that can and each row pass only those entries of X: every
     entry read is summed from the same terms in the same order, bit for bit.
     """
+    labels = _dil_labels(A, labels)
     rows = _pq_grid(row_window)
     ms, qs = (sorted({row[k] for row in rows}) for k in (0, 1))
     index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3),
@@ -314,7 +322,7 @@ def check_wavelet_completeness(psi: GCoordVec, A: AlphaMatrix,
                                labels: Sequence[tuple[int, int]], row_window,
                                w: Window, rank_svd_threshold: float = 1e-8) -> CheckReport:
     """Rank test: the truncated completeness matrix should have full column rank."""
-    labels = [(int(s), int(j)) for s, j in labels]
+    labels = _dil_labels(A, labels)
     mat = completeness_matrix(psi, A, labels, row_window, w)
     sigma = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
     rank = int(np.sum(sigma > rank_svd_threshold))
@@ -354,6 +362,7 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
     The general-form residuals are evaluated too; a discrepancy between
     the two would be reported, never reconciled silently.
     """
+    labels = _dil_labels(A, labels)
     slice_coeffs: dict[int, complex] = {}
     for (s, j, m), val in candidate.items():
         if s != PLUS or m != 0:
@@ -384,7 +393,6 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
     if row_window is None:
         row_window = pq_range if isinstance(pq_range, int) else 3
     rows = _pq_grid(row_window)
-    labels = [(int(s), int(j)) for s, j in labels]
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
     for r, (m, q) in enumerate(rows):
         for c, (s, j) in enumerate(labels):

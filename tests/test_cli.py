@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON shape, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -184,6 +185,63 @@ def test_deterministic_output(capsys):
     assert doc["entries"][0]["re"] == pytest.approx(1 / math.sqrt(2))
 
 
+# one usage error per subcommand, caught by its own parser
+_USAGE = {
+    "coords": ("--basis", "haar"),
+    "alpha": ("--row", "1"),
+    "act": ("-p", "1"),
+    "check-wavelet": ("--pq", "x"),
+    "check-scaling": ("--krange", "1.5"),
+    "fourier-check": ("--check", "translates"),
+    "filter": ("bogus",),
+}
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--basis", "exponential", "--entry", "1", "0", "+", "1", "2"),
+    ("fourier-check", "--fhat", "zero", "--grid", "8", "--krange", "1"),
+    ("coords", "--help"),
+    ("filter", "bogus"),
+])
+def test_a_subcommand_request_builds_two_parsers(monkeypatch, capsys, argv):
+    built = _count_parsers(monkeypatch)
+    _invoke(capsys, *argv)
+    assert built == ["swl", f"swl {argv[0]}"]
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("--help",), ("bogus",), ()])
+def test_a_request_without_a_subcommand_builds_one_parser(monkeypatch, capsys, argv):
+    built = _count_parsers(monkeypatch)
+    _invoke(capsys, *argv)
+    assert built == ["swl"]
+
+
+@pytest.mark.parametrize("command", sorted(_USAGE))
+def test_subcommand_help(capsys, command):
+    code, out, err = _invoke(capsys, command, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: swl {command} ")
+
+
+@pytest.mark.parametrize("command", sorted(_USAGE))
+def test_subcommand_usage_error_exits_two(capsys, command):
+    code, out, err = _invoke(capsys, command, *_USAGE[command])
+    assert code == 2 and out == ""
+    assert f"\nswl {command}: error: " in err
+
+
 @pytest.mark.parametrize("argv", [
     ("fourier-check", "--fhat", "indicator(1/0,1)"),
     ("filter", "check-orthogonality", "--coeffs", '{"0": {"a": 1}}'),
@@ -210,6 +268,9 @@ def test_deterministic_output(capsys):
     ("check-scaling", "--basis", "haar", "--coords", "@exp_f"),
     ("check-wavelet", "--basis", "exponential", "--coords", "@exp_f"),
     ("check-scaling", "--basis", "exponential", "--coords", "@exp_g"),
+    # a completeness label that is not one of the family's
+    ("check-wavelet", "--basis", "haar", "--function", "haar_wavelet", "--labels", "+0,+-1",
+     "--pq", "1", "--window", "3"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
     # "@name" stands for a coefficient file holding files[name]

@@ -165,6 +165,18 @@ def test_negative_row_window_is_an_input_error(psi_tilde, A_haar, w_haar):
                                     row_window=-1)
 
 
+def test_invalid_completeness_labels_are_input_errors(psi_tilde, A_haar, w_haar):
+    # a sign that is not +-1, or a negative Haar label, is not a column to test
+    for bad in [(0, 1), (PLUS, -1), (2, 0)]:
+        labels = [(PLUS, 1), bad, (MINUS, 1)]
+        with pytest.raises(ValueError):
+            completeness_matrix(psi_tilde, A_haar, labels, 3, w_haar)
+        with pytest.raises(ValueError):
+            check_wavelet_completeness(psi_tilde, A_haar, labels, 3, w_haar, 1e-8)
+        with pytest.raises(ValueError):
+            check_example_unit_interval(GCoordVec({}), A_haar, 1, labels, w_haar)
+
+
 # -- compact support on [1, 2] -----------------------------------------------------
 
 def test_example_shifted_haar_wavelet_passes(A_haar, w_haar):
