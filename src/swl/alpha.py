@@ -68,6 +68,7 @@ from .core import (
     PLUS,
     TransIndex,
     Window,
+    bit_length,
     cis_frac,
     cmul,
     key_columns,
@@ -317,15 +318,6 @@ def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
 _WIDE = 1 << 62  # key components at or past this magnitude take the scalar tables
 
 
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """int.bit_length of each entry of a non-negative int64 array."""
-    e = np.frexp(x)[1].astype(np.int64)
-    if len(x) and x.max() >= 1 << 53:
-        # the float may round up to 2^e, and then x < 2^(e-1)
-        e -= ((x >> np.maximum(e - 1, 0)) == 0) & (x > 0)
-    return e
-
-
 def scale_reach(A: "AlphaMatrix", keys, top: int) -> np.ndarray:
     """Which keys can lead to a dilation target of level at most ``top``
     by the Haar scale rule (module docstring).
@@ -339,9 +331,9 @@ def scale_reach(A: "AlphaMatrix", keys, top: int) -> np.ndarray:
     if A.fam.name != "haar" or any(c.dtype != np.int64 for c in keys):
         return np.ones(len(keys[0]), dtype=bool)
     if len(keys) == 3:
-        label, level = keys[1], _bit_length(keys[1]) + keys[2]
+        label, level = keys[1], bit_length(keys[1]) + keys[2]
     else:
-        label, level = keys[0], _bit_length(keys[0])
+        label, level = keys[0], bit_length(keys[0])
     return (label == 0) | (level <= max(top, 0))
 
 
@@ -368,13 +360,13 @@ def _haar_row_map(i: np.ndarray, n: np.ndarray):
     single = ~(ladder | box) & (((i | np.abs(n)) >> 62) == 0)
     if not single.all():
         i, n = i[single], n[single]
-    r = _bit_length(i) - 1  # i = 2^r + t; r = -1 only for i = 0
+    r = bit_length(i) - 1  # i = 2^r + t; r = -1 only for i = 0
     rc = np.maximum(r, 0)
     t = i - (1 << rc)
     # n >= 1 is 2^u + v and n <= -2 is -2^(u+1) + v, both at scale -u, with
     # label (lead << r) + t for lead = 2^u + v (so n = 1 and n = -2 give i)
     up = n > 0
-    u = _bit_length(np.where(up, n, ~n) | 1) - 1
+    u = bit_length(np.where(up, n, ~n) | 1) - 1
     j = (np.where(up, n, n + (3 << u)) << rc) + t
     m = -u
     edge = (n == 0) | (n == -1)
@@ -382,7 +374,7 @@ def _haar_row_map(i: np.ndarray, n: np.ndarray):
         # n = 0: label t at scale r - p, p = bit_length(t) - 1; n = -1: label
         # 2^p + q at scale r - p, p from the mirrored offset 2^r - t - 1
         zero = n == 0
-        p = _bit_length(np.where(zero, t, (1 << rc) - t - 1) | 1) - 1
+        p = bit_length(np.where(zero, t, (1 << rc) - t - 1) | 1) - 1
         j = np.where(zero, t, np.where(edge, (3 << p) + t - (1 << rc), j))
         m = np.where(edge, r - p, m)
     s = np.where(n >= 0, PLUS, MINUS)
@@ -404,7 +396,7 @@ def _haar_column_map(s: np.ndarray, j: np.ndarray, m: np.ndarray):
     box = j == 0
     label = (j > 0) & (j < _WIDE)
     # a wavelet label j = 2^p + q gives one entry when 0 <= a = p + m <= 61
-    p = _bit_length(np.where(label, j, 1)) - 1
+    p = bit_length(np.where(label, j, 1)) - 1
     a = p + np.minimum(np.maximum(m, -64), 64)
     single = np.where(box, m == 0, label & (a >= 0) & (a <= 61))
     if not single.any():
@@ -431,7 +423,7 @@ def _haar_row_runs(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
     at = np.flatnonzero(ladder & (i >= 0))
     if len(at):
         li, ln = i[at], n[at]
-        r = np.maximum(_bit_length(li) - 1, 0)  # the ladder starts at scale r + 1
+        r = np.maximum(bit_length(li) - 1, 0)  # the ladder starts at scale r + 1
         counts = np.clip(m_hi - r, 0, _LADDER_DEPTH)  # up to _ladder_top
         clipped = np.where(m_hi <= r, 1.0, np.ldexp(1.0, np.minimum(r - m_hi, 0)))  # _ladder_tail
         key, pos = _runs(counts)
@@ -445,7 +437,7 @@ def _haar_row_runs(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
     at = np.flatnonzero(box)
     if len(at):
         bn = n[at]
-        u = _bit_length(np.where(bn > 0, bn, ~bn)) - 1  # n = 2^u + v or -2^(u+1) + v
+        u = bit_length(np.where(bn > 0, bn, ~bn)) - 1  # n = 2^u + v or -2^(u+1) + v
         fit = u <= 61
         at, bn, u = at[fit], bn[fit], u[fit]
     if len(at):
@@ -493,7 +485,7 @@ def _haar_column_runs(s: np.ndarray, j: np.ndarray, m: np.ndarray) -> list:
     at = np.flatnonzero((j >= 0) & (j < _WIDE) & (m < 0))
     if len(at):
         bj, plus = j[at], s[at] == PLUS
-        p = _bit_length(bj | 1) - 1
+        p = bit_length(bj | 1) - 1
         b = np.where(bj == 0, np.where(plus, 1, -2), np.where(plus, bj, bj - (3 << p)))
         u = -(p + np.maximum(m[at], -64))
         fit = (u > 0) & (u <= 61)

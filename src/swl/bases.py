@@ -13,10 +13,13 @@ step 1:
 Every basis element and every piecewise test function is described once,
 as atoms in integers: (lo, hi, exp, coeffs, fnum, fexp) is the polynomial
 ``coeffs`` times e^{2 pi i fnum 2^fexp x} on [lo 2^-exp, hi 2^-exp).
-``int_atoms`` gives a basis element's, ``factor_atoms`` those of any
-factor (a piecewise FunctionSpec's pieces at frequency 0).  A basis
-element's support, the point values (on scalars or whole arrays) and both
-oracle routes read them.
+``int_atoms`` gives a basis element's and is the scalar definition: a
+basis element's support, its point values (on scalars or whole arrays),
+``factor_atoms`` (the atoms of any factor; a piecewise FunctionSpec's
+pieces at frequency 0) and the oracle's GL16 route read it.
+``window_atoms`` builds the atoms of every element of a window at once,
+as integer columns equal entry for entry to ``int_atoms`` over the keys;
+the oracle's exact-route grids read those.
 
 All intervals are half-open [a, b); pointwise values at breakpoints follow
 the left-closed rule.  This is a measure-zero convention with no effect on
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DilIndex, MINUS, PLUS, TransIndex
+from .core import _WIDE, DilIndex, MINUS, PLUS, TransIndex, bit_length, int_columns
 
 
 class InvalidLabelError(ValueError):
@@ -97,14 +100,19 @@ _TICKS = 53  # phases are counted in 2^-53 turns
 _TICK_MASK = (1 << _TICKS) - 1
 
 
+def _amplitude(a: int) -> float:
+    # 2^{a/2}: 0.0 below scale -1074, and OverflowError past scale 1023
+    return math.sqrt(2.0 ** a)
+
+
 def _box(a: int, b: int, k: int = 0, e: int = 0) -> tuple[tuple, ...]:
     # 2^{a/2} e^{2 pi i k 2^e x} on [b 2^-a, (b+1) 2^-a)
-    return ((b, b + 1, a, (math.sqrt(2.0 ** a) + 0j,), k, e),)
+    return ((b, b + 1, a, (_amplitude(a) + 0j,), k, e),)
 
 
 def _psi(a: int, b: int) -> tuple[tuple, ...]:
     # 2^{a/2} psi(2^a x - b): +2^{a/2}, then -2^{a/2}, on the halves of the box at scale a
-    amp = math.sqrt(2.0 ** a)
+    amp = _amplitude(a)
     b *= 2
     return ((b, b + 1, a + 1, (amp + 0j,), 0, 0), (b + 1, b + 2, a + 1, (-amp + 0j,), 0, 0))
 
@@ -196,6 +204,64 @@ def int_atoms(fam: BasisFamily, index) -> tuple[tuple, ...]:
         return _box(m, 1 if s == PLUS else -2, j, m)
     kind, a, b = haar_dil_atom(s, j, m)
     return _box(a, b) if kind == "phi" else _psi(a, b)
+
+
+def window_atoms(fam: BasisFamily, key_columns) -> tuple[np.ndarray, ...]:
+    """The atoms of every element of a window, built as columns in one step.
+
+    ``key_columns`` are the (i, n) or (s, j, m) columns of valid labels, as
+    ``core.key_columns`` gives them.  The result is (owner, lo, hi, exp,
+    amplitude, fnum, fexp): atom k is the constant ``amplitude[k]`` times
+    e^{2 pi i fnum 2^fexp x} on [lo 2^-exp, hi 2^-exp), an atom of the
+    element ``owner[k]``.  Entry for entry, these are the atoms of
+    ``int_atoms`` over the keys in order, amplitudes rounded alike (so a
+    scale past 1023 raises ``OverflowError``).  The integer columns are
+    int64 while every value is below 2^62 in magnitude, else object arrays
+    of Python ints.
+    """
+    cols = tuple(key_columns)
+    top = max((max(-int(c.min()), int(c.max())) for c in cols if len(c)), default=0)
+    # a bound on every value the arithmetic below makes
+    bound = top + 2 if fam.name == "exponential" else (top + 2) << (top.bit_length() + 3)
+    wide = bound >= _WIDE or any(c.dtype == object for c in cols)
+    if wide:
+        cols = tuple(c.astype(object) for c in cols)
+    zeros = cols[0] * 0
+    psi = None  # the keys that are wavelets: two atoms each, on the halves of their box
+    if len(cols) == 2:
+        label, n = cols
+        if fam.name == "exponential":
+            a, b, fnum, fexp = zeros, n, label, zeros
+        else:
+            p = bit_length(label | 1) - 1
+            psi = label > 0
+            a, b = np.where(psi, p, 0), np.where(psi, label - (1 << p) + (n << p), n)
+    else:
+        s, label, m = cols
+        b = np.where(s == PLUS, 1, -2)  # the box on [1, 2) or [-2, -1) at scale m
+        if fam.name == "exponential":
+            a, fnum, fexp = m, label, m
+        else:
+            p = bit_length(label | 1) - 1
+            psi = label > 0
+            a = np.where(psi, p + m, m)
+            b = np.where(psi, np.where(s == PLUS, label, label - (3 << p)), b)
+    if fam.name == "haar":
+        fnum = fexp = zeros
+    scales, at = np.unique(a, return_inverse=True)
+    amp = np.array([_amplitude(int(v)) for v in scales.tolist()])[at]
+    owner = np.arange(len(a))
+    if psi is not None and psi.any():
+        owner = np.repeat(owner, psi + 1)
+        second = np.zeros(len(owner), dtype=bool)
+        second[1:] = owner[1:] == owner[:-1]
+        a, b = (a + psi)[owner], np.where(psi, 2 * b, b)[owner] + second
+        # -amp + 0j rounds the sign of -0.0 away
+        amp = np.where(second, -amp[owner], amp[owner]) + 0.0
+        fnum, fexp = fnum[owner], fexp[owner]
+    ints = (b, b + 1, a, fnum, fexp)
+    lo, hi, exp, fnum, fexp = int_columns(ints) if wide else ints
+    return owner, lo, hi, exp, amp, fnum, fexp
 
 
 def factor_atoms(factor) -> tuple[tuple, ...] | None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .alpha import AlphaMatrix, alpha_row
-from .bases import BasisFamily, family, parse_function_spec
+from .bases import BasisFamily, check_dil_label, family, parse_function_spec
 from .core import (
     CheckReport,
     FCoordVec,
@@ -241,6 +241,8 @@ def _cmd_act(args) -> int:
 
 def _cmd_check_wavelet(args) -> int:
     fam = family(args.basis)
+    # completeness labels are input: rejected before any coordinate work
+    labels = _parse_labels(args.labels, fam) if args.labels else _default_labels(fam, 6)
     A = AlphaMatrix(fam)
     w = _window(fam, args.window, args.mmax)
     vec, spec = _candidate(args, fam, w, "G")
@@ -248,7 +250,6 @@ def _cmd_check_wavelet(args) -> int:
     report = check_wavelet_orthonormality(
         vec, A, args.pq, w, args.tol, candidate_tail_sq=tail_sq
     )
-    labels = _parse_labels(args.labels) if args.labels else _default_labels(fam, 6)
     comp = check_wavelet_completeness(vec, A, labels, args.pq * 2, w, args.svd_threshold)
     doc = _report_doc(report, args, pq=args.pq, function=getattr(args, "function", None))
     doc["completeness"] = comp.to_dict()
@@ -351,7 +352,8 @@ def _cmd_filter(args) -> int:
     return 0 if report.passed else _CHECK_FAIL
 
 
-def _parse_labels(text: str) -> list[tuple[int, int]]:
+def _parse_labels(text: str, fam: BasisFamily) -> list[tuple[int, int]]:
+    """Dilation labels such as '+0,+1,-0', each checked against the family."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -359,7 +361,7 @@ def _parse_labels(text: str) -> list[tuple[int, int]]:
             continue
         if part[0] not in "+-":
             raise InputError(f"label {part!r} must look like +3 or -0")
-        out.append((sign_value(part[0]), int(part[1:])))
+        out.append(check_dil_label(fam, sign_value(part[0]), int(part[1:])))
     return out
 
 

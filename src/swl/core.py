@@ -190,6 +190,29 @@ def key_columns(keys, width: int) -> tuple[np.ndarray, ...]:
     return tuple(flat[k::width].copy() for k in range(width))
 
 
+_WIDE = 1 << 62  # integer columns at or past this magnitude are Python ints
+
+
+def int_columns(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Integer columns (int64 or Python ints) in one dtype: int64 when every
+    entry is below 2^62 in magnitude, else object arrays of Python ints."""
+    for c in cols:
+        if len(c) and (c.min() <= -_WIDE or c.max() >= _WIDE):
+            return tuple(c.astype(object) for c in cols)
+    return tuple(np.asarray(c, dtype=np.int64) for c in cols)
+
+
+def bit_length(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of each entry of a non-negative int64 or Python-int array."""
+    if x.dtype == object:
+        return np.array([v.bit_length() for v in x.tolist()], dtype=object)
+    e = np.frexp(x)[1].astype(np.int64)
+    if len(x) and x.max() >= 1 << 53:
+        # the float may round up to 2^e, and then x < 2^(e-1)
+        e -= ((x >> np.maximum(e - 1, 0)) == 0) & (x > 0)
+    return e
+
+
 def _as_int64(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     # one dtype per vector: int64 unless some component is past int64
     if all(c.dtype == np.int64 for c in cols):

@@ -1,18 +1,21 @@
 """Brute-force inner products: the provenance oracle for every closed form.
 
 Inner products ``\\int f(x) conj(g(x)) dx`` are evaluated by one of two
-routes, both reading the factors' integer atoms from
-``bases.factor_atoms``: (lo, hi, exp, coeffs, fnum, fexp) is ``coeffs``
-times e^{2 pi i fnum 2^fexp x} on [lo 2^-exp, hi 2^-exp), the one
-description of every basis element and every piecewise FunctionSpec.
-The oracle never reads ``alpha``.
+routes, both reading the factors' integer atoms: (lo, hi, exp, coeffs,
+fnum, fexp) is ``coeffs`` times e^{2 pi i fnum 2^fexp x} on
+[lo 2^-exp, hi 2^-exp), the one description of every basis element and
+every piecewise FunctionSpec.  ``bases.factor_atoms`` gives a factor's
+as tuples and ``bases.window_atoms`` those of every element of a window
+as integer columns, entry for entry the same.  The oracle never reads
+``alpha``.
 
 * exact piecewise integration of each pair of atoms when both factors
   have atoms -- the antiderivatives are closed forms, so the only error
-  is double rounding.  Every atom endpoint is an integer over one common
-  power of two (int64, or Python ints past 2^62), so the overlapping
-  pairs come from integer comparisons and factors that do not meet give
-  0j.  All pairs are integrated at once on arrays: the product
+  is double rounding.  The pass runs on one atom table (``_Atoms``).  Every
+  atom endpoint is an integer over one common power of two (int64, or
+  Python ints past 2^62), so the overlapping pairs come from integer
+  comparisons first, and factors that do not meet give 0j.  Only those
+  pairs are gathered and integrated, all at once on arrays: the product
   polynomial, its binomial shift about the left end a, the moments
   integral_0^h u^l e^{i omega u} du (upward recurrence where l <= |omega
   h|, else a series and the downward recurrence), and the phase
@@ -32,9 +35,10 @@ The oracle never reads ``alpha``.
   they are sorted and clipped exactly.
 
 The coefficient grids of a piecewise function integrate the whole window
-in one exact pass: the atoms of every window element against those of
-the function, summed per element.  ``inner_products`` runs the same pass
-over any list of factors and ``inner_product`` over a list of one, so a
+in one exact pass: the atoms of every window element, built in one
+``bases.window_atoms`` call, against those of the function, summed per
+element.  ``inner_products`` runs the same pass on the atom table of any
+list of factors' tuple atoms and ``inner_product`` on a list of one, so a
 grid holds exactly the values ``inner_product`` gives.  The zero rule of
 the coordinate vectors drops the elements that do not meet the function.
 For the gaussian, each element goes through the GL16 route.
@@ -44,8 +48,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,27 +64,61 @@ from .bases import (
     check_trans_label,
     factor_atoms,
 )
-from .core import _TWO_PI, FCoordVec, GCoordVec, Window, key_columns, keep_mask
+from .core import _TWO_PI, FCoordVec, GCoordVec, Window, int_columns, key_columns, keep_mask
 
 
 # -- exact route: atom pairs on integer dyadic endpoints ----------------------
 
-_WIDE = 1 << 62  # integer columns at or past this magnitude are Python ints
+class _Atoms(NamedTuple):
+    """An atom table: row k is the polynomial ``coef[k]`` (increasing
+    degree, zero past ``deg[k]``) times e^{2 pi i fnum 2^fexp x} on
+    [lo 2^-exp, hi 2^-exp), an atom of the factor ``owner[k]``.  ``ints``
+    holds the rows lo, hi, exp, fnum and fexp, int64 or Python ints.  The
+    exact pass reads f's atoms first (owner -1), then those of the g's
+    (owner k for the k-th g, in owner order)."""
+
+    owner: np.ndarray
+    ints: np.ndarray
+    coef: np.ndarray
+    deg: np.ndarray
 
 
-def _int_columns(*cols: list[int]) -> list[np.ndarray]:
-    """int64 arrays when every entry is below 2^62 in magnitude, else
-    object arrays of Python ints, one dtype for all."""
-    flat = [v for c in cols for v in c]
+def _atom_table(fe, ges=()) -> _Atoms:
+    """The atom table of f's tuple atoms and then those of each g (None or
+    () for a factor without atoms)."""
+    ints, coefs = [], []
+    for k, atoms in enumerate((fe, *ges), -1):
+        for lo, hi, exp, coeffs, fnum, fexp in atoms or ():
+            ints.append((lo, hi, exp, fnum, fexp, k, len(coeffs) - 1))
+            coefs.append(coeffs)
+    width = max(map(len, coefs), default=1)
+    coef = np.array([c + (0j,) * (width - len(c)) for c in coefs], dtype=complex)
     try:
-        arr = np.array(flat, dtype=np.int64)
-        wide = len(arr) and (arr.min() <= -_WIDE or arr.max() >= _WIDE)
+        ints = np.array(ints, dtype=np.int64).reshape(-1, 7).T
     except OverflowError:
-        wide = True
-    if wide:
-        arr = np.array(flat, dtype=object)
-    ends = np.cumsum([len(c) for c in cols]).tolist()
-    return [arr[end - len(c):end] for c, end in zip(cols, ends)]
+        ints = np.array(ints, dtype=object).reshape(-1, 7).T
+    owner, deg = ints[5].astype(np.int64, copy=False), ints[6].astype(np.int64, copy=False)
+    return _Atoms(owner, ints[:5], coef.reshape(-1, width), deg)
+
+
+def _with_window(fa: _Atoms, owner, lo, hi, exp, amplitude, fnum, fexp) -> _Atoms:
+    """f's atom table followed by the constant atoms of ``bases.window_atoms``."""
+    coef = np.zeros((len(owner), fa.coef.shape[1]), dtype=complex)
+    coef[:, 0] = amplitude
+    return _Atoms(np.concatenate([fa.owner, owner]),
+                  np.concatenate([fa.ints, np.array([lo, hi, exp, fnum, fexp])], axis=1),
+                  np.concatenate([fa.coef, coef]),
+                  np.concatenate([fa.deg, np.zeros(len(owner), dtype=np.int64)]))
+
+
+def _shift_left(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x 2^s for integer arrays x and s >= 0, exactly: int64 when every
+    entry is below 2^62 in magnitude, else Python ints."""
+    if x.dtype != object and s.dtype != object:
+        # |x| < 2^e, so an int64 shift is exact while e <= 62 - s
+        if (np.frexp(x)[1] <= 62 - s).all():
+            return x << s
+    return int_columns((x.astype(object) << s.astype(object),))[0]
 
 
 def _over_pow2(x: np.ndarray, k: int) -> np.ndarray:
@@ -102,11 +140,6 @@ def _int_turns(freq: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
     return _over_pow2((freq * x) % (1 << e), e)
 
 
-def _coefficients(atoms: tuple[tuple, ...]) -> np.ndarray:
-    width = max(len(at[3]) for at in atoms)
-    return np.array([at[3] + (0j,) * (width - len(at[3])) for at in atoms], dtype=complex)
-
-
 def _series_terms(top: int) -> int:
     """Terms t = 1.. the E_top series takes: term t is x^t (top + 1)! /
     (top + t + 1)! of the first, and x < top + 1, so after these the next
@@ -116,6 +149,30 @@ def _series_terms(top: int) -> int:
         t += 1
         ratio *= (top + 1) / (top + 1 + t)
     return t
+
+
+def _series(x: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_t (-ix)^t top! / (top + t + 1)! over t = 0.._series_terms(top)
+    for each pair, as (real, imaginary) arrays.
+
+    Term t is z_t = z_{t-1} (-i q_t) with q_t = x / (top + 1 + t) and
+    z_0 = 1 / (top + 1), so one running product carries the nonzero part of
+    each z_t, a second the signed zero of its other part, and t mod 4
+    places them; each pair's terms are summed in order.  These are the
+    roundings of the step-by-step recurrence in Python's complex
+    component arithmetic.
+    """
+    terms = np.array([_series_terms(t) for t in range(int(top.max()) + 1)])[top]
+    q = x[:, None] / (top[:, None] + 1 + np.arange(1, int(terms.max()) + 1))
+    main = np.cumprod(np.column_stack([1.0 / (top + 1), q]), axis=1)
+    zero = np.cumprod(np.column_stack([np.zeros(len(x)), q]), axis=1)
+    re, im = np.empty_like(main), np.empty_like(main)
+    re[:, 0::4], im[:, 0::4] = main[:, 0::4], zero[:, 0::4]
+    re[:, 1::4], im[:, 1::4] = zero[:, 1::4], -main[:, 1::4]
+    re[:, 2::4], im[:, 2::4] = -main[:, 2::4], -zero[:, 2::4]
+    re[:, 3::4], im[:, 3::4] = -zero[:, 3::4], main[:, 3::4]
+    last = (np.arange(len(x)), terms)
+    return np.cumsum(re, axis=1)[last], np.cumsum(im, axis=1)[last]
 
 
 def _moments(top: np.ndarray, x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,19 +208,11 @@ def _moments(top: np.ndarray, x: np.ndarray, width: int) -> tuple[np.ndarray, np
     rows = np.flatnonzero(up < top)
     if len(rows):
         xs, c, s, u, tops = x[rows], cos[rows], sin[rows], up[rows], top[rows]
-        hi = int(tops.max())
-        terms = np.array([_series_terms(t) for t in range(hi + 1)])[tops]
-        tr, ti = 1.0 / (tops + 1), np.zeros(len(rows))
-        sr, si = tr, ti
-        for t in range(1, int(terms.max()) + 1):
-            q = xs / (tops + 1 + t)
-            tr, ti = ti * q, -(tr * q)
-            live = terms >= t
-            sr, si = np.where(live, sr + tr, sr), np.where(live, si + ti, si)
+        sr, si = _series(xs, tops)
         top_r, top_i = c * sr - s * si, c * si + s * sr
         er_out[rows, tops], ei_out[rows, tops] = top_r, top_i
         er, ei = np.zeros(len(rows)), np.zeros(len(rows))
-        for l in range(hi, 0, -1):
+        for l in range(int(tops.max()), 0, -1):
             start = tops == l
             er, ei = np.where(start, top_r, er), np.where(start, top_i, ei)
             er, ei = (c + xs * ei) / l, (s - xs * er) / l
@@ -173,54 +222,69 @@ def _moments(top: np.ndarray, x: np.ndarray, width: int) -> tuple[np.ndarray, np
     return er_out, ei_out
 
 
-def _exact_sums(fa: tuple[tuple, ...] | None, gas: list[tuple[tuple, ...] | None]) -> list[complex]:
-    """integral f conj(g) for each g of ``gas``, f and each g given by their
-    atoms; a g without atoms (None) is left at 0j.
+@lru_cache(maxsize=64)
+def _binomials(width: int) -> tuple[np.ndarray, ...]:
+    """Rows k < width of Pascal's triangle as read-only doubles; from the
+    top row down, so a degree past double range raises before anything is
+    built."""
+    rows = [np.array([float(math.comb(k, l)) for l in range(k + 1)])
+            for k in range(width - 1, -1, -1)][::-1]
+    for row in rows:
+        row.flags.writeable = False
+    return tuple(rows)
+
+
+def _exact_sums(atoms: _Atoms, nf: int, count: int) -> np.ndarray:
+    """integral f conj(g_k) for k < ``count`` from an atom table whose first
+    ``nf`` rows are f's; a g without atoms gives 0j.
 
     Every endpoint is an integer over one 2^K, so the overlapping atom pairs
-    come from integer comparisons and atoms that meet nothing cost nothing.
-    All pairs are integrated at once, and each g's pair integrals are
-    summed with ``math.fsum``, which is correctly rounded, so a value does
-    not depend on which other pairs share the batch.
+    come from integer comparisons first, and only those pairs are gathered
+    and integrated, all at once.  Each g's pair integrals are summed with
+    ``math.fsum``, which is correctly rounded, so a value does not depend on
+    which other pairs share the batch.
     """
-    out = [0j] * len(gas)
-    ga, owner = [], []
-    for k, atoms in enumerate(gas):
-        if atoms:
-            ga += atoms
-            owner += [k] * len(atoms)
-    if not fa or not ga:
+    out = np.zeros(count, dtype=complex)
+    n = len(atoms.owner)
+    if not nf or nf == n:
         return out
-    K = max(0, max(at[2] for at in fa), max(at[2] for at in ga))
-    D = max([0] + [-at[5] for at in (*fa, *ga) if at[4]])  # frequencies over 2^D
-    lo_f, hi_f, nu_f, lo_g, hi_g, nu_g = _int_columns(
-        [at[0] << (K - at[2]) for at in fa], [at[1] << (K - at[2]) for at in fa],
-        [at[4] << (at[5] + D) if at[4] else 0 for at in fa],
-        [at[0] << (K - at[2]) for at in ga], [at[1] << (K - at[2]) for at in ga],
-        [at[4] << (at[5] + D) if at[4] else 0 for at in ga])
+    ints = atoms.ints
+    lo, hi, exp, fnum, fexp = ints[0], ints[1], ints[2], ints[3], ints[4]
+    K = max(0, int(exp.max()))
+    freq = fnum != 0
+    waves = freq.any()  # without a frequency every omega is 0 and every phase 1
+    D = -int(fexp.min(initial=0, where=freq))  # frequencies over 2^D
+    # endpoints over 2^K and frequencies over 2^D, in one dtype
+    shift = K - exp
+    ends = _shift_left(np.concatenate([lo, hi, fnum]),
+                       np.concatenate([shift, shift, (fexp + D) * freq]))
+    lo_f, hi_f, nu_f = ends[:nf], ends[n:n + nf], ends[2 * n:2 * n + nf]
+    lo_g, hi_g, nu_g = ends[nf:n], ends[n + nf:2 * n], ends[2 * n + nf:]
     # pairs in g-atom order, so each g's pairs are consecutive
     gi, fi = np.nonzero((lo_g[:, None] < hi_f) & (lo_f < hi_g[:, None]))
     if not len(fi):
         return out
-    cf, cg = _coefficients(fa), np.conj(_coefficients(ga))
-    width = cf.shape[1] + cg.shape[1] - 1
-    # binomials from the top row down, so a degree past double range stops here
-    comb = [[float(math.comb(k, l)) for l in range(k + 1)] for k in range(width - 1, -1, -1)][::-1]
+    # each side's coefficients as wide as its highest degree
+    deg_f, deg_g = atoms.deg[:nf], atoms.deg[nf:]
+    wf, wg = int(deg_f.max()) + 1, int(deg_g.max()) + 1
+    width = wf + wg - 1
+    comb = _binomials(width)
 
     A = np.maximum(lo_f[fi], lo_g[gi])
     h = _over_pow2(np.minimum(hi_f[fi], hi_g[gi]) - A, K)
     a = _over_pow2(A, K)
-    nu = nu_f[fi] - nu_g[gi]
-    omega = _TWO_PI * _over_pow2(nu, D)
+    if waves:
+        nu = nu_f[fi] - nu_g[gi]
+        omega = _TWO_PI * _over_pow2(nu, D)
     pairs = len(fi)
 
     # the product polynomial p_f conj(p_g), then p(a + u) in powers of u
-    F, G = cf[fi], cg[gi]
+    F, G = atoms.coef[fi, :wf], np.conj(atoms.coef[nf:][gi, :wg])
     pr, pi = np.zeros((pairs, width)), np.zeros((pairs, width))
-    for k in range(cg.shape[1]):
+    for k in range(G.shape[1]):
         g_re, g_im = G[:, k, None].real, G[:, k, None].imag
-        pr[:, k:k + cf.shape[1]] += F.real * g_re - F.imag * g_im
-        pi[:, k:k + cf.shape[1]] += F.real * g_im + F.imag * g_re
+        pr[:, k:k + F.shape[1]] += F.real * g_re - F.imag * g_im
+        pi[:, k:k + F.shape[1]] += F.real * g_im + F.imag * g_re
     apow = np.ones((pairs, width))
     hpow = np.empty((pairs, width))  # h^{l+1}
     hpow[:, 0] = h
@@ -229,16 +293,15 @@ def _exact_sums(fa: tuple[tuple, ...] | None, gas: list[tuple[tuple, ...] | None
         hpow[:, l] = hpow[:, l - 1] * h
     sr, si = np.zeros((pairs, width)), np.zeros((pairs, width))
     for k in range(width):
-        ck = np.array(comb[k])
-        sr[:, :k + 1] += (pr[:, k, None] * ck) * apow[:, k::-1]
-        si[:, :k + 1] += (pi[:, k, None] * ck) * apow[:, k::-1]
+        sr[:, :k + 1] += (pr[:, k, None] * comb[k]) * apow[:, k::-1]
+        si[:, :k + 1] += (pi[:, k, None] * comb[k]) * apow[:, k::-1]
 
     # integral_0^h u^l e^{i omega u} du = h^{l+1} E_l(omega h)
-    top = (np.array([len(at[3]) for at in fa]) - 1)[fi] + (np.array([len(at[3]) for at in ga]) - 1)[gi]
     jr, ji = hpow / np.arange(1, width + 1), np.zeros((pairs, width))
-    osc = np.flatnonzero(omega != 0)
+    osc = np.flatnonzero(omega) if waves else ()
     if len(osc):
-        er, ei = _moments(top[osc], omega[osc] * h[osc], width)
+        top = deg_f[fi[osc]] + deg_g[gi[osc]]
+        er, ei = _moments(top, omega[osc] * h[osc], width)
         jr[osc], ji[osc] = hpow[osc] * er, hpow[osc] * ei
     vr, vi = np.zeros(pairs), np.zeros(pairs)
     for l in range(width):
@@ -246,12 +309,12 @@ def _exact_sums(fa: tuple[tuple, ...] | None, gas: list[tuple[tuple, ...] | None
         vi += sr[:, l] * ji[:, l] + si[:, l] * jr[:, l]
 
     # times e^{2 pi i nu a}, the phase reduced exactly
-    if nu.any():
+    if waves and nu.any():
         turns = _TWO_PI * _int_turns(nu, A, K + D)
         c, s = np.cos(turns), np.sin(turns)
         vr, vi = c * vr - s * vi, c * vi + s * vr
 
-    own = np.array(owner)[gi].tolist()
+    own = atoms.owner[nf:][gi].tolist()
     vr, vi = vr.tolist(), vi.tolist()
     cuts = [0] + [k for k in range(1, pairs) if own[k] != own[k - 1]] + [pairs]
     for lo, hi in zip(cuts, cuts[1:]):
@@ -296,7 +359,7 @@ def inner_products(f, gs, quadrature_tol: float = 1e-10) -> list[complex]:
     the GL16 route one g at a time."""
     fe = factor_atoms(f)
     ges = [None] * len(gs) if fe is None else [factor_atoms(g) for g in gs]
-    out = _exact_sums(fe, ges)
+    out = _exact_sums(_atom_table(fe, ges), len(fe or ()), len(gs)).tolist()
     sampled = [k for k, ge in enumerate(ges) if ge is None]
     if sampled:
         ff = _gl_factor(f, fe)  # f's cut, once for every g
@@ -360,31 +423,32 @@ def _sampled(ff, gg, quadrature_tol: float) -> complex:
 def _grid(f: FunctionSpec, fam: BasisFamily, keys: list[tuple], vec_type, quadrature_tol: float):
     """The coordinates of ``f`` against the elements ``keys``, in key order,
     zero rule applied."""
+    cols = key_columns(keys, vec_type._width)
     fe = factor_atoms(f)
     if fe is None:
         make = L_elem if vec_type is FCoordVec else K_elem
-        vals = inner_products(f, [make(fam, *key) for key in keys], quadrature_tol)
+        vals = np.array(inner_products(f, [make(fam, *key) for key in keys], quadrature_tol),
+                        dtype=complex)
     else:
-        vals = _exact_sums(fe, [bases.int_atoms(fam, key) for key in keys])
-    vals = np.array(vals, dtype=complex)
-    kept = np.flatnonzero(keep_mask(vals))
-    cols = key_columns([keys[k] for k in kept.tolist()], vec_type._width)
-    return vec_type._from_columns(cols, vals[kept])
+        atoms = _with_window(_atom_table(fe), *bases.window_atoms(fam, cols))
+        vals = _exact_sums(atoms, len(fe), len(keys))
+    kept = keep_mask(vals)
+    return vec_type._from_columns(tuple(c[kept] for c in cols), vals[kept])
 
 
 def oracle_F_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> FCoordVec:
     """All translation-model coefficients of ``f`` inside the window."""
-    keys = [(check_trans_label(fam, i), n) for i in w.trans_labels
-            for n in range(w.trans_range[0], w.trans_range[1] + 1)]
+    labels = [check_trans_label(fam, i) for i in w.trans_labels]
+    keys = [(i, n) for i in labels for n in range(w.trans_range[0], w.trans_range[1] + 1)]
     return _grid(f, fam, keys, FCoordVec, quadrature_tol)
 
 
 def oracle_G_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> GCoordVec:
     """All dilation-model coefficients of ``f`` inside the window."""
-    keys = [(*check_dil_label(fam, s, j), m) for s, j in w.dil_labels
-            for m in range(w.dil_range[0], w.dil_range[1] + 1)]
+    labels = [check_dil_label(fam, s, j) for s, j in w.dil_labels]
+    keys = [(s, j, m) for s, j in labels for m in range(w.dil_range[0], w.dil_range[1] + 1)]
     return _grid(f, fam, keys, GCoordVec, quadrature_tol)
 
 

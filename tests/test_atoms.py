@@ -11,8 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
 from swl import EXPONENTIAL, HAAR, FunctionSpec, K_elem, L_elem  # noqa: E402
-from swl.bases import int_atoms  # noqa: E402
-from swl.core import MINUS, PLUS  # noqa: E402
+from swl.bases import int_atoms, window_atoms  # noqa: E402
+from swl.core import MINUS, PLUS, key_columns  # noqa: E402
 from swl.quadrature import inner_product  # noqa: E402
 
 signs = st.sampled_from([PLUS, MINUS])
@@ -133,3 +133,56 @@ def test_gaussian_coordinates_against_mpmath(s, j, m):
                            mpmath.linspace(lo, hi, 2 * abs(j) + 2))
     got = inner_product(FunctionSpec.gaussian(1), elem)
     assert abs(got - complex(want)) <= 1e-10
+
+
+# -- a window's atoms as columns -------------------------------------------------
+
+# past 2^62 the columns hold Python ints; scales past 1023 overflow the
+# amplitude 2^(m/2) and those below -1074 underflow it to 0.0
+huge = st.integers(-2 ** 70, 2 ** 70)
+column_haar_labels = st.one_of(haar_labels, st.integers(0, 2 ** 62), st.integers(0, 2 ** 70))
+column_exp_labels = st.one_of(exp_labels, st.integers(-2 ** 62, 2 ** 62), huge)
+column_shifts = st.one_of(shifts, st.integers(-2 ** 40, 2 ** 40), huge)
+column_scales = st.one_of(scales, st.integers(-1100, 1100), huge)
+
+
+@st.composite
+def window_keys(draw):
+    fam = draw(st.sampled_from([HAAR, EXPONENTIAL]))
+    labels = column_haar_labels if fam is HAAR else column_exp_labels
+    if draw(st.booleans()):
+        key, width = st.tuples(labels, column_shifts), 2
+    else:
+        key, width = st.tuples(signs, labels, column_scales), 3
+    return fam, width, draw(st.lists(key, max_size=6))
+
+
+@example(window=(HAAR, 2, [(2 ** 62, 2 ** 40), (0, -2 ** 40), (2 ** 62 - 1, -2 ** 40)]),
+         as_object=False)
+@example(window=(HAAR, 3, [(PLUS, 5, -1100), (MINUS, 0, 3)]), as_object=True)
+@example(window=(EXPONENTIAL, 3, [(MINUS, -7, -1100), (PLUS, 3, 1100)]), as_object=False)
+@example(window=(EXPONENTIAL, 2, [(-3, 2 ** 63), (4, -1)]), as_object=False)
+@given(window=window_keys(), as_object=st.booleans())
+def test_window_atoms_are_the_int_atoms_of_the_keys_in_order(window, as_object):
+    fam, width, keys = window
+    cols = key_columns(keys, width)
+    if as_object:
+        cols = tuple(c.astype(object) for c in cols)
+    try:
+        want = [(k, *at) for k, key in enumerate(keys) for at in int_atoms(fam, key)]
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as raised:
+            window_atoms(fam, cols)
+        assert raised.value.args == exc.args
+        return
+    owner, lo, hi, exp, amplitude, fnum, fexp = window_atoms(fam, cols)
+    assert owner.tolist() == [w[0] for w in want]
+    ints = (lo, hi, exp, fnum, fexp)
+    for col, k in zip(ints, (1, 2, 3, 5, 6)):
+        assert col.tolist() == [w[k] for w in want]
+    # the amplitude is the atom's one coefficient, bit for bit
+    assert all(w[4] == (w[4][0].real + 0j,) and w[4][0].imag.hex() == "0x0.0p+0" for w in want)
+    assert [a.hex() for a in amplitude.tolist()] == [w[4][0].real.hex() for w in want]
+    wide = any(abs(v) >= 2 ** 62 for w in want for v in (w[1], w[2], w[3], w[5], w[6]))
+    assert {c.dtype for c in ints} == {np.dtype(object if wide else np.int64)}
+    assert owner.dtype == np.int64 and amplitude.dtype == np.float64

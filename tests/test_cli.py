@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from swl.cli import run
+from swl.core import canonical_json
 
 
 def _invoke(capsys, *argv):
@@ -291,6 +292,53 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("swl: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("labels, message", [
+    ("+0,+-1", "haar labels are non-negative, got j=-1"),
+    ("+0,+x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_bad_completeness_label_exits_before_any_check(monkeypatch, capsys, labels, message):
+    # the labels are input, so they are rejected before the oracle and the
+    # orthonormality run
+    import swl.cli
+
+    calls = []
+    for name in ("oracle_G_coords", "check_wavelet_orthonormality"):
+        def counting(*args, _name=name, _real=getattr(swl.cli, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(swl.cli, name, counting)
+    code, out, err = _invoke(capsys, "check-wavelet", "--basis", "haar", "--function",
+                             "haar_wavelet", "--pq", "3", "--window", "6", "--labels", labels)
+    assert (code, out, err) == (2, "", f"swl: error: {message}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("basis", ["haar", "exponential"])
+def test_scale_past_double_range_is_an_input_error(capsys, basis):
+    # the amplitude 2^(m/2) of a scale-1100 element is past double range
+    code, out, err = _invoke(capsys, "coords", "--basis", basis, "--function",
+                             "piecewise[(0,1):1]", "--model", "G", "--window", "1",
+                             "--mmax", "1100")
+    assert (code, out) == (2, "")
+    assert err.startswith("swl: error: numbers out of range: ")
+
+
+def test_python_int_endpoints_give_the_closed_forms(capsys):
+    # at scales up to 70 the exact route's endpoints over one power of two are
+    # past 2^62 (Python ints); psi against the box K(+, 0, m) is -2^(-1/2) at
+    # m = 1 and 2^(-m/2) above, and the other window elements give 0
+    code, out, err = _invoke(capsys, "coords", "--basis", "haar", "--function", "haar_wavelet",
+                             "--model", "G", "--window", "2", "--mmax", "70")
+    entries = [{"s": "+", "i_or_j": 0, "n_or_m": m, "im": 0.0,
+                "re": -math.sqrt(0.5) if m == 1 else math.sqrt(2.0 ** -m)} for m in range(1, 71)]
+    config = {"basis": "haar", "function": "haar_wavelet", "model": "G", "tol": 1e-10, "window": 2}
+    doc = {"basis": "haar", "model": "G", "entries": entries, "config": config,
+           "scale_tail_bound": 2.0 ** -70, "schema_version": 1}
+    assert (code, err) == (0, "")
+    assert out == canonical_json(doc) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,6 @@
 import math
 import random
 from collections import Counter
-from itertools import product
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from swl import EXPONENTIAL, HAAR, DilIndex, K_elem, L_elem, TransIndex, Window,
 from swl.bases import FunctionSpec, parse_function_spec
 from swl.quadrature import (
     _adaptive,
+    _series,
+    _series_terms,
     inner_product,
     norm_sq_of_spec,
     oracle_F_coords,
@@ -179,31 +180,41 @@ def test_gl16_calls_the_integrand_once_per_step():
 
 
 def test_exact_route_builds_each_element_atoms_once(monkeypatch):
-    # each element's atoms are built once per coefficient: the exact route
-    # reads the integer atoms of every window element for its one pass, the
-    # GL16 route reads them once per element for its span, breakpoints and values
+    # the exact route builds the atoms of every window element in one
+    # window_atoms call and makes no int_atoms call; the GL16 route reads each
+    # element's integer atoms once, for its span, breakpoints and values
     from swl import bases
 
-    built = Counter()
-    real_atoms = bases.int_atoms
+    built, windows = Counter(), []
+    real_atoms, real_window_atoms = bases.int_atoms, bases.window_atoms
 
     def counting_atoms(fam, index):
         built[tuple(index)] += 1
         return real_atoms(fam, index)
 
+    def counting_window_atoms(fam, key_columns):
+        windows.append(len(key_columns[0]))
+        return real_window_atoms(fam, key_columns)
+
     monkeypatch.setattr(bases, "int_atoms", counting_atoms)
-    # the exact route (piecewise f) and the GL16 route (gaussian f)
-    for f, fam in product((parse_function_spec("piecewise[(-1,1/2):1+x; (5/8,3/4):-2]"),
-                           FunctionSpec.gaussian(0.5)), (HAAR, EXPONENTIAL)):
+    monkeypatch.setattr(bases, "window_atoms", counting_window_atoms)
+    piecewise = parse_function_spec("piecewise[(-1,1/2):1+x; (5/8,3/4):-2]")
+    for fam in (HAAR, EXPONENTIAL):
         w = Window.symmetric(fam, 3, 3, 4)
-        built.clear()
-        assert oracle_F_coords(f, fam, w)
-        assert built == Counter(TransIndex(i, n) for i in w.trans_labels
-                                for n in range(w.trans_range[0], w.trans_range[1] + 1))
-        built.clear()
-        assert oracle_G_coords(f, fam, w)
-        assert built == Counter(DilIndex(s, j, m) for s, j in w.dil_labels
-                                for m in range(w.dil_range[0], w.dil_range[1] + 1))
+        trans = Counter(TransIndex(i, n) for i in w.trans_labels
+                        for n in range(w.trans_range[0], w.trans_range[1] + 1))
+        dil = Counter(DilIndex(s, j, m) for s, j in w.dil_labels
+                      for m in range(w.dil_range[0], w.dil_range[1] + 1))
+        for grid, keys in ((oracle_F_coords, trans), (oracle_G_coords, dil)):
+            # the exact route (piecewise f)
+            built.clear()
+            windows.clear()
+            assert grid(piecewise, fam, w)
+            assert not built and windows == [sum(keys.values())]
+            # the GL16 route (gaussian f)
+            built.clear()
+            assert grid(FunctionSpec.gaussian(0.5), fam, w)
+            assert built == keys
 
 
 def test_gl16_grid_cuts_the_gaussian_once(monkeypatch):
@@ -227,3 +238,30 @@ def test_gl16_grid_cuts_the_gaussian_once(monkeypatch):
     cuts.clear()
     assert norm_sq_of_spec(g) > 0.0
     assert cuts == [g, g]
+
+
+def _series_steps(x, top):
+    # the E_top series as a step-by-step recurrence, each pair stopping after its terms
+    terms = np.array([_series_terms(t) for t in top.tolist()])
+    tr, ti = 1.0 / (top + 1), np.zeros(len(x))
+    sr, si = tr, ti
+    for t in range(1, int(terms.max()) + 1):
+        q = x / (top + 1 + t)
+        tr, ti = ti * q, -(tr * q)
+        live = terms >= t
+        sr, si = np.where(live, sr + tr, sr), np.where(live, si + ti, si)
+    return sr, si
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_series_sums_are_the_step_by_step_recurrence(seed):
+    # the running-product form rounds every term and partial sum as the
+    # recurrence does, signed zeros included
+    rng = np.random.default_rng(seed)
+    top = rng.integers(0, 25, 400)
+    x = np.concatenate([rng.uniform(-1, 1, 100) * (top[:100] + 1),
+                        rng.uniform(-1, 1, 100) * 10.0 ** rng.uniform(-300, 0, 100),
+                        rng.integers(-8, 9, 100) * 2 * np.pi * 2.0 ** -rng.integers(0, 12, 100),
+                        rng.choice([-1.0, 1.0], 100) * rng.uniform(0.5, 1, 100)])
+    got, want = _series(x, top), _series_steps(x, top)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
