@@ -14,12 +14,12 @@ Every basis element and every piecewise test function is described once,
 as atoms in integers: (lo, hi, exp, coeffs, fnum, fexp) is the polynomial
 ``coeffs`` times e^{2 pi i fnum 2^fexp x} on [lo 2^-exp, hi 2^-exp).
 ``int_atoms`` gives a basis element's and is the scalar definition: a
-basis element's support, its point values (on scalars or whole arrays),
-``factor_atoms`` (the atoms of any factor; a piecewise FunctionSpec's
-pieces at frequency 0) and the oracle's GL16 route read it.
-``window_atoms`` builds the atoms of every element of a window at once,
-as integer columns equal entry for entry to ``int_atoms`` over the keys;
-the oracle's exact-route grids read those.
+basis element's support, its point values (on scalars or whole arrays)
+and ``factor_atoms`` (the atoms of any factor; a piecewise FunctionSpec's
+pieces at frequency 0) read it.  ``window_atoms`` builds the atoms of
+every element of a window at once, as integer columns equal entry for
+entry to ``int_atoms`` over the keys; the oracle's grids read those, on
+both of its routes.
 
 All intervals are half-open [a, b); pointwise values at breakpoints follow
 the left-closed rule.  This is a measure-zero convention with no effect on
@@ -138,7 +138,7 @@ def haar_dil_atom(s: int, j: int, m: int) -> tuple[str, int, int]:
     return ("psi", p + m, -(1 << (p + 1)) + q)
 
 
-def _turns(fnum: int, fexp: int, x: np.ndarray) -> np.ndarray:
+def _turns(fnum, fexp, x: np.ndarray) -> np.ndarray:
     """fnum 2^fexp x in turns, reduced to within two 2^-53 turns of its value modulo one.
 
     The frequency is odd * 2^e with ``odd`` = fnum without its trailing
@@ -146,11 +146,20 @@ def _turns(fnum: int, fexp: int, x: np.ndarray) -> np.ndarray:
     The fraction is split into whole 2^-53 turns, multiplied by ``odd``
     exactly in wrapping 64-bit arithmetic, and a remainder below one such
     turn, multiplied in floating point; the bound holds for |odd| < 2^53.
+    ``fnum`` and ``fexp`` are ints, or integer arrays (int64 or Python ints)
+    with one entry per x; each entry gives the bits its scalar call gives.
     """
-    zeros = (fnum & -fnum).bit_length() - 1
-    odd = fnum >> zeros
-    rest, ticks = np.modf(np.ldexp(np.modf(np.ldexp(x, fexp + zeros))[0], _TICKS))
-    ticks = (ticks.astype(np.int64).view(np.uint64) * np.uint64(odd & _TICK_MASK)) & _TICK_MASK
+    if isinstance(fnum, np.ndarray):
+        zeros = bit_length(fnum & -fnum).astype(np.int64) - 1
+        odd = fnum >> zeros
+        shift, mult = (fexp + zeros).astype(np.int64), (odd & _TICK_MASK).astype(np.uint64)
+        odd = odd.astype(float)  # rounded as a Python int is in ``rest * odd``
+    else:
+        zeros = (fnum & -fnum).bit_length() - 1
+        odd = fnum >> zeros
+        shift, mult = fexp + zeros, np.uint64(odd & _TICK_MASK)
+    rest, ticks = np.modf(np.ldexp(np.modf(np.ldexp(x, shift))[0], _TICKS))
+    ticks = (ticks.astype(np.int64).view(np.uint64) * mult) & _TICK_MASK
     return np.ldexp(ticks.astype(float) + rest * odd, -_TICKS)
 
 

@@ -190,6 +190,17 @@ def key_columns(keys, width: int) -> tuple[np.ndarray, ...]:
     return tuple(flat[k::width].copy() for k in range(width))
 
 
+def window_columns(labels: list[tuple], lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The columns of the keys (*label, n) for each of the ``labels``
+    (equal-length tuples, at least one) and each n of lo..hi, label by
+    label, as ``key_columns`` gives them, built without the key tuples."""
+    # every component of those keys lies between components of these, so they pick the dtype
+    ends = key_columns([(*label, n) for label in labels for n in (lo, hi)], len(labels[0]) + 1)
+    count = hi - lo + 1
+    shifts = ends[-1][0] + np.arange(count, dtype=ends[-1].dtype)
+    return (*(np.repeat(c[0::2], count) for c in ends[:-1]), np.tile(shifts, len(labels)))
+
+
 _WIDE = 1 << 62  # integer columns at or past this magnitude are Python ints
 
 

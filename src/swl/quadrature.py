@@ -26,30 +26,34 @@ as integer columns, entry for entry the same.  The oracle never reads
 * adaptive Gauss-Legendre of order 16 with dyadic bisection when the
   gaussian preset is involved, on the intersection of the two supports
   split at every atom breakpoint, subdividing until the two-level estimate
-  difference is below the quadrature tolerance.  Each bisection step
-  evaluates both factors once, on the nodes of all its panels: 48 for the
-  top panel and its halves, then 32 for a child's halves, since the child's
-  own sum is its parent's half.  A panel that has not converged when the
-  bisection depth runs out raises ``ArithmeticError``.  The breakpoints
-  and the gaussian's +-10 sigma cut are integers over one denominator, so
-  they are sorted and clipped exactly.
+  difference is below the quadrature tolerance.  The breakpoints and the
+  gaussians' +-10 sigma cuts are integers over one denominator per pair,
+  so they are sorted and clipped exactly.  The intervals of every pair of
+  a call are bisected together, level by level, and each level evaluates
+  the integrand once, on the nodes of all its panels: 48 for each interval
+  and its halves, then 32 for the halves of each child of a panel that did
+  not converge, since the child's own sum is its parent's half.  A level
+  of more panels than a fixed budget is bisected a chunk at a time from
+  the left, so the working set stays bounded when no panel converges.
+  Each panel's sum is its own ``np.dot``, and the sums are added up as a
+  depth-first recursion would add them.  A panel that has not converged
+  when the bisection depth runs out raises ``ArithmeticError``.
 
-The coefficient grids of a piecewise function integrate the whole window
-in one exact pass: the atoms of every window element, built in one
+The coefficient grids integrate the whole window in one pass of either
+route: the atoms of every window element, built in one
 ``bases.window_atoms`` call, against those of the function, summed per
-element.  ``inner_products`` runs the same pass on the atom table of any
+element.  ``inner_products`` runs the same passes on the atom table of any
 list of factors' tuple atoms and ``inner_product`` on a list of one, so a
 grid holds exactly the values ``inner_product`` gives.  The zero rule of
 the coordinate vectors drops the elements that do not meet the function.
-For the gaussian, each element goes through the GL16 route.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,14 +61,21 @@ from . import bases
 from .bases import (
     BasisFamily,
     FunctionSpec,
-    K_elem,
-    L_elem,
-    _evaluate,
+    _ceil_dyadic,
+    _turns,
     check_dil_label,
     check_trans_label,
     factor_atoms,
 )
-from .core import _TWO_PI, FCoordVec, GCoordVec, Window, int_columns, key_columns, keep_mask
+from .core import (
+    _TWO_PI,
+    FCoordVec,
+    GCoordVec,
+    Window,
+    int_columns,
+    keep_mask,
+    window_columns,
+)
 
 
 # -- exact route: atom pairs on integer dyadic endpoints ----------------------
@@ -325,47 +336,256 @@ def _exact_sums(atoms: _Atoms, nf: int, count: int) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _gl16(fn: Callable[[np.ndarray], np.ndarray], panels) -> list[complex]:
-    """The GL16 sums over the panels (a, b), from one call of ``fn`` on
-    all their nodes."""
-    mids = [0.5 * (a + b) for a, b in panels]
-    halves = [0.5 * (b - a) for a, b in panels]
-    vals = fn(np.concatenate([mid + half * _GL_NODES for mid, half in zip(mids, halves)]))
-    return [half * complex(np.dot(_GL_WEIGHTS, vals[16 * k:16 * k + 16]))
-            for k, half in enumerate(halves)]
+_PANELS = 1024  # the most panels that one integrand call bisects
 
 
-def _adaptive(fn, a: float, b: float, tol: float, depth: int,
-              whole: complex | None = None) -> complex:
-    """GL16 on [a, b] against its two halves, bisecting until they agree;
-    ``whole`` is [a, b]'s own sum when the parent panel has it."""
+def _panel_sums(integrand, lo: np.ndarray, hi: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The GL16 sums over the panels [lo, hi] of the intervals ``at``, from
+    one call of ``integrand`` on all their nodes; each panel's sum is its
+    own ``np.dot``."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = integrand((mid[:, None] + half[:, None] * _GL_NODES).ravel(), np.repeat(at, 16))
+    # np.dot casts the weights to the values' type, so casting them once gives the same sums
+    weights = _GL_WEIGHTS.astype(vals.dtype)
+    return np.array([h * complex(weights.dot(row))
+                     for h, row in zip(half.tolist(), vals.reshape(-1, 16))], dtype=complex)
+
+
+def _bisect(integrand, a: np.ndarray, b: np.ndarray, tol: np.ndarray, at: np.ndarray,
+            whole: np.ndarray | None, depth: int) -> np.ndarray:
+    """The values of the panels [a, b] of the intervals ``at``, each
+    bisected as ``_gl16`` says; ``whole`` holds the panels' own sums when
+    their parents have them."""
     mid = 0.5 * (a + b)
     if whole is None:
-        whole, left, right = _gl16(fn, [(a, b), (a, mid), (mid, b)])
+        ends = np.column_stack([a, b, a, mid, mid, b]).reshape(-1, 2)
+        whole, left, right = _panel_sums(integrand, ends[:, 0], ends[:, 1],
+                                         np.repeat(at, 3)).reshape(-1, 3).T
     else:
-        left, right = _gl16(fn, [(a, mid), (mid, b)])
-    if abs(whole - (left + right)) <= tol:
-        return left + right
-    if depth <= 0:
-        raise ArithmeticError(f"GL16 quadrature did not converge on [{a!r}, {b!r}] "
-                              f"within tolerance {tol!r}: bisection depth exhausted")
-    return (_adaptive(fn, a, mid, tol / 2, depth - 1, left)
-            + _adaptive(fn, mid, b, tol / 2, depth - 1, right))
+        ends = np.column_stack([a, mid, mid, b]).reshape(-1, 2)
+        left, right = _panel_sums(integrand, ends[:, 0], ends[:, 1],
+                                  np.repeat(at, 2)).reshape(-1, 2).T
+    total = left + right
+    d = whole - total
+    # Python's complex abs is hypot, and numpy's complex abs differs from it
+    split = np.flatnonzero(~(np.hypot(d.real, d.imag) <= tol))
+    if len(split) and depth <= 0:
+        k = split[0]
+        raise ArithmeticError(f"GL16 quadrature did not converge on [{a[k].item()!r}, "
+                              f"{b[k].item()!r}] within tolerance {tol[k].item()!r}: "
+                              "bisection depth exhausted")
+    # the children of the split panels, a chunk at a time from the left,
+    # each chunk bisected to the end before the next
+    for s in range(0, len(split), _PANELS):
+        k = split[s:s + _PANELS]
+        kids = _bisect(integrand, np.column_stack([a[k], mid[k]]).ravel(),
+                       np.column_stack([mid[k], b[k]]).ravel(), np.repeat(tol[k] / 2, 2),
+                       np.repeat(at[k], 2), np.column_stack([left[k], right[k]]).ravel(),
+                       depth - 1)
+        total[k] = kids[0::2] + kids[1::2]
+    return total
+
+
+def _gl16(integrand, a: np.ndarray, b: np.ndarray, tol: np.ndarray, owner: np.ndarray,
+          count: int, depth: int) -> np.ndarray:
+    """integral_a^b of ``integrand(x, interval)`` over each interval, summed
+    per owner (``count`` of them, interval order): GL16 on each panel
+    against its two halves, bisecting until they agree within the panel's
+    tolerance, which halves with each split.
+
+    The bisection runs level by level over the panels of every interval,
+    with one call of ``integrand`` per level: 48 nodes for each interval and
+    its halves, then 32 for the halves of each child of a panel that did not
+    converge, since the child's own sum is its parent's half.  A level of
+    more than ``_PANELS`` panels goes in chunks from the left, each bisected
+    to the end before the next, so the working set stays bounded however
+    many panels fail.  The values are those of the recursion: a converged
+    panel gives left + right, a split one the sum of its children's values,
+    and each owner's intervals are added to 0j in order.  A panel that has
+    not converged when the depth runs out raises ``ArithmeticError``, naming
+    the leftmost such panel of the first owner that has one.
+    """
+    out = np.zeros(count, dtype=complex)
+    for s in range(0, len(a), _PANELS):
+        part = slice(s, s + _PANELS)
+        at = np.arange(s, s + len(a[part]))
+        np.add.at(out, owner[part], _bisect(integrand, a[part], b[part], tol[part], at, None, depth))
+    return out
+
+
+def _ceil_dyadics(num: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """``bases._ceil_dyadic`` of each entry: the least double >= num 2^-exp."""
+    out = np.zeros(len(num))
+    exact = np.zeros(len(num), dtype=bool)
+    if num.dtype != object:
+        with np.errstate(over="ignore"):  # an overflow is inexact, and so checked below
+            out = np.ldexp(num.astype(float), -exp)
+            exact = (np.abs(num) <= 1 << 53) & (np.ldexp(out, exp) == num)
+    for k in np.flatnonzero(~exact).tolist():
+        out[k] = _ceil_dyadic(int(num[k]), int(exp[k]))
+    return out
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den correctly rounded, for integer arrays (int64 or Python ints)."""
+    if num.dtype != object and max(np.abs(num).max(initial=0), den.max(initial=0)) <= 1 << 53:
+        return num.astype(float) / den.astype(float)  # both exact, so one rounding
+    return np.array([x / y for x, y in zip(num.tolist(), den.tolist())], dtype=float)
+
+
+def _atom_values(atoms: _Atoms, lower: np.ndarray, upper: np.ndarray, xs: np.ndarray,
+                 start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The sum of the atom rows [start, stop) at each x, as ``bases._evaluate``
+    gives it: the rows are sorted and disjoint, and [lower, upper) of each is
+    the set of doubles it holds.  Each x finds the row that holds it, and
+    that row's polynomial (Horner, highest degree first) and phase
+    (``bases._turns``) are evaluated there; 0j where no row holds x."""
+    # k walks to the last row of its run that starts at or before x
+    k = start - 1
+    while True:
+        up = (k + 1 < stop) & (lower[np.minimum(k + 1, stop - 1)] <= xs)
+        if not up.any():
+            break
+        k = k + up
+    inside = np.flatnonzero((k >= start) & (xs < upper[np.maximum(k, start)]))
+    k, x = k[inside], xs[inside]
+    coef = atoms.coef[k]
+    val = np.zeros(len(x), dtype=complex)
+    for c in range(coef.shape[1] - 1, -1, -1):
+        val = val * x + coef[:, c]
+    fnum, fexp = atoms.ints[3][k], atoms.ints[4][k]
+    waves = np.flatnonzero(fnum != 0)
+    if len(waves):
+        val[waves] *= np.exp(2j * np.pi * _turns(fnum[waves], fexp[waves], x[waves]))
+    out = np.zeros(len(xs), dtype=complex)
+    out[inside] = val
+    return out
+
+
+def _intervals(atoms: _Atoms, start: np.ndarray, stop: np.ndarray, qs: list, cuts: list,
+               both: np.ndarray, quadrature_tol: float):
+    """The GL16 intervals of each pair: the intersection of its two supports,
+    split at every breakpoint of its atom rows [start, stop).  Its gaussians
+    are cut at +-cuts[p] / qs[p], and ``both`` marks the pairs of two
+    gaussians, which have no atom rows.
+
+    The breakpoints and cuts are integers over one denominator per pair,
+    2^K (K its finest atom scale, at least 0) times qs[p], so they are
+    sorted and clipped exactly, and each end, length and tolerance share is
+    rounded to a double once.  Returns the intervals' ends and tolerances,
+    their pairs (in pair order, each pair's from left to right) and the
+    rows that these pairs read.
+    """
+    n = len(start)
+    lens = stop - start
+    has = lens > 0
+    offs = np.cumsum(lens) - lens
+    pair = np.repeat(np.arange(n), lens)  # the pair of each gathered row
+    rows = np.arange(len(pair)) + (start - offs)[pair]
+    lo, hi, exp = (atoms.ints[r][rows] for r in range(3))
+    K = np.zeros(n, dtype=np.int64)
+    if len(rows):
+        K[has] = np.maximum(np.maximum.reduceat(exp, offs[has]), 0)
+    # int64 while every value below stays under 2^62, else Python ints
+    ends = [abs(int(v)) for v in (lo.min(), lo.max(), hi.min(), hi.max())] if len(rows) else [0]
+    bits = max(max(ends).bit_length() + max(qs).bit_length() - int(exp.min(initial=0)),
+               max(cuts).bit_length()) + int(K.max()) + 1
+    dtype = object if atoms.ints.dtype == object or bits >= 62 else np.int64
+    q, K = np.array(qs, dtype=dtype), K.astype(dtype)
+    den, cut = q << K, np.array(cuts, dtype=dtype) << K
+    shift = K[pair] - exp.astype(dtype)
+    lo, hi = (lo.astype(dtype) * q[pair]) << shift, (hi.astype(dtype) * q[pair]) << shift
+    left, right = -cut, cut.copy()
+    if len(rows):
+        left[has] = np.maximum(left[has], lo[offs[has]])
+        right[has] = np.minimum(right[has], hi[offs[has] + lens[has] - 1])
+    is_live = (has | both) & (right > left)
+    live = np.flatnonzero(is_live)
+
+    # the breakpoints strictly inside each live pair's span, once each
+    points = np.column_stack([lo, hi]).ravel()
+    at = np.repeat(pair, 2)
+    inner = (points > left[at]) & (points < right[at]) & is_live[at]
+    inner[:-1] &= points[:-1] != points[1:]
+    kept = np.flatnonzero(inner)
+    kp = at[kept]
+    # each live pair's intervals: [left, kept..., right]
+    cnt = np.bincount(kp, minlength=n)[live]
+    first = np.cumsum(cnt) - cnt + np.arange(len(live))
+    size = len(kept) + len(live)
+    a, b = np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
+    j = np.arange(len(kept)) + (np.cumsum(is_live) - 1)[kp]
+    a[j + 1], b[j] = points[kept], points[kept]
+    a[first], b[first + cnt] = left[live], right[live]
+    ip = np.repeat(live, cnt + 1)
+    dn = den[ip]
+    span = np.zeros(n)
+    span[live] = _ratio((right - left)[live], den[live])
+    share = quadrature_tol * _ratio(b - a, dn) / span[ip]
+    return _ratio(a, dn), _ratio(b, dn), share, ip, np.unique(rows[is_live[pair]])
+
+
+def _gl_sums(f, atoms: _Atoms, owners: np.ndarray, gaussians: dict, quadrature_tol: float,
+             depth: int = 40) -> np.ndarray:
+    """integral f conj(g) by the GL16 route for the g of each pair, where f
+    or g is a gaussian: the gaussian ``gaussians[p]`` of pair p, or else the
+    atoms of owner ``owners[p]`` in ``atoms``; f's atoms, when it has them,
+    are owner -1's.  A factor without atoms that is no gaussian is 0.  The
+    intervals of all pairs go through one ``_gl16`` bisection.
+    """
+    n = len(owners)
+    f_half = f.support()[1] if isinstance(f, FunctionSpec) and f.kind == "gaussian" else None
+    # each pair's atom rows: f's when it has atoms, else its g's (none for a gaussian g)
+    if f_half is None:
+        start, stop = np.zeros(n, dtype=np.int64), np.full(n, np.count_nonzero(atoms.owner < 0))
+        qs, cuts = [1] * n, [0] * n
+    else:
+        start = np.searchsorted(atoms.owner, owners)
+        stop = np.searchsorted(atoms.owner, owners, "right")
+        qs, cuts = [f_half.denominator] * n, [f_half.numerator] * n
+    sigma = np.full(n, np.nan)
+    for p, g in gaussians.items():
+        sigma[p] = g.sigma
+        halves = [h for h in (f_half, g.support()[1]) if h is not None]
+        q = math.lcm(*(h.denominator for h in halves))
+        qs[p], cuts[p] = q, min(h.numerator * (q // h.denominator) for h in halves)
+    g_gauss = ~np.isnan(sigma)
+    a, b, share, ip, used = _intervals(atoms, start, stop, qs, cuts,
+                                       g_gauss & (f_half is not None), quadrature_tol)
+    lower, upper = np.zeros(len(atoms.owner)), np.zeros(len(atoms.owner))
+    lower[used] = _ceil_dyadics(atoms.ints[0][used], atoms.ints[2][used])
+    upper[used] = _ceil_dyadics(atoms.ints[1][used], atoms.ints[2][used])
+
+    def integrand(xs: np.ndarray, interval: np.ndarray) -> np.ndarray:
+        p = ip[interval]
+        gauss = g_gauss[p]
+        gv = np.empty(len(xs), dtype=complex)
+        s, x = sigma[p[gauss]], xs[gauss]
+        gv[gauss] = np.exp(-(x * x) / (2.0 * s * s)) + 0j  # as FunctionSpec.evaluate
+        if f_half is None:
+            fv = _atom_values(atoms, lower, upper, xs, start[p], stop[p])
+        else:
+            fv = f.evaluate(xs)
+            sel = np.flatnonzero(~gauss)
+            gv[sel] = _atom_values(atoms, lower, upper, xs[sel], start[p[sel]], stop[p[sel]])
+        return fv * np.conjugate(gv)
+
+    return _gl16(integrand, a, b, share, ip, n, depth)
 
 
 def inner_products(f, gs, quadrature_tol: float = 1e-10) -> list[complex]:
     """integral f(x) conj(g(x)) dx for each g of ``gs`` (FunctionSpecs and
-    basis elements): the exact route in one pass over every g with atoms,
-    the GL16 route one g at a time."""
+    basis elements): the exact route in one pass over every g with atoms
+    when f has them, the GL16 route in one bisection over the rest."""
     fe = factor_atoms(f)
-    ges = [None] * len(gs) if fe is None else [factor_atoms(g) for g in gs]
-    out = _exact_sums(_atom_table(fe, ges), len(fe or ()), len(gs)).tolist()
-    sampled = [k for k, ge in enumerate(ges) if ge is None]
+    ges = [factor_atoms(g) for g in gs]
+    atoms = _atom_table(fe, ges)
+    out = _exact_sums(atoms, len(fe or ()), len(gs))
+    sampled = [k for k, ge in enumerate(ges) if fe is None or ge is None]
     if sampled:
-        ff = _gl_factor(f, fe)  # f's cut, once for every g
-        for k in sampled:
-            out[k] = _sampled(ff, _gl_factor(gs[k], factor_atoms(gs[k])), quadrature_tol)
-    return out
+        gaussians = {p: gs[k] for p, k in enumerate(sampled) if ges[k] is None}
+        out[sampled] = _gl_sums(f, atoms, np.array(sampled), gaussians, quadrature_tol)
+    return out.tolist()
 
 
 def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
@@ -373,65 +593,19 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
     return inner_products(f, (g,), quadrature_tol)[0]
 
 
-def _gl_factor(fn, atoms):
-    """A factor of the GL16 route: (factor, its atoms, and the half-width
-    of its +-10 sigma cut when it has no atoms)."""
-    return fn, atoms, fn.support()[1] if atoms is None else None
-
-
-def _sampled(ff, gg, quadrature_tol: float) -> complex:
-    """The GL16 route for two ``_gl_factor``s: dyadic bisection on
-    breakpoint-split intervals; a factor with atoms is spanned and
-    evaluated from them.
-
-    Every breakpoint is an integer over one denominator, 2^K times the
-    denominators of the gaussians' +-10 sigma cuts, so spans and cuts are
-    sorted and clipped exactly and each length is rounded to a double once.
-    """
-    (f, fa, f_half), (g, ga, g_half) = ff, gg
-    if fa == () or ga == ():
-        return 0j
-    halves = [h for h in (f_half, g_half) if h is not None]
-    q = math.lcm(*(h.denominator for h in halves))
-    K = max([0] + [at[2] for atoms in (fa, ga) if atoms for at in atoms])
-    den = q << K
-    # each factor's breakpoints over den; the gaussian's are its cut
-    points = [{(end * q) << (K - at[2]) for at in atoms for end in at[:2]}
-              for atoms in (fa, ga) if atoms]
-    points += [{-cut, cut} for cut in (h.numerator * (den // h.denominator) for h in halves)]
-    lo, hi = max(map(min, points)), min(map(max, points))
-    if hi <= lo:
-        return 0j
-    cuts = sorted(p for p in set().union(*points) if lo <= p <= hi)
-
-    f_at = f.evaluate if fa is None else partial(_evaluate, fa)
-    g_at = g.evaluate if ga is None else partial(_evaluate, ga)
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        return f_at(xs) * np.conjugate(g_at(xs))
-
-    total_len = (hi - lo) / den
-    acc = 0j
-    for a, b in zip(cuts, cuts[1:]):
-        share = quadrature_tol * ((b - a) / den) / total_len
-        acc += _adaptive(integrand, a / den, b / den, share, 40)
-    return acc
-
-
 # -- coefficient grids --------------------------------------------------------
 
-def _grid(f: FunctionSpec, fam: BasisFamily, keys: list[tuple], vec_type, quadrature_tol: float):
-    """The coordinates of ``f`` against the elements ``keys``, in key order,
-    zero rule applied."""
-    cols = key_columns(keys, vec_type._width)
+def _grid(f: FunctionSpec, fam: BasisFamily, cols: tuple[np.ndarray, ...], vec_type,
+          quadrature_tol: float):
+    """The coordinates of ``f`` against the window elements of the key
+    columns ``cols``, in key order, zero rule applied."""
     fe = factor_atoms(f)
+    atoms = _with_window(_atom_table(fe), *bases.window_atoms(fam, cols))
+    count = len(cols[0])
     if fe is None:
-        make = L_elem if vec_type is FCoordVec else K_elem
-        vals = np.array(inner_products(f, [make(fam, *key) for key in keys], quadrature_tol),
-                        dtype=complex)
+        vals = _gl_sums(f, atoms, np.arange(count), {}, quadrature_tol)
     else:
-        atoms = _with_window(_atom_table(fe), *bases.window_atoms(fam, cols))
-        vals = _exact_sums(atoms, len(fe), len(keys))
+        vals = _exact_sums(atoms, len(fe), count)
     kept = keep_mask(vals)
     return vec_type._from_columns(tuple(c[kept] for c in cols), vals[kept])
 
@@ -439,17 +613,15 @@ def _grid(f: FunctionSpec, fam: BasisFamily, keys: list[tuple], vec_type, quadra
 def oracle_F_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> FCoordVec:
     """All translation-model coefficients of ``f`` inside the window."""
-    labels = [check_trans_label(fam, i) for i in w.trans_labels]
-    keys = [(i, n) for i in labels for n in range(w.trans_range[0], w.trans_range[1] + 1)]
-    return _grid(f, fam, keys, FCoordVec, quadrature_tol)
+    labels = [(check_trans_label(fam, i),) for i in w.trans_labels]
+    return _grid(f, fam, window_columns(labels, *w.trans_range), FCoordVec, quadrature_tol)
 
 
 def oracle_G_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> GCoordVec:
     """All dilation-model coefficients of ``f`` inside the window."""
     labels = [check_dil_label(fam, s, j) for s, j in w.dil_labels]
-    keys = [(s, j, m) for s, j in labels for m in range(w.dil_range[0], w.dil_range[1] + 1)]
-    return _grid(f, fam, keys, GCoordVec, quadrature_tol)
+    return _grid(f, fam, window_columns(labels, *w.dil_range), GCoordVec, quadrature_tol)
 
 
 def norm_sq_of_spec(f: FunctionSpec) -> float:
@@ -466,8 +638,9 @@ def g_window_tail_bound(f: FunctionSpec, m_max: int) -> float:
     """
     half = Fraction(1, 1 << m_max) if m_max >= 0 else Fraction(1 << (-m_max))
     if f.kind == "gaussian":
-        return _adaptive(lambda xs: np.abs(f.evaluate(xs)) ** 2,
-                         float(-half), float(half), 1e-12, 30).real
+        return _gl16(lambda xs, _: np.abs(f.evaluate(xs)) ** 2, np.array([float(-half)]),
+                     np.array([float(half)]), np.array([1e-12]), np.zeros(1, dtype=np.int64),
+                     1, 30)[0].real
     pieces = []
     for lo, hi, coeffs in f.pieces:
         a, b = max(lo, -half), min(hi, half)

@@ -10,10 +10,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from swl import EXPONENTIAL, HAAR, FunctionSpec, K_elem, L_elem  # noqa: E402
+from swl import EXPONENTIAL, HAAR, FunctionSpec, K_elem, L_elem, Window  # noqa: E402
 from swl.bases import int_atoms, window_atoms  # noqa: E402
 from swl.core import MINUS, PLUS, key_columns  # noqa: E402
-from swl.quadrature import inner_product  # noqa: E402
+from swl.quadrature import inner_product, oracle_F_coords, oracle_G_coords  # noqa: E402
 
 signs = st.sampled_from([PLUS, MINUS])
 shifts = st.integers(-1024, 1024)
@@ -133,6 +133,30 @@ def test_gaussian_coordinates_against_mpmath(s, j, m):
                            mpmath.linspace(lo, hi, 2 * abs(j) + 2))
     got = inner_product(FunctionSpec.gaussian(1), elem)
     assert abs(got - complex(want)) <= 1e-10
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("model", ["F", "G"])
+def test_haar_gaussian_coordinates_against_mpmath(sigma, model):
+    # Haar boxes and wavelets: each dyadic half [a, b) adds its amplitude times
+    # sigma sqrt(pi/2) (erf(b / (sigma sqrt 2)) - erf(a / (sigma sqrt 2))), to 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    w = Window.symmetric(HAAR, 7, 3, 6)
+    grid = oracle_F_coords if model == "F" else oracle_G_coords
+    got = grid(FunctionSpec.gaussian(sigma), HAAR, w)
+    if model == "F":
+        keys = [(i, n) for i in w.trans_labels for n in range(-3, 4)]
+    else:
+        keys = [(s, j, m) for s, j in w.dil_labels for m in range(-3, 7)]
+    with mpmath.workdps(30):
+        scale = mpmath.mpf(sigma) * mpmath.sqrt(2)
+        for key in keys:
+            want = 0
+            for lo, hi, exp, coeffs, _, _ in int_atoms(HAAR, key):
+                a, b = (mpmath.mpf(end) / 2 ** exp for end in (lo, hi))
+                want += coeffs[0].real * (mpmath.erf(b / scale) - mpmath.erf(a / scale))
+            want *= mpmath.mpf(sigma) * mpmath.sqrt(mpmath.pi / 2)
+            assert abs(got.get(key) - complex(want)) <= 1e-10, key
 
 
 # -- a window's atoms as columns -------------------------------------------------

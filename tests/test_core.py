@@ -25,6 +25,7 @@ from swl.core import (
     csum,
     keep_mask,
     key_columns,
+    window_columns,
 )
 
 
@@ -174,3 +175,18 @@ def test_zero_rule_takes_one_modulus():
     # numpy's abs puts this one above 1e-15, Python's abs at it
     v = -9.953673776295952e-16 - 9.61445970961608e-17j
     assert not FCoordVec([((0, 0), v)]) and not FCoordVec._from_terms(key_columns([(0, 0)], 2), np.array([v]))
+
+
+@pytest.mark.parametrize("labels, lo, hi", [
+    ([(0,), (3,), (7,)], -2, 4),
+    ([(1, 0), (-1, 5)], 0, 0),
+    # a component past int64, in the labels or in the range, makes every column Python ints
+    ([(1, 2 ** 63), (-1, 1)], -1, 1),
+    ([(2,)], 2 ** 63 - 2, 2 ** 63),
+    ([(2,)], -2 ** 63 - 1, -2 ** 63),
+])
+def test_window_columns_are_the_key_columns(labels, lo, hi):
+    keys = [(*label, n) for label in labels for n in range(lo, hi + 1)]
+    got, want = window_columns(labels, lo, hi), key_columns(keys, len(labels[0]) + 1)
+    assert [c.dtype for c in got] == [c.dtype for c in want]
+    assert [c.tolist() for c in got] == [c.tolist() for c in want]

@@ -10,7 +10,7 @@ import pytest
 from swl import EXPONENTIAL, HAAR, DilIndex, K_elem, L_elem, TransIndex, Window, coord_norm_sq
 from swl.bases import FunctionSpec, parse_function_spec
 from swl.quadrature import (
-    _adaptive,
+    _gl16,
     _series,
     _series_terms,
     inner_product,
@@ -139,14 +139,21 @@ def test_g_window_tail_bound():
     assert g_window_tail_bound(g, 6) == pytest.approx(2.0 ** -5, rel=1e-3)
 
 
+def _one_interval(fn, a, b, tol, depth):
+    # the GL16 bisection of fn over [a, b] as one interval of one owner
+    return _gl16(lambda xs, _: fn(xs), np.array([a]), np.array([b]), np.array([tol]),
+                 np.zeros(1, dtype=np.int64), 1, depth)[0]
+
+
 def test_gl16_non_convergence_raises():
     # 8 panels of width 1/8 cannot resolve sin(10^6 x): their sum, -4.6e-4, is no answer
     with pytest.raises(ArithmeticError, match=r"did not converge on \[0\.0, 0\.125\].*depth"):
-        _adaptive(lambda xs: np.sin(1e6 * xs) + 0j, 0.0, 1.0, 1e-10, 3)
+        _one_interval(lambda xs: np.sin(1e6 * xs) + 0j, 0.0, 1.0, 1e-10, 3)
 
 
-def _three_call_adaptive(fn, a, b, tol, depth):
-    # GL16 on the whole panel and on each half, each from its own call of fn
+def _three_call_adaptive(fn, a, b, tol, depth, splits=None, level=0):
+    # GL16 on the whole panel and on each half, each from its own call of fn;
+    # splits counts the panels each level bisects
     def gl16(lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         return half * complex(np.dot(np.polynomial.legendre.leggauss(16)[1], fn(mid + half * _NODES)))
@@ -155,34 +162,45 @@ def _three_call_adaptive(fn, a, b, tol, depth):
     left, right = gl16(a, mid), gl16(mid, b)
     if abs(whole - (left + right)) <= tol or depth <= 0:
         return left + right
-    return (_three_call_adaptive(fn, a, mid, tol / 2, depth - 1)
-            + _three_call_adaptive(fn, mid, b, tol / 2, depth - 1))
+    if splits is not None:
+        splits[level] += 1
+    return (_three_call_adaptive(fn, a, mid, tol / 2, depth - 1, splits, level + 1)
+            + _three_call_adaptive(fn, mid, b, tol / 2, depth - 1, splits, level + 1))
 
 
 _NODES = np.polynomial.legendre.leggauss(16)[0]
 
 
 def test_gl16_calls_the_integrand_once_per_step():
-    # 48 nodes for the top panel and its halves, then 32 for each child's
-    # halves (its own sum is the parent's half), with the sums of three calls
+    # one call per bisection level over all intervals: 48 nodes for each
+    # interval and its halves, then 32 for the halves of each child of a
+    # panel that split (its own sum is the parent's half), with the sums of
+    # three calls per panel
     sizes = []
 
     def fn(xs):
         sizes.append(len(xs))
         return np.exp(-xs * xs + 3j * xs) * np.cos(40.0 * xs)
 
-    for a, b, tol in ((-3.0, 2.5, 1e-12), (-0.5, 1.5, 1e-10), (-1e-3, 4.0, 1e-13)):
+    cases = [(-3.0, 2.5, 1e-12), (-0.5, 1.5, 1e-10), (-1e-3, 4.0, 1e-13)]
+    # each interval alone, then all three in one call
+    for intervals in [[case] for case in cases] + [cases]:
         sizes.clear()
-        got = _adaptive(fn, a, b, tol, 30)
-        assert sizes[0] == 48 and set(sizes[1:]) <= {32} and len(sizes) > 1
-        want = _three_call_adaptive(fn, a, b, tol, 30)
-        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        a, b, tol = (np.array(c) for c in zip(*intervals))
+        got = _gl16(lambda xs, _: fn(xs), a, b, tol, np.arange(len(a)), len(a), 30)
+        calls = list(sizes)
+        splits = Counter()
+        for k, (lo, hi, eps) in enumerate(intervals):
+            # each owner's sum starts from 0j
+            want = 0j + _three_call_adaptive(fn, lo, hi, eps, 30, splits)
+            assert (got[k].real.hex(), got[k].imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert calls == [48 * len(intervals)] + [2 * 32 * splits[l] for l in range(len(splits))]
+        assert len(calls) > 1
 
 
 def test_exact_route_builds_each_element_atoms_once(monkeypatch):
-    # the exact route builds the atoms of every window element in one
-    # window_atoms call and makes no int_atoms call; the GL16 route reads each
-    # element's integer atoms once, for its span, breakpoints and values
+    # both routes build the atoms of every window element in one
+    # window_atoms call and make no int_atoms call
     from swl import bases
 
     built, windows = Counter(), []
@@ -211,10 +229,10 @@ def test_exact_route_builds_each_element_atoms_once(monkeypatch):
             windows.clear()
             assert grid(piecewise, fam, w)
             assert not built and windows == [sum(keys.values())]
-            # the GL16 route (gaussian f)
-            built.clear()
+            # the GL16 route (gaussian f) reads the same columns
+            windows.clear()
             assert grid(FunctionSpec.gaussian(0.5), fam, w)
-            assert built == keys
+            assert not built and windows == [sum(keys.values())]
 
 
 def test_gl16_grid_cuts_the_gaussian_once(monkeypatch):
