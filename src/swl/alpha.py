@@ -35,24 +35,27 @@ coordinates are ``sum conj(alpha) * f_tilde``.
 
 Batched transfers
 -----------------
-Almost every Haar row and column is a single entry of value exactly 1.0,
-a relabelling of the key (j = (n << r) + t at scale -u, and the like).
-``_haar_row_map`` and ``_haar_column_map`` compute those targets for whole
-int64 key arrays and flag the other keys.  Of those, ``_haar_row_runs`` and
-``_haar_column_runs`` expand the ladders, the coarse boxes, the label-0 box
-columns and the wavelet columns with p + m < 0 as arrays, entry for entry
-as the tables enumerate them and with the same alpha values.  What is left
--- keys whose entries would leave int64 (ladder columns past m = 62, boxes
+``row_terms`` and ``column_terms`` lay a transfer out as blocks, one per
+case, over whole int64 key arrays.  Almost every Haar row and column is a
+single entry of value exactly 1.0, a relabelling of the key (j = (n << r)
++ t at scale -u, and the like); ``_haar_row_blocks`` and
+``_haar_column_blocks`` put those keys in one single-entry block and
+expand the ladders, the coarse boxes, the label-0 box columns and the
+wavelet columns with p + m < 0 as arrays, entry for entry as the tables
+enumerate them and with the same alpha values.  What no block covers --
+keys whose entries would leave int64 (ladder columns past m = 62, boxes
 past u = 61, shifts reaching 2^62), object-dtype keys and every
 exponential key -- goes through ``AlphaMatrix.row``/``column`` one at a
-time.  The terms keep source order, and the clipped tails are summed over
-the keys in order with Python's ``abs``, so the transfers give what the
+time, as one more block.  ``_terms`` lays out every block the same way:
+the terms keep source order, and the clipped tails are summed over the
+keys in order with Python's ``abs``, so the transfers give what the
 term-by-term loop over ``row``/``column`` gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -68,6 +71,7 @@ from .core import (
     PLUS,
     TransIndex,
     Window,
+    _WIDE,
     bit_length,
     cis_frac,
     cmul,
@@ -273,6 +277,13 @@ def _coarse_box_row(s: int, u: int, v: int) -> list[tuple[DilIndex, complex]]:
     return out
 
 
+def _shift_count(u: int) -> int:
+    # a box or fine wavelet column lists 2^u shifts; a list holds sys.maxsize at most
+    if u >= sys.maxsize.bit_length():
+        raise ArithmeticError(f"a Haar column of 2^{u} entries is past the longest list")
+    return 1 << u
+
+
 def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
     if j == 0:
         if m > 0:
@@ -290,10 +301,9 @@ def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
         if m == 0:
             return [(TransIndex(j, 1 if s == PLUS else -2), 1.0 + 0j)]
         u = -m
+        count = _shift_count(u)
         base = (1 << u) if s == PLUS else -(1 << (u + 1))
-        return [
-            (TransIndex(0, n), complex(_pow2h(m))) for n in range(base, base + (1 << u))
-        ]
+        return [(TransIndex(0, n), complex(_pow2h(m))) for n in range(base, base + count)]
     # wavelet-type column: a single translated wavelet of the other family
     p, q = split_haar_label(j)
     b = (1 << p) + q if s == PLUS else -(1 << (p + 1)) + q
@@ -303,19 +313,22 @@ def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
         t = b - (n0 << a)
         return [(TransIndex((1 << a) + t, n0), 1.0 + 0j)]
     u = -a
+    count = _shift_count(u)
     amp = _pow2h(a)
     lo = b << u
     half = 1 << (u - 1)
     out = []
-    for n in range(lo, lo + (1 << u)):
+    for n in range(lo, lo + count):
         val = amp if (n - lo) < half else -amp
         out.append((TransIndex(0, n), complex(val)))
     return out
 
 
-# -- batched Haar maps (see "Batched transfers" above) -------------------------
+# -- batched Haar blocks (see "Batched transfers" above) -----------------------
 
-_WIDE = 1 << 62  # key components at or past this magnitude take the scalar tables
+def _haar_arrays(A: "AlphaMatrix", keys) -> bool:
+    # the Haar array forms read int64 key columns only
+    return A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys)
 
 
 def scale_reach(A: "AlphaMatrix", keys, top: int) -> np.ndarray:
@@ -328,7 +341,7 @@ def scale_reach(A: "AlphaMatrix", keys, top: int) -> np.ndarray:
     only if its level is at most ``top``; every other column is kept.  All
     True for the exponential family and for object-dtype keys.
     """
-    if A.fam.name != "haar" or any(c.dtype != np.int64 for c in keys):
+    if not _haar_arrays(A, keys):
         return np.ones(len(keys[0]), dtype=bool)
     if len(keys) == 3:
         label, level = keys[1], bit_length(keys[1]) + keys[2]
@@ -340,86 +353,50 @@ def scale_reach(A: "AlphaMatrix", keys, top: int) -> np.ndarray:
 def _haar_row_cases(i: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the Haar rows (i, n) that are geometric scale ladders and
     of those that are coarse boxes (a box plus one wavelet per intermediate
-    scale); every other row is a single entry.  Takes int64 or object
-    arrays, or plain ints."""
+    scale); every other row is a single entry.  Takes int64 arrays or
+    plain ints."""
     k = i + (n == -1)  # row (i, -1) mirrors row (i + 1, 0)
     ladder = ((n == 0) | (n == -1)) & ((k & (k - 1)) == 0)
     box = (i == 0) & ((n > 1) | (n < -2))
     return ladder, box
 
 
-def _haar_row_map(i: np.ndarray, n: np.ndarray):
-    """Batched ``_haar_row`` on int64 keys.
+def _haar_row_blocks(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
+    """Array form of ``_haar_row`` on int64 keys, as blocks for ``_terms``:
+    the single entries, the scale ladders, and the coarse boxes with
+    u <= 61.  Rows whose entries would leave int64 are in no block.
 
-    Returns the target (s, j, m) of each single-entry row, whose value is
-    1.0, and the mask of the rows that need the scalar table (the targets
-    skip those rows).
-    """
-    ladder, box = _haar_row_cases(i, n)
-    # i in [0, 2^62) and |n| < 2^62 (abs leaves -2^63 negative, so it fails too)
-    single = ~(ladder | box) & (((i | np.abs(n)) >> 62) == 0)
-    if not single.all():
-        i, n = i[single], n[single]
-    r = bit_length(i) - 1  # i = 2^r + t; r = -1 only for i = 0
-    rc = np.maximum(r, 0)
-    t = i - (1 << rc)
-    # n >= 1 is 2^u + v and n <= -2 is -2^(u+1) + v, both at scale -u, with
-    # label (lead << r) + t for lead = 2^u + v (so n = 1 and n = -2 give i)
-    up = n > 0
-    u = bit_length(np.where(up, n, ~n) | 1) - 1
-    j = (np.where(up, n, n + (3 << u)) << rc) + t
-    m = -u
-    edge = (n == 0) | (n == -1)
-    if edge.any():
-        # n = 0: label t at scale r - p, p = bit_length(t) - 1; n = -1: label
-        # 2^p + q at scale r - p, p from the mirrored offset 2^r - t - 1
-        zero = n == 0
-        p = bit_length(np.where(zero, t, (1 << rc) - t - 1) | 1) - 1
-        j = np.where(zero, t, np.where(edge, (3 << p) + t - (1 << rc), j))
-        m = np.where(edge, r - p, m)
-    s = np.where(n >= 0, PLUS, MINUS)
-    scalar = ~single
-    wide = u + r > 61  # the label (lead << r) + t would reach 2^63
-    if wide.any():
-        scalar[single.nonzero()[0][wide]] = True
-        s, j, m = s[~wide], j[~wide], m[~wide]
-    return (s, j, m), scalar
-
-
-def _haar_column_map(s: np.ndarray, j: np.ndarray, m: np.ndarray):
-    """Batched ``_haar_column`` on int64 keys.
-
-    Returns the target (i, n) of each single-entry column, whose value is
-    1.0, and the mask of the columns that need the scalar table (the
-    targets skip those columns).
-    """
-    box = j == 0
-    label = (j > 0) & (j < _WIDE)
-    # a wavelet label j = 2^p + q gives one entry when 0 <= a = p + m <= 61
-    p = bit_length(np.where(label, j, 1)) - 1
-    a = p + np.minimum(np.maximum(m, -64), 64)
-    single = np.where(box, m == 0, label & (a >= 0) & (a <= 61))
-    if not single.any():
-        return (j[:0], j[:0]), ~single
-    s, j, p, a, box = s[single], j[single], p[single], a[single], box[single]
-    # the translated wavelet at scale a and offset b = 2^p + q or -2^(p+1) + q
-    b = np.where(s == PLUS, j, j - (3 << p))
-    i = np.where(box, 0, (1 << a) + (b & ((1 << a) - 1)))
-    n = np.where(box, np.where(s == PLUS, 1, -2), b >> a)
-    return (i, n), ~single
-
-
-def _haar_row_runs(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
-    """Array form of ``_haar_row`` for the multi-entry rows among int64
-    keys: the scale ladders, and the coarse boxes with u <= 61.
-
-    Returns one block per case present: (positions of its keys, entries
-    per key, target columns (s, j, m), alphas, clipped mass per key), each
-    key's entries in the table's order and with its values.  A magnitude
-    2^(k/2) is ``np.sqrt(np.ldexp(1.0, k))``, rounded once as in ``_pow2h``.
+    A magnitude 2^(k/2) is ``np.sqrt(np.ldexp(1.0, k))``, rounded once as
+    in ``_pow2h``.
     """
     ladder, box = _haar_row_cases(i, n)
     blocks = []
+    # i in [0, 2^62) and |n| < 2^62 (abs leaves -2^63 negative, so it fails too)
+    single = ~(ladder | box) & (((i | np.abs(n)) >> 62) == 0)
+    at, si, sn = np.flatnonzero(single), i[single], n[single]
+    r = bit_length(si) - 1  # i = 2^r + t; r = -1 only for i = 0
+    rc = np.maximum(r, 0)
+    t = si - (1 << rc)
+    # n >= 1 is 2^u + v and n <= -2 is -2^(u+1) + v, both at scale -u, with
+    # label (lead << r) + t for lead = 2^u + v (so n = 1 and n = -2 give i)
+    up = sn > 0
+    u = bit_length(np.where(up, sn, ~sn) | 1) - 1
+    j = (np.where(up, sn, sn + (3 << u)) << rc) + t
+    m = -u
+    edge = (sn == 0) | (sn == -1)
+    if edge.any():
+        # n = 0: label t at scale r - p, p = bit_length(t) - 1; n = -1: label
+        # 2^p + q at scale r - p, p from the mirrored offset 2^r - t - 1
+        zero = sn == 0
+        p = bit_length(np.where(zero, t, (1 << rc) - t - 1) | 1) - 1
+        j = np.where(zero, t, np.where(edge, (3 << p) + t - (1 << rc), j))
+        m = np.where(edge, r - p, m)
+    s = np.where(sn >= 0, PLUS, MINUS)
+    fit = u + r <= 61  # the label (lead << r) + t stays below 2^63
+    if not fit.all():
+        at, s, j, m = at[fit], s[fit], j[fit], m[fit]
+    if len(at):
+        blocks.append((at, None, (s, j, m), None, None))
     at = np.flatnonzero(ladder & (i >= 0))
     if len(at):
         li, ln = i[at], n[at]
@@ -453,20 +430,33 @@ def _haar_row_runs(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
         neg = ~first & (((v >> (u - p - 1)) & 1) == 1)
         mag = np.sqrt(np.ldexp(1.0, np.where(first, -u, p - u)))
         cols = np.where(bn > 0, PLUS, MINUS), np.where(first, 0, (1 << p) + (v >> (u - p))), -u
-        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex),
-                       np.zeros(len(counts))))
+        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), None))
     return blocks
 
 
-def _haar_column_runs(s: np.ndarray, j: np.ndarray, m: np.ndarray) -> list:
-    """Array form of ``_haar_column`` for the multi-entry columns among
-    int64 keys: the ladder columns (s, 0, m) with 0 < m <= 62, and the box
-    columns (s, 0, m < 0) and wavelet columns with p + m < 0 whose entries
-    stay below 2^62.  Returns blocks as ``_haar_row_runs``, with no clipped
-    mass (None).
+def _haar_column_blocks(s: np.ndarray, j: np.ndarray, m: np.ndarray) -> list:
+    """Array form of ``_haar_column`` on int64 keys, as blocks for
+    ``_terms``: the single entries (label-0 columns at scale 0, wavelet
+    columns with 0 <= p + m <= 61), the ladder columns (s, 0, m) with
+    0 < m <= 62, and the box columns (s, 0, m < 0) and wavelet columns with
+    p + m < 0 whose entries stay below 2^62.  Columns clip nothing.
     """
     blocks = []
-    at = np.flatnonzero((j == 0) & (m > 0) & (m <= 62))
+    box = j == 0
+    label = (j > 0) & (j < _WIDE)
+    # a label j = 2^p + q is a translated wavelet at scale a = p + m and
+    # offset b = 2^p + q or -2^(p+1) + q; a box is at a = m, b = 1 or -2
+    p = bit_length(np.where(label, j, 1)) - 1
+    a = p + np.clip(m, -64, 64)
+    single = np.where(box, m == 0, label & (a >= 0) & (a <= 61))
+    at = np.flatnonzero(single)
+    if len(at):
+        sj, plus, sa, sbox = j[single], s[single] == PLUS, a[single], box[single]
+        b = np.where(plus, sj, sj - (3 << p[single]))
+        i = np.where(sbox, 0, (1 << sa) + (b & ((1 << sa) - 1)))
+        n = np.where(sbox, np.where(plus, 1, -2), b >> sa)
+        blocks.append((at, None, (i, n), None, None))
+    at = np.flatnonzero(box & (m > 0) & (m <= 62))
     if len(at):
         counts = m[at] + 1
         key, pos = _runs(counts)
@@ -479,17 +469,13 @@ def _haar_column_runs(s: np.ndarray, j: np.ndarray, m: np.ndarray) -> list:
         mag = np.sqrt(np.ldexp(1.0, np.where(first, pos - r, -pos)))
         cols = i, np.where(plus, 0, -1)
         blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), None))
-    # box and wavelet columns: the 2^u shifts (b << u) + k of label 0, with
-    # b = 1 or -2 for boxes (u = -m), 2^p + q or -2^(p+1) + q for j = 2^p + q
-    # at u = -(p + m); the wavelets' second half is negative
-    at = np.flatnonzero((j >= 0) & (j < _WIDE) & (m < 0))
+    # box and wavelet columns at a < 0: the 2^u shifts (b << u) + k of label
+    # 0 for u = -a; the wavelets' second half is negative
+    at = np.flatnonzero((box | label) & (a < 0) & (a >= -61))
     if len(at):
-        bj, plus = j[at], s[at] == PLUS
-        p = bit_length(bj | 1) - 1
-        b = np.where(bj == 0, np.where(plus, 1, -2), np.where(plus, bj, bj - (3 << p)))
-        u = -(p + np.maximum(m[at], -64))
-        fit = (u > 0) & (u <= 61)
-        fit &= ((np.abs(b) + 1) >> (62 - np.clip(u, 0, 61))) == 0  # (|b| + 1) 2^u < 2^62
+        bj, plus, u = j[at], s[at] == PLUS, -a[at]
+        b = np.where(bj == 0, np.where(plus, 1, -2), np.where(plus, bj, bj - (3 << p[at])))
+        fit = ((np.abs(b) + 1) >> (62 - u)) == 0  # (|b| + 1) 2^u < 2^62
         at, bj, b, u = at[fit], bj[fit], b[fit], u[fit]
     if len(at):
         counts = 1 << u
@@ -508,27 +494,31 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key, np.arange(len(key)) - starts[key]
 
 
-def _terms(keys, vals: np.ndarray, mapped, entries_of, conj: bool):
+def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool):
     """The terms of a transfer, in source order.
 
-    ``mapped`` is (targets of the single-entry keys, mask of the other keys,
-    blocks from ``_haar_row_runs``/``_haar_column_runs``) from a batched
-    map, or None when every key takes the scalar table.  A single entry's
-    term is the key's value (alpha is 1.0); the other keys' terms are each
-    alpha (conjugated for ``conj``) times the value, from their block or,
-    for keys in no block, from ``entries_of(*key)``.  Returns (target key
-    columns, term values, l2 bound on the clipped part), the bound summed
-    over the keys in order with Python's ``abs`` (numpy's complex abs may
-    differ from it in the last bit).
+    A block is (positions of its keys, entries per key, target key columns,
+    alphas, clipped mass per key), each key's entries in table order.  A
+    single-entry block has None for the counts, alphas and clipped mass:
+    one entry per key whose alpha is 1.0, so its term is the key's value
+    (when it covers every key, its targets and ``vals`` are the terms).
+    Keys in no block go through ``entries_of(*key)`` one at a time, as one
+    more block.  Every other term is alpha (conjugated for ``conj``) times
+    the key's value.  Returns (target key columns, term values, l2 bound on
+    the clipped part), the bound summed over the keys in order with
+    Python's ``abs`` (numpy's complex abs may differ from it in the last
+    bit).
     """
+    if len(blocks) == 1 and blocks[0][1] is None and len(blocks[0][0]) == len(vals):
+        return blocks[0][2], vals, 0.0
     width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
-    targets, scalar, blocks = mapped or ((None,) * width, np.ones(len(vals), dtype=bool), [])
-    if not scalar.any() and targets[0] is not None:
-        return targets, vals, 0.0
-    rest = scalar.copy()
-    for block in blocks:
-        rest[block[0]] = False
-    at = rest.nonzero()[0]
+    counts = np.full(len(vals), -1, dtype=np.int64)  # -1: in no block
+    clip = np.zeros(len(vals))
+    for at, block_counts, _, _, clipped in blocks:
+        counts[at] = 1 if block_counts is None else block_counts
+        if clipped is not None:
+            clip[at] = clipped
+    at = np.flatnonzero(counts < 0)
     if len(at):
         table, lengths, clipped = [], [], []
         for key in zip(*(c[at].tolist() for c in keys)):
@@ -536,37 +526,30 @@ def _terms(keys, vals: np.ndarray, mapped, entries_of, conj: bool):
             table += entries
             lengths.append(len(entries))
             clipped.append(c)
+        counts[at], clip[at] = lengths, clipped
         alphas = np.fromiter(map(itemgetter(1), table), dtype=complex, count=len(table))
-        blocks = [*blocks, (at, np.array(lengths, dtype=np.int64),
-                            key_columns(list(map(itemgetter(0), table)), width), alphas,
-                            np.array(clipped))]
-    tails = [(at[clipped > 0.0], clipped[clipped > 0.0])
-             for at, _, _, _, clipped in blocks if clipped is not None]
+        blocks = [*blocks, (at, counts[at], key_columns(list(map(itemgetter(0), table)), width),
+                            alphas, None)]
     tail = 0.0
-    if tails:
-        at, clipped = (np.concatenate(x) for x in zip(*tails))
-        order = at.argsort()
-        for val, c in zip(vals[at[order]].tolist(), clipped[order].tolist()):
-            tail += abs(val) * math.sqrt(c)
+    hit = np.flatnonzero(clip > 0.0)
+    for val, c in zip(vals[hit].tolist(), clip[hit].tolist()):
+        tail += abs(val) * math.sqrt(c)
     # each key's terms start after the terms of the keys before it
-    counts = np.ones(len(vals), dtype=np.int64)
-    for at, block_counts, *_ in blocks:
-        counts[at] = block_counts
     starts = np.cumsum(counts) - counts
     terms = np.empty(int(counts.sum()), dtype=complex)
-    single_at = starts[~scalar]
-    terms[single_at] = vals[~scalar]
     places = []
     for at, block_counts, _, alphas, _ in blocks:
-        key, pos = _runs(block_counts)
-        places.append(starts[at][key] + pos)
-        terms[places[-1]] = cmul(alphas.conjugate() if conj else alphas, vals[at][key])
+        if block_counts is None:
+            places.append(starts[at])
+            terms[places[-1]] = vals[at]
+        else:
+            key, pos = _runs(block_counts)
+            places.append(starts[at][key] + pos)
+            terms[places[-1]] = cmul(alphas.conjugate() if conj else alphas, vals[at][key])
     cols = []
-    for k, target in enumerate(targets):
+    for k in range(width):
         parts = [block[2][k] for block in blocks]
         col = np.empty(len(terms), dtype=np.result_type(np.int64, *parts))
-        if target is not None:
-            col[single_at] = target
         for place, part in zip(places, parts):
             col[place] = part
         cols.append(col)
@@ -576,19 +559,15 @@ def _terms(keys, vals: np.ndarray, mapped, entries_of, conj: bool):
 def row_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window):
     """Terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a transfer to the
     dilation model, for translation-model key columns and values."""
-    mapped = None
-    if A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys):
-        mapped = *_haar_row_map(*keys), _haar_row_runs(*keys, w.dil_range[1])
-    return _terms(keys, vals, mapped, lambda i, n: A.row(i, n, w), conj=False)
+    blocks = _haar_row_blocks(*keys, w.dil_range[1]) if _haar_arrays(A, keys) else []
+    return _terms(keys, vals, blocks, lambda i, n: A.row(i, n, w), conj=False)
 
 
 def column_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window):
     """Terms sum_(s,j,m) conj(alpha_{i,n}^{s,j,m}) v[(s, j, m)] of a transfer
     to the translation model, for dilation-model key columns and values."""
-    mapped = None
-    if A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys):
-        mapped = *_haar_column_map(*keys), _haar_column_runs(*keys)
-    return _terms(keys, vals, mapped, lambda s, j, m: A.column(s, j, m, w), conj=True)
+    blocks = _haar_column_blocks(*keys) if _haar_arrays(A, keys) else []
+    return _terms(keys, vals, blocks, lambda s, j, m: A.column(s, j, m, w), conj=True)
 
 
 # -- public surface ------------------------------------------------------------

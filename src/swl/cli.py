@@ -362,6 +362,8 @@ def _parse_labels(text: str, fam: BasisFamily) -> list[tuple[int, int]]:
         if part[0] not in "+-":
             raise InputError(f"label {part!r} must look like +3 or -0")
         out.append(check_dil_label(fam, sign_value(part[0]), int(part[1:])))
+    if not out:
+        raise InputError(f"no completeness labels in {text!r}")
     return out
 
 
@@ -514,6 +516,9 @@ def run(argv=None) -> int:
         return _USAGE_ERROR
     except ArithmeticError as exc:  # an input too large for the arithmetic
         print(f"swl: error: numbers out of range: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
+    except MemoryError:  # an input too large for the memory available
+        print("swl: error: out of memory: the request is too large", file=sys.stderr)
         return _USAGE_ERROR
 
 

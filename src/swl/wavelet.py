@@ -273,9 +273,13 @@ def check_wavelet_orthonormality(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Wi
 # -- completeness -------------------------------------------------------------
 
 def _dil_labels(A: AlphaMatrix, labels) -> list[tuple[int, int]]:
-    """The completeness labels (s, j) as ints; a label that is not one of
-    the family's raises ``ValueError``."""
-    return [check_dil_label(A.fam, int(s), int(j)) for s, j in labels]
+    """The completeness labels (s, j) as ints; no labels, or a label that
+    is not one of the family's, raises ``ValueError`` (a rank of 0 of 0
+    tests nothing)."""
+    labels = [check_dil_label(A.fam, int(s), int(j)) for s, j in labels]
+    if not labels:
+        raise ValueError("no completeness labels to test")
+    return labels
 
 
 def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[int, int]],

@@ -1,9 +1,10 @@
-"""The batched Haar maps and the array-backed transfers.
+"""The batched Haar blocks and the array-backed transfers.
 
-The maps relabel the single-entry rows and columns of whole int64 key
-arrays; every other key goes through the scalar tables ``_haar_row`` and
-``_haar_column``.  The references here are those tables and the transfer
-as a dict accumulation over them, term by term in source order.
+The blocks relabel the single-entry rows and columns of whole int64 key
+arrays and expand the multi-entry ones; every other key goes through the
+scalar tables ``_haar_row`` and ``_haar_column``.  The references here are
+those tables and the transfer as a dict accumulation over them, term by
+term in source order.
 """
 
 import math
@@ -30,11 +31,9 @@ from swl import (  # noqa: E402
 )
 from swl.alpha import (  # noqa: E402
     _haar_column,
-    _haar_column_map,
-    _haar_column_runs,
+    _haar_column_blocks,
     _haar_row,
-    _haar_row_map,
-    _haar_row_runs,
+    _haar_row_blocks,
 )
 from swl.core import DROP_THRESHOLD, MINUS, PLUS, key_columns  # noqa: E402
 
@@ -69,34 +68,41 @@ def _fits(*values):
     return all(abs(v) < (1 << 62) for v in values)
 
 
+def _single_targets(blocks, size):
+    # each key's target in the single-entry block, None for the other keys
+    targets = [None] * size
+    for at, counts, cols, alphas, clipped in blocks:
+        if counts is None:
+            assert alphas is None and clipped is None
+            for a, target in zip(at.tolist(), zip(*(c.tolist() for c in cols))):
+                assert targets[a] is None
+                targets[a] = target
+    return targets
+
+
 @given(keys=st.lists(st.tuples(labels, shifts), min_size=1, max_size=40))
 def test_row_map_matches_the_row_table(keys):
-    i, n = key_columns(keys, 2)
-    (s, j, m), scalar = _haar_row_map(i, n)
-    targets = iter(zip(s.tolist(), j.tolist(), m.tolist()))
-    for (ki, kn), is_scalar in zip(keys, scalar.tolist()):
+    blocks = _haar_row_blocks(*key_columns(keys, 2), W.dil_range[1])
+    for (ki, kn), target in zip(keys, _single_targets(blocks, len(keys))):
         entries, tail = _haar_row(ki, kn, W.dil_range[1])
-        if not is_scalar:
-            assert entries == [(next(targets), 1.0 + 0j)] and tail == 0.0
+        if target is not None:
+            assert entries == [(target, 1.0 + 0j)] and tail == 0.0
         else:
-            # a scalar key is a multi-entry row, or one whose target leaves int64
+            # a key outside the single-entry block is a multi-entry row, or one
+            # whose target leaves int64
             assert not _single(entries) or not _fits(ki, kn, *entries[0][0])
-    assert next(targets, None) is None
 
 
 @given(keys=st.lists(st.tuples(signs, labels, scales), min_size=1, max_size=40))
 def test_column_map_matches_the_column_table(keys):
-    s, j, m = key_columns(keys, 3)
-    (i, n), scalar = _haar_column_map(s, j, m)
-    targets = iter(zip(i.tolist(), n.tolist()))
-    for (ks, kj, km), is_scalar in zip(keys, scalar.tolist()):
+    blocks = _haar_column_blocks(*key_columns(keys, 3))
+    for (ks, kj, km), target in zip(keys, _single_targets(blocks, len(keys))):
         entries = _haar_column(ks, kj, km)
-        if not is_scalar:
-            assert entries == [(next(targets), 1.0 + 0j)]
+        if target is not None:
+            assert entries == [(target, 1.0 + 0j)]
         else:
             # a ladder, a box or a wavelet column with p + m < 0, or a target past int64
             assert not _single(entries) or not _fits(kj, km, *entries[0][0])
-    assert next(targets, None) is None
 
 
 def test_map_cases_cover_every_branch():
@@ -104,18 +110,18 @@ def test_map_cases_cover_every_branch():
     rows = [(0, 0), (4, 0), (5, 0), (0, -1), (3, -1), (4, -1), (7, 1), (0, 1), (9, -2),
             (0, 6), (0, -6), (5, 6), (5, -6), ((1 << 61) + 1, 0), (1, 1 << 61),
             (1, -(1 << 61)), (1 << 61, 2), (3, 1 << 61)]
-    i, n = key_columns(rows, 2)
-    _, scalar = _haar_row_map(i, n)
+    targets = _single_targets(_haar_row_blocks(*key_columns(rows, 2), W.dil_range[1]), len(rows))
     # ladders, coarse boxes, and the last two, whose labels reach 2^62
-    assert scalar.tolist() == [True, True, False, True, True, False, False, False, False,
-                               True, True, False, False, False, False, False, True, True]
+    assert [t is None for t in targets] == [
+        True, True, False, True, True, False, False, False, False,
+        True, True, False, False, False, False, False, True, True]
     cols = [(PLUS, 0, 0), (MINUS, 0, 0), (PLUS, 0, 3), (PLUS, 0, -2), (PLUS, 5, 1),
             (MINUS, 5, 1), (PLUS, 5, -2), (MINUS, 6, -3), (PLUS, 1 << 61, 0),
             (PLUS, 3, 60), (PLUS, 1 << 61, 1), (MINUS, 3, 61)]
-    _, scalar = _haar_column_map(*key_columns(cols, 3))
+    targets = _single_targets(_haar_column_blocks(*key_columns(cols, 3)), len(cols))
     # ladders, boxes, p + m < 0, and the last two, at scale 62
-    assert scalar.tolist() == [False, False, True, True, False, False, False, True, False,
-                               False, True, True]
+    assert [t is None for t in targets] == [
+        False, False, True, True, False, False, False, True, False, False, True, True]
 
 
 # -- transfers against the dict accumulation ---------------------------------------
@@ -269,9 +275,12 @@ def test_vectors_keep_python_int_keys_past_int64():
 # -- the array expansions of the multi-entry rows and columns ----------------------
 
 def _expanded(blocks):
-    # position of each expanded key -> (its entries as (key tuple, alpha), clipped mass)
+    # position of each key of a multi-entry block -> (its entries as
+    # (key tuple, alpha), clipped mass)
     out = {}
     for at, counts, cols, alphas, clipped in blocks:
+        if counts is None:
+            continue
         keys = list(zip(*(c.tolist() for c in cols)))
         alphas, end = alphas.tolist(), 0
         for k, (a, count) in enumerate(zip(at.tolist(), counts.tolist())):
@@ -299,7 +308,7 @@ edge_rows = st.sampled_from([(1 << 61, 0), ((1 << 62) - 1, -1), (1 << 62, 0), ((
 @given(keys=st.lists(st.one_of(st.tuples(labels, shifts), edge_rows), min_size=1, max_size=40),
        m_hi=st.integers(-4, 70))
 def test_row_runs_match_the_row_table(keys, m_hi):
-    expanded = _expanded(_haar_row_runs(*key_columns(keys, 2), m_hi))
+    expanded = _expanded(_haar_row_blocks(*key_columns(keys, 2), m_hi))
     for at, (ki, kn) in enumerate(keys):
         entries, tail = _haar_row(ki, kn, m_hi)
         if at in expanded:
@@ -326,7 +335,7 @@ edge_columns = st.one_of(st.sampled_from([(PLUS, 0, 62), (MINUS, 0, 62), (PLUS, 
 @given(keys=st.lists(st.one_of(st.tuples(signs, labels, scales), edge_columns),
                      min_size=1, max_size=40))
 def test_column_runs_match_the_column_table(keys):
-    expanded = _expanded(_haar_column_runs(*key_columns(keys, 3)))
+    expanded = _expanded(_haar_column_blocks(*key_columns(keys, 3)))
     for at, (ks, kj, km) in enumerate(keys):
         entries = _haar_column(ks, kj, km)
         if at in expanded:
@@ -341,11 +350,11 @@ def test_column_runs_match_the_column_table(keys):
 def test_runs_fall_back_at_the_int64_edge():
     rows = [(1 << 62, 0), ((1 << 63) - 1, -1), (0, (1 << 61) + 5), (0, -(1 << 62) + 5),
             (0, (1 << 62) + 5), (0, -(1 << 62) - 1), (5, 3)]
-    assert sorted(_expanded(_haar_row_runs(*key_columns(rows, 2), 70))) == [0, 1, 2, 3]
+    assert sorted(_expanded(_haar_row_blocks(*key_columns(rows, 2), 70))) == [0, 1, 2, 3]
     cols = [(PLUS, 0, 62), (PLUS, 0, 63), (MINUS, 0, 63), (PLUS, 0, -12), (PLUS, (1 << 60) - 2, -61),
             (PLUS, (1 << 60) - 1, -61), (MINUS, (1 << 59) + 2, -61), (MINUS, (1 << 59) + 1, -61),
             (PLUS, 1, -62), (PLUS, 5, 1)]
-    assert sorted(_expanded(_haar_column_runs(*key_columns(cols, 3)))) == [0, 3, 4, 6]
+    assert sorted(_expanded(_haar_column_blocks(*key_columns(cols, 3)))) == [0, 3, 4, 6]
     # expanded or not, the transfers are the term-by-term ones
     w = Window.symmetric(HAAR, 4, 4, 70)
     f = FCoordVec({key: 1.0 + 0.5j * k for k, key in enumerate(rows)})

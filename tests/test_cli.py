@@ -272,6 +272,8 @@ def test_subcommand_usage_error_exits_two(capsys, command):
     # a completeness label that is not one of the family's
     ("check-wavelet", "--basis", "haar", "--function", "haar_wavelet", "--labels", "+0,+-1",
      "--pq", "1", "--window", "3"),
+    # D^-3000 gives columns of 2^3000 translates, more than any list holds
+    ("act", "--basis", "haar", "--function", "haar_wavelet", "-p", "-3000", "-q", "1"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
     # "@name" stands for a coefficient file holding files[name]
@@ -297,6 +299,8 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
 @pytest.mark.parametrize("labels, message", [
     ("+0,+-1", "haar labels are non-negative, got j=-1"),
     ("+0,+x", "invalid literal for int() with base 10: 'x'"),
+    # no labels: a rank of 0 of 0 would pass without testing anything
+    (",", "no completeness labels in ','"),
 ])
 def test_bad_completeness_label_exits_before_any_check(monkeypatch, capsys, labels, message):
     # the labels are input, so they are rejected before the oracle and the
@@ -314,6 +318,18 @@ def test_bad_completeness_label_exits_before_any_check(monkeypatch, capsys, labe
                              "haar_wavelet", "--pq", "3", "--window", "6", "--labels", labels)
     assert (code, out, err) == (2, "", f"swl: error: {message}\n")
     assert calls == []
+
+
+def test_out_of_memory_exits_two_without_traceback(monkeypatch, capsys):
+    import swl.cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(swl.cli, "AlphaMatrix", exhausted)
+    code, out, err = _invoke(capsys, "act", "--basis", "haar", "--function", "haar_wavelet",
+                             "-p", "1", "-q", "0")
+    assert (code, out, err) == (2, "", "swl: error: out of memory: the request is too large\n")
 
 
 @pytest.mark.parametrize("basis", ["haar", "exponential"])

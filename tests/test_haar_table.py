@@ -81,6 +81,15 @@ def test_ladder_entry_far_past_underflow_is_zero():
     assert A.entry(0, -1, MINUS, 0, 1075) == 0j
 
 
+def test_column_past_the_longest_list_raises_at_once():
+    # box and fine wavelet columns list 2^u shifts (u = -m, or -(p + m) for
+    # j = 2^p + q); from u = 63 no list holds them, so nothing is enumerated
+    w = Window.symmetric(HAAR, 2)
+    for s, j, m in [(PLUS, 0, -3000), (MINUS, 0, -63), (PLUS, 5, -3000), (MINUS, 5, -65)]:
+        with pytest.raises(ArithmeticError, match="past the longest list"):
+            A.column(s, j, m, w)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:

@@ -166,9 +166,9 @@ def test_negative_row_window_is_an_input_error(psi_tilde, A_haar, w_haar):
 
 
 def test_invalid_completeness_labels_are_input_errors(psi_tilde, A_haar, w_haar):
-    # a sign that is not +-1, or a negative Haar label, is not a column to test
-    for bad in [(0, 1), (PLUS, -1), (2, 0)]:
-        labels = [(PLUS, 1), bad, (MINUS, 1)]
+    # a sign that is not +-1, or a negative Haar label, is not a column to
+    # test; no labels at all would pass with a rank of 0 of 0
+    for labels in [[(PLUS, 1), bad, (MINUS, 1)] for bad in [(0, 1), (PLUS, -1), (2, 0)]] + [[]]:
         with pytest.raises(ValueError):
             completeness_matrix(psi_tilde, A_haar, labels, 3, w_haar)
         with pytest.raises(ValueError):
