@@ -23,6 +23,13 @@ and columns are infinite in the label direction with ~1/label decay and
 are clipped to the window's label set; again the clipped mass is reported
 exactly as 1 - (captured mass).
 
+The exponential table has one support rule, ``_exp_support``: row n lies
+on branch + for n >= 0 and - for n < 0, at every scale m >= 1 for n in
+{0, -1}, and at the one scale m = -p for n = 2^p + q or n = -2^p - q - 1
+(0 <= q < 2^p), so rows 1 and -2 are the single entries at m = 0.  The
+entry formulas, ``row_case`` and both enumerations read it; a column
+(s, j, m) walks only the rows of ``_exp_rows(s, m)`` inside the window.
+
 Haar scale rule: give a translation key (i, n) the level bit_length(i) and
 a dilation key (s, j, m) the level m + bit_length(j).  Where
 alpha_{i,n}^{s,j,m} != 0 and i >= 1, level(i, n) <= level(s, j, m), with
@@ -97,101 +104,68 @@ def bit_sign_exponent(u: int, v: int, p: int) -> int:
 
 # -- exponential family -------------------------------------------------------
 
+def _exp_support(n: int) -> tuple[int, int, float, int]:
+    """The support rule of the exponential table: row n has its entries on
+    branch s at the scales lo <= m <= hi, with offset q.
+
+    A row n < 0 is the minus-branch mirror of row c = -n - 1 (c = n for
+    n >= 0).  Row c = 0 has entries at every scale m >= 1 (hi is inf); row
+    c = 2^p + q, 0 <= q < 2^p, has them all at the one scale m = -p, and at
+    p = 0 (rows 1 and -2) only the one at j = k.
+    """
+    s, c = (PLUS, n) if n >= 0 else (MINUS, -n - 1)
+    if c == 0:
+        return s, 1, math.inf, 0
+    p = c.bit_length() - 1
+    return s, -p, -p, c - (1 << p)
+
+
+def _exp_rows(s: int, m: int) -> range:
+    """The rows n, in increasing order, whose support holds scale m of
+    branch s: the inverse of ``_exp_support``."""
+    lo, hi = (0, 1) if m > 0 else (1 << -m, 2 << -m)  # c in [lo, hi)
+    return range(lo, hi) if s == PLUS else range(-hi, -lo)
+
+
 def _alpha_exp(k: int, n: int, s: int, j: int, m: int) -> complex:
-    if n == 0 or n == -1:
-        want = PLUS if n == 0 else MINUS
-        if s != want or m <= 0:
-            return 0j
+    branch, lo, hi, q = _exp_support(n)
+    if s != branch or not lo <= m <= hi:
+        return 0j
+    sgn = 1 if s == PLUS else -1
+    if m > 0:  # rows 0 and -1
         if k == j * (1 << m):
             return complex(_pow2h(-m))
-        sgn = 1 if n == 0 else -1
         e = cis_frac(Fraction(sgn * k, 1 << m))
         return sgn * -1j * _pow2h(m) * e * (e - 1.0) / (2.0 * math.pi * (k - j * (1 << m)))
-    if n == 1:
-        return complex(1.0) if (s == PLUS and m == 0 and k == j) else 0j
-    if n == -2:
-        return complex(1.0) if (s == MINUS and m == 0 and k == j) else 0j
-    if n >= 2:
-        p = n.bit_length() - 1
-        q = n - (1 << p)
-        if s != PLUS or m != -p:
-            return 0j
-        if k * (1 << p) == j:
-            return complex(_pow2h(-p))
-        e1 = cis_frac(Fraction(-j * q, 1 << p))
-        e2 = cis_frac(Fraction(-j, 1 << p))
-        return -1j * _pow2h(p) * e1 * (e2 - 1.0) / (2.0 * math.pi * (k * (1 << p) - j))
-    # n <= -3, parametrized as n = -2^p - q - 1
-    np_ = -n - 1
-    p = np_.bit_length() - 1
-    q = np_ - (1 << p)
-    if s != MINUS or m != -p:
-        return 0j
+    p = -m
     if k * (1 << p) == j:
-        return complex(_pow2h(-p))
-    e1 = cis_frac(Fraction(j * q, 1 << p))
-    e2 = cis_frac(Fraction(j, 1 << p))
-    return 1j * _pow2h(p) * e1 * (e2 - 1.0) / (2.0 * math.pi * (k * (1 << p) - j))
+        return complex(_pow2h(m))
+    if p == 0:  # rows 1 and -2: the single entry j = k
+        return 0j
+    e1 = cis_frac(Fraction(-sgn * j * q, 1 << p))
+    e2 = cis_frac(Fraction(-sgn * j, 1 << p))
+    return sgn * -1j * _pow2h(p) * e1 * (e2 - 1.0) / (2.0 * math.pi * (k * (1 << p) - j))
 
 
 def _exp_row(k: int, n: int, w: Window) -> list[tuple[DilIndex, complex]]:
+    s, lo, hi, _ = _exp_support(n)
     m_lo, m_hi = w.dil_range
-    out = []
-    if n == 0 or n == -1:
-        s = PLUS if n == 0 else MINUS
-        js = [j for sg, j in w.dil_labels if sg == s]
-        for m in range(max(1, m_lo), m_hi + 1):
-            for j in js:
-                val = _alpha_exp(k, n, s, j, m)
-                if val != 0j:
-                    out.append((DilIndex(s, j, m), val))
-        return out
-    if n == 1 or n == -2:
-        s = PLUS if n == 1 else MINUS
-        if m_lo <= 0 <= m_hi and (s, k) in set(w.dil_labels):
-            out.append((DilIndex(s, k, 0), 1.0 + 0j))
-        return out
-    s = PLUS if n >= 2 else MINUS
-    np_ = n if n >= 2 else -n - 1
-    p = np_.bit_length() - 1
-    if not (m_lo <= -p <= m_hi):
-        return out
-    for sg, j in w.dil_labels:
-        if sg != s:
-            continue
-        val = _alpha_exp(k, n, s, j, -p)
-        if val != 0j:
-            out.append((DilIndex(s, j, -p), val))
-    return out
+    js = [j for sg, j in w.dil_labels if sg == s]
+    return [(DilIndex(s, j, m), val) for m in range(max(lo, m_lo), min(hi, m_hi) + 1)
+            for j in js if (val := _alpha_exp(k, n, s, j, m)) != 0j]
 
 
 def _exp_column(s: int, j: int, m: int, w: Window) -> list[tuple[TransIndex, complex]]:
+    # only the rows inside the window: a column at m = -p has 2^p of them
+    rows = _exp_rows(s, m)
     n_lo, n_hi = w.trans_range
-    labels = w.trans_labels
-    out = []
-    if m == 0:
-        n = 1 if s == PLUS else -2
-        if n_lo <= n <= n_hi and j in labels:
-            out.append((TransIndex(j, n), 1.0 + 0j))
-        return out
-    if m > 0:
-        n = 0 if s == PLUS else -1
-        if n_lo <= n <= n_hi:
-            for k in labels:
-                val = _alpha_exp(k, n, s, j, m)
-                if val != 0j:
-                    out.append((TransIndex(k, n), val))
-        return out
-    p = -m
-    ns = range(1 << p, 1 << (p + 1)) if s == PLUS else range(-(1 << (p + 1)), -(1 << p))
-    for n in ns:
-        if not (n_lo <= n <= n_hi):
-            continue
-        for k in labels:
-            val = _alpha_exp(k, n, s, j, m)
-            if val != 0j:
-                out.append((TransIndex(k, n), val))
-    return out
+    return [(TransIndex(k, n), val) for n in range(max(rows.start, n_lo), min(rows.stop, n_hi + 1))
+            for k in w.trans_labels if (val := _alpha_exp(k, n, s, j, m)) != 0j]
+
+
+def _clipped(entries: list) -> tuple[list, float]:
+    # an exponential row or column has unit mass: the window clips 1 minus what it keeps
+    return entries, max(0.0, 1.0 - math.fsum(abs(v) ** 2 for _, v in entries))
 
 
 # -- Haar family ---------------------------------------------------------------
@@ -597,9 +571,7 @@ class AlphaMatrix:
         check_trans_label(self.fam, i)
         if self.fam.name == "haar":
             return _haar_row(int(i), int(n), w.dil_range[1])
-        entries = _exp_row(int(i), int(n), w)
-        captured = math.fsum(abs(v) ** 2 for _, v in entries)
-        return entries, max(0.0, 1.0 - captured)
+        return _clipped(_exp_row(int(i), int(n), w))
 
     def column(self, s: int, j: int, m: int, w: Window) -> tuple[list[tuple[TransIndex, complex]], float]:
         """Nonzero entries of column (s, j, m) within the window, plus clipped mass.
@@ -610,18 +582,15 @@ class AlphaMatrix:
         check_dil_label(self.fam, s, j)
         if self.fam.name == "haar":
             return _haar_column(s, int(j), int(m)), 0.0
-        entries = _exp_column(s, int(j), int(m), w)
-        captured = math.fsum(abs(v) ** 2 for _, v in entries)
-        return entries, max(0.0, 1.0 - captured)
+        return _clipped(_exp_column(s, int(j), int(m), w))
 
     def row_case(self, i: int, n: int) -> str:
         """Structural description of a row's support (finite vs scale ladder)."""
         if self.fam.name == "exponential":
-            if n in (0, -1):
+            _, lo, hi, _ = _exp_support(int(n))
+            if lo < hi:
                 return "all labels at every positive scale (window-clipped)"
-            if n in (1, -2):
-                return "single entry"
-            return "all labels at one scale (window-clipped)"
+            return "single entry" if lo == 0 else "all labels at one scale (window-clipped)"
         ladder, box = _haar_row_cases(int(i), int(n))
         if ladder:
             return "geometric scale ladder (truncated at the window top)"

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _WIDE, DilIndex, MINUS, PLUS, TransIndex, bit_length, int_columns
+from .core import _WIDE, DilIndex, MINUS, PLUS, TransIndex, bit_length, ceil_float, int_columns
 
 
 class InvalidLabelError(ValueError):
@@ -163,16 +163,6 @@ def _turns(fnum, fexp, x: np.ndarray) -> np.ndarray:
     return np.ldexp(ticks.astype(float) + rest * odd, -_TICKS)
 
 
-def _ceil_dyadic(num: int, exp: int) -> float:
-    """Least double >= num 2^-exp, in integer arithmetic (exact past 2^53):
-    a double x is >= the dyadic iff x >= this bound, and < it iff x < it."""
-    if exp < 0:
-        num, exp = num << -exp, 0
-    x = num / (1 << exp)  # correctly rounded
-    top, den = x.as_integer_ratio()
-    return x if top << exp >= num * den else math.nextafter(x, math.inf)
-
-
 def _evaluate(atoms, x):
     """Pointwise sum of integer atoms, left-closed at every breakpoint.
 
@@ -181,7 +171,7 @@ def _evaluate(atoms, x):
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
     for lo, hi, exp, coeffs, fnum, fexp in atoms:
-        sel = (x >= _ceil_dyadic(lo, exp)) & (x < _ceil_dyadic(hi, exp))
+        sel = (x >= ceil_float(_dyadic(lo, exp))) & (x < ceil_float(_dyadic(hi, exp)))
         xs = x[sel]
         val = np.zeros(xs.shape, dtype=complex)
         for c in reversed(coeffs):

@@ -61,7 +61,7 @@ from . import bases
 from .bases import (
     BasisFamily,
     FunctionSpec,
-    _ceil_dyadic,
+    _dyadic,
     _turns,
     check_dil_label,
     check_trans_label,
@@ -72,6 +72,7 @@ from .core import (
     FCoordVec,
     GCoordVec,
     Window,
+    ceil_float,
     int_columns,
     keep_mask,
     window_columns,
@@ -414,7 +415,7 @@ def _gl16(integrand, a: np.ndarray, b: np.ndarray, tol: np.ndarray, owner: np.nd
 
 
 def _ceil_dyadics(num: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """``bases._ceil_dyadic`` of each entry: the least double >= num 2^-exp."""
+    """The least double >= num 2^-exp, of each entry."""
     out = np.zeros(len(num))
     exact = np.zeros(len(num), dtype=bool)
     if num.dtype != object:
@@ -422,7 +423,7 @@ def _ceil_dyadics(num: np.ndarray, exp: np.ndarray) -> np.ndarray:
             out = np.ldexp(num.astype(float), -exp)
             exact = (np.abs(num) <= 1 << 53) & (np.ldexp(out, exp) == num)
     for k in np.flatnonzero(~exact).tolist():
-        out[k] = _ceil_dyadic(int(num[k]), int(exp[k]))
+        out[k] = ceil_float(_dyadic(int(num[k]), int(exp[k])))
     return out
 
 

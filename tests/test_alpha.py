@@ -19,6 +19,7 @@ from swl import (
     g_from_f,
     oracle_G_coords,
 )
+from swl import alpha
 from swl.bases import FunctionSpec, InvalidLabelError
 from swl.core import MINUS, PLUS, coord_equal
 from swl.quadrature import inner_product
@@ -132,6 +133,61 @@ def test_haar_column_transpose_consistency(A_haar, w_haar, s, j, m):
     assert mass == pytest.approx(1.0, abs=1e-12)
     for (i, n), val in entries:
         assert A_haar.entry(i, n, s, j, m) == pytest.approx(val, abs=1e-14)
+
+
+# the exponential row classes: every positive scale, a single entry, one scale
+_EXP_CASES = {
+    "all labels at every positive scale (window-clipped)": (0, -1),
+    "single entry": (1, -2),
+    "all labels at one scale (window-clipped)": (2, 3, 4, 5, -3, -4, -5, -6),
+}
+
+
+def test_exponential_row_column_transpose_consistency(A_exp):
+    # rows n = -6..6 hold every class, at the scales m = -2..3 of the window
+    w = Window.symmetric(EXPONENTIAL, 3, 6, 3)
+    (n_lo, n_hi), (m_lo, m_hi) = w.trans_range, w.dil_range
+    assert {n for ns in _EXP_CASES.values() for n in ns} <= set(range(n_lo, n_hi + 1))
+    from_rows, from_columns = {}, {}
+    for n in range(n_lo, n_hi + 1):
+        for k in w.trans_labels:
+            entries, _ = A_exp.row(k, n, w)
+            # table order: scale by scale, labels in window order
+            nonzero = [((s, j, m), val) for m in range(m_lo, m_hi + 1) for s, j in w.dil_labels
+                       if (val := A_exp.entry(k, n, s, j, m)) != 0j]
+            assert [(tuple(key), val) for key, val in entries] == nonzero
+            from_rows.update(((k, n, *key), val) for key, val in nonzero)
+    for s, j in w.dil_labels:
+        for m in range(m_lo, m_hi + 1):
+            entries, _ = A_exp.column(s, j, m, w)
+            from_columns.update(((k, n, s, j, m), val) for (k, n), val in entries)
+    assert len(from_rows) > 0
+    assert from_columns == from_rows
+    for text, rows in _EXP_CASES.items():
+        for n in rows:
+            for k in (0, 2, -5):
+                assert A_exp.row_case(k, n) == text
+
+
+def test_exponential_column_evaluates_only_window_rows(A_exp, monkeypatch):
+    # a column at scale -p has 2^p rows; only those in the window are evaluated
+    calls = []
+    table = alpha._alpha_exp
+
+    def counted(*index):
+        calls.append(index)
+        return table(*index)
+
+    monkeypatch.setattr(alpha, "_alpha_exp", counted)
+    w = Window.symmetric(EXPONENTIAL, 2)
+    n_lo, n_hi = w.trans_range
+    bound = (n_hi - n_lo + 1) * len(w.trans_labels)
+    assert A_exp.column(PLUS, 0, -70, w) == ([], 1.0)
+    assert len(calls) <= bound
+    for s, m in ((PLUS, -1), (PLUS, 0), (MINUS, 0), (MINUS, 3)):
+        calls.clear()
+        A_exp.column(s, 1, m, w)
+        assert 0 < len(calls) <= bound
 
 
 def test_row_case_descriptions(A_haar, A_exp):

@@ -332,6 +332,16 @@ def test_out_of_memory_exits_two_without_traceback(monkeypatch, capsys):
     assert (code, out, err) == (2, "", "swl: error: out of memory: the request is too large\n")
 
 
+def test_exponential_coarse_columns_walk_only_the_window(capsys):
+    # D^-70 moves the dilation coordinates to scales near -70, where an exponential
+    # column has about 2^70 rows, none of them inside the window's translation range
+    code, out, err = _invoke(capsys, "act", "--basis", "exponential", "--function",
+                             "haar_wavelet", "-p", "-70", "-q", "1", "--window", "2",
+                             "--mmax", "2")
+    assert (code, err) == (0, "")
+    assert _doc(out)["entries"] == []
+
+
 @pytest.mark.parametrize("basis", ["haar", "exponential"])
 def test_scale_past_double_range_is_an_input_error(capsys, basis):
     # the amplitude 2^(m/2) of a scale-1100 element is past double range
