@@ -34,8 +34,9 @@ from .bases import (
     parse_function_spec,
 )
 from .quadrature import inner_product, inner_products, oracle_F_coords, oracle_G_coords
-from .alpha import AlphaMatrix, alpha_entry, alpha_row, f_from_g, g_from_f
+from .alpha import AlphaMatrix, alpha_entry, alpha_row, f_from_g, g_from_f, transfer
 from .group_action import (
+    act,
     act_DT_on_F,
     act_DT_on_G,
     act_TD_on_F,

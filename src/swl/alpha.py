@@ -36,10 +36,6 @@ alpha_{i,n}^{s,j,m} != 0 and i >= 1, level(i, n) <= level(s, j, m), with
 equality when the row or the column has a single entry.  ``scale_reach``
 reads it as a mask of the keys whose transfers can reach a given level.
 
-Transfer directions follow the change-of-representation identities:
-dilation coordinates are ``sum alpha * f_hat`` and translation
-coordinates are ``sum conj(alpha) * f_tilde``.
-
 Batched transfers
 -----------------
 ``row_terms`` and ``column_terms`` lay a transfer out as blocks, one per
@@ -609,23 +605,29 @@ def alpha_row(fam: BasisFamily, i: int, n: int, w: Window) -> list[tuple[DilInde
     return AlphaMatrix(fam).row(i, n, w)[0]
 
 
-def g_from_f(v: FCoordVec, A: AlphaMatrix, w: Window,
-             tail_sink: list | None = None) -> GCoordVec:
-    """Transfer translation-model coordinates to the dilation model.
+def transfer(v: FCoordVec | GCoordVec, A: AlphaMatrix, w: Window):
+    """Move ``v`` to the other model: translation coordinates f_hat to the
+    dilation coordinates ``sum alpha * f_hat``, dilation coordinates
+    f_tilde back to the translation coordinates ``sum conj(alpha) * f_tilde``.
 
-    Truncation happens only through the window; when ``tail_sink`` is
-    given, an l2-norm bound on the clipped part is appended to it.
+    Returns (vector, tail).  Truncation happens only through the window,
+    and ``tail``, an l2-norm bound on the clipped part, is the one place a
+    transfer reports it: ``g_from_f`` and ``f_from_g`` return the vector.
     """
-    keys, terms, tail = row_terms(A, v._cols, v._vals, w)
-    if tail_sink is not None:
-        tail_sink.append(tail)
-    return GCoordVec._from_terms(keys, terms)
+    to_g = isinstance(v, FCoordVec)
+    keys, terms, tail = (row_terms if to_g else column_terms)(A, v._cols, v._vals, w)
+    return (GCoordVec if to_g else FCoordVec)._from_terms(keys, terms), tail
 
 
-def f_from_g(v: GCoordVec, A: AlphaMatrix, w: Window,
-             tail_sink: list | None = None) -> FCoordVec:
+def g_from_f(v: FCoordVec, A: AlphaMatrix, w: Window) -> GCoordVec:
+    """Transfer translation-model coordinates to the dilation model."""
+    if not isinstance(v, FCoordVec):
+        raise TypeError(f"g_from_f takes an FCoordVec, not a {type(v).__name__}")
+    return transfer(v, A, w)[0]
+
+
+def f_from_g(v: GCoordVec, A: AlphaMatrix, w: Window) -> FCoordVec:
     """Adjoint transfer: dilation-model coordinates to the translation model."""
-    keys, terms, tail = column_terms(A, v._cols, v._vals, w)
-    if tail_sink is not None:
-        tail_sink.append(tail)
-    return FCoordVec._from_terms(keys, terms)
+    if not isinstance(v, GCoordVec):
+        raise TypeError(f"f_from_g takes a GCoordVec, not a {type(v).__name__}")
+    return transfer(v, A, w)[0]

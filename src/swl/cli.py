@@ -57,7 +57,7 @@ from .filters import (
     mirror_filter,
     reconstruct_scaling_coords,
 )
-from .group_action import act_DT_on_F, act_DT_on_G, act_TD_on_F, act_TD_on_G
+from .group_action import act
 from .quadrature import (
     g_window_tail_bound,
     inner_product,
@@ -224,17 +224,10 @@ def _cmd_act(args) -> int:
     A = AlphaMatrix(fam)
     w = _window(fam, args.window, args.mmax)
     vec, _ = _candidate(args, fam, w, args.model)
-    ops = {
-        ("DT", "F"): act_DT_on_F,
-        ("TD", "F"): act_TD_on_F,
-        ("DT", "G"): act_DT_on_G,
-        ("TD", "G"): act_TD_on_G,
-    }
-    tails: list[float] = []
-    out = ops[(args.order, args.model)](vec, args.p, args.q, A, w, tails)
+    out, tail = act(vec, args.p, args.q, args.order, A, w)
     doc = coords_to_doc(out, fam.name)
     doc["config"] = _effective(args, order=args.order, model=args.model, p=args.p, q=args.q)
-    doc["clipped_tail_bound"] = float(sum(tails))
+    doc["clipped_tail_bound"] = tail
     _emit(doc, args.out)
     return 0
 
@@ -393,13 +386,11 @@ class _Command:
         return parser.parse_known_args(args, namespace)
 
 
-def _common(p, basis=True, window=True, tol_default=1e-9):
-    if basis:
-        p.add_argument("--basis", choices=["exponential", "haar"], default="haar")
-    if window:
-        p.add_argument("--window", type=int, default=6, help="symmetric window radius")
-        p.add_argument("--mmax", type=int, default=48,
-                       help="scale-ladder truncation depth (dilation model)")
+def _common(p, tol_default=1e-9):
+    p.add_argument("--basis", choices=["exponential", "haar"], default="haar")
+    p.add_argument("--window", type=int, default=6, help="symmetric window radius")
+    p.add_argument("--mmax", type=int, default=48,
+                   help="scale-ladder truncation depth (dilation model)")
     p.add_argument("--tol", type=float, default=tol_default)
     p.add_argument("--out", help="also write the JSON document to this path")
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .alpha import AlphaMatrix, f_from_g, g_from_f
+from .alpha import AlphaMatrix
 from .bases import FunctionSpec, UnboundedSupportError, dilate_spec, translate_spec
 from .core import (
     CheckReport,
@@ -35,7 +35,7 @@ from .core import (
     keep_mask,
     offset_column,
 )
-from .group_action import shift_D
+from .group_action import act
 from .quadrature import inner_products
 
 _SQRT1_2 = math.sqrt(0.5)
@@ -235,10 +235,9 @@ def coords_at_omega(coords: FCoordVec, omegas: np.ndarray) -> dict[int, np.ndarr
 
 
 def _refine(coords: FCoordVec, h: LaurentPoly, A: AlphaMatrix, w: Window) -> FCoordVec:
-    """Convolve by h, then go one scale up through the dilation model:
-    f_from_g(shift_D(g_from_f(h * coords), 1))."""
-    lifted = shift_D(g_from_f(filter_action_on_coords(coords, h), A, w), 1)
-    return f_from_g(lifted, A, w)
+    """Convolve by h, then go one scale up: the word D^1 on the
+    translation model, which goes through the dilation model and back."""
+    return act(filter_action_on_coords(coords, h), 1, 0, "DT", A, w)[0]
 
 
 def reconstruct_scaling_coords(phi_coords: FCoordVec, h: LaurentPoly, A: AlphaMatrix,

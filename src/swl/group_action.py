@@ -1,16 +1,16 @@
 """Coordinate actions of the dilation/translation group words D^p T^q and T^q D^p.
 
-In its own model each operator is a pure index shift: translating moves the
-translation exponent, dilating moves the scale exponent.  Acting on the
-*other* model goes through the change-of-representation matrix; the nested
-sums are evaluated innermost-first as transfer compositions, with row and
-column supports pruning all zero terms.  Shortcut cases (p = 0 on the
-translation side, q = 0 on the dilation side) collapse to exact shifts.
+In its own model each operator is a pure index shift: T^q moves the
+translation exponent, D^p the scale exponent.  So ``act`` evaluates every
+word by one rule: take the powers innermost first, skip a zero power, shift
+where a power is native, and transfer (``alpha.transfer``) only when a
+nonzero power needs the other model, then once more to return to v's
+model.  The word's tail is its transfers' tails summed in transfer order.
 """
 
 from __future__ import annotations
 
-from .alpha import AlphaMatrix, f_from_g, g_from_f
+from .alpha import AlphaMatrix, transfer
 from .core import FCoordVec, GCoordVec, Window, offset_column
 
 
@@ -30,37 +30,41 @@ def shift_D(v: GCoordVec, p: int) -> GCoordVec:
     return GCoordVec._from_columns((s, j, offset_column(m, p)), v._vals)
 
 
-def act_DT_on_F(v: FCoordVec, p: int, q: int, A: AlphaMatrix, w: Window,
-                tail_sink: list | None = None) -> FCoordVec:
+def act(v: FCoordVec | GCoordVec, p: int, q: int, order: str, A: AlphaMatrix,
+        w: Window) -> tuple[FCoordVec | GCoordVec, float]:
+    """Coordinates of D^p T^q v (``order`` "DT") or T^q D^p v ("TD"), in
+    v's model, and the l2 bound on what its transfers clipped."""
+    powers = {"DT": ((shift_T, q, FCoordVec), (shift_D, p, GCoordVec)),
+              "TD": ((shift_D, p, GCoordVec), (shift_T, q, FCoordVec))}
+    if order not in powers:
+        raise ValueError(f"order must be 'DT' or 'TD', got {order!r}")
+    out, tail = v, 0.0
+    for shift, power, native in powers[order]:
+        if power != 0 and not isinstance(out, native):
+            out, clipped = transfer(out, A, w)
+            tail += clipped
+        out = shift(out, power)  # the identity at power 0, in either model
+    if type(out) is not type(v):
+        out, clipped = transfer(out, A, w)
+        tail += clipped
+    return out, tail
+
+
+def act_DT_on_F(v: FCoordVec, p: int, q: int, A: AlphaMatrix, w: Window) -> FCoordVec:
     """Translation-model coordinates of D^p T^q applied to ``v``."""
-    if p == 0:
-        return shift_T(v, q)
-    u = g_from_f(shift_T(v, q), A, w, tail_sink)
-    return f_from_g(shift_D(u, p), A, w, tail_sink)
+    return act(v, p, q, "DT", A, w)[0]
 
 
-def act_TD_on_F(v: FCoordVec, p: int, q: int, A: AlphaMatrix, w: Window,
-                tail_sink: list | None = None) -> FCoordVec:
+def act_TD_on_F(v: FCoordVec, p: int, q: int, A: AlphaMatrix, w: Window) -> FCoordVec:
     """Translation-model coordinates of T^q D^p applied to ``v``."""
-    if p == 0:
-        return shift_T(v, q)
-    u = shift_D(g_from_f(v, A, w, tail_sink), p)
-    return shift_T(f_from_g(u, A, w, tail_sink), q)
+    return act(v, p, q, "TD", A, w)[0]
 
 
-def act_DT_on_G(v: GCoordVec, p: int, q: int, A: AlphaMatrix, w: Window,
-                tail_sink: list | None = None) -> GCoordVec:
+def act_DT_on_G(v: GCoordVec, p: int, q: int, A: AlphaMatrix, w: Window) -> GCoordVec:
     """Dilation-model coordinates of D^p T^q applied to ``v``."""
-    if q == 0:
-        return shift_D(v, p)
-    x = shift_T(f_from_g(v, A, w, tail_sink), q)
-    return shift_D(g_from_f(x, A, w, tail_sink), p)
+    return act(v, p, q, "DT", A, w)[0]
 
 
-def act_TD_on_G(v: GCoordVec, p: int, q: int, A: AlphaMatrix, w: Window,
-                tail_sink: list | None = None) -> GCoordVec:
+def act_TD_on_G(v: GCoordVec, p: int, q: int, A: AlphaMatrix, w: Window) -> GCoordVec:
     """Dilation-model coordinates of T^q D^p applied to ``v``."""
-    if q == 0:
-        return shift_D(v, p)
-    x = f_from_g(shift_D(v, p), A, w, tail_sink)
-    return g_from_f(shift_T(x, q), A, w, tail_sink)
+    return act(v, p, q, "TD", A, w)[0]

@@ -26,14 +26,12 @@ Route A runs before route B, so only one route's transfer and one q's
 terms are ever held.
 
 Completeness is probed by the rank of a window-truncated coordinate
-matrix, read from the same literal row passes, again one q at a time and
-summed only where the matrix reads them, by a ``_KeyIndex`` over the
-matrix's cells: both checks sum terms per key through that one index.  By
-the Haar scale rule (``alpha.scale_reach``) only keys up to the matrix's
-top level can reach it, so the column pass takes only those keys of psi
-and each row pass only those entries of its output.  A finite window can
-only ever certify a *necessary* condition, so reports label the rank test
-as a window surrogate; singular values too close to the decision
+matrix, read from route A's literal pass (``_literal_pass``) over only the
+keys that can reach the matrix (``alpha.scale_reach``), again one q at a
+time and summed only where the matrix reads them, by a ``_KeyIndex`` over
+its cells: both checks sum terms per key through that one index.  A finite
+window can only ever certify a *necessary* condition, so reports label the
+rank test as a window surrogate; singular values too close to the decision
 threshold yield an ``inconclusive`` verdict instead of a pass/fail call.
 """
 
@@ -184,20 +182,32 @@ class _KeyIndex:
         return out
 
 
+def _literal_pass(psi: GCoordVec, qs: Iterable[int], A: AlphaMatrix, w: Window,
+                  top: float = math.inf):
+    """Route A's transfers: psi's column pass once, summed per key into X,
+    then each q's row pass over X shifted by q, whose terms summed per key
+    are U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)].
+    Yields (q, target key columns, terms, column tail + row tail), one q at
+    a time, from the keys that can reach level ``top`` (``scale_reach``)."""
+    reach = scale_reach(A, psi._cols, top)
+    keys, terms, column_tail = column_terms(A, tuple(c[reach] for c in psi._cols),
+                                            psi._vals[reach], w)
+    (i, nu), x = sum_by_key(keys, terms)
+    reach = scale_reach(A, (i, nu), top)
+    i, nu, x = i[reach], nu[reach], x[reach]
+    for q in qs:
+        keys, terms, row_tail = row_terms(A, (i, offset_column(nu, q)), x, w)
+        yield q, keys, terms, column_tail + row_tail
+        del keys, terms  # hold one q's terms at a time
+
+
 def _literal_sums(index: _KeyIndex, psi: GCoordVec, ps_of: dict[int, set[int]],
                   A: AlphaMatrix, w: Window):
-    """Route A: each (p, q) sum as <psi, U_q shifted by p>, where
-    U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)] is the
-    literal outer sum over one shared column pass, summed only at psi's
-    keys; plus each q's tail, the column pass's plus that q's row pass's."""
-    keys, terms, column_tail = column_terms(A, psi._cols, psi._vals, w)
-    (i, nu), x = sum_by_key(keys, terms)
+    """Route A: each (p, q) sum as <psi, U_q shifted by p>, and each q's tail."""
     sums, tails = {}, []
-    for q in sorted(ps_of):
-        keys, terms, row_tail = row_terms(A, (i, offset_column(nu, q)), x, w)
-        for p, lhs in index.sums(ps_of[q], (keys, terms)).items():
-            sums[(p, q)] = lhs
-        tails.append(column_tail + row_tail)
+    for q, keys, terms, tail in _literal_pass(psi, sorted(ps_of), A, w):
+        sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], (keys, terms)).items())
+        tails.append(tail)
         del keys, terms  # hold one q's terms at a time
     return sums, tails
 
@@ -216,8 +226,7 @@ def _group_action_sums(index: _KeyIndex, psi: GCoordVec, ps_of: dict[int, set[in
         if q != 0:
             fq = shift_T(f0, q)
             transfer = row_terms(A, fq._cols, fq._vals, w)[:2]
-        for p, lhs in index.sums(ps_of[q], transfer).items():
-            sums[(p, q)] = lhs
+        sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], transfer).items())
         del transfer  # hold one q's terms at a time
     return sums
 
@@ -286,15 +295,14 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
                         row_window, w: Window) -> np.ndarray:
     """Window-truncated completeness matrix: rows (m, q), columns (s, j).
 
-    Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]).  Each U_q is built from
-    the shared column pass for one q at a time and summed only at the cells
-    the matrix reads: one ``_KeyIndex`` over the labels and the rows' m
-    values keys its terms, which fill that q's row of a table over the
-    cells, and the matrix is one gather from the table.  By the Haar scale
-    rule (``alpha.scale_reach``) no key of level past m_hi +
-    bit_length(j_hi) reaches the matrix, so the column pass takes only
-    psi's keys that can and each row pass only those entries of X: every
-    entry read is summed from the same terms in the same order, bit for bit.
+    Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]), from route A's literal
+    pass one q at a time, summed only at the cells the matrix reads: one
+    ``_KeyIndex`` over the labels and the rows' m values keys its terms,
+    which fill that q's row of a table over the cells, and the matrix is
+    one gather from the table.  By the Haar scale rule no key of level past
+    m_hi + bit_length(j_hi) reaches the matrix, so the pass takes only the
+    keys that can: every entry read is summed from the same terms in the
+    same order, bit for bit.
     """
     labels = _dil_labels(A, labels)
     rows = _pq_grid(row_window)
@@ -304,14 +312,8 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     # the cells' codes, sorted, and a sentinel past them that no code matches
     cells = np.append(index.codes, _PAST_CODES)
     top = max(ms, default=0) + int(max((j for _, j in labels), default=0)).bit_length()
-    reach = scale_reach(A, psi._cols, top)
-    keys, terms, _ = column_terms(A, tuple(c[reach] for c in psi._cols), psi._vals[reach], w)
-    (i, nu), x = sum_by_key(keys, terms)
-    reach = scale_reach(A, (i, nu), top)
-    i, nu, x = i[reach], nu[reach], x[reach]
     table = np.zeros((len(qs), len(cells)), dtype=complex)
-    for k, q in enumerate(qs):
-        keys, terms, _ = row_terms(A, (i, offset_column(nu, q)), x, w)
+    for k, (_, keys, terms, _) in enumerate(_literal_pass(psi, qs, A, w, top)):
         codes, sums = index._keyed(keys, terms)
         at = np.searchsorted(cells, codes)
         hit = cells[at] == codes

@@ -18,6 +18,7 @@ from swl import (
     f_from_g,
     g_from_f,
     oracle_G_coords,
+    transfer,
 )
 from swl import alpha
 from swl.bases import FunctionSpec, InvalidLabelError
@@ -242,10 +243,10 @@ def test_round_trip_haar_random_vectors(A_haar):
             key = (rng.randint(0, 4), rng.randint(-4, 4))
             entries[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         v = FCoordVec(entries)
-        tails = []
-        back = f_from_g(g_from_f(v, A_haar, w, tails), A_haar, w, tails)
+        g, out_tail = transfer(v, A_haar, w)
+        back, back_tail = transfer(g, A_haar, w)
         assert coord_equal(back, v, 1e-9).passed
-        assert sum(tails) < 1e-8
+        assert out_tail + back_tail < 1e-8
 
 
 def test_round_trip_exponential_exact_rows(A_exp, w_exp):
@@ -254,10 +255,10 @@ def test_round_trip_exponential_exact_rows(A_exp, w_exp):
     entries = {(rng.randint(-4, 4), rng.choice([1, -2])): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                for _ in range(8)}
     v = FCoordVec(entries)
-    tails = []
-    back = f_from_g(g_from_f(v, A_exp, w_exp, tails), A_exp, w_exp, tails)
+    g, out_tail = transfer(v, A_exp, w_exp)
+    back, back_tail = transfer(g, A_exp, w_exp)
     assert coord_equal(back, v, 1e-12).passed
-    assert sum(tails) == 0.0
+    assert out_tail + back_tail == 0.0
 
 
 def test_exponential_round_trip_reports_honest_tail(A_exp):
@@ -266,12 +267,12 @@ def test_exponential_round_trip_reports_honest_tail(A_exp):
     # so, and the way back adds the label-clipping tail of the columns
     w = Window.symmetric(EXPONENTIAL, 8, 6, 12)
     v = FCoordVec({(0, 0): 1.0})
-    tails = []
-    back = f_from_g(g_from_f(v, A_exp, w, tails), A_exp, w, tails)
-    assert tails[0] == pytest.approx(math.sqrt(2.0 ** -12), rel=1e-6)
-    assert tails[1] > tails[0]  # label clipping dominates for this family
+    g, out_tail = transfer(v, A_exp, w)
+    back, back_tail = transfer(g, A_exp, w)
+    assert out_tail == pytest.approx(math.sqrt(2.0 ** -12), rel=1e-6)
+    assert back_tail > out_tail  # label clipping dominates for this family
     residual = max(abs(back[k] - v[k]) for k in set(back.keys()) | set(v.keys()))
-    assert residual <= sum(tails) + 1e-12
+    assert residual <= out_tail + back_tail + 1e-12
     # the fat tail is real: the columns decay like 1/label, so the mass
     # clipped at label radius J falls only like 1/J
     assert residual > 1e-9

@@ -28,6 +28,7 @@ from swl import (  # noqa: E402
     g_from_f,
     shift_D,
     shift_T,
+    transfer,
 )
 from swl.alpha import (  # noqa: E402
     _haar_column,
@@ -154,10 +155,9 @@ wide = st.one_of(_near(52, 70), st.integers(0, 40))
 @given(entries=st.lists(st.tuples(st.tuples(labels, shifts), values), max_size=30))
 def test_g_from_f_matches_the_reference(entries):
     v = FCoordVec(entries)
-    tails = []
-    got = g_from_f(v, A, W, tails)
+    got, got_tail = transfer(v, A, W)
     want, tail = reference_transfer(v, to_g=True)
-    assert _same(got, want) and tails == [tail]
+    assert _same(got, want) and got_tail == tail
 
 
 @given(entries=st.lists(st.tuples(st.tuples(signs, labels, scales), values), max_size=30))
@@ -184,10 +184,9 @@ def test_int64_boundary_matches_the_scalar_path(rows, cols):
 def test_exponential_family_takes_the_scalar_table():
     A_exp, w = AlphaMatrix(EXPONENTIAL), Window.symmetric(EXPONENTIAL, 3, 3, 4)
     f = FCoordVec({(1, 0): 1.0, (-2, 3): 0.5j, (0, -1): 0.25})
-    tails = []
-    got = g_from_f(f, A_exp, w, tails)
+    got, got_tail = transfer(f, A_exp, w)
     want, tail = reference_transfer(f, True, A_exp, w)
-    assert _same(got, want) and tails == [tail] and tail > 0.0
+    assert _same(got, want) and got_tail == tail and tail > 0.0
     assert _same(f_from_g(got, A_exp, w), reference_transfer(got, False, A_exp, w)[0])
 
 
@@ -198,11 +197,11 @@ def test_round_trip_within_the_ladder_tail(entries, m_hi):
     # f_from_g inverts g_from_f up to what the scale ladders lost above m_hi
     v = FCoordVec(entries)
     w = Window.symmetric(HAAR, 4, 4, 4).with_dil_range(-4, m_hi)
-    tails = []
-    back = f_from_g(g_from_f(v, A, w, tails), A, w, tails)
+    g, out_tail = transfer(v, A, w)
+    back, back_tail = transfer(g, A, w)
     err = math.sqrt(back.plus(v.scaled(-1.0)).norm_sq())
-    assert tails[1] == 0.0  # Haar columns are finite
-    assert err <= tails[0] + 1e-12 * (1.0 + math.sqrt(v.norm_sq()))
+    assert back_tail == 0.0  # Haar columns are finite
+    assert err <= out_tail + 1e-12 * (1.0 + math.sqrt(v.norm_sq()))
 
 
 # -- the array-backed vectors ------------------------------------------------------
@@ -359,9 +358,9 @@ def test_runs_fall_back_at_the_int64_edge():
     w = Window.symmetric(HAAR, 4, 4, 70)
     f = FCoordVec({key: 1.0 + 0.5j * k for k, key in enumerate(rows)})
     g = GCoordVec({key: 0.5 - 1j * k for k, key in enumerate(cols) if key != (PLUS, 1, -62)})
-    tails = []
     want, tail = reference_transfer(f, True, A, w)
-    assert _same(g_from_f(f, A, w, tails), want) and tails == [tail]
+    got, got_tail = transfer(f, A, w)
+    assert _same(got, want) and got_tail == tail
     assert _same(f_from_g(g, A, w), reference_transfer(g, False, A, w)[0])
 
 
@@ -376,9 +375,7 @@ def test_ladder_tail_takes_python_abs():
         _, clipped = _haar_row(i, n, 3)
         if clipped > 0.0:
             want += abs(val) * math.sqrt(clipped)
-    tails = []
-    g_from_f(v, A, w, tails)
-    assert tails[0].hex() == want.hex()
+    assert transfer(v, A, w)[1].hex() == want.hex()
 
 
 def test_d4_check_makes_no_table_calls(monkeypatch):

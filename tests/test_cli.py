@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from swl import EXPONENTIAL, AlphaMatrix, Window, oracle_F_coords, shift_D, shift_T, transfer
+from swl.bases import parse_function_spec
 from swl.cli import run
 from swl.core import canonical_json
 
@@ -98,6 +100,27 @@ def test_coords_model_g_reports_scale_tail(capsys):
     doc = _doc(out)
     # mass of the box inside (-2^-5, 2^-5) bounds the clipped scale tail
     assert doc["scale_tail_bound"] == pytest.approx(2.0 ** -5)
+
+
+def test_act_reports_the_clipped_tail_of_its_transfers(capsys):
+    # D T on F transfers to the dilation model after T and back after D; the
+    # report is the sum of the two transfers' tails
+    code, out, _ = _invoke(capsys, "act", "--basis", "exponential", "--function",
+                           "haar_wavelet", "-p", "1", "-q", "1", "--window", "3")
+    assert code == 0
+    A, w = AlphaMatrix(EXPONENTIAL), Window.symmetric(EXPONENTIAL, 3).with_dil_range(-48, 48)
+    v = oracle_F_coords(parse_function_spec("haar_wavelet"), EXPONENTIAL, w)
+    g, out_tail = transfer(shift_T(v, 1), A, w)
+    back_tail = transfer(shift_D(g, 1), A, w)[1]
+    assert _doc(out)["clipped_tail_bound"] == out_tail + back_tail
+    assert out_tail + back_tail == pytest.approx(0.738774354948458, rel=1e-12)
+    # the box's scale ladder cut at scale 6 loses 2^-6 of its mass; Haar columns are whole
+    code, out, _ = _invoke(capsys, "act", "--basis", "haar", "--function", "haar_scaling",
+                           "-p", "1", "-q", "0", "--mmax", "6")
+    assert (code, _doc(out)["clipped_tail_bound"]) == (0, 0.125)
+    # a translation of the translation model is a shift: nothing is transferred
+    code, out, _ = _invoke(capsys, "act", "--function", "haar_wavelet", "-p", "0", "-q", "3")
+    assert (code, _doc(out)["clipped_tail_bound"]) == (0, 0.0)
 
 
 def test_fourier_check_and_csv(tmp_path, capsys):

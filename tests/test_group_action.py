@@ -6,21 +6,32 @@ import random
 import pytest
 
 from swl import (
+    EXPONENTIAL,
     FCoordVec,
     GCoordVec,
     HAAR,
+    AlphaMatrix,
+    LaurentPoly,
     Window,
+    act,
     act_DT_on_F,
     act_DT_on_G,
     act_TD_on_F,
     act_TD_on_G,
+    construct_wavelet_coords,
     coord_norm_sq,
+    daubechies4,
+    f_from_g,
+    filter_action_on_coords,
     g_from_f,
+    reconstruct_scaling_coords,
+    scaling_coords_from_filter,
     shift_D,
     shift_T,
 )
+from swl.alpha import column_terms, row_terms
 from swl.bases import FunctionSpec, apply_DT
-from swl.core import coord_equal
+from swl.core import MINUS, PLUS, coord_equal
 from swl.quadrature import oracle_F_coords, oracle_G_coords
 
 PSI_HAT = FCoordVec({(1, 0): 1.0})
@@ -190,3 +201,95 @@ def test_ladder_column_stays_small_at_large_scales():
     assert len(out) == 97
     assert peak < 64e6
     assert took < 10.0
+
+
+# -- the word evaluator against the transfer compositions it replaced -------------
+
+def _to_g(v, A, w, tails):
+    tails.append(row_terms(A, v._cols, v._vals, w)[2])
+    return g_from_f(v, A, w)
+
+
+def _to_f(v, A, w, tails):
+    tails.append(column_terms(A, v._cols, v._vals, w)[2])
+    return f_from_g(v, A, w)
+
+
+def _composed(v, p, q, order, A, w, tails):
+    """Each word and model as its own chain of shifts and transfers."""
+    if isinstance(v, FCoordVec):
+        if p == 0:
+            return shift_T(v, q)
+        if order == "DT":
+            return _to_f(shift_D(_to_g(shift_T(v, q), A, w, tails), p), A, w, tails)
+        return shift_T(_to_f(shift_D(_to_g(v, A, w, tails), p), A, w, tails), q)
+    if q == 0:
+        return shift_D(v, p)
+    if order == "DT":
+        return shift_D(_to_g(shift_T(_to_f(v, A, w, tails), q), A, w, tails), p)
+    return _to_g(shift_T(_to_f(shift_D(v, p), A, w, tails), q), A, w, tails)
+
+
+def _bits(v):
+    return type(v), [(c.dtype.str, c.tobytes()) for c in v._cols], v._vals.tobytes()
+
+
+def _random_pair(rng, fam):
+    label = (lambda: rng.randint(0, 9)) if fam is HAAR else (lambda: rng.randint(-3, 3))
+
+    def val():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    f = FCoordVec({(label(), rng.randint(-5, 5)): val() for _ in range(rng.randint(1, 8))})
+    g = GCoordVec({(rng.choice([PLUS, MINUS]), label(), rng.randint(-3, 4)): val()
+                   for _ in range(rng.randint(1, 8))})
+    return f, g
+
+
+VIEWS = {("DT", FCoordVec): act_DT_on_F, ("TD", FCoordVec): act_TD_on_F,
+         ("DT", GCoordVec): act_DT_on_G, ("TD", GCoordVec): act_TD_on_G}
+
+
+@pytest.mark.parametrize("fam,w", [(HAAR, Window.symmetric(HAAR, 4, 4, 10)),
+                                   (EXPONENTIAL, Window.symmetric(EXPONENTIAL, 3, 3, 4))])
+def test_act_is_the_composed_words_bit_for_bit(fam, w):
+    # every order, model and zero power: the vector's key and value bytes, and
+    # the tail summed in transfer order from 0.0
+    A, rng = AlphaMatrix(fam), random.Random(18)
+    for _ in range(4):
+        for v in _random_pair(rng, fam):
+            for order in ("DT", "TD"):
+                for p in (-1, 0, 1):
+                    for q in (-2, 0, 1):
+                        tails = []
+                        want = _composed(v, p, q, order, A, w, tails)
+                        got, tail = act(v, p, q, order, A, w)
+                        assert _bits(got) == _bits(want)
+                        assert tail.hex() == sum(tails, 0.0).hex()
+                        view = VIEWS[(order, type(v))](v, p, q, A, w)
+                        assert _bits(view) == _bits(want)
+
+
+def test_filter_refinement_is_the_composed_word(A_haar):
+    w = Window.symmetric(HAAR, 8, 10, 50)
+    h = daubechies4()
+    phi, _ = scaling_coords_from_filter(h, 8)
+    flipped = LaurentPoly.from_map({1 - k: ((-1.0) ** k) * x for k, x in h.coeffs})
+    for filt, got in ((h, reconstruct_scaling_coords(phi, h, A_haar, w)[0]),
+                      (flipped, construct_wavelet_coords(phi, h, A_haar, w))):
+        lifted = shift_D(g_from_f(filter_action_on_coords(phi, filt), A_haar, w), 1)
+        assert _bits(got) == _bits(f_from_g(lifted, A_haar, w))
+
+
+@pytest.mark.parametrize("fam", [HAAR, EXPONENTIAL])
+def test_one_way_transfers_reject_the_other_model(fam):
+    A, w = AlphaMatrix(fam), Window.symmetric(fam, 2)
+    f, g = FCoordVec({(1, 0): 1.0}), GCoordVec({(PLUS, 1, 0): 1.0})
+    with pytest.raises(TypeError):
+        g_from_f(g, A, w)
+    with pytest.raises(TypeError):
+        f_from_g(f, A, w)
+    with pytest.raises(TypeError):
+        g_from_f(GCoordVec(), A, w)
+    with pytest.raises(ValueError):
+        act(f, 1, 1, "QD", A, w)

@@ -21,7 +21,7 @@ from swl import (
     FCoordVec,
     GCoordVec,
     Window,
-    act_DT_on_F,
+    act,
     alpha_entry,
     check_filter_orthogonality,
     check_pair_conditions,
@@ -144,11 +144,10 @@ def test_exponential_act_residual_within_declared_tail(A_exp):
     # but its error must stay below the clipped-tail bound it reports
     w = Window.symmetric(EXPONENTIAL, 24, 6, 12)
     v = FCoordVec({(0, 0): 1.0})
-    tails: list[float] = []
-    got = act_DT_on_F(v, 1, 0, A_exp, w, tails)
+    got, tail = act(v, 1, 0, "DT", A_exp, w)
     want = oracle_F_coords(
         FunctionSpec.piecewise([(0, "1/2", (math.sqrt(2),))]), EXPONENTIAL, w
     )
     residual = coord_equal(got, want, 0.0).max_residual
-    assert residual <= sum(tails)
+    assert residual <= tail
     assert residual > 1e-9  # documents why only the Haar family meets 1e-8 here

@@ -22,8 +22,8 @@ from swl import (  # noqa: E402
     AlphaMatrix,
     GCoordVec,
     Window,
+    act,
     act_DT_on_G,
-    act_TD_on_G,
     construct_wavelet_coords,
     daubechies4,
     g_from_f,
@@ -242,8 +242,7 @@ def test_TD_equals_D_T_squared_within_reported_tails(psi, q, m_hi):
     # reports what it clipped
     w = W_HAAR.with_dil_range(-8, m_hi)
     A = FAMILIES["haar"][0]
-    tails = []
-    td = act_TD_on_G(psi, 1, q, A, w, tails)
-    dt = act_DT_on_G(psi, 1, 2 * q, A, w, tails)
+    td, td_tail = act(psi, 1, q, "TD", A, w)
+    dt, dt_tail = act(psi, 1, 2 * q, "DT", A, w)
     gap = math.sqrt(math.fsum(abs(td[k] - dt[k]) ** 2 for k in {*td.keys(), *dt.keys()}))
-    assert gap <= math.fsum(tails) + 1e-12 * math.sqrt(psi.norm_sq())
+    assert gap <= math.fsum([td_tail, dt_tail]) + 1e-12 * math.sqrt(psi.norm_sq())
