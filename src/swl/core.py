@@ -110,6 +110,10 @@ def csum(values: Iterable[complex]) -> complex:
 # (|high| <= 2^27, |low| < 2^26) stays an integer of at most 2^52, so
 # ``np.bincount``'s double sums are exact.
 _FSUM_TERMS = 1 << 25
+# Below this many terms ``math.fsum`` of the list is faster than the bins'
+# fixed numpy cost (they crossed between about 700 and 1,100 terms on a
+# 2-core x86-64 host, later for wider exponent spreads).
+_FSUM_SHORT = 1 << 10
 
 
 def array_fsum(x: np.ndarray) -> float:
@@ -119,17 +123,17 @@ def array_fsum(x: np.ndarray) -> float:
     mantissas are split into 27- and 26-bit halves and summed exactly per
     exponent, the bins are combined as one Python int, and a single
     correctly rounded division gives the sum (``fsum`` rounds correctly
-    too, and returns +0.0 for an exact zero).  Non-finite input, sums that
-    could come near the overflow threshold and arrays of ``_FSUM_TERMS``
-    or more go to ``math.fsum`` itself, so its results and exceptions are
-    kept.
+    too, and returns +0.0 for an exact zero, all-zero input included).
+    Arrays shorter than ``_FSUM_SHORT`` (the empty one too) or of
+    ``_FSUM_TERMS`` or more, non-finite input and sums that could come near
+    the overflow threshold go to ``math.fsum`` itself, so its results and
+    exceptions are kept.
     """
     n = len(x)
-    if n == 0:
-        return 0.0
     # the absolute sum is at most n max|x|; a nan makes numpy's max and min
     # nan, and fails the test too
-    if n >= _FSUM_TERMS or not max(float(x.max()), -float(x.min())) * n < 2.0 ** 1020:
+    if (n < _FSUM_SHORT or n >= _FSUM_TERMS
+            or not max(float(x.max()), -float(x.min())) * n < 2.0 ** 1020):
         return math.fsum(x.tolist())
     mant, exp = np.frexp(x)
     # x = (high 2^26 + low) 2^(exp - 53) with integers |high| <= 2^27 and

@@ -18,10 +18,13 @@ literal column pass, route B's ``f_from_g`` of psi, which T^q shifts
 there), and neither reuses the other's.  Then each route transports one
 translation q at a time.  The transfer back to the dilation model is
 summed only where psi's shifts read it: a ``_KeyIndex`` over psi's keys
-codes its raw terms by psi's (s, j) groups and sums them per key in term
-order, so no coordinate vector is built for a q.  That q's sums for every
-p are taken as aligned array products with exact ``fsum`` totals
-(``core.array_fsum``), and its terms are dropped before the next q.
+codes its raw terms by psi's (s, j) groups, each target's group read from
+a table of psi's labels (binary search where they are sparse or past
+int64), and sums them per key in term order, so no coordinate vector is
+built for a q.  That q's sums for every p are taken as aligned array
+products with exact ``fsum`` totals (``core.array_fsum``; a real
+candidate's all-zero imaginary products are not summed), and its terms are
+dropped before the next q.
 Route A runs before route B, so only one route's transfer and one q's
 terms are ever held.
 
@@ -95,13 +98,23 @@ def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
 
     Each component of each product is rounded as Python's complex product
     rounds it; numpy's complex multiply may fuse it into one FMA instead.
+    Where neither factor has a nonzero imaginary part, the real sum takes
+    only the real products (the imaginary ones are zeros, which change no
+    exact sum) and the imaginary sum is +0.0, what ``fsum`` gives for zeros.
     """
+    if not (a.imag.any() or b.imag.any()):
+        return complex(array_fsum(a.real * b.real), 0.0)
     re = a.real * b.real + a.imag * b.imag
     im = a.imag * b.real - a.real * b.imag
     return complex(array_fsum(re), array_fsum(im))
 
 
 _PAST_CODES = np.iinfo(np.int64).max  # a sentinel after every code
+
+
+# a sign's labels get a direct-address table when they are int64 and span
+# fewer than this many slots per label, plus a few
+_TABLE_SLOTS, _TABLE_SLACK = 4, 64
 
 
 class _KeyIndex:
@@ -111,13 +124,25 @@ class _KeyIndex:
     Each (s, j) group of the keys gets a dense id and key (s, j, m) the
     code ``id * span + (m - base)``, where [base, base + span) holds every
     m - p for the shifts p asked for.  Labels never enter the code, so Haar
-    labels of any size cannot overflow it.
+    labels of any size cannot overflow it.  A group's id is read from a
+    table of its sign's labels where they are int64 and dense (a label's
+    id at label - lo, -1 in the gaps), else found by binary search in the
+    sorted labels, the one lookup that serves labels past int64.
     """
 
     def __init__(self, cols, vals: np.ndarray, ps: Sequence[int]):
         s, j, m = cols
         # the groups of each sign, as sorted labels; ids count PLUS's first
         self.labels = {sg: np.unique(j[s == sg]) for sg in (PLUS, MINUS)}
+        self.tables, start = {}, 0
+        for sg, labels in self.labels.items():
+            if labels.dtype == np.int64 and len(labels):
+                lo, hi = int(labels[0]), int(labels[-1])  # Python ints: no wrap
+                if hi - lo < _TABLE_SLOTS * len(labels) + _TABLE_SLACK:
+                    table = np.full(hi - lo + 1, -1, dtype=np.int64)
+                    table[labels - lo] = np.arange(start, start + len(labels))
+                    self.tables[sg] = lo, hi, table
+            start += len(labels)
         self.base = (int(m.min()) if len(m) else 0) - max(ps, default=0)
         self.span = (int(m.max()) if len(m) else 0) - min(ps, default=0) - self.base + 1
         rel = m - self.base
@@ -135,7 +160,12 @@ class _KeyIndex:
         start = 0
         for sg, labels in self.labels.items():
             sel = np.flatnonzero(s == sg)
-            if len(labels) and len(sel):
+            if sg in self.tables and j.dtype == np.int64:
+                lo, hi, table = self.tables[sg]
+                js = j[sel]
+                inside = (js >= lo) & (js <= hi)  # compared before lo is subtracted
+                ids[sel[inside]] = table[js[inside] - lo]
+            elif len(labels) and len(sel):
                 at = np.searchsorted(labels, j[sel])
                 found = at < len(labels)
                 found[found] = labels[at[found]] == j[sel[found]]
@@ -182,6 +212,15 @@ class _KeyIndex:
         return out
 
 
+def _reaching(A: AlphaMatrix, cols, vals: np.ndarray, top: float):
+    """The keys, and their values, that can reach level ``top`` by the Haar
+    scale rule; at ``top = inf`` every key, as it is."""
+    if top == math.inf:
+        return cols, vals
+    reach = scale_reach(A, cols, top)
+    return tuple(c[reach] for c in cols), vals[reach]
+
+
 def _literal_pass(psi: GCoordVec, qs: Iterable[int], A: AlphaMatrix, w: Window,
                   top: float = math.inf):
     """Route A's transfers: psi's column pass once, summed per key into X,
@@ -189,12 +228,8 @@ def _literal_pass(psi: GCoordVec, qs: Iterable[int], A: AlphaMatrix, w: Window,
     are U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)].
     Yields (q, target key columns, terms, column tail + row tail), one q at
     a time, from the keys that can reach level ``top`` (``scale_reach``)."""
-    reach = scale_reach(A, psi._cols, top)
-    keys, terms, column_tail = column_terms(A, tuple(c[reach] for c in psi._cols),
-                                            psi._vals[reach], w)
-    (i, nu), x = sum_by_key(keys, terms)
-    reach = scale_reach(A, (i, nu), top)
-    i, nu, x = i[reach], nu[reach], x[reach]
+    keys, terms, column_tail = column_terms(A, *_reaching(A, psi._cols, psi._vals, top), w)
+    (i, nu), x = _reaching(A, *sum_by_key(keys, terms), top)
     for q in qs:
         keys, terms, row_tail = row_terms(A, (i, offset_column(nu, q)), x, w)
         yield q, keys, terms, column_tail + row_tail

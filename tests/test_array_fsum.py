@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from swl.core import array_fsum  # noqa: E402
+from swl.core import _FSUM_SHORT, array_fsum  # noqa: E402
 
 
 def _outcome(fn):
@@ -62,6 +62,15 @@ def test_matches_fsum_on_finite_arrays(pool, size, paired, seed):
     [-math.inf, 1e308, 1e308],
     [1e308, -1e308, 1e-300],
     [2.0 ** 1000] * 4096,
+    # either side of the length below which math.fsum itself runs
+    [0.1] * (_FSUM_SHORT - 1),
+    [0.1] * _FSUM_SHORT,
+    [1.0, -1.0, 2.0 ** -1074] * (_FSUM_SHORT // 3),
+    [1.0, -1.0, 2.0 ** -1074] * (_FSUM_SHORT // 3 + 1),
+    [-0.0] * (_FSUM_SHORT - 1),
+    [-0.0] * (_FSUM_SHORT + 1),
+    [0.0, -0.0] * _FSUM_SHORT,
+    [math.nan] + [1.0] * _FSUM_SHORT,
 ])
 def test_matches_fsum_on_special_arrays(values):
     _assert_matches_fsum(np.array(values, dtype=np.float64))

@@ -253,6 +253,9 @@ def test_shifted_sums_match_a_dict_reference():
     # skipped, and a sum at the threshold dropped by the zero rule.
     # Adjacent shifts reuse the last search, the others search again.  Each
     # sum is the compensated sum against the summed vector, bit for bit.
+    # psi's groups are found by a label table (dense int64 labels) or by
+    # binary search (sparse labels, labels past int64, targets past int64),
+    # and a product of real factors is summed by its real part alone.
     import numpy as np
 
     from swl.core import DROP_THRESHOLD, csum, key_columns
@@ -260,39 +263,50 @@ def test_shifted_sums_match_a_dict_reference():
 
     rng = random.Random(3)
 
-    def key(labels):
-        return rng.choice((PLUS, MINUS)), rng.randrange(labels), rng.randrange(-6, 7)
-
-    def value():
-        return complex(rng.gauss(0, 1), rng.gauss(0, 1))
-
     def bits(z):
         return z.real.hex(), z.imag.hex()
 
     ps = {4, 3, 2, 0, -1, -5, -6}
-    for _ in range(20):
-        psi = GCoordVec({**{key(6): value() for _ in range(40)},
-                         (PLUS, 0, 6): value(), (MINUS, 0, 6): value()})
-        # labels 6-8 are outside psi's groups, and m - p may leave the span
-        keys = [key(9) for _ in range(60)]
-        keys += rng.choices(keys, k=30)
-        terms = [value() for _ in keys]
-        # read at p = -1: one sum at the threshold, one just above it
-        half = DROP_THRESHOLD / 2
-        keys += [(PLUS, 0, 7), (MINUS, 0, 7), (PLUS, 0, 7)]
-        terms += [complex(half), complex(np.nextafter(DROP_THRESHOLD, 1.0)), complex(half)]
-        order = rng.sample(range(len(keys)), len(keys))
-        keys, terms = [keys[k] for k in order], [terms[k] for k in order]
+    cases = [  # psi's labels, other target labels, real psi, real terms, tables expected
+        (range(6), [6, 7, 8, 2 ** 63 - 1], False, False, True),
+        ([0, 5, 2 ** 40], [1, 2 ** 40 + 1], False, False, False),
+        ([0, 2 ** 62 + 1, 2 ** 70 + 3], [1, 2 ** 70 + 4], False, False, False),
+        (range(6), [6, 2 ** 70], False, False, True),
+        (range(6), [6, 7, 8], True, True, True),
+        (range(6), [6, 7, 8], True, False, True),
+        (range(6), [6, 7, 8], False, True, True),
+    ]
+    for labels, others, real_psi, real_terms, tables in cases:
+        def key(labels):
+            return rng.choice((PLUS, MINUS)), rng.choice(labels), rng.randrange(-6, 7)
 
-        other = GCoordVec._from_terms(key_columns(keys, 3), np.array(terms))
-        assert (PLUS, 0, 7) not in other and (MINUS, 0, 7) in other
-        index = _KeyIndex(psi._cols, psi._vals, sorted(ps))
-        got = index.sums(ps, (key_columns(keys, 3), np.array(terms)))
-        own = index.sums(ps)
-        for p in ps:
-            want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
-            assert bits(got[p]) == bits(want)
-            want = csum(x * psi[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
-            assert bits(own[p]) == bits(want)
-        empty = index.sums(ps, (key_columns([], 3), np.zeros(0, dtype=complex)))
-        assert empty == dict.fromkeys(ps, 0j)
+        def value(real):
+            return complex(rng.gauss(0, 1), 0.0 if real else rng.gauss(0, 1))
+
+        for _ in range(20):
+            psi = GCoordVec({**{key(labels): value(real_psi) for _ in range(40)},
+                             (PLUS, 0, 6): value(real_psi), (MINUS, 0, 6): value(real_psi)})
+            # the other labels are outside psi's groups, and m - p may leave the span
+            keys = [key([*labels, *others]) for _ in range(60)]
+            keys += rng.choices(keys, k=30)
+            terms = [value(real_terms) for _ in keys]
+            # read at p = -1: one sum at the threshold, one just above it
+            half = DROP_THRESHOLD / 2
+            keys += [(PLUS, 0, 7), (MINUS, 0, 7), (PLUS, 0, 7)]
+            terms += [complex(half), complex(np.nextafter(DROP_THRESHOLD, 1.0)), complex(half)]
+            order = rng.sample(range(len(keys)), len(keys))
+            keys, terms = [keys[k] for k in order], [terms[k] for k in order]
+
+            other = GCoordVec._from_terms(key_columns(keys, 3), np.array(terms))
+            assert (PLUS, 0, 7) not in other and (MINUS, 0, 7) in other
+            index = _KeyIndex(psi._cols, psi._vals, sorted(ps))
+            assert bool(index.tables) == tables
+            got = index.sums(ps, (key_columns(keys, 3), np.array(terms)))
+            own = index.sums(ps)
+            for p in ps:
+                want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
+                assert bits(got[p]) == bits(want)
+                want = csum(x * psi[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
+                assert bits(own[p]) == bits(want)
+            empty = index.sums(ps, (key_columns([], 3), np.zeros(0, dtype=complex)))
+            assert empty == dict.fromkeys(ps, 0j)
