@@ -22,7 +22,6 @@ from .core import (
     TransIndex,
     Window,
     coord_equal,
-    coord_norm_sq,
 )
 from .bases import (
     BasisFamily,
@@ -34,16 +33,8 @@ from .bases import (
     parse_function_spec,
 )
 from .quadrature import inner_product, inner_products, oracle_F_coords, oracle_G_coords
-from .alpha import AlphaMatrix, alpha_entry, alpha_row, f_from_g, g_from_f, transfer
-from .group_action import (
-    act,
-    act_DT_on_F,
-    act_DT_on_G,
-    act_TD_on_F,
-    act_TD_on_G,
-    shift_D,
-    shift_T,
-)
+from .alpha import AlphaMatrix, f_from_g, g_from_f, transfer
+from .group_action import act, shift_D, shift_T
 from .fourier import (
     PeriodizedFourier,
     check_orthonormal_translates,

@@ -1,10 +1,12 @@
 """Closed-form change-of-representation coefficients and coordinate transfer.
 
-``alpha_entry(family, i, n, s, j, m)`` returns the inner product of the
-translated basis function (i, n) against the dilated basis function
-(s, j, m).  The values come from per-family case tables; every case has
-been cross-validated against the brute-force integration oracle (see the
-test suite), which is the point of keeping the two routes separate.
+``AlphaMatrix(family).entry(i, n, s, j, m)`` returns the inner product
+of the translated basis function (i, n) against the dilated basis
+function (s, j, m); ``row`` and ``column`` list a row or column within a
+window, with the l2 mass the window clipped.  The values come from
+per-family case tables; every case has been cross-validated against the
+brute-force integration oracle (see the test suite), which is the point
+of keeping the two routes separate.
 
 The Haar family has one value table, the row enumeration ``_haar_row``:
 a Haar entry is read from its row.  The column table ``_haar_column`` is
@@ -60,7 +62,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
@@ -74,9 +75,9 @@ from .core import (
     PLUS,
     TransIndex,
     Window,
+    _TWO_PI,
     _WIDE,
     bit_length,
-    cis_frac,
     cmul,
     key_columns,
 )
@@ -87,6 +88,13 @@ _SQRT1_2 = math.sqrt(0.5)
 def _pow2h(m: int) -> float:
     # 2^{m/2}
     return math.sqrt(2.0 ** m)
+
+
+def _cis(num: int, e: int) -> complex:
+    # e^{2 pi i num / 2^e}: the phase is reduced mod 1 in integers, and the
+    # int division rounds it correctly, so large frequencies keep their phase
+    t = (num % (1 << e)) / (1 << e)
+    return complex(math.cos(_TWO_PI * t), math.sin(_TWO_PI * t))
 
 
 def _is_pow2(x: int) -> bool:
@@ -131,15 +139,15 @@ def _alpha_exp(k: int, n: int, s: int, j: int, m: int) -> complex:
     if m > 0:  # rows 0 and -1
         if k == j * (1 << m):
             return complex(_pow2h(-m))
-        e = cis_frac(Fraction(sgn * k, 1 << m))
+        e = _cis(sgn * k, m)
         return sgn * -1j * _pow2h(m) * e * (e - 1.0) / (2.0 * math.pi * (k - j * (1 << m)))
     p = -m
     if k * (1 << p) == j:
         return complex(_pow2h(m))
     if p == 0:  # rows 1 and -2: the single entry j = k
         return 0j
-    e1 = cis_frac(Fraction(-sgn * j * q, 1 << p))
-    e2 = cis_frac(Fraction(-sgn * j, 1 << p))
+    e1 = _cis(-sgn * j * q, p)
+    e2 = _cis(-sgn * j, p)
     return sgn * -1j * _pow2h(p) * e1 * (e2 - 1.0) / (2.0 * math.pi * (k * (1 << p) - j))
 
 
@@ -593,16 +601,6 @@ class AlphaMatrix:
         if box:
             return "coarse box plus one wavelet per intermediate scale"
         return "single entry"
-
-
-def alpha_entry(fam: BasisFamily, i: int, n: int, s: int, j: int, m: int) -> complex:
-    """Change-of-representation coefficient for one index pair."""
-    return AlphaMatrix(fam).entry(i, n, s, j, m)
-
-
-def alpha_row(fam: BasisFamily, i: int, n: int, w: Window) -> list[tuple[DilIndex, complex]]:
-    """All nonzero row entries within the window (see AlphaMatrix.row)."""
-    return AlphaMatrix(fam).row(i, n, w)[0]
 
 
 def transfer(v: FCoordVec | GCoordVec, A: AlphaMatrix, w: Window):

@@ -419,11 +419,6 @@ def dilate_spec(spec: FunctionSpec, p: int) -> FunctionSpec:
     return FunctionSpec.piecewise(out, label=f"D^{p}({spec.label})")
 
 
-def apply_DT(spec: FunctionSpec, p: int, q: int) -> FunctionSpec:
-    """Exact D^p T^q on a piecewise spec."""
-    return dilate_spec(translate_spec(spec, q), p)
-
-
 def _poly_shift(coeffs: tuple[complex, ...], a) -> tuple[complex, ...]:
     # p(x + a) expanded in x
     a = complex(a)

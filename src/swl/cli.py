@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .alpha import AlphaMatrix, alpha_row
+from .alpha import AlphaMatrix
 from .bases import BasisFamily, check_dil_label, family, parse_function_spec
 from .core import (
     CheckReport,
@@ -168,7 +168,6 @@ def _filter_to_doc(h: LaurentPoly) -> dict:
 
 def _report_doc(report: CheckReport, args, **extra) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "report": report.to_dict(),
         "config": _effective(args, **extra),
     }
@@ -206,7 +205,7 @@ def _cmd_alpha(args) -> int:
     else:
         i, n = (int(x) for x in args.row)
         w = _window(fam, args.window, args.mmax)
-        entries = alpha_row(fam, i, n, w)
+        entries = A.row(i, n, w)[0]
         doc = {
             "row": {"i": i, "n": n, "case": A.row_case(i, n)},
             "entries": [

@@ -75,16 +75,6 @@ def sign_value(c: str) -> int:
     raise ValueError(f"sign must be '+' or '-', got {c!r}")
 
 
-def cis_frac(turns: Fraction) -> complex:
-    """e^{2*pi*i*turns} with the angle reduced exactly before rounding.
-
-    ``turns`` is in whole turns, not radians; reducing mod 1 in exact
-    rational arithmetic keeps the phase accurate for large frequencies.
-    """
-    t = float(turns % 1)
-    return complex(math.cos(_TWO_PI * t), math.sin(_TWO_PI * t))
-
-
 def check_radius(r: int) -> int:
     """A grid radius; a negative one is an empty grid, and a check over it
     would pass vacuously."""
@@ -402,11 +392,6 @@ class GCoordVec(_SparseCoords):
         if s not in (PLUS, MINUS):
             raise ValueError(f"sign component must be +1 or -1, got {s!r}")
         return DilIndex(s, int(j), int(m))
-
-
-def coord_norm_sq(v: FCoordVec | GCoordVec) -> float:
-    """Sum of squared moduli of all stored entries."""
-    return v.norm_sq()
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,6 @@ class PeriodizedFourier:
     k_max: int
     values: np.ndarray  # (k_max - k_min + 1, n_grid) complex
     tail_sq: np.ndarray  # (n_grid,) float, exact clipped mass per theta
-    source: FourierSideSpec
 
     def thetas(self) -> np.ndarray:
         return np.arange(self.n_grid) / self.n_grid
@@ -183,7 +182,7 @@ def periodize(fhat: FourierSideSpec, n_grid: int = 512,
         # row by row: one expression for the whole grid holds several grid-sized temporaries
         values[row] = np.conjugate(fhat.value(thetas + k))
     tail_sq = fhat.tail_sq(thetas, k_min, k_max)
-    return PeriodizedFourier(n_grid, k_min, k_max, values, tail_sq, fhat)
+    return PeriodizedFourier(n_grid, k_min, k_max, values, tail_sq)
 
 
 def check_orthonormal_translates(P: PeriodizedFourier, tol: float = 1e-9) -> CheckReport:

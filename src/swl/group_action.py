@@ -49,22 +49,3 @@ def act(v: FCoordVec | GCoordVec, p: int, q: int, order: str, A: AlphaMatrix,
         tail += clipped
     return out, tail
 
-
-def act_DT_on_F(v: FCoordVec, p: int, q: int, A: AlphaMatrix, w: Window) -> FCoordVec:
-    """Translation-model coordinates of D^p T^q applied to ``v``."""
-    return act(v, p, q, "DT", A, w)[0]
-
-
-def act_TD_on_F(v: FCoordVec, p: int, q: int, A: AlphaMatrix, w: Window) -> FCoordVec:
-    """Translation-model coordinates of T^q D^p applied to ``v``."""
-    return act(v, p, q, "TD", A, w)[0]
-
-
-def act_DT_on_G(v: GCoordVec, p: int, q: int, A: AlphaMatrix, w: Window) -> GCoordVec:
-    """Dilation-model coordinates of D^p T^q applied to ``v``."""
-    return act(v, p, q, "DT", A, w)[0]
-
-
-def act_TD_on_G(v: GCoordVec, p: int, q: int, A: AlphaMatrix, w: Window) -> GCoordVec:
-    """Dilation-model coordinates of T^q D^p applied to ``v``."""
-    return act(v, p, q, "TD", A, w)[0]

@@ -333,30 +333,28 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]), from route A's literal
     pass one q at a time, summed only at the cells the matrix reads: one
     ``_KeyIndex`` over the labels and the rows' m values keys its terms,
-    which fill that q's row of a table over the cells, and the matrix is
-    one gather from the table.  By the Haar scale rule no key of level past
-    m_hi + bit_length(j_hi) reaches the matrix, so the pass takes only the
-    keys that can: every entry read is summed from the same terms in the
-    same order, bit for bit.
+    which fill that q's row of a table addressed by the index's codes (one
+    slot per label and m from the least row m to the greatest), and the
+    matrix is one gather from the table.  By the Haar scale rule no key of
+    level past m_hi + bit_length(j_hi) reaches the matrix, so the pass
+    takes only the keys that can: every entry read is summed from the same
+    terms in the same order, bit for bit.
     """
     labels = _dil_labels(A, labels)
     rows = _pq_grid(row_window)
     ms, qs = (sorted({row[k] for row in rows}) for k in (0, 1))
     index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3),
                       np.zeros(len(labels) * len(ms), dtype=complex), (0,))
-    # the cells' codes, sorted, and a sentinel past them that no code matches
-    cells = np.append(index.codes, _PAST_CODES)
     top = max(ms, default=0) + int(max((j for _, j in labels), default=0)).bit_length()
-    table = np.zeros((len(qs), len(cells)), dtype=complex)
+    # every code that _keyed gives, id * span + (m - base), lies below this
+    table = np.zeros((len(qs), len(labels) * index.span), dtype=complex)
     for k, (_, keys, terms, _) in enumerate(_literal_pass(psi, qs, A, w, top)):
         codes, sums = index._keyed(keys, terms)
-        at = np.searchsorted(cells, codes)
-        hit = cells[at] == codes
-        table[k, at[hit]] = sums[hit]
+        table[k, codes] = sums
     m, q = key_columns(rows, 2)
     ids = index._ids(*key_columns(labels, 2))
     read = ids * index.span + (m - index.base)[:, None]
-    return np.conj(table[np.searchsorted(qs, q)[:, None], np.searchsorted(cells, read)])
+    return np.conj(table[np.searchsorted(qs, q)[:, None], read])
 
 
 def check_wavelet_completeness(psi: GCoordVec, A: AlphaMatrix,

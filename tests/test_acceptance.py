@@ -27,8 +27,7 @@ from swl import (
     K_elem,
     L_elem,
     Window,
-    act_DT_on_F,
-    alpha_entry,
+    act,
     check_filter_orthogonality,
     check_orthonormal_translates,
     check_pair_conditions,
@@ -37,7 +36,6 @@ from swl import (
     check_wavelet_completeness,
     check_wavelet_orthonormality,
     construct_wavelet_coords,
-    coord_norm_sq,
     daubechies4,
     extract_two_scale,
     g_from_f,
@@ -50,7 +48,7 @@ from swl import (
     shannon_scaling_hat,
     transfer,
 )
-from swl.bases import FunctionSpec, apply_DT
+from swl.bases import FunctionSpec, dilate_spec, translate_spec
 from swl.core import MINUS, PLUS, coord_equal
 from swl.fourier import haar_scaling_hat
 from swl.quadrature import inner_product
@@ -70,13 +68,14 @@ def test_criterion_1_alpha_validation():
     rng = random.Random(20260808)
     worst = 0.0
     for fam, lab_lo in ((HAAR, 0), (EXPONENTIAL, -8)):
+        A = AlphaMatrix(fam)
         for _ in range(50):
             i = rng.randint(lab_lo, 8)
             j = rng.randint(lab_lo, 8)
             n = rng.randint(-4, 4)
             m = rng.randint(-3, 3)
             s = rng.choice([PLUS, MINUS])
-            closed = alpha_entry(fam, i, n, s, j, m)
+            closed = A.entry(i, n, s, j, m)
             oracle = inner_product(L_elem(fam, i, n), K_elem(fam, s, j, m))
             worst = max(worst, abs(closed - oracle))
     elapsed = time.monotonic() - start
@@ -149,8 +148,8 @@ def test_criterion_3_parseval():
     chi = FunctionSpec.indicator(0, 3)
     haar_coords = oracle_F_coords(chi, HAAR, Window.symmetric(HAAR, 8, 4, 8))
     exp_coords = oracle_F_coords(chi, EXPONENTIAL, Window.symmetric(EXPONENTIAL, 8, 4, 4))
-    nh = coord_norm_sq(haar_coords)
-    ne = coord_norm_sq(exp_coords)
+    nh = haar_coords.norm_sq()
+    ne = exp_coords.norm_sq()
     ok = abs(nh - 3.0) <= 1e-12 and abs(ne - 3.0) <= 1e-12
     _verdict(3, f"parseval, haar {nh!r}, exponential {ne!r}", ok)
     assert nh == pytest.approx(3.0, abs=1e-12)
@@ -171,10 +170,10 @@ def test_criterion_4_group_action():
     worst_norm = 0.0
     for p in range(-2, 3):
         for q in range(-2, 3):
-            got = act_DT_on_F(psi_hat, p, q, A, w)
-            want = oracle_F_coords(apply_DT(psi, p, q), HAAR, oracle_w)
+            got = act(psi_hat, p, q, "DT", A, w)[0]
+            want = oracle_F_coords(dilate_spec(translate_spec(psi, q), p), HAAR, oracle_w)
             worst = max(worst, coord_equal(got, want, 1e-8).max_residual)
-            worst_norm = max(worst_norm, abs(coord_norm_sq(got) - 1.0))
+            worst_norm = max(worst_norm, abs(got.norm_sq() - 1.0))
     ok = worst <= 1e-8 and worst_norm <= 1e-8
     _verdict(4, f"group action vs oracle, worst {worst:.2e}, norm drift {worst_norm:.2e}", ok)
     assert worst <= 1e-8

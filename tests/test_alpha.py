@@ -6,6 +6,7 @@ import random
 import pytest
 
 from swl import (
+    AlphaMatrix,
     EXPONENTIAL,
     FCoordVec,
     GCoordVec,
@@ -13,8 +14,6 @@ from swl import (
     K_elem,
     L_elem,
     Window,
-    alpha_entry,
-    alpha_row,
     f_from_g,
     g_from_f,
     oracle_G_coords,
@@ -30,8 +29,8 @@ SQ2 = math.sqrt(2.0)
 
 # -- single entries ------------------------------------------------------------
 
-def test_exponential_entry_k1_n0():
-    got = alpha_entry(EXPONENTIAL, 1, 0, PLUS, 0, 1)
+def test_exponential_entry_k1_n0(A_exp):
+    got = A_exp.entry(1, 0, PLUS, 0, 1)
     assert got == pytest.approx(-1j * SQ2 / math.pi, abs=1e-14)
     # the oracle confirms the closed form
     assert got == pytest.approx(
@@ -39,31 +38,31 @@ def test_exponential_entry_k1_n0():
     )
 
 
-def test_exponential_entry_n1_is_kronecker():
-    assert alpha_entry(EXPONENTIAL, 3, 1, PLUS, 3, 0) == 1.0
-    assert alpha_entry(EXPONENTIAL, 3, 1, PLUS, 2, 0) == 0j
-    assert alpha_entry(EXPONENTIAL, 3, 1, MINUS, 3, 0) == 0j
-    assert alpha_entry(EXPONENTIAL, 3, 1, PLUS, 3, 1) == 0j
+def test_exponential_entry_n1_is_kronecker(A_exp):
+    assert A_exp.entry(3, 1, PLUS, 3, 0) == 1.0
+    assert A_exp.entry(3, 1, PLUS, 2, 0) == 0j
+    assert A_exp.entry(3, 1, MINUS, 3, 0) == 0j
+    assert A_exp.entry(3, 1, PLUS, 3, 1) == 0j
 
 
-def test_haar_entry_n1_is_kronecker():
+def test_haar_entry_n1_is_kronecker(A_haar):
     for i in (0, 1, 4, 7):
-        assert alpha_entry(HAAR, i, 1, PLUS, i, 0) == 1.0
-        assert alpha_entry(HAAR, i, 1, PLUS, i + 1, 0) == 0j
+        assert A_haar.entry(i, 1, PLUS, i, 0) == 1.0
+        assert A_haar.entry(i, 1, PLUS, i + 1, 0) == 0j
 
 
-def test_haar_entry_coarse_box():
+def test_haar_entry_coarse_box(A_haar):
     # row (0, 2^u + v): coarse-box coefficient 2^{-u/2} at label 0, scale -u
     for u, v in [(1, 0), (2, 3), (3, 5)]:
         n = (1 << u) + v
-        assert alpha_entry(HAAR, 0, n, PLUS, 0, -u) == pytest.approx(2.0 ** (-u / 2))
-        assert alpha_entry(HAAR, 0, n, PLUS, 0, -u + 1) == 0j
+        assert A_haar.entry(0, n, PLUS, 0, -u) == pytest.approx(2.0 ** (-u / 2))
+        assert A_haar.entry(0, n, PLUS, 0, -u + 1) == 0j
 
 
 @pytest.mark.parametrize("fam,label_lo", [(HAAR, 0), (EXPONENTIAL, -8)])
 def test_entries_match_oracle_random_sample(fam, label_lo):
     rng = random.Random(414213)
-    A_entry = lambda *a: alpha_entry(fam, *a)
+    A_entry = AlphaMatrix(fam).entry
     for _ in range(60):
         i = rng.randint(label_lo, 8)
         j = rng.randint(label_lo, 8)
@@ -75,32 +74,32 @@ def test_entries_match_oracle_random_sample(fam, label_lo):
         assert closed == pytest.approx(oracle, abs=1e-9)
 
 
-def test_invalid_labels():
+def test_invalid_labels(A_haar):
     with pytest.raises(InvalidLabelError):
-        alpha_entry(HAAR, -1, 0, PLUS, 0, 1)
+        A_haar.entry(-1, 0, PLUS, 0, 1)
     with pytest.raises(InvalidLabelError):
-        alpha_entry(HAAR, 0, 0, 2, 0, 1)
+        A_haar.entry(0, 0, 2, 0, 1)
 
 
 # -- rows -----------------------------------------------------------------------
 
-def test_haar_row_wavelet_ladder(w_haar):
-    entries = dict(alpha_row(HAAR, 1, 0, w_haar))
+def test_haar_row_wavelet_ladder(A_haar, w_haar):
+    entries = dict(A_haar.row(1, 0, w_haar)[0])
     assert entries[(PLUS, 0, 1)] == pytest.approx(-1 / SQ2)
     for m in range(2, 10):
         assert entries[(PLUS, 0, m)] == pytest.approx(2.0 ** (-m / 2))
     assert all(k[0] == PLUS and k[1] == 0 for k in entries)
 
 
-def test_haar_row_single_entry(w_haar):
-    assert dict(alpha_row(HAAR, 3, 0, w_haar)) == {(PLUS, 1, 1): 1.0}
+def test_haar_row_single_entry(A_haar, w_haar):
+    assert dict(A_haar.row(3, 0, w_haar)[0]) == {(PLUS, 1, 1): 1.0}
 
 
-def test_row_empty_when_window_excludes_everything():
+def test_row_empty_when_window_excludes_everything(A_haar, A_exp):
     w = Window.symmetric(HAAR, 4, 4, 4).with_dil_range(-2, 0)
-    assert alpha_row(HAAR, 0, 0, w) == []   # ladder starts at m = 1
+    assert A_haar.row(0, 0, w)[0] == []   # ladder starts at m = 1
     w_exp = Window.symmetric(EXPONENTIAL, 4, 4, 4).with_dil_range(-3, 0)
-    assert alpha_row(EXPONENTIAL, 2, 0, w_exp) == []
+    assert A_exp.row(2, 0, w_exp)[0] == []
 
 
 @pytest.mark.parametrize("i,n", [(0, 0), (1, 0), (2, 0), (5, 0), (0, 1), (3, 1), (0, 5),

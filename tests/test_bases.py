@@ -11,7 +11,6 @@ from swl.bases import (
     InvalidLabelError,
     SpecParseError,
     UnboundedSupportError,
-    apply_DT,
     dilate_spec,
     parse_function_spec,
     translate_spec,
@@ -157,7 +156,7 @@ def test_translate_dilate_exact():
     assert shifted.evaluate(3.25) == 1.0
     scaled = dilate_spec(psi, 1)
     assert scaled.evaluate(0.2) == pytest.approx(math.sqrt(2))
-    both = apply_DT(psi, 1, 1)  # sqrt(2) psi(2x - 1)
+    both = dilate_spec(translate_spec(psi, 1), 1)  # sqrt(2) psi(2x - 1)
     assert both.evaluate(0.6) == pytest.approx(math.sqrt(2))
     assert both.evaluate(0.9) == pytest.approx(-math.sqrt(2))
     with pytest.raises(UnboundedSupportError):
@@ -169,5 +168,5 @@ def test_transform_matches_oracle_inner_products():
     f = parse_function_spec("piecewise[(0,1):1+x]")
     g = parse_function_spec("piecewise[(0,1/2):2; (1/2,1):-1]")
     base = inner_product(f, g)
-    moved = inner_product(apply_DT(f, 2, -1), apply_DT(g, 2, -1))
-    assert moved == pytest.approx(base, abs=1e-12)
+    DT = lambda spec: dilate_spec(translate_spec(spec, -1), 2)
+    assert inner_product(DT(f), DT(g)) == pytest.approx(base, abs=1e-12)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,17 @@ def test_fourier_check_multiplication(capsys):
     assert code == 0
 
 
+def test_fourier_check_scaling(capsys):
+    code, out, _ = _invoke(capsys, "fourier-check", "--fhat", "shannon_phi",
+                           "--check", "scaling", "--grid", "64", "--krange", "2")
+    assert code == 0
+    assert _doc(out)["report"]["check"] == "scaling_hypotheses"
+    code, out, _ = _invoke(capsys, "fourier-check", "--fhat", "shannon_psi",
+                           "--check", "scaling", "--grid", "64", "--krange", "3")
+    assert code == 1
+    assert _doc(out)["report"]["pass"] is False
+
+
 def test_check_scaling(capsys):
     code, _, _ = _invoke(capsys, "check-scaling", "--basis", "haar",
                          "--function", "haar_scaling", "--krange", "4")
@@ -268,6 +280,8 @@ def test_subcommand_usage_error_exits_two(capsys, command):
 
 @pytest.mark.parametrize("argv", [
     ("fourier-check", "--fhat", "indicator(1/0,1)"),
+    ("fourier-check", "--fhat", "indicator(1,0)"),
+    ("check-wavelet", "--function", "haar_wavelet", "--pq", "1", "--labels", "x1"),
     ("filter", "check-orthogonality", "--coeffs", '{"0": {"a": 1}}'),
     ("filter", "check-orthogonality", "--coeffs", "[1,2]"),
     ("act", "--coords", "@list", "-p", "0", "-q", "0"),
@@ -353,6 +367,17 @@ def test_out_of_memory_exits_two_without_traceback(monkeypatch, capsys):
     code, out, err = _invoke(capsys, "act", "--basis", "haar", "--function", "haar_wavelet",
                              "-p", "1", "-q", "0")
     assert (code, out, err) == (2, "", "swl: error: out of memory: the request is too large\n")
+
+
+def test_console_entry_exits_with_the_check_verdict(monkeypatch, capsys):
+    import swl.cli
+
+    monkeypatch.setattr(sys, "argv", ["swl", "check-wavelet", "--function", "haar_scaling",
+                                      "--pq", "1", "--window", "4"])
+    with pytest.raises(SystemExit) as exit_:
+        swl.cli.entry()
+    assert exit_.value.code == 1
+    assert _doc(capsys.readouterr().out)["report"]["pass"] is False
 
 
 def test_exponential_coarse_columns_walk_only_the_window(capsys):

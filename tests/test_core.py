@@ -12,7 +12,6 @@ from swl import (
     HAAR,
     Window,
     coord_equal,
-    coord_norm_sq,
     oracle_F_coords,
 )
 from swl.bases import FunctionSpec
@@ -30,26 +29,26 @@ from swl.core import (
 
 
 def test_norm_sq_empty_is_zero():
-    assert coord_norm_sq(FCoordVec({})) == 0.0
-    assert coord_norm_sq(GCoordVec({})) == 0.0
+    assert FCoordVec({}).norm_sq() == 0.0
+    assert GCoordVec({}).norm_sq() == 0.0
 
 
 def test_norm_sq_unit_entry():
-    assert coord_norm_sq(FCoordVec({(0, 0): 1.0})) == 1.0
+    assert FCoordVec({(0, 0): 1.0}).norm_sq() == 1.0
 
 
 def test_norm_sq_chi03_haar_coords():
     # oracle: integral of |chi_[0,3)|^2 = 3, carried by three unit box coefficients
     vec = oracle_F_coords(FunctionSpec.indicator(0, 3), HAAR, Window.symmetric(HAAR, 4, 4, 8))
     assert dict(vec.items()) == {(0, 0): 1.0, (0, 1): 1.0, (0, 2): 1.0}
-    assert coord_norm_sq(vec) == pytest.approx(3.0, abs=1e-12)
+    assert vec.norm_sq() == pytest.approx(3.0, abs=1e-12)
 
 
 def test_norm_sq_invariant_under_storage_order():
     entries = [((i, n), complex(i + 1, n)) for i in range(4) for n in range(-3, 3)]
     a = FCoordVec(entries)
     b = FCoordVec(list(reversed(entries)))
-    assert coord_norm_sq(a) == coord_norm_sq(b)
+    assert a.norm_sq() == b.norm_sq()
 
 
 def test_drop_threshold_absent_keys_are_zero():

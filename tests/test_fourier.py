@@ -112,6 +112,12 @@ def test_multiplication_check_grid_mismatch():
         multiplication_check(P, Q)
 
 
+@pytest.mark.parametrize("n_grid,k_range", [(1, (-2, 2)), (64, (2, 1))])
+def test_periodize_rejects_a_degenerate_grid(n_grid, k_range):
+    with pytest.raises(ValueError):
+        periodize(shannon_scaling_hat(), n_grid, k_range)
+
+
 def test_coverage_error_reports_missed_mass():
     with pytest.raises(PeriodizationError) as err:
         periodize(shannon_wavelet_hat(), 32, (0, 3))

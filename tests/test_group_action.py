@@ -14,12 +14,7 @@ from swl import (
     LaurentPoly,
     Window,
     act,
-    act_DT_on_F,
-    act_DT_on_G,
-    act_TD_on_F,
-    act_TD_on_G,
     construct_wavelet_coords,
-    coord_norm_sq,
     daubechies4,
     f_from_g,
     filter_action_on_coords,
@@ -30,7 +25,7 @@ from swl import (
     shift_T,
 )
 from swl.alpha import column_terms, row_terms
-from swl.bases import FunctionSpec, apply_DT
+from swl.bases import FunctionSpec, dilate_spec, translate_spec
 from swl.core import MINUS, PLUS, coord_equal
 from swl.quadrature import oracle_F_coords, oracle_G_coords
 
@@ -57,42 +52,42 @@ def test_shift_D_mirrors_shift_T():
 
 def test_act_DT_p0_collapses_to_shift(A_haar, w_haar):
     v = FCoordVec({(1, 0): 1.0, (0, -2): 0.5j})
-    got = act_DT_on_F(v, 0, 3, A_haar, w_haar)
+    got = act(v, 0, 3, "DT", A_haar, w_haar)[0]
     assert coord_equal(got, shift_T(v, 3), 0.0).passed
 
 
 def test_act_on_G_q0_collapses_to_shift(A_haar, w_haar):
     v = GCoordVec({(1, 0, 1): 1.0})
-    assert coord_equal(act_DT_on_G(v, 2, 0, A_haar, w_haar), shift_D(v, 2), 0.0).passed
-    assert coord_equal(act_TD_on_G(v, 2, 0, A_haar, w_haar), shift_D(v, 2), 0.0).passed
+    assert coord_equal(act(v, 2, 0, "DT", A_haar, w_haar)[0], shift_D(v, 2), 0.0).passed
+    assert coord_equal(act(v, 2, 0, "TD", A_haar, w_haar)[0], shift_D(v, 2), 0.0).passed
 
 
 @pytest.mark.parametrize("p,q", [(1, 0), (1, 1), (-1, 2), (2, -1), (-2, -2)])
 def test_act_DT_on_F_matches_oracle(A_haar, w_haar, p, q):
-    got = act_DT_on_F(PSI_HAT, p, q, A_haar, w_haar)
-    want = oracle_F_coords(apply_DT(FunctionSpec.haar_wavelet(), p, q), HAAR,
-                           Window.symmetric(HAAR, 64, 16, 8))
+    got = act(PSI_HAT, p, q, "DT", A_haar, w_haar)[0]
+    moved = dilate_spec(translate_spec(FunctionSpec.haar_wavelet(), q), p)
+    want = oracle_F_coords(moved, HAAR, Window.symmetric(HAAR, 64, 16, 8))
     assert coord_equal(got, want, 1e-8).passed
-    assert coord_norm_sq(got) == pytest.approx(1.0, abs=1e-8)
+    assert got.norm_sq() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_act_TD_equals_DT_with_doubled_translation(A_haar, w_haar):
     for p in (0, 1, 2):
         for q in (-2, 1, 3):
-            a = act_TD_on_F(PSI_HAT, p, q, A_haar, w_haar)
-            b = act_DT_on_F(PSI_HAT, p, (2 ** p) * q, A_haar, w_haar)
+            a = act(PSI_HAT, p, q, "TD", A_haar, w_haar)[0]
+            b = act(PSI_HAT, p, (2 ** p) * q, "DT", A_haar, w_haar)[0]
             assert coord_equal(a, b, 1e-9).passed
 
 
 def test_act_TD_q0_equals_DT(A_haar, w_haar):
-    a = act_TD_on_F(PSI_HAT, 2, 0, A_haar, w_haar)
-    b = act_DT_on_F(PSI_HAT, 2, 0, A_haar, w_haar)
+    a = act(PSI_HAT, 2, 0, "TD", A_haar, w_haar)[0]
+    b = act(PSI_HAT, 2, 0, "DT", A_haar, w_haar)[0]
     assert coord_equal(a, b, 0.0).passed
 
 
 def test_act_TD_on_phi_matches_oracle(A_haar, w_haar):
     # T D^{-1} applied to the box: 2^{-1/2} chi_[1,3)
-    got = act_TD_on_F(PHI_HAT, -1, 1, A_haar, w_haar)
+    got = act(PHI_HAT, -1, 1, "TD", A_haar, w_haar)[0]
     want_spec = FunctionSpec.piecewise([(1, 3, (1 / math.sqrt(2),))])
     want = oracle_F_coords(want_spec, HAAR, Window.symmetric(HAAR, 32, 8, 8))
     assert coord_equal(got, want, 1e-8).passed
@@ -101,15 +96,15 @@ def test_act_TD_on_phi_matches_oracle(A_haar, w_haar):
 @pytest.mark.parametrize("p,q", [(1, 1), (-1, 2), (2, -2)])
 def test_act_DT_on_G_matches_oracle(A_haar, w_haar, p, q):
     psi_tilde = oracle_G_coords(FunctionSpec.haar_wavelet(), HAAR, Window.symmetric(HAAR, 4, 4, 60))
-    got = act_DT_on_G(psi_tilde, p, q, A_haar, w_haar)
-    want = oracle_G_coords(apply_DT(FunctionSpec.haar_wavelet(), p, q), HAAR,
-                           Window.symmetric(HAAR, 80, 6, 62))
+    got = act(psi_tilde, p, q, "DT", A_haar, w_haar)[0]
+    moved = dilate_spec(translate_spec(FunctionSpec.haar_wavelet(), q), p)
+    want = oracle_G_coords(moved, HAAR, Window.symmetric(HAAR, 80, 6, 62))
     assert coord_equal(got, want, 1e-8).passed
 
 
 def test_act_TD_on_G_matches_oracle(A_haar, w_haar):
     phi_tilde = oracle_G_coords(FunctionSpec.haar_scaling(), HAAR, Window.symmetric(HAAR, 4, 4, 60))
-    got = act_TD_on_G(phi_tilde, 1, 2, A_haar, w_haar)
+    got = act(phi_tilde, 1, 2, "TD", A_haar, w_haar)[0]
     want = oracle_G_coords(
         FunctionSpec.piecewise([(2, "5/2", (math.sqrt(2),))]),  # T^2 D phi = sqrt2 chi_[2,5/2)
         HAAR, Window.symmetric(HAAR, 32, 6, 62))
@@ -120,26 +115,26 @@ def test_unitarity_of_actions(A_haar, w_haar):
     rng = random.Random(12)
     v = FCoordVec({(rng.randint(0, 4), rng.randint(-3, 3)): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                    for _ in range(8)})
-    base = coord_norm_sq(v)
+    base = v.norm_sq()
     for p, q in [(1, 1), (-1, 0), (2, -1), (-2, 2)]:
-        assert coord_norm_sq(act_DT_on_F(v, p, q, A_haar, w_haar)) == pytest.approx(base, abs=1e-8)
-        assert coord_norm_sq(act_TD_on_F(v, p, q, A_haar, w_haar)) == pytest.approx(base, abs=1e-8)
+        assert act(v, p, q, "DT", A_haar, w_haar)[0].norm_sq() == pytest.approx(base, abs=1e-8)
+        assert act(v, p, q, "TD", A_haar, w_haar)[0].norm_sq() == pytest.approx(base, abs=1e-8)
 
 
 def test_group_law_on_window(A_haar, w_haar):
     rng = random.Random(2024)
     v = FCoordVec({(rng.randint(0, 3), rng.randint(-2, 2)): rng.uniform(-1, 1) for _ in range(6)})
     for p1, q1, p2, q2 in [(1, 1, -1, 2), (0, 2, 1, -1), (2, -1, 0, 1), (1, 0, 1, 1)]:
-        a = act_DT_on_F(act_DT_on_F(v, p1, q1, A_haar, w_haar), p2, q2, A_haar, w_haar)
-        b = act_DT_on_F(v, p1 + p2, q1 + (2 ** p1) * q2, A_haar, w_haar)
+        a = act(act(v, p1, q1, "DT", A_haar, w_haar)[0], p2, q2, "DT", A_haar, w_haar)[0]
+        b = act(v, p1 + p2, q1 + (2 ** p1) * q2, "DT", A_haar, w_haar)[0]
         assert coord_equal(a, b, 1e-7).passed
 
 
 def test_model_consistency(A_haar, w_haar):
     v = FCoordVec({(1, 0): 1.0, (2, 1): -0.5, (0, -1): 0.25j})
     for p, q in [(1, 1), (-1, 2), (2, -2)]:
-        lhs = g_from_f(act_DT_on_F(v, p, q, A_haar, w_haar), A_haar, w_haar)
-        rhs = act_DT_on_G(g_from_f(v, A_haar, w_haar), p, q, A_haar, w_haar)
+        lhs = g_from_f(act(v, p, q, "DT", A_haar, w_haar)[0], A_haar, w_haar)
+        rhs = act(g_from_f(v, A_haar, w_haar), p, q, "DT", A_haar, w_haar)[0]
         assert coord_equal(lhs, rhs, 1e-7).passed
 
 
@@ -167,14 +162,14 @@ def test_capped_ladder_column_gives_the_uncapped_action(monkeypatch):
 
     w = Window.symmetric(HAAR, 2)
     A = AlphaMatrix(HAAR)
-    capped = act_DT_on_F(PSI_HAT, 1200, 0, A, w)
+    capped = act(PSI_HAT, 1200, 0, "DT", A, w)[0]
     real = alpha._haar_column
 
     def uncapped(s, j, m):
         return _uncapped_ladder_column(s, j, m) if j == 0 and m > 0 else real(s, j, m)
 
     monkeypatch.setattr(alpha, "_haar_column", uncapped)
-    whole = act_DT_on_F(PSI_HAT, 1200, 0, A, w)
+    whole = act(PSI_HAT, 1200, 0, "DT", A, w)[0]
     assert [(k, repr(v)) for k, v in capped.items()] == [(k, repr(v)) for k, v in whole.items()]
 
 
@@ -192,7 +187,7 @@ def test_ladder_column_stays_small_at_large_scales():
     w = Window.symmetric(HAAR, 2)
     tracemalloc.start()
     start = time.perf_counter()
-    out = act_DT_on_F(PSI_HAT, 100000, 0, AlphaMatrix(HAAR), w)
+    out = act(PSI_HAT, 100000, 0, "DT", AlphaMatrix(HAAR), w)[0]
     took = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
@@ -246,10 +241,6 @@ def _random_pair(rng, fam):
     return f, g
 
 
-VIEWS = {("DT", FCoordVec): act_DT_on_F, ("TD", FCoordVec): act_TD_on_F,
-         ("DT", GCoordVec): act_DT_on_G, ("TD", GCoordVec): act_TD_on_G}
-
-
 @pytest.mark.parametrize("fam,w", [(HAAR, Window.symmetric(HAAR, 4, 4, 10)),
                                    (EXPONENTIAL, Window.symmetric(EXPONENTIAL, 3, 3, 4))])
 def test_act_is_the_composed_words_bit_for_bit(fam, w):
@@ -266,8 +257,6 @@ def test_act_is_the_composed_words_bit_for_bit(fam, w):
                         got, tail = act(v, p, q, order, A, w)
                         assert _bits(got) == _bits(want)
                         assert tail.hex() == sum(tails, 0.0).hex()
-                        view = VIEWS[(order, type(v))](v, p, q, A, w)
-                        assert _bits(view) == _bits(want)
 
 
 def test_filter_refinement_is_the_composed_word(A_haar):

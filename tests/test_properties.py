@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from swl import (
+    AlphaMatrix,
     EXPONENTIAL,
     FCoordVec,
     GCoordVec,
     Window,
     act,
-    alpha_entry,
     check_filter_orthogonality,
     check_pair_conditions,
     check_scaling_coordinate_identity,
@@ -133,7 +133,7 @@ def test_exponential_candidate_specialized_check_agrees(A_exp, w_exp_labels):
                                       w_exp_labels, 1e-12)
     assert not rep.passed
     res = dict(rep.details)
-    assert res[(1, 1)] == pytest.approx(abs(alpha_entry(EXPONENTIAL, 5, 2, PLUS, 5, -1)),
+    assert res[(1, 1)] == pytest.approx(abs(AlphaMatrix(EXPONENTIAL).entry(5, 2, PLUS, 5, -1)),
                                         abs=1e-14)
     note = next(n for n in rep.notes if "agree" in n)
     assert float(note.split()[-1]) <= 1e-12

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from swl import EXPONENTIAL, HAAR, DilIndex, K_elem, L_elem, TransIndex, Window, coord_norm_sq
+from swl import EXPONENTIAL, HAAR, DilIndex, K_elem, L_elem, TransIndex, Window
 from swl.bases import FunctionSpec, parse_function_spec
 from swl.quadrature import (
     _gl16,
@@ -105,15 +105,15 @@ def test_parseval_growth_to_function_norm():
     f = parse_function_spec("piecewise[(0,1/2):1; (1/2,2):-1/2]")
     want = norm_sq_of_spec(f)
     assert want == pytest.approx(0.5**2 * 1.5 + 1 * 0.5, abs=1e-14)
-    small = coord_norm_sq(oracle_F_coords(f, HAAR, Window.symmetric(HAAR, 1, 2, 4)))
-    big = coord_norm_sq(oracle_F_coords(f, HAAR, Window.symmetric(HAAR, 16, 2, 4)))
+    small = oracle_F_coords(f, HAAR, Window.symmetric(HAAR, 1, 2, 4)).norm_sq()
+    big = oracle_F_coords(f, HAAR, Window.symmetric(HAAR, 16, 2, 4)).norm_sq()
     assert small < want + 1e-12
     assert big == pytest.approx(want, abs=1e-10)
 
 
 def test_parseval_exponential_family():
     f = FunctionSpec.indicator(0, 1)
-    caught = coord_norm_sq(oracle_F_coords(f, EXPONENTIAL, Window.symmetric(EXPONENTIAL, 6, 2, 2)))
+    caught = oracle_F_coords(f, EXPONENTIAL, Window.symmetric(EXPONENTIAL, 6, 2, 2)).norm_sq()
     assert caught == pytest.approx(1.0, abs=1e-12)  # single delta coefficient per cell
 
 
@@ -121,8 +121,8 @@ def test_g_side_tail_decay():
     # mass of the dilation coefficients of the box concentrates at coarse scales;
     # the residual beyond m_max is bounded by the mass of f near the origin
     f = PHI
-    full = coord_norm_sq(oracle_G_coords(f, HAAR, Window.symmetric(HAAR, 2, 2, 20)))
-    shallow = coord_norm_sq(oracle_G_coords(f, HAAR, Window.symmetric(HAAR, 2, 2, 5)))
+    full = oracle_G_coords(f, HAAR, Window.symmetric(HAAR, 2, 2, 20)).norm_sq()
+    shallow = oracle_G_coords(f, HAAR, Window.symmetric(HAAR, 2, 2, 5)).norm_sq()
     assert full == pytest.approx(1.0, abs=1e-6)
     assert 1.0 - shallow == pytest.approx(2.0 ** -5, abs=1e-12)
 

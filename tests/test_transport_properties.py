@@ -23,7 +23,6 @@ from swl import (  # noqa: E402
     GCoordVec,
     Window,
     act,
-    act_DT_on_G,
     construct_wavelet_coords,
     daubechies4,
     g_from_f,
@@ -70,7 +69,7 @@ def reference_residuals(psi, A, pq, w):
     grid = _grid(pq)
     qs = sorted({q for _, q in grid})
     route_a, tails = reference_pair_sums(psi, A, qs, w)
-    route_b = {q: act_DT_on_G(psi, 0, q, A, w) for q in qs}
+    route_b = {q: act(psi, 0, q, "DT", A, w)[0] for q in qs}
     residuals, disagreement = {}, 0.0
     for p, q in grid:
         delta = 1.0 if (p == 0 and q == 0) else 0.0

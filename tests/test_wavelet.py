@@ -122,6 +122,16 @@ def test_completeness_haar_full_rank(psi_tilde, A_haar, w_haar):
     assert rep.passed and rep.verdict == "pass"
 
 
+def test_completeness_near_the_threshold_is_inconclusive(psi_tilde, A_haar, w_haar):
+    import numpy as np
+
+    sigma = np.linalg.svd(completeness_matrix(psi_tilde, A_haar, F6, 6, w_haar), compute_uv=False)
+    threshold = 2.0 * float(sigma.min())
+    rep = check_wavelet_completeness(psi_tilde, A_haar, F6, 6, w_haar, threshold)
+    assert rep.verdict == "inconclusive" and not rep.passed
+    assert any(n.startswith("singular values near threshold") for n in rep.notes)
+
+
 def test_completeness_random_reachable_subsets(psi_tilde, A_haar, w_haar):
     reachable = [(PLUS, j) for j in range(7)] + [(MINUS, j) for j in (0, 1, 2, 3, 6, 7)]
     rng = random.Random(61)
