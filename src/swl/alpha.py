@@ -478,8 +478,7 @@ def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool):
     A block is (positions of its keys, entries per key, target key columns,
     alphas, clipped mass per key), each key's entries in table order.  A
     single-entry block has None for the counts, alphas and clipped mass:
-    one entry per key whose alpha is 1.0, so its term is the key's value
-    (when it covers every key, its targets and ``vals`` are the terms).
+    one entry per key whose alpha is 1.0, so its term is the key's value.
     Keys in no block go through ``entries_of(*key)`` one at a time, as one
     more block.  Every other term is alpha (conjugated for ``conj``) times
     the key's value.  Returns (target key columns, term values, l2 bound on
@@ -487,8 +486,6 @@ def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool):
     Python's ``abs`` (numpy's complex abs may differ from it in the last
     bit).
     """
-    if len(blocks) == 1 and blocks[0][1] is None and len(blocks[0][0]) == len(vals):
-        return blocks[0][2], vals, 0.0
     width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
     counts = np.full(len(vals), -1, dtype=np.int64)  # -1: in no block
     clip = np.zeros(len(vals))

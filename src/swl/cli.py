@@ -242,7 +242,7 @@ def _cmd_check_wavelet(args) -> int:
     report = check_wavelet_orthonormality(
         vec, A, args.pq, w, args.tol, candidate_tail_sq=tail_sq
     )
-    comp = check_wavelet_completeness(vec, A, labels, args.pq * 2, w, args.svd_threshold)
+    comp = check_wavelet_completeness(vec, A, labels, args.pq * 2, w)
     doc = _report_doc(report, args, pq=args.pq, function=getattr(args, "function", None))
     doc["completeness"] = comp.to_dict()
     _emit(doc, args.out)
@@ -426,7 +426,6 @@ def _declare_check_wavelet(p):
     p.add_argument("--coords")
     p.add_argument("--pq", type=int, default=3, help="orthonormality grid radius")
     p.add_argument("--labels", help="completeness labels, e.g. '+0,+1,-0'")
-    p.add_argument("--svd-threshold", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_check_wavelet)
 
 

@@ -625,11 +625,6 @@ def oracle_G_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
     return _grid(f, fam, window_columns(labels, *w.dil_range), GCoordVec, quadrature_tol)
 
 
-def norm_sq_of_spec(f: FunctionSpec) -> float:
-    """||f||^2 by direct integration (used for truncation-tail accounting)."""
-    return inner_product(f, f, 1e-12).real
-
-
 def g_window_tail_bound(f: FunctionSpec, m_max: int) -> float:
     """Bound on the dilation-coefficient mass beyond the scale cap.
 

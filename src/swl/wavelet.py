@@ -3,8 +3,7 @@
 A candidate's dilation-model coordinates determine whether its dilated
 translates form an orthonormal system through a family of coordinate sums,
 one per integer pair (p, q); the system is orthonormal exactly when the
-sum is 1 at (0, 0) and 0 elsewhere.  Two independently coded routes
-evaluate the sums here:
+sum is 1 at (0, 0) and 0 elsewhere.  Two routes evaluate the sums here:
 
 * the literal nested change-of-basis triple sum, innermost first, using
   the row/column support enumerations directly;
@@ -12,11 +11,13 @@ evaluate the sums here:
   and take the coordinate dot product.
 
 Both are computed and must agree; the report carries the worse residual
-and the route disagreement.  Each route moves the candidate to the
-translation model once, whatever the size of the (p, q) grid (route A's
-literal column pass, route B's ``f_from_g`` of psi, which T^q shifts
-there), and neither reuses the other's.  Then each route transports one
-translation q at a time.  The transfer back to the dilation model is
+and the route disagreement.  They are not independent arithmetic: for
+q != 0, route B's transported vector is route A's U_q bit for bit, so the
+agreement gate measures only the q = 0 round trip.  Each route moves the
+candidate to the translation model once, whatever the size of the (p, q)
+grid (route A's literal column pass, route B's ``f_from_g`` of psi, which
+T^q shifts there), and neither reuses the other's.  Then each route
+transports one translation q at a time.  The transfer back to the dilation model is
 summed only where psi's shifts read it: a ``_KeyIndex`` over psi's keys
 codes its raw terms by psi's (s, j) groups, each target's group read from
 a table of psi's labels (binary search where they are sparse or past
@@ -34,8 +35,10 @@ keys that can reach the matrix (``alpha.scale_reach``), again one q at a
 time and summed only where the matrix reads them, by a ``_KeyIndex`` over
 its cells: both checks sum terms per key through that one index.  A finite
 window can only ever certify a *necessary* condition, so reports label the
-rank test as a window surrogate; singular values too close to the decision
-threshold yield an ``inconclusive`` verdict instead of a pass/fail call.
+rank test as a window surrogate; singular values within 10x of the fixed
+``RANK_SVD_THRESHOLD`` yield an ``inconclusive`` verdict instead of a
+pass/fail call.  ``check_wavelet_completeness`` is the one completeness
+verdict: the [1, 2] example check takes its rank and verdict from it.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from .filters import coords_at_omega
 from .group_action import shift_T
 
 _WINDOW_SURROGATE_NOTE = "necessary-condition check at a finite window, not a proof"
+RANK_SVD_THRESHOLD = 1e-8  # completeness rank cut; inconclusive within 10x of it
 
 
 def _pq_grid(pq_range) -> list[tuple[int, int]]:
@@ -333,12 +337,12 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]), from route A's literal
     pass one q at a time, summed only at the cells the matrix reads: one
     ``_KeyIndex`` over the labels and the rows' m values keys its terms,
-    which fill that q's row of a table addressed by the index's codes (one
-    slot per label and m from the least row m to the greatest), and the
-    matrix is one gather from the table.  By the Haar scale rule no key of
-    level past m_hi + bit_length(j_hi) reaches the matrix, so the pass
-    takes only the keys that can: every entry read is summed from the same
-    terms in the same order, bit for bit.
+    and that q's rows read their cells' codes from the sorted codes it
+    gives (0 where a cell has none), so the matrix is all that is held
+    besides one q's terms, however far apart the rows' m values lie.  By
+    the Haar scale rule no key of level past m_hi + bit_length(j_hi)
+    reaches the matrix, so the pass takes only the keys that can: every
+    entry read is summed from the same terms in the same order, bit for bit.
     """
     labels = _dil_labels(A, labels)
     rows = _pq_grid(row_window)
@@ -346,26 +350,33 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3),
                       np.zeros(len(labels) * len(ms), dtype=complex), (0,))
     top = max(ms, default=0) + int(max((j for _, j in labels), default=0)).bit_length()
-    # every code that _keyed gives, id * span + (m - base), lies below this
-    table = np.zeros((len(qs), len(labels) * index.span), dtype=complex)
-    for k, (_, keys, terms, _) in enumerate(_literal_pass(psi, qs, A, w, top)):
-        codes, sums = index._keyed(keys, terms)
-        table[k, codes] = sums
     m, q = key_columns(rows, 2)
     ids = index._ids(*key_columns(labels, 2))
     read = ids * index.span + (m - index.base)[:, None]
-    return np.conj(table[np.searchsorted(qs, q)[:, None], read])
+    mat = np.zeros(read.shape, dtype=complex)
+    row_q = np.searchsorted(qs, q)
+    for k, (_, keys, terms, _) in enumerate(_literal_pass(psi, qs, A, w, top)):
+        codes, sums = index._keyed(keys, terms)
+        # the sentinel past every code holds 0 for the cells with no sum
+        codes, sums = np.append(codes, _PAST_CODES), np.append(sums, 0j)
+        want = read[row_q == k]
+        at = np.searchsorted(codes, want)
+        at[codes[at] != want] = len(codes) - 1
+        mat[row_q == k] = sums[at]
+    return np.conj(mat)
 
 
 def check_wavelet_completeness(psi: GCoordVec, A: AlphaMatrix,
                                labels: Sequence[tuple[int, int]], row_window,
-                               w: Window, rank_svd_threshold: float = 1e-8) -> CheckReport:
-    """Rank test: the truncated completeness matrix should have full column rank."""
+                               w: Window) -> CheckReport:
+    """Rank test: the truncated completeness matrix should have full column
+    rank (singular values above ``RANK_SVD_THRESHOLD``); the residual is
+    the rank deficit."""
     labels = _dil_labels(A, labels)
     mat = completeness_matrix(psi, A, labels, row_window, w)
     sigma = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
-    rank = int(np.sum(sigma > rank_svd_threshold))
-    near = [float(s) for s in sigma if rank_svd_threshold / 10.0 < s < rank_svd_threshold * 10.0]
+    rank = int(np.sum(sigma > RANK_SVD_THRESHOLD))
+    near = [float(s) for s in sigma if RANK_SVD_THRESHOLD / 10.0 < s < RANK_SVD_THRESHOLD * 10.0]
     zero_cols = [lab for c, lab in enumerate(labels) if not np.any(np.abs(mat[:, c]) > 0.0)]
 
     full = rank == len(labels)
@@ -399,7 +410,9 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
     Only the positive-branch scale-0 coordinates can be nonzero there, so
     the general sums collapse to a single change-of-basis lookup per term.
     The general-form residuals are evaluated too; a discrepancy between
-    the two would be reported, never reconciled silently.
+    the two would be reported, never reconciled silently.  A residual
+    failure fails; else ``check_wavelet_completeness``'s verdict at
+    ``row_window`` (``pq_range`` if a radius, else 3) stands.
     """
     labels = _dil_labels(A, labels)
     slice_coeffs: dict[int, complex] = {}
@@ -428,18 +441,10 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
         default=0.0,
     )
 
-    # rank matrix with entries sum_k alpha_{k,1+q}^{s,j,m} c_k
     if row_window is None:
         row_window = pq_range if isinstance(pq_range, int) else 3
-    rows = _pq_grid(row_window)
-    mat = np.zeros((len(rows), len(labels)), dtype=complex)
-    for r, (m, q) in enumerate(rows):
-        for c, (s, j) in enumerate(labels):
-            mat[r, c] = csum(
-                A.entry(k, 1 + q, s, j, m) * ck for k, ck in slice_coeffs.items()
-            )
-    sigma = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
-    rank = int(np.sum(sigma > 1e-8))
+    comp = check_wavelet_completeness(candidate, A, labels, row_window, w)
+    rank = len(labels) - int(comp.max_residual)
 
     notes = [
         f"general-form residuals agree within {mismatch:.3e}",
@@ -450,8 +455,10 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
         "compact_support_wavelet", residuals, tol, window=w, notes=notes
     )
     if rank != len(labels):
-        ortho.verdict = "fail"
         ortho.notes.append("completeness rank deficient")
+    if ortho.verdict == "pass":
+        ortho.verdict = comp.verdict
+        ortho.notes += [n for n in comp.notes if n.startswith("singular values near")]
     return ortho
 
 

@@ -202,7 +202,7 @@ def test_criterion_5_wavelet_characterization():
     rng = random.Random(48)
     rank_ok = True
     for labels in [reachable[:6]] + [rng.sample(reachable, rng.randint(1, 6)) for _ in range(10)]:
-        rep = check_wavelet_completeness(psi, A, labels, 6, w, 1e-8)
+        rep = check_wavelet_completeness(psi, A, labels, 6, w)
         rank_ok = rank_ok and rep.passed
 
     ok = (rep_psi.passed and rep_ex1.passed and not rep_phi.passed

@@ -14,7 +14,6 @@ from swl.quadrature import (
     _series,
     _series_terms,
     inner_product,
-    norm_sq_of_spec,
     oracle_F_coords,
     oracle_G_coords,
 )
@@ -103,7 +102,7 @@ def test_oracle_G_examples():
 def test_parseval_growth_to_function_norm():
     # window covering the support captures the full mass for dyadic steps
     f = parse_function_spec("piecewise[(0,1/2):1; (1/2,2):-1/2]")
-    want = norm_sq_of_spec(f)
+    want = inner_product(f, f, 1e-12).real
     assert want == pytest.approx(0.5**2 * 1.5 + 1 * 0.5, abs=1e-14)
     small = oracle_F_coords(f, HAAR, Window.symmetric(HAAR, 1, 2, 4)).norm_sq()
     big = oracle_F_coords(f, HAAR, Window.symmetric(HAAR, 16, 2, 4)).norm_sq()
@@ -254,7 +253,7 @@ def test_gl16_grid_cuts_the_gaussian_once(monkeypatch):
             assert grid(g, fam, w)
             assert cuts == [g]
     cuts.clear()
-    assert norm_sq_of_spec(g) > 0.0
+    assert inner_product(g, g, 1e-12).real > 0.0
     assert cuts == [g, g]
 
 

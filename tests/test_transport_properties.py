@@ -26,9 +26,11 @@ from swl import (  # noqa: E402
     construct_wavelet_coords,
     daubechies4,
     g_from_f,
+    oracle_G_coords,
     scaling_coords_from_filter,
     wavelet,
 )
+from swl.bases import FunctionSpec  # noqa: E402
 from swl.core import MINUS, PLUS, csum  # noqa: E402
 from swl.wavelet import _cdot, completeness_matrix, orthonormality_residuals  # noqa: E402
 
@@ -110,6 +112,8 @@ def d4_psi(levels: int) -> GCoordVec:
 D4_PSI = d4_psi(8)
 # (+, 0), (+, 1), (-, 0) and (+, 5) among W_D4's labels
 D4_PICKS = [W_D4.dil_labels.index(lab) for lab in [(PLUS, 0), (PLUS, 1), (MINUS, 0), (PLUS, 5)]]
+# rows 2^20 scales apart: the matrix is all that is held for them
+GAPPED_ROWS = [(0, 0), (1, 1), (2**20 + 2, 0)]
 
 values = st.builds(
     lambda r, t: r * complex(math.cos(t), math.sin(t)),
@@ -170,6 +174,7 @@ def test_q0_route_gap_within_literal_tail(case, ps):
          picks=[W_HAAR.dil_labels.index((PLUS, 0))], row_window=[(-4, 1)])
 @example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=4)
 @example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=8)
+@example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=GAPPED_ROWS)
 def test_streamed_completeness_matches_all_q_reference(case, picks, row_window):
     fam, psi = case
     A, w = FAMILIES[fam]
@@ -230,6 +235,15 @@ def test_streamed_checks_hold_one_q_of_copies():
     streamed = _traced_peak(completeness_matrix, psi, A, labels, 4, w)
     all_q = _traced_peak(reference_completeness, psi, A, labels, 4, w)
     assert streamed < 0.5 * all_q
+
+
+def test_completeness_rows_far_apart_hold_only_the_matrix():
+    # a table with a slot per label and every m between the rows would
+    # take about 100 MB for the Haar wavelet at labels +0, +1, -0
+    A, w = FAMILIES["d4"]
+    psi = oracle_G_coords(FunctionSpec.haar_wavelet(), HAAR, w)
+    labels = [(PLUS, 0), (PLUS, 1), (MINUS, 0)]
+    assert _traced_peak(completeness_matrix, psi, A, labels, GAPPED_ROWS, w) < 2e6
 
 
 # -- the group action -------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from swl import (
@@ -20,6 +21,7 @@ from swl import (
 from swl.bases import FunctionSpec
 from swl.core import MINUS, PLUS
 from swl.wavelet import (
+    RANK_SVD_THRESHOLD,
     check_example_unit_interval,
     completeness_matrix,
     orthonormality_residuals,
@@ -118,16 +120,16 @@ def test_dilate_of_wavelet_still_passes(psi_tilde, A_haar, w_haar):
 # -- completeness ----------------------------------------------------------------
 
 def test_completeness_haar_full_rank(psi_tilde, A_haar, w_haar):
-    rep = check_wavelet_completeness(psi_tilde, A_haar, F6, 6, w_haar, 1e-8)
+    rep = check_wavelet_completeness(psi_tilde, A_haar, F6, 6, w_haar)
     assert rep.passed and rep.verdict == "pass"
 
 
 def test_completeness_near_the_threshold_is_inconclusive(psi_tilde, A_haar, w_haar):
-    import numpy as np
-
+    # psi scaled so that its least singular value lands at twice the threshold
     sigma = np.linalg.svd(completeness_matrix(psi_tilde, A_haar, F6, 6, w_haar), compute_uv=False)
-    threshold = 2.0 * float(sigma.min())
-    rep = check_wavelet_completeness(psi_tilde, A_haar, F6, 6, w_haar, threshold)
+    scale = 2.0 * RANK_SVD_THRESHOLD / float(sigma.min())
+    scaled = GCoordVec({key: scale * val for key, val in psi_tilde.items()})
+    rep = check_wavelet_completeness(scaled, A_haar, F6, 6, w_haar)
     assert rep.verdict == "inconclusive" and not rep.passed
     assert any(n.startswith("singular values near threshold") for n in rep.notes)
 
@@ -138,12 +140,12 @@ def test_completeness_random_reachable_subsets(psi_tilde, A_haar, w_haar):
     for _ in range(8):
         size = rng.randint(1, 6)
         labels = rng.sample(reachable, size)
-        rep = check_wavelet_completeness(psi_tilde, A_haar, labels, 6, w_haar, 1e-8)
+        rep = check_wavelet_completeness(psi_tilde, A_haar, labels, 6, w_haar)
         assert rep.passed, labels
 
 
 def test_completeness_zero_candidate_rank_zero(A_haar, w_haar):
-    rep = check_wavelet_completeness(GCoordVec({}), A_haar, F6, 6, w_haar, 1e-8)
+    rep = check_wavelet_completeness(GCoordVec({}), A_haar, F6, 6, w_haar)
     assert not rep.passed
     assert "rank 0 of 6" in rep.notes[1]
 
@@ -152,14 +154,12 @@ def test_completeness_indicator_candidate_deficient(A_haar, w_haar):
     # the box on [1,2) as a candidate: within the window, the (+,5) column
     # receives no support at all, so this label set is rank deficient
     cand = GCoordVec({(PLUS, 0, 0): 1.0})
-    rep = check_wavelet_completeness(cand, A_haar, [(PLUS, 1), (PLUS, 5)], 6, w_haar, 1e-8)
+    rep = check_wavelet_completeness(cand, A_haar, [(PLUS, 1), (PLUS, 5)], 6, w_haar)
     assert not rep.passed
     assert any("no support" in n for n in rep.notes)
 
 
 def test_completeness_matrix_columns_disjoint_for_haar(psi_tilde, A_haar, w_haar):
-    import numpy as np
-
     mat = completeness_matrix(psi_tilde, A_haar, F6, 6, w_haar)
     gram = mat.conj().T @ mat
     off = gram - np.diag(np.diag(gram))
@@ -182,7 +182,7 @@ def test_invalid_completeness_labels_are_input_errors(psi_tilde, A_haar, w_haar)
         with pytest.raises(ValueError):
             completeness_matrix(psi_tilde, A_haar, labels, 3, w_haar)
         with pytest.raises(ValueError):
-            check_wavelet_completeness(psi_tilde, A_haar, labels, 3, w_haar, 1e-8)
+            check_wavelet_completeness(psi_tilde, A_haar, labels, 3, w_haar)
         with pytest.raises(ValueError):
             check_example_unit_interval(GCoordVec({}), A_haar, 1, labels, w_haar)
 
@@ -223,6 +223,37 @@ def test_example_agrees_with_general_form(A_haar, w_haar):
     note = next(n for n in rep.notes if "agree" in n)
     agreement = float(note.split()[-1])
     assert agreement <= 1e-8
+
+
+EXAMPLE_CASES = {
+    # name: (family, candidate, labels, row window, tol, verdict)
+    "shifted wavelet": (HAAR, {(PLUS, 1, 0): 1.0}, F6, 3, 1e-10, "pass"),
+    "box": (HAAR, {(PLUS, 0, 0): 1.0}, [(PLUS, 0), (PLUS, 1)], 3, 1e-10, "fail"),
+    # the box's residuals pass at tol 1, so its deficient rank decides
+    "box, rank deficient": (HAAR, {(PLUS, 0, 0): 1.0}, [(PLUS, 1), (PLUS, 5)], 6, 1.0, "fail"),
+    "exponential mode": (EXPONENTIAL, {(PLUS, 5, 0): 1.0}, [(PLUS, 4), (PLUS, 5)], 2, 1e-12,
+                         "fail"),
+    # scaled below: its residual |c^2 - 1| <= 1 passes at tol 1, so its
+    # least singular value, at twice the threshold, decides
+    "scaled into the band": (HAAR, {(PLUS, 1, 0): 1.0}, F6, 3, 1.0, "inconclusive"),
+}
+
+
+@pytest.mark.parametrize("case", EXAMPLE_CASES)
+def test_example_takes_rank_and_verdict_from_completeness(case, A_haar, A_exp, w_haar):
+    fam, coeffs, labels, row_window, tol, verdict = EXAMPLE_CASES[case]
+    A, w = (A_haar, w_haar) if fam is HAAR else (A_exp, Window.symmetric(EXPONENTIAL, 512, 6, 12))
+    cand = GCoordVec(coeffs)
+    if case == "scaled into the band":
+        mat = completeness_matrix(cand, A, labels, row_window, w)
+        scale = 2.0 * RANK_SVD_THRESHOLD / float(np.linalg.svd(mat, compute_uv=False).min())
+        cand = GCoordVec({key: scale * val for key, val in coeffs.items()})
+    comp = check_wavelet_completeness(cand, A, labels, row_window, w)
+    rep = check_example_unit_interval(cand, A, 2, labels, w, tol, row_window)
+    rank = next(n for n in comp.notes if n.startswith("rank "))
+    assert f"{rank} at row window {row_window}" in rep.notes
+    residuals_pass = rep.max_residual <= rep.tol
+    assert rep.verdict == verdict == (comp.verdict if residuals_pass else "fail")
 
 
 # -- scaling coordinate identity ----------------------------------------------------
@@ -266,8 +297,6 @@ def test_shifted_sums_match_a_dict_reference():
     # psi's groups are found by a label table (dense int64 labels) or by
     # binary search (sparse labels, labels past int64, targets past int64),
     # and a product of real factors is summed by its real part alone.
-    import numpy as np
-
     from swl.core import DROP_THRESHOLD, csum, key_columns
     from swl.wavelet import _KeyIndex
 
