@@ -54,7 +54,10 @@ exponential key -- goes through ``AlphaMatrix.row``/``column`` one at a
 time, as one more block.  ``_terms`` lays out every block the same way:
 the terms keep source order, and the clipped tails are summed over the
 keys in order with Python's ``abs``, so the transfers give what the
-term-by-term loop over ``row``/``column`` gives, bit for bit.
+term-by-term loop over ``row``/``column`` gives, bit for bit.  A row pass
+may take several equal runs of keys at once (the wavelet checks' chunks of
+shifted copies): each run's terms are then one contiguous range, and each
+run's tail is summed over its own keys, as a pass of that run alone sums it.
 """
 
 from __future__ import annotations
@@ -472,7 +475,7 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key, np.arange(len(key)) - starts[key]
 
 
-def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool):
+def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool, runs: int | None = None):
     """The terms of a transfer, in source order.
 
     A block is (positions of its keys, entries per key, target key columns,
@@ -484,7 +487,10 @@ def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool):
     the key's value.  Returns (target key columns, term values, l2 bound on
     the clipped part), the bound summed over the keys in order with
     Python's ``abs`` (numpy's complex abs may differ from it in the last
-    bit).
+    bit).  With ``runs``, the keys are that many runs of equal length: the
+    bound is a list, one per run, each summed over its own run's keys in
+    order, and a fourth item gives the runs' bounds in the terms (run k's
+    terms are ``terms[bounds[k]:bounds[k + 1]]``).
     """
     width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
     counts = np.full(len(vals), -1, dtype=np.int64)  # -1: in no block
@@ -505,10 +511,11 @@ def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool):
         alphas = np.fromiter(map(itemgetter(1), table), dtype=complex, count=len(table))
         blocks = [*blocks, (at, counts[at], key_columns(list(map(itemgetter(0), table)), width),
                             alphas, None)]
-    tail = 0.0
+    per_run = max(len(vals) // (runs or 1), 1)  # keys per run
+    tails = [0.0] * (runs or 1)
     hit = np.flatnonzero(clip > 0.0)
-    for val, c in zip(vals[hit].tolist(), clip[hit].tolist()):
-        tail += abs(val) * math.sqrt(c)
+    for k, val, c in zip((hit // per_run).tolist(), vals[hit].tolist(), clip[hit].tolist()):
+        tails[k] += abs(val) * math.sqrt(c)
     # each key's terms start after the terms of the keys before it
     starts = np.cumsum(counts) - counts
     terms = np.empty(int(counts.sum()), dtype=complex)
@@ -528,14 +535,17 @@ def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool):
         for place, part in zip(places, parts):
             col[place] = part
         cols.append(col)
-    return tuple(cols), terms, tail
+    if runs is None:
+        return tuple(cols), terms, tails[0]
+    return tuple(cols), terms, tails, [0, *np.cumsum(counts.reshape(runs, -1).sum(axis=1)).tolist()]
 
 
-def row_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window):
+def row_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window, runs: int | None = None):
     """Terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a transfer to the
-    dilation model, for translation-model key columns and values."""
+    dilation model, for translation-model key columns and values; with
+    ``runs``, of that many equal runs of keys at once (``_terms``)."""
     blocks = _haar_row_blocks(*keys, w.dil_range[1]) if _haar_arrays(A, keys) else []
-    return _terms(keys, vals, blocks, lambda i, n: A.row(i, n, w), conj=False)
+    return _terms(keys, vals, blocks, lambda i, n: A.row(i, n, w), conj=False, runs=runs)
 
 
 def column_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window):

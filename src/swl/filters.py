@@ -277,10 +277,16 @@ def scaling_coords_from_filter(h: LaurentPoly, levels: int = 12) -> tuple[FCoord
     is stopping at ``levels`` (the finest resolved wavelet scale is
     ``levels - 1``).  Returns the coordinates in the Haar-family
     translation model together with the l2 mass the enumeration did not
-    capture.  For a filter whose refinement solution has unit norm that
-    mass is pure scale truncation; filters violating the admissibility of
-    their refinement solution leave a genuine norm deficit here instead,
-    which downstream orthonormality checks then (correctly) flag.
+    capture, taken as 1 minus the captured mass.  For a filter whose
+    refinement solution has unit norm that mass is pure scale truncation.
+    A filter whose refinement solution has a smaller norm leaves a genuine
+    norm deficit here instead, and nothing downstream tells the two apart:
+    passed on as ``candidate_tail_sq``, the deficit widens the
+    orthonormality band like any truncation tail, so the stretched Haar
+    filter ``(1, 0, 0, 1)/sqrt(2)`` (norm squared 1/3) passes the wavelet
+    checks.  The deficit goes undetected until the norm is computed from
+    the filter itself (Lawton's autocorrelation test), which is not done
+    here yet.
 
     The filter support must start at 0 (translate the filter first if
     not); the scaling function then lives on [0, len - 1].

@@ -17,28 +17,35 @@ agreement gate measures only the q = 0 round trip.  Each route moves the
 candidate to the translation model once, whatever the size of the (p, q)
 grid (route A's literal column pass, route B's ``f_from_g`` of psi, which
 T^q shifts there), and neither reuses the other's.  Then each route
-transports one translation q at a time.  The transfer back to the dilation model is
-summed only where psi's shifts read it: a ``_KeyIndex`` over psi's keys
-codes its raw terms by psi's (s, j) groups, each target's group read from
-a table of psi's labels (binary search where they are sparse or past
-int64), and sums them per key in term order, so no coordinate vector is
-built for a q.  That q's sums for every p are taken as aligned array
+transports a chunk of translations q per row pass (``_keyed_passes``, the
+one loop of both routes and of completeness): as many qs as fit in
+``ROW_BUDGET`` rows of the translation-model copy, one at least, so a
+small candidate takes every q in one pass and a large one (the D4
+candidate's 24,650 rows) one q per pass.  The chunk's shifted key columns
+are stacked into one ``row_terms`` call, and the transfer back to the
+dilation model is summed only where psi's shifts read it: a ``_KeyIndex``
+over psi's keys codes its raw terms by psi's (s, j) groups and by their
+q's slot in the chunk, each target's group read from a table of psi's
+labels (binary search where they are sparse or past int64), and sums them
+per key in term order, so no coordinate vector is built for a q and every
+q's sums are what a pass of that q alone gives, bit for bit.  Each q's
+sums for every p are taken from its run of codes as aligned array
 products with exact ``fsum`` totals (``core.array_fsum``; a real
-candidate's all-zero imaginary products are not summed), and its terms are
-dropped before the next q.
-Route A runs before route B, so only one route's transfer and one q's
-terms are ever held.
+candidate's all-zero imaginary products are not summed), and a chunk's
+terms are dropped before the next chunk.  Route A runs before route B,
+so only one route's transfer and one chunk's terms are ever held.
 
 Completeness is probed by the rank of a window-truncated coordinate
 matrix, read from route A's literal pass (``_literal_pass``) over only the
-keys that can reach the matrix (``alpha.scale_reach``), again one q at a
-time and summed only where the matrix reads them, by a ``_KeyIndex`` over
-its cells: both checks sum terms per key through that one index.  A finite
-window can only ever certify a *necessary* condition, so reports label the
-rank test as a window surrogate; singular values within 10x of the fixed
-``RANK_SVD_THRESHOLD`` yield an ``inconclusive`` verdict instead of a
-pass/fail call.  ``check_wavelet_completeness`` is the one completeness
-verdict: the [1, 2] example check takes its rank and verdict from it.
+keys that can reach the matrix (``alpha.scale_reach``), again a chunk of
+qs per pass and summed only where the matrix reads them, by a
+``_KeyIndex`` over its cells: both checks sum terms per key through that
+one index.  A finite window can only ever certify a *necessary*
+condition, so reports label the rank test as a window surrogate; singular
+values within 10x of the fixed ``RANK_SVD_THRESHOLD`` yield an
+``inconclusive`` verdict instead of a pass/fail call.
+``check_wavelet_completeness`` is the one completeness verdict: the
+[1, 2] example check takes its rank and verdict from it.
 """
 
 from __future__ import annotations
@@ -66,10 +73,10 @@ from .core import (
     sum_by_key,
 )
 from .filters import coords_at_omega
-from .group_action import shift_T
 
 _WINDOW_SURROGATE_NOTE = "necessary-condition check at a finite window, not a proof"
 RANK_SVD_THRESHOLD = 1e-8  # completeness rank cut; inconclusive within 10x of it
+ROW_BUDGET = 1 << 12  # translation-model rows a chunk of shifts transports in one pass
 
 
 def _pq_grid(pq_range) -> list[tuple[int, int]]:
@@ -127,7 +134,8 @@ class _KeyIndex:
 
     Each (s, j) group of the keys gets a dense id and key (s, j, m) the
     code ``id * span + (m - base)``, where [base, base + span) holds every
-    m - p for the shifts p asked for.  Labels never enter the code, so Haar
+    m - p for the shifts p asked for; every code is below ``stride``, the
+    number of groups times the span.  Labels never enter the code, so Haar
     labels of any size cannot overflow it.  A group's id is read from a
     table of its sign's labels where they are int64 and dense (a label's
     id at label - lo, -1 in the gaps), else found by binary search in the
@@ -149,6 +157,7 @@ class _KeyIndex:
             start += len(labels)
         self.base = (int(m.min()) if len(m) else 0) - max(ps, default=0)
         self.span = (int(m.max()) if len(m) else 0) - min(ps, default=0) - self.base + 1
+        self.stride = max(start, 1) * self.span
         rel = m - self.base
         codes = self._ids(s, j) * self.span + rel.astype(np.int64)
         # sorted, so that each p searches sorted needles (fsum is exact in any order)
@@ -177,15 +186,24 @@ class _KeyIndex:
             start += len(labels)
         return ids
 
-    def _keyed(self, keys, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _keyed(self, keys, terms: np.ndarray, bounds=(0,)) -> tuple[np.ndarray, np.ndarray]:
         """A transfer's terms summed per key, where the shifted keys can read
         them: the targets (s, j, m) in the keys' groups with m - base in the
         span, as sorted codes, and each one's sum, taken from 0j in term
-        order as ``sum_by_key`` takes it, with the zero rule applied."""
+        order as ``sum_by_key`` takes it, with the zero rule applied.
+
+        A chunk's terms come in slots (one slot by default), slot k's terms
+        from ``bounds[k]`` up to ``bounds[k + 1]``: their codes are offset
+        by k * stride, so terms of different slots never share a code, and
+        each slot's codes are one run, summed as its terms alone would be.
+        """
         s, j, m = keys
         ids, rel = self._ids(s, j), m - self.base
         hit = np.flatnonzero((ids >= 0) & (rel >= 0) & (rel < self.span))
         codes = ids[hit] * self.span + rel[hit].astype(np.int64)
+        at = np.searchsorted(hit, bounds[1:])  # slot k's hits end at at[k], start at at[k - 1]
+        for k in range(1, len(at)):
+            codes[at[k - 1]:at[k]] += k * self.stride
         order = codes.argsort(kind="stable")  # equal codes keep their term order
         codes = codes[order]
         new = np.ones(len(codes), dtype=bool)  # where a run of equal codes starts
@@ -195,12 +213,12 @@ class _KeyIndex:
         keep = keep_mask(sums)
         return codes[new][keep], sums[keep]
 
-    def sums(self, ps: Iterable[int], transfer=None) -> dict[int, complex]:
+    def sums(self, ps: Iterable[int], keyed=None) -> dict[int, complex]:
         """For each p, the compensated sum over the keys (s, j, m) of
-        value[(s, j, m)] * conj(v[(s, j, m - p)]), where v is the transfer
-        ``(target key columns, terms)`` summed per key, or the keyed values
-        themselves for None."""
-        codes, vals = self.own if transfer is None else self._keyed(*transfer)
+        value[(s, j, m)] * conj(v[(s, j, m - p)]), where v is one transfer's
+        ``(codes, sums)`` as ``_keyed`` gives them for its terms alone, or
+        the keyed values themselves for None."""
+        codes, vals = self.own if keyed is None else keyed
         # the codes are unique, and the sentinel past them matches no want
         codes = np.append(codes, _PAST_CODES)
         out, last = {}, None
@@ -225,29 +243,66 @@ def _reaching(A: AlphaMatrix, cols, vals: np.ndarray, top: float):
     return tuple(c[reach] for c in cols), vals[reach]
 
 
-def _literal_pass(psi: GCoordVec, qs: Iterable[int], A: AlphaMatrix, w: Window,
-                  top: float = math.inf):
+def _stacked(col: np.ndarray, copies: int) -> np.ndarray:
+    """``copies`` copies of ``col`` end to end (``col`` itself for one)."""
+    return np.broadcast_to(col, (copies, len(col))).reshape(-1)
+
+
+def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, vals: np.ndarray,
+                  qs: Sequence[int], w: Window):
+    """The row passes of the translation-model vector (cols, vals) shifted
+    by each q of ``qs``, summed per key where ``index`` reads them.
+
+    The qs go a chunk at a time: as many as fit in ``ROW_BUDGET`` rows of
+    the vector, one at least, and no more than leave every code of the
+    chunk in int64.  A chunk's shifted key columns are stacked into one
+    ``row_terms`` call and its terms keyed by one ``index._keyed`` call,
+    each term's slot in the chunk in its code.  Yields (q, codes, sums,
+    row tail) for each q in order: that q's run of codes, less its slot's
+    offset, and its sums, bit for bit what a pass of that q alone gives.
+    """
+    i, n = cols
+    size = max(1, min(ROW_BUDGET // max(len(vals), 1), _PAST_CODES // index.stride))
+    for at in range(0, len(qs), size):
+        chunk = qs[at:at + size]
+        keys = _stacked(i, len(chunk)), np.concatenate([offset_column(n, q) for q in chunk])
+        keys, terms, tails, bounds = row_terms(A, keys, _stacked(vals, len(chunk)), w, len(chunk))
+        codes, sums = index._keyed(keys, terms, bounds)
+        del keys, terms  # hold one chunk's terms at a time
+        firsts = [k * index.stride for k in range(len(chunk))]  # each slot's first code
+        ends = [0, *np.searchsorted(codes, firsts[1:]).tolist(), len(codes)]
+        for k, q in enumerate(chunk):
+            run = slice(ends[k], ends[k + 1])
+            codes[run] -= firsts[k]
+            yield q, codes[run], sums[run], tails[k]
+        del codes, sums  # and one chunk's sums: each caller drops the q it was given
+
+
+def _literal_pass(psi: GCoordVec, qs: Sequence[int], index: _KeyIndex, A: AlphaMatrix,
+                  w: Window, top: float = math.inf):
     """Route A's transfers: psi's column pass once, summed per key into X,
-    then each q's row pass over X shifted by q, whose terms summed per key
-    are U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)].
-    Yields (q, target key columns, terms, column tail + row tail), one q at
-    a time, from the keys that can reach level ``top`` (``scale_reach``)."""
+    then the row passes of X shifted by each q, a chunk of qs per pass (as
+    many as fit in ``ROW_BUDGET`` rows of X, one at least:
+    ``_keyed_passes``), whose terms summed per key are
+    U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)].
+    Yields (q, codes, sums, column tail + row tail) for each q, from the
+    keys that can reach level ``top`` (``scale_reach``)."""
     keys, terms, column_tail = column_terms(A, *_reaching(A, psi._cols, psi._vals, top), w)
     (i, nu), x = _reaching(A, *sum_by_key(keys, terms), top)
-    for q in qs:
-        keys, terms, row_tail = row_terms(A, (i, offset_column(nu, q)), x, w)
-        yield q, keys, terms, column_tail + row_tail
-        del keys, terms  # hold one q's terms at a time
+    del keys, terms  # the column pass's terms go before the row passes
+    for q, codes, sums, row_tail in _keyed_passes(index, A, (i, nu), x, qs, w):
+        yield q, codes, sums, column_tail + row_tail
+        del codes, sums
 
 
 def _literal_sums(index: _KeyIndex, psi: GCoordVec, ps_of: dict[int, set[int]],
                   A: AlphaMatrix, w: Window):
     """Route A: each (p, q) sum as <psi, U_q shifted by p>, and each q's tail."""
     sums, tails = {}, []
-    for q, keys, terms, tail in _literal_pass(psi, sorted(ps_of), A, w):
-        sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], (keys, terms)).items())
+    for q, codes, keyed, tail in _literal_pass(psi, sorted(ps_of), index, A, w):
+        sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], (codes, keyed)).items())
         tails.append(tail)
-        del keys, terms  # hold one q's terms at a time
+        del codes, keyed
     return sums, tails
 
 
@@ -256,17 +311,15 @@ def _group_action_sums(index: _KeyIndex, psi: GCoordVec, ps_of: dict[int, set[in
     """Route B: each (p, q) sum as <psi, D^p T^q psi> by the group action,
     the conjugate of the coordinate sum (D^p T^q psi, psi).  T^q psi is psi
     moved to the translation model once, shifted by q there and moved
-    back (``g_from_f``'s terms, summed only at psi's keys); at q = 0 it is
+    back (``_keyed_passes``, summed only at psi's keys); at q = 0 it is
     psi itself."""
-    f0 = f_from_g(psi, A, w) if ps_of.keys() - {0} else None
-    sums = {}
-    for q in sorted(ps_of):
-        transfer = None
-        if q != 0:
-            fq = shift_T(f0, q)
-            transfer = row_terms(A, fq._cols, fq._vals, w)[:2]
-        sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], transfer).items())
-        del transfer  # hold one q's terms at a time
+    sums = {(p, 0): lhs for p, lhs in index.sums(ps_of.get(0, ())).items()}
+    qs = sorted(ps_of.keys() - {0})
+    if qs:
+        f0 = f_from_g(psi, A, w)
+        for q, codes, keyed, _ in _keyed_passes(index, A, f0._cols, f0._vals, qs, w):
+            sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], (codes, keyed)).items())
+            del codes, keyed
     return sums
 
 
@@ -274,11 +327,14 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
     """Residual grid |LHS(p,q) - delta| plus the two-route disagreement.
 
     Returns (residuals, disagreement, per_q_transfer_tails).  Each route
-    transports psi one q at a time, sums every p of that q with exact
-    compensated totals and drops the copy before the next q; route A runs
-    first, and its column pass is gone before route B moves psi.  The
-    reported residuals are route A's, so each q's tail is what route A
-    clipped: the column pass's tail plus that q's row-pass tail.
+    transports psi a chunk of qs at a time, as many as fit in
+    ``ROW_BUDGET`` rows of its translation-model copy (one q per chunk
+    for a large candidate), sums every p of each q with exact compensated
+    totals and drops the chunk's terms before the next chunk; route A
+    runs first, and its column pass is gone before route B moves psi.
+    The reported residuals are route A's, so each q's tail is what route
+    A clipped: the column pass's tail plus that q's row-pass tail, summed
+    over that q's own run of rows.
     """
     grid = _pq_grid(pq_range)
     ps_of: dict[int, set[int]] = {}
@@ -335,11 +391,12 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     """Window-truncated completeness matrix: rows (m, q), columns (s, j).
 
     Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]), from route A's literal
-    pass one q at a time, summed only at the cells the matrix reads: one
-    ``_KeyIndex`` over the labels and the rows' m values keys its terms,
-    and that q's rows read their cells' codes from the sorted codes it
-    gives (0 where a cell has none), so the matrix is all that is held
-    besides one q's terms, however far apart the rows' m values lie.  By
+    pass a chunk of qs at a time (as many as fit in ``ROW_BUDGET`` rows of
+    X), summed only at the cells the matrix reads: one ``_KeyIndex`` over
+    the labels and the rows' m values keys its terms, and each q's rows
+    read their cells' codes from that q's run of sorted codes (0 where a
+    cell has none), so the matrix is all that is held besides one chunk's
+    terms, however far apart the rows' m values lie.  By
     the Haar scale rule no key of level past m_hi + bit_length(j_hi)
     reaches the matrix, so the pass takes only the keys that can: every
     entry read is summed from the same terms in the same order, bit for bit.
@@ -355,8 +412,7 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     read = ids * index.span + (m - index.base)[:, None]
     mat = np.zeros(read.shape, dtype=complex)
     row_q = np.searchsorted(qs, q)
-    for k, (_, keys, terms, _) in enumerate(_literal_pass(psi, qs, A, w, top)):
-        codes, sums = index._keyed(keys, terms)
+    for k, (_, codes, sums, _) in enumerate(_literal_pass(psi, qs, index, A, w, top)):
         # the sentinel past every code holds 0 for the cells with no sum
         codes, sums = np.append(codes, _PAST_CODES), np.append(sums, 0j)
         want = read[row_q == k]

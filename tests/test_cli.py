@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -29,16 +30,20 @@ def _doc(out):
     return doc
 
 
-def test_readme_cli_examples_run(capsys):
+def _readme_lines():
     # every "swl ..." line of the README's CLI block, as a shell would split it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```")[1]
-    lines = [line for line in block.splitlines() if line.startswith("swl ")]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("swl ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    lines = _readme_lines()
     assert len(lines) >= 7  # one per subcommand at least
-    for line in lines:
-        code, out, err = _invoke(capsys, *shlex.split(line)[1:])
-        assert code == 0, (line, err)
-        assert isinstance(json.loads(out), dict), line
+    for argv in lines:
+        code, out, err = _invoke(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert isinstance(json.loads(out), dict), argv
 
 
 def test_check_wavelet_haar_passes(capsys):
@@ -56,6 +61,52 @@ def test_check_wavelet_scaling_fails(capsys):
                            "--function", "haar_scaling", "--pq", "2", "--window", "6")
     assert code == 1
     assert _doc(out)["report"]["pass"] is False
+
+
+def _report_digest(out: str) -> str:
+    # sha256 of the report without its singular values: those come from
+    # LAPACK, whose last bits vary with the BLAS build and the CPU, while
+    # everything else in the report is exact arithmetic
+    doc = json.loads(out)
+    doc["completeness"]["details"] = len(doc["completeness"]["details"])
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+_README_CHECK = ("check-wavelet", "--basis", "haar", "--function", "haar_wavelet",
+                 "--pq", "3", "--window", "6")
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    (_README_CHECK, 0, "db66c3d5f96c101a4a35461f40f5326e1e10b6c7857098f72b694fd0c55cd7d5"),
+    (("check-wavelet", "--basis", "haar", "--function", "haar_scaling", "--pq", "1",
+      "--window", "4"), 1, "67a7e7e4fb286f7bf7833e574383267cf34d56d90efaaefa8cf6da2e8145248c"),
+])
+def test_check_wavelet_reports_are_pinned(capsys, argv, exit_code, digest):
+    # the benchmark's two check-wavelet requests, README's example the first;
+    # the digests were recorded when each q still had a row pass of its own
+    assert [line for line in _readme_lines() if line[0] == "check-wavelet"] == [list(_README_CHECK)]
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, err) == (exit_code, "")
+    assert _report_digest(out) == digest
+
+
+def test_readme_check_wavelet_example_makes_one_row_pass_per_consumer(monkeypatch, capsys):
+    # every shift of the candidate's translation-model copy fits one chunk:
+    # route A, route B and the completeness matrix make one row pass each
+    # (26 with a pass per q)
+    import swl.wavelet
+
+    calls = []
+    real = swl.wavelet.row_terms
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(swl.wavelet, "row_terms", counting)
+    code, _, _ = _invoke(capsys, *_README_CHECK)
+    assert code == 0
+    assert len(calls) <= 3
 
 
 def test_alpha_row_json(capsys):

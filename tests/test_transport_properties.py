@@ -1,10 +1,11 @@
 """Property tests of the wavelet checks' transport and of their streamed sums.
 
-The orthonormality and completeness checks transport the candidate one
-translation q at a time and take the (p, q) sums as array products.  The
-reference forms below are the all-q forms they replace: every literal
-vector U_q and every group-action copy is built first and kept, and each
-sum is a ``csum`` over dict lookups.
+The orthonormality and completeness checks transport the candidate a
+chunk of translations q per row pass and take the (p, q) sums as array
+products.  The reference forms below are the all-q forms they replace:
+every literal vector U_q and every group-action copy is built first and
+kept, and each sum is a ``csum`` over dict lookups.  Further down, the
+per-q forms (a row pass per q) hold the chunked passes to their bits.
 """
 
 import math
@@ -31,8 +32,10 @@ from swl import (  # noqa: E402
     wavelet,
 )
 from swl.bases import FunctionSpec  # noqa: E402
-from swl.core import MINUS, PLUS, csum  # noqa: E402
-from swl.wavelet import _cdot, completeness_matrix, orthonormality_residuals  # noqa: E402
+from swl.alpha import column_terms, f_from_g, row_terms  # noqa: E402
+from swl.core import MINUS, PLUS, csum, key_columns, offset_column, sum_by_key  # noqa: E402
+from swl.group_action import shift_T  # noqa: E402
+from swl.wavelet import _cdot, _KeyIndex, completeness_matrix, orthonormality_residuals  # noqa: E402
 
 # -- reference forms ------------------------------------------------------------
 
@@ -187,16 +190,17 @@ def test_streamed_completeness_matches_all_q_reference(case, picks, row_window):
 
 def test_completeness_passes_take_only_keys_that_reach_the_matrix():
     # by the Haar scale rule, 184 of the D4 candidate's 24,648 keys and 96
-    # entries of X can reach rows m in [-4, 4] at labels (+, 0), (+, 1), (-, 0)
+    # entries of X can reach rows m in [-4, 4] at labels (+, 0), (+, 1), (-, 0);
+    # the 9 shifts of X fit in one chunk, so one row pass takes them all
     psi = d4_psi(12)
     A, w = FAMILIES["d4"]
     taken = {"column": [], "row": []}
     calls = {"column": wavelet.column_terms, "row": wavelet.row_terms}
 
     def counting(kind):
-        def terms(A, keys, vals, w):
+        def terms(A, keys, vals, w, *runs):
             taken[kind].append(len(vals))
-            return calls[kind](A, keys, vals, w)
+            return calls[kind](A, keys, vals, w, *runs)
         return terms
 
     with pytest.MonkeyPatch.context() as mp:
@@ -205,7 +209,7 @@ def test_completeness_passes_take_only_keys_that_reach_the_matrix():
         completeness_matrix(psi, A, [(PLUS, 0), (PLUS, 1), (MINUS, 0)], 4, w)
     assert len(psi) > 24_000
     assert taken["column"] == [184]
-    assert taken["row"] == [96] * 9
+    assert taken["row"] == [96 * 9]
 
 
 def test_array_sums_are_compensated():
@@ -244,6 +248,128 @@ def test_completeness_rows_far_apart_hold_only_the_matrix():
     psi = oracle_G_coords(FunctionSpec.haar_wavelet(), HAAR, w)
     labels = [(PLUS, 0), (PLUS, 1), (MINUS, 0)]
     assert _traced_peak(completeness_matrix, psi, A, labels, GAPPED_ROWS, w) < 2e6
+
+
+# -- chunked row passes ----------------------------------------------------------
+#
+# The checks transport a chunk of shifts per row pass.  The per-q forms below
+# make one ``row_terms`` pass and one ``_KeyIndex._keyed`` call per q, as the
+# checks did before their shifts were chunked; the chunked sums must be
+# theirs bit for bit.
+
+
+def _ps_of(grid):
+    ps_of = {}
+    for p, q in grid:
+        ps_of.setdefault(q, set()).add(p)
+    return ps_of
+
+
+def per_q_route_sums(index, psi, ps_of, A, w):
+    """Route A's (p, q) sums and per-q tails, and route B's sums, a row pass per q."""
+    keys, terms, column_tail = column_terms(A, psi._cols, psi._vals, w)
+    (i, nu), x = sum_by_key(keys, terms)
+    route_a, tails = {}, []
+    for q in sorted(ps_of):
+        keys, terms, row_tail = row_terms(A, (i, offset_column(nu, q)), x, w)
+        keyed = index._keyed(keys, terms)
+        route_a.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
+        tails.append(column_tail + row_tail)
+    f0, route_b = f_from_g(psi, A, w), {}
+    for q in sorted(ps_of):
+        keyed = None
+        if q != 0:
+            fq = shift_T(f0, q)
+            keyed = index._keyed(*row_terms(A, fq._cols, fq._vals, w)[:2])
+        route_b.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
+    return route_a, tails, route_b
+
+
+def per_q_completeness(psi, A, labels, row_window, w):
+    """The completeness matrix, a row pass per q."""
+    rows = _grid(row_window)
+    ms, qs = (sorted({row[k] for row in rows}) for k in (0, 1))
+    index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3),
+                      np.zeros(len(labels) * len(ms), dtype=complex), (0,))
+    top = max(ms, default=0) + int(max((j for _, j in labels), default=0)).bit_length()
+    keys, terms, _ = column_terms(A, *wavelet._reaching(A, psi._cols, psi._vals, top), w)
+    (i, nu), x = wavelet._reaching(A, *sum_by_key(keys, terms), top)
+    ids = index._ids(*key_columns(labels, 2)).tolist()
+    mat = np.zeros((len(rows), len(labels)), dtype=complex)
+    for q in qs:
+        codes, sums = index._keyed(*row_terms(A, (i, offset_column(nu, q)), x, w)[:2])
+        found = dict(zip(codes.tolist(), sums))
+        for r, (m, row_q) in enumerate(rows):
+            for c, gid in enumerate(ids):
+                if row_q == q and gid >= 0:
+                    mat[r, c] = found.get(gid * index.span + m - index.base, 0j)
+    return np.conj(mat)
+
+
+def _sum_bytes(sums):
+    return np.array([sums[pq] for pq in sorted(sums)], dtype=complex).tobytes()
+
+
+# small Haar candidates with labels past int64 among their groups (the labels
+# of a coefficient file's wide candidate), and small exponential candidates
+wide_labels = st.sampled_from([2**40, 2**62 + 1, 2**70 + 3])
+chunk_cases = st.one_of(
+    st.tuples(st.just("haar"), g_vectors(st.one_of(st.integers(0, 6), wide_labels))),
+    st.tuples(st.just("exponential"), g_vectors(st.integers(-3, 3))),
+)
+
+
+@given(case=chunk_cases, pq=pq_ranges)
+@example(case=("haar", GCoordVec({(PLUS, j, 0): 0.5 for j in (1, 2**40, 2**70 + 3)})), pq=1)
+def test_chunked_route_sums_match_a_pass_per_q(case, pq):
+    fam, psi = case
+    A, w = FAMILIES[fam]
+    grid = _grid(pq)
+    ps_of = _ps_of(grid)
+    index = _KeyIndex(psi._cols, psi._vals, [p for p, _ in grid])
+    route_a, tails = wavelet._literal_sums(index, psi, ps_of, A, w)
+    route_b = wavelet._group_action_sums(index, psi, ps_of, A, w)
+    ref_a, ref_tails, ref_b = per_q_route_sums(index, psi, ps_of, A, w)
+    assert sorted(route_a) == sorted(ref_a) == sorted(route_b) == sorted(ref_b)
+    assert _sum_bytes(route_a) == _sum_bytes(ref_a)
+    assert np.array(tails).tobytes() == np.array(ref_tails).tobytes()
+    assert _sum_bytes(route_b) == _sum_bytes(ref_b)
+
+
+@given(case=chunk_cases, picks=st.lists(st.integers(0, 13), min_size=1, max_size=4),
+       row_window=st.one_of(
+           st.integers(0, 3),
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=6)))
+@example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=4)
+@example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=GAPPED_ROWS)
+# rows 2^61 scales apart: two slots of codes would pass int64, so each q is a chunk
+@example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=[(0, 0), (0, 1), (2**61, 1)])
+def test_chunked_completeness_matches_a_pass_per_q(case, picks, row_window):
+    fam, psi = case
+    A, w = FAMILIES[fam]
+    labels = [w.dil_labels[k % len(w.dil_labels)] for k in picks]
+    mat = completeness_matrix(psi, A, labels, row_window, w)
+    assert mat.tobytes() == per_q_completeness(psi, A, labels, row_window, w).tobytes()
+
+
+def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
+    # the D4 candidate's translation-model copy has 24,650 rows, past the
+    # row budget: each of route A's 5 shifts and route B's 4 is a pass of its
+    # own, so the checks hold what they held with a pass per q
+    psi = d4_psi(12)
+    A, w = FAMILIES["d4"]
+    passes = []
+    real = wavelet.row_terms
+
+    def counting(A, keys, vals, w, runs):
+        passes.append((len(vals), runs))
+        return real(A, keys, vals, w, runs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavelet, "row_terms", counting)
+        orthonormality_residuals(psi, A, 2, w)
+    assert passes == [(24_650, 1)] * 9
+    assert 24_650 > wavelet.ROW_BUDGET
 
 
 # -- the group action -------------------------------------------------------------
