@@ -11,18 +11,19 @@ sum is 1 at (0, 0) and 0 elsewhere.  Two routes evaluate the sums here:
   and take the coordinate dot product.
 
 Both are computed and must agree; the report carries the worse residual
-and the route disagreement.  They are not independent arithmetic: for
-q != 0, route B's transported vector is route A's U_q bit for bit, so the
-agreement gate measures only the q = 0 round trip.  Each route moves the
-candidate to the translation model once, whatever the size of the (p, q)
-grid (route A's literal column pass, route B's ``f_from_g`` of psi, which
-T^q shifts there), and neither reuses the other's.  Then each route
-transports a chunk of translations q per row pass (``_keyed_passes``, the
-one loop of both routes and of completeness): as many qs as fit in
-``ROW_BUDGET`` rows of the translation-model copy, one at least, so a
-small candidate takes every q in one pass and a large one (the D4
-candidate's 24,650 rows) one q per pass.  The chunk's shifted key columns
-are stacked into one ``row_terms`` call, and the transfer back to the
+and the route disagreement.  They are not independent arithmetic: each
+check moves the candidate to the translation model once, whatever the
+size of the (p, q) grid (``_translation_copy``: one column pass, summed
+per key into X), and both routes read that copy.  Route A shifts X;
+route B shifts X under the zero rule, which is ``f_from_g`` of psi bit
+for bit, so for q != 0 its transported vector is route A's U_q bit for
+bit and the agreement gate measures only the q = 0 round trip.  One loop
+(``_shift_sums`` over ``_keyed_passes``, the row loop of completeness
+too) transports a chunk of translations q per row pass: as many qs as
+fit in ``ROW_BUDGET`` rows of the copy, one at least, so a small
+candidate takes every q in one pass and a large one (the D4 candidate's
+24,650 rows) one q per pass.  The chunk's shifted key columns are
+stacked into one ``row_terms`` call, and the transfer back to the
 dilation model is summed only where psi's shifts read it: a ``_KeyIndex``
 over psi's keys codes its raw terms by psi's (s, j) groups and by their
 q's slot in the chunk, each target's group read from a table of psi's
@@ -33,17 +34,20 @@ sums for every p are taken from its run of codes as aligned array
 products with exact ``fsum`` totals (``core.array_fsum``; a real
 candidate's all-zero imaginary products are not summed), and a chunk's
 terms are dropped before the next chunk.  Route A runs before route B,
-so only one route's transfer and one chunk's terms are ever held.
+and X gives way to its zero-ruled copy before route B's passes, so one
+copy, one route's transfer and one chunk's terms are ever held.
 
 Completeness is probed by the rank of a window-truncated coordinate
-matrix, read from route A's literal pass (``_literal_pass``) over only the
+matrix, read from route A's U_q: the translation-model copy of only the
 keys that can reach the matrix (``alpha.scale_reach``), again a chunk of
 qs per pass and summed only where the matrix reads them, by a
 ``_KeyIndex`` over its cells: both checks sum terms per key through that
 one index.  A finite window can only ever certify a *necessary*
 condition, so reports label the rank test as a window surrogate; singular
 values within 10x of the fixed ``RANK_SVD_THRESHOLD`` yield an
-``inconclusive`` verdict instead of a pass/fail call.
+``inconclusive`` verdict instead of a pass/fail call.  An explicit grid
+of (p, q) pairs, shifts k or completeness rows must not be empty: a
+check over none would pass vacuously.
 ``check_wavelet_completeness`` is the one completeness verdict: the
 [1, 2] example check takes its rank and verdict from it.
 """
@@ -55,7 +59,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .alpha import AlphaMatrix, column_terms, f_from_g, row_terms, scale_reach
+from .alpha import AlphaMatrix, column_terms, row_terms, scale_reach
 from .bases import check_dil_label
 from .core import (
     CheckReport,
@@ -79,18 +83,26 @@ RANK_SVD_THRESHOLD = 1e-8  # completeness rank cut; inconclusive within 10x of i
 ROW_BUDGET = 1 << 12  # translation-model rows a chunk of shifts transports in one pass
 
 
-def _pq_grid(pq_range) -> list[tuple[int, int]]:
-    if isinstance(pq_range, int):
-        r = check_radius(pq_range)
-        return [(p, q) for p in range(-r, r + 1) for q in range(-r, r + 1)]
-    return [(int(p), int(q)) for p, q in pq_range]
-
-
 def _k_grid(k_range) -> list[int]:
     if isinstance(k_range, int):
         r = check_radius(k_range)
         return list(range(-r, r + 1))
-    return [int(k) for k in k_range]
+    return _nonempty([int(k) for k in k_range])
+
+
+def _pq_grid(pq_range) -> list[tuple[int, int]]:
+    if isinstance(pq_range, int):
+        ks = _k_grid(pq_range)
+        return [(p, q) for p in ks for q in ks]
+    return _nonempty([(int(p), int(q)) for p, q in pq_range])
+
+
+def _nonempty(grid: list) -> list:
+    """An explicit grid; an empty one raises ``ValueError``, as a negative
+    radius does (a check over it would pass vacuously)."""
+    if not grid:
+        raise ValueError("explicit grid is empty")
+    return grid
 
 
 def _slack(candidate_tail_sq: float, per_q_tails: Iterable[float]) -> float:
@@ -134,8 +146,9 @@ class _KeyIndex:
 
     Each (s, j) group of the keys gets a dense id and key (s, j, m) the
     code ``id * span + (m - base)``, where [base, base + span) holds every
-    m - p for the shifts p asked for; every code is below ``stride``, the
-    number of groups times the span.  Labels never enter the code, so Haar
+    m - p for the shifts p asked for and for p = 0; every code is below
+    ``stride``, the number of groups times the span, and a stride past
+    int64 raises ``ValueError``.  Labels never enter the code, so Haar
     labels of any size cannot overflow it.  A group's id is read from a
     table of its sign's labels where they are int64 and dense (a label's
     id at label - lo, -1 in the gaps), else found by binary search in the
@@ -155,17 +168,18 @@ class _KeyIndex:
                     table[labels - lo] = np.arange(start, start + len(labels))
                     self.tables[sg] = lo, hi, table
             start += len(labels)
-        self.base = (int(m.min()) if len(m) else 0) - max(ps, default=0)
-        self.span = (int(m.max()) if len(m) else 0) - min(ps, default=0) - self.base + 1
+        # the span holds shift 0 too, so every key of psi has a code in it
+        shifts = (*ps, 0)
+        self.base = (int(m.min()) if len(m) else 0) - max(shifts)
+        self.span = (int(m.max()) if len(m) else 0) - min(shifts) - self.base + 1
         self.stride = max(start, 1) * self.span
-        rel = m - self.base
-        codes = self._ids(s, j) * self.span + rel.astype(np.int64)
+        if self.stride > _PAST_CODES:
+            raise ValueError(f"{max(start, 1)} groups of {self.span} shifts each "
+                             "have more codes than int64 holds")
+        codes = self._ids(s, j) * self.span + (m - self.base).astype(np.int64)
         # sorted, so that each p searches sorted needles (fsum is exact in any order)
         order = codes.argsort()
         self.codes, self.values = codes[order], vals[order]
-        # the keys as the shifted vector: those whose m lies in the span
-        inside = ((rel >= 0) & (rel < self.span))[order]
-        self.own = self.codes[inside], self.values[inside]
 
     def _ids(self, s, j) -> np.ndarray:
         """The group id of each (s, j), or -1 where the keys have no such group."""
@@ -218,7 +232,7 @@ class _KeyIndex:
         value[(s, j, m)] * conj(v[(s, j, m - p)]), where v is one transfer's
         ``(codes, sums)`` as ``_keyed`` gives them for its terms alone, or
         the keyed values themselves for None."""
-        codes, vals = self.own if keyed is None else keyed
+        codes, vals = (self.codes, self.values) if keyed is None else keyed
         # the codes are unique, and the sentinel past them matches no want
         codes = np.append(codes, _PAST_CODES)
         out, last = {}, None
@@ -278,63 +292,45 @@ def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, vals: np.ndarray,
         del codes, sums  # and one chunk's sums: each caller drops the q it was given
 
 
-def _literal_pass(psi: GCoordVec, qs: Sequence[int], index: _KeyIndex, A: AlphaMatrix,
-                  w: Window, top: float = math.inf):
-    """Route A's transfers: psi's column pass once, summed per key into X,
-    then the row passes of X shifted by each q, a chunk of qs per pass (as
-    many as fit in ``ROW_BUDGET`` rows of X, one at least:
-    ``_keyed_passes``), whose terms summed per key are
-    U_q[(s,j,mu)] = sum_{i,nu} alpha_{i,nu+q}^{s,j,mu} X[(i, nu)].
-    Yields (q, codes, sums, column tail + row tail) for each q, from the
-    keys that can reach level ``top`` (``scale_reach``)."""
+def _translation_copy(psi: GCoordVec, A: AlphaMatrix, w: Window, top: float = math.inf):
+    """psi moved to the translation model once: the column pass over the
+    keys that can reach level ``top`` (``scale_reach``), summed per key into
+    X[(i, nu)] = sum_{s,j,mu} conj(alpha_{i,nu}^{s,j,mu}) psi[(s,j,mu)] with
+    no zero rule.  Returns (key columns, X, column tail); the pass's terms
+    are gone before any row pass."""
     keys, terms, column_tail = column_terms(A, *_reaching(A, psi._cols, psi._vals, top), w)
-    (i, nu), x = _reaching(A, *sum_by_key(keys, terms), top)
-    del keys, terms  # the column pass's terms go before the row passes
-    for q, codes, sums, row_tail in _keyed_passes(index, A, (i, nu), x, qs, w):
-        yield q, codes, sums, column_tail + row_tail
-        del codes, sums
+    cols, x = _reaching(A, *sum_by_key(keys, terms), top)
+    return cols, x, column_tail
 
 
-def _literal_sums(index: _KeyIndex, psi: GCoordVec, ps_of: dict[int, set[int]],
-                  A: AlphaMatrix, w: Window):
-    """Route A: each (p, q) sum as <psi, U_q shifted by p>, and each q's tail."""
+def _shift_sums(index: _KeyIndex, A: AlphaMatrix, cols, vals: np.ndarray,
+                ps_of: dict[int, set[int]], w: Window):
+    """Each (p, q) sum <psi, V_q shifted by p>, where V_q is the
+    translation-model vector (cols, vals) shifted by q and moved back
+    (``_keyed_passes``, summed only at psi's keys), and each q's row tail,
+    in the order of the sorted qs."""
     sums, tails = {}, []
-    for q, codes, keyed, tail in _literal_pass(psi, sorted(ps_of), index, A, w):
+    for q, codes, keyed, tail in _keyed_passes(index, A, cols, vals, sorted(ps_of), w):
         sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], (codes, keyed)).items())
         tails.append(tail)
-        del codes, keyed
+        del codes, keyed  # each q's sums go before the next q's are made
     return sums, tails
-
-
-def _group_action_sums(index: _KeyIndex, psi: GCoordVec, ps_of: dict[int, set[int]],
-                       A: AlphaMatrix, w: Window) -> dict:
-    """Route B: each (p, q) sum as <psi, D^p T^q psi> by the group action,
-    the conjugate of the coordinate sum (D^p T^q psi, psi).  T^q psi is psi
-    moved to the translation model once, shifted by q there and moved
-    back (``_keyed_passes``, summed only at psi's keys); at q = 0 it is
-    psi itself."""
-    sums = {(p, 0): lhs for p, lhs in index.sums(ps_of.get(0, ())).items()}
-    qs = sorted(ps_of.keys() - {0})
-    if qs:
-        f0 = f_from_g(psi, A, w)
-        for q, codes, keyed, _ in _keyed_passes(index, A, f0._cols, f0._vals, qs, w):
-            sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], (codes, keyed)).items())
-            del codes, keyed
-    return sums
 
 
 def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window):
     """Residual grid |LHS(p,q) - delta| plus the two-route disagreement.
 
-    Returns (residuals, disagreement, per_q_transfer_tails).  Each route
-    transports psi a chunk of qs at a time, as many as fit in
-    ``ROW_BUDGET`` rows of its translation-model copy (one q per chunk
-    for a large candidate), sums every p of each q with exact compensated
-    totals and drops the chunk's terms before the next chunk; route A
-    runs first, and its column pass is gone before route B moves psi.
-    The reported residuals are route A's, so each q's tail is what route
-    A clipped: the column pass's tail plus that q's row-pass tail, summed
-    over that q's own run of rows.
+    Returns (residuals, disagreement, per_q_transfer_tails).  psi is moved
+    to the translation model once (``_translation_copy``), and each route
+    transports that copy a chunk of qs at a time (``_shift_sums``), as many
+    as fit in ``ROW_BUDGET`` rows (one q per chunk for a large candidate),
+    sums every p of each q with exact compensated totals and drops the
+    chunk's terms before the next chunk.  Route A reads X, route B X under
+    the zero rule (``f_from_g`` of psi bit for bit), and X is gone before
+    route B's passes.  The reported residuals are route A's, so each q's
+    tail is what route A clipped: the column pass's tail plus that q's
+    row-pass tail, summed over that q's own run of rows.  An empty
+    explicit grid raises ``ValueError``.
     """
     grid = _pq_grid(pq_range)
     ps_of: dict[int, set[int]] = {}
@@ -342,8 +338,17 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
         ps_of.setdefault(q, set()).add(p)
 
     index = _KeyIndex(psi._cols, psi._vals, [p for p, _ in grid])
-    route_a, per_q_tails = _literal_sums(index, psi, ps_of, A, w)
-    route_b = _group_action_sums(index, psi, ps_of, A, w)
+    cols, x, column_tail = _translation_copy(psi, A, w)
+    # route A: U_q = X shifted by q and moved back
+    route_a, row_tails = _shift_sums(index, A, cols, x, ps_of, w)
+    per_q_tails = [column_tail + tail for tail in row_tails]
+    # route B: T^q psi for q != 0 is the zero-ruled copy (f_from_g(psi) bit
+    # for bit) shifted by q and moved back; X goes before its passes
+    keep = keep_mask(x)
+    cols, x = tuple(c[keep] for c in cols), x[keep]
+    route_b, _ = _shift_sums(index, A, cols, x, {q: ps for q, ps in ps_of.items() if q != 0}, w)
+    # at q = 0, T^q psi is psi itself
+    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
 
     residuals = {}
     disagreement = 0.0
@@ -390,16 +395,18 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
                         row_window, w: Window) -> np.ndarray:
     """Window-truncated completeness matrix: rows (m, q), columns (s, j).
 
-    Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]), from route A's literal
-    pass a chunk of qs at a time (as many as fit in ``ROW_BUDGET`` rows of
-    X), summed only at the cells the matrix reads: one ``_KeyIndex`` over
-    the labels and the rows' m values keys its terms, and each q's rows
-    read their cells' codes from that q's run of sorted codes (0 where a
-    cell has none), so the matrix is all that is held besides one chunk's
-    terms, however far apart the rows' m values lie.  By
-    the Haar scale rule no key of level past m_hi + bit_length(j_hi)
-    reaches the matrix, so the pass takes only the keys that can: every
-    entry read is summed from the same terms in the same order, bit for bit.
+    Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]), route A's U_q: the
+    translation-model copy X (``_translation_copy``) shifted by a chunk of
+    qs at a time (as many as fit in ``ROW_BUDGET`` rows of X) and summed
+    only at the cells the matrix reads: one ``_KeyIndex`` over the labels
+    and the rows' m values keys its terms, and each q's rows read their
+    cells' codes from that q's run of sorted codes (0 where a cell has
+    none), so the matrix is all that is held besides one chunk's terms,
+    however far apart the rows' m values lie (so long as the index's codes
+    fit in int64).  By the Haar scale rule no key of level past
+    m_hi + bit_length(j_hi) reaches the matrix, so the copy takes only the
+    keys that can: every entry read is summed from the same terms in the
+    same order, bit for bit.  An empty row list raises ``ValueError``.
     """
     labels = _dil_labels(A, labels)
     rows = _pq_grid(row_window)
@@ -412,7 +419,8 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     read = ids * index.span + (m - index.base)[:, None]
     mat = np.zeros(read.shape, dtype=complex)
     row_q = np.searchsorted(qs, q)
-    for k, (_, codes, sums, _) in enumerate(_literal_pass(psi, qs, index, A, w, top)):
+    cols, x, _ = _translation_copy(psi, A, w, top)
+    for k, (_, codes, sums, _) in enumerate(_keyed_passes(index, A, cols, x, qs, w)):
         # the sentinel past every code holds 0 for the cells with no sum
         codes, sums = np.append(codes, _PAST_CODES), np.append(sums, 0j)
         want = read[row_q == k]

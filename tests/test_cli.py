@@ -56,6 +56,14 @@ def test_check_wavelet_haar_passes(capsys):
     assert doc["report"]["max_residual"] <= 1e-9
 
 
+def test_check_wavelet_with_valid_labels(capsys):
+    # the completeness check takes the requested labels, not the default six
+    code, out, _ = _invoke(capsys, "check-wavelet", "--basis", "haar", "--function",
+                           "haar_wavelet", "--pq", "3", "--window", "6", "--labels", "+0,+1,-0")
+    assert code == 0
+    assert "rank 3 of 3 wanted" in _doc(out)["completeness"]["notes"]
+
+
 def test_check_wavelet_scaling_fails(capsys):
     code, out, _ = _invoke(capsys, "check-wavelet", "--basis", "haar",
                            "--function", "haar_scaling", "--pq", "2", "--window", "6")

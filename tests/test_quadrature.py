@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,3 +283,36 @@ def test_series_sums_are_the_step_by_step_recurrence(seed):
                         rng.choice([-1.0, 1.0], 100) * rng.uniform(0.5, 1, 100)])
     got, want = _series(x, top), _series_steps(x, top)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _scale_70_value(mpmath, label):
+    # integral of 2^35 e^{2 pi i 2^70 x} conj(e^{2 pi i label x}) over [2^-70, 2^-69)
+    with mpmath.workdps(60):
+        nu, a = mpmath.mpf(2) ** 70 - label, mpmath.mpf(2) ** -70
+        ends = [mpmath.expj(2 * mpmath.pi * nu * x) for x in (a, 2 * a)]
+        return complex(mpmath.mpf(2) ** 35 * (ends[1] - ends[0]) / (2j * mpmath.pi * nu))
+
+
+def test_python_int_fallbacks_hold_their_closed_forms():
+    # inputs past the int64 fast paths: a label of 2^70 puts the atom table
+    # in Python ints, a scale of 70 takes the phase turns past 2^64 through
+    # Python ints, and an endpoint 1 + 2^-60 makes the GL16 route's
+    # breakpoint ceilings inexact and its ratios Python divisions
+    mpmath = pytest.importorskip("mpmath")
+    k = K_elem(EXPONENTIAL, 1, 2**70, 0)
+    assert inner_product(k, k) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    fine = K_elem(EXPONENTIAL, 1, 1, 70)
+    want = _scale_70_value(mpmath, 2**70 + 1)
+    assert abs(inner_product(fine, L_elem(EXPONENTIAL, 2**70 + 1, 0)) - want) <= 1e-12 * abs(want)
+    # against label 3 the pair's frequency is a rounding short of one turn
+    # over the overlap, so the exact integral, about 7.4e-32, is far below
+    # the rounding of its terms: it holds to 1e-12 of the integral of
+    # |f||g| (2^-35), not of itself
+    want = _scale_70_value(mpmath, 3)
+    assert abs(inner_product(fine, L_elem(EXPONENTIAL, 3, 0)) - want) <= 1e-12 * 2.0**-35
+    edge = 1 + Fraction(1, 2**60)
+    got = inner_product(FunctionSpec.gaussian(1), FunctionSpec.piecewise([(0, edge, (1,))]))
+    with mpmath.workdps(40):
+        x = mpmath.mpf(edge.numerator) / edge.denominator
+        want = complex(mpmath.sqrt(mpmath.pi / 2) * mpmath.erf(x / mpmath.sqrt(2)))
+    assert abs(got - want) <= 1e-12 * abs(want)

@@ -33,7 +33,8 @@ from swl import (  # noqa: E402
 )
 from swl.bases import FunctionSpec  # noqa: E402
 from swl.alpha import column_terms, f_from_g, row_terms  # noqa: E402
-from swl.core import MINUS, PLUS, csum, key_columns, offset_column, sum_by_key  # noqa: E402
+from swl.core import (  # noqa: E402
+    MINUS, PLUS, csum, keep_mask, key_columns, offset_column, sum_by_key)
 from swl.group_action import shift_T  # noqa: E402
 from swl.wavelet import _cdot, _KeyIndex, completeness_matrix, orthonormality_residuals  # noqa: E402
 
@@ -138,7 +139,7 @@ family_and_psi = st.one_of(
 # candidate's whole scale span
 pq_ranges = st.one_of(
     st.integers(0, 3),
-    st.lists(st.tuples(st.integers(-12, 12), st.integers(-3, 3)), max_size=8)
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(-3, 3)), min_size=1, max_size=8)
     .map(lambda pairs: pairs + pairs[:2]),
 )
 
@@ -171,7 +172,7 @@ def test_q0_route_gap_within_literal_tail(case, ps):
 @given(case=family_and_psi, picks=st.lists(st.integers(0, 13), min_size=1, max_size=4),
        row_window=st.one_of(
            st.integers(0, 3),
-           st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=6)))
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), min_size=1, max_size=6)))
 # rows below scale 0 read only label-0 rows, here fed by a column of level -1
 @example(case=("haar", GCoordVec({(PLUS, 1, -3): 1.0})),
          picks=[W_HAAR.dil_labels.index((PLUS, 0))], row_window=[(-4, 1)])
@@ -250,6 +251,20 @@ def test_completeness_rows_far_apart_hold_only_the_matrix():
     assert _traced_peak(completeness_matrix, psi, A, labels, GAPPED_ROWS, w) < 2e6
 
 
+def test_completeness_rows_past_int64_codes_are_an_input_error():
+    # 9 labels times a span of 2^61 + 1 m values is past int64: the codes
+    # of label 8 at m = 0 and label 0 at m = 8 would wrap together
+    A, w = FAMILIES["d4"]
+    psi = oracle_G_coords(FunctionSpec.haar_wavelet(), HAAR, w)
+    labels = [(PLUS, j) for j in range(9)]
+    with pytest.raises(ValueError, match="int64"):
+        completeness_matrix(psi, A, labels, [(0, 0), (8, 0), (2**61, 0)], w)
+    # rows near each other keep their codes in int64
+    rows = [(0, 0), (8, 0)]
+    got = completeness_matrix(psi, A, labels, rows, w)
+    assert got.tobytes() == reference_completeness(psi, A, labels, rows, w).tobytes()
+
+
 # -- chunked row passes ----------------------------------------------------------
 #
 # The checks transport a chunk of shifts per row pass.  The per-q forms below
@@ -319,31 +334,73 @@ chunk_cases = st.one_of(
 )
 
 
+WIDE_PSI = GCoordVec({(PLUS, j, 0): 0.5 for j in (1, 2**40, 2**70 + 3)})
+
+
+def chunked_route_sums(index, psi, ps_of, A, w):
+    """Route A's (p, q) sums and per-q tails, and route B's sums, as
+    ``orthonormality_residuals`` takes them from one translation-model copy."""
+    cols, x, column_tail = wavelet._translation_copy(psi, A, w)
+    route_a, row_tails = wavelet._shift_sums(index, A, cols, x, ps_of, w)
+    keep = keep_mask(x)
+    route_b, _ = wavelet._shift_sums(index, A, tuple(c[keep] for c in cols), x[keep],
+                                     {q: ps for q, ps in ps_of.items() if q != 0}, w)
+    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
+    return route_a, [column_tail + tail for tail in row_tails], route_b
+
+
 @given(case=chunk_cases, pq=pq_ranges)
-@example(case=("haar", GCoordVec({(PLUS, j, 0): 0.5 for j in (1, 2**40, 2**70 + 3)})), pq=1)
+@example(case=("haar", WIDE_PSI), pq=1)
+# X entries below the zero rule, which route B's copy drops and route A's
+# keeps: at q != 0 alone the disagreement is what they carried
+@example(case=("exponential", GCoordVec({(PLUS, -2, -1): 1e-14, (MINUS, -2, 1): 5e-15})),
+         pq=[(p, q) for p in range(-2, 3) for q in (-1, 1)])
 def test_chunked_route_sums_match_a_pass_per_q(case, pq):
     fam, psi = case
     A, w = FAMILIES[fam]
     grid = _grid(pq)
     ps_of = _ps_of(grid)
     index = _KeyIndex(psi._cols, psi._vals, [p for p, _ in grid])
-    route_a, tails = wavelet._literal_sums(index, psi, ps_of, A, w)
-    route_b = wavelet._group_action_sums(index, psi, ps_of, A, w)
+    route_a, tails, route_b = chunked_route_sums(index, psi, ps_of, A, w)
     ref_a, ref_tails, ref_b = per_q_route_sums(index, psi, ps_of, A, w)
     assert sorted(route_a) == sorted(ref_a) == sorted(route_b) == sorted(ref_b)
     assert _sum_bytes(route_a) == _sum_bytes(ref_a)
     assert np.array(tails).tobytes() == np.array(ref_tails).tobytes()
     assert _sum_bytes(route_b) == _sum_bytes(ref_b)
+    # and the check's own report of them, bit for bit
+    residuals, disagreement, per_q_tails = orthonormality_residuals(psi, A, pq, w)
+    for p, q in grid:
+        delta = 1.0 if (p, q) == (0, 0) else 0.0
+        assert residuals[(p, q)].hex() == abs(ref_a[(p, q)] - delta).hex()
+    assert disagreement.hex() == max(abs(ref_a[key] - ref_b[key]) for key in grid).hex()
+    assert np.array(per_q_tails).tobytes() == np.array(ref_tails).tobytes()
+
+
+@given(case=chunk_cases)
+@example(case=("d4", D4_PSI))
+@example(case=("haar", WIDE_PSI))
+def test_zero_ruled_copy_is_f_from_g(case):
+    # route B's copy of psi in the translation model is route A's X under
+    # the zero rule, and that is the adjoint transfer of psi bit for bit
+    fam, psi = case
+    A, w = FAMILIES[fam]
+    cols, x, _ = wavelet._translation_copy(psi, A, w)
+    keep = keep_mask(x)
+    f0 = f_from_g(psi, A, w)
+    assert [c.dtype for c in cols] == [c.dtype for c in f0._cols]
+    assert [c[keep].tolist() for c in cols] == [c.tolist() for c in f0._cols]
+    assert x[keep].tobytes() == f0._vals.tobytes()
 
 
 @given(case=chunk_cases, picks=st.lists(st.integers(0, 13), min_size=1, max_size=4),
        row_window=st.one_of(
            st.integers(0, 3),
-           st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=6)))
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), min_size=1, max_size=6)))
 @example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=4)
 @example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=GAPPED_ROWS)
-# rows 2^61 scales apart: two slots of codes would pass int64, so each q is a chunk
-@example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=[(0, 0), (0, 1), (2**61, 1)])
+# rows 2^60 scales apart: one slot of codes for the 4 labels fits in int64 and
+# two would not, so each q is a chunk
+@example(case=("d4", D4_PSI), picks=D4_PICKS, row_window=[(0, 0), (0, 1), (2**60, 1)])
 def test_chunked_completeness_matches_a_pass_per_q(case, picks, row_window):
     fam, psi = case
     A, w = FAMILIES[fam]

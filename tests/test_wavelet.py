@@ -56,8 +56,8 @@ def test_routes_agree(psi_tilde, phi_tilde, A_haar, w_haar):
 @pytest.mark.parametrize("fam", ["haar", "exponential"])
 def test_column_transfers_do_not_grow_with_the_q_radius(fam, psi_tilde, A_haar, A_exp,
                                                          w_haar, w_exp, monkeypatch):
-    # route A's column pass and route B's one transfer of psi to the
-    # translation model, whatever the number of q
+    # one column pass moves psi to the translation model for both routes,
+    # whatever the number of q
     import swl.alpha
     import swl.wavelet
 
@@ -77,7 +77,7 @@ def test_column_transfers_do_not_grow_with_the_q_radius(fam, psi_tilde, A_haar, 
         calls.clear()
         orthonormality_residuals(psi, A, pq, w)
         counts[pq] = len(calls)
-    assert counts == {1: 2, 3: 2}
+    assert counts == {1: 1, 3: 1}
 
 
 def test_haar_scaling_fails_at_one_zero(phi_tilde, A_haar, w_haar):
@@ -173,6 +173,19 @@ def test_negative_row_window_is_an_input_error(psi_tilde, A_haar, w_haar):
     with pytest.raises(ValueError, match="non-negative"):
         check_example_unit_interval(GCoordVec({(PLUS, 1, 0): 1.0}), A_haar, 1, F6, w_haar,
                                     row_window=-1)
+
+
+def test_empty_explicit_grids_are_input_errors(psi_tilde, A_haar, w_haar):
+    # a check over no (p, q) pair, no shift k or no completeness row tests
+    # nothing, and would pass vacuously
+    with pytest.raises(ValueError, match="empty"):
+        check_wavelet_orthonormality(GCoordVec({}), A_haar, [], w_haar)
+    with pytest.raises(ValueError, match="empty"):
+        check_scaling_coordinate_identity(FCoordVec({}), [])
+    with pytest.raises(ValueError, match="empty"):
+        check_example_unit_interval(GCoordVec({(PLUS, 1, 0): 1.0}), A_haar, [], F6, w_haar)
+    with pytest.raises(ValueError, match="empty"):
+        check_wavelet_completeness(psi_tilde, A_haar, F6, [], w_haar)
 
 
 def test_invalid_completeness_labels_are_input_errors(psi_tilde, A_haar, w_haar):
