@@ -58,6 +58,9 @@ term-by-term loop over ``row``/``column`` gives, bit for bit.  A row pass
 may take several equal runs of keys at once (the wavelet checks' chunks of
 shifted copies): each run's terms are then one contiguous range, and each
 run's tail is summed over its own keys, as a pass of that run alone sums it.
+A pass may also carry a tuple of value columns over the same keys (the
+wavelet checks' two routes): one layout serves them all, and each column's
+terms are what a pass of that column alone gives.
 """
 
 from __future__ import annotations
@@ -475,7 +478,7 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key, np.arange(len(key)) - starts[key]
 
 
-def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool, runs: int | None = None):
+def _terms(keys, vals, blocks: list, entries_of, conj: bool, runs: int | None = None):
     """The terms of a transfer, in source order.
 
     A block is (positions of its keys, entries per key, target key columns,
@@ -491,10 +494,16 @@ def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool, runs: i
     bound is a list, one per run, each summed over its own run's keys in
     order, and a fourth item gives the runs' bounds in the terms (run k's
     terms are ``terms[bounds[k]:bounds[k + 1]]``).
+
+    ``vals`` may be a tuple of value columns over the same keys: one layout
+    (counts, places, target columns) then serves them all, the term values
+    are a tuple with one array per column, each what a call with that
+    column alone gives, and the bound is the first column's.
     """
+    columns = vals if isinstance(vals, tuple) else (vals,)
     width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
-    counts = np.full(len(vals), -1, dtype=np.int64)  # -1: in no block
-    clip = np.zeros(len(vals))
+    counts = np.full(len(columns[0]), -1, dtype=np.int64)  # -1: in no block
+    clip = np.zeros(len(counts))
     for at, block_counts, _, _, clipped in blocks:
         counts[at] = 1 if block_counts is None else block_counts
         if clipped is not None:
@@ -511,39 +520,45 @@ def _terms(keys, vals: np.ndarray, blocks: list, entries_of, conj: bool, runs: i
         alphas = np.fromiter(map(itemgetter(1), table), dtype=complex, count=len(table))
         blocks = [*blocks, (at, counts[at], key_columns(list(map(itemgetter(0), table)), width),
                             alphas, None)]
-    per_run = max(len(vals) // (runs or 1), 1)  # keys per run
+    per_run = max(len(counts) // (runs or 1), 1)  # keys per run
     tails = [0.0] * (runs or 1)
     hit = np.flatnonzero(clip > 0.0)
-    for k, val, c in zip((hit // per_run).tolist(), vals[hit].tolist(), clip[hit].tolist()):
+    for k, val, c in zip((hit // per_run).tolist(), columns[0][hit].tolist(), clip[hit].tolist()):
         tails[k] += abs(val) * math.sqrt(c)
     # each key's terms start after the terms of the keys before it
     starts = np.cumsum(counts) - counts
-    terms = np.empty(int(counts.sum()), dtype=complex)
+    terms = tuple(np.empty(int(counts.sum()), dtype=complex) for _ in columns)
     places = []
     for at, block_counts, _, alphas, _ in blocks:
         if block_counts is None:
             places.append(starts[at])
-            terms[places[-1]] = vals[at]
+            for out, col in zip(terms, columns):
+                out[places[-1]] = col[at]
         else:
             key, pos = _runs(block_counts)
             places.append(starts[at][key] + pos)
-            terms[places[-1]] = cmul(alphas.conjugate() if conj else alphas, vals[at][key])
+            alphas, src = alphas.conjugate() if conj else alphas, at[key]
+            for out, col in zip(terms, columns):
+                out[places[-1]] = cmul(alphas, col[src])
     cols = []
     for k in range(width):
         parts = [block[2][k] for block in blocks]
-        col = np.empty(len(terms), dtype=np.result_type(np.int64, *parts))
+        col = np.empty(len(terms[0]), dtype=np.result_type(np.int64, *parts))
         for place, part in zip(places, parts):
             col[place] = part
         cols.append(col)
+    if not isinstance(vals, tuple):
+        terms = terms[0]
     if runs is None:
         return tuple(cols), terms, tails[0]
     return tuple(cols), terms, tails, [0, *np.cumsum(counts.reshape(runs, -1).sum(axis=1)).tolist()]
 
 
-def row_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window, runs: int | None = None):
+def row_terms(A: "AlphaMatrix", keys, vals, w: Window, runs: int | None = None):
     """Terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a transfer to the
-    dilation model, for translation-model key columns and values; with
-    ``runs``, of that many equal runs of keys at once (``_terms``)."""
+    dilation model, for translation-model key columns and values (or a
+    tuple of value columns over the same keys, one layout for them all);
+    with ``runs``, of that many equal runs of keys at once (``_terms``)."""
     blocks = _haar_row_blocks(*keys, w.dil_range[1]) if _haar_arrays(A, keys) else []
     return _terms(keys, vals, blocks, lambda i, n: A.row(i, n, w), conj=False, runs=runs)
 

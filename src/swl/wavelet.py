@@ -17,25 +17,31 @@ size of the (p, q) grid (``_translation_copy``: one column pass, summed
 per key into X), and both routes read that copy.  Route A shifts X;
 route B shifts X under the zero rule, which is ``f_from_g`` of psi bit
 for bit, so for q != 0 its transported vector is route A's U_q bit for
-bit and the agreement gate measures only the q = 0 round trip.  One loop
-(``_shift_sums`` over ``_keyed_passes``, the row loop of completeness
-too) transports a chunk of translations q per row pass: as many qs as
-fit in ``ROW_BUDGET`` rows of the copy, one at least, so a small
-candidate takes every q in one pass and a large one (the D4 candidate's
-24,650 rows) one q per pass.  The chunk's shifted key columns are
-stacked into one ``row_terms`` call, and the transfer back to the
-dilation model is summed only where psi's shifts read it: a ``_KeyIndex``
-over psi's keys codes its raw terms by psi's (s, j) groups and by their
-q's slot in the chunk, each target's group read from a table of psi's
-labels (binary search where they are sparse or past int64), and sums them
-per key in term order, so no coordinate vector is built for a q and every
-q's sums are what a pass of that q alone gives, bit for bit.  Each q's
-sums for every p are taken from its run of codes as aligned array
-products with exact ``fsum`` totals (``core.array_fsum``; a real
-candidate's all-zero imaginary products are not summed), and a chunk's
-terms are dropped before the next chunk.  Route A runs before route B,
-and X gives way to its zero-ruled copy before route B's passes, so one
-copy, one route's transfer and one chunk's terms are ever held.
+bit and the agreement gate measures only the q = 0 round trip.  Route B's
+copy rides beside X as a second value column over X's own rows, the
+entries the zero rule drops set to 0j (``_zero_ruled``), so both routes
+share every row pass.  One loop (``_shift_sums`` over ``_keyed_passes``,
+the row loop of completeness too) transports a chunk of translations q
+per row pass: as many qs as fit in ``ROW_BUDGET`` rows of the copy (rows,
+not columns), one at least, so a small candidate takes every q in one
+pass and a large one (the D4 candidate's 24,650 rows) one q per pass.
+The chunk's shifted key columns are stacked into one ``row_terms`` call,
+which lays out the terms of both value columns once, and the transfer
+back to the dilation model is summed only where psi's shifts read it: a
+``_KeyIndex`` over psi's keys codes the raw terms by psi's (s, j) groups
+and by their q's slot in the chunk, each target's group read from a table
+of psi's labels (binary search where they are sparse or past int64), and
+each route sums its own column per key in term order and applies its own
+zero rule, so no coordinate vector is built for a q and every q's sums
+are what a pass of that q and that column alone gives, bit for bit (a
+zero term leaves a sum as it was, and a key that only zeros reach sums to
+0, which the zero rule drops).  Each p is searched once per q in the
+shared codes; each route keeps the hits its zero rule kept and takes its
+own sums for every p as aligned array products with exact ``fsum`` totals
+(``core.array_fsum``; a real candidate's all-zero imaginary products are
+not summed), and a chunk's terms are dropped before the next chunk, so
+one copy, its zero-ruled column and one chunk's terms of the two columns
+are ever held.
 
 Completeness is probed by the rank of a window-truncated coordinate
 matrix, read from route A's U_q: the translation-model copy of only the
@@ -200,7 +206,7 @@ class _KeyIndex:
             start += len(labels)
         return ids
 
-    def _keyed(self, keys, terms: np.ndarray, bounds=(0,)) -> tuple[np.ndarray, np.ndarray]:
+    def _keyed(self, keys, terms, bounds=(0,)):
         """A transfer's terms summed per key, where the shifted keys can read
         them: the targets (s, j, m) in the keys' groups with m - base in the
         span, as sorted codes, and each one's sum, taken from 0j in term
@@ -210,6 +216,12 @@ class _KeyIndex:
         from ``bounds[k]`` up to ``bounds[k + 1]``: their codes are offset
         by k * stride, so terms of different slots never share a code, and
         each slot's codes are one run, summed as its terms alone would be.
+
+        ``terms`` may be a tuple of term columns over the same targets (the
+        value columns of one ``row_terms`` call): they are keyed once, and
+        each column is summed with its own ``np.add.at``.  Returns then the
+        codes of every run and, per column, its sums and its zero-rule mask
+        over them, instead of (kept codes, kept sums).
         """
         s, j, m = keys
         ids, rel = self._ids(s, j), m - self.base
@@ -222,20 +234,35 @@ class _KeyIndex:
         codes = codes[order]
         new = np.ones(len(codes), dtype=bool)  # where a run of equal codes starts
         new[1:] = codes[1:] != codes[:-1]
-        sums = np.zeros(np.count_nonzero(new), dtype=complex)
-        np.add.at(sums, np.cumsum(new) - 1, terms[hit[order]])
-        keep = keep_mask(sums)
+        run, taken = np.cumsum(new) - 1, hit[order]
+        columns = []
+        for column in terms if isinstance(terms, tuple) else (terms,):
+            sums = np.zeros(np.count_nonzero(new), dtype=complex)
+            np.add.at(sums, run, column[taken])
+            columns.append((sums, keep_mask(sums)))
+        if isinstance(terms, tuple):
+            return codes[new], tuple(columns)
+        (sums, keep), = columns
         return codes[new][keep], sums[keep]
 
-    def sums(self, ps: Iterable[int], keyed=None) -> dict[int, complex]:
+    def sums(self, ps: Iterable[int], keyed=None):
         """For each p, the compensated sum over the keys (s, j, m) of
         value[(s, j, m)] * conj(v[(s, j, m - p)]), where v is one transfer's
         ``(codes, sums)`` as ``_keyed`` gives them for its terms alone, or
-        the keyed values themselves for None."""
+        the keyed values themselves for None.
+
+        For the (codes, columns) that ``_keyed`` gives for a tuple of term
+        columns, each p is searched once in the shared codes, each column
+        keeps the hits its own zero rule kept and takes its own sum, and a
+        tuple of dicts, one per column, comes back.
+        """
         codes, vals = (self.codes, self.values) if keyed is None else keyed
+        columns = vals if isinstance(vals, tuple) else ((vals, None),)
+        # a mask that keeps every sum is no mask
+        columns = [(col, None if keep is None or keep.all() else keep) for col, keep in columns]
         # the codes are unique, and the sentinel past them matches no want
         codes = np.append(codes, _PAST_CODES)
-        out, last = {}, None
+        out, last = tuple({} for _ in columns), None
         for p in sorted(ps, reverse=True):
             want = self.codes - p
             if last is not None and p == last - 1:
@@ -243,9 +270,15 @@ class _KeyIndex:
                 at = at + found
             else:
                 at = np.searchsorted(codes, want)
-            found = codes[at] == want
-            out[p], last = _cdot(self.values[found], vals[at[found]]), p
-        return out
+            found, last = codes[at] == want, p
+            mine, theirs = self.values[found], at[found]
+            for sums, (column, keep) in zip(out, columns):
+                if keep is None:
+                    sums[p] = _cdot(mine, column[theirs])
+                else:
+                    kept = keep[theirs]
+                    sums[p] = _cdot(mine[kept], column[theirs[kept]])
+        return out if isinstance(vals, tuple) else out[0]
 
 
 def _reaching(A: AlphaMatrix, cols, vals: np.ndarray, top: float):
@@ -262,33 +295,40 @@ def _stacked(col: np.ndarray, copies: int) -> np.ndarray:
     return np.broadcast_to(col, (copies, len(col))).reshape(-1)
 
 
-def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, vals: np.ndarray,
+def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, vals,
                   qs: Sequence[int], w: Window):
     """The row passes of the translation-model vector (cols, vals) shifted
     by each q of ``qs``, summed per key where ``index`` reads them.
 
+    ``vals`` is one value column or a tuple of them over the same keys,
+    which then share every pass: one ``row_terms`` layout and one keying.
     The qs go a chunk at a time: as many as fit in ``ROW_BUDGET`` rows of
-    the vector, one at least, and no more than leave every code of the
-    chunk in int64.  A chunk's shifted key columns are stacked into one
-    ``row_terms`` call and its terms keyed by one ``index._keyed`` call,
-    each term's slot in the chunk in its code.  Yields (q, codes, sums,
-    row tail) for each q in order: that q's run of codes, less its slot's
-    offset, and its sums, bit for bit what a pass of that q alone gives.
+    the vector (rows, whatever the number of columns), one at least, and no
+    more than leave every code of the chunk in int64.  A chunk's shifted
+    key columns are stacked into one ``row_terms`` call and its terms keyed
+    by one ``index._keyed`` call, each term's slot in the chunk in its
+    code.  Yields (q, codes, columns, row tail) for each q in order: that
+    q's run of codes, less its slot's offset, and per value column its sums
+    and zero-rule mask over those codes, bit for bit what a pass of that q
+    and that column alone gives; the tail is the first column's.
     """
     i, n = cols
-    size = max(1, min(ROW_BUDGET // max(len(vals), 1), _PAST_CODES // index.stride))
+    columns = vals if isinstance(vals, tuple) else (vals,)
+    size = max(1, min(ROW_BUDGET // max(len(columns[0]), 1), _PAST_CODES // index.stride))
     for at in range(0, len(qs), size):
         chunk = qs[at:at + size]
         keys = _stacked(i, len(chunk)), np.concatenate([offset_column(n, q) for q in chunk])
-        keys, terms, tails, bounds = row_terms(A, keys, _stacked(vals, len(chunk)), w, len(chunk))
-        codes, sums = index._keyed(keys, terms, bounds)
+        stacked = tuple(_stacked(col, len(chunk)) for col in columns)
+        keys, terms, tails, bounds = row_terms(A, keys, stacked if vals is columns else stacked[0],
+                                               w, len(chunk))
+        codes, sums = index._keyed(keys, terms if vals is columns else (terms,), bounds)
         del keys, terms  # hold one chunk's terms at a time
         firsts = [k * index.stride for k in range(len(chunk))]  # each slot's first code
         ends = [0, *np.searchsorted(codes, firsts[1:]).tolist(), len(codes)]
         for k, q in enumerate(chunk):
             run = slice(ends[k], ends[k + 1])
             codes[run] -= firsts[k]
-            yield q, codes[run], sums[run], tails[k]
+            yield q, codes[run], tuple((col[run], keep[run]) for col, keep in sums), tails[k]
         del codes, sums  # and one chunk's sums: each caller drops the q it was given
 
 
@@ -303,15 +343,29 @@ def _translation_copy(psi: GCoordVec, A: AlphaMatrix, w: Window, top: float = ma
     return cols, x, column_tail
 
 
-def _shift_sums(index: _KeyIndex, A: AlphaMatrix, cols, vals: np.ndarray,
+def _zero_ruled(x: np.ndarray) -> np.ndarray:
+    """X under the zero rule as a value column over X's own rows: the
+    entries that the rule drops are 0j, and X itself comes back where it
+    drops none.  Its per-key row-pass sums are those of a pass over the
+    kept entries alone, bit for bit: every sum starts from 0j, a zero term
+    (of either sign) leaves it as it was, and a key that only zeros reach
+    sums to 0, which the zero rule drops."""
+    keep = keep_mask(x)
+    return x if keep.all() else np.where(keep, x, 0j)
+
+
+def _shift_sums(index: _KeyIndex, A: AlphaMatrix, cols, columns: tuple,
                 ps_of: dict[int, set[int]], w: Window):
     """Each (p, q) sum <psi, V_q shifted by p>, where V_q is the
-    translation-model vector (cols, vals) shifted by q and moved back
-    (``_keyed_passes``, summed only at psi's keys), and each q's row tail,
-    in the order of the sorted qs."""
-    sums, tails = {}, []
-    for q, codes, keyed, tail in _keyed_passes(index, A, cols, vals, sorted(ps_of), w):
-        sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], (codes, keyed)).items())
+    translation-model vector (cols, column) shifted by q and moved back
+    (``_keyed_passes``, summed only at psi's keys), for each value column
+    of ``columns``; the columns share each row pass and each search of a p,
+    and each takes its own sums.  Returns one dict of sums per column and
+    each q's row tail (the first column's), in the order of the sorted qs."""
+    sums, tails = tuple({} for _ in columns), []
+    for q, codes, keyed, tail in _keyed_passes(index, A, cols, columns, sorted(ps_of), w):
+        for out, got in zip(sums, index.sums(ps_of[q], (codes, keyed))):
+            out.update(((p, q), lhs) for p, lhs in got.items())
         tails.append(tail)
         del codes, keyed  # each q's sums go before the next q's are made
     return sums, tails
@@ -321,16 +375,18 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
     """Residual grid |LHS(p,q) - delta| plus the two-route disagreement.
 
     Returns (residuals, disagreement, per_q_transfer_tails).  psi is moved
-    to the translation model once (``_translation_copy``), and each route
-    transports that copy a chunk of qs at a time (``_shift_sums``), as many
-    as fit in ``ROW_BUDGET`` rows (one q per chunk for a large candidate),
-    sums every p of each q with exact compensated totals and drops the
-    chunk's terms before the next chunk.  Route A reads X, route B X under
-    the zero rule (``f_from_g`` of psi bit for bit), and X is gone before
-    route B's passes.  The reported residuals are route A's, so each q's
-    tail is what route A clipped: the column pass's tail plus that q's
-    row-pass tail, summed over that q's own run of rows.  An empty
-    explicit grid raises ``ValueError``.
+    to the translation model once (``_translation_copy``), and both routes
+    transport that copy in the same passes, a chunk of qs at a time
+    (``_shift_sums``), as many as fit in ``ROW_BUDGET`` rows (one q per
+    chunk for a large candidate); each route sums every p of each q with
+    exact compensated totals of its own, and the chunk's terms are dropped
+    before the next chunk.  Route A reads X; route B reads a second value
+    column over X's rows, X with the entries that the zero rule drops set
+    to 0j (X itself where it drops none), whose per-key sums are those of
+    ``f_from_g`` of psi moved back, bit for bit.  The reported residuals
+    are route A's, so each q's tail is what route A clipped: the column
+    pass's tail plus that q's row-pass tail, summed over that q's own run
+    of rows.  An empty explicit grid raises ``ValueError``.
     """
     grid = _pq_grid(pq_range)
     ps_of: dict[int, set[int]] = {}
@@ -339,15 +395,12 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
 
     index = _KeyIndex(psi._cols, psi._vals, [p for p, _ in grid])
     cols, x, column_tail = _translation_copy(psi, A, w)
-    # route A: U_q = X shifted by q and moved back
-    route_a, row_tails = _shift_sums(index, A, cols, x, ps_of, w)
+    # route A: U_q = X shifted by q and moved back; route B: T^q psi for
+    # q != 0, the zero-ruled copy (f_from_g(psi) bit for bit) shifted by q
+    # and moved back, in the same passes
+    (route_a, route_b), row_tails = _shift_sums(index, A, cols, (x, _zero_ruled(x)), ps_of, w)
     per_q_tails = [column_tail + tail for tail in row_tails]
-    # route B: T^q psi for q != 0 is the zero-ruled copy (f_from_g(psi) bit
-    # for bit) shifted by q and moved back; X goes before its passes
-    keep = keep_mask(x)
-    cols, x = tuple(c[keep] for c in cols), x[keep]
-    route_b, _ = _shift_sums(index, A, cols, x, {q: ps for q, ps in ps_of.items() if q != 0}, w)
-    # at q = 0, T^q psi is psi itself
+    # at q = 0, T^q psi is psi itself: route B's sums there are psi's own
     route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
 
     residuals = {}
@@ -420,9 +473,9 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     mat = np.zeros(read.shape, dtype=complex)
     row_q = np.searchsorted(qs, q)
     cols, x, _ = _translation_copy(psi, A, w, top)
-    for k, (_, codes, sums, _) in enumerate(_keyed_passes(index, A, cols, x, qs, w)):
-        # the sentinel past every code holds 0 for the cells with no sum
-        codes, sums = np.append(codes, _PAST_CODES), np.append(sums, 0j)
+    for k, (_, codes, ((sums, keep),), _) in enumerate(_keyed_passes(index, A, cols, x, qs, w)):
+        # the sentinel past every kept code holds 0 for the cells with no sum
+        codes, sums = np.append(codes[keep], _PAST_CODES), np.append(sums[keep], 0j)
         want = read[row_q == k]
         at = np.searchsorted(codes, want)
         at[codes[at] != want] = len(codes) - 1

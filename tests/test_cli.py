@@ -10,6 +10,7 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swl import EXPONENTIAL, AlphaMatrix, Window, oracle_F_coords, shift_D, shift_T, transfer
@@ -100,8 +101,8 @@ def test_check_wavelet_reports_are_pinned(capsys, argv, exit_code, digest):
 
 def test_readme_check_wavelet_example_makes_one_row_pass_per_consumer(monkeypatch, capsys):
     # every shift of the candidate's translation-model copy fits one chunk:
-    # route A, route B and the completeness matrix make one row pass each
-    # (26 with a pass per q)
+    # both orthonormality routes share one row pass and the completeness
+    # matrix makes one (26 with a pass per q and route)
     import swl.wavelet
 
     calls = []
@@ -114,7 +115,37 @@ def test_readme_check_wavelet_example_makes_one_row_pass_per_consumer(monkeypatc
     monkeypatch.setattr(swl.wavelet, "row_terms", counting)
     code, _, _ = _invoke(capsys, *_README_CHECK)
     assert code == 0
-    assert len(calls) <= 3
+    assert len(calls) <= 2
+
+
+# the coefficient file of CI's zero-rule smoke line: the ladder column
+# (+, 0, 2) at 1.2e-15 gives the translation-model copy three entries of
+# 6.0e-16 to 8.5e-16, which the zero rule drops
+_DROPPING_COORDS = {"schema_version": 1, "model": "G", "basis": "haar", "entries": [
+    {"s": "+", "i_or_j": 1, "n_or_m": 0, "re": 0.5, "im": 0.0},
+    {"s": "+", "i_or_j": 0, "n_or_m": 2, "re": 1.2e-15, "im": 0.0}]}
+
+
+def test_check_wavelet_coords_drop_entries_of_the_copy(tmp_path, monkeypatch, capsys):
+    # so route B's value column zeroes them, on every numpy that CI runs
+    import swl.wavelet
+    from swl.core import keep_mask
+
+    dropped = []
+    real = swl.wavelet._zero_ruled
+
+    def counting(x):
+        dropped.append(int(np.count_nonzero(~keep_mask(x))))
+        return real(x)
+
+    monkeypatch.setattr(swl.wavelet, "_zero_ruled", counting)
+    path = tmp_path / "dropping.json"
+    path.write_text(json.dumps(_DROPPING_COORDS))
+    code, out, err = _invoke(capsys, "check-wavelet", "--basis", "haar", "--coords", str(path),
+                             "--pq", "1", "--window", "4")
+    assert code <= 1 and err == ""
+    assert isinstance(json.loads(out), dict)
+    assert dropped == [3]
 
 
 def test_alpha_row_json(capsys):

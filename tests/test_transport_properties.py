@@ -335,22 +335,25 @@ chunk_cases = st.one_of(
 
 
 WIDE_PSI = GCoordVec({(PLUS, j, 0): 0.5 for j in (1, 2**40, 2**70 + 3)})
+# X entries the zero rule drops: those of the ladder column (+, 0, 2), at
+# (0, 0), (2, 0) and (1, 0).  Shifted by q = -1, (1, 0) sits on the ladder
+# row (1, -1), whose negative alphas times route B's 0j give -0.0 terms
+LADDER_DROP_PSI = GCoordVec({(PLUS, 1, 0): 0.5, (PLUS, 0, 2): 1.2e-15})
 
 
 def chunked_route_sums(index, psi, ps_of, A, w):
     """Route A's (p, q) sums and per-q tails, and route B's sums, as
     ``orthonormality_residuals`` takes them from one translation-model copy."""
     cols, x, column_tail = wavelet._translation_copy(psi, A, w)
-    route_a, row_tails = wavelet._shift_sums(index, A, cols, x, ps_of, w)
-    keep = keep_mask(x)
-    route_b, _ = wavelet._shift_sums(index, A, tuple(c[keep] for c in cols), x[keep],
-                                     {q: ps for q, ps in ps_of.items() if q != 0}, w)
+    (route_a, route_b), row_tails = wavelet._shift_sums(
+        index, A, cols, (x, wavelet._zero_ruled(x)), ps_of, w)
     route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
     return route_a, [column_tail + tail for tail in row_tails], route_b
 
 
 @given(case=chunk_cases, pq=pq_ranges)
 @example(case=("haar", WIDE_PSI), pq=1)
+@example(case=("haar", LADDER_DROP_PSI), pq=1)
 # X entries below the zero rule, which route B's copy drops and route A's
 # keeps: at q != 0 alone the disagreement is what they carried
 @example(case=("exponential", GCoordVec({(PLUS, -2, -1): 1e-14, (MINUS, -2, 1): 5e-15})),
@@ -392,6 +395,60 @@ def test_zero_ruled_copy_is_f_from_g(case):
     assert x[keep].tobytes() == f0._vals.tobytes()
 
 
+def _translation_dict(psi, fam):
+    cols, x, _ = wavelet._translation_copy(psi, *FAMILIES[fam])
+    return dict(zip(zip(*(c.tolist() for c in cols)), x.tolist()))
+
+
+# translation-model copies with entries the zero rule drops (tiny and zero ones)
+x_values = st.one_of(values, values.map(lambda v: v * 1e-16), st.just(0j))
+x_cases = st.one_of(
+    st.tuples(st.just("haar"), st.dictionaries(
+        st.tuples(st.one_of(st.integers(0, 6), wide_labels), st.integers(-4, 4)), x_values,
+        min_size=1, max_size=8)),
+    st.tuples(st.just("exponential"), st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-4, 4)), x_values, min_size=1, max_size=8)),
+)
+
+
+@given(case=x_cases, qs=st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+@example(case=("haar", _translation_dict(LADDER_DROP_PSI, "haar")), qs=[-1, 0, 1])
+def test_zeroed_column_sums_are_a_pass_over_the_kept_entries(case, qs):
+    # route B's column is X with its dropped entries 0j, riding beside X; its
+    # kept codes and sums are those of a pass over X[keep] alone, bit for bit
+    fam, entries = case
+    A, w = FAMILIES[fam]
+    cols, x = key_columns(list(entries), 2), np.array(list(entries.values()), dtype=complex)
+    qs = sorted(qs)
+    targets = {key for q in qs
+               for key in zip(*(c.tolist() for c in row_terms(A, (cols[0], offset_column(cols[1], q)), x, w)[0]))}
+    targets = sorted(targets) or [(PLUS, 0, 0)]
+    index = _KeyIndex(key_columns(targets, 3), np.ones(len(targets), dtype=complex), (-1, 0, 1))
+    keep = keep_mask(x)
+    zeroed = wavelet._zero_ruled(x)
+    assert (zeroed is x) == bool(keep.all())
+    shared = list(wavelet._keyed_passes(index, A, cols, (x, zeroed), qs, w))
+    alone = list(wavelet._keyed_passes(index, A, tuple(c[keep] for c in cols), x[keep], qs, w))
+    assert [q for q, *_ in shared] == [q for q, *_ in alone] == qs
+    for (_, codes, (_, (sums, kept)), _), (_, ref_codes, ((ref_sums, ref_kept),), _) in zip(shared, alone):
+        assert codes[kept].tobytes() == ref_codes[ref_kept].tobytes()
+        assert sums[kept].tobytes() == ref_sums[ref_kept].tobytes()
+        # and the (p, q) sums that each route takes of them
+        got = index.sums((-1, 0, 1), (codes, ((sums, kept), (sums, kept))))
+        want = index.sums((-1, 0, 1), (ref_codes[ref_kept], ref_sums[ref_kept]))
+        assert [_sum_bytes(g) for g in got] == [_sum_bytes(want)] * 2
+
+
+def test_a_dropped_entry_on_a_ladder_row_gives_negative_zero_terms():
+    A, w = FAMILIES["haar"]
+    cols, x, _ = wavelet._translation_copy(LADDER_DROP_PSI, A, w)
+    keep = keep_mask(x)
+    assert keep.sum() == 1 and len(x) == 4
+    zeroed = wavelet._zero_ruled(x)
+    _, (_, terms), _ = row_terms(A, (cols[0], offset_column(cols[1], -1)), (x, zeroed), w)
+    assert (np.signbit(terms.real) & (terms.real == 0.0)).any()
+
+
 @given(case=chunk_cases, picks=st.lists(st.integers(0, 13), min_size=1, max_size=4),
        row_window=st.one_of(
            st.integers(0, 3),
@@ -411,21 +468,22 @@ def test_chunked_completeness_matches_a_pass_per_q(case, picks, row_window):
 
 def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
     # the D4 candidate's translation-model copy has 24,650 rows, past the
-    # row budget: each of route A's 5 shifts and route B's 4 is a pass of its
-    # own, so the checks hold what they held with a pass per q
+    # row budget: each of the 5 shifts is a pass of its own, which carries
+    # route A's and route B's value columns, so the checks hold what they
+    # held with a pass per q
     psi = d4_psi(12)
     A, w = FAMILIES["d4"]
     passes = []
     real = wavelet.row_terms
 
     def counting(A, keys, vals, w, runs):
-        passes.append((len(vals), runs))
+        passes.append((len(vals[0]), len(vals), runs))
         return real(A, keys, vals, w, runs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavelet, "row_terms", counting)
         orthonormality_residuals(psi, A, 2, w)
-    assert passes == [(24_650, 1)] * 9
+    assert passes == [(24_650, 2, 1)] * 5
     assert 24_650 > wavelet.ROW_BUDGET
 
 
