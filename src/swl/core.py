@@ -26,6 +26,7 @@ keys is built on first use, only to be read.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -497,7 +498,13 @@ class CheckReport:
                        window: Window | None = None, notes: Iterable[str] = (),
                        slack: float = 0.0) -> "CheckReport":
         res = {k: float(r) for k, r in residuals.items()}
-        worst = sorted(res.items(), key=lambda kv: (-kv[1], repr(kv[0])))
+        worst = res.items()
+        if len(res) > _DETAIL_CAP and not any(math.isnan(r) for r in res.values()):
+            # only the _DETAIL_CAP largest values and their ties can reach
+            # details; a NaN orders nothing, so with one every entry is sorted
+            floor = heapq.nlargest(_DETAIL_CAP, res.values())[-1]
+            worst = [kv for kv in worst if kv[1] >= floor]
+        worst = sorted(worst, key=lambda kv: (-kv[1], repr(kv[0])))
         max_res = worst[0][1] if worst else 0.0
         return cls(
             check_name=name,

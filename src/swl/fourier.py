@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -66,11 +67,18 @@ class FourierSideSpec:
             base = np.exp(-1j * np.pi * y) * np.sinc(y)
         else:
             base = np.zeros(y.shape, dtype=complex)
-            for lo, hi, amp in self.parts:  # none for "zero"
-                base[(y >= ceil_float(lo)) & (y < ceil_float(hi))] += amp
+            for lo, hi, amp in self._float_parts:  # none for "zero"
+                base[(y >= lo) & (y < hi)] += amp
         if self.shift:
             base = base * np.exp(-1j * (math.tau * self.shift * y))
         return base[()]
+
+    @cached_property
+    def _float_parts(self) -> list[tuple[float, float, complex]]:
+        """The parts with each bound as the least double at or above it: the
+        points y of [lo, hi) are those with ceil(lo) <= y < ceil(hi).  Kept
+        on the spec, so ``periodize`` converts them once, not once per row."""
+        return [(ceil_float(lo), ceil_float(hi), amp) for lo, hi, amp in self.parts]
 
     def tail_sq(self, thetas: np.ndarray, k_min: int, k_max: int) -> np.ndarray:
         """Exact sum of |value(theta+k)|^2 over k outside [k_min, k_max], per theta.

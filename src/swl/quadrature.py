@@ -40,9 +40,12 @@ as integer columns, entry for entry the same.  The oracle never reads
   when the bisection depth runs out raises ``ArithmeticError``.
 
 The coefficient grids integrate the whole window in one pass of either
-route: the atoms of every window element, built in one
-``bases.window_atoms`` call, against those of the function, summed per
-element.  ``inner_products`` runs the same passes on the atom table of any
+route: the atoms of every window element against those of the function,
+summed per element.  A window's key columns and element atoms do not
+depend on the function, so they are built once per (family, window,
+model), in one ``bases.window_atoms`` call, and kept read-only in a small
+LRU table (``_element_table``) that every grid of that window reads.
+``inner_products`` runs the same passes on the atom table of any
 list of factors' tuple atoms and ``inner_product`` on a list of one, so a
 grid holds exactly the values ``inner_product`` gives.  The zero rule of
 the coordinate vectors drops the elements that do not meet the function.
@@ -113,12 +116,12 @@ def _atom_table(fe, ges=()) -> _Atoms:
     return _Atoms(owner, ints[:5], coef.reshape(-1, width), deg)
 
 
-def _with_window(fa: _Atoms, owner, lo, hi, exp, amplitude, fnum, fexp) -> _Atoms:
-    """f's atom table followed by the constant atoms of ``bases.window_atoms``."""
+def _with_window(fa: _Atoms, owner, ints, amplitude) -> _Atoms:
+    """f's atom table followed by a window's constant atoms (``_element_table``)."""
     coef = np.zeros((len(owner), fa.coef.shape[1]), dtype=complex)
     coef[:, 0] = amplitude
     return _Atoms(np.concatenate([fa.owner, owner]),
-                  np.concatenate([fa.ints, np.array([lo, hi, exp, fnum, fexp])], axis=1),
+                  np.concatenate([fa.ints, ints], axis=1),
                   np.concatenate([fa.coef, coef]),
                   np.concatenate([fa.deg, np.zeros(len(owner), dtype=np.int64)]))
 
@@ -596,12 +599,39 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
 
 # -- coefficient grids --------------------------------------------------------
 
-def _grid(f: FunctionSpec, fam: BasisFamily, cols: tuple[np.ndarray, ...], vec_type,
+_TABLES = 16  # the element tables kept: a handful of (family, window, model) at a time
+
+
+@lru_cache(maxsize=_TABLES)
+def _element_table(fam: BasisFamily, w: Window, model: str):
+    """The key columns of the window's elements in the model ("F" or "G"),
+    in key order, and those elements' atoms as an atom table's window half
+    (owner, ints, amplitude), from one ``bases.window_atoms`` call.
+
+    Neither depends on the function whose coordinates are taken, so each
+    (family, window, model) is built once and kept, its arrays read-only.
+    An invalid label or a scale past 1023 raises here, and a raise is not
+    kept, so it raises again on every call."""
+    if model == "F":
+        labels = [(check_trans_label(fam, i),) for i in w.trans_labels]
+        cols = window_columns(labels, *w.trans_range)
+    else:
+        labels = [check_dil_label(fam, s, j) for s, j in w.dil_labels]
+        cols = window_columns(labels, *w.dil_range)
+    owner, lo, hi, exp, amplitude, fnum, fexp = bases.window_atoms(fam, cols)
+    ints = np.array([lo, hi, exp, fnum, fexp])
+    for a in (*cols, owner, ints, amplitude):
+        a.flags.writeable = False
+    return cols, owner, ints, amplitude
+
+
+def _grid(f: FunctionSpec, fam: BasisFamily, w: Window, model: str, vec_type,
           quadrature_tol: float):
-    """The coordinates of ``f`` against the window elements of the key
-    columns ``cols``, in key order, zero rule applied."""
+    """The coordinates of ``f`` against the elements of the window in the
+    model, in key order, zero rule applied."""
+    cols, *window = _element_table(fam, w, model)
     fe = factor_atoms(f)
-    atoms = _with_window(_atom_table(fe), *bases.window_atoms(fam, cols))
+    atoms = _with_window(_atom_table(fe), *window)
     count = len(cols[0])
     if fe is None:
         vals = _gl_sums(f, atoms, np.arange(count), {}, quadrature_tol)
@@ -614,15 +644,13 @@ def _grid(f: FunctionSpec, fam: BasisFamily, cols: tuple[np.ndarray, ...], vec_t
 def oracle_F_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> FCoordVec:
     """All translation-model coefficients of ``f`` inside the window."""
-    labels = [(check_trans_label(fam, i),) for i in w.trans_labels]
-    return _grid(f, fam, window_columns(labels, *w.trans_range), FCoordVec, quadrature_tol)
+    return _grid(f, fam, w, "F", FCoordVec, quadrature_tol)
 
 
 def oracle_G_coords(f: FunctionSpec, fam: BasisFamily, w: Window,
                     quadrature_tol: float = 1e-10) -> GCoordVec:
     """All dilation-model coefficients of ``f`` inside the window."""
-    labels = [check_dil_label(fam, s, j) for s, j in w.dil_labels]
-    return _grid(f, fam, window_columns(labels, *w.dil_range), GCoordVec, quadrature_tol)
+    return _grid(f, fam, w, "G", GCoordVec, quadrature_tol)
 
 
 def g_window_tail_bound(f: FunctionSpec, m_max: int) -> float:

@@ -20,28 +20,29 @@ for bit, so for q != 0 its transported vector is route A's U_q bit for
 bit and the agreement gate measures only the q = 0 round trip.  Route B's
 copy rides beside X as a second value column over X's own rows, the
 entries the zero rule drops set to 0j (``_zero_ruled``), so both routes
-share every row pass.  One loop (``_shift_sums`` over ``_keyed_passes``,
-the row loop of completeness too) transports a chunk of translations q
-per row pass: as many qs as fit in ``ROW_BUDGET`` rows of the copy (rows,
-not columns), one at least, so a small candidate takes every q in one
-pass and a large one (the D4 candidate's 24,650 rows) one q per pass.
-The chunk's shifted key columns are stacked into one ``row_terms`` call,
-which lays out the terms of both value columns once, and the transfer
-back to the dilation model is summed only where psi's shifts read it: a
-``_KeyIndex`` over psi's keys codes the raw terms by psi's (s, j) groups
-and by their q's slot in the chunk, each target's group read from a table
-of psi's labels (binary search where they are sparse or past int64), and
-each route sums its own column per key in term order and applies its own
-zero rule, so no coordinate vector is built for a q and every q's sums
-are what a pass of that q and that column alone gives, bit for bit (a
-zero term leaves a sum as it was, and a key that only zeros reach sums to
-0, which the zero rule drops).  Each p is searched once per q in the
-shared codes; each route keeps the hits its zero rule kept and takes its
-own sums for every p as aligned array products with exact ``fsum`` totals
-(``core.array_fsum``; a real candidate's all-zero imaginary products are
-not summed), and a chunk's terms are dropped before the next chunk, so
-one copy, its zero-ruled column and one chunk's terms of the two columns
-are ever held.
+share every row pass (a chunk of q = 0 alone carries X alone: route B's
+sums at q = 0 are psi's own).  One loop (``_shift_sums`` over
+``_keyed_passes``, the row loop of completeness too) transports a chunk of
+translations q per row pass: as many qs as fit in ``ROW_BUDGET`` rows of
+the copy (rows, not columns), one at least, so a small candidate takes
+every q in one pass and a large one (the D4 candidate's 24,650 rows) one q
+per pass.  The chunk's shifted key columns are stacked into one
+``row_terms`` call, which lays out the terms of both value columns once,
+and the transfer back to the dilation model is summed only where psi's
+shifts read it: a ``_KeyIndex`` over psi's keys codes the raw terms by
+psi's (s, j) groups and by their q's slot in the chunk, each target's
+group read from a table of psi's labels (binary search where they are
+sparse or past int64), and each route sums its own column per key in term
+order and applies its own zero rule, so no coordinate vector is built for
+a q and every q's sums are what a pass of that q and that column alone
+gives, bit for bit (a zero term leaves a sum as it was, and a key that
+only zeros reach sums to 0, which the zero rule drops).  Each p is
+searched once per q in the shared codes; each route keeps the hits its
+zero rule kept and takes its own sums for every p as aligned array
+products with exact ``fsum`` totals (``core.array_fsum``; a real
+candidate's all-zero imaginary products are not summed), and a chunk's
+terms are dropped before the next chunk, so one copy, its zero-ruled
+column and one chunk's terms of the two columns are ever held.
 
 Completeness is probed by the rank of a window-truncated coordinate
 matrix, read from route A's U_q: the translation-model copy of only the
@@ -295,6 +296,13 @@ def _stacked(col: np.ndarray, copies: int) -> np.ndarray:
     return np.broadcast_to(col, (copies, len(col))).reshape(-1)
 
 
+def _chunk_size(index: _KeyIndex, rows: int) -> int:
+    """The qs that one row pass of a translation-model vector of ``rows``
+    rows takes: as many as fit in ``ROW_BUDGET`` rows, one at least, and no
+    more than leave every code of the chunk in int64."""
+    return max(1, min(ROW_BUDGET // max(rows, 1), _PAST_CODES // index.stride))
+
+
 def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, vals,
                   qs: Sequence[int], w: Window):
     """The row passes of the translation-model vector (cols, vals) shifted
@@ -302,9 +310,10 @@ def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, vals,
 
     ``vals`` is one value column or a tuple of them over the same keys,
     which then share every pass: one ``row_terms`` layout and one keying.
-    The qs go a chunk at a time: as many as fit in ``ROW_BUDGET`` rows of
-    the vector (rows, whatever the number of columns), one at least, and no
-    more than leave every code of the chunk in int64.  A chunk's shifted
+    The qs go a chunk at a time (``_chunk_size``): as many as fit in
+    ``ROW_BUDGET`` rows of the vector (rows, whatever the number of
+    columns), one at least, and no more than leave every code of the chunk
+    in int64.  A chunk's shifted
     key columns are stacked into one ``row_terms`` call and its terms keyed
     by one ``index._keyed`` call, each term's slot in the chunk in its
     code.  Yields (q, codes, columns, row tail) for each q in order: that
@@ -314,7 +323,7 @@ def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, vals,
     """
     i, n = cols
     columns = vals if isinstance(vals, tuple) else (vals,)
-    size = max(1, min(ROW_BUDGET // max(len(columns[0]), 1), _PAST_CODES // index.stride))
+    size = _chunk_size(index, len(i))
     for at in range(0, len(qs), size):
         chunk = qs[at:at + size]
         keys = _stacked(i, len(chunk)), np.concatenate([offset_column(n, q) for q in chunk])
@@ -360,14 +369,22 @@ def _shift_sums(index: _KeyIndex, A: AlphaMatrix, cols, columns: tuple,
     translation-model vector (cols, column) shifted by q and moved back
     (``_keyed_passes``, summed only at psi's keys), for each value column
     of ``columns``; the columns share each row pass and each search of a p,
-    and each takes its own sums.  Returns one dict of sums per column and
-    each q's row tail (the first column's), in the order of the sorted qs."""
+    and each takes its own sums.  The first column is route A's and the
+    others route B's, whose sums at q = 0 are psi's own: a chunk of q = 0
+    alone carries the first column alone, and the others get no sums
+    there.  Returns one dict of sums per column and each q's row tail (the
+    first column's), in the order of the sorted qs."""
     sums, tails = tuple({} for _ in columns), []
-    for q, codes, keyed, tail in _keyed_passes(index, A, cols, columns, sorted(ps_of), w):
-        for out, got in zip(sums, index.sums(ps_of[q], (codes, keyed))):
-            out.update(((p, q), lhs) for p, lhs in got.items())
-        tails.append(tail)
-        del codes, keyed  # each q's sums go before the next q's are made
+    qs = sorted(ps_of)
+    size = _chunk_size(index, len(cols[0]))
+    for at in range(0, len(qs), size):
+        chunk = qs[at:at + size]
+        carried = columns[:1] if chunk == [0] else columns
+        for q, codes, keyed, tail in _keyed_passes(index, A, cols, carried, chunk, w):
+            for out, got in zip(sums, index.sums(ps_of[q], (codes, keyed))):
+                out.update(((p, q), lhs) for p, lhs in got.items())
+            tails.append(tail)
+            del codes, keyed  # each q's sums go before the next q's are made
     return sums, tails
 
 
@@ -383,10 +400,12 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
     before the next chunk.  Route A reads X; route B reads a second value
     column over X's rows, X with the entries that the zero rule drops set
     to 0j (X itself where it drops none), whose per-key sums are those of
-    ``f_from_g`` of psi moved back, bit for bit.  The reported residuals
-    are route A's, so each q's tail is what route A clipped: the column
-    pass's tail plus that q's row-pass tail, summed over that q's own run
-    of rows.  An empty explicit grid raises ``ValueError``.
+    ``f_from_g`` of psi moved back, bit for bit; at q = 0 route B's sums
+    are psi's own, so a chunk of q = 0 alone carries route A's column
+    alone.  The reported residuals are route A's, so each q's tail is what
+    route A clipped: the column pass's tail plus that q's row-pass tail,
+    summed over that q's own run of rows.  An empty explicit grid raises
+    ``ValueError``.
     """
     grid = _pq_grid(pq_range)
     ps_of: dict[int, set[int]] = {}

@@ -199,9 +199,11 @@ def test_gl16_calls_the_integrand_once_per_step():
 
 
 def test_exact_route_builds_each_element_atoms_once(monkeypatch):
-    # both routes build the atoms of every window element in one
-    # window_atoms call and make no int_atoms call
-    from swl import bases
+    # a window's element atoms are built in one window_atoms call per
+    # (family, window, model) and kept: both routes, a second function and
+    # an equal but distinct window read the kept table, and no grid makes
+    # an int_atoms call
+    from swl import bases, quadrature
 
     built, windows = Counter(), []
     real_atoms, real_window_atoms = bases.int_atoms, bases.window_atoms
@@ -216,23 +218,30 @@ def test_exact_route_builds_each_element_atoms_once(monkeypatch):
 
     monkeypatch.setattr(bases, "int_atoms", counting_atoms)
     monkeypatch.setattr(bases, "window_atoms", counting_window_atoms)
+    quadrature._element_table.cache_clear()
     piecewise = parse_function_spec("piecewise[(-1,1/2):1+x; (5/8,3/4):-2]")
+    other = parse_function_spec("piecewise[(-3/4,1/4):x^2]")
     for fam in (HAAR, EXPONENTIAL):
         w = Window.symmetric(fam, 3, 3, 4)
+        equal = Window.symmetric(fam, 3, 3, 4)
+        assert equal == w and equal is not w
         trans = Counter(TransIndex(i, n) for i in w.trans_labels
                         for n in range(w.trans_range[0], w.trans_range[1] + 1))
         dil = Counter(DilIndex(s, j, m) for s, j in w.dil_labels
                       for m in range(w.dil_range[0], w.dil_range[1] + 1))
         for grid, keys in ((oracle_F_coords, trans), (oracle_G_coords, dil)):
-            # the exact route (piecewise f)
-            built.clear()
+            # the exact route (piecewise f) builds the table
             windows.clear()
             assert grid(piecewise, fam, w)
-            assert not built and windows == [sum(keys.values())]
-            # the GL16 route (gaussian f) reads the same columns
+            assert windows == [sum(keys.values())]
+            # the GL16 route (gaussian f), a second function and an equal
+            # window read it
             windows.clear()
             assert grid(FunctionSpec.gaussian(0.5), fam, w)
-            assert not built and windows == [sum(keys.values())]
+            assert grid(other, fam, w)
+            assert grid(piecewise, fam, equal)
+            assert windows == []
+    assert not built
 
 
 def test_gl16_grid_cuts_the_gaussian_once(monkeypatch):

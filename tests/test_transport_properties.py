@@ -470,7 +470,8 @@ def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
     # the D4 candidate's translation-model copy has 24,650 rows, past the
     # row budget: each of the 5 shifts is a pass of its own, which carries
     # route A's and route B's value columns, so the checks hold what they
-    # held with a pass per q
+    # held with a pass per q; the pass of q = 0 carries route A's alone,
+    # since route B's sums there are psi's own
     psi = d4_psi(12)
     A, w = FAMILIES["d4"]
     passes = []
@@ -483,7 +484,7 @@ def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavelet, "row_terms", counting)
         orthonormality_residuals(psi, A, 2, w)
-    assert passes == [(24_650, 2, 1)] * 5
+    assert passes == [(24_650, 2, 1)] * 2 + [(24_650, 1, 1)] + [(24_650, 2, 1)] * 2
     assert 24_650 > wavelet.ROW_BUDGET
 
 
