@@ -54,13 +54,14 @@ exponential key -- goes through ``AlphaMatrix.row``/``column`` one at a
 time, as one more block.  ``_terms`` lays out every block the same way:
 the terms keep source order, and the clipped tails are summed over the
 keys in order with Python's ``abs``, so the transfers give what the
-term-by-term loop over ``row``/``column`` gives, bit for bit.  A row pass
-may take several equal runs of keys at once (the wavelet checks' chunks of
-shifted copies): each run's terms are then one contiguous range, and each
-run's tail is summed over its own keys, as a pass of that run alone sums it.
-A pass may also carry a tuple of value columns over the same keys (the
-wavelet checks' two routes): one layout serves them all, and each column's
-terms are what a pass of that column alone gives.
+term-by-term loop over ``row``/``column`` gives, bit for bit.  Every pass
+takes a tuple of value columns over its keys, and its keys in equal runs
+(one by default): ``transfer`` passes its one column in one run, the
+wavelet checks a chunk of shifted copies as runs, with both routes'
+columns.  One layout serves every column, and each column's terms are what
+a pass of that column alone gives; each run's terms are one contiguous
+range, and its tail is summed over its own keys, as a pass of that run
+alone sums it.
 """
 
 from __future__ import annotations
@@ -478,8 +479,9 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key, np.arange(len(key)) - starts[key]
 
 
-def _terms(keys, vals, blocks: list, entries_of, conj: bool, runs: int | None = None):
-    """The terms of a transfer, in source order.
+def _terms(keys, columns: tuple, blocks: list, entries_of, conj: bool, runs: int = 1):
+    """The terms of a transfer, in source order, for a tuple of value
+    columns over the same keys.
 
     A block is (positions of its keys, entries per key, target key columns,
     alphas, clipped mass per key), each key's entries in table order.  A
@@ -487,20 +489,16 @@ def _terms(keys, vals, blocks: list, entries_of, conj: bool, runs: int | None = 
     one entry per key whose alpha is 1.0, so its term is the key's value.
     Keys in no block go through ``entries_of(*key)`` one at a time, as one
     more block.  Every other term is alpha (conjugated for ``conj``) times
-    the key's value.  Returns (target key columns, term values, l2 bound on
-    the clipped part), the bound summed over the keys in order with
+    the key's value.  The keys are ``runs`` runs of equal length.  Returns
+    (target key columns, a tuple of term arrays, one per value column, the
+    l2 bounds on the clipped part, one per run, the runs' bounds in the
+    terms): run k's terms are ``terms[bounds[k]:bounds[k + 1]]``, and its
+    bound is the first column's, summed over the run's keys in order with
     Python's ``abs`` (numpy's complex abs may differ from it in the last
-    bit).  With ``runs``, the keys are that many runs of equal length: the
-    bound is a list, one per run, each summed over its own run's keys in
-    order, and a fourth item gives the runs' bounds in the terms (run k's
-    terms are ``terms[bounds[k]:bounds[k + 1]]``).
-
-    ``vals`` may be a tuple of value columns over the same keys: one layout
-    (counts, places, target columns) then serves them all, the term values
-    are a tuple with one array per column, each what a call with that
-    column alone gives, and the bound is the first column's.
+    bit).  One layout (counts, places, target columns) serves every value
+    column, and each column's terms are what a call with that column alone
+    gives.
     """
-    columns = vals if isinstance(vals, tuple) else (vals,)
     width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
     counts = np.full(len(columns[0]), -1, dtype=np.int64)  # -1: in no block
     clip = np.zeros(len(counts))
@@ -520,8 +518,8 @@ def _terms(keys, vals, blocks: list, entries_of, conj: bool, runs: int | None = 
         alphas = np.fromiter(map(itemgetter(1), table), dtype=complex, count=len(table))
         blocks = [*blocks, (at, counts[at], key_columns(list(map(itemgetter(0), table)), width),
                             alphas, None)]
-    per_run = max(len(counts) // (runs or 1), 1)  # keys per run
-    tails = [0.0] * (runs or 1)
+    per_run = max(len(counts) // runs, 1)  # keys per run
+    tails = [0.0] * runs
     hit = np.flatnonzero(clip > 0.0)
     for k, val, c in zip((hit // per_run).tolist(), columns[0][hit].tolist(), clip[hit].tolist()):
         tails[k] += abs(val) * math.sqrt(c)
@@ -547,27 +545,23 @@ def _terms(keys, vals, blocks: list, entries_of, conj: bool, runs: int | None = 
         for place, part in zip(places, parts):
             col[place] = part
         cols.append(col)
-    if not isinstance(vals, tuple):
-        terms = terms[0]
-    if runs is None:
-        return tuple(cols), terms, tails[0]
     return tuple(cols), terms, tails, [0, *np.cumsum(counts.reshape(runs, -1).sum(axis=1)).tolist()]
 
 
-def row_terms(A: "AlphaMatrix", keys, vals, w: Window, runs: int | None = None):
+def row_terms(A: "AlphaMatrix", keys, columns: tuple, w: Window, runs: int = 1):
     """Terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a transfer to the
-    dilation model, for translation-model key columns and values (or a
-    tuple of value columns over the same keys, one layout for them all);
-    with ``runs``, of that many equal runs of keys at once (``_terms``)."""
+    dilation model, for translation-model key columns and a tuple of value
+    columns over them, in ``runs`` equal runs of keys (``_terms``)."""
     blocks = _haar_row_blocks(*keys, w.dil_range[1]) if _haar_arrays(A, keys) else []
-    return _terms(keys, vals, blocks, lambda i, n: A.row(i, n, w), conj=False, runs=runs)
+    return _terms(keys, columns, blocks, lambda i, n: A.row(i, n, w), conj=False, runs=runs)
 
 
-def column_terms(A: "AlphaMatrix", keys, vals: np.ndarray, w: Window):
+def column_terms(A: "AlphaMatrix", keys, columns: tuple, w: Window):
     """Terms sum_(s,j,m) conj(alpha_{i,n}^{s,j,m}) v[(s, j, m)] of a transfer
-    to the translation model, for dilation-model key columns and values."""
+    to the translation model, for dilation-model key columns and a tuple of
+    value columns over them (``_terms``)."""
     blocks = _haar_column_blocks(*keys) if _haar_arrays(A, keys) else []
-    return _terms(keys, vals, blocks, lambda s, j, m: A.column(s, j, m, w), conj=True)
+    return _terms(keys, columns, blocks, lambda s, j, m: A.column(s, j, m, w), conj=True)
 
 
 # -- public surface ------------------------------------------------------------
@@ -635,7 +629,7 @@ def transfer(v: FCoordVec | GCoordVec, A: AlphaMatrix, w: Window):
     transfer reports it: ``g_from_f`` and ``f_from_g`` return the vector.
     """
     to_g = isinstance(v, FCoordVec)
-    keys, terms, tail = (row_terms if to_g else column_terms)(A, v._cols, v._vals, w)
+    keys, (terms,), (tail,), _ = (row_terms if to_g else column_terms)(A, v._cols, (v._vals,), w)
     return (GCoordVec if to_g else FCoordVec)._from_terms(keys, terms), tail
 
 

@@ -102,6 +102,9 @@ _TICK_MASK = (1 << _TICKS) - 1
 
 def _amplitude(a: int) -> float:
     # 2^{a/2}: 0.0 below scale -1074, and OverflowError past scale 1023
+    if a > 1023:
+        raise OverflowError(f"scale {a} is past 1023, where the amplitude 2^(scale/2) "
+                            "leaves double range")
     return math.sqrt(2.0 ** a)
 
 

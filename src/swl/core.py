@@ -234,7 +234,9 @@ def offset_column(col: np.ndarray, d: int) -> np.ndarray:
     if col.dtype == np.int64:
         lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
         if -(1 << 63) <= lo + d and hi + d < (1 << 63):
-            return col + d
+            if -(1 << 63) <= d < (1 << 63):
+                return col + d
+            return (col.astype(object) + d).astype(np.int64)  # numpy cannot take d itself
     return col.astype(object) + d
 
 

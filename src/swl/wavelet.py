@@ -12,51 +12,29 @@ sum is 1 at (0, 0) and 0 elsewhere.  Two routes evaluate the sums here:
 
 Both are computed and must agree; the report carries the worse residual
 and the route disagreement.  They are not independent arithmetic: each
-check moves the candidate to the translation model once, whatever the
-size of the (p, q) grid (``_translation_copy``: one column pass, summed
-per key into X), and both routes read that copy.  Route A shifts X;
-route B shifts X under the zero rule, which is ``f_from_g`` of psi bit
-for bit, so for q != 0 its transported vector is route A's U_q bit for
-bit and the agreement gate measures only the q = 0 round trip.  Route B's
-copy rides beside X as a second value column over X's own rows, the
-entries the zero rule drops set to 0j (``_zero_ruled``), so both routes
-share every row pass (a chunk of q = 0 alone carries X alone: route B's
-sums at q = 0 are psi's own).  One loop (``_shift_sums`` over
-``_keyed_passes``, the row loop of completeness too) transports a chunk of
-translations q per row pass: as many qs as fit in ``ROW_BUDGET`` rows of
-the copy (rows, not columns), one at least, so a small candidate takes
-every q in one pass and a large one (the D4 candidate's 24,650 rows) one q
-per pass.  The chunk's shifted key columns are stacked into one
-``row_terms`` call, which lays out the terms of both value columns once,
-and the transfer back to the dilation model is summed only where psi's
-shifts read it: a ``_KeyIndex`` over psi's keys codes the raw terms by
-psi's (s, j) groups and by their q's slot in the chunk, each target's
-group read from a table of psi's labels (binary search where they are
-sparse or past int64), and each route sums its own column per key in term
-order and applies its own zero rule, so no coordinate vector is built for
-a q and every q's sums are what a pass of that q and that column alone
-gives, bit for bit (a zero term leaves a sum as it was, and a key that
-only zeros reach sums to 0, which the zero rule drops).  Each p is
-searched once per q in the shared codes; each route keeps the hits its
-zero rule kept and takes its own sums for every p as aligned array
-products with exact ``fsum`` totals (``core.array_fsum``; a real
-candidate's all-zero imaginary products are not summed), and a chunk's
-terms are dropped before the next chunk, so one copy, its zero-ruled
-column and one chunk's terms of the two columns are ever held.
+check moves the candidate to the translation model once
+(``_translation_copy``), route A reads that copy X and route B reads X
+under the zero rule (``_zero_ruled``, ``f_from_g`` of psi bit for bit), so
+for q != 0 route B's transported vector is route A's bit for bit and the
+agreement gate measures only the q = 0 round trip.
+
+Every shifted coordinate sum is read from one keyed index, ``_KeyIndex``,
+whose ``sums`` take <value, v shifted by p> for all the ps at once, per
+value column of a tuple.  The wavelet checks transport a chunk of shifts q
+per row pass (``_keyed_passes``), both routes' columns sharing each pass,
+and sum the terms only at the keys the index reads; the scaling check's
+autocorrelation <phi, T^k phi> reads an index over phi's own keys.  Every
+sum is bit for bit a ``csum`` of the same products.
 
 Completeness is probed by the rank of a window-truncated coordinate
-matrix, read from route A's U_q: the translation-model copy of only the
-keys that can reach the matrix (``alpha.scale_reach``), again a chunk of
-qs per pass and summed only where the matrix reads them, by a
-``_KeyIndex`` over its cells: both checks sum terms per key through that
-one index.  A finite window can only ever certify a *necessary*
-condition, so reports label the rank test as a window surrogate; singular
-values within 10x of the fixed ``RANK_SVD_THRESHOLD`` yield an
-``inconclusive`` verdict instead of a pass/fail call.  An explicit grid
-of (p, q) pairs, shifts k or completeness rows must not be empty: a
-check over none would pass vacuously.
-``check_wavelet_completeness`` is the one completeness verdict: the
-[1, 2] example check takes its rank and verdict from it.
+matrix, read from route A's U_q at the matrix's cells.  A finite window
+can only ever certify a *necessary* condition, so reports label the rank
+test as a window surrogate; singular values within 10x of the fixed
+``RANK_SVD_THRESHOLD`` yield an ``inconclusive`` verdict instead of a
+pass/fail call.  ``check_wavelet_completeness`` is the one completeness
+verdict: the [1, 2] example check takes its rank and verdict from it.  An
+explicit grid of (p, q) pairs, shifts k or completeness rows must not be
+empty: a check over none would pass vacuously.
 """
 
 from __future__ import annotations
@@ -148,8 +126,9 @@ _TABLE_SLOTS, _TABLE_SLACK = 4, 64
 
 
 class _KeyIndex:
-    """Dilation keys (s, j, m) with values, as int64 codes, for sums of a
-    transfer's terms read at those keys shifted by each p.
+    """Dilation keys (s, j, m) with values, or translation keys (i, n) as
+    (+, i, n), as int64 codes, for sums of a transfer's terms, or of the
+    values themselves, read at those keys shifted by each p.
 
     Each (s, j) group of the keys gets a dense id and key (s, j, m) the
     code ``id * span + (m - base)``, where [base, base + span) holds every
@@ -183,7 +162,8 @@ class _KeyIndex:
         if self.stride > _PAST_CODES:
             raise ValueError(f"{max(start, 1)} groups of {self.span} shifts each "
                              "have more codes than int64 holds")
-        codes = self._ids(s, j) * self.span + (m - self.base).astype(np.int64)
+        # m - base exactly: a base below int64 must not overflow the subtraction
+        codes = self._ids(s, j) * self.span + offset_column(m, -self.base).astype(np.int64)
         # sorted, so that each p searches sorted needles (fsum is exact in any order)
         order = codes.argsort()
         self.codes, self.values = codes[order], vals[order]
@@ -207,22 +187,18 @@ class _KeyIndex:
             start += len(labels)
         return ids
 
-    def _keyed(self, keys, terms, bounds=(0,)):
+    def _keyed(self, keys, terms: tuple, bounds=(0,)):
         """A transfer's terms summed per key, where the shifted keys can read
         them: the targets (s, j, m) in the keys' groups with m - base in the
-        span, as sorted codes, and each one's sum, taken from 0j in term
-        order as ``sum_by_key`` takes it, with the zero rule applied.
+        span, as sorted codes, and per term column (the value columns of one
+        ``row_terms`` call) each target's sum, taken from 0j in term order as
+        ``sum_by_key`` takes it, and its zero-rule mask.  The targets are
+        keyed once, and each column is summed with its own ``np.add.at``.
 
         A chunk's terms come in slots (one slot by default), slot k's terms
         from ``bounds[k]`` up to ``bounds[k + 1]``: their codes are offset
         by k * stride, so terms of different slots never share a code, and
         each slot's codes are one run, summed as its terms alone would be.
-
-        ``terms`` may be a tuple of term columns over the same targets (the
-        value columns of one ``row_terms`` call): they are keyed once, and
-        each column is summed with its own ``np.add.at``.  Returns then the
-        codes of every run and, per column, its sums and its zero-rule mask
-        over them, instead of (kept codes, kept sums).
         """
         s, j, m = keys
         ids, rel = self._ids(s, j), m - self.base
@@ -237,28 +213,21 @@ class _KeyIndex:
         new[1:] = codes[1:] != codes[:-1]
         run, taken = np.cumsum(new) - 1, hit[order]
         columns = []
-        for column in terms if isinstance(terms, tuple) else (terms,):
+        for column in terms:
             sums = np.zeros(np.count_nonzero(new), dtype=complex)
             np.add.at(sums, run, column[taken])
             columns.append((sums, keep_mask(sums)))
-        if isinstance(terms, tuple):
-            return codes[new], tuple(columns)
-        (sums, keep), = columns
-        return codes[new][keep], sums[keep]
+        return codes[new], tuple(columns)
 
     def sums(self, ps: Iterable[int], keyed=None):
         """For each p, the compensated sum over the keys (s, j, m) of
-        value[(s, j, m)] * conj(v[(s, j, m - p)]), where v is one transfer's
-        ``(codes, sums)`` as ``_keyed`` gives them for its terms alone, or
-        the keyed values themselves for None.
-
-        For the (codes, columns) that ``_keyed`` gives for a tuple of term
-        columns, each p is searched once in the shared codes, each column
-        keeps the hits its own zero rule kept and takes its own sum, and a
-        tuple of dicts, one per column, comes back.
+        value[(s, j, m)] * conj(v[(s, j, m - p)]), per column v of the
+        (codes, columns) that ``_keyed`` gives, or of the keyed values
+        themselves for None.  Each p is searched once in the shared codes,
+        each column keeps the hits its own zero rule kept and takes its own
+        sum, and a tuple of dicts {p: sum}, one per column, comes back.
         """
-        codes, vals = (self.codes, self.values) if keyed is None else keyed
-        columns = vals if isinstance(vals, tuple) else ((vals, None),)
+        codes, columns = (self.codes, ((self.values, None),)) if keyed is None else keyed
         # a mask that keeps every sum is no mask
         columns = [(col, None if keep is None or keep.all() else keep) for col, keep in columns]
         # the codes are unique, and the sentinel past them matches no want
@@ -279,7 +248,7 @@ class _KeyIndex:
                 else:
                     kept = keep[theirs]
                     sums[p] = _cdot(mine[kept], column[theirs[kept]])
-        return out if isinstance(vals, tuple) else out[0]
+        return out
 
 
 def _reaching(A: AlphaMatrix, cols, vals: np.ndarray, top: float):
@@ -296,41 +265,34 @@ def _stacked(col: np.ndarray, copies: int) -> np.ndarray:
     return np.broadcast_to(col, (copies, len(col))).reshape(-1)
 
 
-def _chunk_size(index: _KeyIndex, rows: int) -> int:
-    """The qs that one row pass of a translation-model vector of ``rows``
-    rows takes: as many as fit in ``ROW_BUDGET`` rows, one at least, and no
-    more than leave every code of the chunk in int64."""
-    return max(1, min(ROW_BUDGET // max(rows, 1), _PAST_CODES // index.stride))
-
-
-def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, vals,
+def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, columns: tuple,
                   qs: Sequence[int], w: Window):
-    """The row passes of the translation-model vector (cols, vals) shifted
-    by each q of ``qs``, summed per key where ``index`` reads them.
+    """The row passes of the translation-model vector over the key columns
+    ``cols``, for each value column of ``columns``, shifted by each q of
+    ``qs`` and summed per key where ``index`` reads them.
 
-    ``vals`` is one value column or a tuple of them over the same keys,
-    which then share every pass: one ``row_terms`` layout and one keying.
-    The qs go a chunk at a time (``_chunk_size``): as many as fit in
-    ``ROW_BUDGET`` rows of the vector (rows, whatever the number of
-    columns), one at least, and no more than leave every code of the chunk
-    in int64.  A chunk's shifted
-    key columns are stacked into one ``row_terms`` call and its terms keyed
-    by one ``index._keyed`` call, each term's slot in the chunk in its
-    code.  Yields (q, codes, columns, row tail) for each q in order: that
-    q's run of codes, less its slot's offset, and per value column its sums
+    The value columns share every pass: one ``row_terms`` layout and one
+    keying.  The qs go a chunk at a time: as many as fit in ``ROW_BUDGET``
+    rows of the vector (rows, whatever the number of columns), one at
+    least, and no more than leave every code of the chunk in int64.  A
+    chunk that holds only q = 0 carries the first column alone (route B's
+    sums at q = 0 are psi's own).  A chunk's shifted key columns are
+    stacked into one ``row_terms`` call and its terms keyed by one
+    ``index._keyed`` call, each term's slot in the chunk in its code.
+    Yields (q, codes, columns, row tail) for each q in order: that q's run
+    of codes, less its slot's offset, and per value column carried its sums
     and zero-rule mask over those codes, bit for bit what a pass of that q
     and that column alone gives; the tail is the first column's.
     """
     i, n = cols
-    columns = vals if isinstance(vals, tuple) else (vals,)
-    size = _chunk_size(index, len(i))
+    size = max(1, min(ROW_BUDGET // max(len(i), 1), _PAST_CODES // index.stride))
     for at in range(0, len(qs), size):
         chunk = qs[at:at + size]
         keys = _stacked(i, len(chunk)), np.concatenate([offset_column(n, q) for q in chunk])
-        stacked = tuple(_stacked(col, len(chunk)) for col in columns)
-        keys, terms, tails, bounds = row_terms(A, keys, stacked if vals is columns else stacked[0],
-                                               w, len(chunk))
-        codes, sums = index._keyed(keys, terms if vals is columns else (terms,), bounds)
+        carried = columns[:1] if chunk == [0] else columns
+        stacked = tuple(_stacked(col, len(chunk)) for col in carried)
+        keys, terms, tails, bounds = row_terms(A, keys, stacked, w, len(chunk))
+        codes, sums = index._keyed(keys, terms, bounds)
         del keys, terms  # hold one chunk's terms at a time
         firsts = [k * index.stride for k in range(len(chunk))]  # each slot's first code
         ends = [0, *np.searchsorted(codes, firsts[1:]).tolist(), len(codes)]
@@ -347,7 +309,8 @@ def _translation_copy(psi: GCoordVec, A: AlphaMatrix, w: Window, top: float = ma
     X[(i, nu)] = sum_{s,j,mu} conj(alpha_{i,nu}^{s,j,mu}) psi[(s,j,mu)] with
     no zero rule.  Returns (key columns, X, column tail); the pass's terms
     are gone before any row pass."""
-    keys, terms, column_tail = column_terms(A, *_reaching(A, psi._cols, psi._vals, top), w)
+    keys, reached = _reaching(A, psi._cols, psi._vals, top)
+    keys, (terms,), (column_tail,), _ = column_terms(A, keys, (reached,), w)
     cols, x = _reaching(A, *sum_by_key(keys, terms), top)
     return cols, x, column_tail
 
@@ -370,21 +333,15 @@ def _shift_sums(index: _KeyIndex, A: AlphaMatrix, cols, columns: tuple,
     (``_keyed_passes``, summed only at psi's keys), for each value column
     of ``columns``; the columns share each row pass and each search of a p,
     and each takes its own sums.  The first column is route A's and the
-    others route B's, whose sums at q = 0 are psi's own: a chunk of q = 0
-    alone carries the first column alone, and the others get no sums
-    there.  Returns one dict of sums per column and each q's row tail (the
-    first column's), in the order of the sorted qs."""
+    others route B's, which get no sums from a chunk of q = 0 alone.
+    Returns one dict of sums per column and each q's row tail (the first
+    column's), in the order of the sorted qs."""
     sums, tails = tuple({} for _ in columns), []
-    qs = sorted(ps_of)
-    size = _chunk_size(index, len(cols[0]))
-    for at in range(0, len(qs), size):
-        chunk = qs[at:at + size]
-        carried = columns[:1] if chunk == [0] else columns
-        for q, codes, keyed, tail in _keyed_passes(index, A, cols, carried, chunk, w):
-            for out, got in zip(sums, index.sums(ps_of[q], (codes, keyed))):
-                out.update(((p, q), lhs) for p, lhs in got.items())
-            tails.append(tail)
-            del codes, keyed  # each q's sums go before the next q's are made
+    for q, codes, keyed, tail in _keyed_passes(index, A, cols, columns, sorted(ps_of), w):
+        for out, got in zip(sums, index.sums(ps_of[q], (codes, keyed))):
+            out.update(((p, q), lhs) for p, lhs in got.items())
+        tails.append(tail)
+        del codes, keyed  # each q's sums go before the next q's are made
     return sums, tails
 
 
@@ -420,7 +377,7 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
     (route_a, route_b), row_tails = _shift_sums(index, A, cols, (x, _zero_ruled(x)), ps_of, w)
     per_q_tails = [column_tail + tail for tail in row_tails]
     # at q = 0, T^q psi is psi itself: route B's sums there are psi's own
-    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
+    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ()))[0].items())
 
     residuals = {}
     disagreement = 0.0
@@ -492,7 +449,7 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     mat = np.zeros(read.shape, dtype=complex)
     row_q = np.searchsorted(qs, q)
     cols, x, _ = _translation_copy(psi, A, w, top)
-    for k, (_, codes, ((sums, keep),), _) in enumerate(_keyed_passes(index, A, cols, x, qs, w)):
+    for k, (_, codes, ((sums, keep),), _) in enumerate(_keyed_passes(index, A, cols, (x,), qs, w)):
         # the sentinel past every kept code holds 0 for the cells with no sum
         codes, sums = np.append(codes[keep], _PAST_CODES), np.append(sums[keep], 0j)
         want = read[row_q == k]
@@ -600,21 +557,31 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
 
 # -- scaling-function coordinate identity --------------------------------------
 
-def translate_autocorrelation(phi: FCoordVec, k: int) -> complex:
-    """sum over (i, n) of phi[(i, n)] conj(phi[(i, n-k)])."""
-    return csum(val * phi[(i, n - k)].conjugate() for (i, n), val in phi.items())
+def _autocorrelation(phi: FCoordVec, ks: list[int]) -> dict[int, complex]:
+    """{k: sum over (i, n) of phi[(i, n)] conj(phi[(i, n-k)])}, every k read
+    from one ``_KeyIndex`` over phi's keys as (+, i, n).  A k that no pair
+    reaches (|k| past phi's shift range) has the empty sum and stays out of
+    the index; a shift range whose codes would pass int64 raises
+    ``ValueError``."""
+    i, n = phi._cols
+    reach = int(n.max()) - int(n.min()) if len(n) else -1
+    reached = [k for k in ks if abs(k) <= reach]
+    auto = dict.fromkeys(ks, 0j)
+    auto.update(_KeyIndex((np.full(len(i), PLUS), i, n), phi._vals, reached).sums(reached)[0])
+    return auto
 
 
 def check_scaling_coordinate_identity(phi: FCoordVec, k_range,
                                       tol: float = 1e-9) -> CheckReport:
-    """Orthonormal integer translates iff the coordinate autocorrelation is delta.
+    """Orthonormal integer translates iff the coordinate autocorrelation
+    (``_autocorrelation``) is delta.
 
     Cross-checked by sampling the trigonometric polynomial with the
     autocorrelation coefficients at 256 points on the circle, where it
     must equal the squared per-omega coordinate norm, identically 1.
     """
     ks = _k_grid(k_range)
-    auto = {k: translate_autocorrelation(phi, k) for k in ks}
+    auto = _autocorrelation(phi, ks)
     residuals = {("k", k): abs(auto[k] - (1.0 if k == 0 else 0.0)) for k in ks}
 
     thetas = np.arange(256) / 256.0

@@ -434,12 +434,12 @@ def _columns_match_a_pass_per_column(terms_of, matrix, keys, w, data, *runs):
     other = np.array(data.draw(st.lists(column_values, min_size=size, max_size=size)))
     second = other if data.draw(st.booleans()) else np.where(zeroed, 0j, first)
     both = terms_of(matrix, keys, (first, second), w, *runs)
-    alone = [terms_of(matrix, keys, col, w, *runs) for col in (first, second)]
+    alone = [terms_of(matrix, keys, (col,), w, *runs) for col in (first, second)]
     assert isinstance(both[1], tuple) and len(both[1]) == 2
     for got, one in zip(both[1], alone):
         _same_layout(both[0], one[0])
-        assert got.dtype == one[1].dtype == complex
-        assert got.tobytes() == one[1].tobytes()
+        assert got.dtype == one[1][0].dtype == complex
+        assert got.tobytes() == one[1][0].tobytes()
     # the clipped tails are the first column's, and so are the runs' bounds
     assert np.array(both[2]).tobytes() == np.array(alone[0][2]).tobytes()
     assert both[3:] == alone[0][3:]

@@ -148,6 +148,46 @@ def test_check_wavelet_coords_drop_entries_of_the_copy(tmp_path, monkeypatch, ca
     assert dropped == [3]
 
 
+def _scaling_digest(out: str) -> str:
+    # sha256 of the report without the size of its circle cross-check: that
+    # comes from numpy's complex exponential, whose last bits may vary with
+    # the platform, while the autocorrelation residuals are exact sums
+    doc = json.loads(out)
+    (note,) = doc["report"]["notes"]
+    head, cross = note.rsplit(" ", 1)
+    assert float(cross) <= 1e-12
+    doc["report"]["notes"] = [head]
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+_README_SCALING = ("check-scaling", "--basis", "haar", "--function", "haar_scaling",
+                   "--krange", "6")
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    (_README_SCALING, 0, "24c813ff6fde989e46b0464d32c6cff11da94b04357628fde1d0f6f68d9560c6"),
+    (("check-scaling", "--basis", "haar", "--function", "indicator(0,2)", "--krange", "4"), 1,
+     "968dbfc26d2f3f08f8d124a68f7f5ca70ce993aff1404b962b4be7d61281a29f"),
+])
+def test_check_scaling_reports_are_pinned(capsys, argv, exit_code, digest):
+    # the benchmark's two check-scaling requests, README's example the first;
+    # the digests were recorded when each k had a generator pass of its own
+    assert [line for line in _readme_lines() if line[0] == "check-scaling"] == [list(_README_SCALING)]
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, err) == (exit_code, "")
+    assert _scaling_digest(out) == digest
+
+
+def test_check_scaling_shift_range_past_int64_exits_2(tmp_path, capsys):
+    # phi's own shifts 2^63 apart need autocorrelation codes past int64
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"schema_version": 1, "model": "F", "basis": "haar", "entries": [
+        {"i_or_j": 0, "n_or_m": n, "re": v, "im": 0.0} for n, v in ((-2**62, 0.6), (2**62, 0.8))]}))
+    code, out, err = _invoke(capsys, "check-scaling", "--basis", "haar", "--coords", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("swl: error: ") and "int64" in err and "Traceback" not in err
+
+
 def test_alpha_row_json(capsys):
     code, out, _ = _invoke(capsys, "alpha", "--basis", "haar", "--row", "1", "0", "--mmax", "4")
     assert code == 0
@@ -488,6 +528,15 @@ def test_scale_past_double_range_is_an_input_error(capsys, basis):
                              "--mmax", "1100")
     assert (code, out) == (2, "")
     assert err.startswith("swl: error: numbers out of range: ")
+
+
+def test_scale_past_double_range_names_the_scale_and_the_limit(capsys):
+    # CI's smoke request: the first window scale whose amplitude overflows
+    code, out, err = _invoke(capsys, "coords", "--basis", "haar", "--function", "haar_wavelet",
+                             "--model", "G", "--window", "2", "--mmax", "1100")
+    assert (code, out) == (2, "")
+    assert err == ("swl: error: numbers out of range: scale 1024 is past 1023, where the "
+                   "amplitude 2^(scale/2) leaves double range\n")
 
 
 def test_python_int_endpoints_give_the_closed_forms(capsys):

@@ -24,6 +24,7 @@ from swl.core import (
     csum,
     keep_mask,
     key_columns,
+    offset_column,
     window_columns,
 )
 
@@ -150,6 +151,15 @@ def test_canonical_json_is_sorted_and_precise():
     text = canonical_json({"b": 1.0 / 3.0, "a": [1, 2.5]})
     assert text == '{"a":[1,2.5],"b":0.33333333333333331}'
     assert json.loads(text)["b"] == 1.0 / 3.0
+
+
+def test_offset_column_is_exact():
+    # int64 while the results fit, a d past int64 included, else Python ints
+    col = np.array([-2**63, -2**63 + 1])
+    for d, want, dtype in ((2**63 + 1, [1, 2], np.int64), (5, [-2**63 + 5, -2**63 + 6], np.int64),
+                           (-1, [-2**63 - 1, -2**63], object)):
+        got = offset_column(col, d)
+        assert got.dtype == dtype and got.tolist() == want
 
 
 def test_csum_compensates():

@@ -21,9 +21,11 @@ from swl import (  # noqa: E402
     EXPONENTIAL,
     HAAR,
     AlphaMatrix,
+    FCoordVec,
     GCoordVec,
     Window,
     act,
+    check_scaling_coordinate_identity,
     construct_wavelet_coords,
     daubechies4,
     g_from_f,
@@ -200,7 +202,7 @@ def test_completeness_passes_take_only_keys_that_reach_the_matrix():
 
     def counting(kind):
         def terms(A, keys, vals, w, *runs):
-            taken[kind].append(len(vals))
+            taken[kind].append(len(vals[0]))
             return calls[kind](A, keys, vals, w, *runs)
         return terms
 
@@ -282,21 +284,21 @@ def _ps_of(grid):
 
 def per_q_route_sums(index, psi, ps_of, A, w):
     """Route A's (p, q) sums and per-q tails, and route B's sums, a row pass per q."""
-    keys, terms, column_tail = column_terms(A, psi._cols, psi._vals, w)
+    keys, (terms,), (column_tail,), _ = column_terms(A, psi._cols, (psi._vals,), w)
     (i, nu), x = sum_by_key(keys, terms)
     route_a, tails = {}, []
     for q in sorted(ps_of):
-        keys, terms, row_tail = row_terms(A, (i, offset_column(nu, q)), x, w)
+        keys, terms, (row_tail,), _ = row_terms(A, (i, offset_column(nu, q)), (x,), w)
         keyed = index._keyed(keys, terms)
-        route_a.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
+        route_a.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed)[0].items())
         tails.append(column_tail + row_tail)
     f0, route_b = f_from_g(psi, A, w), {}
     for q in sorted(ps_of):
         keyed = None
         if q != 0:
             fq = shift_T(f0, q)
-            keyed = index._keyed(*row_terms(A, fq._cols, fq._vals, w)[:2])
-        route_b.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
+            keyed = index._keyed(*row_terms(A, fq._cols, (fq._vals,), w)[:2])
+        route_b.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed)[0].items())
     return route_a, tails, route_b
 
 
@@ -307,13 +309,14 @@ def per_q_completeness(psi, A, labels, row_window, w):
     index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3),
                       np.zeros(len(labels) * len(ms), dtype=complex), (0,))
     top = max(ms, default=0) + int(max((j for _, j in labels), default=0)).bit_length()
-    keys, terms, _ = column_terms(A, *wavelet._reaching(A, psi._cols, psi._vals, top), w)
+    keys, reached = wavelet._reaching(A, psi._cols, psi._vals, top)
+    keys, (terms,), _, _ = column_terms(A, keys, (reached,), w)
     (i, nu), x = wavelet._reaching(A, *sum_by_key(keys, terms), top)
     ids = index._ids(*key_columns(labels, 2)).tolist()
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
     for q in qs:
-        codes, sums = index._keyed(*row_terms(A, (i, offset_column(nu, q)), x, w)[:2])
-        found = dict(zip(codes.tolist(), sums))
+        codes, ((sums, keep),) = index._keyed(*row_terms(A, (i, offset_column(nu, q)), (x,), w)[:2])
+        found = dict(zip(codes[keep].tolist(), sums[keep]))
         for r, (m, row_q) in enumerate(rows):
             for c, gid in enumerate(ids):
                 if row_q == q and gid >= 0:
@@ -347,7 +350,7 @@ def chunked_route_sums(index, psi, ps_of, A, w):
     cols, x, column_tail = wavelet._translation_copy(psi, A, w)
     (route_a, route_b), row_tails = wavelet._shift_sums(
         index, A, cols, (x, wavelet._zero_ruled(x)), ps_of, w)
-    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
+    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ()))[0].items())
     return route_a, [column_tail + tail for tail in row_tails], route_b
 
 
@@ -413,6 +416,7 @@ x_cases = st.one_of(
 
 @given(case=x_cases, qs=st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
 @example(case=("haar", _translation_dict(LADDER_DROP_PSI, "haar")), qs=[-1, 0, 1])
+@example(case=("haar", _translation_dict(LADDER_DROP_PSI, "haar")), qs=[0])
 def test_zeroed_column_sums_are_a_pass_over_the_kept_entries(case, qs):
     # route B's column is X with its dropped entries 0j, riding beside X; its
     # kept codes and sums are those of a pass over X[keep] alone, bit for bit
@@ -421,21 +425,25 @@ def test_zeroed_column_sums_are_a_pass_over_the_kept_entries(case, qs):
     cols, x = key_columns(list(entries), 2), np.array(list(entries.values()), dtype=complex)
     qs = sorted(qs)
     targets = {key for q in qs
-               for key in zip(*(c.tolist() for c in row_terms(A, (cols[0], offset_column(cols[1], q)), x, w)[0]))}
+               for key in zip(*(c.tolist() for c in row_terms(A, (cols[0], offset_column(cols[1], q)), (x,), w)[0]))}
     targets = sorted(targets) or [(PLUS, 0, 0)]
     index = _KeyIndex(key_columns(targets, 3), np.ones(len(targets), dtype=complex), (-1, 0, 1))
     keep = keep_mask(x)
     zeroed = wavelet._zero_ruled(x)
     assert (zeroed is x) == bool(keep.all())
     shared = list(wavelet._keyed_passes(index, A, cols, (x, zeroed), qs, w))
-    alone = list(wavelet._keyed_passes(index, A, tuple(c[keep] for c in cols), x[keep], qs, w))
+    if qs == [0]:
+        # a chunk of q = 0 alone carries its first column alone: the zeroed one goes first
+        assert [len(columns) for _, _, columns, _ in shared] == [1]
+        shared = list(wavelet._keyed_passes(index, A, cols, (zeroed,), qs, w))
+    alone = list(wavelet._keyed_passes(index, A, tuple(c[keep] for c in cols), (x[keep],), qs, w))
     assert [q for q, *_ in shared] == [q for q, *_ in alone] == qs
-    for (_, codes, (_, (sums, kept)), _), (_, ref_codes, ((ref_sums, ref_kept),), _) in zip(shared, alone):
+    for (_, codes, (*_, (sums, kept)), _), (_, ref_codes, ((ref_sums, ref_kept),), _) in zip(shared, alone):
         assert codes[kept].tobytes() == ref_codes[ref_kept].tobytes()
         assert sums[kept].tobytes() == ref_sums[ref_kept].tobytes()
         # and the (p, q) sums that each route takes of them
         got = index.sums((-1, 0, 1), (codes, ((sums, kept), (sums, kept))))
-        want = index.sums((-1, 0, 1), (ref_codes[ref_kept], ref_sums[ref_kept]))
+        want, = index.sums((-1, 0, 1), (ref_codes[ref_kept], ((ref_sums[ref_kept], None),)))
         assert [_sum_bytes(g) for g in got] == [_sum_bytes(want)] * 2
 
 
@@ -445,7 +453,7 @@ def test_a_dropped_entry_on_a_ladder_row_gives_negative_zero_terms():
     keep = keep_mask(x)
     assert keep.sum() == 1 and len(x) == 4
     zeroed = wavelet._zero_ruled(x)
-    _, (_, terms), _ = row_terms(A, (cols[0], offset_column(cols[1], -1)), (x, zeroed), w)
+    _, (_, terms), _, _ = row_terms(A, (cols[0], offset_column(cols[1], -1)), (x, zeroed), w)
     assert (np.signbit(terms.real) & (terms.real == 0.0)).any()
 
 
@@ -486,6 +494,62 @@ def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
         orthonormality_residuals(psi, A, 2, w)
     assert passes == [(24_650, 2, 1)] * 2 + [(24_650, 1, 1)] + [(24_650, 2, 1)] * 2
     assert 24_650 > wavelet.ROW_BUDGET
+
+
+# -- the scaling check's autocorrelation --------------------------------------------
+
+
+def reference_autocorrelation(phi, ks):
+    """{k: sum over (i, n) of phi[(i, n)] conj(phi[(i, n - k)])}, a ``csum``
+    over dict lookups for each k."""
+    return {k: csum(val * phi[(i, n - k)].conjugate() for (i, n), val in phi.items()) for k in ks}
+
+
+# phis with labels past int64, real ones (whose imaginary sums are +0.0) and
+# empty ones, their shifts near 0, far from it or past int64; radii, and
+# explicit ks (duplicates allowed) some of which no pair reaches
+phis = st.builds(
+    lambda entries, offset: FCoordVec({(i, n + offset): v for (i, n), v in entries.items()}),
+    st.dictionaries(st.tuples(st.one_of(st.integers(0, 6), wide_labels), st.integers(-5, 5)),
+                    st.one_of(values, values.map(lambda v: complex(v.real, 0.0))), max_size=10),
+    st.sampled_from([0, 2**40, -2**62, -2**63 + 5, 2**63 - 6, 2**70]),
+)
+k_grids = st.one_of(
+    st.integers(0, 4),
+    st.lists(st.one_of(st.integers(-12, 12), st.sampled_from([-2**62, 2**62, -2**70, 2**70])),
+             min_size=1, max_size=6),
+)
+
+
+@given(phi=phis, k_range=k_grids)
+@example(phi=FCoordVec({}), k_range=[-2**62, 0, 2**62])
+@example(phi=FCoordVec({}), k_range=3)
+# the index's base, the lowest shift less the largest k, is below int64
+@example(phi=FCoordVec({(0, -2**63): 1.0, (0, -2**63 + 1): 0.5j}), k_range=2)
+@example(phi=FCoordVec({(1, 0): 0.5, (2**40, 0): 0.5, (2**70 + 3, 0): 0.5, (2**70 + 3, 1): 0.5j}),
+         k_range=[-2**62, -1, 0, 1, 2**70])
+def test_autocorrelation_is_the_dict_sum(phi, k_range):
+    # every k from one _KeyIndex over phi's keys, bit for bit the csum over
+    # dict lookups; a k past phi's shift range has the empty sum
+    ks = wavelet._k_grid(k_range)
+    got = wavelet._autocorrelation(phi, ks)
+    want = reference_autocorrelation(phi, ks)
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+    # and the check's residuals are theirs (its circle cross-check takes
+    # omega^n, which leaves double range for shifts far from 0)
+    if all(abs(n) < 2**40 for _, n in phi.keys()):
+        details = dict(check_scaling_coordinate_identity(phi, k_range).details)
+        for k in ks:
+            assert details[("k", k)].hex() == abs(want[k] - (1.0 if k == 0 else 0.0)).hex()
+
+
+def test_a_shift_range_past_int64_raises():
+    # phi's own shift range needs codes past int64: an input error, never a wrap
+    phi = FCoordVec({(0, -2**62): 0.6, (0, 2**62): 0.8})
+    for k_range in (2, [0]):
+        with pytest.raises(ValueError, match="int64"):
+            check_scaling_coordinate_identity(phi, k_range)
 
 
 # -- the group action -------------------------------------------------------------

@@ -22,10 +22,10 @@ from swl.bases import FunctionSpec
 from swl.core import MINUS, PLUS
 from swl.wavelet import (
     RANK_SVD_THRESHOLD,
+    _autocorrelation,
     check_example_unit_interval,
     completeness_matrix,
     orthonormality_residuals,
-    translate_autocorrelation,
 )
 
 F6 = [(PLUS, 0), (PLUS, 1), (PLUS, 2), (PLUS, 3), (MINUS, 0), (MINUS, 1)]
@@ -291,8 +291,9 @@ def test_scaling_identity_zero_fails_at_k0():
 
 def test_autocorrelation_values():
     phi = FCoordVec({(0, 0): 0.5, (1, 1): 0.5j})
-    assert translate_autocorrelation(phi, 0) == pytest.approx(0.5)
-    assert translate_autocorrelation(phi, 1) == 0j  # different labels do not couple
+    auto = _autocorrelation(phi, [0, 1])
+    assert auto[0] == pytest.approx(0.5)
+    assert auto[1] == 0j  # different labels do not couple
 
 
 def test_scaling_identity_cross_check_catches_norm(A_haar, w_haar):
@@ -353,12 +354,12 @@ def test_shifted_sums_match_a_dict_reference():
             assert (PLUS, 0, 7) not in other and (MINUS, 0, 7) in other
             index = _KeyIndex(psi._cols, psi._vals, sorted(ps))
             assert bool(index.tables) == tables
-            got = index.sums(ps, index._keyed(key_columns(keys, 3), np.array(terms)))
-            own = index.sums(ps)
+            got, = index.sums(ps, index._keyed(key_columns(keys, 3), (np.array(terms),)))
+            own, = index.sums(ps)
             for p in ps:
                 want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
                 assert bits(got[p]) == bits(want)
                 want = csum(x * psi[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
                 assert bits(own[p]) == bits(want)
-            empty = index.sums(ps, index._keyed(key_columns([], 3), np.zeros(0, dtype=complex)))
+            empty, = index.sums(ps, index._keyed(key_columns([], 3), (np.zeros(0, dtype=complex),)))
             assert empty == dict.fromkeys(ps, 0j)
