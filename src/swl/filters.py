@@ -224,19 +224,28 @@ def filter_action_on_coords(coords: FCoordVec, h: LaurentPoly) -> FCoordVec:
     return FCoordVec._from_terms((np.repeat(i, taps), shifted), terms)
 
 
-def coords_at_omega(coords: FCoordVec, omegas: np.ndarray) -> dict[int, np.ndarray]:
-    """Per-label generating functions sum_n coords[(i, n)] omega^n."""
-    out: dict[int, np.ndarray] = {}
-    for (i, n), val in coords.items():
-        if i not in out:
-            out[i] = np.zeros_like(omegas, dtype=complex)
-        out[i] += val * omegas ** n
-    return out
+def coords_at_omega(coords: FCoordVec, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label generating functions sum_n coords[(i, n)] omega^n at the
+    ``grid`` points omega_k = e^{2 pi i k / grid}: the sorted labels, and a
+    (labels, grid) array whose row is that label's values.
+
+    omega_k^n depends only on n mod grid, reduced here in integers, so a
+    shift of any size (Python ints past int64 too) costs what a small one
+    does.  One ``np.add.at`` sums each label's coordinates per residue, and
+    an unscaled inverse FFT evaluates the residue sums on the grid.
+    """
+    i, n = coords._cols
+    labels, row = np.unique(i, return_inverse=True)
+    sums = np.zeros((len(labels), grid), dtype=complex)
+    np.add.at(sums, (row.reshape(-1), (n % grid).astype(np.int64)), coords._vals)
+    return labels, np.fft.ifft(sums, axis=1, norm="forward")
 
 
 def _refine(coords: FCoordVec, h: LaurentPoly, A: AlphaMatrix, w: Window) -> FCoordVec:
     """Convolve by h, then go one scale up: the word D^1 on the
-    translation model, which goes through the dilation model and back."""
+    translation model.  For the Haar family that is ``shift_D``'s index
+    map, exact and with no transfer; ``act`` chooses the route, so the
+    window only matters for a family whose D needs the dilation model."""
     return act(filter_action_on_coords(coords, h), 1, 0, "DT", A, w)[0]
 
 
@@ -245,9 +254,8 @@ def reconstruct_scaling_coords(phi_coords: FCoordVec, h: LaurentPoly, A: AlphaMa
     """Recover the scaling coordinates from their own filtered version.
 
     Pipeline: convolve by h (coordinates of the once-unscaled function),
-    transfer to the dilation model, shift one scale up, transfer back.  For
-    a true refinement pair (phi, h) this reproduces the input; the report
-    compares the two.
+    then go one scale up (``_refine``).  For a true refinement pair
+    (phi, h) this reproduces the input; the report compares the two.
     """
     rebuilt = _refine(phi_coords, h, A, w)
     report = coord_equal(rebuilt, phi_coords, tol, name="two_scale_reconstruction", window=w)

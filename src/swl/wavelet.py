@@ -16,15 +16,18 @@ check moves the candidate to the translation model once
 (``_translation_copy``), route A reads that copy X and route B reads X
 under the zero rule (``_zero_ruled``, ``f_from_g`` of psi bit for bit), so
 for q != 0 route B's transported vector is route A's bit for bit and the
-agreement gate measures only the q = 0 round trip.
+agreement gate measures only the q = 0 round trip.  Where the zero rule
+drops nothing, route B's copy is X itself, and its q != 0 sums are taken
+once, as route A's.
 
 Every shifted coordinate sum is read from one keyed index, ``_KeyIndex``,
 whose ``sums`` take <value, v shifted by p> for all the ps at once, per
 value column of a tuple.  The wavelet checks transport a chunk of shifts q
-per row pass (``_keyed_passes``), both routes' columns sharing each pass,
-and sum the terms only at the keys the index reads; the scaling check's
-autocorrelation <phi, T^k phi> reads an index over phi's own keys.  Every
-sum is bit for bit a ``csum`` of the same products.
+per row pass (``_keyed_passes``), both routes' columns sharing each pass
+(one column where they are the same), and sum the terms only at the keys
+the index reads; the scaling check's autocorrelation <phi, T^k phi> reads
+an index over phi's own keys.  Every sum is bit for bit a ``csum`` of the
+same products.
 
 Completeness is probed by the rank of a window-truncated coordinate
 matrix, read from route A's U_q at the matrix's cells.  A finite window
@@ -66,6 +69,7 @@ from .filters import coords_at_omega
 _WINDOW_SURROGATE_NOTE = "necessary-condition check at a finite window, not a proof"
 RANK_SVD_THRESHOLD = 1e-8  # completeness rank cut; inconclusive within 10x of it
 ROW_BUDGET = 1 << 12  # translation-model rows a chunk of shifts transports in one pass
+_CIRCLE_GRID = 256  # points of the scaling check's circle cross-check
 
 
 def _k_grid(k_range) -> list[int]:
@@ -354,14 +358,16 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
     (``_shift_sums``), as many as fit in ``ROW_BUDGET`` rows (one q per
     chunk for a large candidate); each route sums every p of each q with
     exact compensated totals of its own, and the chunk's terms are dropped
-    before the next chunk.  Route A reads X; route B reads a second value
-    column over X's rows, X with the entries that the zero rule drops set
-    to 0j (X itself where it drops none), whose per-key sums are those of
-    ``f_from_g`` of psi moved back, bit for bit; at q = 0 route B's sums
-    are psi's own, so a chunk of q = 0 alone carries route A's column
-    alone.  The reported residuals are route A's, so each q's tail is what
-    route A clipped: the column pass's tail plus that q's row-pass tail,
-    summed over that q's own run of rows.  An empty explicit grid raises
+    before the next chunk.  Route A reads X; route B reads X with the
+    entries that the zero rule drops set to 0j, whose per-key sums are
+    those of ``f_from_g`` of psi moved back, bit for bit.  Where the rule
+    drops an entry that copy is a second value column over X's rows; where
+    it drops none it is X itself, the passes carry X alone and route B's
+    q != 0 sums are route A's, the same bits.  At q = 0 route B's sums are
+    psi's own, so a chunk of q = 0 alone carries route A's column alone.
+    The reported residuals are route A's, so each q's tail is what route A
+    clipped: the column pass's tail plus that q's row-pass tail, summed
+    over that q's own run of rows.  An empty explicit grid raises
     ``ValueError``.
     """
     grid = _pq_grid(pq_range)
@@ -373,8 +379,11 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
     cols, x, column_tail = _translation_copy(psi, A, w)
     # route A: U_q = X shifted by q and moved back; route B: T^q psi for
     # q != 0, the zero-ruled copy (f_from_g(psi) bit for bit) shifted by q
-    # and moved back, in the same passes
-    (route_a, route_b), row_tails = _shift_sums(index, A, cols, (x, _zero_ruled(x)), ps_of, w)
+    # and moved back, in the same passes; where the zero rule drops nothing
+    # that copy is X itself, and route B's q != 0 sums are route A's
+    zeroed = _zero_ruled(x)
+    sums, row_tails = _shift_sums(index, A, cols, (x,) if zeroed is x else (x, zeroed), ps_of, w)
+    route_a, route_b = sums[0], dict(sums[-1])  # a copy: route B's q = 0 sums are its own
     per_q_tails = [column_tail + tail for tail in row_tails]
     # at q = 0, T^q psi is psi itself: route B's sums there are psi's own
     route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ()))[0].items())
@@ -561,13 +570,18 @@ def _autocorrelation(phi: FCoordVec, ks: list[int]) -> dict[int, complex]:
     """{k: sum over (i, n) of phi[(i, n)] conj(phi[(i, n-k)])}, every k read
     from one ``_KeyIndex`` over phi's keys as (+, i, n).  A k that no pair
     reaches (|k| past phi's shift range) has the empty sum and stays out of
-    the index; a shift range whose codes would pass int64 raises
-    ``ValueError``."""
+    the index; a shift range whose codes would pass int64 raises a
+    ``ValueError`` that names it."""
     i, n = phi._cols
     reach = int(n.max()) - int(n.min()) if len(n) else -1
     reached = [k for k in ks if abs(k) <= reach]
     auto = dict.fromkeys(ks, 0j)
-    auto.update(_KeyIndex((np.full(len(i), PLUS), i, n), phi._vals, reached).sums(reached)[0])
+    try:
+        index = _KeyIndex((np.full(len(i), PLUS), i, n), phi._vals, reached)
+    except ValueError:
+        raise ValueError(f"phi's shifts run from {int(n.min())} to {int(n.max())}: its "
+                         "translates are too far apart to index (codes past int64)") from None
+    auto.update(index.sums(reached)[0])
     return auto
 
 
@@ -578,18 +592,22 @@ def check_scaling_coordinate_identity(phi: FCoordVec, k_range,
 
     Cross-checked by sampling the trigonometric polynomial with the
     autocorrelation coefficients at 256 points on the circle, where it
-    must equal the squared per-omega coordinate norm, identically 1.
+    must equal the squared per-omega coordinate norm (``coords_at_omega``),
+    identically 1.  Both sides reduce their exponents mod 256 in integers,
+    so shifts anywhere in int64 and past it keep the cross-check exact to
+    rounding.
     """
     ks = _k_grid(k_range)
     auto = _autocorrelation(phi, ks)
     residuals = {("k", k): abs(auto[k] - (1.0 if k == 0 else 0.0)) for k in ks}
 
-    thetas = np.arange(256) / 256.0
-    omega_pows = {k: np.exp(2j * np.pi * k * thetas) for k in ks}
-    poly = sum(auto[k] * omega_pows[k] for k in ks)
+    # omega_t^k = e^{2 pi i (t k mod 256) / 256}, the exponent reduced in integers
+    points = np.arange(_CIRCLE_GRID)
+    circle = np.exp(2j * np.pi * points / _CIRCLE_GRID)
+    poly = sum(auto[k] * circle[points * (k % _CIRCLE_GRID) % _CIRCLE_GRID] for k in ks)
     # direct per-omega norm: sum_i |sum_n phi_i^(n) omega^n|^2
-    per_label = coords_at_omega(phi, np.exp(2j * np.pi * thetas))
-    direct = sum((np.abs(g) ** 2 for g in per_label.values()), np.zeros(256))
+    _, series = coords_at_omega(phi, _CIRCLE_GRID)
+    direct = np.sum(series.real ** 2 + series.imag ** 2, axis=0)
     cross = float(np.max(np.abs(poly - direct)))
 
     notes = [f"autocorrelation polynomial matches per-omega norm within {cross:.3e}"]

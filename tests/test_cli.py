@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swl import EXPONENTIAL, AlphaMatrix, Window, oracle_F_coords, shift_D, shift_T, transfer
+from swl import (EXPONENTIAL, HAAR, AlphaMatrix, Window, oracle_F_coords, oracle_G_coords, shift_D,
+                 shift_T, transfer)
 from swl.bases import parse_function_spec
 from swl.cli import run
 from swl.core import canonical_json
@@ -186,6 +187,8 @@ def test_check_scaling_shift_range_past_int64_exits_2(tmp_path, capsys):
     code, out, err = _invoke(capsys, "check-scaling", "--basis", "haar", "--coords", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("swl: error: ") and "int64" in err and "Traceback" not in err
+    assert (f"phi's shifts run from {-2**62} to {2**62}: its translates are too far apart "
+            "to index") in err
 
 
 def test_alpha_row_json(capsys):
@@ -245,13 +248,34 @@ def test_act_reports_the_clipped_tail_of_its_transfers(capsys):
     back_tail = transfer(shift_D(g, 1), A, w)[1]
     assert _doc(out)["clipped_tail_bound"] == out_tail + back_tail
     assert out_tail + back_tail == pytest.approx(0.738774354948458, rel=1e-12)
-    # the box's scale ladder cut at scale 6 loses 2^-6 of its mass; Haar columns are whole
+    # a Haar translation-model word makes no transfer: D of the box is exact
     code, out, _ = _invoke(capsys, "act", "--basis", "haar", "--function", "haar_scaling",
                            "-p", "1", "-q", "0", "--mmax", "6")
-    assert (code, _doc(out)["clipped_tail_bound"]) == (0, 0.125)
+    assert (code, _doc(out)["clipped_tail_bound"]) == (0, 0.0)
+    assert [(e["i_or_j"], e["n_or_m"], e["re"]) for e in _doc(out)["entries"]] == [
+        (0, 0, math.sqrt(0.5)), (1, 0, math.sqrt(0.5))]
+    # a Haar dilation-model word transfers to translate and back: the row
+    # (0, -1) of the translated box is a scale ladder, cut at scale 6
+    code, out, _ = _invoke(capsys, "act", "--basis", "haar", "--function", "haar_scaling",
+                           "--model", "G", "-p", "1", "-q", "-1", "--mmax", "6")
+    A, w = AlphaMatrix(HAAR), Window.symmetric(HAAR, 6).with_dil_range(-6, 6)
+    g = oracle_G_coords(parse_function_spec("haar_scaling"), HAAR, w)
+    f, out_tail = transfer(g, A, w)
+    back_tail = transfer(shift_T(f, -1), A, w)[1]
+    assert out_tail == 0.0 and back_tail > 0.1
+    assert (code, _doc(out)["clipped_tail_bound"]) == (0, back_tail)
     # a translation of the translation model is a shift: nothing is transferred
     code, out, _ = _invoke(capsys, "act", "--function", "haar_wavelet", "-p", "0", "-q", "3")
     assert (code, _doc(out)["clipped_tail_bound"]) == (0, 0.0)
+
+
+def test_act_dilates_haar_translation_coords_far_up(capsys):
+    # D^2000 T psi is one wavelet, of level 2000: a label past int64, no transfer
+    code, out, _ = _invoke(capsys, "act", "--function", "haar_wavelet", "-p", "2000", "-q", "1")
+    doc = _doc(out)
+    assert code == 0 and doc["clipped_tail_bound"] == 0.0
+    assert [(e["i_or_j"], e["n_or_m"], e["re"], e["im"]) for e in doc["entries"]] == [
+        ((1 << 2000) + 1, 0, 1.0, 0.0)]
 
 
 def test_fourier_check_and_csv(tmp_path, capsys):
@@ -439,7 +463,7 @@ def test_subcommand_usage_error_exits_two(capsys, command):
     # a completeness label that is not one of the family's
     ("check-wavelet", "--basis", "haar", "--function", "haar_wavelet", "--labels", "+0,+-1",
      "--pq", "1", "--window", "3"),
-    # D^-3000 gives columns of 2^3000 translates, more than any list holds
+    # D^-3000 spreads psi over 2^3000 boxes, more than any array holds
     ("act", "--basis", "haar", "--function", "haar_wavelet", "-p", "-3000", "-q", "1"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):

@@ -171,10 +171,11 @@ def test_transfer_function_route_matches_coefficient_route():
     h = daubechies4()
     filtered = filter_action_on_coords(coords, h)
     omegas = np.exp(2j * np.pi * np.arange(256) / 256)
-    direct = coords_at_omega(filtered, omegas)
-    base = coords_at_omega(coords, omegas)
+    labels, values = coords_at_omega(filtered, 256)
+    direct = dict(zip(labels.tolist(), values))
     hw = h(omegas)
-    for label, series in base.items():
+    labels, values = coords_at_omega(coords, 256)
+    for label, series in zip(labels.tolist(), values):
         got = direct.get(label, np.zeros_like(omegas))
         assert float(np.max(np.abs(got - hw * series))) <= 1e-10
 
@@ -245,6 +246,28 @@ def test_cascade_d4_satisfies_scaling_identity():
 
     rep = check_scaling_coordinate_identity(vec, 4, 1e-6)
     assert rep.passed
+
+
+@pytest.mark.parametrize("phi", [
+    {(0, 2**63 - 2): 0.6, (0, 2**63 - 1): 0.8},
+    {(0, -2**63 + 1): 0.6, (0, -2**63 + 2): 0.8},
+    {(0, 2**62): 0.6, (0, 2**62 + 1): 0.8j},
+    {(2**70 + 3, 2**70): 0.6, (2**70 + 3, 2**70 + 1): 0.8},
+])
+def test_scaling_cross_check_holds_for_far_shifts(phi):
+    # the circle cross-check reduces omega's exponents mod the grid in
+    # integers: no overflow, and the two sides agree to rounding
+    import warnings
+
+    from swl import check_scaling_coordinate_identity
+
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rep = check_scaling_coordinate_identity(FCoordVec(phi), 2)
+    (note,) = rep.notes
+    assert note.startswith("autocorrelation polynomial matches per-omega norm within ")
+    assert float(note.rsplit(" ", 1)[1]) <= 1e-14
+    assert rep.max_residual == pytest.approx(0.48)
 
 
 def test_cascade_rejects_non_refinement_filters():

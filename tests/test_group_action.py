@@ -23,6 +23,7 @@ from swl import (
     scaling_coords_from_filter,
     shift_D,
     shift_T,
+    transfer,
 )
 from swl.alpha import column_terms, row_terms
 from swl.bases import FunctionSpec, dilate_spec, translate_spec
@@ -155,21 +156,27 @@ def _uncapped_ladder_column(s, j, m):
     return out
 
 
+def _through_g(v, p, A, w):
+    """D^p on translation-model coordinates by the explicit transfer
+    composition: to the dilation model, shift the scale, and back."""
+    return f_from_g(shift_D(g_from_f(v, A, w), p), A, w)
+
+
 def test_capped_ladder_column_gives_the_uncapped_action(monkeypatch):
     # entries more than 1074 scales below m have amplitude exactly 0.0, so the
-    # column stops there; the action must not see the difference
+    # column stops there; the transfer back must not see the difference
     from swl import AlphaMatrix, alpha
 
     w = Window.symmetric(HAAR, 2)
     A = AlphaMatrix(HAAR)
-    capped = act(PSI_HAT, 1200, 0, "DT", A, w)[0]
+    capped = _through_g(PSI_HAT, 1200, A, w)
     real = alpha._haar_column
 
     def uncapped(s, j, m):
         return _uncapped_ladder_column(s, j, m) if j == 0 and m > 0 else real(s, j, m)
 
     monkeypatch.setattr(alpha, "_haar_column", uncapped)
-    whole = act(PSI_HAT, 1200, 0, "DT", A, w)[0]
+    whole = _through_g(PSI_HAT, 1200, A, w)
     assert [(k, repr(v)) for k, v in capped.items()] == [(k, repr(v)) for k, v in whole.items()]
 
 
@@ -185,9 +192,10 @@ def test_ladder_column_stays_small_at_large_scales():
     assert len(_haar_column(-1, 0, 3000)) == 1 + 1074
     assert len(_haar_column(1, 0, 500)) == 1 + 500
     w = Window.symmetric(HAAR, 2)
+    A = AlphaMatrix(HAAR)
     tracemalloc.start()
     start = time.perf_counter()
-    out = act(PSI_HAT, 100000, 0, "DT", AlphaMatrix(HAAR), w)[0]
+    out = _through_g(PSI_HAT, 100000, A, w)
     took = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
@@ -196,6 +204,10 @@ def test_ladder_column_stays_small_at_large_scales():
     assert len(out) == 97
     assert peak < 64e6
     assert took < 10.0
+    # in the translation model D is a relabel: psi moves to the one wavelet
+    # of level 100000, where the transfers clipped the window's ladder rows
+    got, tail = act(PSI_HAT, 100000, 0, "DT", A, w)
+    assert (dict(got.items()), tail) == ({(1 << 100000, 0): 1.0}, 0.0)
 
 
 # -- the word evaluator against the transfer compositions it replaced -------------
@@ -215,6 +227,8 @@ def _composed(v, p, q, order, A, w, tails):
     if isinstance(v, FCoordVec):
         if p == 0:
             return shift_T(v, q)
+        if A.fam is HAAR:  # D is native in the Haar translation model
+            return shift_D(shift_T(v, q), p) if order == "DT" else shift_T(shift_D(v, p), q)
         if order == "DT":
             return _to_f(shift_D(_to_g(shift_T(v, q), A, w, tails), p), A, w, tails)
         return shift_T(_to_f(shift_D(_to_g(v, A, w, tails), p), A, w, tails), q)
@@ -260,14 +274,62 @@ def test_act_is_the_composed_words_bit_for_bit(fam, w):
 
 
 def test_filter_refinement_is_the_composed_word(A_haar):
+    # the convolution, then the translation model's D; the explicit transfer
+    # composition agrees with it within what its transfers clipped
     w = Window.symmetric(HAAR, 8, 10, 50)
     h = daubechies4()
     phi, _ = scaling_coords_from_filter(h, 8)
     flipped = LaurentPoly.from_map({1 - k: ((-1.0) ** k) * x for k, x in h.coeffs})
     for filt, got in ((h, reconstruct_scaling_coords(phi, h, A_haar, w)[0]),
                       (flipped, construct_wavelet_coords(phi, h, A_haar, w))):
-        lifted = shift_D(g_from_f(filter_action_on_coords(phi, filt), A_haar, w), 1)
-        assert _bits(got) == _bits(f_from_g(lifted, A_haar, w))
+        conv = filter_action_on_coords(phi, filt)
+        assert _bits(got) == _bits(shift_D(conv, 1))
+        lifted, tail = transfer(conv, A_haar, w)
+        through, back = transfer(shift_D(lifted, 1), A_haar, w)
+        gap = math.sqrt(math.fsum(abs(got[k] - through[k]) ** 2
+                                  for k in {*got.keys(), *through.keys()}))
+        assert gap <= tail + back + 1e-14
+
+
+def test_haar_translation_model_D_is_exact(A_haar, w_haar):
+    # D phi = (L_0 + L_1)/sqrt2, D^-1 psi = (L_0 - L_0(. - 1))/sqrt2, and the
+    # wavelet 2^{l/2} psi(2^l x - b) moves one level up or down at the same b;
+    # nothing is clipped, whatever the window
+    r = math.sqrt(0.5)
+    for v, p, q, want in [
+        (PHI_HAT, 1, 0, {(0, 0): r, (1, 0): r}),
+        (FCoordVec({(0, 3): 1.0}), 1, 0, {(0, 1): r, (1, 1): -r}),
+        (FCoordVec({(0, 0): 1.0, (0, 1): 1.0}), 1, 0, {(0, 0): 2 * r}),
+        (PSI_HAT, -1, 0, {(0, 0): r, (0, 1): -r}),
+        (PSI_HAT, 1, 1, {(3, 0): 1.0}),
+        (FCoordVec({(5, -3): 2j}), -2, 0, {(1, -11): 2j}),  # b = 1 - 3 * 4
+        (FCoordVec({(5, -3): 2j}), 1, 0, {(13, -2): 2j}),
+        (PSI_HAT, 2000, 1, {((1 << 2000) + 1, 0): 1.0}),
+    ]:
+        got, tail = act(v, p, q, "DT", A_haar, w_haar)
+        assert (dict(got.items()), tail) == (want, 0.0)
+
+
+def test_haar_translation_model_words_make_no_transfer(monkeypatch, A_haar):
+    from swl import group_action
+
+    calls = []
+    monkeypatch.setattr(group_action, "transfer",
+                        lambda v, A, w: calls.append(type(v).__name__) or transfer(v, A, w))
+    w = Window.symmetric(HAAR, 8, 10, 50)
+    v = FCoordVec({(0, 0): 1.0, (3, -2): 0.5j, (1 << 70, 5): -0.25})
+    for order in ("DT", "TD"):
+        for p, q in ((1, 0), (-2, 3), (3, -1), (0, 2)):
+            act(v, p, q, order, A_haar, w)
+    h = daubechies4()
+    phi, _ = scaling_coords_from_filter(h, 8)
+    construct_wavelet_coords(phi, h, A_haar, w)
+    reconstruct_scaling_coords(phi, h, A_haar, w)
+    assert calls == []
+    # a dilation-model or exponential word transfers as before
+    act(GCoordVec({(PLUS, 1, 0): 1.0}), 1, 1, "DT", A_haar, w)
+    act(PSI_HAT, 1, 1, "DT", AlphaMatrix(EXPONENTIAL), Window.symmetric(EXPONENTIAL, 2))
+    assert calls == ["GCoordVec", "FCoordVec", "FCoordVec", "GCoordVec"]
 
 
 @pytest.mark.parametrize("fam", [HAAR, EXPONENTIAL])

@@ -34,10 +34,10 @@ from swl import (  # noqa: E402
     wavelet,
 )
 from swl.bases import FunctionSpec  # noqa: E402
-from swl.alpha import column_terms, f_from_g, row_terms  # noqa: E402
+from swl.alpha import column_terms, f_from_g, row_terms, transfer  # noqa: E402
 from swl.core import (  # noqa: E402
     MINUS, PLUS, csum, keep_mask, key_columns, offset_column, sum_by_key)
-from swl.group_action import shift_T  # noqa: E402
+from swl.group_action import shift_D, shift_T  # noqa: E402
 from swl.wavelet import _cdot, _KeyIndex, completeness_matrix, orthonormality_residuals  # noqa: E402
 
 # -- reference forms ------------------------------------------------------------
@@ -474,14 +474,8 @@ def test_chunked_completeness_matches_a_pass_per_q(case, picks, row_window):
     assert mat.tobytes() == per_q_completeness(psi, A, labels, row_window, w).tobytes()
 
 
-def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
-    # the D4 candidate's translation-model copy has 24,650 rows, past the
-    # row budget: each of the 5 shifts is a pass of its own, which carries
-    # route A's and route B's value columns, so the checks hold what they
-    # held with a pass per q; the pass of q = 0 carries route A's alone,
-    # since route B's sums there are psi's own
-    psi = d4_psi(12)
-    A, w = FAMILIES["d4"]
+def _row_passes(psi, A, pq, w):
+    """(rows, value columns, runs) of each row pass of the orthonormality check."""
     passes = []
     real = wavelet.row_terms
 
@@ -491,9 +485,33 @@ def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavelet, "row_terms", counting)
-        orthonormality_residuals(psi, A, 2, w)
-    assert passes == [(24_650, 2, 1)] * 2 + [(24_650, 1, 1)] + [(24_650, 2, 1)] * 2
+        orthonormality_residuals(psi, A, pq, w)
+    return passes
+
+
+def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
+    # the D4 candidate's translation-model copy has 24,650 rows, past the
+    # row budget: each of the 5 shifts is a pass of its own.  The zero rule
+    # drops none of the copy's entries, so route B's column is route A's and
+    # every pass carries that one column
+    psi = d4_psi(12)
+    A, w = FAMILIES["d4"]
+    x = wavelet._translation_copy(psi, A, w)[1]
+    assert wavelet._zero_ruled(x) is x
+    assert _row_passes(psi, A, 2, w) == [(24_650, 1, 1)] * 5
     assert 24_650 > wavelet.ROW_BUDGET
+
+
+@pytest.mark.parametrize("w", [W_HAAR, Window.symmetric(HAAR, 4).with_dil_range(-48, 48)])
+def test_a_copy_with_dropped_entries_carries_both_columns(w):
+    # LADDER_DROP_PSI, also the CLI smoke's dropping.json (at the CLI's
+    # --window 4 --pq 1): the zero rule drops entries of its copy, so
+    # route B's zeroed column rides beside route A's in the one pass of its
+    # three shifts
+    A = FAMILIES["haar"][0]
+    x = wavelet._translation_copy(LADDER_DROP_PSI, A, w)[1]
+    assert wavelet._zero_ruled(x) is not x
+    assert _row_passes(LADDER_DROP_PSI, A, 1, w) == [(3 * len(x), 2, 3)]
 
 
 # -- the scaling check's autocorrelation --------------------------------------------
@@ -565,3 +583,86 @@ def test_TD_equals_D_T_squared_within_reported_tails(psi, q, m_hi):
     dt, dt_tail = act(psi, 1, 2 * q, "DT", A, w)
     gap = math.sqrt(math.fsum(abs(td[k] - dt[k]) ** 2 for k in {*td.keys(), *dt.keys()}))
     assert gap <= math.fsum([td_tail, dt_tail]) + 1e-12 * math.sqrt(psi.norm_sq())
+
+
+def reference_haar_D(v, p):
+    """D^p of Haar translation-model coordinates as a dict, from the
+    elements themselves: L_{2^l+r}(. - n) = 2^{l/2} psi(2^l x - b) with
+    b = r + n 2^l, and the box L_0(. - n).  Each box output's terms are
+    summed from 0j in source order, and the zero rule applies to them."""
+    wavelets, terms = {}, {}
+    for (i, n), x in v.items():
+        level = i.bit_length() - 1
+        b = (i - (1 << level)) + (n << level) if i else n
+        if i and level + p >= 0:  # one wavelet at the same b
+            top = level + p
+            wavelets[((1 << top) + b % (1 << top), b >> top)] = x
+        elif p > 0:  # the box at b >> p, then a wavelet per level below p
+            if p <= 1074:
+                terms.setdefault((0, b >> p), []).append(complex(math.sqrt(2.0 ** -p)) * x)
+            for lam in range(max(p - 1074, 0), p):
+                c = b >> (p - lam)
+                amp = math.sqrt(2.0 ** (lam - p))
+                amp = -amp if (b >> (p - lam - 1)) & 1 else amp
+                terms.setdefault(((1 << lam) + c % (1 << lam), c >> lam), []).append(complex(amp) * x)
+        else:  # a run of 2^u boxes, a wavelet's second half negative
+            u = -p - max(level, 0)
+            amp = math.sqrt(2.0 ** -u)
+            for t in range(1 << u):
+                neg = i and t >= 1 << (u - 1)
+                terms.setdefault((0, (b << u) + t), []).append(complex(-amp if neg else amp) * x)
+    out = dict(wavelets)
+    for key, ts in terms.items():
+        total = 0j
+        for t in ts:
+            total += t
+        if abs(total) > 1e-15:
+            out[key] = total
+    return out
+
+
+def _entry_bits(v):
+    return sorted((k, x.real.hex(), x.imag.hex()) for k, x in dict(v.items()).items())
+
+
+# Haar translation-model vectors: labels past int64 or near where D's keys
+# leave it, wavelets at shifts near +-2^62 or 2^58, boxes near 0 or (for the
+# identities alone) far out too
+far_shifts = st.sampled_from([0, 0, 2**58 + 1, 2**62 - 8, -2**62 + 3])
+haar_f_vectors = st.builds(
+    lambda entries, far, box_far: FCoordVec(
+        {(i, n + (far if i or box_far else 0)): x for (i, n), x in entries.items()}),
+    st.dictionaries(st.tuples(st.one_of(st.integers(0, 9), wide_labels,
+                                        st.sampled_from([2**58 + 5, 2**61 - 1])),
+                              st.integers(-5, 5)),
+                    values, min_size=1, max_size=6),
+    far_shifts, st.booleans(),
+)
+
+
+@given(v=haar_f_vectors, p=st.one_of(st.integers(-3, 3), st.sampled_from([64, 1100, 2000])),
+       q=st.integers(-3, 3), m_hi=st.integers(12, 30))
+# keys that just leave int64: a label of level 63 and shifts near 2^63
+@example(v=FCoordVec({(2**61 - 1, 3): 1.0, (0, 1): 0.5j}), p=3, q=1, m_hi=20)
+@example(v=FCoordVec({(1, 2**60 + 1): 1.0, (0, -2**60): 0.5j}), p=-3, q=-1, m_hi=20)
+def test_haar_translation_model_D_is_the_dilation_model_D(v, p, q, m_hi):
+    A, w = FAMILIES["haar"][0], W_HAAR.with_dil_range(-8, m_hi)
+    got = shift_D(v, p)
+    # the element-by-element dict form, bit for bit
+    assert _entry_bits(got) == _entry_bits(FCoordVec(reference_haar_D(v, p)))
+    scale = math.sqrt(v.norm_sq())
+    # D^-p undoes it, to rounding
+    if abs(p) <= 3:
+        back = shift_D(got, -p)
+        gap = math.sqrt(math.fsum(abs(back[k] - v[k]) ** 2 for k in {*back.keys(), *v.keys()}))
+        assert gap <= 1e-14 * scale
+    # T D = D T^2, bit for bit, and act's words make no transfer
+    assert _entry_bits(shift_T(shift_D(v, 1), q)) == _entry_bits(shift_D(shift_T(v, 2 * q), 1))
+    assert act(v, 1, q, "TD", A, w) == (shift_D(shift_T(v, 2 * q), 1), 0.0)
+    # the transfers' route, where its columns stay small (boxes near 0), within its tails
+    if abs(p) <= 3 and all(i or abs(n) < 64 for i, n in v.keys()):
+        g, to_g = transfer(v, A, w)
+        through, back_tail = transfer(shift_D(g, p), A, w)
+        gap = math.sqrt(math.fsum(abs(got[k] - through[k]) ** 2
+                                  for k in {*got.keys(), *through.keys()}))
+        assert gap <= to_g + back_tail + 1e-13 * scale
