@@ -55,11 +55,9 @@ time, as one more block.  ``_terms`` lays out every block the same way:
 the terms keep source order, and the clipped tails are summed over the
 keys in order with Python's ``abs``, so the transfers give what the
 term-by-term loop over ``row``/``column`` gives, bit for bit.  Every pass
-takes a tuple of value columns over its keys, and its keys in equal runs
-(one by default): ``transfer`` passes its one column in one run, the
-wavelet checks a chunk of shifted copies as runs, with both routes'
-columns.  One layout serves every column, and each column's terms are what
-a pass of that column alone gives; each run's terms are one contiguous
+takes one value array over its keys, and its keys in equal runs (one by
+default): ``transfer`` passes its vector in one run, the wavelet checks a
+chunk of shifted copies as runs.  Each run's terms are one contiguous
 range, and its tail is summed over its own keys, as a pass of that run
 alone sums it.
 """
@@ -479,9 +477,8 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key, np.arange(len(key)) - starts[key]
 
 
-def _terms(keys, columns: tuple, blocks: list, entries_of, conj: bool, runs: int = 1):
-    """The terms of a transfer, in source order, for a tuple of value
-    columns over the same keys.
+def _terms(keys, values: np.ndarray, blocks: list, entries_of, conj: bool, runs: int = 1):
+    """The terms of a transfer of ``values`` over ``keys``, in source order.
 
     A block is (positions of its keys, entries per key, target key columns,
     alphas, clipped mass per key), each key's entries in table order.  A
@@ -490,17 +487,14 @@ def _terms(keys, columns: tuple, blocks: list, entries_of, conj: bool, runs: int
     Keys in no block go through ``entries_of(*key)`` one at a time, as one
     more block.  Every other term is alpha (conjugated for ``conj``) times
     the key's value.  The keys are ``runs`` runs of equal length.  Returns
-    (target key columns, a tuple of term arrays, one per value column, the
-    l2 bounds on the clipped part, one per run, the runs' bounds in the
-    terms): run k's terms are ``terms[bounds[k]:bounds[k + 1]]``, and its
-    bound is the first column's, summed over the run's keys in order with
-    Python's ``abs`` (numpy's complex abs may differ from it in the last
-    bit).  One layout (counts, places, target columns) serves every value
-    column, and each column's terms are what a call with that column alone
-    gives.
+    (target key columns, terms, the l2 bounds on the clipped part, one per
+    run, the runs' bounds in the terms): run k's terms are
+    ``terms[bounds[k]:bounds[k + 1]]``, and its bound is summed over the
+    run's keys in order with Python's ``abs`` (numpy's complex abs may
+    differ from it in the last bit).
     """
     width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
-    counts = np.full(len(columns[0]), -1, dtype=np.int64)  # -1: in no block
+    counts = np.full(len(values), -1, dtype=np.int64)  # -1: in no block
     clip = np.zeros(len(counts))
     for at, block_counts, _, _, clipped in blocks:
         counts[at] = 1 if block_counts is None else block_counts
@@ -521,47 +515,44 @@ def _terms(keys, columns: tuple, blocks: list, entries_of, conj: bool, runs: int
     per_run = max(len(counts) // runs, 1)  # keys per run
     tails = [0.0] * runs
     hit = np.flatnonzero(clip > 0.0)
-    for k, val, c in zip((hit // per_run).tolist(), columns[0][hit].tolist(), clip[hit].tolist()):
+    for k, val, c in zip((hit // per_run).tolist(), values[hit].tolist(), clip[hit].tolist()):
         tails[k] += abs(val) * math.sqrt(c)
     # each key's terms start after the terms of the keys before it
     starts = np.cumsum(counts) - counts
-    terms = tuple(np.empty(int(counts.sum()), dtype=complex) for _ in columns)
+    terms = np.empty(int(counts.sum()), dtype=complex)
     places = []
     for at, block_counts, _, alphas, _ in blocks:
         if block_counts is None:
             places.append(starts[at])
-            for out, col in zip(terms, columns):
-                out[places[-1]] = col[at]
+            terms[places[-1]] = values[at]
         else:
             key, pos = _runs(block_counts)
             places.append(starts[at][key] + pos)
-            alphas, src = alphas.conjugate() if conj else alphas, at[key]
-            for out, col in zip(terms, columns):
-                out[places[-1]] = cmul(alphas, col[src])
+            terms[places[-1]] = cmul(alphas.conjugate() if conj else alphas, values[at[key]])
     cols = []
     for k in range(width):
         parts = [block[2][k] for block in blocks]
-        col = np.empty(len(terms[0]), dtype=np.result_type(np.int64, *parts))
+        col = np.empty(len(terms), dtype=np.result_type(np.int64, *parts))
         for place, part in zip(places, parts):
             col[place] = part
         cols.append(col)
     return tuple(cols), terms, tails, [0, *np.cumsum(counts.reshape(runs, -1).sum(axis=1)).tolist()]
 
 
-def row_terms(A: "AlphaMatrix", keys, columns: tuple, w: Window, runs: int = 1):
+def row_terms(A: "AlphaMatrix", keys, values: np.ndarray, w: Window, runs: int = 1):
     """Terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a transfer to the
-    dilation model, for translation-model key columns and a tuple of value
-    columns over them, in ``runs`` equal runs of keys (``_terms``)."""
+    dilation model, for translation-model key columns and the values over
+    them, in ``runs`` equal runs of keys (``_terms``)."""
     blocks = _haar_row_blocks(*keys, w.dil_range[1]) if _haar_arrays(A, keys) else []
-    return _terms(keys, columns, blocks, lambda i, n: A.row(i, n, w), conj=False, runs=runs)
+    return _terms(keys, values, blocks, lambda i, n: A.row(i, n, w), conj=False, runs=runs)
 
 
-def column_terms(A: "AlphaMatrix", keys, columns: tuple, w: Window):
+def column_terms(A: "AlphaMatrix", keys, values: np.ndarray, w: Window):
     """Terms sum_(s,j,m) conj(alpha_{i,n}^{s,j,m}) v[(s, j, m)] of a transfer
-    to the translation model, for dilation-model key columns and a tuple of
-    value columns over them (``_terms``)."""
+    to the translation model, for dilation-model key columns and the values
+    over them (``_terms``)."""
     blocks = _haar_column_blocks(*keys) if _haar_arrays(A, keys) else []
-    return _terms(keys, columns, blocks, lambda s, j, m: A.column(s, j, m, w), conj=True)
+    return _terms(keys, values, blocks, lambda s, j, m: A.column(s, j, m, w), conj=True)
 
 
 # -- public surface ------------------------------------------------------------
@@ -629,7 +620,7 @@ def transfer(v: FCoordVec | GCoordVec, A: AlphaMatrix, w: Window):
     transfer reports it: ``g_from_f`` and ``f_from_g`` return the vector.
     """
     to_g = isinstance(v, FCoordVec)
-    keys, (terms,), (tail,), _ = (row_terms if to_g else column_terms)(A, v._cols, (v._vals,), w)
+    keys, terms, (tail,), _ = (row_terms if to_g else column_terms)(A, v._cols, v._vals, w)
     return (GCoordVec if to_g else FCoordVec)._from_terms(keys, terms), tail
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -609,7 +610,11 @@ def _canon(obj, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, int):
-        out.append(str(obj))
+        try:
+            out.append(str(obj))
+        except ValueError:  # past Python's limit on int-to-str digits, which stays as it is
+            raise ValueError(f"a {obj.bit_length()}-bit label has more decimal digits than "
+                             f"the JSON output's limit of {sys.get_int_max_str_digits()}") from None
     elif isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
             raise ValueError("non-finite float in report")

@@ -14,20 +14,19 @@ Both are computed and must agree; the report carries the worse residual
 and the route disagreement.  They are not independent arithmetic: each
 check moves the candidate to the translation model once
 (``_translation_copy``), route A reads that copy X and route B reads X
-under the zero rule (``_zero_ruled``, ``f_from_g`` of psi bit for bit), so
-for q != 0 route B's transported vector is route A's bit for bit and the
-agreement gate measures only the q = 0 round trip.  Where the zero rule
-drops nothing, route B's copy is X itself, and its q != 0 sums are taken
-once, as route A's.
+under the zero rule (``f_from_g`` of psi bit for bit), so for q != 0 route
+B's transported vector is route A's bit for bit and the agreement gate
+measures only the q = 0 round trip.  Where the zero rule drops nothing,
+route B's copy is X itself, and its q != 0 sums are route A's; where it
+drops an entry, route B takes passes of its own over the kept entries.
 
 Every shifted coordinate sum is read from one keyed index, ``_KeyIndex``,
-whose ``sums`` take <value, v shifted by p> for all the ps at once, per
-value column of a tuple.  The wavelet checks transport a chunk of shifts q
-per row pass (``_keyed_passes``), both routes' columns sharing each pass
-(one column where they are the same), and sum the terms only at the keys
-the index reads; the scaling check's autocorrelation <phi, T^k phi> reads
-an index over phi's own keys.  Every sum is bit for bit a ``csum`` of the
-same products.
+whose ``sums`` take <value, v shifted by p> for all the ps at once.  The
+wavelet checks transport a chunk of shifts q per row pass
+(``_keyed_passes``), one value array per pass, and sum the terms only at
+the keys the index reads; the scaling check's autocorrelation
+<phi, T^k phi> reads an index over phi's own keys.  Every sum is bit for
+bit a ``csum`` of the same products.
 
 Completeness is probed by the rank of a window-truncated coordinate
 matrix, read from route A's U_q at the matrix's cells.  A finite window
@@ -191,13 +190,12 @@ class _KeyIndex:
             start += len(labels)
         return ids
 
-    def _keyed(self, keys, terms: tuple, bounds=(0,)):
+    def _keyed(self, keys, terms: np.ndarray, bounds=(0,)):
         """A transfer's terms summed per key, where the shifted keys can read
-        them: the targets (s, j, m) in the keys' groups with m - base in the
-        span, as sorted codes, and per term column (the value columns of one
-        ``row_terms`` call) each target's sum, taken from 0j in term order as
-        ``sum_by_key`` takes it, and its zero-rule mask.  The targets are
-        keyed once, and each column is summed with its own ``np.add.at``.
+        them: (codes, sums, keep), the targets (s, j, m) in the keys' groups
+        with m - base in the span as sorted codes, each target's sum, taken
+        from 0j in term order as ``sum_by_key`` takes it, and the zero
+        rule's mask over the sums.
 
         A chunk's terms come in slots (one slot by default), slot k's terms
         from ``bounds[k]`` up to ``bounds[k + 1]``: their codes are offset
@@ -215,28 +213,21 @@ class _KeyIndex:
         codes = codes[order]
         new = np.ones(len(codes), dtype=bool)  # where a run of equal codes starts
         new[1:] = codes[1:] != codes[:-1]
-        run, taken = np.cumsum(new) - 1, hit[order]
-        columns = []
-        for column in terms:
-            sums = np.zeros(np.count_nonzero(new), dtype=complex)
-            np.add.at(sums, run, column[taken])
-            columns.append((sums, keep_mask(sums)))
-        return codes[new], tuple(columns)
+        sums = np.zeros(np.count_nonzero(new), dtype=complex)
+        np.add.at(sums, np.cumsum(new) - 1, terms[hit[order]])
+        return codes[new], sums, keep_mask(sums)
 
-    def sums(self, ps: Iterable[int], keyed=None):
+    def sums(self, ps: Iterable[int], keyed=None) -> dict[int, complex]:
         """For each p, the compensated sum over the keys (s, j, m) of
-        value[(s, j, m)] * conj(v[(s, j, m - p)]), per column v of the
-        (codes, columns) that ``_keyed`` gives, or of the keyed values
-        themselves for None.  Each p is searched once in the shared codes,
-        each column keeps the hits its own zero rule kept and takes its own
-        sum, and a tuple of dicts {p: sum}, one per column, comes back.
-        """
-        codes, columns = (self.codes, ((self.values, None),)) if keyed is None else keyed
-        # a mask that keeps every sum is no mask
-        columns = [(col, None if keep is None or keep.all() else keep) for col, keep in columns]
+        value[(s, j, m)] * conj(v[(s, j, m - p)]), where v is the sums that
+        the zero rule keeps of the (codes, sums, keep) that ``_keyed`` gives,
+        or the keyed values themselves for None."""
+        codes, vals, keep = (self.codes, self.values, None) if keyed is None else keyed
+        if keep is not None and not keep.all():
+            codes, vals = codes[keep], vals[keep]
         # the codes are unique, and the sentinel past them matches no want
         codes = np.append(codes, _PAST_CODES)
-        out, last = tuple({} for _ in columns), None
+        out, last = {}, None
         for p in sorted(ps, reverse=True):
             want = self.codes - p
             if last is not None and p == last - 1:
@@ -245,13 +236,7 @@ class _KeyIndex:
             else:
                 at = np.searchsorted(codes, want)
             found, last = codes[at] == want, p
-            mine, theirs = self.values[found], at[found]
-            for sums, (column, keep) in zip(out, columns):
-                if keep is None:
-                    sums[p] = _cdot(mine, column[theirs])
-                else:
-                    kept = keep[theirs]
-                    sums[p] = _cdot(mine[kept], column[theirs[kept]])
+            out[p] = _cdot(self.values[found], vals[at[found]])
         return out
 
 
@@ -269,42 +254,35 @@ def _stacked(col: np.ndarray, copies: int) -> np.ndarray:
     return np.broadcast_to(col, (copies, len(col))).reshape(-1)
 
 
-def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, columns: tuple,
+def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, x: np.ndarray,
                   qs: Sequence[int], w: Window):
-    """The row passes of the translation-model vector over the key columns
-    ``cols``, for each value column of ``columns``, shifted by each q of
-    ``qs`` and summed per key where ``index`` reads them.
+    """The row passes of the translation-model vector (cols, x) shifted by
+    each q of ``qs``, summed per key where ``index`` reads them.
 
-    The value columns share every pass: one ``row_terms`` layout and one
-    keying.  The qs go a chunk at a time: as many as fit in ``ROW_BUDGET``
-    rows of the vector (rows, whatever the number of columns), one at
-    least, and no more than leave every code of the chunk in int64.  A
-    chunk that holds only q = 0 carries the first column alone (route B's
-    sums at q = 0 are psi's own).  A chunk's shifted key columns are
-    stacked into one ``row_terms`` call and its terms keyed by one
-    ``index._keyed`` call, each term's slot in the chunk in its code.
-    Yields (q, codes, columns, row tail) for each q in order: that q's run
-    of codes, less its slot's offset, and per value column carried its sums
-    and zero-rule mask over those codes, bit for bit what a pass of that q
-    and that column alone gives; the tail is the first column's.
+    The qs go a chunk at a time: as many as fit in ``ROW_BUDGET`` rows of
+    the vector, one at least, and no more than leave every code of the
+    chunk in int64.  A chunk's shifted key columns are stacked into one
+    ``row_terms`` call and its terms keyed by one ``index._keyed`` call,
+    each term's slot in the chunk in its code.  Yields (q, (codes, sums,
+    keep), row tail) for each q in order: that q's run of codes, less its
+    slot's offset, with its sums and their zero-rule mask, bit for bit what
+    a pass of that q alone gives.
     """
     i, n = cols
-    size = max(1, min(ROW_BUDGET // max(len(i), 1), _PAST_CODES // index.stride))
+    size = max(1, min(ROW_BUDGET // max(len(x), 1), _PAST_CODES // index.stride))
     for at in range(0, len(qs), size):
         chunk = qs[at:at + size]
         keys = _stacked(i, len(chunk)), np.concatenate([offset_column(n, q) for q in chunk])
-        carried = columns[:1] if chunk == [0] else columns
-        stacked = tuple(_stacked(col, len(chunk)) for col in carried)
-        keys, terms, tails, bounds = row_terms(A, keys, stacked, w, len(chunk))
-        codes, sums = index._keyed(keys, terms, bounds)
+        keys, terms, tails, bounds = row_terms(A, keys, _stacked(x, len(chunk)), w, len(chunk))
+        codes, sums, keep = index._keyed(keys, terms, bounds)
         del keys, terms  # hold one chunk's terms at a time
         firsts = [k * index.stride for k in range(len(chunk))]  # each slot's first code
         ends = [0, *np.searchsorted(codes, firsts[1:]).tolist(), len(codes)]
         for k, q in enumerate(chunk):
             run = slice(ends[k], ends[k + 1])
             codes[run] -= firsts[k]
-            yield q, codes[run], tuple((col[run], keep[run]) for col, keep in sums), tails[k]
-        del codes, sums  # and one chunk's sums: each caller drops the q it was given
+            yield q, (codes[run], sums[run], keep[run]), tails[k]
+        del codes, sums, keep  # and one chunk's sums: each caller drops the q it was given
 
 
 def _translation_copy(psi: GCoordVec, A: AlphaMatrix, w: Window, top: float = math.inf):
@@ -314,38 +292,22 @@ def _translation_copy(psi: GCoordVec, A: AlphaMatrix, w: Window, top: float = ma
     no zero rule.  Returns (key columns, X, column tail); the pass's terms
     are gone before any row pass."""
     keys, reached = _reaching(A, psi._cols, psi._vals, top)
-    keys, (terms,), (column_tail,), _ = column_terms(A, keys, (reached,), w)
+    keys, terms, (column_tail,), _ = column_terms(A, keys, reached, w)
     cols, x = _reaching(A, *sum_by_key(keys, terms), top)
     return cols, x, column_tail
 
 
-def _zero_ruled(x: np.ndarray) -> np.ndarray:
-    """X under the zero rule as a value column over X's own rows: the
-    entries that the rule drops are 0j, and X itself comes back where it
-    drops none.  Its per-key row-pass sums are those of a pass over the
-    kept entries alone, bit for bit: every sum starts from 0j, a zero term
-    (of either sign) leaves it as it was, and a key that only zeros reach
-    sums to 0, which the zero rule drops."""
-    keep = keep_mask(x)
-    return x if keep.all() else np.where(keep, x, 0j)
-
-
-def _shift_sums(index: _KeyIndex, A: AlphaMatrix, cols, columns: tuple,
+def _shift_sums(index: _KeyIndex, A: AlphaMatrix, cols, x: np.ndarray,
                 ps_of: dict[int, set[int]], w: Window):
     """Each (p, q) sum <psi, V_q shifted by p>, where V_q is the
-    translation-model vector (cols, column) shifted by q and moved back
-    (``_keyed_passes``, summed only at psi's keys), for each value column
-    of ``columns``; the columns share each row pass and each search of a p,
-    and each takes its own sums.  The first column is route A's and the
-    others route B's, which get no sums from a chunk of q = 0 alone.
-    Returns one dict of sums per column and each q's row tail (the first
-    column's), in the order of the sorted qs."""
-    sums, tails = tuple({} for _ in columns), []
-    for q, codes, keyed, tail in _keyed_passes(index, A, cols, columns, sorted(ps_of), w):
-        for out, got in zip(sums, index.sums(ps_of[q], (codes, keyed))):
-            out.update(((p, q), lhs) for p, lhs in got.items())
+    translation-model vector (cols, x) shifted by q and moved back
+    (``_keyed_passes``, summed only at psi's keys), and each q's row tail,
+    in the order of the sorted qs."""
+    sums, tails = {}, []
+    for q, keyed, tail in _keyed_passes(index, A, cols, x, sorted(ps_of), w):
+        sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
         tails.append(tail)
-        del codes, keyed  # each q's sums go before the next q's are made
+        del keyed  # each q's sums go before the next q's are made
     return sums, tails
 
 
@@ -353,22 +315,19 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
     """Residual grid |LHS(p,q) - delta| plus the two-route disagreement.
 
     Returns (residuals, disagreement, per_q_transfer_tails).  psi is moved
-    to the translation model once (``_translation_copy``), and both routes
-    transport that copy in the same passes, a chunk of qs at a time
-    (``_shift_sums``), as many as fit in ``ROW_BUDGET`` rows (one q per
-    chunk for a large candidate); each route sums every p of each q with
-    exact compensated totals of its own, and the chunk's terms are dropped
-    before the next chunk.  Route A reads X; route B reads X with the
-    entries that the zero rule drops set to 0j, whose per-key sums are
-    those of ``f_from_g`` of psi moved back, bit for bit.  Where the rule
-    drops an entry that copy is a second value column over X's rows; where
-    it drops none it is X itself, the passes carry X alone and route B's
-    q != 0 sums are route A's, the same bits.  At q = 0 route B's sums are
-    psi's own, so a chunk of q = 0 alone carries route A's column alone.
-    The reported residuals are route A's, so each q's tail is what route A
-    clipped: the column pass's tail plus that q's row-pass tail, summed
-    over that q's own run of rows.  An empty explicit grid raises
-    ``ValueError``.
+    to the translation model once (``_translation_copy``), and route A
+    transports that copy X a chunk of qs at a time (``_shift_sums``), as
+    many as fit in ``ROW_BUDGET`` rows (one q per chunk for a large
+    candidate), sums every p of each q with exact compensated totals and
+    drops the chunk's terms before the next chunk.  Route B reads X under
+    the zero rule, ``f_from_g`` of psi bit for bit: where the rule drops
+    nothing that is X itself, and route B's q != 0 sums are route A's, the
+    same bits; where it drops an entry, route B takes passes of its own
+    over the kept entries for the qs != 0, after X is gone.  At q = 0
+    route B's sums are psi's own.  The reported residuals are route A's,
+    so each q's tail is what route A clipped: the column pass's tail plus
+    that q's row-pass tail, summed over that q's own run of rows.  An
+    empty explicit grid raises ``ValueError``.
     """
     grid = _pq_grid(pq_range)
     ps_of: dict[int, set[int]] = {}
@@ -377,16 +336,20 @@ def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window
 
     index = _KeyIndex(psi._cols, psi._vals, [p for p, _ in grid])
     cols, x, column_tail = _translation_copy(psi, A, w)
-    # route A: U_q = X shifted by q and moved back; route B: T^q psi for
-    # q != 0, the zero-ruled copy (f_from_g(psi) bit for bit) shifted by q
-    # and moved back, in the same passes; where the zero rule drops nothing
-    # that copy is X itself, and route B's q != 0 sums are route A's
-    zeroed = _zero_ruled(x)
-    sums, row_tails = _shift_sums(index, A, cols, (x,) if zeroed is x else (x, zeroed), ps_of, w)
-    route_a, route_b = sums[0], dict(sums[-1])  # a copy: route B's q = 0 sums are its own
+    # route A: U_q = X shifted by q and moved back
+    route_a, row_tails = _shift_sums(index, A, cols, x, ps_of, w)
     per_q_tails = [column_tail + tail for tail in row_tails]
-    # at q = 0, T^q psi is psi itself: route B's sums there are psi's own
-    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ()))[0].items())
+    # route B: T^q psi for q != 0 is X under the zero rule (f_from_g(psi)
+    # bit for bit) shifted by q and moved back: X itself where the rule
+    # drops nothing, else a pass of its own, X gone before it
+    route_b = dict(route_a)
+    keep = keep_mask(x)
+    if not keep.all():
+        cols, x = tuple(c[keep] for c in cols), x[keep]
+        shifted = {q: ps for q, ps in ps_of.items() if q != 0}
+        route_b.update(_shift_sums(index, A, cols, x, shifted, w)[0])
+    # at q = 0, T^q psi is psi itself
+    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
 
     residuals = {}
     disagreement = 0.0
@@ -458,7 +421,7 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     mat = np.zeros(read.shape, dtype=complex)
     row_q = np.searchsorted(qs, q)
     cols, x, _ = _translation_copy(psi, A, w, top)
-    for k, (_, codes, ((sums, keep),), _) in enumerate(_keyed_passes(index, A, cols, (x,), qs, w)):
+    for k, (_, (codes, sums, keep), _) in enumerate(_keyed_passes(index, A, cols, x, qs, w)):
         # the sentinel past every kept code holds 0 for the cells with no sum
         codes, sums = np.append(codes[keep], _PAST_CODES), np.append(sums[keep], 0j)
         want = read[row_q == k]
@@ -581,7 +544,7 @@ def _autocorrelation(phi: FCoordVec, ks: list[int]) -> dict[int, complex]:
     except ValueError:
         raise ValueError(f"phi's shifts run from {int(n.min())} to {int(n.max())}: its "
                          "translates are too far apart to index (codes past int64)") from None
-    auto.update(index.sums(reached)[0])
+    auto.update(index.sums(reached))
     return auto
 
 

@@ -35,8 +35,6 @@ from swl.alpha import (  # noqa: E402
     _haar_column_blocks,
     _haar_row,
     _haar_row_blocks,
-    column_terms,
-    row_terms,
 )
 from swl.core import DROP_THRESHOLD, MINUS, PLUS, key_columns  # noqa: E402
 
@@ -397,74 +395,3 @@ def test_d4_check_makes_no_table_calls(monkeypatch):
     comp = check_wavelet_completeness(psi, A, [(PLUS, 0), (PLUS, 1), (MINUS, 0)], 4, w)
     assert orth.passed and comp.passed
     assert calls == []
-
-
-# -- value columns ---------------------------------------------------------------
-#
-# A pass may carry a tuple of value columns over one key set (the wavelet
-# checks' two routes): one layout serves them all, and each column's terms
-# are those of a pass of that column alone, bit for bit.
-
-W_EXP = Window.symmetric(EXPONENTIAL, 3, 3, 3)
-# values the zero rule drops, and zeros, whose products with alphas may be -0.0
-column_values = st.one_of(values, values.map(lambda v: v * 1e-16), st.just(0j))
-past_int64 = st.sampled_from([(1 << 63) + 5, 1 << 70])
-value_column_cases = st.one_of(
-    st.tuples(st.just("haar"), st.lists(st.tuples(labels, shifts), min_size=1, max_size=20)),
-    # a label past int64 makes object-dtype keys, which go through the scalar tables
-    st.tuples(st.just("haar"), st.lists(st.tuples(st.one_of(st.integers(0, 8), past_int64),
-                                                  st.integers(-4, 4)), min_size=1, max_size=12)
-              .map(lambda keys: keys + [(1 << 70, 0)])),
-    st.tuples(st.just("exponential"),
-              st.lists(st.tuples(st.integers(-3, 3), st.integers(-9, 9)), min_size=1, max_size=12)),
-)
-
-
-def _same_layout(a, b):
-    # target key columns: dtypes and values (object columns hold Python ints)
-    assert [c.dtype for c in a] == [c.dtype for c in b]
-    assert [c.tolist() for c in a] == [c.tolist() for c in b]
-
-
-def _columns_match_a_pass_per_column(terms_of, matrix, keys, w, data, *runs):
-    size = len(keys[0])
-    first = np.array(data.draw(st.lists(column_values, min_size=size, max_size=size)))
-    # an independent column, or the first with some entries zeroed (route B's)
-    zeroed = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
-    other = np.array(data.draw(st.lists(column_values, min_size=size, max_size=size)))
-    second = other if data.draw(st.booleans()) else np.where(zeroed, 0j, first)
-    both = terms_of(matrix, keys, (first, second), w, *runs)
-    alone = [terms_of(matrix, keys, (col,), w, *runs) for col in (first, second)]
-    assert isinstance(both[1], tuple) and len(both[1]) == 2
-    for got, one in zip(both[1], alone):
-        _same_layout(both[0], one[0])
-        assert got.dtype == one[1][0].dtype == complex
-        assert got.tobytes() == one[1][0].tobytes()
-    # the clipped tails are the first column's, and so are the runs' bounds
-    assert np.array(both[2]).tobytes() == np.array(alone[0][2]).tobytes()
-    assert both[3:] == alone[0][3:]
-
-
-@given(case=value_column_cases, runs=st.sampled_from([None, 1, 2, 3]), data=st.data())
-def test_value_columns_match_a_row_pass_per_column(case, runs, data):
-    fam, keys = case
-    matrix, w = (A, W) if fam == "haar" else (AlphaMatrix(EXPONENTIAL), W_EXP)
-    keys = key_columns(keys * (runs or 1), 2)  # equal runs, as a chunk of shifts lays them out
-    assert (keys[0].dtype == object) == any(i >= 1 << 63 for i in keys[0].tolist())
-    _columns_match_a_pass_per_column(row_terms, matrix, keys, w, data,
-                                     *(() if runs is None else (runs,)))
-
-
-@given(case=st.one_of(
-    st.tuples(st.just("haar"), st.lists(st.tuples(signs, labels, st.integers(-6, 6)),
-                                        min_size=1, max_size=20)),
-    st.tuples(st.just("haar"), st.lists(st.tuples(signs, st.one_of(st.integers(0, 8), past_int64),
-                                                  st.integers(-3, 3)), min_size=1, max_size=12)),
-    st.tuples(st.just("exponential"), st.lists(st.tuples(signs, st.integers(-3, 3), st.integers(-3, 3)),
-                                               min_size=1, max_size=12))),
-    data=st.data())
-def test_value_columns_match_a_column_pass_per_column(case, data):
-    # the conjugated alphas of the adjoint direction, laid out once
-    fam, keys = case
-    matrix, w = (A, W) if fam == "haar" else (AlphaMatrix(EXPONENTIAL), W_EXP)
-    _columns_match_a_pass_per_column(column_terms, matrix, key_columns(keys, 3), w, data)

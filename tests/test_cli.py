@@ -10,7 +10,6 @@ import shlex
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from swl import (EXPONENTIAL, HAAR, AlphaMatrix, Window, oracle_F_coords, oracle_G_coords, shift_D,
@@ -86,15 +85,30 @@ _README_CHECK = ("check-wavelet", "--basis", "haar", "--function", "haar_wavelet
                  "--pq", "3", "--window", "6")
 
 
+# the coefficient file of CI's zero-rule smoke line: the ladder column
+# (+, 0, 2) at 1.2e-15 gives the translation-model copy three entries of
+# 6.0e-16 to 8.5e-16, which the zero rule drops
+_DROPPING_COORDS = {"schema_version": 1, "model": "G", "basis": "haar", "entries": [
+    {"s": "+", "i_or_j": 1, "n_or_m": 0, "re": 0.5, "im": 0.0},
+    {"s": "+", "i_or_j": 0, "n_or_m": 2, "re": 1.2e-15, "im": 0.0}]}
+_DROPPING_CHECK = ("check-wavelet", "--basis", "haar", "--coords", "dropping.json",
+                   "--pq", "1", "--window", "4")
+
+
 @pytest.mark.parametrize("argv, exit_code, digest", [
     (_README_CHECK, 0, "db66c3d5f96c101a4a35461f40f5326e1e10b6c7857098f72b694fd0c55cd7d5"),
     (("check-wavelet", "--basis", "haar", "--function", "haar_scaling", "--pq", "1",
       "--window", "4"), 1, "67a7e7e4fb286f7bf7833e574383267cf34d56d90efaaefa8cf6da2e8145248c"),
+    (_DROPPING_CHECK, 1, "25842a560b2df99be4f71eb04ca50601c34c8c93eaa083c4ff2815e37913d5c6"),
 ])
-def test_check_wavelet_reports_are_pinned(capsys, argv, exit_code, digest):
-    # the benchmark's two check-wavelet requests, README's example the first;
-    # the digests were recorded when each q still had a row pass of its own
+def test_check_wavelet_reports_are_pinned(capsys, tmp_path, monkeypatch, argv, exit_code, digest):
+    # the benchmark's two check-wavelet requests, README's example the first,
+    # and CI's zero-rule smoke line; the first two digests were recorded when
+    # each q still had a row pass of its own, the third when route B's
+    # dropped entries rode as zeros beside route A's in a shared pass
     assert [line for line in _readme_lines() if line[0] == "check-wavelet"] == [list(_README_CHECK)]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dropping.json").write_text(json.dumps(_DROPPING_COORDS))
     code, out, err = _invoke(capsys, *argv)
     assert (code, err) == (exit_code, "")
     assert _report_digest(out) == digest
@@ -119,34 +133,27 @@ def test_readme_check_wavelet_example_makes_one_row_pass_per_consumer(monkeypatc
     assert len(calls) <= 2
 
 
-# the coefficient file of CI's zero-rule smoke line: the ladder column
-# (+, 0, 2) at 1.2e-15 gives the translation-model copy three entries of
-# 6.0e-16 to 8.5e-16, which the zero rule drops
-_DROPPING_COORDS = {"schema_version": 1, "model": "G", "basis": "haar", "entries": [
-    {"s": "+", "i_or_j": 1, "n_or_m": 0, "re": 0.5, "im": 0.0},
-    {"s": "+", "i_or_j": 0, "n_or_m": 2, "re": 1.2e-15, "im": 0.0}]}
-
-
 def test_check_wavelet_coords_drop_entries_of_the_copy(tmp_path, monkeypatch, capsys):
-    # so route B's value column zeroes them, on every numpy that CI runs
+    # so route B takes a row pass of its own over the one entry kept, on
+    # every numpy that CI runs: route A's pass of the 3 shifts over the
+    # copy's 4 rows, route B's of the 2 shifts q != 0 over 1 row, then
+    # completeness's of its 5 shifts over the 4 rows
     import swl.wavelet
-    from swl.core import keep_mask
 
-    dropped = []
-    real = swl.wavelet._zero_ruled
+    passes = []
+    real = swl.wavelet.row_terms
 
-    def counting(x):
-        dropped.append(int(np.count_nonzero(~keep_mask(x))))
-        return real(x)
+    def counting(A, keys, vals, w, runs):
+        passes.append((len(vals), runs))
+        return real(A, keys, vals, w, runs)
 
-    monkeypatch.setattr(swl.wavelet, "_zero_ruled", counting)
-    path = tmp_path / "dropping.json"
-    path.write_text(json.dumps(_DROPPING_COORDS))
-    code, out, err = _invoke(capsys, "check-wavelet", "--basis", "haar", "--coords", str(path),
-                             "--pq", "1", "--window", "4")
+    monkeypatch.setattr(swl.wavelet, "row_terms", counting)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dropping.json").write_text(json.dumps(_DROPPING_COORDS))
+    code, out, err = _invoke(capsys, *_DROPPING_CHECK)
     assert code <= 1 and err == ""
     assert isinstance(json.loads(out), dict)
-    assert dropped == [3]
+    assert passes == [(12, 3), (2, 2), (20, 5)]
 
 
 def _scaling_digest(out: str) -> str:
@@ -276,6 +283,16 @@ def test_act_dilates_haar_translation_coords_far_up(capsys):
     assert code == 0 and doc["clipped_tail_bound"] == 0.0
     assert [(e["i_or_j"], e["n_or_m"], e["re"], e["im"]) for e in doc["entries"]] == [
         ((1 << 2000) + 1, 0, 1.0, 0.0)]
+
+
+def test_act_label_past_the_digit_limit_exits_2(capsys):
+    # D^20000 T psi is one wavelet of level 20000, whose label has 6,021
+    # decimal digits: past the limit Python sets on int-to-str conversion,
+    # which the JSON output keeps; the error names the label's size
+    code, out, err = _invoke(capsys, "act", "--function", "haar_wavelet", "-p", "20000", "-q", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"swl: error: a 20001-bit label has more decimal digits than the JSON "
+                   f"output's limit of {sys.get_int_max_str_digits()}\n")
 
 
 def test_fourier_check_and_csv(tmp_path, capsys):

@@ -213,12 +213,12 @@ def test_ladder_column_stays_small_at_large_scales():
 # -- the word evaluator against the transfer compositions it replaced -------------
 
 def _to_g(v, A, w, tails):
-    tails.append(row_terms(A, v._cols, (v._vals,), w)[2][0])
+    tails.append(row_terms(A, v._cols, v._vals, w)[2][0])
     return g_from_f(v, A, w)
 
 
 def _to_f(v, A, w, tails):
-    tails.append(column_terms(A, v._cols, (v._vals,), w)[2][0])
+    tails.append(column_terms(A, v._cols, v._vals, w)[2][0])
     return f_from_g(v, A, w)
 
 

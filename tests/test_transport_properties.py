@@ -121,16 +121,21 @@ D4_PICKS = [W_D4.dil_labels.index(lab) for lab in [(PLUS, 0), (PLUS, 1), (MINUS,
 # rows 2^20 scales apart: the matrix is all that is held for them
 GAPPED_ROWS = [(0, 0), (1, 1), (2**20 + 2, 0)]
 
-values = st.builds(
-    lambda r, t: r * complex(math.cos(t), math.sin(t)),
-    st.floats(1e-6, 1e3), st.floats(0.0, 2.0 * math.pi),
-)
+def _polar(radii):
+    return st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                     radii, st.floats(0.0, 2.0 * math.pi))
+
+
+values = _polar(st.floats(1e-6, 1e3))
+# values just above the zero rule: a vector keeps them, and its transfers
+# may put entries below it
+tiny_values = _polar(st.floats(1e-15, 4e-15))
 signs = st.sampled_from([PLUS, MINUS])
 
 
-def g_vectors(labels):
+def g_vectors(labels, vals=values):
     keys = st.tuples(signs, labels, st.integers(-3, 4))
-    return st.dictionaries(keys, values, max_size=6).map(GCoordVec)
+    return st.dictionaries(keys, vals, max_size=6).map(GCoordVec)
 
 
 family_and_psi = st.one_of(
@@ -202,7 +207,7 @@ def test_completeness_passes_take_only_keys_that_reach_the_matrix():
 
     def counting(kind):
         def terms(A, keys, vals, w, *runs):
-            taken[kind].append(len(vals[0]))
+            taken[kind].append(len(vals))
             return calls[kind](A, keys, vals, w, *runs)
         return terms
 
@@ -284,21 +289,21 @@ def _ps_of(grid):
 
 def per_q_route_sums(index, psi, ps_of, A, w):
     """Route A's (p, q) sums and per-q tails, and route B's sums, a row pass per q."""
-    keys, (terms,), (column_tail,), _ = column_terms(A, psi._cols, (psi._vals,), w)
+    keys, terms, (column_tail,), _ = column_terms(A, psi._cols, psi._vals, w)
     (i, nu), x = sum_by_key(keys, terms)
     route_a, tails = {}, []
     for q in sorted(ps_of):
-        keys, terms, (row_tail,), _ = row_terms(A, (i, offset_column(nu, q)), (x,), w)
+        keys, terms, (row_tail,), _ = row_terms(A, (i, offset_column(nu, q)), x, w)
         keyed = index._keyed(keys, terms)
-        route_a.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed)[0].items())
+        route_a.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
         tails.append(column_tail + row_tail)
     f0, route_b = f_from_g(psi, A, w), {}
     for q in sorted(ps_of):
         keyed = None
         if q != 0:
             fq = shift_T(f0, q)
-            keyed = index._keyed(*row_terms(A, fq._cols, (fq._vals,), w)[:2])
-        route_b.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed)[0].items())
+            keyed = index._keyed(*row_terms(A, fq._cols, fq._vals, w)[:2])
+        route_b.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
     return route_a, tails, route_b
 
 
@@ -310,12 +315,12 @@ def per_q_completeness(psi, A, labels, row_window, w):
                       np.zeros(len(labels) * len(ms), dtype=complex), (0,))
     top = max(ms, default=0) + int(max((j for _, j in labels), default=0)).bit_length()
     keys, reached = wavelet._reaching(A, psi._cols, psi._vals, top)
-    keys, (terms,), _, _ = column_terms(A, keys, (reached,), w)
+    keys, terms, _, _ = column_terms(A, keys, reached, w)
     (i, nu), x = wavelet._reaching(A, *sum_by_key(keys, terms), top)
     ids = index._ids(*key_columns(labels, 2)).tolist()
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
     for q in qs:
-        codes, ((sums, keep),) = index._keyed(*row_terms(A, (i, offset_column(nu, q)), (x,), w)[:2])
+        codes, sums, keep = index._keyed(*row_terms(A, (i, offset_column(nu, q)), x, w)[:2])
         found = dict(zip(codes[keep].tolist(), sums[keep]))
         for r, (m, row_q) in enumerate(rows):
             for c, gid in enumerate(ids):
@@ -329,18 +334,20 @@ def _sum_bytes(sums):
 
 
 # small Haar candidates with labels past int64 among their groups (the labels
-# of a coefficient file's wide candidate), and small exponential candidates
+# of a coefficient file's wide candidate), and small exponential candidates;
+# values near the zero rule give copies whose entries it drops, which route B
+# then transports in passes of its own
 wide_labels = st.sampled_from([2**40, 2**62 + 1, 2**70 + 3])
+chunk_values = st.one_of(values, tiny_values)
 chunk_cases = st.one_of(
-    st.tuples(st.just("haar"), g_vectors(st.one_of(st.integers(0, 6), wide_labels))),
-    st.tuples(st.just("exponential"), g_vectors(st.integers(-3, 3))),
+    st.tuples(st.just("haar"), g_vectors(st.one_of(st.integers(0, 6), wide_labels), chunk_values)),
+    st.tuples(st.just("exponential"), g_vectors(st.integers(-3, 3), chunk_values)),
 )
 
 
 WIDE_PSI = GCoordVec({(PLUS, j, 0): 0.5 for j in (1, 2**40, 2**70 + 3)})
 # X entries the zero rule drops: those of the ladder column (+, 0, 2), at
-# (0, 0), (2, 0) and (1, 0).  Shifted by q = -1, (1, 0) sits on the ladder
-# row (1, -1), whose negative alphas times route B's 0j give -0.0 terms
+# (0, 0), (2, 0) and (1, 0)
 LADDER_DROP_PSI = GCoordVec({(PLUS, 1, 0): 0.5, (PLUS, 0, 2): 1.2e-15})
 
 
@@ -348,9 +355,13 @@ def chunked_route_sums(index, psi, ps_of, A, w):
     """Route A's (p, q) sums and per-q tails, and route B's sums, as
     ``orthonormality_residuals`` takes them from one translation-model copy."""
     cols, x, column_tail = wavelet._translation_copy(psi, A, w)
-    (route_a, route_b), row_tails = wavelet._shift_sums(
-        index, A, cols, (x, wavelet._zero_ruled(x)), ps_of, w)
-    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ()))[0].items())
+    route_a, row_tails = wavelet._shift_sums(index, A, cols, x, ps_of, w)
+    route_b, keep = dict(route_a), keep_mask(x)
+    if not keep.all():
+        shifted = {q: ps for q, ps in ps_of.items() if q != 0}
+        route_b.update(wavelet._shift_sums(index, A, tuple(c[keep] for c in cols), x[keep],
+                                           shifted, w)[0])
+    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
     return route_a, [column_tail + tail for tail in row_tails], route_b
 
 
@@ -385,7 +396,7 @@ def test_chunked_route_sums_match_a_pass_per_q(case, pq):
 @given(case=chunk_cases)
 @example(case=("d4", D4_PSI))
 @example(case=("haar", WIDE_PSI))
-def test_zero_ruled_copy_is_f_from_g(case):
+def test_kept_entries_of_the_copy_are_f_from_g(case):
     # route B's copy of psi in the translation model is route A's X under
     # the zero rule, and that is the adjoint transfer of psi bit for bit
     fam, psi = case
@@ -396,65 +407,6 @@ def test_zero_ruled_copy_is_f_from_g(case):
     assert [c.dtype for c in cols] == [c.dtype for c in f0._cols]
     assert [c[keep].tolist() for c in cols] == [c.tolist() for c in f0._cols]
     assert x[keep].tobytes() == f0._vals.tobytes()
-
-
-def _translation_dict(psi, fam):
-    cols, x, _ = wavelet._translation_copy(psi, *FAMILIES[fam])
-    return dict(zip(zip(*(c.tolist() for c in cols)), x.tolist()))
-
-
-# translation-model copies with entries the zero rule drops (tiny and zero ones)
-x_values = st.one_of(values, values.map(lambda v: v * 1e-16), st.just(0j))
-x_cases = st.one_of(
-    st.tuples(st.just("haar"), st.dictionaries(
-        st.tuples(st.one_of(st.integers(0, 6), wide_labels), st.integers(-4, 4)), x_values,
-        min_size=1, max_size=8)),
-    st.tuples(st.just("exponential"), st.dictionaries(
-        st.tuples(st.integers(-3, 3), st.integers(-4, 4)), x_values, min_size=1, max_size=8)),
-)
-
-
-@given(case=x_cases, qs=st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
-@example(case=("haar", _translation_dict(LADDER_DROP_PSI, "haar")), qs=[-1, 0, 1])
-@example(case=("haar", _translation_dict(LADDER_DROP_PSI, "haar")), qs=[0])
-def test_zeroed_column_sums_are_a_pass_over_the_kept_entries(case, qs):
-    # route B's column is X with its dropped entries 0j, riding beside X; its
-    # kept codes and sums are those of a pass over X[keep] alone, bit for bit
-    fam, entries = case
-    A, w = FAMILIES[fam]
-    cols, x = key_columns(list(entries), 2), np.array(list(entries.values()), dtype=complex)
-    qs = sorted(qs)
-    targets = {key for q in qs
-               for key in zip(*(c.tolist() for c in row_terms(A, (cols[0], offset_column(cols[1], q)), (x,), w)[0]))}
-    targets = sorted(targets) or [(PLUS, 0, 0)]
-    index = _KeyIndex(key_columns(targets, 3), np.ones(len(targets), dtype=complex), (-1, 0, 1))
-    keep = keep_mask(x)
-    zeroed = wavelet._zero_ruled(x)
-    assert (zeroed is x) == bool(keep.all())
-    shared = list(wavelet._keyed_passes(index, A, cols, (x, zeroed), qs, w))
-    if qs == [0]:
-        # a chunk of q = 0 alone carries its first column alone: the zeroed one goes first
-        assert [len(columns) for _, _, columns, _ in shared] == [1]
-        shared = list(wavelet._keyed_passes(index, A, cols, (zeroed,), qs, w))
-    alone = list(wavelet._keyed_passes(index, A, tuple(c[keep] for c in cols), (x[keep],), qs, w))
-    assert [q for q, *_ in shared] == [q for q, *_ in alone] == qs
-    for (_, codes, (*_, (sums, kept)), _), (_, ref_codes, ((ref_sums, ref_kept),), _) in zip(shared, alone):
-        assert codes[kept].tobytes() == ref_codes[ref_kept].tobytes()
-        assert sums[kept].tobytes() == ref_sums[ref_kept].tobytes()
-        # and the (p, q) sums that each route takes of them
-        got = index.sums((-1, 0, 1), (codes, ((sums, kept), (sums, kept))))
-        want, = index.sums((-1, 0, 1), (ref_codes[ref_kept], ((ref_sums[ref_kept], None),)))
-        assert [_sum_bytes(g) for g in got] == [_sum_bytes(want)] * 2
-
-
-def test_a_dropped_entry_on_a_ladder_row_gives_negative_zero_terms():
-    A, w = FAMILIES["haar"]
-    cols, x, _ = wavelet._translation_copy(LADDER_DROP_PSI, A, w)
-    keep = keep_mask(x)
-    assert keep.sum() == 1 and len(x) == 4
-    zeroed = wavelet._zero_ruled(x)
-    _, (_, terms), _, _ = row_terms(A, (cols[0], offset_column(cols[1], -1)), (x, zeroed), w)
-    assert (np.signbit(terms.real) & (terms.real == 0.0)).any()
 
 
 @given(case=chunk_cases, picks=st.lists(st.integers(0, 13), min_size=1, max_size=4),
@@ -475,12 +427,12 @@ def test_chunked_completeness_matches_a_pass_per_q(case, picks, row_window):
 
 
 def _row_passes(psi, A, pq, w):
-    """(rows, value columns, runs) of each row pass of the orthonormality check."""
+    """(rows, runs) of each row pass of the orthonormality check."""
     passes = []
     real = wavelet.row_terms
 
     def counting(A, keys, vals, w, runs):
-        passes.append((len(vals[0]), len(vals), runs))
+        passes.append((len(vals), runs))
         return real(A, keys, vals, w, runs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -492,26 +444,27 @@ def _row_passes(psi, A, pq, w):
 def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
     # the D4 candidate's translation-model copy has 24,650 rows, past the
     # row budget: each of the 5 shifts is a pass of its own.  The zero rule
-    # drops none of the copy's entries, so route B's column is route A's and
-    # every pass carries that one column
+    # drops none of the copy's entries, so route B's sums are route A's and
+    # it takes no pass of its own
     psi = d4_psi(12)
     A, w = FAMILIES["d4"]
     x = wavelet._translation_copy(psi, A, w)[1]
-    assert wavelet._zero_ruled(x) is x
-    assert _row_passes(psi, A, 2, w) == [(24_650, 1, 1)] * 5
+    assert keep_mask(x).all()
+    assert _row_passes(psi, A, 2, w) == [(24_650, 1)] * 5
     assert 24_650 > wavelet.ROW_BUDGET
 
 
 @pytest.mark.parametrize("w", [W_HAAR, Window.symmetric(HAAR, 4).with_dil_range(-48, 48)])
 def test_a_copy_with_dropped_entries_carries_both_columns(w):
     # LADDER_DROP_PSI, also the CLI smoke's dropping.json (at the CLI's
-    # --window 4 --pq 1): the zero rule drops entries of its copy, so
-    # route B's zeroed column rides beside route A's in the one pass of its
-    # three shifts
+    # --window 4 --pq 1): the zero rule drops entries of its copy, so after
+    # route A's one pass of its three shifts over X, route B takes one pass
+    # of its own of the shifts q != 0 over X's kept entries
     A = FAMILIES["haar"][0]
     x = wavelet._translation_copy(LADDER_DROP_PSI, A, w)[1]
-    assert wavelet._zero_ruled(x) is not x
-    assert _row_passes(LADDER_DROP_PSI, A, 1, w) == [(3 * len(x), 2, 3)]
+    kept = int(keep_mask(x).sum())
+    assert kept < len(x)
+    assert _row_passes(LADDER_DROP_PSI, A, 1, w) == [(3 * len(x), 3), (2 * kept, 2)]
 
 
 # -- the scaling check's autocorrelation --------------------------------------------

@@ -354,12 +354,12 @@ def test_shifted_sums_match_a_dict_reference():
             assert (PLUS, 0, 7) not in other and (MINUS, 0, 7) in other
             index = _KeyIndex(psi._cols, psi._vals, sorted(ps))
             assert bool(index.tables) == tables
-            got, = index.sums(ps, index._keyed(key_columns(keys, 3), (np.array(terms),)))
-            own, = index.sums(ps)
+            got = index.sums(ps, index._keyed(key_columns(keys, 3), np.array(terms)))
+            own = index.sums(ps)
             for p in ps:
                 want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
                 assert bits(got[p]) == bits(want)
                 want = csum(x * psi[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
                 assert bits(own[p]) == bits(want)
-            empty, = index.sums(ps, index._keyed(key_columns([], 3), (np.zeros(0, dtype=complex),)))
+            empty = index.sums(ps, index._keyed(key_columns([], 3), np.zeros(0, dtype=complex)))
             assert empty == dict.fromkeys(ps, 0j)
