@@ -38,28 +38,39 @@ alpha_{i,n}^{s,j,m} != 0 and i >= 1, level(i, n) <= level(s, j, m), with
 equality when the row or the column has a single entry.  ``scale_reach``
 reads it as a mask of the keys whose transfers can reach a given level.
 
+Haar element form
+-----------------
+Every Haar element is a box or a wavelet 2^{a/2} psi(2^a x - b) of level a
+and offset b, and a key of either model names one (``_trans_key``,
+``_dil_key``): single-entry rows and columns, and D^p (a -> a + p), are
+index maps on (a, b).  ``_split`` expands a box into wavelets, ``_spread``
+an element into unit boxes.  The blocks, the translation-model D
+(``group_action._haar_dilate``) and the filter cascade read these four
+helpers; the scalar tables stay written out case by case, as the
+references that the blocks and D are tested against.
+
 Batched transfers
 -----------------
 ``row_terms`` and ``column_terms`` lay a transfer out as blocks, one per
 case, over whole int64 key arrays.  Almost every Haar row and column is a
-single entry of value exactly 1.0, a relabelling of the key (j = (n << r)
-+ t at scale -u, and the like); ``_haar_row_blocks`` and
-``_haar_column_blocks`` put those keys in one single-entry block and
-expand the ladders, the coarse boxes, the label-0 box columns and the
-wavelet columns with p + m < 0 as arrays, entry for entry as the tables
-enumerate them and with the same alpha values.  What no block covers --
-keys whose entries would leave int64 (ladder columns past m = 62, boxes
-past u = 61, shifts reaching 2^62), object-dtype keys and every
-exponential key -- goes through ``AlphaMatrix.row``/``column`` one at a
-time, as one more block.  ``_terms`` lays out every block the same way:
-the terms keep source order, and the clipped tails are summed over the
-keys in order with Python's ``abs``, so the transfers give what the
-term-by-term loop over ``row``/``column`` gives, bit for bit.  Every pass
-takes one value array over its keys, and its keys in equal runs (one by
-default): ``transfer`` passes its vector in one run, the wavelet checks a
-chunk of shifted copies as runs.  Each run's terms are one contiguous
-range, and its tail is summed over its own keys, as a pass of that run
-alone sums it.
+single entry of value exactly 1.0, a relabelling of the key: the row's
+element read by ``_dil_key``, the column's by ``_trans_key``.
+``_haar_row_blocks`` and ``_haar_column_blocks`` put those keys in one
+single-entry block and expand the ladders, the coarse boxes (``_split``),
+and the label-0 box columns and wavelet columns with p + m < 0
+(``_spread``) as arrays, entry for entry as the tables enumerate them and
+with the same alpha values.  What no block covers -- keys whose entries
+would leave int64 (ladder columns past m = 62, boxes past u = 61, shifts
+reaching 2^62), object-dtype keys and every exponential key -- goes
+through ``AlphaMatrix.row``/``column`` one at a time, as one more block.
+``_terms`` lays out every block the same way: the terms keep source
+order, and the clipped tails are summed over the keys in order with
+Python's ``abs``, so the transfers give what the term-by-term loop over
+``row``/``column`` gives, bit for bit.  Every pass takes one value array
+over its keys, and its keys in equal runs (one by default): ``transfer``
+passes its vector in one run, the wavelet checks a chunk of shifted
+copies as runs.  Each run's terms are one contiguous range, and its tail
+is summed over its own keys, as a pass of that run alone sums it.
 """
 
 from __future__ import annotations
@@ -307,6 +318,56 @@ def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
     return out
 
 
+# -- the Haar element form (see "Haar element form" above) --------------------
+
+def _trans_key(a, b):
+    """The translation key (i, n) of the wavelet of level a >= 0 at offset b."""
+    return (1 << a) + (b & ((1 << a) - 1)), b >> a
+
+
+def _dil_key(a, b):
+    """The dilation key (s, j, m) of the wavelet of level a at offset b not
+    in {0, -1}: (+, b, a - p) for b = 2^p + q, (-, b + 3 * 2^p, a - p) for
+    b = -2^(p+1) + q, 0 <= q < 2^p."""
+    plus = b > 0
+    p = bit_length(np.where(plus, b, ~b) | 1) - 1
+    return np.where(plus, PLUS, MINUS), np.where(plus, b, b + (3 << p)), a - p
+
+
+def _split(x, u):
+    """The box of level u at offset x as its cell's box and one wavelet per
+    level l < u, in that order: (entries per box, each entry's box, their
+    translation key columns, alphas).  The box (0, x >> u) is at 2^(-u/2),
+    the wavelet ``_trans_key(l, x >> (u - l))`` at 2^((l - u)/2), negative
+    where bit u - l - 1 of x is set; entries 0.0 in double precision (past
+    ``_LADDER_DEPTH`` levels) are not listed.  ``u`` is int64."""
+    box = u <= _LADDER_DEPTH
+    low = np.maximum(u - _LADDER_DEPTH, 0)  # the lowest level listed
+    counts = u - low + box
+    key, pos = _runs(counts)
+    x, u = x[key], u[key]
+    level = pos + low[key] - box[key]  # -1 for the box
+    wave = level >= 0
+    lw = np.maximum(level, 0).astype(x.dtype)
+    labels, cells = _trans_key(lw, x >> (u - lw))
+    neg = wave & (((x >> (u - lw - 1)) & 1) == 1)
+    mag = np.sqrt(np.ldexp(1.0, np.where(wave, level - u, -u)))
+    return counts, key, (np.where(wave, labels, 0), cells), np.where(neg, -mag, mag).astype(complex)
+
+
+def _spread(start, u, wavelet):
+    """An element spanning the 2^u unit cells from ``start`` as its unit
+    boxes, (0, start + t) for t ascending, at 2^(-u/2), the second half
+    negative where ``wavelet``: (entries per element, each entry's element,
+    their translation key columns, alphas).  ``u`` is int64."""
+    counts = 1 << u
+    key, pos = _runs(counts)
+    neg = wavelet[key] & (pos >= (counts >> 1)[key])
+    mag = np.sqrt(np.ldexp(1.0, -u))[key]
+    shifts = start[key] + pos
+    return counts, key, (np.zeros_like(shifts), shifts), np.where(neg, -mag, mag).astype(complex)
+
+
 # -- batched Haar blocks (see "Batched transfers" above) -----------------------
 
 def _haar_arrays(A: "AlphaMatrix", keys) -> bool:
@@ -354,32 +415,17 @@ def _haar_row_blocks(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
     """
     ladder, box = _haar_row_cases(i, n)
     blocks = []
-    # i in [0, 2^62) and |n| < 2^62 (abs leaves -2^63 negative, so it fails too)
-    single = ~(ladder | box) & (((i | np.abs(n)) >> 62) == 0)
-    at, si, sn = np.flatnonzero(single), i[single], n[single]
-    r = bit_length(si) - 1  # i = 2^r + t; r = -1 only for i = 0
-    rc = np.maximum(r, 0)
-    t = si - (1 << rc)
-    # n >= 1 is 2^u + v and n <= -2 is -2^(u+1) + v, both at scale -u, with
-    # label (lead << r) + t for lead = 2^u + v (so n = 1 and n = -2 give i)
-    up = sn > 0
-    u = bit_length(np.where(up, sn, ~sn) | 1) - 1
-    j = (np.where(up, sn, sn + (3 << u)) << rc) + t
-    m = -u
-    edge = (sn == 0) | (sn == -1)
-    if edge.any():
-        # n = 0: label t at scale r - p, p = bit_length(t) - 1; n = -1: label
-        # 2^p + q at scale r - p, p from the mirrored offset 2^r - t - 1
-        zero = sn == 0
-        p = bit_length(np.where(zero, t, (1 << rc) - t - 1) | 1) - 1
-        j = np.where(zero, t, np.where(edge, (3 << p) + t - (1 << rc), j))
-        m = np.where(edge, r - p, m)
-    s = np.where(sn >= 0, PLUS, MINUS)
-    fit = u + r <= 61  # the label (lead << r) + t stays below 2^63
-    if not fit.all():
-        at, s, j, m = at[fit], s[fit], j[fit], m[fit]
+    # the wavelet 2^r + t at shift n is of level r at offset t + (n << r), a
+    # box (0, 1) or (0, -2) of level 0 at offset n; i, |n| and the offset
+    # stay below 2^62 (abs leaves -2^63 negative, so it fails too)
+    r = np.maximum(bit_length(i) - 1, 0)
+    single = (~(ladder | box) & (((i | np.abs(n)) >> 62) == 0)
+              & (r + bit_length(np.where(n >= 0, n, ~n)) <= 62))
+    at = np.flatnonzero(single)
     if len(at):
-        blocks.append((at, None, (s, j, m), None, None))
+        si, r = i[at], r[at]
+        s, j, m = _dil_key(r, (n[at] << r) + (si & ((1 << r) - 1)))
+        blocks.append((at, None, (s, np.where(si > 0, j, 0), m), None, None))
     at = np.flatnonzero(ladder & (i >= 0))
     if len(at):
         li, ln = i[at], n[at]
@@ -401,19 +447,10 @@ def _haar_row_blocks(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
         fit = u <= 61
         at, bn, u = at[fit], bn[fit], u[fit]
     if len(at):
-        v = bn - np.where(bn > 0, 1 << u, -(2 << u))
-        counts = u + 1
-        key, pos = _runs(counts)
-        # entry 0 is the box at 2^(-u/2), entry p + 1 the wavelet
-        # 2^p + (v >> (u - p)) at 2^((p - u)/2), negative where bit u - p - 1
-        # of v is set
-        bn, u, v = bn[key], u[key], v[key]
-        first = pos == 0
-        p = np.maximum(pos - 1, 0)
-        neg = ~first & (((v >> (u - p - 1)) & 1) == 1)
-        mag = np.sqrt(np.ldexp(1.0, np.where(first, -u, p - u)))
-        cols = np.where(bn > 0, PLUS, MINUS), np.where(first, 0, (1 << p) + (v >> (u - p))), -u
-        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), None))
+        # at scale -u the box (0, n) is the box of level u at offset n, its
+        # cell the dilation box [2^u, 2^(u+1)) or [-2^(u+1), -2^u)
+        counts, key, (j, _), alphas = _split(bn, u)
+        blocks.append((at, counts, (np.where(bn > 0, PLUS, MINUS)[key], j, -u[key]), alphas, None))
     return blocks
 
 
@@ -427,18 +464,17 @@ def _haar_column_blocks(s: np.ndarray, j: np.ndarray, m: np.ndarray) -> list:
     blocks = []
     box = j == 0
     label = (j > 0) & (j < _WIDE)
-    # a label j = 2^p + q is a translated wavelet at scale a = p + m and
-    # offset b = 2^p + q or -2^(p+1) + q; a box is at a = m, b = 1 or -2
+    # a label j = 2^p + q is the wavelet at level a = p + m and offset
+    # b = 2^p + q or -2^(p+1) + q; a box is at a = m, b = 1 or -2
     p = bit_length(np.where(label, j, 1)) - 1
     a = p + np.clip(m, -64, 64)
+    plus = s == PLUS
+    b = np.where(box, np.where(plus, 1, -2), np.where(plus, j, j - (3 << p)))
     single = np.where(box, m == 0, label & (a >= 0) & (a <= 61))
     at = np.flatnonzero(single)
     if len(at):
-        sj, plus, sa, sbox = j[single], s[single] == PLUS, a[single], box[single]
-        b = np.where(plus, sj, sj - (3 << p[single]))
-        i = np.where(sbox, 0, (1 << sa) + (b & ((1 << sa) - 1)))
-        n = np.where(sbox, np.where(plus, 1, -2), b >> sa)
-        blocks.append((at, None, (i, n), None, None))
+        i, n = _trans_key(a[at], b[at])
+        blocks.append((at, None, (np.where(box[at], 0, i), n), None, None))
     at = np.flatnonzero(box & (m > 0) & (m <= 62))
     if len(at):
         counts = m[at] + 1
@@ -452,21 +488,14 @@ def _haar_column_blocks(s: np.ndarray, j: np.ndarray, m: np.ndarray) -> list:
         mag = np.sqrt(np.ldexp(1.0, np.where(first, pos - r, -pos)))
         cols = i, np.where(plus, 0, -1)
         blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), None))
-    # box and wavelet columns at a < 0: the 2^u shifts (b << u) + k of label
-    # 0 for u = -a; the wavelets' second half is negative
+    # box and wavelet columns at a < 0: the 2^u unit boxes from b << u, u = -a,
+    # where (|b| + 1) 2^u < 2^62
     at = np.flatnonzero((box | label) & (a < 0) & (a >= -61))
+    at = at[((np.abs(b[at]) + 1) >> (62 + a[at])) == 0]
     if len(at):
-        bj, plus, u = j[at], s[at] == PLUS, -a[at]
-        b = np.where(bj == 0, np.where(plus, 1, -2), np.where(plus, bj, bj - (3 << p[at])))
-        fit = ((np.abs(b) + 1) >> (62 - u)) == 0  # (|b| + 1) 2^u < 2^62
-        at, bj, b, u = at[fit], bj[fit], b[fit], u[fit]
-    if len(at):
-        counts = 1 << u
-        key, pos = _runs(counts)
-        neg = (bj[key] > 0) & (pos >= counts[key] >> 1)
-        mag = np.sqrt(np.ldexp(1.0, -u[key]))
-        cols = np.zeros_like(pos), (b[key] << u[key]) + pos
-        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), None))
+        u = -a[at]
+        counts, _, cols, alphas = _spread(b[at] << u, u, label[at])
+        blocks.append((at, counts, cols, alphas, None))
     return blocks
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -385,12 +386,23 @@ class _Command:
         return parser.parse_known_args(args, namespace)
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite, non-negative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite, non-negative number, got {text!r}")
+    return value
+
+
 def _common(p, tol_default=1e-9):
     p.add_argument("--basis", choices=["exponential", "haar"], default="haar")
     p.add_argument("--window", type=int, default=6, help="symmetric window radius")
     p.add_argument("--mmax", type=int, default=48,
                    help="scale-ladder truncation depth (dilation model)")
-    p.add_argument("--tol", type=float, default=tol_default)
+    p.add_argument("--tol", type=_tolerance, default=tol_default)
     p.add_argument("--out", help="also write the JSON document to this path")
 
 
@@ -444,7 +456,7 @@ def _declare_fourier_check(p):
                    default="translates")
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--krange", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--csv", help="write per-theta column norms to this CSV path")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_fourier_check)

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .alpha import AlphaMatrix
+from .alpha import AlphaMatrix, _trans_key
 from .bases import FunctionSpec, UnboundedSupportError, dilate_spec, translate_spec
 from .core import (
     CheckReport,
@@ -118,6 +118,13 @@ def extract_two_scale(phi: FunctionSpec, k_range) -> LaurentPoly:
     return LaurentPoly.from_map(dict(zip(ks, vals)))
 
 
+def _circle(grid: int) -> np.ndarray:
+    # the points omega_k = e^{2 pi i k / grid}; an empty grid would check nothing
+    if grid < 1:
+        raise ValueError(f"the circle grid needs at least 1 point, got grid={grid}")
+    return np.exp(2j * np.pi * (np.arange(grid) / grid))
+
+
 def _even_correlations(a: LaurentPoly, b: LaurentPoly, n_range) -> dict[int, complex]:
     """c_n = sum_k conj(a_k) b_{k+2n}."""
     bmap = b.as_dict()
@@ -142,8 +149,7 @@ def check_filter_orthogonality(h: LaurentPoly, n_range=8, tol: float = 1e-12,
     for n, c in corr.items():
         residuals[("coeff", n)] = abs(c - (1.0 if n == 0 else 0.0))
 
-    thetas = np.arange(grid) / grid
-    omega = np.exp(2j * np.pi * thetas)
+    omega = _circle(grid)
     direct = np.abs(h(omega)) ** 2 + np.abs(h(-omega)) ** 2
     via_coeffs = 2.0 * sum(c * omega ** (2 * n) for n, c in corr.items())
     match = float(np.max(np.abs(direct - via_coeffs)))
@@ -187,8 +193,7 @@ def check_pair_conditions(h: LaurentPoly, g: LaurentPoly, n_range=8, grid: int =
     for n, c in _even_correlations(h, g, n_range).items():
         residuals[("hg", n)] = abs(c)
 
-    thetas = np.arange(grid) / grid
-    omega = np.exp(2j * np.pi * thetas)
+    omega = _circle(grid)
     hw, gw = h(omega), g(omega)
     hmw, gmw = h(-omega), g(-omega)
     alt = gw * np.conjugate(hw) + gmw * np.conjugate(hmw)
@@ -320,8 +325,8 @@ def scaling_coords_from_filter(h: LaurentPoly, levels: int = 12) -> tuple[FCoord
     mu = np.real(vecs[:, pick])
     mu = mu / mu.sum()
 
-    # label 0 at n < width, then each level's wavelets (i, n), i = 2^p + (l mod 2^p)
-    labels, shifts, values = [np.zeros(width, dtype=np.int64)], [np.arange(width)], [mu]
+    # label 0 at n < width, then each level's wavelets: the l-th at level p, offset l
+    keys, values = [(np.zeros(width, dtype=np.int64), np.arange(width))], [mu]
     c_prev = mu
     for level in range(1, levels + 1):
         n_k = width << level
@@ -335,15 +340,12 @@ def scaling_coords_from_filter(h: LaurentPoly, levels: int = 12) -> tuple[FCoord
                 c_next[a:b] += v * c_prev[a - lo: b - lo]
         p = level - 1
         detail = (c_next[0::2] - c_next[1::2]) / math.sqrt(2.0)
-        l = np.arange(len(detail))
-        labels.append((1 << p) + (l & ((1 << p) - 1)))
-        shifts.append(l >> p)
+        keys.append(_trans_key(p, np.arange(len(detail))))
         values.append(detail)
         c_prev = c_next
 
     vals = np.concatenate(values).astype(complex)
     keep = keep_mask(vals)
-    vec = FCoordVec._from_columns((np.concatenate(labels)[keep], np.concatenate(shifts)[keep]),
-                                  vals[keep])
+    vec = FCoordVec._from_columns(tuple(np.concatenate(c)[keep] for c in zip(*keys)), vals[keep])
     tail = max(0.0, 1.0 - vec.norm_sq())
     return vec, tail

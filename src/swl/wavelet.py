@@ -3,22 +3,22 @@
 A candidate's dilation-model coordinates determine whether its dilated
 translates form an orthonormal system through a family of coordinate sums,
 one per integer pair (p, q); the system is orthonormal exactly when the
-sum is 1 at (0, 0) and 0 elsewhere.  Two routes evaluate the sums here:
+sum is 1 at (0, 0) and 0 elsewhere.  Two routes evaluate the sums here,
+both from one translation-model copy X of the candidate psi, its column
+transfer (``_translation_copy``):
 
-* the literal nested change-of-basis triple sum, innermost first, using
-  the row/column support enumerations directly;
-* the inner-product form: transport the candidate with the group action
-  and take the coordinate dot product.
+* route A shifts X by q in the translation model, moves it back by the
+  row transfer (U_q) and reads <psi, D^p U_q> at psi's own keys: the
+  change-of-basis triple sum, in array passes;
+* route B does the same from X under the zero rule, which is
+  ``f_from_g`` of psi bit for bit, and reads psi itself at q = 0.
 
-Both are computed and must agree; the report carries the worse residual
-and the route disagreement.  They are not independent arithmetic: each
-check moves the candidate to the translation model once
-(``_translation_copy``), route A reads that copy X and route B reads X
-under the zero rule (``f_from_g`` of psi bit for bit), so for q != 0 route
-B's transported vector is route A's bit for bit and the agreement gate
-measures only the q = 0 round trip.  Where the zero rule drops nothing,
-route B's copy is X itself, and its q != 0 sums are route A's; where it
-drops an entry, route B takes passes of its own over the kept entries.
+Both are computed and must agree; the report carries route A's
+residuals and the route disagreement.  They are not independent
+arithmetic: where the zero rule drops nothing, route B's copy is X
+itself, its q != 0 sums are route A's bit for bit, and the agreement gate
+measures only the q = 0 round trip; where the rule drops an entry, route
+B takes passes of its own over the kept entries.
 
 Every shifted coordinate sum is read from one keyed index, ``_KeyIndex``,
 whose ``sums`` take <value, v shifted by p> for all the ps at once.  The

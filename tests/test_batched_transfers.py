@@ -31,11 +31,14 @@ from swl import (  # noqa: E402
     transfer,
 )
 from swl.alpha import (  # noqa: E402
+    _dil_key,
     _haar_column,
     _haar_column_blocks,
     _haar_row,
     _haar_row_blocks,
+    _trans_key,
 )
+from swl.bases import int_atoms  # noqa: E402
 from swl.core import DROP_THRESHOLD, MINUS, PLUS, key_columns  # noqa: E402
 
 A = AlphaMatrix(HAAR)
@@ -123,6 +126,41 @@ def test_map_cases_cover_every_branch():
     # ladders, boxes, p + m < 0, and the last two, at scale 62
     assert [t is None for t in targets] == [
         False, False, True, True, False, False, False, True, False, False, True, True]
+
+
+# -- the element form against the oracle's description ---------------------------
+
+def _level_offset(atoms):
+    # a wavelet 2^(a/2) psi(2^a x - b) is two atoms on the halves of its box
+    (lo, hi, exp, *_), _ = atoms
+    assert hi == lo + 1 and lo % 2 == 0
+    return exp - 1, lo >> 1
+
+
+def _as_columns(*values):
+    # each value as a one-entry Python-int column, and as int64 where all fit
+    yield tuple(np.array([v], dtype=object) for v in values)
+    if _fits(*values):
+        yield tuple(np.array([v], dtype=np.int64) for v in values)
+
+
+wavelet_labels = st.one_of(st.integers(1, 300), _near(1, 75))
+far_shifts = st.one_of(shifts, st.integers(-(1 << 62) - 9, -(1 << 62) + 9),
+                       st.integers((1 << 62) - 9, (1 << 62) + 9))
+
+
+@given(i=wavelet_labels, n=far_shifts)
+def test_trans_key_inverts_the_atoms_of_a_translation_key(i, n):
+    a, b = _level_offset(int_atoms(HAAR, (i, n)))
+    for cols in _as_columns(a, b, 1 << (a + 1)):
+        assert [int(c[0]) for c in _trans_key(*cols[:2])] == [i, n]
+
+
+@given(s=signs, j=wavelet_labels, m=st.one_of(st.integers(-12, 12), st.integers(-200, 200)))
+def test_dil_key_inverts_the_atoms_of_a_dilation_key(s, j, m):
+    a, b = _level_offset(int_atoms(HAAR, (s, j, m)))
+    for cols in _as_columns(a, b, j, m):
+        assert [int(c[0]) for c in _dil_key(*cols[:2])] == [s, j, m]
 
 
 # -- transfers against the dict accumulation ---------------------------------------

@@ -373,6 +373,42 @@ def test_filter_orthogonality_failure_exit(capsys):
     assert code == 1
 
 
+_HAAR_COEFFS = '{"0": [0.7071067811865476, 0], "1": [0.7071067811865476, 0]}'
+
+
+@pytest.mark.parametrize("verb", ["check-orthogonality", "check-pair"])
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_empty_filter_grid_exits_2_naming_the_grid(capsys, verb, grid):
+    code, out, err = _invoke(capsys, "filter", verb, "--coeffs", _HAAR_COEFFS, "--grid", grid)
+    assert (code, out) == (2, "")
+    assert err == f"swl: error: the circle grid needs at least 1 point, got grid={grid}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("coords", "--function", "gaussian(1)"),
+    ("fourier-check", "--fhat", "haar_phi"),
+    ("filter", "check-orthogonality", "--coeffs", _HAAR_COEFFS),
+])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "-1e-300"])
+def test_bad_tolerance_exits_2_when_parsed(monkeypatch, capsys, argv, tol):
+    # a negative or non-finite --tol is refused before any work is done
+    import swl.cli
+
+    calls = []
+    for name in ("oracle_F_coords", "check_filter_orthogonality", "periodize"):
+        monkeypatch.setattr(swl.cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    code, out, err = _invoke(capsys, *argv, f"--tol={tol}")
+    assert (code, out, calls) == (2, "", [])
+    assert f"error: argument --tol: must be a finite, non-negative number, got '{tol}'" in err
+    assert "Traceback" not in err
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, out, _ = _invoke(capsys, "filter", "check-orthogonality", "--coeffs", _HAAR_COEFFS,
+                           "--tol", "0")
+    assert code in (0, 1) and _doc(out)["config"]["tol"] == 0.0
+
+
 def test_usage_errors_exit_two(capsys):
     assert _invoke(capsys, "coords", "--basis", "haar", "--function", "nonsense(")[0] == 2
     assert _invoke(capsys, "coords", "--basis", "klein", "--function", "haar_wavelet")[0] == 2

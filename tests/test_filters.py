@@ -75,6 +75,16 @@ def test_empty_span_is_an_input_error(span):
         check_pair_conditions(haar_filter(), mirror_filter(haar_filter()), span)
 
 
+@pytest.mark.parametrize("grid", [0, -3])
+def test_empty_circle_grid_is_an_input_error(grid):
+    # an empty grid has no maximum to take, and would check nothing
+    with pytest.raises(ValueError, match=f"grid={grid}"):
+        check_filter_orthogonality(haar_filter(), 2, grid=grid)
+    with pytest.raises(ValueError, match=f"grid={grid}"):
+        check_pair_conditions(haar_filter(), mirror_filter(haar_filter()), 2, grid=grid)
+    assert check_filter_orthogonality(haar_filter(), 2, grid=1).passed
+
+
 def test_filter_orthogonality_haar_and_d4():
     assert check_filter_orthogonality(haar_filter(), 6, 1e-12).passed
     rep = check_filter_orthogonality(daubechies4(), 8, 1e-12)
