@@ -52,17 +52,16 @@ references that the blocks and D are tested against.
 Batched transfers
 -----------------
 ``row_terms`` and ``column_terms`` lay a transfer out as blocks, one per
-case, over whole int64 key arrays.  Almost every Haar row and column is a
-single entry of value exactly 1.0, a relabelling of the key: the row's
-element read by ``_dil_key``, the column's by ``_trans_key``.
+case, over whole key arrays.  Almost every Haar row and column is a single
+entry of value exactly 1.0, a relabelling of the key: the row's element
+read by ``_dil_key``, the column's by ``_trans_key``.
 ``_haar_row_blocks`` and ``_haar_column_blocks`` put those keys in one
 single-entry block and expand the ladders, the coarse boxes (``_split``),
-and the label-0 box columns and wavelet columns with p + m < 0
-(``_spread``) as arrays, entry for entry as the tables enumerate them and
-with the same alpha values.  What no block covers -- keys whose entries
-would leave int64 (ladder columns past m = 62, boxes past u = 61, shifts
-reaching 2^62), object-dtype keys and every exponential key -- goes
-through ``AlphaMatrix.row``/``column`` one at a time, as one more block.
+and the box columns at m < 0 and wavelet columns with p + m < 0
+(``_spread``) as arrays, entry for entry as the tables enumerate them
+(but for a coarse box's 0.0 entries past ``_LADDER_DEPTH`` levels), for
+every Haar key: int64 while the values stay below 2^62, else Python ints
+(``_element_ints``).  The exponential keys are one table block.
 ``_terms`` lays out every block the same way: the terms keep source
 order, and the clipped tails are summed over the keys in order with
 Python's ``abs``, so the transfers give what the term-by-term loop over
@@ -78,11 +77,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
-from .bases import BasisFamily, check_dil_label, check_trans_label, split_haar_label
+from .bases import HAAR, BasisFamily, check_dil_label, check_trans_label, split_haar_label
 from .core import (
     DilIndex,
     FCoordVec,
@@ -93,6 +91,7 @@ from .core import (
     Window,
     _TWO_PI,
     _WIDE,
+    _as_int64,
     bit_length,
     cmul,
     key_columns,
@@ -320,6 +319,18 @@ def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
 
 # -- the Haar element form (see "Haar element form" above) --------------------
 
+def _width(x):
+    """The two's-complement width of each entry of an int64 or Python-int array."""
+    return bit_length(np.where(x >= 0, x, ~x)) + 1
+
+
+def _element_ints(reach: int, *cols):
+    """``cols`` as int64 while ``reach`` (offset width plus level magnitude, a
+    Python int) keeps every value below 2^62, else as Python ints."""
+    dtype = np.int64 if reach <= _WIDE.bit_length() - 1 else object
+    return tuple(c.astype(dtype, copy=False) for c in cols)
+
+
 def _trans_key(a, b):
     """The translation key (i, n) of the wavelet of level a >= 0 at offset b."""
     return (1 << a) + (b & ((1 << a) - 1)), b >> a
@@ -340,7 +351,8 @@ def _split(x, u):
     translation key columns, alphas).  The box (0, x >> u) is at 2^(-u/2),
     the wavelet ``_trans_key(l, x >> (u - l))`` at 2^((l - u)/2), negative
     where bit u - l - 1 of x is set; entries 0.0 in double precision (past
-    ``_LADDER_DEPTH`` levels) are not listed.  ``u`` is int64."""
+    ``_LADDER_DEPTH`` levels) are not listed.  ``u`` may be Python ints."""
+    u = u.astype(np.int64, copy=False)
     box = u <= _LADDER_DEPTH
     low = np.maximum(u - _LADDER_DEPTH, 0)  # the lowest level listed
     counts = u - low + box
@@ -355,25 +367,27 @@ def _split(x, u):
     return counts, key, (np.where(wave, labels, 0), cells), np.where(neg, -mag, mag).astype(complex)
 
 
-def _spread(start, u, wavelet):
-    """An element spanning the 2^u unit cells from ``start`` as its unit
-    boxes, (0, start + t) for t ascending, at 2^(-u/2), the second half
-    negative where ``wavelet``: (entries per element, each entry's element,
-    their translation key columns, alphas).  ``u`` is int64."""
+def _spread(b, u, wavelet):
+    """Elements of level -u < 0 at offsets ``b`` as the 2^u unit boxes
+    (0, (b << u) + t), t ascending, at 2^(-u/2), the second half negative
+    where ``wavelet``: (entries per element, each entry's element, their
+    translation key columns, alphas).  2^62 boxes or more raise
+    ``ArithmeticError`` before any array is built; ``u`` may be Python ints."""
+    top = int(u.max(initial=0))
+    if top >= _WIDE.bit_length() - 1:
+        raise ArithmeticError(f"a key spreads over 2^{top} boxes, past the longest array")
+    u = u.astype(np.int64, copy=False)
     counts = 1 << u
+    if counts.sum(dtype=float) >= _WIDE:
+        raise ArithmeticError("the keys spread over more than 2^62 boxes, past the longest array")
     key, pos = _runs(counts)
     neg = wavelet[key] & (pos >= (counts >> 1)[key])
     mag = np.sqrt(np.ldexp(1.0, -u))[key]
-    shifts = start[key] + pos
+    shifts = (b << u)[key] + pos
     return counts, key, (np.zeros_like(shifts), shifts), np.where(neg, -mag, mag).astype(complex)
 
 
 # -- batched Haar blocks (see "Batched transfers" above) -----------------------
-
-def _haar_arrays(A: "AlphaMatrix", keys) -> bool:
-    # the Haar array forms read int64 key columns only
-    return A.fam.name == "haar" and all(c.dtype == np.int64 for c in keys)
-
 
 def scale_reach(A: "AlphaMatrix", keys, top: int) -> np.ndarray:
     """Which keys can lead to a dilation target of level at most ``top``
@@ -383,9 +397,9 @@ def scale_reach(A: "AlphaMatrix", keys, top: int) -> np.ndarray:
     ``top``.  A column (s, j, m) with j >= 1 and level >= 1 has one entry,
     a row (i >= 1) of its own level, so it feeds a row that reaches there
     only if its level is at most ``top``; every other column is kept.  All
-    True for the exponential family and for object-dtype keys.
+    True for the exponential family.
     """
-    if not _haar_arrays(A, keys):
+    if A.fam.name != "haar":
         return np.ones(len(keys[0]), dtype=bool)
     if len(keys) == 3:
         label, level = keys[1], bit_length(keys[1]) + keys[2]
@@ -406,96 +420,86 @@ def _haar_row_cases(i: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _haar_row_blocks(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
-    """Array form of ``_haar_row`` on int64 keys, as blocks for ``_terms``:
-    the single entries, the scale ladders, and the coarse boxes with
-    u <= 61.  Rows whose entries would leave int64 are in no block.
-
-    A magnitude 2^(k/2) is ``np.sqrt(np.ldexp(1.0, k))``, rounded once as
-    in ``_pow2h``.
+    """Array form of ``_haar_row`` on every key, as blocks for ``_terms``:
+    the single entries, the scale ladders and the coarse boxes.  A
+    magnitude 2^(k/2) is ``np.sqrt(np.ldexp(1.0, k))``, rounded once as in
+    ``_pow2h``.
     """
+    if (i < 0).any():  # the table's input error, for the first such key
+        check_trans_label(HAAR, i[np.argmax(i < 0)])
     ladder, box = _haar_row_cases(i, n)
-    blocks = []
-    # the wavelet 2^r + t at shift n is of level r at offset t + (n << r), a
-    # box (0, 1) or (0, -2) of level 0 at offset n; i, |n| and the offset
-    # stay below 2^62 (abs leaves -2^63 negative, so it fails too)
+    # the wavelet 2^r + t at shift n is of level r at offset t + (n << r), at
+    # most r bits wider than n, and a box (0, n) of level 0 at offset n
     r = np.maximum(bit_length(i) - 1, 0)
-    single = (~(ladder | box) & (((i | np.abs(n)) >> 62) == 0)
-              & (r + bit_length(np.where(n >= 0, n, ~n)) <= 62))
-    at = np.flatnonzero(single)
-    if len(at):
-        si, r = i[at], r[at]
-        s, j, m = _dil_key(r, (n[at] << r) + (si & ((1 << r) - 1)))
-        blocks.append((at, None, (s, np.where(si > 0, j, 0), m), None, None))
-    at = np.flatnonzero(ladder & (i >= 0))
-    if len(at):
-        li, ln = i[at], n[at]
-        r = np.maximum(bit_length(li) - 1, 0)  # the ladder starts at scale r + 1
-        counts = np.clip(m_hi - r, 0, _LADDER_DEPTH)  # up to _ladder_top
-        clipped = np.where(m_hi <= r, 1.0, np.ldexp(1.0, np.minimum(r - m_hi, 0)))  # _ladder_tail
-        key, pos = _runs(counts)
-        # entry pos: scale r + 1 + pos at 2^(-(1 + pos)/2), negative first in
-        # (2^r, 0) and after the first in (2^(r+1) - 1, -1)
-        up = ln[key] == 0
-        neg = (li[key] > 0) & ((pos == 0) == up)
-        mag = np.sqrt(np.ldexp(1.0, -1 - pos))
-        cols = np.where(up, PLUS, MINUS), np.zeros_like(pos), r[key] + 1 + pos
-        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), clipped))
+    i, n, r = _element_ints(int((r + _width(n)).max(initial=0)), i, n, r)
+    at = np.flatnonzero(~(ladder | box))
+    si, sr = i[at], r[at]
+    s, j, m = _dil_key(sr, (n[at] << sr) + (si & ((1 << sr) - 1)))
+    blocks = [(at, None, (s, np.where(si > 0, j, 0), m), None, None)]
+    # the ladder starts at scale r + 1; a level is int64 whatever the label
+    at = np.flatnonzero(ladder)
+    li, ln, lr = i[at], n[at], r[at].astype(np.int64)
+    counts = np.clip(m_hi - lr, 0, _LADDER_DEPTH)  # up to _ladder_top
+    clipped = np.where(m_hi <= lr, 1.0, np.ldexp(1.0, np.minimum(lr - m_hi, 0)))  # _ladder_tail
+    key, pos = _runs(counts)
+    # entry pos: scale r + 1 + pos at 2^(-(1 + pos)/2), negative first in
+    # (2^r, 0) and after the first in (2^(r+1) - 1, -1)
+    up = ln[key] == 0
+    neg = (li[key] > 0) & ((pos == 0) == up)
+    mag = np.sqrt(np.ldexp(1.0, -1 - pos))
+    cols = np.where(up, PLUS, MINUS), np.zeros_like(pos), lr[key] + 1 + pos
+    blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), clipped))
+    # at scale -u the box (0, n) is the box of level u at offset n, its
+    # cell the dilation box [2^u, 2^(u+1)) or [-2^(u+1), -2^u)
     at = np.flatnonzero(box)
-    if len(at):
-        bn = n[at]
-        u = bit_length(np.where(bn > 0, bn, ~bn)) - 1  # n = 2^u + v or -2^(u+1) + v
-        fit = u <= 61
-        at, bn, u = at[fit], bn[fit], u[fit]
-    if len(at):
-        # at scale -u the box (0, n) is the box of level u at offset n, its
-        # cell the dilation box [2^u, 2^(u+1)) or [-2^(u+1), -2^u)
-        counts, key, (j, _), alphas = _split(bn, u)
-        blocks.append((at, counts, (np.where(bn > 0, PLUS, MINUS)[key], j, -u[key]), alphas, None))
+    bn = n[at]
+    u = _width(bn) - 2  # n = 2^u + v or -2^(u+1) + v
+    counts, key, (j, _), alphas = _split(bn, u)
+    blocks.append((at, counts, (np.where(bn > 0, PLUS, MINUS)[key], j, -u[key]), alphas, None))
     return blocks
 
 
 def _haar_column_blocks(s: np.ndarray, j: np.ndarray, m: np.ndarray) -> list:
-    """Array form of ``_haar_column`` on int64 keys, as blocks for
-    ``_terms``: the single entries (label-0 columns at scale 0, wavelet
-    columns with 0 <= p + m <= 61), the ladder columns (s, 0, m) with
-    0 < m <= 62, and the box columns (s, 0, m < 0) and wavelet columns with
-    p + m < 0 whose entries stay below 2^62.  Columns clip nothing.
-    """
-    blocks = []
+    """Array form of ``_haar_column`` on every key, as blocks for ``_terms``:
+    the single entries (label-0 columns at scale 0, wavelet columns with
+    p + m >= 0), the ladder columns (s, 0, m > 0), and the box columns
+    (s, 0, m < 0) and wavelet columns with p + m < 0 (``_spread``)."""
+    if (j < 0).any():  # the table's input error, for the first such key
+        k = np.argmax(j < 0)
+        check_dil_label(HAAR, s[k], j[k])
     box = j == 0
-    label = (j > 0) & (j < _WIDE)
-    # a label j = 2^p + q is the wavelet at level a = p + m and offset
-    # b = 2^p + q or -2^(p+1) + q; a box is at a = m, b = 1 or -2
-    p = bit_length(np.where(label, j, 1)) - 1
-    a = p + np.clip(m, -64, 64)
+    # a label j = 2^p + q is the wavelet at level a = p + m and offset b = 2^p + q
+    # or -2^(p+1) + q, of width p + 2; a box is at a = m, b = 1 or -2.  p + m is
+    # exact in int64 while |m| < 2^62, and past that no element fits int64
+    p = np.maximum(bit_length(j) - 1, 0)
+    far = max(-int(m.min(initial=0)), int(m.max(initial=0))) >= _WIDE
+    reach = _WIDE if far else int((np.abs(p + m) + p).max(initial=0)) + 2
+    s, j, m, p = _element_ints(reach, s, j, m, p)
+    a = p + m
     plus = s == PLUS
     b = np.where(box, np.where(plus, 1, -2), np.where(plus, j, j - (3 << p)))
-    single = np.where(box, m == 0, label & (a >= 0) & (a <= 61))
-    at = np.flatnonzero(single)
-    if len(at):
-        i, n = _trans_key(a[at], b[at])
-        blocks.append((at, None, (np.where(box[at], 0, i), n), None, None))
-    at = np.flatnonzero(box & (m > 0) & (m <= 62))
-    if len(at):
-        counts = m[at] + 1
-        key, pos = _runs(counts)
-        # entry 0 is (0, n) at 2^(-m/2), entry k the ladder row of scale
-        # r = m - k at 2^(-k/2), negative at k = 1 for PLUS and past it for MINUS
-        plus, r = s[at][key] == PLUS, m[at][key] - pos
-        first = pos == 0
-        i = np.where(first, 0, np.where(plus, 1 << r, (2 << r) - 1))
-        neg = ~first & ((pos == 1) == plus)
-        mag = np.sqrt(np.ldexp(1.0, np.where(first, pos - r, -pos)))
-        cols = i, np.where(plus, 0, -1)
-        blocks.append((at, counts, cols, np.where(neg, -mag, mag).astype(complex), None))
-    # box and wavelet columns at a < 0: the 2^u unit boxes from b << u, u = -a,
-    # where (|b| + 1) 2^u < 2^62
-    at = np.flatnonzero((box | label) & (a < 0) & (a >= -61))
-    at = at[((np.abs(b[at]) + 1) >> (62 + a[at])) == 0]
-    if len(at):
-        u = -a[at]
-        counts, _, cols, alphas = _spread(b[at] << u, u, label[at])
-        blocks.append((at, counts, cols, alphas, None))
+    at = np.flatnonzero(np.where(box, m == 0, a >= 0))
+    i, n = _trans_key(a[at], b[at])
+    blocks = [(at, None, (np.where(box[at], 0, i), n), None, None)]
+    at = np.flatnonzero(box & (m > 0))
+    top = np.minimum(m[at], _LADDER_DEPTH + 1).astype(np.int64)  # 2^(-m/2) is 0.0 past it
+    counts = np.minimum(top, _LADDER_DEPTH) + 1
+    key, pos = _runs(counts)
+    # entry 0 is (0, n) at 2^(-m/2), entry k the ladder row of scale r = m - k,
+    # label 2^r or 2^(r+1) - 1 (each made once), at 2^(-k/2), negative at k = 1
+    # for PLUS and past it for MINUS
+    plus, first = s[at][key] == PLUS, pos == 0
+    i = np.where(plus, 1, 2) << (m[at][key] - pos)
+    i[~plus] -= 1
+    i[first] = 0
+    neg = ~first & ((pos == 1) == plus)
+    mag = np.sqrt(np.ldexp(1.0, -np.where(first, top[key], pos)))
+    alphas = np.where(neg, -mag, mag).astype(complex)
+    blocks.append((at, counts, (i, np.where(plus, 0, -1)), alphas, None))
+    # box and wavelet columns at a < 0: the 2^u unit boxes from b << u, u = -a
+    at = np.flatnonzero(a < 0)
+    counts, _, cols, alphas = _spread(b[at], -a[at], ~box[at])
+    blocks.append((at, counts, cols, alphas, None))
     return blocks
 
 
@@ -506,41 +510,38 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key, np.arange(len(key)) - starts[key]
 
 
-def _terms(keys, values: np.ndarray, blocks: list, entries_of, conj: bool, runs: int = 1):
+def _table_block(keys, entries_of, width: int) -> tuple:
+    """Every key read from its table, ``entries_of(*key)``, as one block for ``_terms``."""
+    rows = [entries_of(*key) for key in zip(*(c.tolist() for c in keys))]
+    table = [entry for entries, _ in rows for entry in entries]
+    alphas = np.array([a for _, a in table], dtype=complex)
+    return (np.arange(len(rows)), np.array([len(e) for e, _ in rows], dtype=np.int64),
+            key_columns([k for k, _ in table], width), alphas, np.array([c for _, c in rows]))
+
+
+def _terms(keys, values: np.ndarray, blocks: list, conj: bool, runs: int = 1):
     """The terms of a transfer of ``values`` over ``keys``, in source order.
 
     A block is (positions of its keys, entries per key, target key columns,
-    alphas, clipped mass per key), each key's entries in table order.  A
-    single-entry block has None for the counts, alphas and clipped mass:
-    one entry per key whose alpha is 1.0, so its term is the key's value.
-    Keys in no block go through ``entries_of(*key)`` one at a time, as one
-    more block.  Every other term is alpha (conjugated for ``conj``) times
-    the key's value.  The keys are ``runs`` runs of equal length.  Returns
-    (target key columns, terms, the l2 bounds on the clipped part, one per
-    run, the runs' bounds in the terms): run k's terms are
+    alphas, clipped mass per key), each key's entries in table order, and
+    each key is in one block.  A single-entry block has None for the
+    counts, alphas and clipped mass: one entry per key whose alpha is 1.0,
+    so its term is the key's value.  Every other term is alpha (conjugated
+    for ``conj``) times the key's value.  The keys are ``runs`` runs of
+    equal length.  Returns (target key columns, int64 unless some component
+    is past int64, terms, the l2 bounds on the clipped part, one per run,
+    the runs' bounds in the terms): run k's terms are
     ``terms[bounds[k]:bounds[k + 1]]``, and its bound is summed over the
     run's keys in order with Python's ``abs`` (numpy's complex abs may
     differ from it in the last bit).
     """
     width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
-    counts = np.full(len(values), -1, dtype=np.int64)  # -1: in no block
+    counts = np.zeros(len(values), dtype=np.int64)
     clip = np.zeros(len(counts))
     for at, block_counts, _, _, clipped in blocks:
         counts[at] = 1 if block_counts is None else block_counts
         if clipped is not None:
             clip[at] = clipped
-    at = np.flatnonzero(counts < 0)
-    if len(at):
-        table, lengths, clipped = [], [], []
-        for key in zip(*(c[at].tolist() for c in keys)):
-            entries, c = entries_of(*key)
-            table += entries
-            lengths.append(len(entries))
-            clipped.append(c)
-        counts[at], clip[at] = lengths, clipped
-        alphas = np.fromiter(map(itemgetter(1), table), dtype=complex, count=len(table))
-        blocks = [*blocks, (at, counts[at], key_columns(list(map(itemgetter(0), table)), width),
-                            alphas, None)]
     per_run = max(len(counts) // runs, 1)  # keys per run
     tails = [0.0] * runs
     hit = np.flatnonzero(clip > 0.0)
@@ -565,23 +566,26 @@ def _terms(keys, values: np.ndarray, blocks: list, entries_of, conj: bool, runs:
         for place, part in zip(places, parts):
             col[place] = part
         cols.append(col)
-    return tuple(cols), terms, tails, [0, *np.cumsum(counts.reshape(runs, -1).sum(axis=1)).tolist()]
+    bounds = [0, *np.cumsum(counts.reshape(runs, -1).sum(axis=1)).tolist()]
+    return _as_int64(tuple(cols)), terms, tails, bounds
 
 
 def row_terms(A: "AlphaMatrix", keys, values: np.ndarray, w: Window, runs: int = 1):
     """Terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a transfer to the
     dilation model, for translation-model key columns and the values over
     them, in ``runs`` equal runs of keys (``_terms``)."""
-    blocks = _haar_row_blocks(*keys, w.dil_range[1]) if _haar_arrays(A, keys) else []
-    return _terms(keys, values, blocks, lambda i, n: A.row(i, n, w), conj=False, runs=runs)
+    blocks = (_haar_row_blocks(*keys, w.dil_range[1]) if A.fam.name == "haar"
+              else [_table_block(keys, lambda i, n: A.row(i, n, w), 3)])
+    return _terms(keys, values, blocks, conj=False, runs=runs)
 
 
 def column_terms(A: "AlphaMatrix", keys, values: np.ndarray, w: Window):
     """Terms sum_(s,j,m) conj(alpha_{i,n}^{s,j,m}) v[(s, j, m)] of a transfer
     to the translation model, for dilation-model key columns and the values
     over them (``_terms``)."""
-    blocks = _haar_column_blocks(*keys) if _haar_arrays(A, keys) else []
-    return _terms(keys, values, blocks, lambda s, j, m: A.column(s, j, m, w), conj=True)
+    blocks = (_haar_column_blocks(*keys) if A.fam.name == "haar"
+              else [_table_block(keys, lambda s, j, m: A.column(s, j, m, w), 2)])
+    return _terms(keys, values, blocks, conj=True)
 
 
 # -- public surface ------------------------------------------------------------

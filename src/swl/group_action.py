@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alpha import AlphaMatrix, _split, _spread, _trans_key, transfer
+from .alpha import AlphaMatrix, _element_ints, _split, _spread, _trans_key, _width, transfer
+from .bases import HAAR, check_trans_label
 from .core import (
     FCoordVec,
     GCoordVec,
     Window,
-    _WIDE,
     bit_length,
     cmul,
     keep_mask,
@@ -76,35 +76,30 @@ def _haar_dilate(v: FCoordVec, p: int) -> FCoordVec:
     (``_split``), and boxes and wavelets with l + p < 0 spread over
     2^-(l+p) unit boxes (``_spread``).  Only these outputs can share keys:
     their terms are summed per key (``sum_by_key``) in source order under
-    the zero rule, after the relabelled wavelets.  Runs past 2^62 boxes
-    raise ``ArithmeticError`` before any array is built.  The arithmetic
-    is int64 while level + bit_length(n) + |p| bits keep every offset,
-    label and shift below 2^62 in magnitude, else on Python ints.
+    the zero rule, after the relabelled wavelets.  Runs of 2^62 boxes or
+    more raise ``ArithmeticError`` before any array is built (``_spread``),
+    a negative label ``InvalidLabelError``.  The arithmetic is the transfer
+    blocks' (``_element_ints``): int64 while level + |p| + the width of n
+    stay within 62 bits, else Python ints.
     """
     i, n = v._cols
     if not len(i):
         return v
+    if (i < 0).any():  # the transfers' input error, for the first such key
+        check_trans_label(HAAR, i[np.argmax(i < 0)])
     level = bit_length(i) - 1  # -1 for a box
-    bits = max(int(level.max()), 0) + (max(-int(n.min()), int(n.max())) + 1).bit_length() + abs(p)
-    if bits > _WIDE.bit_length() - 1:
-        i, n, level = i.astype(object), n.astype(object), level.astype(object)
+    reach = max(int(level.max()), 0) + abs(p) + int(_width(n).max())
+    i, n, level = _element_ints(reach, i, n, level)
     wave, lw = level >= 0, np.maximum(level, 0)
     a, b = lw + p, (n << lw) + (i & ((1 << lw) - 1))
     rel = np.flatnonzero(wave & (a >= 0))
     labels, shifts = _trans_key(a[rel], b[rel])
     if p > 0:
         at = np.flatnonzero(~wave)
-        _, key, cols, alphas = _split(b[at], a[at].astype(np.int64))
+        _, key, cols, alphas = _split(b[at], a[at])
     else:
         at = np.flatnonzero(a < 0)
-        u = -a[at]
-        if len(u) and int(u.max()) >= _WIDE.bit_length() - 1:
-            raise ArithmeticError(f"D^{p} spreads a key over 2^{int(u.max())} boxes, "
-                                  "past the longest array")
-        u = u.astype(np.int64)
-        if np.left_shift(1, u).sum(dtype=float) >= _WIDE:
-            raise ArithmeticError(f"D^{p} spreads its keys over more than 2^62 boxes")
-        _, key, cols, alphas = _spread(b[at] << u.astype(b.dtype), u, wave[at])
+        _, key, cols, alphas = _spread(b[at], -a[at], wave[at])
     (bi, bn), sums = sum_by_key(cols, cmul(alphas, v._vals[at][key]))
     keep = keep_mask(sums)
     return FCoordVec._from_columns((np.concatenate((labels, bi[keep])),

@@ -1,13 +1,15 @@
 """The batched Haar blocks and the array-backed transfers.
 
-The blocks relabel the single-entry rows and columns of whole int64 key
-arrays and expand the multi-entry ones; every other key goes through the
-scalar tables ``_haar_row`` and ``_haar_column``.  The references here are
-those tables and the transfer as a dict accumulation over them, term by
-term in source order.
+The blocks relabel the single-entry rows and columns of whole key arrays
+and expand the multi-entry ones, for every Haar key: int64 arithmetic
+while the values stay below 2^62, Python ints past that.  No Haar key of a
+transfer goes through the scalar tables ``_haar_row`` and ``_haar_column``;
+they are the references here, with the transfer as a dict accumulation
+over them, term by term in source order.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from swl.alpha import (  # noqa: E402
     _haar_row_blocks,
     _trans_key,
 )
-from swl.bases import int_atoms  # noqa: E402
+from swl.bases import InvalidLabelError, int_atoms  # noqa: E402
 from swl.core import DROP_THRESHOLD, MINUS, PLUS, key_columns  # noqa: E402
 
 A = AlphaMatrix(HAAR)
@@ -92,9 +94,8 @@ def test_row_map_matches_the_row_table(keys):
         if target is not None:
             assert entries == [(target, 1.0 + 0j)] and tail == 0.0
         else:
-            # a key outside the single-entry block is a multi-entry row, or one
-            # whose target leaves int64
-            assert not _single(entries) or not _fits(ki, kn, *entries[0][0])
+            # a key outside the single-entry block is a multi-entry row
+            assert not _single(entries)
 
 
 @given(keys=st.lists(st.tuples(signs, labels, scales), min_size=1, max_size=40))
@@ -105,8 +106,8 @@ def test_column_map_matches_the_column_table(keys):
         if target is not None:
             assert entries == [(target, 1.0 + 0j)]
         else:
-            # a ladder, a box or a wavelet column with p + m < 0, or a target past int64
-            assert not _single(entries) or not _fits(kj, km, *entries[0][0])
+            # a ladder, or a box or a wavelet column with p + m < 0
+            assert not _single(entries)
 
 
 def test_map_cases_cover_every_branch():
@@ -115,17 +116,17 @@ def test_map_cases_cover_every_branch():
             (0, 6), (0, -6), (5, 6), (5, -6), ((1 << 61) + 1, 0), (1, 1 << 61),
             (1, -(1 << 61)), (1 << 61, 2), (3, 1 << 61)]
     targets = _single_targets(_haar_row_blocks(*key_columns(rows, 2), W.dil_range[1]), len(rows))
-    # ladders, coarse boxes, and the last two, whose labels reach 2^62
+    # ladders and coarse boxes; the last two, whose labels reach 2^62, are single entries too
     assert [t is None for t in targets] == [
         True, True, False, True, True, False, False, False, False,
-        True, True, False, False, False, False, False, True, True]
+        True, True, False, False, False, False, False, False, False]
     cols = [(PLUS, 0, 0), (MINUS, 0, 0), (PLUS, 0, 3), (PLUS, 0, -2), (PLUS, 5, 1),
             (MINUS, 5, 1), (PLUS, 5, -2), (MINUS, 6, -3), (PLUS, 1 << 61, 0),
             (PLUS, 3, 60), (PLUS, 1 << 61, 1), (MINUS, 3, 61)]
     targets = _single_targets(_haar_column_blocks(*key_columns(cols, 3)), len(cols))
-    # ladders, boxes, p + m < 0, and the last two, at scale 62
+    # ladders, boxes and p + m < 0; the last two, at scale 62, are single entries too
     assert [t is None for t in targets] == [
-        False, False, True, True, False, False, False, True, False, False, True, True]
+        False, False, True, True, False, False, False, True, False, False, False, False]
 
 
 # -- the element form against the oracle's description ---------------------------
@@ -210,13 +211,28 @@ def test_f_from_g_matches_the_reference(entries):
                      max_size=12))
 def test_int64_boundary_matches_the_scalar_path(rows, cols):
     # labels and shifts from 2^52 to 2^70: key columns of either dtype, and
-    # targets past int64 for the scalar tables to produce
+    # targets past int64, which the blocks make on Python ints, reading no
+    # row or column one key at a time
     f, g = FCoordVec(rows), GCoordVec(cols)
-    assert _same(g_from_f(f, A, W), reference_transfer(f, to_g=True)[0])
-    assert _same(f_from_g(g, A, W), reference_transfer(g, to_g=False)[0])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_table_calls(mp)
+        got_g, got_f = g_from_f(f, A, W), f_from_g(g, A, W)
+    assert calls == []
+    assert _same(got_g, reference_transfer(f, to_g=True)[0])
+    assert _same(got_f, reference_transfer(g, to_g=False)[0])
     for p in (1, -3, 1 << 62):
         assert _same(shift_D(g, p), GCoordVec({(s, j, m + p): x for (s, j, m), x in g.items()}))
         assert _same(shift_T(f, p), FCoordVec({(i, n + p): x for (i, n), x in f.items()}))
+
+
+def _count_table_calls(mp):
+    # AlphaMatrix.row and column, recording each call's name
+    calls = []
+    for name in ("row", "column"):
+        real = getattr(AlphaMatrix, name)
+        mp.setattr(AlphaMatrix, name,
+                   lambda self, *key, _real=real, _name=name: calls.append(_name) or _real(self, *key))
+    return calls
 
 
 def test_exponential_family_takes_the_scalar_table():
@@ -336,7 +352,7 @@ def _same_entries(got, want):
         for (kg, ag), (kw, aw) in zip(got, want))
 
 
-# ladders at r = 61 and 62, coarse boxes at u = 61 (expanded) and u = 62 (scalar)
+# ladders at r = 61 and 62, coarse boxes at u = 61 (int64) and u = 62 (Python ints)
 edge_rows = st.sampled_from([(1 << 61, 0), ((1 << 62) - 1, -1), (1 << 62, 0), ((1 << 63) - 1, -1),
                              (0, (1 << 61) + 5), (0, -(1 << 62) + 5), (0, (1 << 62) + 5),
                              (0, -(1 << 62) - 1)])
@@ -352,13 +368,12 @@ def test_row_runs_match_the_row_table(keys, m_hi):
             got, clipped = expanded[at]
             assert _same_entries(got, entries) and clipped == tail
         else:
-            # a single entry, or a coarse box at u = 62
-            assert _single(entries) or (ki == 0 and not -(1 << 62) <= kn < 1 << 62)
+            assert _single(entries)
 
 
 def _edge_columns(u):
     # wavelet columns at p + m = -u whose shifts (b << u) + k come to 2^62:
-    # the first of each pair is expanded, the second takes the scalar table
+    # the first of each pair in int64, the second on Python ints
     p = 61 - u
     return st.sampled_from([(PLUS, (1 << (p + 1)) - 2, -61), (PLUS, (1 << (p + 1)) - 1, -61),
                             (MINUS, (1 << p) + 2, -61), (MINUS, (1 << p) + 1, -61)])
@@ -379,27 +394,99 @@ def test_column_runs_match_the_column_table(keys):
             got, clipped = expanded[at]
             assert _same_entries(got, entries) and clipped == 0.0
         else:
-            # a single entry, a ladder past m = 62, or shifts that come to 2^62
-            shifts = [abs(n) for (_, n), _ in entries]
-            assert _single(entries) or (kj == 0 and km > 62) or max(shifts) + len(shifts) >= 1 << 62
+            assert _single(entries)
 
 
-def test_runs_fall_back_at_the_int64_edge():
-    rows = [(1 << 62, 0), ((1 << 63) - 1, -1), (0, (1 << 61) + 5), (0, -(1 << 62) + 5),
-            (0, (1 << 62) + 5), (0, -(1 << 62) - 1), (5, 3)]
-    assert sorted(_expanded(_haar_row_blocks(*key_columns(rows, 2), 70))) == [0, 1, 2, 3]
-    cols = [(PLUS, 0, 62), (PLUS, 0, 63), (MINUS, 0, 63), (PLUS, 0, -12), (PLUS, (1 << 60) - 2, -61),
-            (PLUS, (1 << 60) - 1, -61), (MINUS, (1 << 59) + 2, -61), (MINUS, (1 << 59) + 1, -61),
-            (PLUS, 1, -62), (PLUS, 5, 1)]
-    assert sorted(_expanded(_haar_column_blocks(*key_columns(cols, 3)))) == [0, 3, 4, 6]
-    # expanded or not, the transfers are the term-by-term ones
+def _nonzero(entries):
+    # a coarse box past _LADDER_DEPTH levels: the table lists its 0.0 entries, the block does not
+    return [(key, a) for key, a in entries if a != 0j]
+
+
+def test_every_haar_key_is_in_a_block():
+    # ladder rows at r = 62 and 63, coarse boxes at u = 62 and past 1074, a
+    # wide single entry: entry for entry what the row table lists
+    rows = [(1 << 62, 0), ((1 << 63) - 1, -1), (1 << 63, 0), ((1 << 64) - 1, -1), (0, (1 << 62) + 5),
+            (0, -(1 << 62) - 1), (0, (1 << 1100) + 7), (0, -(1 << 1080)), ((1 << 70) + 3, 5), (5, 3)]
+    for m_hi in (8, 70, 1200):
+        cols = key_columns(rows, 2)
+        assert cols[0].dtype == object
+        expanded = _expanded(_haar_row_blocks(*cols, m_hi))
+        for at, key in enumerate(rows):
+            entries, tail = _haar_row(*key, m_hi)
+            if at in expanded:
+                got, clipped = expanded[at]
+                assert _same_entries(got, _nonzero(entries)) and clipped == tail
+            else:
+                assert _single(entries)
+    # ladder columns at m = 63, 1074, 1075 and 3000, wavelet columns whose
+    # shifts reach 2^62, one in int64 and one on Python ints, and a wide
+    # label: every key in a block, in int64 columns and in object columns
+    cols = [(PLUS, 0, 63), (MINUS, 0, 1074), (PLUS, 0, 1075), (MINUS, 0, 3000), (PLUS, 0, -12),
+            (PLUS, (1 << 60) - 2, -61), (PLUS, (1 << 60) - 1, -61), (MINUS, (1 << 59) + 2, -61),
+            (MINUS, (1 << 59) + 1, -61), (PLUS, 5, 1), (MINUS, (1 << 70) + 3, 2)]
+    for keys in (cols[:-1], cols):
+        key_cols = key_columns(keys, 3)
+        assert (key_cols[1].dtype == object) == (keys is cols)
+        expanded = _expanded(_haar_column_blocks(*key_cols))
+        for at, key in enumerate(keys):
+            entries = _haar_column(*key)
+            if at in expanded:
+                got, clipped = expanded[at]
+                assert _same_entries(got, entries) and clipped == 0.0
+            else:
+                assert _single(entries)
+    # and the transfers are the term-by-term ones, with no table call
     w = Window.symmetric(HAAR, 4, 4, 70)
-    f = FCoordVec({key: 1.0 + 0.5j * k for k, key in enumerate(rows)})
-    g = GCoordVec({key: 0.5 - 1j * k for k, key in enumerate(cols) if key != (PLUS, 1, -62)})
-    want, tail = reference_transfer(f, True, A, w)
-    got, got_tail = transfer(f, A, w)
-    assert _same(got, want) and got_tail == tail
-    assert _same(f_from_g(g, A, w), reference_transfer(g, False, A, w)[0])
+    f = FCoordVec({key: 1.0 + 0.5j * k for k, key in enumerate(rows) if key[1].bit_length() < 1000})
+    g = GCoordVec({key: 0.5 - 1j * k for k, key in enumerate(cols)})
+    want_g, tail = reference_transfer(f, True, A, w)
+    want_f = reference_transfer(g, False, A, w)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_table_calls(mp)
+        (got_g, got_tail), got_f = transfer(f, A, w), f_from_g(g, A, w)
+    assert calls == []
+    assert _same(got_g, want_g) and got_tail == tail
+    assert _same(got_f, want_f)
+
+
+def test_a_spread_past_the_longest_array_raises_at_once():
+    # 2^62 unit boxes for (+, 0, -62): no list or array of them is built, on
+    # Python ints (the wide label) or in int64
+    for entries in ({(PLUS, 1 << 70, 0): 1.0, (PLUS, 0, -62): 1.0}, {(PLUS, 0, -62): 1.0},
+                    {(MINUS, 5, -3000): 1.0}):
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match=r"spreads over 2\^(62|2998) boxes"):
+            f_from_g(GCoordVec(entries), A, W)
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(ArithmeticError, match="more than 2\\^62 boxes"):
+        f_from_g(GCoordVec({(PLUS, 0, -61): 1.0, (MINUS, 0, -61): 1.0}), A, W)
+
+
+def test_a_scale_near_int64_takes_python_ints():
+    # p + m past 2^63 is promoted, not wrapped: the label 2^(2^63 + 1) is
+    # past memory, as the column table finds it
+    for key in ((PLUS, 5, (1 << 63) - 1), (PLUS, 0, (1 << 63) - 1)):
+        g = GCoordVec({key: 1.0})
+        assert g._cols[2].dtype == np.int64
+        with pytest.raises(MemoryError):
+            _haar_column(*key)
+        with pytest.raises(MemoryError):
+            f_from_g(g, A, W)
+    # and at the other end the spread of 2^(2^63 - 2) boxes is named
+    with pytest.raises(ArithmeticError, match="2\\^9223372036854775806 boxes"):
+        f_from_g(GCoordVec({(MINUS, 5, -(1 << 63)): 1.0}), A, W)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_a_negative_label_is_an_input_error(wide):
+    # the blocks raise the tables' error, for the first such key; so does D
+    big = (1 << 70) if wide else 3
+    f = FCoordVec({(big, 0): 1.0, (-1, 5): 1.0, (-2, 0): 1.0})
+    g = GCoordVec({(PLUS, big, 1): 1.0, (MINUS, -1, 0): 1.0, (PLUS, -2, 0): 1.0})
+    assert (f._cols[0].dtype == object) == (g._cols[1].dtype == object) == wide
+    for fn, v, label in ((g_from_f, f, "i=-1"), (shift_D, f, "i=-1"), (f_from_g, g, "j=-1")):
+        with pytest.raises(InvalidLabelError, match=label):
+            fn(v, A, W) if fn is not shift_D else fn(v, 1)
 
 
 def test_ladder_tail_takes_python_abs():

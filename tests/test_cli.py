@@ -295,6 +295,27 @@ def test_act_label_past_the_digit_limit_exits_2(capsys):
                    f"output's limit of {sys.get_int_max_str_digits()}\n")
 
 
+@pytest.mark.parametrize("model, entry, argv", [
+    # a transfer (f_from_g before T) and the translation-model D, on labels
+    # of either dtype: the first negative label is named
+    ("G", {"s": "-", "i_or_j": -1, "n_or_m": 0}, ("-p", "0", "-q", "1")),
+    ("G", {"s": "-", "i_or_j": -1, "n_or_m": 2 ** 70}, ("-p", "0", "-q", "1")),
+    ("F", {"i_or_j": -1, "n_or_m": 0}, ("-p", "1", "-q", "0")),
+    ("F", {"i_or_j": -1, "n_or_m": 2 ** 70}, ("-p", "-1", "-q", "0")),
+])
+def test_act_negative_haar_label_exits_2(tmp_path, capsys, model, entry, argv):
+    label = "j" if model == "G" else "i"
+    other = {"s": "+", "i_or_j": 3, "n_or_m": 1} if model == "G" else {"i_or_j": 3, "n_or_m": 1}
+    doc = {"schema_version": 1, "model": model, "basis": "haar",
+           "entries": [{**e, "re": 0.5, "im": 0.0} for e in (other, entry)]}
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, "act", "--basis", "haar", "--coords", str(path),
+                             "--model", model, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"swl: error: haar labels are non-negative, got {label}=-1\n"
+
+
 def test_fourier_check_and_csv(tmp_path, capsys):
     csv = tmp_path / "norms.csv"
     code, out, _ = _invoke(capsys, "fourier-check", "--fhat", "haar_phi",

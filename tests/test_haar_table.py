@@ -7,8 +7,6 @@ The oracle stays the outside check on the values themselves.
 import math
 import tracemalloc
 
-import numpy as np
-
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -200,7 +198,10 @@ def test_scale_reach_is_the_rule(keys, dil, top):
     assert scale_reach(A, key_columns(keys, 2), top).tolist() == want
     want = [j == 0 or _level(j, m) <= max(top, 0) for _, j, m in dil]
     assert scale_reach(A, key_columns(dil, 3), top).tolist() == want
-    # one code path: object-dtype keys and the exponential family keep every key
-    wide = tuple(np.array(c, dtype=object) for c in key_columns(dil, 3))
-    assert scale_reach(A, wide, top).all()
+    # the rule does not depend on dtype: a label past int64 makes object columns
+    wide = key_columns([*dil, (MINUS, (1 << 70) + 3, -60)], 3)
+    assert wide[1].dtype == object
+    want.append(_level((1 << 70) + 3, -60) <= max(top, 0))
+    assert scale_reach(A, wide, top).tolist() == want
+    # and the exponential family keeps every key
     assert scale_reach(AlphaMatrix(EXPONENTIAL), key_columns(keys, 2), top).all()
