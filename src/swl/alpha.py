@@ -367,19 +367,26 @@ def _split(x, u):
     return counts, key, (np.where(wave, labels, 0), cells), np.where(neg, -mag, mag).astype(complex)
 
 
+# numpy holds at most 2^63 - 1 bytes in one array, so fewer than 2^59
+# complex128 alphas
+_MOST_BOXES = 59
+
+
 def _spread(b, u, wavelet):
     """Elements of level -u < 0 at offsets ``b`` as the 2^u unit boxes
     (0, (b << u) + t), t ascending, at 2^(-u/2), the second half negative
     where ``wavelet``: (entries per element, each entry's element, their
-    translation key columns, alphas).  2^62 boxes or more raise
-    ``ArithmeticError`` before any array is built; ``u`` may be Python ints."""
+    translation key columns, alphas).  2^59 boxes or more, past the longest
+    array of alphas, raise ``ArithmeticError`` before any array is built;
+    ``u`` may be Python ints."""
     top = int(u.max(initial=0))
-    if top >= _WIDE.bit_length() - 1:
+    if top >= _MOST_BOXES:
         raise ArithmeticError(f"a key spreads over 2^{top} boxes, past the longest array")
     u = u.astype(np.int64, copy=False)
     counts = 1 << u
-    if counts.sum(dtype=float) >= _WIDE:
-        raise ArithmeticError("the keys spread over more than 2^62 boxes, past the longest array")
+    if counts.sum(dtype=float) >= 2.0 ** _MOST_BOXES:
+        raise ArithmeticError(f"the keys spread over 2^{_MOST_BOXES} boxes or more, "
+                              "past the longest array")
     key, pos = _runs(counts)
     neg = wavelet[key] & (pos >= (counts >> 1)[key])
     mag = np.sqrt(np.ldexp(1.0, -u))[key]

@@ -35,7 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _WIDE, DilIndex, MINUS, PLUS, TransIndex, bit_length, ceil_float, int_columns
+from .core import (_WIDE, DilIndex, MINUS, PLUS, TransIndex, bit_length, ceil_float, int_columns,
+                   sorted_unique)
 
 
 class InvalidLabelError(ValueError):
@@ -250,7 +251,7 @@ def window_atoms(fam: BasisFamily, key_columns) -> tuple[np.ndarray, ...]:
             b = np.where(psi, np.where(s == PLUS, label, label - (3 << p)), b)
     if fam.name == "haar":
         fnum = fexp = zeros
-    scales, at = np.unique(a, return_inverse=True)
+    scales, at = sorted_unique(a, return_inverse=True)
     amp = np.array([_amplitude(int(v)) for v in scales.tolist()])[at]
     owner = np.arange(len(a))
     if psi is not None and psi.any():

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .alpha import AlphaMatrix
-from .bases import BasisFamily, check_dil_label, family, parse_function_spec
+from .bases import BasisFamily, check_dil_label, check_trans_label, family, parse_function_spec
 from .core import (
     CheckReport,
     FCoordVec,
@@ -132,6 +132,13 @@ def _candidate(args, fam: BasisFamily, w: Window, model: str):
         if not isinstance(vec, FCoordVec if model == "F" else GCoordVec):
             kind = "translation" if model == "F" else "dilation"
             raise InputError(f"{args.command} needs {kind}-model coordinates (model {model})")
+        labels = vec._cols[-2]  # i of the keys (i, n), j of (s, j, m)
+        if len(labels):  # bases' label rule, on the first label that can break it
+            k = np.argmax(labels < 0)
+            if model == "F":
+                check_trans_label(fam, labels[k])
+            else:
+                check_dil_label(fam, vec._cols[0][k], labels[k])
         return vec, None
     spec = parse_function_spec(_required(args.function, "--function or --coords"))
     oracle = oracle_F_coords if model == "F" else oracle_G_coords

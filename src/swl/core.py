@@ -230,15 +230,57 @@ def _as_int64(cols: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         return tuple(c.astype(object) for c in cols)
 
 
-def offset_column(col: np.ndarray, d: int) -> np.ndarray:
-    """``col + d`` exactly: int64 while the result fits, else Python ints."""
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def offset_column(col: np.ndarray, d) -> np.ndarray:
+    """``col + d`` exactly: int64 while every result fits, else Python ints.
+
+    ``d`` is one int, or a list of ints: then the result is the
+    (len(col), len(d)) array of col[t] + d[k], every shift of the column in
+    one broadcast, int64 only if every one of them fits.
+    """
+    row = isinstance(d, list)
+    d_lo, d_hi = (min(d), max(d)) if row else (d, d)
+    grid, off = (col[:, None], np.array(d, dtype=object)) if row else (col, d)
     if col.dtype == np.int64:
         lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
-        if -(1 << 63) <= lo + d and hi + d < (1 << 63):
-            if -(1 << 63) <= d < (1 << 63):
-                return col + d
-            return (col.astype(object) + d).astype(np.int64)  # numpy cannot take d itself
-    return col.astype(object) + d
+        if lo + d_lo in _INT64 and hi + d_hi in _INT64:
+            if d_lo in _INT64 and d_hi in _INT64:
+                return grid + (off.astype(np.int64) if row else d)
+            return (grid.astype(object) + off).astype(np.int64)  # numpy cannot take d itself
+    return grid.astype(object) + off
+
+
+def sorted_unique(x: np.ndarray, return_inverse: bool = False):
+    """The distinct values of a 1-D int64 or Python-int array, sorted, and
+    with ``return_inverse`` each entry's index among them, as numpy's
+    ``unique`` gives them: one sort, each repeat dropped, and the inverse by
+    binary search.  numpy 2 finds an int64 set with a hash table, several
+    times slower than this sort on tens of thousands of labels; the result
+    is the same on every numpy."""
+    s = np.sort(x)
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    labels = s[new]
+    return (labels, np.searchsorted(labels, x)) if return_inverse else labels
+
+
+def _packed(cols: tuple[np.ndarray, ...]) -> np.ndarray | None:
+    """One int64 code per key that orders the keys as their columns do,
+    first column first, or None when some column is not int64 or the
+    product of the columns' spans (max - min + 1) reaches 2^62."""
+    if not all(c.dtype == np.int64 for c in cols):
+        return None
+    los = [int(c.min()) for c in cols]  # Python ints: the spans cannot wrap
+    spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, los)]
+    if math.prod(spans) >= _WIDE:
+        return None
+    code = cols[0] - los[0]
+    for c, lo, span in zip(cols[1:], los[1:], spans[1:]):
+        code *= span
+        code += c - lo
+    return code
 
 
 def sum_by_key(cols: tuple[np.ndarray, ...], terms: np.ndarray):
@@ -247,24 +289,43 @@ def sum_by_key(cols: tuple[np.ndarray, ...], terms: np.ndarray):
     Returns (key columns, sums): each key once, in order of its first term,
     and each sum taken from 0j in term order, as a dict accumulating the
     terms one by one would take it.  No entry is dropped.
+
+    The terms are sorted by key with a stable sort, so equal keys keep
+    their term order: int64 keys whose columns' spans multiply to less than
+    2^62 by one ``argsort`` of a packed code (``_packed``), other keys
+    (Python ints, or wider spans) by ``np.lexsort`` of the columns.  Both
+    give the same order, and so the same keys and sums bit for bit.
     """
     size = len(terms)
     if size == 0:
         return tuple(c[:0] for c in cols), np.zeros(0, dtype=complex)
-    order = np.lexsort(cols[::-1])  # stable: equal keys keep their term order
+    code = _packed(cols)
     new = np.zeros(size, dtype=bool)  # where a run of equal keys starts
     new[0] = True
-    for c in cols:
-        run = c[order]
-        new[1:] |= run[1:] != run[:-1]
+    if code is not None:
+        order = code.argsort(kind="stable")
+        run = code[order]
+        new[1:] = run[1:] != run[:-1]
+    else:
+        order = np.lexsort(cols[::-1])  # stable too
+        for c in cols:
+            run = c[order]
+            new[1:] |= run[1:] != run[:-1]
     if new.all():
         return cols, terms + 0j
-    first = order[new]  # the first term of each key
+    first = order[new]  # the first term of each key, keys in sorted order
     sums = np.zeros(len(first), dtype=complex)
     np.add.at(sums, np.cumsum(new) - 1, terms[order])
-    by_first = first.argsort()
-    firsts = first[by_first]
-    return tuple(c[firsts] for c in cols), sums[by_first]
+    # the first terms in term order, which is the keys' order, and each
+    # sorted key's place in it
+    is_first = np.zeros(size, dtype=bool)
+    is_first[first] = True
+    firsts = np.flatnonzero(is_first)
+    place = np.empty(size, dtype=np.intp)
+    place[firsts] = np.arange(len(firsts))
+    out = np.empty_like(sums)
+    out[place[first]] = sums
+    return tuple(c[firsts] for c in cols), out
 
 
 class _SparseCoords:

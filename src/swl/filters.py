@@ -34,6 +34,7 @@ from .core import (
     csum,
     keep_mask,
     offset_column,
+    sorted_unique,
 )
 from .group_action import act
 from .quadrature import inner_products
@@ -223,7 +224,7 @@ def filter_action_on_coords(coords: FCoordVec, h: LaurentPoly) -> FCoordVec:
         return FCoordVec()
     (i, n), vals = coords._cols, coords._vals
     taps = len(h.coeffs)
-    shifted = np.stack([offset_column(n, k) for k, _ in h.coeffs], axis=1).ravel()
+    shifted = offset_column(n, [k for k, _ in h.coeffs]).ravel()
     hs = np.array([hk for _, hk in h.coeffs], dtype=complex)
     terms = cmul(np.tile(hs, len(vals)), np.repeat(vals, taps))
     return FCoordVec._from_terms((np.repeat(i, taps), shifted), terms)
@@ -240,9 +241,9 @@ def coords_at_omega(coords: FCoordVec, grid: int) -> tuple[np.ndarray, np.ndarra
     an unscaled inverse FFT evaluates the residue sums on the grid.
     """
     i, n = coords._cols
-    labels, row = np.unique(i, return_inverse=True)
+    labels, row = sorted_unique(i, return_inverse=True)
     sums = np.zeros((len(labels), grid), dtype=complex)
-    np.add.at(sums, (row.reshape(-1), (n % grid).astype(np.int64)), coords._vals)
+    np.add.at(sums, (row, (n % grid).astype(np.int64)), coords._vals)
     return labels, np.fft.ifft(sums, axis=1, norm="forward")
 
 

@@ -76,7 +76,7 @@ def _haar_dilate(v: FCoordVec, p: int) -> FCoordVec:
     (``_split``), and boxes and wavelets with l + p < 0 spread over
     2^-(l+p) unit boxes (``_spread``).  Only these outputs can share keys:
     their terms are summed per key (``sum_by_key``) in source order under
-    the zero rule, after the relabelled wavelets.  Runs of 2^62 boxes or
+    the zero rule, after the relabelled wavelets.  Runs of 2^59 boxes or
     more raise ``ArithmeticError`` before any array is built (``_spread``),
     a negative label ``InvalidLabelError``.  The arithmetic is the transfer
     blocks' (``_element_ints``): int64 while level + |p| + the width of n

@@ -78,6 +78,7 @@ from .core import (
     ceil_float,
     int_columns,
     keep_mask,
+    sorted_unique,
     window_columns,
 )
 
@@ -526,7 +527,7 @@ def _intervals(atoms: _Atoms, start: np.ndarray, stop: np.ndarray, qs: list, cut
     span = np.zeros(n)
     span[live] = _ratio((right - left)[live], den[live])
     share = quadrature_tol * _ratio(b - a, dn) / span[ip]
-    return _ratio(a, dn), _ratio(b, dn), share, ip, np.unique(rows[is_live[pair]])
+    return _ratio(a, dn), _ratio(b, dn), share, ip, sorted_unique(rows[is_live[pair]])
 
 
 def _gl_sums(f, atoms: _Atoms, owners: np.ndarray, gaussians: dict, quadrature_tol: float,

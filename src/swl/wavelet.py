@@ -61,6 +61,7 @@ from .core import (
     keep_mask,
     key_columns,
     offset_column,
+    sorted_unique,
     sum_by_key,
 )
 from .filters import coords_at_omega
@@ -141,13 +142,15 @@ class _KeyIndex:
     labels of any size cannot overflow it.  A group's id is read from a
     table of its sign's labels where they are int64 and dense (a label's
     id at label - lo, -1 in the gaps), else found by binary search in the
-    sorted labels, the one lookup that serves labels past int64.
+    sorted labels, the one lookup that serves labels past int64.  Each
+    sign's sorted labels are one sort of its keys' labels with repeats
+    dropped (``sorted_unique``).
     """
 
     def __init__(self, cols, vals: np.ndarray, ps: Sequence[int]):
         s, j, m = cols
         # the groups of each sign, as sorted labels; ids count PLUS's first
-        self.labels = {sg: np.unique(j[s == sg]) for sg in (PLUS, MINUS)}
+        self.labels = {sg: sorted_unique(j[s == sg]) for sg in (PLUS, MINUS)}
         self.tables, start = {}, 0
         for sg, labels in self.labels.items():
             if labels.dtype == np.int64 and len(labels):

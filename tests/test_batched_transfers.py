@@ -458,8 +458,11 @@ def test_a_spread_past_the_longest_array_raises_at_once():
         with pytest.raises(ArithmeticError, match=r"spreads over 2\^(62|2998) boxes"):
             f_from_g(GCoordVec(entries), A, W)
         assert time.perf_counter() - start < 0.5
-    with pytest.raises(ArithmeticError, match="more than 2\\^62 boxes"):
-        f_from_g(GCoordVec({(PLUS, 0, -61): 1.0, (MINUS, 0, -61): 1.0}), A, W)
+    # 2^59 boxes in all: more complex128 alphas than one array can hold
+    with pytest.raises(ArithmeticError, match="2\\^59 boxes or more"):
+        f_from_g(GCoordVec({(PLUS, 0, -58): 1.0, (MINUS, 0, -58): 1.0}), A, W)
+    with pytest.raises(ArithmeticError, match=r"spreads over 2\^59 boxes"):
+        f_from_g(GCoordVec({(PLUS, 0, -59): 1.0}), A, W)
 
 
 def test_a_scale_near_int64_takes_python_ints():

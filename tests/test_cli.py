@@ -561,6 +561,38 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("swl: error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("model, entry, argv, message", [
+    ("F", {"i_or_j": -1, "n_or_m": 0}, ("act", "-p", "0", "-q", "1"), "got i=-1"),
+    ("G", {"s": "+", "i_or_j": -1, "n_or_m": 0}, ("act", "--model", "G", "-p", "1", "-q", "0"),
+     "got j=-1"),
+    ("F", {"i_or_j": -1, "n_or_m": 0}, ("check-scaling",), "got i=-1"),
+])
+def test_coefficient_file_labels_are_checked_where_it_is_read(tmp_path, capsys, model, entry,
+                                                              argv, message):
+    # no transfer or D runs on these keys, so only the file's reader can
+    # find the label outside the family's label set; a valid key comes first
+    first = {"s": "+", "i_or_j": 1, "n_or_m": 0} if model == "G" else {"i_or_j": 1, "n_or_m": 0}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"schema_version": 1, "model": model, "basis": "haar", "entries": [
+        {**first, "re": 0.6, "im": 0.0}, {**entry, "re": 0.8, "im": 0.0}]}))
+    code, out, err = _invoke(capsys, argv[0], "--basis", "haar", "--coords", str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"swl: error: haar labels are non-negative, {message}\n"
+    # the exponential family's labels are every integer
+    path.write_text(path.read_text().replace('"haar"', '"exponential"'))
+    code, out, err = _invoke(capsys, argv[0], "--basis", "exponential", "--coords", str(path),
+                             *argv[1:])
+    assert code in (0, 1) and err == ""
+
+
+def test_a_spread_past_the_longest_array_names_its_boxes(capsys):
+    # D^-61 T psi spreads over 2^61 unit boxes: more complex128 alphas than
+    # one array can hold, refused before any array of them is built
+    code, out, err = _invoke(capsys, "act", "--function", "haar_wavelet", "-p", "-61", "-q", "1")
+    assert (code, out) == (2, "")
+    assert "2^61 boxes" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("labels, message", [
     ("+0,+-1", "haar labels are non-negative, got j=-1"),
     ("+0,+x", "invalid literal for int() with base 10: 'x'"),

@@ -160,6 +160,13 @@ def test_offset_column_is_exact():
                            (-1, [-2**63 - 1, -2**63], object)):
         got = offset_column(col, d)
         assert got.dtype == dtype and got.tolist() == want
+    # a list of shifts: every col[t] + d[k] at [t, k], int64 only if all of them fit
+    for ds, dtype in (([5, 2**63 + 1, 0], np.int64), ([5, -1], object),
+                      ([2**64, 2**63 + 1], object)):
+        got = offset_column(col, ds)
+        assert got.dtype == dtype and got.tolist() == [[c + d for d in ds] for c in col.tolist()]
+    wide = np.array([2**70, -3], dtype=object)
+    assert offset_column(wide, [1, -1]).tolist() == [[2**70 + 1, 2**70 - 1], [-2, -4]]
 
 
 def test_csum_compensates():
