@@ -4,14 +4,16 @@
 of the translated basis function (i, n) against the dilated basis
 function (s, j, m); ``row`` and ``column`` list a row or column within a
 window, with the l2 mass the window clipped.  The values come from
-per-family case tables; every case has been cross-validated against the
+per-family closed forms; every case has been cross-validated against the
 brute-force integration oracle (see the test suite), which is the point
 of keeping the two routes separate.
 
-The Haar family has one value table, the row enumeration ``_haar_row``:
-a Haar entry is read from its row.  The column table ``_haar_column`` is
-coded independently as the transpose, so the two cross-check each other,
-and the oracle stays the outside check on both.
+The Haar family has one implementation, the row and column blocks of
+"Batched transfers": ``entry``, ``row`` and ``column`` read the blocks of
+one key, as every transfer reads them, and an entry is read from its row.
+The scalar row and column tables, written out case by case, live in the
+test suite as the reference the blocks are held to, and the oracle stays
+the outside check on both.
 
 Row/column structure
 --------------------
@@ -20,10 +22,11 @@ geometric ladder in the scale exponent m (rows (0, 0), (2^r, 0), (0, -1)
 and (2^{r+1}-1, -1)); those ladders are truncated at the window's upper
 scale bound and the clipped l2 mass is reported.  A ladder starting at
 scale r + 1 is listed up to r + 1074 at most: past it every entry is 0.0
-in double precision.  Haar columns are always finite.  Exponential rows
-and columns are infinite in the label direction with ~1/label decay and
-are clipped to the window's label set; again the clipped mass is reported
-exactly as 1 - (captured mass).
+in double precision, and a coarse box lists its wavelets down to 1074
+levels below the box for the same reason.  Haar columns are always
+finite.  Exponential rows and columns are infinite in the label
+direction with ~1/label decay and are clipped to the window's label set;
+again the clipped mass is reported exactly as 1 - (captured mass).
 
 The exponential table has one support rule, ``_exp_support``: row n lies
 on branch + for n >= 0 and - for n < 0, at every scale m >= 1 for n in
@@ -46,8 +49,8 @@ and offset b, and a key of either model names one (``_trans_key``,
 index maps on (a, b).  ``_split`` expands a box into wavelets, ``_spread``
 an element into unit boxes.  The blocks, the translation-model D
 (``group_action._haar_dilate``) and the filter cascade read these four
-helpers; the scalar tables stay written out case by case, as the
-references that the blocks and D are tested against.
+helpers; the test suite's scalar tables, written out case by case, are
+the references that the blocks and D are tested against.
 
 Batched transfers
 -----------------
@@ -58,9 +61,9 @@ read by ``_dil_key``, the column's by ``_trans_key``.
 ``_haar_row_blocks`` and ``_haar_column_blocks`` put those keys in one
 single-entry block and expand the ladders, the coarse boxes (``_split``),
 and the box columns at m < 0 and wavelet columns with p + m < 0
-(``_spread``) as arrays, entry for entry as the tables enumerate them
-(but for a coarse box's 0.0 entries past ``_LADDER_DEPTH`` levels), for
-every Haar key: int64 while the values stay below 2^62, else Python ints
+(``_spread``) as arrays, entry for entry as the reference tables enumerate
+them (but for a coarse box's 0.0 entries past ``_LADDER_DEPTH`` levels),
+for every Haar key: int64 while the values stay below 2^62, else Python ints
 (``_element_ints``).  The exponential keys are one table block.
 ``_terms`` lays out every block the same way: the terms keep source
 order, and the clipped tails are summed over the keys in order with
@@ -75,12 +78,11 @@ is summed over its own keys, as a pass of that run alone sums it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import HAAR, BasisFamily, check_dil_label, check_trans_label, split_haar_label
+from .bases import HAAR, BasisFamily, check_dil_label, check_trans_label
 from .core import (
     DilIndex,
     FCoordVec,
@@ -97,8 +99,6 @@ from .core import (
     key_columns,
 )
 
-_SQRT1_2 = math.sqrt(0.5)
-
 
 def _pow2h(m: int) -> float:
     # 2^{m/2}
@@ -110,15 +110,6 @@ def _cis(num: int, e: int) -> complex:
     # int division rounds it correctly, so large frequencies keep their phase
     t = (num % (1 << e)) / (1 << e)
     return complex(math.cos(_TWO_PI * t), math.sin(_TWO_PI * t))
-
-
-def _is_pow2(x: int) -> bool:
-    return x > 0 and (x & (x - 1)) == 0
-
-
-def bit_sign_exponent(u: int, v: int, p: int) -> int:
-    """Sign exponent for the coarse-box rows: bit u-p-1 of the offset v."""
-    return (v >> (u - p - 1)) & 1
 
 
 # -- exponential family -------------------------------------------------------
@@ -187,137 +178,12 @@ def _clipped(entries: list) -> tuple[list, float]:
     return entries, max(0.0, 1.0 - math.fsum(abs(v) ** 2 for _, v in entries))
 
 
-# -- Haar family ---------------------------------------------------------------
+# -- the Haar element form (see "Haar element form" above) --------------------
 
 # A ladder starting at m = r + 1 has entries 2^{(r-m)/2}: 0.0 in double
 # precision past m = r + 1074, as 2.0 ** -1075 is.
 _LADDER_DEPTH = 1074
 
-
-def _ladder_top(r: int, m_hi: int) -> int:
-    # the last scale a ladder starting at m = r + 1 lists
-    return min(m_hi, r + _LADDER_DEPTH)
-
-
-def _ladder_tail(r: int, m_hi: int) -> float:
-    # clipped mass of a geometric scale ladder whose entries start at m = r + 1
-    if m_hi <= r:
-        return 1.0
-    return 2.0 ** (r - m_hi)
-
-
-def _haar_row(i: int, n: int, m_hi: int) -> tuple[list[tuple[DilIndex, complex]], float]:
-    out: list[tuple[DilIndex, complex]] = []
-    if n == 0:
-        if i == 0:
-            out = [(DilIndex(PLUS, 0, m), complex(_pow2h(-m)))
-                   for m in range(1, _ladder_top(0, m_hi) + 1)]
-            return out, _ladder_tail(0, m_hi)
-        if _is_pow2(i):
-            r = i.bit_length() - 1
-            if r + 1 <= m_hi:
-                out.append((DilIndex(PLUS, 0, r + 1), complex(-_SQRT1_2)))
-            out.extend((DilIndex(PLUS, 0, m), complex(_pow2h(r - m)))
-                       for m in range(r + 2, _ladder_top(r, m_hi) + 1))
-            return out, _ladder_tail(r, m_hi)
-        r, t = split_haar_label(i)
-        p = t.bit_length() - 1
-        return [(DilIndex(PLUS, t, r - p), 1.0 + 0j)], 0.0
-    if n == 1:
-        return [(DilIndex(PLUS, i, 0), 1.0 + 0j)], 0.0
-    if n > 1:
-        u = n.bit_length() - 1
-        v = n - (1 << u)
-        if i > 0:
-            r = i.bit_length() - 1
-            t = i - (1 << r)
-            return [(DilIndex(PLUS, (n << r) + t, -u), 1.0 + 0j)], 0.0
-        return _coarse_box_row(PLUS, u, v), 0.0
-    if n == -1:
-        if i == 0:
-            out = [(DilIndex(MINUS, 0, m), complex(_pow2h(-m)))
-                   for m in range(1, _ladder_top(0, m_hi) + 1)]
-            return out, _ladder_tail(0, m_hi)
-        if _is_pow2(i + 1):
-            r = (i + 1).bit_length() - 2
-            if r + 1 <= m_hi:
-                out.append((DilIndex(MINUS, 0, r + 1), complex(_SQRT1_2)))
-            out.extend((DilIndex(MINUS, 0, m), complex(-_pow2h(r - m)))
-                       for m in range(r + 2, _ladder_top(r, m_hi) + 1))
-            return out, _ladder_tail(r, m_hi)
-        r, t = split_haar_label(i)
-        p = ((1 << r) - t - 1).bit_length() - 1
-        q = t - (1 << r) + (1 << (p + 1))
-        return [(DilIndex(MINUS, (1 << p) + q, r - p), 1.0 + 0j)], 0.0
-    if n == -2:
-        return [(DilIndex(MINUS, i, 0), 1.0 + 0j)], 0.0
-    # n < -2, parametrized as n = -2^{u+1} + v
-    u = (-n - 1).bit_length() - 1
-    v = n + (1 << (u + 1))
-    if i > 0:
-        r = i.bit_length() - 1
-        t = i - (1 << r)
-        return [(DilIndex(MINUS, (((1 << u) + v) << r) + t, -u), 1.0 + 0j)], 0.0
-    return _coarse_box_row(MINUS, u, v), 0.0
-
-
-def _coarse_box_row(s: int, u: int, v: int) -> list[tuple[DilIndex, complex]]:
-    out = [(DilIndex(s, 0, -u), complex(_pow2h(-u)))]
-    for p in range(u):
-        j = (1 << p) + (v >> (u - p))
-        sign = -1.0 if bit_sign_exponent(u, v, p) else 1.0
-        out.append((DilIndex(s, j, -u), complex(sign * _pow2h(p - u))))
-    return out
-
-
-def _shift_count(u: int) -> int:
-    # a box or fine wavelet column lists 2^u shifts; a list holds sys.maxsize at most
-    if u >= sys.maxsize.bit_length():
-        raise ArithmeticError(f"a Haar column of 2^{u} entries is past the longest list")
-    return 1 << u
-
-
-def _haar_column(s: int, j: int, m: int) -> list[tuple[TransIndex, complex]]:
-    if j == 0:
-        if m > 0:
-            n = 0 if s == PLUS else -1
-            out = [(TransIndex(0, n), complex(_pow2h(-m)))]
-            # below r = m - 1074 every amplitude 2^{(r-m)/2} is 0.0 in double precision
-            for r in range(m - 1, max(m - 1075, -1), -1):
-                i = (1 << r) if s == PLUS else (1 << (r + 1)) - 1
-                if r == m - 1:
-                    val = -_SQRT1_2 if s == PLUS else _SQRT1_2
-                else:
-                    val = _pow2h(r - m) if s == PLUS else -_pow2h(r - m)
-                out.append((TransIndex(i, n), complex(val)))
-            return out
-        if m == 0:
-            return [(TransIndex(j, 1 if s == PLUS else -2), 1.0 + 0j)]
-        u = -m
-        count = _shift_count(u)
-        base = (1 << u) if s == PLUS else -(1 << (u + 1))
-        return [(TransIndex(0, n), complex(_pow2h(m))) for n in range(base, base + count)]
-    # wavelet-type column: a single translated wavelet of the other family
-    p, q = split_haar_label(j)
-    b = (1 << p) + q if s == PLUS else -(1 << (p + 1)) + q
-    a = p + m
-    if a >= 0:
-        n0 = b >> a
-        t = b - (n0 << a)
-        return [(TransIndex((1 << a) + t, n0), 1.0 + 0j)]
-    u = -a
-    count = _shift_count(u)
-    amp = _pow2h(a)
-    lo = b << u
-    half = 1 << (u - 1)
-    out = []
-    for n in range(lo, lo + count):
-        val = amp if (n - lo) < half else -amp
-        out.append((TransIndex(0, n), complex(val)))
-    return out
-
-
-# -- the Haar element form (see "Haar element form" above) --------------------
 
 def _width(x):
     """The two's-complement width of each entry of an int64 or Python-int array."""
@@ -427,13 +293,17 @@ def _haar_row_cases(i: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _haar_row_blocks(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
-    """Array form of ``_haar_row`` on every key, as blocks for ``_terms``:
-    the single entries, the scale ladders and the coarse boxes.  A
-    magnitude 2^(k/2) is ``np.sqrt(np.ldexp(1.0, k))``, rounded once as in
-    ``_pow2h``.
+    """The Haar rows (i, n) of every key up to scale ``m_hi``, as blocks for
+    ``_terms``: the single entries, the scale ladders and the coarse boxes.
+    A magnitude 2^(k/2) is ``np.sqrt(np.ldexp(1.0, k))``, rounded once as
+    in ``_pow2h``.
     """
-    if (i < 0).any():  # the table's input error, for the first such key
+    if (i < 0).any():  # the label check's input error, for the first such key
         check_trans_label(HAAR, i[np.argmax(i < 0)])
+    # a label's level r is far inside +-2^62, so a top past 2^62 lists what
+    # 2^62 lists (every ladder to its depth, tail 0.0), and one below -2^62
+    # what -2^62 lists (nothing, tail 1.0)
+    m_hi = min(max(m_hi, -_WIDE), _WIDE)
     ladder, box = _haar_row_cases(i, n)
     # the wavelet 2^r + t at shift n is of level r at offset t + (n << r), at
     # most r bits wider than n, and a box (0, n) of level 0 at offset n
@@ -446,8 +316,9 @@ def _haar_row_blocks(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
     # the ladder starts at scale r + 1; a level is int64 whatever the label
     at = np.flatnonzero(ladder)
     li, ln, lr = i[at], n[at], r[at].astype(np.int64)
-    counts = np.clip(m_hi - lr, 0, _LADDER_DEPTH)  # up to _ladder_top
-    clipped = np.where(m_hi <= lr, 1.0, np.ldexp(1.0, np.minimum(lr - m_hi, 0)))  # _ladder_tail
+    counts = np.clip(m_hi - lr, 0, _LADDER_DEPTH)  # up to min(m_hi, r + _LADDER_DEPTH)
+    # the clipped mass above m_hi: 2^(r - m_hi), or 1.0 if the ladder starts above it
+    clipped = np.where(m_hi <= lr, 1.0, np.ldexp(1.0, np.minimum(lr - m_hi, 0)))
     key, pos = _runs(counts)
     # entry pos: scale r + 1 + pos at 2^(-(1 + pos)/2), negative first in
     # (2^r, 0) and after the first in (2^(r+1) - 1, -1)
@@ -467,11 +338,11 @@ def _haar_row_blocks(i: np.ndarray, n: np.ndarray, m_hi: int) -> list:
 
 
 def _haar_column_blocks(s: np.ndarray, j: np.ndarray, m: np.ndarray) -> list:
-    """Array form of ``_haar_column`` on every key, as blocks for ``_terms``:
+    """The Haar columns (s, j, m) of every key, as blocks for ``_terms``:
     the single entries (label-0 columns at scale 0, wavelet columns with
     p + m >= 0), the ladder columns (s, 0, m > 0), and the box columns
     (s, 0, m < 0) and wavelet columns with p + m < 0 (``_spread``)."""
-    if (j < 0).any():  # the table's input error, for the first such key
+    if (j < 0).any():  # the label check's input error, for the first such key
         k = np.argmax(j < 0)
         check_dil_label(HAAR, s[k], j[k])
     box = j == 0
@@ -595,6 +466,16 @@ def column_terms(A: "AlphaMatrix", keys, values: np.ndarray, w: Window):
     return _terms(keys, values, blocks, conj=True)
 
 
+def _one_key(blocks: list, key_type) -> tuple[list, float]:
+    """The entries (``key_type`` key, alpha) and the clipped mass of the one
+    key laid out in ``blocks``; a single entry's alpha is 1.0."""
+    _, counts, cols, alphas, clipped = next(block for block in blocks if len(block[0]))
+    keys = [key_type(*key) for key in zip(*(c.tolist() for c in cols))]
+    if counts is None:
+        return [(keys[0], 1.0 + 0j)], 0.0
+    return list(zip(keys, alphas.tolist())), 0.0 if clipped is None else float(clipped[0])
+
+
 # -- public surface ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -608,9 +489,9 @@ class AlphaMatrix:
         check_dil_label(self.fam, s, j)
         if self.fam.name == "exponential":
             return _alpha_exp(int(i), int(n), s, int(j), int(m))
-        # a scale-ladder row stops where its entries become 0.0 (_ladder_top)
-        entries, _ = _haar_row(int(i), int(n), int(m))
-        return dict(entries).get((s, int(j), int(m)), 0j)
+        # the row up to scale m: a scale ladder stops where its entries become 0.0
+        blocks = _haar_row_blocks(*key_columns([(int(i), int(n))], 2), int(m))
+        return dict(_one_key(blocks, DilIndex)[0]).get((s, int(j), int(m)), 0j)
 
     def row(self, i: int, n: int, w: Window) -> tuple[list[tuple[DilIndex, complex]], float]:
         """Nonzero entries of row (i, n) within the window, plus clipped mass.
@@ -621,18 +502,21 @@ class AlphaMatrix:
         """
         check_trans_label(self.fam, i)
         if self.fam.name == "haar":
-            return _haar_row(int(i), int(n), w.dil_range[1])
+            blocks = _haar_row_blocks(*key_columns([(int(i), int(n))], 2), w.dil_range[1])
+            return _one_key(blocks, DilIndex)
         return _clipped(_exp_row(int(i), int(n), w))
 
     def column(self, s: int, j: int, m: int, w: Window) -> tuple[list[tuple[TransIndex, complex]], float]:
         """Nonzero entries of column (s, j, m) within the window, plus clipped mass.
 
         Haar columns are finite and enumerated whole, so nothing is clipped;
-        exponential clipping is accounted as 1 minus the captured mass.
+        one of 2^59 unit boxes or more, past the longest array of alphas,
+        raises ``ArithmeticError``.  Exponential clipping is accounted as 1
+        minus the captured mass.
         """
         check_dil_label(self.fam, s, j)
         if self.fam.name == "haar":
-            return _haar_column(s, int(j), int(m)), 0.0
+            return _one_key(_haar_column_blocks(*key_columns([(s, int(j), int(m))], 3)), TransIndex)
         return _clipped(_exp_column(s, int(j), int(m), w))
 
     def row_case(self, i: int, n: int) -> str:

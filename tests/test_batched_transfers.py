@@ -2,10 +2,10 @@
 
 The blocks relabel the single-entry rows and columns of whole key arrays
 and expand the multi-entry ones, for every Haar key: int64 arithmetic
-while the values stay below 2^62, Python ints past that.  No Haar key of a
-transfer goes through the scalar tables ``_haar_row`` and ``_haar_column``;
-they are the references here, with the transfer as a dict accumulation
-over them, term by term in source order.
+while the values stay below 2^62, Python ints past that.  The scalar
+tables ``_haar_row`` and ``_haar_column`` (``haar_tables``) are the
+references here, with the transfer as a dict accumulation over them, term
+by term in source order; no Haar key of the program reads them.
 """
 
 import math
@@ -32,16 +32,11 @@ from swl import (  # noqa: E402
     shift_T,
     transfer,
 )
-from swl.alpha import (  # noqa: E402
-    _dil_key,
-    _haar_column,
-    _haar_column_blocks,
-    _haar_row,
-    _haar_row_blocks,
-    _trans_key,
-)
+from swl.alpha import _dil_key, _haar_column_blocks, _haar_row_blocks, _trans_key  # noqa: E402
 from swl.bases import InvalidLabelError, int_atoms  # noqa: E402
 from swl.core import DROP_THRESHOLD, MINUS, PLUS, key_columns  # noqa: E402
+
+from haar_tables import _haar_column, _haar_row, reference_column, reference_row  # noqa: E402
 
 A = AlphaMatrix(HAAR)
 W = Window.symmetric(HAAR, 4, 4, 8)  # rows read only the top scale, 8
@@ -171,7 +166,7 @@ def reference_transfer(v, to_g, A=A, w=W):
     order of first term, then the zero rule."""
     out, tail = {}, 0.0
     for key, val in v.items():
-        entries, clipped = A.row(*key, w) if to_g else A.column(*key, w)
+        entries, clipped = reference_row(A, *key, w) if to_g else reference_column(A, *key, w)
         for target, a in entries:
             out[target] = out.get(target, 0j) + (a if to_g else a.conjugate()) * val
         if clipped > 0.0:

@@ -141,7 +141,7 @@ def test_model_consistency(A_haar, w_haar):
 
 def _uncapped_ladder_column(s, j, m):
     # the whole ladder column (s, 0, m), m > 0: the box, then one wavelet per scale r < m
-    from swl.alpha import _SQRT1_2, _pow2h
+    from haar_tables import _SQRT1_2, _pow2h
     from swl.core import PLUS, TransIndex
 
     n = 0 if s == PLUS else -1
@@ -166,8 +166,8 @@ def test_capped_ladder_column_gives_the_uncapped_action():
     # entries more than 1074 scales below m have amplitude exactly 0.0, so the
     # column stops there; the transfer back must not see the difference from
     # the whole columns, summed term by term in source order
+    from haar_tables import _haar_column
     from swl import AlphaMatrix
-    from swl.alpha import _haar_column
 
     w = Window.symmetric(HAAR, 2)
     A = AlphaMatrix(HAAR)
@@ -185,8 +185,8 @@ def test_ladder_column_stays_small_at_large_scales():
     import time
     import tracemalloc
 
+    from haar_tables import _haar_column
     from swl import AlphaMatrix
-    from swl.alpha import _haar_column
 
     # the box, then the wavelets at scales m - 1 down to m - 1074
     assert len(_haar_column(1, 0, 3000)) == 1 + 1074

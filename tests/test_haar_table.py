@@ -1,16 +1,19 @@
-"""The Haar alpha table: entries come from the row enumeration, and the
-independently coded column table must be its exact transpose.
+"""The Haar alpha matrix: ``AlphaMatrix.entry``, ``row`` and ``column`` read
+the program's row and column blocks, each other's exact transpose, and the
+scalar tables of ``haar_tables`` are their reference, key for key and bit
+for bit.
 
 The oracle stays the outside check on the values themselves.
 """
 
 import math
+import time
 import tracemalloc
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from swl import (  # noqa: E402
     EXPONENTIAL,
@@ -24,9 +27,11 @@ from swl import (  # noqa: E402
     g_from_f,
     transfer,
 )
-from swl.alpha import _haar_column, _haar_row, scale_reach  # noqa: E402
+from swl.alpha import scale_reach  # noqa: E402
 from swl.core import MINUS, PLUS, key_columns  # noqa: E402
 from swl.quadrature import inner_product  # noqa: E402
+
+from haar_tables import _haar_column, _haar_row  # noqa: E402
 
 A = AlphaMatrix(HAAR)
 
@@ -78,15 +83,25 @@ def test_ladder_entry_far_past_underflow_is_zero():
     assert A.entry(1, 0, PLUS, 0, 10**9) == 0j
     assert A.entry(0, -1, MINUS, 0, 1074) != 0j
     assert A.entry(0, -1, MINUS, 0, 1075) == 0j
+    # scales past int64: a row reaches them as it reaches 2^62, so does a transfer
+    assert A.entry(0, 0, PLUS, 0, 10**23) == A.entry(0, 0, PLUS, 0, -10**23) == 0j
+    w = Window.symmetric(HAAR, 1).with_dil_range(0, 10**23)
+    entries, tail = A.row(1, 0, w)
+    assert len(entries) == 1074 and tail == 0.0
+    assert transfer(FCoordVec({(1, 0): 1.0}), A, w) == (GCoordVec(entries), 0.0)
 
 
 def test_column_past_the_longest_list_raises_at_once():
-    # box and fine wavelet columns list 2^u shifts (u = -m, or -(p + m) for
-    # j = 2^p + q); from u = 63 no list holds them, so nothing is enumerated
+    # box and fine wavelet columns spread over 2^u unit boxes (u = -m, or
+    # -(p + m) for j = 2^p + q); from u = 59 no array holds their complex128
+    # alphas, so nothing is built
     w = Window.symmetric(HAAR, 2)
-    for s, j, m in [(PLUS, 0, -3000), (MINUS, 0, -63), (PLUS, 5, -3000), (MINUS, 5, -65)]:
-        with pytest.raises(ArithmeticError, match="past the longest list"):
+    for s, j, m in [(PLUS, 0, -3000), (MINUS, 0, -63), (PLUS, 5, -3000), (MINUS, 5, -65),
+                    (PLUS, 0, -59), (MINUS, 3, -62)]:
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="past the longest array"):
             A.column(s, j, m, w)
+        assert time.perf_counter() - start < 0.5
 
 
 def _traced_peak(fn, *args):
@@ -167,7 +182,7 @@ wide_shifts = st.one_of(
 
 @given(i=wide_labels, n=wide_shifts, m_hi=st.integers(-8, 80))
 def test_row_entries_keep_the_scale_rule(i, n, m_hi):
-    entries, _ = _haar_row(i, n, m_hi)
+    entries, _ = A.row(i, n, _top(m_hi))
     for (s, j, m), _ in entries:
         assert i.bit_length() <= _level(j, m)
         if len(entries) == 1:
@@ -178,7 +193,7 @@ def test_row_entries_keep_the_scale_rule(i, n, m_hi):
 def test_column_entries_keep_the_scale_rule(s, j, level):
     # a column of level below 0 has 2^{-level} entries (2^{1-level} for j >= 1)
     m = level - j.bit_length()
-    entries = _haar_column(s, j, m)
+    entries, _ = A.column(s, j, m, _top(m))
     for (i, n), _ in entries:
         if i >= 1:
             assert i.bit_length() <= _level(j, m)
@@ -205,3 +220,74 @@ def test_scale_reach_is_the_rule(keys, dil, top):
     assert scale_reach(A, wide, top).tolist() == want
     # and the exponential family keeps every key
     assert scale_reach(AlphaMatrix(EXPONENTIAL), key_columns(keys, 2), top).all()
+
+
+# -- the blocks against the scalar tables ------------------------------------------
+
+
+def _bits(entries):
+    # each key with its types, in order, and its alpha bit for bit
+    return [(type(key), tuple(map(type, key)), tuple(key), a.real.hex(), a.imag.hex())
+            for key, a in entries]
+
+
+def _table_entry(i, n, s, j, m):
+    # an entry read from its row up to its own scale
+    return dict(_haar_row(i, n, m)[0]).get((s, j, m), 0j)
+
+
+# labels past int64 (the blocks' Python-int path), ladder rows up to r = 70,
+# shifts to +-2^40 and a few past int64
+table_labels = st.one_of(
+    labels,
+    st.integers(0, 70).map(lambda r: 1 << r),
+    st.integers(1, 71).map(lambda r: (1 << r) - 1),
+    st.integers(0, 1 << 75),
+    st.just((1 << 70) + 5),
+)
+table_shifts = st.one_of(shifts, st.integers(-(1 << 40), 1 << 40),
+                         st.sampled_from([(1 << 70) + 3, -(1 << 70) - 5]))
+
+
+@given(i=table_labels, n=table_shifts, m_hi=st.integers(-8, 50),
+       other=st.tuples(signs, st.one_of(st.just(0), table_labels), st.integers(-80, 80)))
+@example(i=(1 << 70) + 5, n=3, m_hi=6, other=(PLUS, 0, 1))
+@example(i=(1 << 70) + 5, n=-(1 << 40), m_hi=-8, other=(MINUS, 5, -40))
+@example(i=0, n=(1 << 40) + 7, m_hi=4, other=(PLUS, 0, -40))
+@example(i=0, n=-(1 << 70) - 5, m_hi=0, other=(MINUS, 1, -70))
+@example(i=1 << 45, n=0, m_hi=50, other=(PLUS, 0, 47))
+@example(i=(1 << 41) - 1, n=-1, m_hi=50, other=(MINUS, 0, 41))
+def test_row_and_entry_are_the_row_table(i, n, m_hi, other):
+    entries, tail = A.row(i, n, _top(m_hi))
+    want, want_tail = _haar_row(i, n, m_hi)
+    assert _bits(entries) == _bits(want) and tail.hex() == want_tail.hex()
+    for key in [key for key, _ in want] + [other]:
+        assert _bits([(key, A.entry(i, n, *key))]) == _bits([(key, _table_entry(i, n, *key))])
+
+
+@given(s=signs, j=st.one_of(st.just(0), table_labels), level=st.integers(-10, 50))
+@example(s=MINUS, j=(1 << 70) + 5, level=71)
+@example(s=PLUS, j=(1 << 70) + 5, level=-6)
+@example(s=PLUS, j=0, level=50)
+@example(s=MINUS, j=0, level=-10)
+def test_column_is_the_column_table(s, j, level):
+    # a column of level below 0 has 2^{-level} entries (2^{1-level} for j >= 1)
+    m = level - j.bit_length()
+    entries, tail = A.column(s, j, m, _top(m))
+    assert _bits(entries) == _bits(_haar_column(s, j, m)) and tail.hex() == (0.0).hex()
+
+
+def test_far_coarse_box_rows_list_no_zero_entry():
+    # a coarse box (0, n) with |n| >= 2^1075 has wavelets 0.0 in double
+    # precision, which the table lists; the rows cut them at the ladder
+    # depth, as every transfer does, and their entries read 0j
+    for n, zeros in (((1 << 1075) + 5, 2), ((1 << 1080) + 3, 7)):
+        want, _ = _haar_row(0, n, 0)
+        cut = [key for key, a in want if a == 0j]
+        assert len(cut) == zeros
+        entries, tail = A.row(0, n, _top(0))
+        assert all(a != 0j for _, a in entries) and tail == 0.0
+        assert _bits(entries) == _bits([(key, a) for key, a in want if a != 0j])
+        for key in cut:
+            val = A.entry(0, n, *key)
+            assert (val.real.hex(), val.imag.hex()) == ((0.0).hex(), (0.0).hex())

@@ -40,6 +40,8 @@ from swl.core import (  # noqa: E402
 from swl.group_action import shift_D, shift_T  # noqa: E402
 from swl.wavelet import _cdot, _KeyIndex, completeness_matrix, orthonormality_residuals  # noqa: E402
 
+from haar_tables import reference_column, reference_row  # noqa: E402
+
 # -- reference forms ------------------------------------------------------------
 
 
@@ -48,7 +50,7 @@ def reference_pair_sums(psi, A, qs, w):
     an l2-norm bound on what its column and row passes clipped."""
     x, column_tail = {}, 0.0
     for (r, k, l), val in psi.items():
-        entries, clipped = A.column(r, k, l, w)
+        entries, clipped = reference_column(A, r, k, l, w)
         for key, a in entries:
             x[key] = x.get(key, 0j) + a.conjugate() * val
         if clipped > 0.0:
@@ -57,7 +59,7 @@ def reference_pair_sums(psi, A, qs, w):
     for q in qs:
         u, row_tail = {}, 0.0
         for (i, nu), val in x.items():
-            entries, clipped = A.row(i, nu + q, w)
+            entries, clipped = reference_row(A, i, nu + q, w)
             for key, a in entries:
                 u[key] = u.get(key, 0j) + a * val
             if clipped > 0.0:
