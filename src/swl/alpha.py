@@ -65,20 +65,24 @@ and the box columns at m < 0 and wavelet columns with p + m < 0
 them (but for a coarse box's 0.0 entries past ``_LADDER_DEPTH`` levels),
 for every Haar key: int64 while the values stay below 2^62, else Python ints
 (``_element_ints``).  The exponential keys are one table block.
-``_terms`` lays out every block the same way: the terms keep source
-order, and the clipped tails are summed over the keys in order with
-Python's ``abs``, so the transfers give what the term-by-term loop over
-``row``/``column`` gives, bit for bit.  Every pass takes one value array
-over its keys, and its keys in equal runs (one by default): ``transfer``
-passes its vector in one run, the wavelet checks a chunk of shifted
-copies as runs.  Each run's terms are one contiguous range, and its tail
-is summed over its own keys, as a pass of that run alone sums it.
+``_terms`` lays out every block the same way, as a ``Layout`` that holds
+no values: each term's target key, its source key and, for the terms
+that are not a single entry's key value, its alpha.  The terms keep
+source order; ``Layout.terms`` takes them from one value array over the
+source keys, and ``Layout.tails`` sums the clipped tails over the keys in
+order with Python's ``abs``, so the transfers give what the term-by-term
+loop over ``row``/``column`` gives, bit for bit.  A pass takes its keys
+in equal runs (one by default): ``transfer`` lays its vector out in one
+run, the wavelet checks' plans a chunk of shifted copies as runs.  Each
+run's terms are one contiguous range, and its tail is summed over its
+own keys, as a pass of that run alone sums it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -397,8 +401,39 @@ def _table_block(keys, entries_of, width: int) -> tuple:
             key_columns([k for k, _ in table], width), alphas, np.array([c for _, c in rows]))
 
 
-def _terms(keys, values: np.ndarray, blocks: list, conj: bool, runs: int = 1):
-    """The terms of a transfer of ``values`` over ``keys``, in source order.
+class Layout(NamedTuple):
+    """A transfer laid out term by term over its source keys, values aside
+    (``_terms``): every term's target key and source key, and the alphas
+    of the terms that carry one; the rest are their key's value itself."""
+
+    cols: tuple  # each term's target key columns
+    src: np.ndarray  # each term's source key (intp)
+    scaled: np.ndarray  # the terms that carry an alpha (intp)
+    alphas: np.ndarray  # their alphas, conjugated for a column pass
+    clipped: np.ndarray  # the source keys with clipped mass, in order (intp)
+    clip_run: np.ndarray  # the run of each
+    roots: np.ndarray  # the square root of each one's clipped mass
+    bounds: list  # run k's terms are terms[bounds[k]:bounds[k + 1]]
+
+    def terms(self, values: np.ndarray) -> np.ndarray:
+        """The terms of a transfer of ``values`` over the source keys."""
+        terms = values[self.src]
+        terms[self.scaled] = cmul(self.alphas, terms[self.scaled])
+        return terms
+
+    def tails(self, values: np.ndarray) -> list[float]:
+        """The l2 bound on each run's clipped part, summed over the run's
+        keys in order with Python's ``abs`` (numpy's complex abs may differ
+        from it in the last bit)."""
+        tails = [0.0] * (len(self.bounds) - 1)
+        for k, val, root in zip(self.clip_run.tolist(), values[self.clipped].tolist(),
+                                self.roots.tolist()):
+            tails[k] += abs(val) * root
+        return tails
+
+
+def _terms(keys, blocks: list, conj: bool, runs: int = 1) -> Layout:
+    """The layout of a transfer over ``keys``, terms in source order.
 
     A block is (positions of its keys, entries per key, target key columns,
     alphas, clipped mass per key), each key's entries in table order, and
@@ -406,64 +441,59 @@ def _terms(keys, values: np.ndarray, blocks: list, conj: bool, runs: int = 1):
     counts, alphas and clipped mass: one entry per key whose alpha is 1.0,
     so its term is the key's value.  Every other term is alpha (conjugated
     for ``conj``) times the key's value.  The keys are ``runs`` runs of
-    equal length.  Returns (target key columns, int64 unless some component
-    is past int64, terms, the l2 bounds on the clipped part, one per run,
-    the runs' bounds in the terms): run k's terms are
-    ``terms[bounds[k]:bounds[k + 1]]``, and its bound is summed over the
-    run's keys in order with Python's ``abs`` (numpy's complex abs may
-    differ from it in the last bit).
+    equal length, each run's terms one contiguous range.  The target key
+    columns are int64 unless some component is past int64.
     """
     width = 5 - len(keys)  # rows map (i, n) to (s, j, m), columns back
-    counts = np.zeros(len(values), dtype=np.int64)
+    counts = np.zeros(len(keys[0]), dtype=np.int64)
     clip = np.zeros(len(counts))
     for at, block_counts, _, _, clipped in blocks:
         counts[at] = 1 if block_counts is None else block_counts
         if clipped is not None:
             clip[at] = clipped
-    per_run = max(len(counts) // runs, 1)  # keys per run
-    tails = [0.0] * runs
-    hit = np.flatnonzero(clip > 0.0)
-    for k, val, c in zip((hit // per_run).tolist(), values[hit].tolist(), clip[hit].tolist()):
-        tails[k] += abs(val) * math.sqrt(c)
     # each key's terms start after the terms of the keys before it
     starts = np.cumsum(counts) - counts
-    terms = np.empty(int(counts.sum()), dtype=complex)
-    places = []
-    for at, block_counts, _, alphas, _ in blocks:
+    src = np.empty(int(counts.sum()), dtype=np.intp)
+    places, scaled, alphas = [], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+    for at, block_counts, _, block_alphas, _ in blocks:
         if block_counts is None:
             places.append(starts[at])
-            terms[places[-1]] = values[at]
+            src[places[-1]] = at
         else:
             key, pos = _runs(block_counts)
             places.append(starts[at][key] + pos)
-            terms[places[-1]] = cmul(alphas.conjugate() if conj else alphas, values[at[key]])
+            src[places[-1]] = at[key]
+            scaled.append(places[-1])
+            alphas.append(block_alphas.conjugate() if conj else block_alphas)
     cols = []
     for k in range(width):
         parts = [block[2][k] for block in blocks]
-        col = np.empty(len(terms), dtype=np.result_type(np.int64, *parts))
+        col = np.empty(len(src), dtype=np.result_type(np.int64, *parts))
         for place, part in zip(places, parts):
             col[place] = part
         cols.append(col)
     bounds = [0, *np.cumsum(counts.reshape(runs, -1).sum(axis=1)).tolist()]
-    return _as_int64(tuple(cols)), terms, tails, bounds
+    clipped = np.flatnonzero(clip > 0.0)
+    return Layout(_as_int64(tuple(cols)), src, np.concatenate(scaled), np.concatenate(alphas),
+                  clipped, clipped // max(len(counts) // runs, 1), np.sqrt(clip[clipped]), bounds)
 
 
-def row_terms(A: "AlphaMatrix", keys, values: np.ndarray, w: Window, runs: int = 1):
-    """Terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a transfer to the
-    dilation model, for translation-model key columns and the values over
-    them, in ``runs`` equal runs of keys (``_terms``)."""
+def row_terms(A: "AlphaMatrix", keys, w: Window, runs: int = 1) -> Layout:
+    """The layout of the terms sum_(i,n) alpha_{i,n}^{s,j,m} v[(i, n)] of a
+    transfer to the dilation model, for translation-model key columns in
+    ``runs`` equal runs of keys (``_terms``)."""
     blocks = (_haar_row_blocks(*keys, w.dil_range[1]) if A.fam.name == "haar"
               else [_table_block(keys, lambda i, n: A.row(i, n, w), 3)])
-    return _terms(keys, values, blocks, conj=False, runs=runs)
+    return _terms(keys, blocks, conj=False, runs=runs)
 
 
-def column_terms(A: "AlphaMatrix", keys, values: np.ndarray, w: Window):
-    """Terms sum_(s,j,m) conj(alpha_{i,n}^{s,j,m}) v[(s, j, m)] of a transfer
-    to the translation model, for dilation-model key columns and the values
-    over them (``_terms``)."""
+def column_terms(A: "AlphaMatrix", keys, w: Window) -> Layout:
+    """The layout of the terms sum_(s,j,m) conj(alpha_{i,n}^{s,j,m}) v[(s, j, m)]
+    of a transfer to the translation model, for dilation-model key columns
+    (``_terms``)."""
     blocks = (_haar_column_blocks(*keys) if A.fam.name == "haar"
               else [_table_block(keys, lambda s, j, m: A.column(s, j, m, w), 2)])
-    return _terms(keys, values, blocks, conj=True)
+    return _terms(keys, blocks, conj=True)
 
 
 def _one_key(blocks: list, key_type) -> tuple[list, float]:
@@ -544,8 +574,9 @@ def transfer(v: FCoordVec | GCoordVec, A: AlphaMatrix, w: Window):
     transfer reports it: ``g_from_f`` and ``f_from_g`` return the vector.
     """
     to_g = isinstance(v, FCoordVec)
-    keys, terms, (tail,), _ = (row_terms if to_g else column_terms)(A, v._cols, v._vals, w)
-    return (GCoordVec if to_g else FCoordVec)._from_terms(keys, terms), tail
+    layout = (row_terms if to_g else column_terms)(A, v._cols, w)
+    vec = (GCoordVec if to_g else FCoordVec)._from_terms(layout.cols, layout.terms(v._vals))
+    return vec, layout.tails(v._vals)[0]
 
 
 def g_from_f(v: FCoordVec, A: AlphaMatrix, w: Window) -> GCoordVec:

@@ -255,15 +255,27 @@ def offset_column(col: np.ndarray, d) -> np.ndarray:
 def sorted_unique(x: np.ndarray, return_inverse: bool = False):
     """The distinct values of a 1-D int64 or Python-int array, sorted, and
     with ``return_inverse`` each entry's index among them, as numpy's
-    ``unique`` gives them: one sort, each repeat dropped, and the inverse by
-    binary search.  numpy 2 finds an int64 set with a hash table, several
-    times slower than this sort on tens of thousands of labels; the result
-    is the same on every numpy."""
-    s = np.sort(x)
+    ``unique`` gives them: one sort, each repeat dropped, and the inverse
+    scattered from a stable argsort as the running count of new values.
+    numpy 2 finds an int64 set with a hash table, several times slower than
+    this sort on tens of thousands of labels; the result is the same on
+    every numpy."""
+    if not return_inverse:
+        s = np.sort(x)
+        return s[_starts(s)]
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    new = _starts(s)
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], inverse
+
+
+def _starts(s: np.ndarray) -> np.ndarray:
+    """Where a run of equal values of the sorted array ``s`` starts."""
     new = np.ones(len(s), dtype=bool)
     new[1:] = s[1:] != s[:-1]
-    labels = s[new]
-    return (labels, np.searchsorted(labels, x)) if return_inverse else labels
+    return new
 
 
 def _packed(cols: tuple[np.ndarray, ...]) -> np.ndarray | None:
@@ -283,39 +295,33 @@ def _packed(cols: tuple[np.ndarray, ...]) -> np.ndarray | None:
     return code
 
 
-def sum_by_key(cols: tuple[np.ndarray, ...], terms: np.ndarray):
-    """Sum the terms that share a key.
+def key_groups(cols: tuple[np.ndarray, ...]):
+    """The keys of the terms' key columns, each once in order of its first
+    term, and each term's key among them (intp).
 
-    Returns (key columns, sums): each key once, in order of its first term,
-    and each sum taken from 0j in term order, as a dict accumulating the
-    terms one by one would take it.  No entry is dropped.
-
-    The terms are sorted by key with a stable sort, so equal keys keep
-    their term order: int64 keys whose columns' spans multiply to less than
-    2^62 by one ``argsort`` of a packed code (``_packed``), other keys
-    (Python ints, or wider spans) by ``np.lexsort`` of the columns.  Both
-    give the same order, and so the same keys and sums bit for bit.
+    The terms are sorted by key with a stable sort: int64 keys whose
+    columns' spans multiply to less than 2^62 by one ``argsort`` of a
+    packed code (``_packed``), other keys (Python ints, or wider spans) by
+    ``np.lexsort`` of the columns.  Both give the same order, and so the
+    same keys and groups.
     """
-    size = len(terms)
+    size = len(cols[0])
     if size == 0:
-        return tuple(c[:0] for c in cols), np.zeros(0, dtype=complex)
+        return tuple(c[:0] for c in cols), np.zeros(0, dtype=np.intp)
     code = _packed(cols)
-    new = np.zeros(size, dtype=bool)  # where a run of equal keys starts
-    new[0] = True
     if code is not None:
         order = code.argsort(kind="stable")
-        run = code[order]
-        new[1:] = run[1:] != run[:-1]
+        new = _starts(code[order])
     else:
         order = np.lexsort(cols[::-1])  # stable too
+        new = np.zeros(size, dtype=bool)
+        new[0] = True
         for c in cols:
             run = c[order]
             new[1:] |= run[1:] != run[:-1]
     if new.all():
-        return cols, terms + 0j
+        return cols, np.arange(size)
     first = order[new]  # the first term of each key, keys in sorted order
-    sums = np.zeros(len(first), dtype=complex)
-    np.add.at(sums, np.cumsum(new) - 1, terms[order])
     # the first terms in term order, which is the keys' order, and each
     # sorted key's place in it
     is_first = np.zeros(size, dtype=bool)
@@ -323,9 +329,81 @@ def sum_by_key(cols: tuple[np.ndarray, ...], terms: np.ndarray):
     firsts = np.flatnonzero(is_first)
     place = np.empty(size, dtype=np.intp)
     place[firsts] = np.arange(len(firsts))
-    out = np.empty_like(sums)
-    out[place[first]] = sums
-    return tuple(c[firsts] for c in cols), out
+    group = np.empty(size, dtype=np.intp)
+    group[order] = place[first][np.cumsum(new) - 1]
+    return tuple(c[firsts] for c in cols), group
+
+
+def group_sums(group: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Each of ``size`` groups' terms summed from 0j in term order: the
+    sum a dict accumulating the terms one by one takes, bit for bit.
+    ``np.bincount`` adds its weights in input order, once per component,
+    as complex addition adds them."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(group, terms.real, minlength=size)
+    out.imag = np.bincount(group, terms.imag, minlength=size)
+    return out
+
+
+def sum_by_key(cols: tuple[np.ndarray, ...], terms: np.ndarray):
+    """Sum the terms that share a key.
+
+    Returns (key columns, sums): each key once, in order of its first term
+    (``key_groups``), and each sum taken from 0j in term order
+    (``group_sums``).  No entry is dropped.
+    """
+    keys, group = key_groups(cols)
+    return keys, group_sums(group, terms, len(keys[0]))
+
+
+class TableInfo(NamedTuple):
+    hits: int
+    misses: int
+    entries: int
+    held: int  # bytes
+
+
+class ByteLRU:
+    """A least-recently-used table bounded by the bytes of what it keeps.
+
+    ``fetch(key, build, same)`` returns the value kept under ``key`` when
+    ``same(value)`` holds (always, without ``same``) and marks it the most
+    recently used; else it calls ``build()``, keeps the new value under
+    ``key`` in place of any stale one, and drops the least recently used
+    values until the bytes held (``nbytes`` of each value) are within
+    ``budget``.  A raise from ``build`` is not kept, and a value larger
+    than the budget is returned but not kept.
+    """
+
+    def __init__(self, budget: int, nbytes):
+        self.budget, self._nbytes = budget, nbytes
+        self._kept: dict = {}  # key -> (value, bytes), least recently used first
+        self._hits = self._misses = self._held = 0
+
+    def fetch(self, key, build, same=None):
+        kept = self._kept.pop(key, None)
+        if kept is not None:
+            if same is None or same(kept[0]):
+                self._kept[key] = kept
+                self._hits += 1
+                return kept[0]
+            self._held -= kept[1]
+        self._misses += 1
+        value = build()
+        size = self._nbytes(value)
+        if size <= self.budget:
+            self._kept[key] = value, size
+            self._held += size
+            while self._held > self.budget:
+                self._held -= self._kept.pop(next(iter(self._kept)))[1]
+        return value
+
+    def clear(self) -> None:
+        self._kept.clear()
+        self._hits = self._misses = self._held = 0
+
+    def info(self) -> TableInfo:
+        return TableInfo(self._hits, self._misses, len(self._kept), self._held)
 
 
 class _SparseCoords:

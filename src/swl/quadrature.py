@@ -43,8 +43,9 @@ The coefficient grids integrate the whole window in one pass of either
 route: the atoms of every window element against those of the function,
 summed per element.  A window's key columns and element atoms do not
 depend on the function, so they are built once per (family, window,
-model), in one ``bases.window_atoms`` call, and kept read-only in a small
-LRU table (``_element_table``) that every grid of that window reads.
+model), in one ``bases.window_atoms`` call, and kept read-only in a
+byte-bounded LRU table (``_element_table``, ``core.ByteLRU`` with budget
+``_ELEMENT_BYTES``) that every grid of that window reads.
 ``inner_products`` runs the same passes on the atom table of any
 list of factors' tuple atoms and ``inner_product`` on a list of one, so a
 grid holds exactly the values ``inner_product`` gives.  The zero rule of
@@ -72,6 +73,7 @@ from .bases import (
 )
 from .core import (
     _TWO_PI,
+    ByteLRU,
     FCoordVec,
     GCoordVec,
     Window,
@@ -600,19 +602,11 @@ def inner_product(f, g, quadrature_tol: float = 1e-10) -> complex:
 
 # -- coefficient grids --------------------------------------------------------
 
-_TABLES = 16  # the element tables kept: a handful of (family, window, model) at a time
-
-
-@lru_cache(maxsize=_TABLES)
-def _element_table(fam: BasisFamily, w: Window, model: str):
+def _build_element_table(fam: BasisFamily, w: Window, model: str):
     """The key columns of the window's elements in the model ("F" or "G"),
     in key order, and those elements' atoms as an atom table's window half
-    (owner, ints, amplitude), from one ``bases.window_atoms`` call.
-
-    Neither depends on the function whose coordinates are taken, so each
-    (family, window, model) is built once and kept, its arrays read-only.
-    An invalid label or a scale past 1023 raises here, and a raise is not
-    kept, so it raises again on every call."""
+    (owner, ints, amplitude), from one ``bases.window_atoms`` call, the
+    arrays read-only.  An invalid label or a scale past 1023 raises."""
     if model == "F":
         labels = [(check_trans_label(fam, i),) for i in w.trans_labels]
         cols = window_columns(labels, *w.trans_range)
@@ -624,6 +618,27 @@ def _element_table(fam: BasisFamily, w: Window, model: str):
     for a in (*cols, owner, ints, amplitude):
         a.flags.writeable = False
     return cols, owner, ints, amplitude
+
+
+def _table_bytes(table) -> int:
+    # numpy's bytes of the arrays (an object array counts its pointers)
+    cols, *window = table
+    return sum(a.nbytes for a in (*cols, *window))
+
+
+# the element tables kept, in bytes: every table that the sampled-functions
+# (8 tables, 96 KB) and cli-mix (7 tables, 363 KB) benchmark workloads
+# read stays kept, and one 2.6 MB table of --window 20 --mmax 200 fits too
+_ELEMENT_BYTES = 1 << 22
+_ELEMENT_TABLES = ByteLRU(_ELEMENT_BYTES, _table_bytes)
+
+
+def _element_table(fam: BasisFamily, w: Window, model: str):
+    """``_build_element_table(fam, w, model)``, built once per (family,
+    window, model) and kept in ``_ELEMENT_TABLES`` while it fits the byte
+    budget: neither part depends on the function whose coordinates are
+    taken.  A raise is not kept, so it raises again on every call."""
+    return _ELEMENT_TABLES.fetch((fam, w, model), lambda: _build_element_table(fam, w, model))
 
 
 def _grid(f: FunctionSpec, fam: BasisFamily, w: Window, model: str, vec_type,

@@ -5,7 +5,7 @@ translates form an orthonormal system through a family of coordinate sums,
 one per integer pair (p, q); the system is orthonormal exactly when the
 sum is 1 at (0, 0) and 0 elsewhere.  Two routes evaluate the sums here,
 both from one translation-model copy X of the candidate psi, its column
-transfer (``_translation_copy``):
+transfer:
 
 * route A shifts X by q in the translation model, moves it back by the
   row transfer (U_q) and reads <psi, D^p U_q> at psi's own keys: the
@@ -18,15 +18,27 @@ residuals and the route disagreement.  They are not independent
 arithmetic: where the zero rule drops nothing, route B's copy is X
 itself, its q != 0 sums are route A's bit for bit, and the agreement gate
 measures only the q = 0 round trip; where the rule drops an entry, route
-B takes passes of its own over the kept entries.
+B runs route A's passes again over the kept entries alone.
 
-Every shifted coordinate sum is read from one keyed index, ``_KeyIndex``,
-whose ``sums`` take <value, v shifted by p> for all the ps at once.  The
-wavelet checks transport a chunk of shifts q per row pass
-(``_keyed_passes``), one value array per pass, and sum the terms only at
-the keys the index reads; the scaling check's autocorrelation
-<phi, T^k phi> reads an index over phi's own keys.  Every sum is bit for
-bit a ``csum`` of the same products.
+Plan and execution.  Everything the two wavelet checks compute from the
+candidate's keys, the family, the window and the grid alone is their
+*plan*, built once per key structure: the column pass to X and the row
+passes of the shifted copies, each a ``_Pass`` (the ``alpha.Layout`` of
+the terms that reach a read target: source positions, the alphas of the
+terms that carry one, the keys with clipped mass; and each term's
+group), and where each shifted key reads its sum (``_KeyIndex`` codes
+the keys, ``_CodeSet`` places the codes among the groups).  *Executing*
+a plan with the candidate's values is only gathers, ``cmul``, per-group
+sums in term order (``core.group_sums``), the zero rule, ``_cdot`` and
+the tails, so every sum is bit for bit a ``csum`` of the same products.
+Plans are kept in one byte-bounded LRU table, ``_PLANS``
+(``core.ByteLRU``, budget ``_PLAN_BYTES``), beside the oracle's element
+tables: a candidate whose key columns equal those of a kept plan for the
+same family, window and grid (length, dtype and every value compared;
+a hash only picks the slot) runs that plan, and any other builds its
+own, which the table keeps while it fits.  The scaling check's
+autocorrelation <phi, T^k phi> reads its sums the same way, from a
+``_KeyIndex`` over phi's own keys.
 
 Completeness is probed by the rank of a window-truncated coordinate
 matrix, read from route A's U_q at the matrix's cells.  A finite window
@@ -42,13 +54,14 @@ empty: a check over none would pass vacuously.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .alpha import AlphaMatrix, column_terms, row_terms, scale_reach
+from .alpha import AlphaMatrix, Layout, column_terms, row_terms, scale_reach
 from .bases import check_dil_label
 from .core import (
+    ByteLRU,
     CheckReport,
     FCoordVec,
     GCoordVec,
@@ -57,12 +70,14 @@ from .core import (
     Window,
     array_fsum,
     check_radius,
+    cmul,
     csum,
+    group_sums,
     keep_mask,
     key_columns,
+    key_groups,
     offset_column,
     sorted_unique,
-    sum_by_key,
 )
 from .filters import coords_at_omega
 
@@ -112,16 +127,23 @@ def _cdot(a: np.ndarray, b: np.ndarray) -> complex:
     rounds it; numpy's complex multiply may fuse it into one FMA instead.
     Where neither factor has a nonzero imaginary part, the real sum takes
     only the real products (the imaginary ones are zeros, which change no
-    exact sum) and the imaginary sum is +0.0, what ``fsum`` gives for zeros.
+    exact sum) and the imaginary sum is +0.0, what ``fsum`` gives for zeros;
+    the full form gives the same bits there, only slower.  Products that
+    are exactly zero are left out of the sums for the same reason (a sum
+    read at keys with no target is mostly zeros).
     """
     if not (a.imag.any() or b.imag.any()):
-        return complex(array_fsum(a.real * b.real), 0.0)
+        return complex(_nonzero_fsum(a.real * b.real), 0.0)
     re = a.real * b.real + a.imag * b.imag
     im = a.imag * b.real - a.real * b.imag
-    return complex(array_fsum(re), array_fsum(im))
+    return complex(_nonzero_fsum(re), _nonzero_fsum(im))
 
 
-_PAST_CODES = np.iinfo(np.int64).max  # a sentinel after every code
+def _nonzero_fsum(x: np.ndarray) -> float:
+    return array_fsum(x[x != 0.0])
+
+
+_PAST_CODES = np.iinfo(np.int64).max  # codes stay below it
 
 
 # a sign's labels get a direct-address table when they are int64 and span
@@ -130,9 +152,9 @@ _TABLE_SLOTS, _TABLE_SLACK = 4, 64
 
 
 class _KeyIndex:
-    """Dilation keys (s, j, m) with values, or translation keys (i, n) as
-    (+, i, n), as int64 codes, for sums of a transfer's terms, or of the
-    values themselves, read at those keys shifted by each p.
+    """Dilation keys (s, j, m), or translation keys (i, n) as (+, i, n), as
+    int64 codes, and the codes of other keys in the same groups, for sums
+    read at those keys shifted by each p.
 
     Each (s, j) group of the keys gets a dense id and key (s, j, m) the
     code ``id * span + (m - base)``, where [base, base + span) holds every
@@ -147,7 +169,7 @@ class _KeyIndex:
     dropped (``sorted_unique``).
     """
 
-    def __init__(self, cols, vals: np.ndarray, ps: Sequence[int]):
+    def __init__(self, cols, ps: Sequence[int]):
         s, j, m = cols
         # the groups of each sign, as sorted labels; ids count PLUS's first
         self.labels = {sg: sorted_unique(j[s == sg]) for sg in (PLUS, MINUS)}
@@ -160,7 +182,7 @@ class _KeyIndex:
                     table[labels - lo] = np.arange(start, start + len(labels))
                     self.tables[sg] = lo, hi, table
             start += len(labels)
-        # the span holds shift 0 too, so every key of psi has a code in it
+        # the span holds shift 0 too, so every key has a code in it
         shifts = (*ps, 0)
         self.base = (int(m.min()) if len(m) else 0) - max(shifts)
         self.span = (int(m.max()) if len(m) else 0) - min(shifts) - self.base + 1
@@ -169,10 +191,7 @@ class _KeyIndex:
             raise ValueError(f"{max(start, 1)} groups of {self.span} shifts each "
                              "have more codes than int64 holds")
         # m - base exactly: a base below int64 must not overflow the subtraction
-        codes = self._ids(s, j) * self.span + offset_column(m, -self.base).astype(np.int64)
-        # sorted, so that each p searches sorted needles (fsum is exact in any order)
-        order = codes.argsort()
-        self.codes, self.values = codes[order], vals[order]
+        self.codes = self._ids(s, j) * self.span + offset_column(m, -self.base).astype(np.int64)
 
     def _ids(self, s, j) -> np.ndarray:
         """The group id of each (s, j), or -1 where the keys have no such group."""
@@ -193,63 +212,165 @@ class _KeyIndex:
             start += len(labels)
         return ids
 
-    def _keyed(self, keys, terms: np.ndarray, bounds=(0,)):
-        """A transfer's terms summed per key, where the shifted keys can read
-        them: (codes, sums, keep), the targets (s, j, m) in the keys' groups
-        with m - base in the span as sorted codes, each target's sum, taken
-        from 0j in term order as ``sum_by_key`` takes it, and the zero
-        rule's mask over the sums.
-
-        A chunk's terms come in slots (one slot by default), slot k's terms
-        from ``bounds[k]`` up to ``bounds[k + 1]``: their codes are offset
-        by k * stride, so terms of different slots never share a code, and
-        each slot's codes are one run, summed as its terms alone would be.
-        """
+    def code(self, keys) -> np.ndarray:
+        """The code of each key (s, j, m), -1 where its group is not one of
+        the index's or m - base is outside the span."""
         s, j, m = keys
         ids, rel = self._ids(s, j), m - self.base
         hit = np.flatnonzero((ids >= 0) & (rel >= 0) & (rel < self.span))
-        codes = ids[hit] * self.span + rel[hit].astype(np.int64)
-        at = np.searchsorted(hit, bounds[1:])  # slot k's hits end at at[k], start at at[k - 1]
-        for k in range(1, len(at)):
-            codes[at[k - 1]:at[k]] += k * self.stride
-        order = codes.argsort(kind="stable")  # equal codes keep their term order
-        codes = codes[order]
-        new = np.ones(len(codes), dtype=bool)  # where a run of equal codes starts
-        new[1:] = codes[1:] != codes[:-1]
-        sums = np.zeros(np.count_nonzero(new), dtype=complex)
-        np.add.at(sums, np.cumsum(new) - 1, terms[hit[order]])
-        return codes[new], sums, keep_mask(sums)
-
-    def sums(self, ps: Iterable[int], keyed=None) -> dict[int, complex]:
-        """For each p, the compensated sum over the keys (s, j, m) of
-        value[(s, j, m)] * conj(v[(s, j, m - p)]), where v is the sums that
-        the zero rule keeps of the (codes, sums, keep) that ``_keyed`` gives,
-        or the keyed values themselves for None."""
-        codes, vals, keep = (self.codes, self.values, None) if keyed is None else keyed
-        if keep is not None and not keep.all():
-            codes, vals = codes[keep], vals[keep]
-        # the codes are unique, and the sentinel past them matches no want
-        codes = np.append(codes, _PAST_CODES)
-        out, last = {}, None
-        for p in sorted(ps, reverse=True):
-            want = self.codes - p
-            if last is not None and p == last - 1:
-                # each want is one more than at the last p: past one more code where it hit
-                at = at + found
-            else:
-                at = np.searchsorted(codes, want)
-            found, last = codes[at] == want, p
-            out[p] = _cdot(self.values[found], vals[at[found]])
-        return out
+        codes = np.full(len(ids), -1, dtype=np.int64)
+        codes[hit] = ids[hit] * self.span + rel[hit].astype(np.int64)
+        return codes
 
 
-def _reaching(A: AlphaMatrix, cols, vals: np.ndarray, top: float):
-    """The keys, and their values, that can reach level ``top`` by the Haar
-    scale rule; at ``top = inf`` every key, as it is."""
-    if top == math.inf:
-        return cols, vals
-    reach = scale_reach(A, cols, top)
-    return tuple(c[reach] for c in cols), vals[reach]
+# a set of codes gets a direct-address table when their range has at most
+# this many slots per code it was built from, plus a few
+_SET_SLOTS = 16
+
+
+class _CodeSet:
+    """The distinct codes, sorted, of the arrays ``parts`` (codes in
+    [0, stride), and -1 for none), and each code's place among them.
+
+    Where the codes' range is small beside their number, the set is a
+    mask over [0, stride) and a code's place is read from a table;
+    else the codes are sorted and a place is found by binary search.
+    """
+
+    def __init__(self, parts: list, stride: int):
+        self._table = None
+        if stride <= _SET_SLOTS * sum(map(len, parts)) + _TABLE_SLACK:
+            mark = np.zeros(stride + 1, dtype=bool)  # -1 marks the last slot
+            for part in parts:
+                mark[part] = True
+            mark[stride] = False
+            self.codes, self._mark = np.flatnonzero(mark), mark
+        else:
+            codes = np.concatenate(parts)
+            self.codes, self._mark = sorted_unique(codes[codes >= 0]), None
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def places(self, codes: np.ndarray) -> np.ndarray:
+        """Each code's place in the set, or len(set) where it is not in it."""
+        if self._mark is None:
+            at = np.searchsorted(self.codes, codes)
+            hit = at < len(self.codes)
+            hit[hit] = self.codes[at[hit]] == codes[hit]
+            at[~hit] = len(self.codes)
+            return _positions(at, len(self.codes) + 1)
+        if self._table is None:
+            self._table = np.full(len(self._mark), len(self.codes),
+                                  dtype=_index_dtype(len(self.codes) + 1))
+            self._table[self.codes] = np.arange(len(self.codes))
+        return self._table[codes]
+
+    def holds(self, codes: np.ndarray) -> np.ndarray:
+        """Whether each code is in the set."""
+        if self._mark is None:
+            return self.places(codes) < len(self.codes)
+        return self._mark[codes]
+
+
+_INT32_TOP = np.iinfo(np.int32).max
+
+
+def _index_dtype(bound: int):
+    """int32 for non-negative positions below ``bound`` where it holds them."""
+    return np.int32 if bound <= _INT32_TOP else np.intp
+
+
+def _positions(a: np.ndarray, bound: int) -> np.ndarray:
+    return a.astype(_index_dtype(bound))
+
+
+def _read_sums(vals: dict, reads: dict, ps, sums: np.ndarray, real: bool) -> dict:
+    """For each p of ``ps``, the compensated sum of vals[p] * conj(sums)
+    over the keys that read a group at p: ``reads[p]`` is (those keys, the
+    group each reads) and ``vals[p]`` their values, or their real parts
+    where ``real`` (the values are real).  A group with no sum (none of
+    this pass's terms, or one the zero rule drops) holds a 0, whose product
+    adds an exact zero: the sum is the one over the keys that read a sum,
+    bit for bit (``_cdot`` sums exactly, and so does its real-only form,
+    taken here at once where the sums are real too)."""
+    if real and not sums.imag.any():
+        re = sums.real
+        return {p: complex(_nonzero_fsum(vals[p] * re[reads[p][1]]), 0.0) for p in ps}
+    return {p: _cdot(vals[p], sums[reads[p][1]]) for p in ps}
+
+
+def _read_values(vals: np.ndarray, reads: dict) -> tuple[dict, bool]:
+    """Each p's reading keys' values, as ``_read_sums`` takes them, and
+    whether they are real (then only their real parts)."""
+    real = not vals.imag.any()
+    part = vals.real if real else vals
+    return {p: part[at] for p, (at, _) in reads.items()}, real
+
+
+def _reads(places: np.ndarray, size: int) -> tuple:
+    """The keys whose place is one of ``size`` groups, and those places."""
+    at = np.flatnonzero(places < size)
+    return _positions(at, len(places)), places[at]
+
+
+def _kept_sums(sums: np.ndarray) -> np.ndarray:
+    """The sums under the zero rule, in place: each sum it drops a 0."""
+    sums[~keep_mask(sums)] = 0
+    return sums
+
+
+class _Pass(NamedTuple):
+    """A chunk of transfer passes, one per run of source keys, values
+    aside, where their sums are read: the run's ``Layout`` cut to the
+    terms whose target is a read group, their sources and clipped keys
+    counted from their run's first key, and each term's group (run k's
+    groups from k * size)."""
+
+    layout: Layout  # without target key columns
+    group: np.ndarray
+    size: int  # groups per run
+
+    def placed(self, places: np.ndarray, size: int) -> "_Pass":
+        """The chunk with each term's group at ``places`` (one per term)
+        among the ``size`` groups of its run."""
+        bounds = self.layout.bounds
+        offsets = np.repeat(np.arange(len(bounds) - 1) * size, np.diff(bounds))
+        return self._replace(group=_positions(places + offsets, (len(bounds) - 1) * size),
+                             size=size)
+
+    def sums(self, vals: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        """Each run's groups' sums, one row per run, each from 0j in term
+        order, of the terms of the values ``vals`` over the source keys
+        (those where ``keep`` holds)."""
+        terms, group = self.layout.terms(vals), self.group
+        if keep is not None:
+            sel = keep[self.layout.src]
+            terms, group = terms[sel], group[sel]
+        runs = len(self.layout.bounds) - 1
+        return group_sums(group, terms, runs * self.size).reshape(runs, self.size)
+
+    def tails(self, vals: np.ndarray) -> list[float]:
+        """Each run's l2 bound on its clipped part (``Layout.tails``)."""
+        return self.layout.tails(vals)
+
+
+def _pass(layout, group: np.ndarray, count: int) -> _Pass:
+    """``layout``'s terms whose ``group`` (one per term, -1 for none) is
+    read, as a chunk of passes, one per run of ``count`` source keys; each
+    term keeps ``group``'s value until the chunk is ``placed``."""
+    hit = np.flatnonzero(group >= 0)
+    alpha_of = np.full(len(layout.src), -1, dtype=np.intp)
+    alpha_of[layout.scaled] = np.arange(len(layout.scaled))
+    alpha_of = alpha_of[hit]
+    scaled = np.flatnonzero(alpha_of >= 0)
+    count = max(count, 1)
+    runs = len(layout.bounds) - 1
+    cut = layout._replace(
+        cols=(), src=_positions(layout.src[hit] % count, count), scaled=_positions(scaled, len(hit)),
+        alphas=layout.alphas[alpha_of[scaled]], clipped=_positions(layout.clipped % count, count),
+        clip_run=_positions(layout.clip_run, runs), bounds=np.searchsorted(hit, layout.bounds).tolist())
+    return _Pass(cut, group[hit], 0)
 
 
 def _stacked(col: np.ndarray, copies: int) -> np.ndarray:
@@ -257,103 +378,207 @@ def _stacked(col: np.ndarray, copies: int) -> np.ndarray:
     return np.broadcast_to(col, (copies, len(col))).reshape(-1)
 
 
-def _keyed_passes(index: _KeyIndex, A: AlphaMatrix, cols, x: np.ndarray,
-                  qs: Sequence[int], w: Window):
-    """The row passes of the translation-model vector (cols, x) shifted by
-    each q of ``qs``, summed per key where ``index`` reads them.
+def _copy_pass(A: AlphaMatrix, cols, w: Window, top: float = math.inf):
+    """The column pass that moves psi, over the dilation keys ``cols``, to
+    the translation model once: X[(i, nu)] = sum_{s,j,mu}
+    conj(alpha_{i,nu}^{s,j,mu}) psi[(s,j,mu)], with no zero rule, over the
+    keys that can reach level ``top`` (``scale_reach``; every key at
+    ``top = inf``), and only the X keys that can.  Returns the pass (its
+    sources positions in ``cols``, its groups X's keys in the order of
+    their first terms, ``key_groups``) and X's key columns."""
+    reach = None if top == math.inf else np.flatnonzero(scale_reach(A, cols, top))
+    layout = column_terms(A, cols if reach is None else tuple(c[reach] for c in cols), w)
+    xcols, group = key_groups(layout.cols)
+    if reach is not None:
+        kept = scale_reach(A, xcols, top)
+        xcols = tuple(c[kept] for c in xcols)
+        group = np.where(kept, np.cumsum(kept) - 1, -1)[group]
+        layout = layout._replace(src=reach[layout.src], clipped=reach[layout.clipped])
+    copy = _pass(layout, group, len(cols[0]))
+    return copy.placed(copy.group, len(xcols[0])), xcols
 
-    The qs go a chunk at a time: as many as fit in ``ROW_BUDGET`` rows of
-    the vector, one at least, and no more than leave every code of the
-    chunk in int64.  A chunk's shifted key columns are stacked into one
-    ``row_terms`` call and its terms keyed by one ``index._keyed`` call,
-    each term's slot in the chunk in its code.  Yields (q, (codes, sums,
-    keep), row tail) for each q in order: that q's run of codes, less its
-    slot's offset, with its sums and their zero-rule mask, bit for bit what
-    a pass of that q alone gives.
-    """
+
+def _row_passes(A: AlphaMatrix, cols, qs: Sequence[int], w: Window, read):
+    """The row passes of the translation-model keys ``cols`` shifted by
+    each q of ``qs``, in order, a chunk of qs at a time: as many as fit in
+    ``ROW_BUDGET`` rows, one at least.  A chunk's shifted key columns are
+    stacked into one ``row_terms`` call, one run per q, each run's terms
+    bit for bit what a pass of that q alone lays out, and each term's group
+    is ``read(target key columns)`` (-1 for a target no sum is read at).
+    Yields (the chunk's qs, its passes)."""
     i, n = cols
-    size = max(1, min(ROW_BUDGET // max(len(x), 1), _PAST_CODES // index.stride))
+    size = max(1, ROW_BUDGET // max(len(i), 1))
     for at in range(0, len(qs), size):
         chunk = qs[at:at + size]
         keys = _stacked(i, len(chunk)), np.concatenate([offset_column(n, q) for q in chunk])
-        keys, terms, tails, bounds = row_terms(A, keys, _stacked(x, len(chunk)), w, len(chunk))
-        codes, sums, keep = index._keyed(keys, terms, bounds)
-        del keys, terms  # hold one chunk's terms at a time
-        firsts = [k * index.stride for k in range(len(chunk))]  # each slot's first code
-        ends = [0, *np.searchsorted(codes, firsts[1:]).tolist(), len(codes)]
-        for k, q in enumerate(chunk):
-            run = slice(ends[k], ends[k + 1])
-            codes[run] -= firsts[k]
-            yield q, (codes[run], sums[run], keep[run]), tails[k]
-        del codes, sums, keep  # and one chunk's sums: each caller drops the q it was given
+        layout = row_terms(A, keys, w, len(chunk))
+        yield chunk, _pass(layout, read(layout.cols), len(i))
+        del layout  # hold one chunk's layout at a time
 
 
-def _translation_copy(psi: GCoordVec, A: AlphaMatrix, w: Window, top: float = math.inf):
-    """psi moved to the translation model once: the column pass over the
-    keys that can reach level ``top`` (``scale_reach``), summed per key into
-    X[(i, nu)] = sum_{s,j,mu} conj(alpha_{i,nu}^{s,j,mu}) psi[(s,j,mu)] with
-    no zero rule.  Returns (key columns, X, column tail); the pass's terms
-    are gone before any row pass."""
-    keys, reached = _reaching(A, psi._cols, psi._vals, top)
-    keys, terms, (column_tail,), _ = column_terms(A, keys, reached, w)
-    cols, x = _reaching(A, *sum_by_key(keys, terms), top)
-    return cols, x, column_tail
+# -- plans ----------------------------------------------------------------------
+
+def _kept_keys(cols) -> tuple:
+    """The candidate's key columns as a plan keeps them to match a later
+    candidate exactly: each column's dtype and its values, int64 ones in
+    the narrowest integer dtype that holds them."""
+    kept = []
+    for c in cols:
+        dtype = c.dtype
+        if c.dtype == np.int64 and len(c):
+            lo, hi = int(c.min()), int(c.max())
+            dtype = next((d for d, top in _NARROW if -top - 1 <= lo and hi <= top), dtype)
+        kept.append((c.dtype, c.astype(dtype)))  # a copy, whatever the dtype
+    return tuple(kept)
 
 
-def _shift_sums(index: _KeyIndex, A: AlphaMatrix, cols, x: np.ndarray,
-                ps_of: dict[int, set[int]], w: Window):
-    """Each (p, q) sum <psi, V_q shifted by p>, where V_q is the
-    translation-model vector (cols, x) shifted by q and moved back
-    (``_keyed_passes``, summed only at psi's keys), and each q's row tail,
-    in the order of the sorted qs."""
-    sums, tails = {}, []
-    for q, keyed, tail in _keyed_passes(index, A, cols, x, sorted(ps_of), w):
-        sums.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
-        tails.append(tail)
-        del keyed  # each q's sums go before the next q's are made
-    return sums, tails
+_NARROW = [(dtype, int(np.iinfo(dtype).max)) for dtype in (np.int8, np.int16, np.int32)]
+
+
+def _same_keys(kept: tuple, cols) -> bool:
+    """Whether ``cols`` are the kept key columns: length and dtype first,
+    then every value."""
+    return all(len(c) == len(values) and c.dtype == dtype and np.array_equal(values, c)
+               for (dtype, values), c in zip(kept, cols))
+
+
+_DIGEST_SAMPLES = 256
+
+
+def _digest(c: np.ndarray) -> int:
+    # a hash of some of the column's values, evenly spaced: it only picks
+    # the table slot, and the plan there must match the columns exactly
+    c = c[::max(1, len(c) // _DIGEST_SAMPLES)]
+    return hash(tuple(c.tolist()) if c.dtype == object else c.tobytes())
+
+
+def _held(obj) -> int:
+    """The bytes of the arrays in a plan."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return sum(_held(o) for o in obj)
+    return 0
+
+
+# the plans kept, in bytes: the two plans of a D4 candidate at the
+# d4-verify settings (24,648 keys, pq 2, completeness rows at radius 4) hold
+# 2.2 MB together, so a few key structures stay kept
+_PLAN_BYTES = 1 << 23
+_PLANS = ByteLRU(_PLAN_BYTES, _held)
+
+
+def _plan(build, psi, A: AlphaMatrix, w: Window, grid):
+    """The plan ``build(psi's key columns, A, w, grid)`` for psi's keys,
+    from the table of plans (``_PLANS``) where one was built for the same
+    family, window, grid and key columns, compared exactly, else built
+    and kept while it fits the table's byte budget."""
+    cols = psi._cols
+    key = (build.__name__, A.fam, w, grid, *((len(c), c.dtype.str, _digest(c)) for c in cols))
+    return _PLANS.fetch(key, lambda: build(cols, A, w, grid),
+                        lambda plan: _same_keys(plan.keys, cols))
+
+
+class _OrthonormalityPlan(NamedTuple):
+    """What the orthonormality sums take from psi's keys, the family, the
+    window and the grid alone: the column pass to X, the row passes of the
+    qs a chunk at a time (the chunks' qs in ``chunks``), summed into the
+    groups that some shift of psi's keys reads, for each p the keys of psi
+    that read a group at m - p and those groups (``_reads``), and, for
+    route B at q = 0, each key's own group."""
+
+    keys: tuple
+    copy: _Pass
+    chunks: list
+    rows: list
+    reads: dict
+    own: np.ndarray | None
+
+
+def _orthonormality_plan(cols, A: AlphaMatrix, w: Window, grid) -> _OrthonormalityPlan:
+    ps_of = _ps_of(grid)
+    ps = sorted({p for p, _ in grid})
+    index = _KeyIndex(cols, ps)
+    copy, xcols = _copy_pass(A, cols, w)
+    readable = _CodeSet([index.codes - p for p in ps], index.stride)
+
+    def read(targets):
+        codes = index.code(targets)
+        return np.where(readable.holds(codes), codes, -1)
+
+    chunks, rows = zip(*_row_passes(A, xcols, sorted(ps_of), w, read))
+    del readable
+    # the groups: every code a pass sums and some read takes, and psi's own
+    # codes where route B reads psi itself at q = 0
+    own = 0 in ps_of
+    groups = _CodeSet([row.group for row in rows] + [index.codes] * own, index.stride)
+    rows = [row.placed(groups.places(row.group), len(groups)) for row in rows]
+    reads = {p: _reads(groups.places(index.codes - p), len(groups)) for p in ps}
+    return _OrthonormalityPlan(_kept_keys(cols), copy, list(chunks), rows, reads,
+                               groups.places(index.codes) if own else None)
+
+
+def _ps_of(grid) -> dict[int, set[int]]:
+    ps_of: dict[int, set[int]] = {}
+    for p, q in grid:
+        ps_of.setdefault(q, set()).add(p)
+    return ps_of
+
+
+def _route_sums(psi: GCoordVec, A: AlphaMatrix, grid, w: Window):
+    """Route A's and route B's (p, q) sums over the grid, and each q's tail
+    (the qs sorted), executing the check's plan for psi's keys (``_plan``).
+
+    The plan moves psi to the translation model once, and route A
+    transports that copy X by each q and sums every p of it with exact
+    compensated totals, one chunk of qs at a time.  Route B reads X under
+    the zero rule, ``f_from_g`` of psi bit for bit: where the rule drops
+    nothing that is X itself, and route B's q != 0 sums are route A's, the
+    same bits; where it drops an entry, route B runs the passes again over
+    the kept entries alone.  At q = 0 route B's sums are psi's own.  Each
+    q's tail is what route A clipped: the column pass's tail plus that q's
+    row-pass tail.
+    """
+    ps_of = _ps_of(grid)
+    plan = _plan(_orthonormality_plan, psi, A, w, tuple(sorted(set(grid))))
+    vals = psi._vals
+    x = plan.copy.sums(vals)[0]
+    column_tail = plan.copy.tails(vals)[0]
+    keep = keep_mask(x)
+    read, real = _read_values(vals, plan.reads)
+    route_a, route_b, per_q_tails = {}, {}, []
+    for chunk, row in zip(plan.chunks, plan.rows):
+        sums_a = _kept_sums(row.sums(x))
+        sums_b = None if keep.all() else _kept_sums(row.sums(x, keep))
+        for k, (q, tail) in enumerate(zip(chunk, row.tails(x))):
+            got = _read_sums(read, plan.reads, ps_of[q], sums_a[k], real)
+            route_a.update(((p, q), lhs) for p, lhs in got.items())
+            if sums_b is not None:
+                got = _read_sums(read, plan.reads, ps_of[q], sums_b[k], real)
+            route_b.update(((p, q), lhs) for p, lhs in got.items())
+            per_q_tails.append(column_tail + tail)
+        del sums_a, sums_b  # each chunk's sums go before the next chunk's are made
+    if plan.own is not None:
+        # at q = 0, T^q psi is psi itself
+        own = np.zeros(plan.rows[0].size, dtype=complex)
+        own[plan.own] = vals
+        got = _read_sums(read, plan.reads, ps_of[0], own, real)
+        route_b.update(((p, 0), lhs) for p, lhs in got.items())
+    return route_a, route_b, per_q_tails
 
 
 def orthonormality_residuals(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Window):
     """Residual grid |LHS(p,q) - delta| plus the two-route disagreement.
 
-    Returns (residuals, disagreement, per_q_transfer_tails).  psi is moved
-    to the translation model once (``_translation_copy``), and route A
-    transports that copy X a chunk of qs at a time (``_shift_sums``), as
-    many as fit in ``ROW_BUDGET`` rows (one q per chunk for a large
-    candidate), sums every p of each q with exact compensated totals and
-    drops the chunk's terms before the next chunk.  Route B reads X under
-    the zero rule, ``f_from_g`` of psi bit for bit: where the rule drops
-    nothing that is X itself, and route B's q != 0 sums are route A's, the
-    same bits; where it drops an entry, route B takes passes of its own
-    over the kept entries for the qs != 0, after X is gone.  At q = 0
-    route B's sums are psi's own.  The reported residuals are route A's,
-    so each q's tail is what route A clipped: the column pass's tail plus
-    that q's row-pass tail, summed over that q's own run of rows.  An
-    empty explicit grid raises ``ValueError``.
+    Returns (residuals, disagreement, per_q_transfer_tails), from route A's
+    and route B's sums (``_route_sums``); the reported residuals are route
+    A's, and so are the tails.  An empty explicit grid raises
+    ``ValueError``.
     """
     grid = _pq_grid(pq_range)
-    ps_of: dict[int, set[int]] = {}
-    for p, q in grid:
-        ps_of.setdefault(q, set()).add(p)
-
-    index = _KeyIndex(psi._cols, psi._vals, [p for p, _ in grid])
-    cols, x, column_tail = _translation_copy(psi, A, w)
-    # route A: U_q = X shifted by q and moved back
-    route_a, row_tails = _shift_sums(index, A, cols, x, ps_of, w)
-    per_q_tails = [column_tail + tail for tail in row_tails]
-    # route B: T^q psi for q != 0 is X under the zero rule (f_from_g(psi)
-    # bit for bit) shifted by q and moved back: X itself where the rule
-    # drops nothing, else a pass of its own, X gone before it
-    route_b = dict(route_a)
-    keep = keep_mask(x)
-    if not keep.all():
-        cols, x = tuple(c[keep] for c in cols), x[keep]
-        shifted = {q: ps for q, ps in ps_of.items() if q != 0}
-        route_b.update(_shift_sums(index, A, cols, x, shifted, w)[0])
-    # at q = 0, T^q psi is psi itself
-    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
-
+    route_a, route_b, per_q_tails = _route_sums(psi, A, grid, w)
     residuals = {}
     disagreement = 0.0
     for p, q in grid:
@@ -395,42 +620,68 @@ def _dil_labels(A: AlphaMatrix, labels) -> list[tuple[int, int]]:
     return labels
 
 
+class _CompletenessPlan(NamedTuple):
+    """What the completeness matrix takes from psi's keys, the family, the
+    window, the labels and the rows alone: the column pass to X over the
+    keys that can reach the matrix, the row passes of the qs a chunk at a
+    time, summed into the matrix's cells, and for each chunk the rows of
+    its qs and where each of their cells is among the chunk's sums."""
+
+    keys: tuple
+    copy: _Pass
+    rows: list
+    cells: list
+
+
+def _completeness_plan(cols, A: AlphaMatrix, w: Window, grid) -> _CompletenessPlan:
+    labels, rows = grid
+    ms, qs = (sorted({row[k] for row in rows}) for k in (0, 1))
+    index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3), (0,))
+    cells = _CodeSet([index.codes], index.stride)
+    top = max(ms) + int(max(j for _, j in labels)).bit_length()
+    copy, xcols = _copy_pass(A, cols, w, top)
+
+    def read(targets):
+        at = cells.places(index.code(targets))
+        return np.where(at < len(cells), at, -1)
+
+    passes = [row.placed(row.group, len(cells)) for _, row in _row_passes(A, xcols, qs, w, read)]
+    m, q = key_columns(rows, 2)
+    ids = index._ids(*key_columns(labels, 2))
+    at = cells.places(ids * index.span + (m - index.base)[:, None])
+    # row r reads its cells in run row_q % runs of chunk row_q // runs
+    runs = len(passes[0].layout.bounds) - 1
+    row_q = np.searchsorted(qs, q)
+    at = at + (row_q % runs * len(cells))[:, None]
+    return _CompletenessPlan(_kept_keys(cols), copy, passes,
+                             [(np.flatnonzero(row_q // runs == k), at[row_q // runs == k])
+                              for k in range(len(passes))])
+
+
 def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[int, int]],
                         row_window, w: Window) -> np.ndarray:
     """Window-truncated completeness matrix: rows (m, q), columns (s, j).
 
     Entry ((m, q), (s, j)) is conj(U_q[(s, j, m)]), route A's U_q: the
-    translation-model copy X (``_translation_copy``) shifted by a chunk of
-    qs at a time (as many as fit in ``ROW_BUDGET`` rows of X) and summed
-    only at the cells the matrix reads: one ``_KeyIndex`` over the labels
-    and the rows' m values keys its terms, and each q's rows read their
-    cells' codes from that q's run of sorted codes (0 where a cell has
-    none), so the matrix is all that is held besides one chunk's terms,
-    however far apart the rows' m values lie (so long as the index's codes
-    fit in int64).  By the Haar scale rule no key of level past
+    check's plan for psi's keys (``_plan``) moves psi to the translation
+    model once, shifts that copy X by a chunk of qs at a time (as many as
+    fit in ``ROW_BUDGET`` rows of X) and sums it only at the cells the
+    matrix reads (one ``_KeyIndex`` over the labels and the rows' m values
+    codes them), and each chunk's rows read their cells (0 where a cell
+    has no sum), so the matrix is all that is held besides one chunk's
+    sums, however far apart the rows' m values lie (so long as the index's
+    codes fit in int64).  By the Haar scale rule no key of level past
     m_hi + bit_length(j_hi) reaches the matrix, so the copy takes only the
     keys that can: every entry read is summed from the same terms in the
     same order, bit for bit.  An empty row list raises ``ValueError``.
     """
     labels = _dil_labels(A, labels)
     rows = _pq_grid(row_window)
-    ms, qs = (sorted({row[k] for row in rows}) for k in (0, 1))
-    index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3),
-                      np.zeros(len(labels) * len(ms), dtype=complex), (0,))
-    top = max(ms, default=0) + int(max((j for _, j in labels), default=0)).bit_length()
-    m, q = key_columns(rows, 2)
-    ids = index._ids(*key_columns(labels, 2))
-    read = ids * index.span + (m - index.base)[:, None]
-    mat = np.zeros(read.shape, dtype=complex)
-    row_q = np.searchsorted(qs, q)
-    cols, x, _ = _translation_copy(psi, A, w, top)
-    for k, (_, (codes, sums, keep), _) in enumerate(_keyed_passes(index, A, cols, x, qs, w)):
-        # the sentinel past every kept code holds 0 for the cells with no sum
-        codes, sums = np.append(codes[keep], _PAST_CODES), np.append(sums[keep], 0j)
-        want = read[row_q == k]
-        at = np.searchsorted(codes, want)
-        at[codes[at] != want] = len(codes) - 1
-        mat[row_q == k] = sums[at]
+    plan = _plan(_completeness_plan, psi, A, w, (tuple(labels), tuple(rows)))
+    x = plan.copy.sums(psi._vals)[0]
+    mat = np.zeros((len(rows), len(labels)), dtype=complex)
+    for row, (at, cells) in zip(plan.rows, plan.cells):
+        mat[at] = _kept_sums(row.sums(x).reshape(-1))[cells]
     return np.conj(mat)
 
 
@@ -470,6 +721,27 @@ def check_wavelet_completeness(psi: GCoordVec, A: AlphaMatrix,
 
 # -- compact support on [1, 2] ------------------------------------------------
 
+def _slice_rows(A: AlphaMatrix, labels: list[int], grid, w: Window) -> dict:
+    """The entries alpha_{k, 1+q}^{+, j, -p} of the [1, 2] slice, as each
+    row (k, 1 + q) for a label k and a q of the grid: {(k, 1 + q): {(s, j,
+    m): alpha}} from one ``row_terms`` layout, its window the slice's
+    labels at the grid's scales -p.  A row's entries up to a scale are
+    those of ``AlphaMatrix.entry``, a single entry's alpha 1.0."""
+    if not labels:
+        return {}
+    ms = [-p for p, _ in grid]
+    row_w = Window(w.trans_labels, w.trans_range, [(PLUS, j) for j in labels], (min(ms), max(ms)))
+    keys = [(k, 1 + q) for q in sorted({q for _, q in grid}) for k in labels]
+    layout = row_terms(A, key_columns(keys, 2), row_w)
+    alphas = np.ones(len(layout.src), dtype=complex)
+    alphas[layout.scaled] = layout.alphas
+    rows = {key: {} for key in keys}
+    for at, target, alpha in zip(layout.src.tolist(), zip(*(c.tolist() for c in layout.cols)),
+                                 alphas.tolist()):
+        rows[keys[at]][target] = alpha
+    return rows
+
+
 def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
                                 labels: Sequence[tuple[int, int]], w: Window,
                                 tol: float = 1e-9, row_window=None) -> CheckReport:
@@ -492,11 +764,12 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
         slice_coeffs[j] = val
 
     grid = _pq_grid(pq_range)
+    rows = _slice_rows(A, list(slice_coeffs), grid, w)
     residuals = {}
     for p, q in grid:
         delta = 1.0 if (p == 0 and q == 0) else 0.0
         lhs = csum(
-            cj.conjugate() * A.entry(k, 1 + q, PLUS, j, -p) * ck
+            cj.conjugate() * rows[(k, 1 + q)].get((PLUS, j, -p), 0j) * ck
             for j, cj in slice_coeffs.items()
             for k, ck in slice_coeffs.items()
         )
@@ -534,20 +807,27 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
 
 def _autocorrelation(phi: FCoordVec, ks: list[int]) -> dict[int, complex]:
     """{k: sum over (i, n) of phi[(i, n)] conj(phi[(i, n-k)])}, every k read
-    from one ``_KeyIndex`` over phi's keys as (+, i, n).  A k that no pair
-    reaches (|k| past phi's shift range) has the empty sum and stays out of
-    the index; a shift range whose codes would pass int64 raises a
+    from one ``_KeyIndex`` over phi's keys as (+, i, n), as the wavelet
+    checks read their sums: phi's codes are the groups, and each k's read
+    of a key is the group of the key k below it.  A k that no pair reaches
+    (|k| past phi's shift range) has the empty sum and stays out of the
+    index; a shift range whose codes would pass int64 raises a
     ``ValueError`` that names it."""
     i, n = phi._cols
     reach = int(n.max()) - int(n.min()) if len(n) else -1
     reached = [k for k in ks if abs(k) <= reach]
     auto = dict.fromkeys(ks, 0j)
     try:
-        index = _KeyIndex((np.full(len(i), PLUS), i, n), phi._vals, reached)
+        index = _KeyIndex((np.full(len(i), PLUS), i, n), reached)
     except ValueError:
         raise ValueError(f"phi's shifts run from {int(n.min())} to {int(n.max())}: its "
                          "translates are too far apart to index (codes past int64)") from None
-    auto.update(index.sums(reached))
+    groups = _CodeSet([index.codes], index.stride)
+    sums = np.zeros(len(groups), dtype=complex)
+    sums[groups.places(index.codes)] = phi._vals
+    reads = {k: _reads(groups.places(index.codes - k), len(groups)) for k in reached}
+    vals, real = _read_values(phi._vals, reads)
+    auto.update(_read_sums(vals, reads, reached, sums, real))
     return auto
 
 

@@ -128,32 +128,40 @@ def test_readme_check_wavelet_example_makes_one_row_pass_per_consumer(monkeypatc
         return real(*args)
 
     monkeypatch.setattr(swl.wavelet, "row_terms", counting)
+    swl.wavelet._PLANS.clear()
     code, _, _ = _invoke(capsys, *_README_CHECK)
     assert code == 0
-    assert len(calls) <= 2
+    assert len(calls) == 2
+    # the same request again runs both kept plans: no row pass at all
+    code, _, _ = _invoke(capsys, *_README_CHECK)
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_check_wavelet_coords_drop_entries_of_the_copy(tmp_path, monkeypatch, capsys):
-    # so route B takes a row pass of its own over the one entry kept, on
+    # so route B runs route A's passes again over the one entry kept, on
     # every numpy that CI runs: route A's pass of the 3 shifts over the
-    # copy's 4 rows, route B's of the 2 shifts q != 0 over 1 row, then
-    # completeness's of its 5 shifts over the 4 rows
+    # copy's 4 rows, then completeness's of its 5 shifts over the 4 rows.
+    # The same request again runs the kept plans, with the same output
     import swl.wavelet
 
     passes = []
     real = swl.wavelet.row_terms
 
-    def counting(A, keys, vals, w, runs):
-        passes.append((len(vals), runs))
-        return real(A, keys, vals, w, runs)
+    def counting(A, keys, w, runs):
+        passes.append((len(keys[0]), runs))
+        return real(A, keys, w, runs)
 
     monkeypatch.setattr(swl.wavelet, "row_terms", counting)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dropping.json").write_text(json.dumps(_DROPPING_COORDS))
+    swl.wavelet._PLANS.clear()
     code, out, err = _invoke(capsys, *_DROPPING_CHECK)
     assert code <= 1 and err == ""
     assert isinstance(json.loads(out), dict)
-    assert passes == [(12, 3), (2, 2), (20, 5)]
+    assert passes == [(12, 3), (20, 5)]
+    assert _invoke(capsys, *_DROPPING_CHECK) == (code, out, err)
+    assert passes == [(12, 3), (20, 5)]
 
 
 def _scaling_digest(out: str) -> str:

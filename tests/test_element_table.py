@@ -1,9 +1,10 @@
 """The oracle's element tables: a window's key columns and element atoms,
-built once per (family, window, model) and kept in a small LRU table.
+built once per (family, window, model) and kept in a byte-bounded LRU table.
 
 A grid read through a kept table is the grid built from scratch, bit for
-bit; the kept arrays are read-only; and an invalid window is never kept, so
-it raises on every call.
+bit; the kept arrays are read-only; an invalid window is never kept, so it
+raises on every call; and a table larger than the byte budget is used but
+not kept.
 """
 
 from fractions import Fraction
@@ -68,18 +69,18 @@ def test_a_warm_table_gives_the_cold_grids(window, model, fs):
     grid = GRIDS[model]
     cold = []
     for f in fs:
-        quadrature._element_table.cache_clear()
+        quadrature._ELEMENT_TABLES.clear()
         cold.append(_bits(grid(f, fam, w)))
     # the first call fills the table, and the rest read it
-    quadrature._element_table.cache_clear()
+    quadrature._ELEMENT_TABLES.clear()
     warm = [_bits(grid(f, fam, w)) for f in fs]
-    info = quadrature._element_table.cache_info()
+    info = quadrature._ELEMENT_TABLES.info()
     assert (info.misses, info.hits) == (1, len(fs) - 1)
     assert warm == cold
 
 
 def test_the_kept_arrays_are_read_only():
-    quadrature._element_table.cache_clear()
+    quadrature._ELEMENT_TABLES.clear()
     for fam, m_lo in ((HAAR, -2), (HAAR, 60), (EXPONENTIAL, -2)):
         w = Window.symmetric(fam, 2, 2, 2).with_dil_range(m_lo, m_lo + 3)
         for model in GRIDS:
@@ -94,7 +95,7 @@ def test_the_kept_arrays_are_read_only():
 def test_an_invalid_window_is_not_kept():
     # a scale past 1023 overflows the amplitude inside window_atoms, and a
     # Haar label below 0 fails its check: each raises on every call
-    quadrature._element_table.cache_clear()
+    quadrature._ELEMENT_TABLES.clear()
     wavelet = FunctionSpec.haar_wavelet()
     deep = Window.symmetric(HAAR, 2).with_dil_range(-2, 1100)
     negative = Window((-1, 0), (-2, 2), ((1, 0),), (0, 2))
@@ -103,12 +104,29 @@ def test_an_invalid_window_is_not_kept():
             oracle_G_coords(wavelet, HAAR, deep)
         with pytest.raises(InvalidLabelError):
             oracle_F_coords(wavelet, HAAR, negative)
-    assert quadrature._element_table.cache_info().currsize == 0
+    assert quadrature._ELEMENT_TABLES.info().entries == 0
     argv = ["coords", "--basis", "haar", "--function", "haar_wavelet", "--model", "G",
             "--window", "2", "--mmax", "1100"]
     assert [cli.run(argv), cli.run(argv)] == [2, 2]
-    assert quadrature._element_table.cache_info().currsize == 0
+    assert quadrature._ELEMENT_TABLES.info().entries == 0
     # the valid part of a window is kept as usual
     assert oracle_F_coords(wavelet, HAAR, deep)
-    assert quadrature._element_table.cache_info().currsize == 1
+    assert quadrature._ELEMENT_TABLES.info().entries == 1
     assert np.isfinite(oracle_F_coords(wavelet, HAAR, deep)._vals).all()
+
+
+def test_a_table_past_the_budget_is_used_but_not_kept(monkeypatch):
+    # the window's tables need more bytes than a small budget: each call
+    # builds its table again, and the grids are the kept tables' grids
+    w = Window.symmetric(HAAR, 3, 3, 3)
+    wavelet = FunctionSpec.haar_wavelet()
+    quadrature._ELEMENT_TABLES.clear()
+    kept = [_bits(grid(wavelet, HAAR, w)) for grid in GRIDS.values()]
+    held = quadrature._ELEMENT_TABLES.info().held
+    assert held > 0
+    quadrature._ELEMENT_TABLES.clear()
+    monkeypatch.setattr(quadrature._ELEMENT_TABLES, "budget", held // 4)
+    for _ in range(2):
+        assert [_bits(grid(wavelet, HAAR, w)) for grid in GRIDS.values()] == kept
+    info = quadrature._ELEMENT_TABLES.info()
+    assert (info.hits, info.misses, info.entries, info.held) == (0, 4, 0, 0)

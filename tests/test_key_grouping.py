@@ -80,8 +80,29 @@ def test_sorted_unique_is_numpy_unique(x):
     labels, inverse = sorted_unique(x, return_inverse=True)
     want, want_inverse = np.unique(x, return_inverse=True)
     assert labels.dtype == want.dtype and labels.tolist() == want.tolist()
+    assert inverse.dtype == np.intp
     assert inverse.tolist() == want_inverse.reshape(-1).tolist()
     assert sorted_unique(x).tolist() == want.tolist()
+
+
+@given(x=st.one_of(
+    st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(_I64)), max_size=40)
+    .map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**80, 2**80)), max_size=40)
+    .map(lambda v: np.array(v, dtype=object)),
+))
+# repeats only, and the empty arrays of both dtypes
+@example(x=np.array([7, 7, 7], dtype=np.int64))
+@example(x=np.array([], dtype=np.int64))
+@example(x=np.array([], dtype=object))
+def test_sorted_unique_inverse_is_numpy_unique(x):
+    # the inverse scattered from a stable argsort is numpy's, and it maps
+    # every entry back to its own value
+    labels, inverse = sorted_unique(x, return_inverse=True)
+    want, want_inverse = np.unique(x, return_inverse=True)
+    assert labels.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+    assert labels[inverse].tolist() == x.tolist()
 
 
 def _dict_convolution(coords: FCoordVec, h: LaurentPoly) -> dict:

@@ -218,7 +218,7 @@ def test_exact_route_builds_each_element_atoms_once(monkeypatch):
 
     monkeypatch.setattr(bases, "int_atoms", counting_atoms)
     monkeypatch.setattr(bases, "window_atoms", counting_window_atoms)
-    quadrature._element_table.cache_clear()
+    quadrature._ELEMENT_TABLES.clear()
     piecewise = parse_function_spec("piecewise[(-1,1/2):1+x; (5/8,3/4):-2]")
     other = parse_function_spec("piecewise[(-3/4,1/4):x^2]")
     for fam in (HAAR, EXPONENTIAL):

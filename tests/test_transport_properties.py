@@ -1,11 +1,12 @@
 """Property tests of the wavelet checks' transport and of their streamed sums.
 
-The orthonormality and completeness checks transport the candidate a
-chunk of translations q per row pass and take the (p, q) sums as array
-products.  The reference forms below are the all-q forms they replace:
-every literal vector U_q and every group-action copy is built first and
-kept, and each sum is a ``csum`` over dict lookups.  Further down, the
-per-q forms (a row pass per q) hold the chunked passes to their bits.
+The orthonormality and completeness checks execute a plan built once per
+key structure: a chunk of translations q per row pass, and the (p, q)
+sums as array products.  The reference forms below are the all-q forms
+they replace: every literal vector U_q and every group-action copy is
+built first and kept, and each sum is a ``csum`` over dict lookups.
+Further down, the per-q forms (a row pass per q) hold the planned passes
+to their bits, from a cleared plan table and from a kept plan.
 """
 
 import math
@@ -34,11 +35,11 @@ from swl import (  # noqa: E402
     wavelet,
 )
 from swl.bases import FunctionSpec  # noqa: E402
-from swl.alpha import column_terms, f_from_g, row_terms, transfer  # noqa: E402
+from swl.alpha import column_terms, f_from_g, row_terms, scale_reach, transfer  # noqa: E402
 from swl.core import (  # noqa: E402
-    MINUS, PLUS, csum, keep_mask, key_columns, offset_column, sum_by_key)
+    MINUS, PLUS, csum, keep_mask, offset_column, sum_by_key)
 from swl.group_action import shift_D, shift_T  # noqa: E402
-from swl.wavelet import _cdot, _KeyIndex, completeness_matrix, orthonormality_residuals  # noqa: E402
+from swl.wavelet import _cdot, completeness_matrix, orthonormality_residuals  # noqa: E402
 
 from haar_tables import reference_column, reference_row  # noqa: E402
 
@@ -201,25 +202,30 @@ def test_streamed_completeness_matches_all_q_reference(case, picks, row_window):
 def test_completeness_passes_take_only_keys_that_reach_the_matrix():
     # by the Haar scale rule, 184 of the D4 candidate's 24,648 keys and 96
     # entries of X can reach rows m in [-4, 4] at labels (+, 0), (+, 1), (-, 0);
-    # the 9 shifts of X fit in one chunk, so one row pass takes them all
+    # the 9 shifts of X fit in one chunk, so one row pass takes them all.
+    # A second call runs the kept plan: no pass at all
     psi = d4_psi(12)
     A, w = FAMILIES["d4"]
     taken = {"column": [], "row": []}
     calls = {"column": wavelet.column_terms, "row": wavelet.row_terms}
 
     def counting(kind):
-        def terms(A, keys, vals, w, *runs):
-            taken[kind].append(len(vals))
-            return calls[kind](A, keys, vals, w, *runs)
+        def terms(A, keys, w, *runs):
+            taken[kind].append(len(keys[0]))
+            return calls[kind](A, keys, w, *runs)
         return terms
 
+    labels = [(PLUS, 0), (PLUS, 1), (MINUS, 0)]
+    wavelet._PLANS.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavelet, "column_terms", counting("column"))
         mp.setattr(wavelet, "row_terms", counting("row"))
-        completeness_matrix(psi, A, [(PLUS, 0), (PLUS, 1), (MINUS, 0)], 4, w)
-    assert len(psi) > 24_000
-    assert taken["column"] == [184]
-    assert taken["row"] == [96 * 9]
+        first = completeness_matrix(psi, A, labels, 4, w)
+        assert len(psi) > 24_000
+        assert taken == {"column": [184], "row": [96 * 9]}
+        again = completeness_matrix(psi, A, labels, 4, w)
+    assert taken == {"column": [184], "row": [96 * 9]}
+    assert again.tobytes() == first.tobytes()
 
 
 def test_array_sums_are_compensated():
@@ -274,12 +280,12 @@ def test_completeness_rows_past_int64_codes_are_an_input_error():
     assert got.tobytes() == reference_completeness(psi, A, labels, rows, w).tobytes()
 
 
-# -- chunked row passes ----------------------------------------------------------
+# -- planned row passes ------------------------------------------------------------
 #
-# The checks transport a chunk of shifts per row pass.  The per-q forms below
-# make one ``row_terms`` pass and one ``_KeyIndex._keyed`` call per q, as the
-# checks did before their shifts were chunked; the chunked sums must be
-# theirs bit for bit.
+# The checks' plans transport a chunk of shifts per row pass.  The per-q
+# forms below make one ``row_terms`` pass per q and read each sum from a
+# dict, as a loop over the keys would; the planned sums must be theirs bit
+# for bit.
 
 
 def _ps_of(grid):
@@ -289,45 +295,53 @@ def _ps_of(grid):
     return ps_of
 
 
-def per_q_route_sums(index, psi, ps_of, A, w):
+def _pass_vector(A, keys, vals, w):
+    """A row pass of (keys, vals) summed per key under the zero rule, and its tail."""
+    layout = row_terms(A, keys, w)
+    return GCoordVec._from_terms(layout.cols, layout.terms(vals)), layout.tails(vals)[0]
+
+
+def _read(psi, v, ps):
+    """{p: sum over psi's keys of psi[(s, j, m)] conj(v[(s, j, m - p)])}, a csum of dict lookups."""
+    return {p: csum(x * v[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items()
+                    if (s, j, m - p) in v) for p in ps}
+
+
+def per_q_route_sums(psi, ps_of, A, w):
     """Route A's (p, q) sums and per-q tails, and route B's sums, a row pass per q."""
-    keys, terms, (column_tail,), _ = column_terms(A, psi._cols, psi._vals, w)
-    (i, nu), x = sum_by_key(keys, terms)
+    layout = column_terms(A, psi._cols, w)
+    (i, nu), x = sum_by_key(layout.cols, layout.terms(psi._vals))
+    column_tail = layout.tails(psi._vals)[0]
     route_a, tails = {}, []
     for q in sorted(ps_of):
-        keys, terms, (row_tail,), _ = row_terms(A, (i, offset_column(nu, q)), x, w)
-        keyed = index._keyed(keys, terms)
-        route_a.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
+        u, row_tail = _pass_vector(A, (i, offset_column(nu, q)), x, w)
+        route_a.update(((p, q), lhs) for p, lhs in _read(psi, u, ps_of[q]).items())
         tails.append(column_tail + row_tail)
     f0, route_b = f_from_g(psi, A, w), {}
     for q in sorted(ps_of):
-        keyed = None
-        if q != 0:
-            fq = shift_T(f0, q)
-            keyed = index._keyed(*row_terms(A, fq._cols, fq._vals, w)[:2])
-        route_b.update(((p, q), lhs) for p, lhs in index.sums(ps_of[q], keyed).items())
+        v = psi if q == 0 else _pass_vector(A, shift_T(f0, q)._cols, shift_T(f0, q)._vals, w)[0]
+        route_b.update(((p, q), lhs) for p, lhs in _read(psi, v, ps_of[q]).items())
     return route_a, tails, route_b
 
 
 def per_q_completeness(psi, A, labels, row_window, w):
-    """The completeness matrix, a row pass per q."""
+    """The completeness matrix, a row pass per q, over the keys of psi and
+    of X that can reach the matrix by the Haar scale rule."""
     rows = _grid(row_window)
     ms, qs = (sorted({row[k] for row in rows}) for k in (0, 1))
-    index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3),
-                      np.zeros(len(labels) * len(ms), dtype=complex), (0,))
     top = max(ms, default=0) + int(max((j for _, j in labels), default=0)).bit_length()
-    keys, reached = wavelet._reaching(A, psi._cols, psi._vals, top)
-    keys, terms, _, _ = column_terms(A, keys, reached, w)
-    (i, nu), x = wavelet._reaching(A, *sum_by_key(keys, terms), top)
-    ids = index._ids(*key_columns(labels, 2)).tolist()
+    reach = scale_reach(A, psi._cols, top)
+    layout = column_terms(A, tuple(c[reach] for c in psi._cols), w)
+    cols, x = sum_by_key(layout.cols, layout.terms(psi._vals[reach]))
+    reach = scale_reach(A, cols, top)
+    (i, nu), x = tuple(c[reach] for c in cols), x[reach]
     mat = np.zeros((len(rows), len(labels)), dtype=complex)
     for q in qs:
-        codes, sums, keep = index._keyed(*row_terms(A, (i, offset_column(nu, q)), x, w)[:2])
-        found = dict(zip(codes[keep].tolist(), sums[keep]))
+        u, _ = _pass_vector(A, (i, offset_column(nu, q)), x, w)
         for r, (m, row_q) in enumerate(rows):
-            for c, gid in enumerate(ids):
-                if row_q == q and gid >= 0:
-                    mat[r, c] = found.get(gid * index.span + m - index.base, 0j)
+            for c, (s, j) in enumerate(labels):
+                if row_q == q:
+                    mat[r, c] = u.get((s, j, m), 0j)
     return np.conj(mat)
 
 
@@ -338,7 +352,7 @@ def _sum_bytes(sums):
 # small Haar candidates with labels past int64 among their groups (the labels
 # of a coefficient file's wide candidate), and small exponential candidates;
 # values near the zero rule give copies whose entries it drops, which route B
-# then transports in passes of its own
+# then transports without them
 wide_labels = st.sampled_from([2**40, 2**62 + 1, 2**70 + 3])
 chunk_values = st.one_of(values, tiny_values)
 chunk_cases = st.one_of(
@@ -353,18 +367,10 @@ WIDE_PSI = GCoordVec({(PLUS, j, 0): 0.5 for j in (1, 2**40, 2**70 + 3)})
 LADDER_DROP_PSI = GCoordVec({(PLUS, 1, 0): 0.5, (PLUS, 0, 2): 1.2e-15})
 
 
-def chunked_route_sums(index, psi, ps_of, A, w):
-    """Route A's (p, q) sums and per-q tails, and route B's sums, as
-    ``orthonormality_residuals`` takes them from one translation-model copy."""
-    cols, x, column_tail = wavelet._translation_copy(psi, A, w)
-    route_a, row_tails = wavelet._shift_sums(index, A, cols, x, ps_of, w)
-    route_b, keep = dict(route_a), keep_mask(x)
-    if not keep.all():
-        shifted = {q: ps for q, ps in ps_of.items() if q != 0}
-        route_b.update(wavelet._shift_sums(index, A, tuple(c[keep] for c in cols), x[keep],
-                                           shifted, w)[0])
-    route_b.update(((p, 0), lhs) for p, lhs in index.sums(ps_of.get(0, ())).items())
-    return route_a, [column_tail + tail for tail in row_tails], route_b
+def _translation_copy(psi, A, w):
+    """X's key columns and values, from the plans' column pass."""
+    copy, cols = wavelet._copy_pass(A, psi._cols, w)
+    return cols, copy.sums(psi._vals)[0]
 
 
 @given(case=chunk_cases, pq=pq_ranges)
@@ -378,14 +384,16 @@ def test_chunked_route_sums_match_a_pass_per_q(case, pq):
     fam, psi = case
     A, w = FAMILIES[fam]
     grid = _grid(pq)
-    ps_of = _ps_of(grid)
-    index = _KeyIndex(psi._cols, psi._vals, [p for p, _ in grid])
-    route_a, tails, route_b = chunked_route_sums(index, psi, ps_of, A, w)
-    ref_a, ref_tails, ref_b = per_q_route_sums(index, psi, ps_of, A, w)
-    assert sorted(route_a) == sorted(ref_a) == sorted(route_b) == sorted(ref_b)
-    assert _sum_bytes(route_a) == _sum_bytes(ref_a)
-    assert np.array(tails).tobytes() == np.array(ref_tails).tobytes()
-    assert _sum_bytes(route_b) == _sum_bytes(ref_b)
+    ref_a, ref_tails, ref_b = per_q_route_sums(psi, _ps_of(grid), A, w)
+    # from a cleared plan table, and again from the plan it kept
+    wavelet._PLANS.clear()
+    for _ in range(2):
+        route_a, route_b, tails = wavelet._route_sums(psi, A, grid, w)
+        assert sorted(route_a) == sorted(ref_a) == sorted(route_b) == sorted(ref_b)
+        assert _sum_bytes(route_a) == _sum_bytes(ref_a)
+        assert np.array(tails).tobytes() == np.array(ref_tails).tobytes()
+        assert _sum_bytes(route_b) == _sum_bytes(ref_b)
+    assert wavelet._PLANS.info().hits == 1
     # and the check's own report of them, bit for bit
     residuals, disagreement, per_q_tails = orthonormality_residuals(psi, A, pq, w)
     for p, q in grid:
@@ -403,7 +411,7 @@ def test_kept_entries_of_the_copy_are_f_from_g(case):
     # the zero rule, and that is the adjoint transfer of psi bit for bit
     fam, psi = case
     A, w = FAMILIES[fam]
-    cols, x, _ = wavelet._translation_copy(psi, A, w)
+    cols, x = _translation_copy(psi, A, w)
     keep = keep_mask(x)
     f0 = f_from_g(psi, A, w)
     assert [c.dtype for c in cols] == [c.dtype for c in f0._cols]
@@ -424,33 +432,40 @@ def test_chunked_completeness_matches_a_pass_per_q(case, picks, row_window):
     fam, psi = case
     A, w = FAMILIES[fam]
     labels = [w.dil_labels[k % len(w.dil_labels)] for k in picks]
-    mat = completeness_matrix(psi, A, labels, row_window, w)
-    assert mat.tobytes() == per_q_completeness(psi, A, labels, row_window, w).tobytes()
+    ref = per_q_completeness(psi, A, labels, row_window, w).tobytes()
+    wavelet._PLANS.clear()
+    assert completeness_matrix(psi, A, labels, row_window, w).tobytes() == ref
+    assert completeness_matrix(psi, A, labels, row_window, w).tobytes() == ref
+    assert wavelet._PLANS.info().hits == 1
 
 
 def _row_passes(psi, A, pq, w):
-    """(rows, runs) of each row pass of the orthonormality check."""
+    """(rows, runs) of each row pass of the orthonormality check, from a
+    cleared plan table; a second call, which runs the kept plan, makes none."""
     passes = []
     real = wavelet.row_terms
 
-    def counting(A, keys, vals, w, runs):
-        passes.append((len(vals), runs))
-        return real(A, keys, vals, w, runs)
+    def counting(A, keys, w, runs):
+        passes.append((len(keys[0]), runs))
+        return real(A, keys, w, runs)
 
+    wavelet._PLANS.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavelet, "row_terms", counting)
-        orthonormality_residuals(psi, A, pq, w)
-    return passes
+        first = orthonormality_residuals(psi, A, pq, w)
+        made = list(passes)
+        assert orthonormality_residuals(psi, A, pq, w) == first
+    assert passes == made
+    return made
 
 
 def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
     # the D4 candidate's translation-model copy has 24,650 rows, past the
     # row budget: each of the 5 shifts is a pass of its own.  The zero rule
-    # drops none of the copy's entries, so route B's sums are route A's and
-    # it takes no pass of its own
+    # drops none of the copy's entries, so route B's sums are route A's
     psi = d4_psi(12)
     A, w = FAMILIES["d4"]
-    x = wavelet._translation_copy(psi, A, w)[1]
+    x = _translation_copy(psi, A, w)[1]
     assert keep_mask(x).all()
     assert _row_passes(psi, A, 2, w) == [(24_650, 1)] * 5
     assert 24_650 > wavelet.ROW_BUDGET
@@ -459,14 +474,18 @@ def test_a_d4_verify_size_copy_keeps_one_q_per_chunk():
 @pytest.mark.parametrize("w", [W_HAAR, Window.symmetric(HAAR, 4).with_dil_range(-48, 48)])
 def test_a_copy_with_dropped_entries_carries_both_columns(w):
     # LADDER_DROP_PSI, also the CLI smoke's dropping.json (at the CLI's
-    # --window 4 --pq 1): the zero rule drops entries of its copy, so after
-    # route A's one pass of its three shifts over X, route B takes one pass
-    # of its own of the shifts q != 0 over X's kept entries
+    # --window 4 --pq 1): the zero rule drops entries of its copy, so route B
+    # runs route A's one pass of its three shifts again over X's kept
+    # entries alone, and lays out no pass of its own; its sums are those of
+    # a pass of its own over f_from_g(psi) (test_chunked_route_sums_match_a_pass_per_q)
     A = FAMILIES["haar"][0]
-    x = wavelet._translation_copy(LADDER_DROP_PSI, A, w)[1]
-    kept = int(keep_mask(x).sum())
-    assert kept < len(x)
-    assert _row_passes(LADDER_DROP_PSI, A, 1, w) == [(3 * len(x), 3), (2 * kept, 2)]
+    x = _translation_copy(LADDER_DROP_PSI, A, w)[1]
+    assert int(keep_mask(x).sum()) < len(x)
+    assert _row_passes(LADDER_DROP_PSI, A, 1, w) == [(3 * len(x), 3)]
+    ref_a, _, ref_b = per_q_route_sums(LADDER_DROP_PSI, _ps_of(_grid(1)), A, w)
+    route_a, route_b, _ = wavelet._route_sums(LADDER_DROP_PSI, A, _grid(1), w)
+    assert _sum_bytes(route_b) == _sum_bytes(ref_b)
+    assert _sum_bytes(route_a) == _sum_bytes(ref_a)
 
 
 # -- the scaling check's autocorrelation --------------------------------------------

@@ -19,7 +19,7 @@ from swl import (
     shift_D,
 )
 from swl.bases import FunctionSpec
-from swl.core import MINUS, PLUS
+from swl.core import MINUS, PLUS, CheckReport
 from swl.wavelet import (
     RANK_SVD_THRESHOLD,
     _autocorrelation,
@@ -75,6 +75,7 @@ def test_column_transfers_do_not_grow_with_the_q_radius(fam, psi_tilde, A_haar, 
     counts = {}
     for pq in (1, 3):
         calls.clear()
+        swl.wavelet._PLANS.clear()
         orthonormality_residuals(psi, A, pq, w)
         counts[pq] = len(calls)
     assert counts == {1: 1, 3: 1}
@@ -238,6 +239,48 @@ def test_example_agrees_with_general_form(A_haar, w_haar):
     assert agreement <= 1e-8
 
 
+def _entry_residuals(candidate, A, grid):
+    """The slice residuals of the [1, 2] example, one ``A.entry`` per
+    (p, q, j, k) term: the term-by-term reference."""
+    from swl.core import csum
+
+    slice_coeffs = {j: val for (_, j, _), val in candidate.items()}
+    residuals = {}
+    for p, q in grid:
+        lhs = csum(cj.conjugate() * A.entry(k, 1 + q, PLUS, j, -p) * ck
+                   for j, cj in slice_coeffs.items() for k, ck in slice_coeffs.items())
+        residuals[(p, q)] = abs(lhs - (1.0 if (p, q) == (0, 0) else 0.0))
+    return residuals
+
+
+@pytest.mark.parametrize("fam", ["haar", "exponential"])
+def test_example_reads_each_slice_row_once(fam, A_haar, A_exp, monkeypatch):
+    # one row layout serves every (k, 1 + q) row: the check reads no entry,
+    # and its residuals are the per-entry products' bit for bit
+    import swl.alpha
+
+    rng = random.Random(7)
+    A = A_haar if fam == "haar" else A_exp
+    w = Window.symmetric(HAAR, 8, 10, 60) if fam == "haar" else Window.symmetric(EXPONENTIAL, 6, 6, 6)
+    js = (1, 2, 3, 5) if fam == "haar" else (-3, 1, 2, 4)
+    candidates = [{(PLUS, j, 0): 0.5 for j in js},
+                  {(PLUS, j, 0): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for j in js}]
+    grid = [(p, q) for p in range(-3, 4) for q in range(-3, 4)]
+    for coeffs in candidates:
+        cand = GCoordVec(coeffs)
+        want = _entry_residuals(cand, A, grid)
+        entries = []
+        real = swl.alpha.AlphaMatrix.entry
+        monkeypatch.setattr(swl.alpha.AlphaMatrix, "entry",
+                            lambda self, *key: entries.append(key) or real(self, *key))
+        rep = check_example_unit_interval(cand, A, 3, [(PLUS, 0), (PLUS, 1)], w, 1e-10)
+        monkeypatch.undo()
+        assert entries == []
+        assert [(k, v.hex()) for k, v in rep.details] == \
+            [(k, v.hex()) for k, v in CheckReport.from_residuals("x", want, 1e-10).details]
+        assert rep.max_residual.hex() == max(want.values()).hex()
+
+
 EXAMPLE_CASES = {
     # name: (family, candidate, labels, row window, tol, verdict)
     "shifted wavelet": (HAAR, {(PLUS, 1, 0): 1.0}, F6, 3, 1e-10, "pass"),
@@ -305,19 +348,29 @@ def test_scaling_identity_cross_check_catches_norm(A_haar, w_haar):
 def test_shifted_sums_match_a_dict_reference():
     # a transfer's raw terms are summed only where psi's shifts read them:
     # repeated targets in term order, targets outside psi's groups or span
-    # skipped, and a sum at the threshold dropped by the zero rule.
-    # Adjacent shifts reuse the last search, the others search again.  Each
+    # skipped, and a sum at the threshold dropped by the zero rule.  Each
     # sum is the compensated sum against the summed vector, bit for bit.
     # psi's groups are found by a label table (dense int64 labels) or by
     # binary search (sparse labels, labels past int64, targets past int64),
-    # and a product of real factors is summed by its real part alone.
-    from swl.core import DROP_THRESHOLD, csum, key_columns
-    from swl.wavelet import _KeyIndex
+    # and a product of real factors is summed by its real part alone.  The
+    # reads are the plans' primitives: codes (_KeyIndex), their places
+    # among the read groups (_CodeSet, by table or by search), per-group
+    # sums in term order (group_sums) and the keys' reads (_read_sums)
+    from swl.core import DROP_THRESHOLD, csum, group_sums, key_columns
+    from swl.wavelet import _CodeSet, _KeyIndex, _kept_sums, _read_sums, _read_values, _reads
 
     rng = random.Random(3)
 
     def bits(z):
         return z.real.hex(), z.imag.hex()
+
+    def read(index, groups, keys, terms):
+        places = groups.places(index.code(keys))
+        hit = places < len(groups)
+        sums = _kept_sums(group_sums(places[hit], terms[hit], len(groups)))
+        reads = {p: _reads(groups.places(index.codes - p), len(groups)) for p in ps}
+        vals, real = _read_values(psi._vals, reads)
+        return _read_sums(vals, reads, ps, sums, real)
 
     ps = {4, 3, 2, 0, -1, -5, -6}
     cases = [  # psi's labels, other target labels, real psi, real terms, tables expected
@@ -352,14 +405,21 @@ def test_shifted_sums_match_a_dict_reference():
 
             other = GCoordVec._from_terms(key_columns(keys, 3), np.array(terms))
             assert (PLUS, 0, 7) not in other and (MINUS, 0, 7) in other
-            index = _KeyIndex(psi._cols, psi._vals, sorted(ps))
+            index = _KeyIndex(psi._cols, sorted(ps))
             assert bool(index.tables) == tables
-            got = index.sums(ps, index._keyed(key_columns(keys, 3), np.array(terms)))
-            own = index.sums(ps)
-            for p in ps:
-                want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
-                assert bits(got[p]) == bits(want)
-                want = csum(x * psi[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
-                assert bits(own[p]) == bits(want)
-            empty = index.sums(ps, index._keyed(key_columns([], 3), np.zeros(0, dtype=complex)))
-            assert empty == dict.fromkeys(ps, 0j)
+            # the read groups as a table and as sorted codes
+            parts = [index.codes - p for p in ps] + [index.codes]
+            for groups in (_CodeSet(parts, index.stride), _CodeSet(parts, 1 << 62)):
+                got = read(index, groups, key_columns(keys, 3), np.array(terms))
+                sums = np.zeros(len(groups), dtype=complex)
+                sums[groups.places(index.codes)] = psi._vals
+                reads = {p: _reads(groups.places(index.codes - p), len(groups)) for p in ps}
+                vals, real = _read_values(psi._vals, reads)
+                own = _read_sums(vals, reads, ps, sums, real)
+                for p in ps:
+                    want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
+                    assert bits(got[p]) == bits(want)
+                    want = csum(x * psi[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
+                    assert bits(own[p]) == bits(want)
+                empty = read(index, groups, key_columns([], 3), np.zeros(0, dtype=complex))
+                assert empty == dict.fromkeys(ps, 0j)
