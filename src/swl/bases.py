@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (_WIDE, DilIndex, MINUS, PLUS, TransIndex, bit_length, ceil_float, int_columns,
-                   sorted_unique)
+                   sign_char, sorted_unique)
 
 
 class InvalidLabelError(ValueError):
@@ -85,6 +85,22 @@ def check_dil_label(fam: BasisFamily, s: int, j: int) -> tuple[int, int]:
     if fam.name == "haar" and j < 0:
         raise InvalidLabelError(f"haar labels are non-negative, got j={j}")
     return s, j
+
+
+def check_dil_labels(fam: BasisFamily, labels) -> list[tuple[int, int]]:
+    """The completeness labels (s, j) as ints, each by ``check_dil_label``.
+    No labels, or a label given twice, raises ``InvalidLabelError`` that
+    names it: a rank of 0 of 0 tests nothing, and a repeated label is a
+    repeated column, which no wavelet's matrix can give full rank."""
+    labels = [check_dil_label(fam, int(s), int(j)) for s, j in labels]
+    if not labels:
+        raise InvalidLabelError("no completeness labels to test")
+    seen = set()
+    for s, j in labels:
+        if (s, j) in seen:
+            raise InvalidLabelError(f"completeness label {sign_char(s)}{j} is given twice")
+        seen.add((s, j))
+    return labels
 
 
 def split_haar_label(label: int) -> tuple[int, int]:

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .alpha import AlphaMatrix
-from .bases import BasisFamily, check_dil_label, check_trans_label, family, parse_function_spec
+from .bases import (BasisFamily, check_dil_label, check_dil_labels, check_trans_label, family,
+                    parse_function_spec)
 from .core import (
     CheckReport,
     FCoordVec,
@@ -353,7 +354,8 @@ def _cmd_filter(args) -> int:
 
 
 def _parse_labels(text: str, fam: BasisFamily) -> list[tuple[int, int]]:
-    """Dilation labels such as '+0,+1,-0', each checked against the family."""
+    """Dilation labels such as '+0,+1,-0', checked against the family by the
+    completeness label rule (``check_dil_labels``)."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -361,10 +363,10 @@ def _parse_labels(text: str, fam: BasisFamily) -> list[tuple[int, int]]:
             continue
         if part[0] not in "+-":
             raise InputError(f"label {part!r} must look like +3 or -0")
-        out.append(check_dil_label(fam, sign_value(part[0]), int(part[1:])))
+        out.append((sign_value(part[0]), int(part[1:])))
     if not out:
         raise InputError(f"no completeness labels in {text!r}")
-    return out
+    return check_dil_labels(fam, out)
 
 
 def _default_labels(fam: BasisFamily, count: int) -> list[tuple[int, int]]:

@@ -27,7 +27,9 @@ passes of the shifted copies, each a ``_Pass`` (the ``alpha.Layout`` of
 the terms that reach a read target: source positions, the alphas of the
 terms that carry one, the keys with clipped mass; and each term's
 group), and where each shifted key reads its sum (``_KeyIndex`` codes
-the keys, ``_CodeSet`` places the codes among the groups).  *Executing*
+the keys, and ``_places``, the one lookup, finds each code's place among
+the groups' sorted codes by binary search, as it finds a label's group
+id); the checks look keys up only while they build a plan.  *Executing*
 a plan with the candidate's values is only gathers, ``cmul``, per-group
 sums in term order (``core.group_sums``), the zero rule, ``_cdot`` and
 the tails, so every sum is bit for bit a ``csum`` of the same products.
@@ -59,7 +61,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .alpha import AlphaMatrix, Layout, column_terms, row_terms, scale_reach
-from .bases import check_dil_label
+from .bases import check_dil_labels
 from .core import (
     ByteLRU,
     CheckReport,
@@ -144,11 +146,24 @@ def _nonzero_fsum(x: np.ndarray) -> float:
 
 
 _PAST_CODES = np.iinfo(np.int64).max  # codes stay below it
+_INT32_TOP = np.iinfo(np.int32).max
 
 
-# a sign's labels get a direct-address table when they are int64 and span
-# fewer than this many slots per label, plus a few
-_TABLE_SLOTS, _TABLE_SLACK = 4, 64
+def _positions(a: np.ndarray, bound: int) -> np.ndarray:
+    """The non-negative positions ``a``, all below ``bound``, as int32
+    where it holds them."""
+    return a.astype(np.int32 if bound <= _INT32_TOP else np.intp)
+
+
+def _places(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Each query's place among the sorted distinct ``values`` (int64 or
+    Python ints), found by binary search, or len(values) where it is not
+    one of them."""
+    at = np.searchsorted(values, queries)
+    hit = at < len(values)
+    hit[hit] = values[at[hit]] == queries[hit]
+    at[~hit] = len(values)
+    return _positions(at, len(values) + 1)
 
 
 class _KeyIndex:
@@ -158,37 +173,26 @@ class _KeyIndex:
 
     Each (s, j) group of the keys gets a dense id and key (s, j, m) the
     code ``id * span + (m - base)``, where [base, base + span) holds every
-    m - p for the shifts p asked for and for p = 0; every code is below
-    ``stride``, the number of groups times the span, and a stride past
-    int64 raises ``ValueError``.  Labels never enter the code, so Haar
-    labels of any size cannot overflow it.  A group's id is read from a
-    table of its sign's labels where they are int64 and dense (a label's
-    id at label - lo, -1 in the gaps), else found by binary search in the
-    sorted labels, the one lookup that serves labels past int64.  Each
-    sign's sorted labels are one sort of its keys' labels with repeats
-    dropped (``sorted_unique``).
+    m - p for the shifts p asked for and for p = 0; a number of groups
+    times the span past int64 raises ``ValueError``.  Labels never enter
+    the code, so Haar labels of any size cannot overflow it.  A group's id
+    is its label's place among its sign's sorted labels (``_places``, the
+    one lookup, which serves labels past int64 too); each sign's sorted
+    labels are one sort of its keys' labels with repeats dropped
+    (``sorted_unique``).
     """
 
     def __init__(self, cols, ps: Sequence[int]):
         s, j, m = cols
         # the groups of each sign, as sorted labels; ids count PLUS's first
         self.labels = {sg: sorted_unique(j[s == sg]) for sg in (PLUS, MINUS)}
-        self.tables, start = {}, 0
-        for sg, labels in self.labels.items():
-            if labels.dtype == np.int64 and len(labels):
-                lo, hi = int(labels[0]), int(labels[-1])  # Python ints: no wrap
-                if hi - lo < _TABLE_SLOTS * len(labels) + _TABLE_SLACK:
-                    table = np.full(hi - lo + 1, -1, dtype=np.int64)
-                    table[labels - lo] = np.arange(start, start + len(labels))
-                    self.tables[sg] = lo, hi, table
-            start += len(labels)
+        groups = max(sum(map(len, self.labels.values())), 1)
         # the span holds shift 0 too, so every key has a code in it
         shifts = (*ps, 0)
         self.base = (int(m.min()) if len(m) else 0) - max(shifts)
         self.span = (int(m.max()) if len(m) else 0) - min(shifts) - self.base + 1
-        self.stride = max(start, 1) * self.span
-        if self.stride > _PAST_CODES:
-            raise ValueError(f"{max(start, 1)} groups of {self.span} shifts each "
+        if groups * self.span > _PAST_CODES:
+            raise ValueError(f"{groups} groups of {self.span} shifts each "
                              "have more codes than int64 holds")
         # m - base exactly: a base below int64 must not overflow the subtraction
         self.codes = self._ids(s, j) * self.span + offset_column(m, -self.base).astype(np.int64)
@@ -199,16 +203,8 @@ class _KeyIndex:
         start = 0
         for sg, labels in self.labels.items():
             sel = np.flatnonzero(s == sg)
-            if sg in self.tables and j.dtype == np.int64:
-                lo, hi, table = self.tables[sg]
-                js = j[sel]
-                inside = (js >= lo) & (js <= hi)  # compared before lo is subtracted
-                ids[sel[inside]] = table[js[inside] - lo]
-            elif len(labels) and len(sel):
-                at = np.searchsorted(labels, j[sel])
-                found = at < len(labels)
-                found[found] = labels[at[found]] == j[sel[found]]
-                ids[sel[found]] = start + at[found]
+            at = _places(labels, j[sel]).astype(np.int64)
+            ids[sel] = np.where(at < len(labels), start + at, -1)
             start += len(labels)
         return ids
 
@@ -221,68 +217,6 @@ class _KeyIndex:
         codes = np.full(len(ids), -1, dtype=np.int64)
         codes[hit] = ids[hit] * self.span + rel[hit].astype(np.int64)
         return codes
-
-
-# a set of codes gets a direct-address table when their range has at most
-# this many slots per code it was built from, plus a few
-_SET_SLOTS = 16
-
-
-class _CodeSet:
-    """The distinct codes, sorted, of the arrays ``parts`` (codes in
-    [0, stride), and -1 for none), and each code's place among them.
-
-    Where the codes' range is small beside their number, the set is a
-    mask over [0, stride) and a code's place is read from a table;
-    else the codes are sorted and a place is found by binary search.
-    """
-
-    def __init__(self, parts: list, stride: int):
-        self._table = None
-        if stride <= _SET_SLOTS * sum(map(len, parts)) + _TABLE_SLACK:
-            mark = np.zeros(stride + 1, dtype=bool)  # -1 marks the last slot
-            for part in parts:
-                mark[part] = True
-            mark[stride] = False
-            self.codes, self._mark = np.flatnonzero(mark), mark
-        else:
-            codes = np.concatenate(parts)
-            self.codes, self._mark = sorted_unique(codes[codes >= 0]), None
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def places(self, codes: np.ndarray) -> np.ndarray:
-        """Each code's place in the set, or len(set) where it is not in it."""
-        if self._mark is None:
-            at = np.searchsorted(self.codes, codes)
-            hit = at < len(self.codes)
-            hit[hit] = self.codes[at[hit]] == codes[hit]
-            at[~hit] = len(self.codes)
-            return _positions(at, len(self.codes) + 1)
-        if self._table is None:
-            self._table = np.full(len(self._mark), len(self.codes),
-                                  dtype=_index_dtype(len(self.codes) + 1))
-            self._table[self.codes] = np.arange(len(self.codes))
-        return self._table[codes]
-
-    def holds(self, codes: np.ndarray) -> np.ndarray:
-        """Whether each code is in the set."""
-        if self._mark is None:
-            return self.places(codes) < len(self.codes)
-        return self._mark[codes]
-
-
-_INT32_TOP = np.iinfo(np.int32).max
-
-
-def _index_dtype(bound: int):
-    """int32 for non-negative positions below ``bound`` where it holds them."""
-    return np.int32 if bound <= _INT32_TOP else np.intp
-
-
-def _positions(a: np.ndarray, bound: int) -> np.ndarray:
-    return a.astype(_index_dtype(bound))
 
 
 def _read_sums(vals: dict, reads: dict, ps, sums: np.ndarray, real: bool) -> dict:
@@ -502,22 +436,22 @@ def _orthonormality_plan(cols, A: AlphaMatrix, w: Window, grid) -> _Orthonormali
     ps = sorted({p for p, _ in grid})
     index = _KeyIndex(cols, ps)
     copy, xcols = _copy_pass(A, cols, w)
-    readable = _CodeSet([index.codes - p for p in ps], index.stride)
+    readable = sorted_unique(np.concatenate([index.codes - p for p in ps]))
 
     def read(targets):
         codes = index.code(targets)
-        return np.where(readable.holds(codes), codes, -1)
+        return np.where(_places(readable, codes) < len(readable), codes, -1)
 
     chunks, rows = zip(*_row_passes(A, xcols, sorted(ps_of), w, read))
     del readable
     # the groups: every code a pass sums and some read takes, and psi's own
     # codes where route B reads psi itself at q = 0
     own = 0 in ps_of
-    groups = _CodeSet([row.group for row in rows] + [index.codes] * own, index.stride)
-    rows = [row.placed(groups.places(row.group), len(groups)) for row in rows]
-    reads = {p: _reads(groups.places(index.codes - p), len(groups)) for p in ps}
+    groups = sorted_unique(np.concatenate([row.group for row in rows] + [index.codes] * own))
+    rows = [row.placed(_places(groups, row.group), len(groups)) for row in rows]
+    reads = {p: _reads(_places(groups, index.codes - p), len(groups)) for p in ps}
     return _OrthonormalityPlan(_kept_keys(cols), copy, list(chunks), rows, reads,
-                               groups.places(index.codes) if own else None)
+                               _places(groups, index.codes) if own else None)
 
 
 def _ps_of(grid) -> dict[int, set[int]]:
@@ -610,16 +544,6 @@ def check_wavelet_orthonormality(psi: GCoordVec, A: AlphaMatrix, pq_range, w: Wi
 
 # -- completeness -------------------------------------------------------------
 
-def _dil_labels(A: AlphaMatrix, labels) -> list[tuple[int, int]]:
-    """The completeness labels (s, j) as ints; no labels, or a label that
-    is not one of the family's, raises ``ValueError`` (a rank of 0 of 0
-    tests nothing)."""
-    labels = [check_dil_label(A.fam, int(s), int(j)) for s, j in labels]
-    if not labels:
-        raise ValueError("no completeness labels to test")
-    return labels
-
-
 class _CompletenessPlan(NamedTuple):
     """What the completeness matrix takes from psi's keys, the family, the
     window, the labels and the rows alone: the column pass to X over the
@@ -637,18 +561,18 @@ def _completeness_plan(cols, A: AlphaMatrix, w: Window, grid) -> _CompletenessPl
     labels, rows = grid
     ms, qs = (sorted({row[k] for row in rows}) for k in (0, 1))
     index = _KeyIndex(key_columns([(s, j, m) for s, j in labels for m in ms], 3), (0,))
-    cells = _CodeSet([index.codes], index.stride)
+    cells = sorted_unique(index.codes)
     top = max(ms) + int(max(j for _, j in labels)).bit_length()
     copy, xcols = _copy_pass(A, cols, w, top)
 
     def read(targets):
-        at = cells.places(index.code(targets))
+        at = _places(cells, index.code(targets))
         return np.where(at < len(cells), at, -1)
 
     passes = [row.placed(row.group, len(cells)) for _, row in _row_passes(A, xcols, qs, w, read)]
     m, q = key_columns(rows, 2)
     ids = index._ids(*key_columns(labels, 2))
-    at = cells.places(ids * index.span + (m - index.base)[:, None])
+    at = _places(cells, ids * index.span + (m - index.base)[:, None])
     # row r reads its cells in run row_q % runs of chunk row_q // runs
     runs = len(passes[0].layout.bounds) - 1
     row_q = np.searchsorted(qs, q)
@@ -675,7 +599,7 @@ def completeness_matrix(psi: GCoordVec, A: AlphaMatrix, labels: Sequence[tuple[i
     keys that can: every entry read is summed from the same terms in the
     same order, bit for bit.  An empty row list raises ``ValueError``.
     """
-    labels = _dil_labels(A, labels)
+    labels = check_dil_labels(A.fam, labels)
     rows = _pq_grid(row_window)
     plan = _plan(_completeness_plan, psi, A, w, (tuple(labels), tuple(rows)))
     x = plan.copy.sums(psi._vals)[0]
@@ -691,7 +615,7 @@ def check_wavelet_completeness(psi: GCoordVec, A: AlphaMatrix,
     """Rank test: the truncated completeness matrix should have full column
     rank (singular values above ``RANK_SVD_THRESHOLD``); the residual is
     the rank deficit."""
-    labels = _dil_labels(A, labels)
+    labels = check_dil_labels(A.fam, labels)
     mat = completeness_matrix(psi, A, labels, row_window, w)
     sigma = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
     rank = int(np.sum(sigma > RANK_SVD_THRESHOLD))
@@ -754,7 +678,7 @@ def check_example_unit_interval(candidate: GCoordVec, A: AlphaMatrix, pq_range,
     failure fails; else ``check_wavelet_completeness``'s verdict at
     ``row_window`` (``pq_range`` if a radius, else 3) stands.
     """
-    labels = _dil_labels(A, labels)
+    labels = check_dil_labels(A.fam, labels)
     slice_coeffs: dict[int, complex] = {}
     for (s, j, m), val in candidate.items():
         if s != PLUS or m != 0:
@@ -822,10 +746,10 @@ def _autocorrelation(phi: FCoordVec, ks: list[int]) -> dict[int, complex]:
     except ValueError:
         raise ValueError(f"phi's shifts run from {int(n.min())} to {int(n.max())}: its "
                          "translates are too far apart to index (codes past int64)") from None
-    groups = _CodeSet([index.codes], index.stride)
+    groups = sorted_unique(index.codes)
     sums = np.zeros(len(groups), dtype=complex)
-    sums[groups.places(index.codes)] = phi._vals
-    reads = {k: _reads(groups.places(index.codes - k), len(groups)) for k in reached}
+    sums[_places(groups, index.codes)] = phi._vals
+    reads = {k: _reads(_places(groups, index.codes - k), len(groups)) for k in reached}
     vals, real = _read_values(phi._vals, reads)
     auto.update(_read_sums(vals, reads, reached, sums, real))
     return auto

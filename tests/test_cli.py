@@ -606,6 +606,8 @@ def test_a_spread_past_the_longest_array_names_its_boxes(capsys):
     ("+0,+x", "invalid literal for int() with base 10: 'x'"),
     # no labels: a rank of 0 of 0 would pass without testing anything
     (",", "no completeness labels in ','"),
+    # a repeated label is one column twice: no candidate's matrix has full rank
+    ("+0,-1,+0", "completeness label +0 is given twice"),
 ])
 def test_bad_completeness_label_exits_before_any_check(monkeypatch, capsys, labels, message):
     # the labels are input, so they are rejected before the oracle and the

@@ -1,5 +1,6 @@
 """Key grouping against dict and numpy references: ``sum_by_key`` on both
-of its sorts, ``sorted_unique``, and the filter convolution's shifted keys."""
+of its sorts, ``sorted_unique``, the wavelet checks' place lookup among its
+output (``wavelet._places``), and the filter convolution's shifted keys."""
 
 import numpy as np
 import pytest
@@ -133,3 +134,35 @@ def test_filter_convolution_is_the_dict_convolution(entries, taps):
     got, want = filter_action_on_coords(coords, h), _dict_convolution(coords, h)
     assert list(got.keys()) == list(want)
     assert _bits(got._vals) == _bits(want.values())
+
+
+def _place_cases(elements):
+    # sorted distinct values, and queries that hit them or miss below,
+    # between and above them
+    return st.lists(elements, max_size=12, unique=True).flatmap(
+        lambda v: st.tuples(st.just(sorted(v)), st.lists(
+            st.one_of(st.sampled_from(v), elements) if v else elements, max_size=20)))
+
+
+@given(case=st.one_of(
+    _place_cases(st.one_of(st.integers(-3, 3), st.sampled_from(_I64))).map(
+        lambda c: (np.array(c[0], dtype=np.int64), np.array(c[1], dtype=np.int64))),
+    _place_cases(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))).map(
+        lambda c: (np.array(c[0], dtype=object), np.array(c[1], dtype=object))),
+))
+# the empty set, empty queries, and misses below, between and above the set
+@example(case=(np.array([], dtype=np.int64), np.array([0, -1, 2**62], dtype=np.int64)))
+@example(case=(np.array([], dtype=object), np.array([2**70], dtype=object)))
+@example(case=(np.array([1, 5], dtype=np.int64), np.array([], dtype=np.int64)))
+@example(case=(np.array([-2**70, 0, 2**70], dtype=object),
+               np.array([-2**70 - 1, -1, 1, 2**70 + 1, 2**70], dtype=object)))
+def test_places_are_a_dict_lookup(case):
+    # the wavelet checks' one lookup: a value's place among the sorted
+    # distinct values, len(values) for a miss
+    from swl.wavelet import _places
+
+    values, queries = case
+    place = {v: k for k, v in enumerate(values.tolist())}
+    got = _places(values, queries)
+    assert got.tolist() == [place.get(q, len(values)) for q in queries.tolist()]
+    assert got.dtype == np.int32

@@ -192,7 +192,8 @@ def test_q0_route_gap_within_literal_tail(case, ps):
 def test_streamed_completeness_matches_all_q_reference(case, picks, row_window):
     fam, psi = case
     A, w = FAMILIES[fam]
-    labels = [w.dil_labels[k % len(w.dil_labels)] for k in picks]
+    # each label once: a repeated label is an input error
+    labels = list(dict.fromkeys(w.dil_labels[k % len(w.dil_labels)] for k in picks))
     mat = completeness_matrix(psi, A, labels, row_window, w)
     ref = reference_completeness(psi, A, labels, row_window, w)
     assert mat.shape == ref.shape
@@ -431,7 +432,8 @@ def test_kept_entries_of_the_copy_are_f_from_g(case):
 def test_chunked_completeness_matches_a_pass_per_q(case, picks, row_window):
     fam, psi = case
     A, w = FAMILIES[fam]
-    labels = [w.dil_labels[k % len(w.dil_labels)] for k in picks]
+    # each label once: a repeated label is an input error
+    labels = list(dict.fromkeys(w.dil_labels[k % len(w.dil_labels)] for k in picks))
     ref = per_q_completeness(psi, A, labels, row_window, w).tobytes()
     wavelet._PLANS.clear()
     assert completeness_matrix(psi, A, labels, row_window, w).tobytes() == ref

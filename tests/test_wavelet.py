@@ -191,13 +191,18 @@ def test_empty_explicit_grids_are_input_errors(psi_tilde, A_haar, w_haar):
 
 def test_invalid_completeness_labels_are_input_errors(psi_tilde, A_haar, w_haar):
     # a sign that is not +-1, or a negative Haar label, is not a column to
-    # test; no labels at all would pass with a rank of 0 of 0
-    for labels in [[(PLUS, 1), bad, (MINUS, 1)] for bad in [(0, 1), (PLUS, -1), (2, 0)]] + [[]]:
-        with pytest.raises(ValueError):
+    # test; no labels at all would pass with a rank of 0 of 0; and a label
+    # given twice is one column twice, so Haar's own wavelet would fail by
+    # rank: the rule names the repeat
+    cases = [([(PLUS, 1), bad, (MINUS, 1)], None) for bad in [(0, 1), (PLUS, -1), (2, 0)]]
+    cases += [([], "no completeness labels"),
+              ([(PLUS, 0), (MINUS, 1), (1, 0)], r"completeness label \+0 is given twice")]
+    for labels, message in cases:
+        with pytest.raises(ValueError, match=message):
             completeness_matrix(psi_tilde, A_haar, labels, 3, w_haar)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             check_wavelet_completeness(psi_tilde, A_haar, labels, 3, w_haar)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             check_example_unit_interval(GCoordVec({}), A_haar, 1, labels, w_haar)
 
 
@@ -350,14 +355,14 @@ def test_shifted_sums_match_a_dict_reference():
     # repeated targets in term order, targets outside psi's groups or span
     # skipped, and a sum at the threshold dropped by the zero rule.  Each
     # sum is the compensated sum against the summed vector, bit for bit.
-    # psi's groups are found by a label table (dense int64 labels) or by
-    # binary search (sparse labels, labels past int64, targets past int64),
-    # and a product of real factors is summed by its real part alone.  The
-    # reads are the plans' primitives: codes (_KeyIndex), their places
-    # among the read groups (_CodeSet, by table or by search), per-group
-    # sums in term order (group_sums) and the keys' reads (_read_sums)
-    from swl.core import DROP_THRESHOLD, csum, group_sums, key_columns
-    from swl.wavelet import _CodeSet, _KeyIndex, _kept_sums, _read_sums, _read_values, _reads
+    # psi's groups are found by binary search for dense and sparse labels,
+    # labels past int64 and targets past int64, and a product of real
+    # factors is summed by its real part alone.  The reads are the plans'
+    # primitives: codes (_KeyIndex), their places among the read groups'
+    # sorted codes (_places), per-group sums in term order (group_sums) and
+    # the keys' reads (_read_sums)
+    from swl.core import DROP_THRESHOLD, csum, group_sums, key_columns, sorted_unique
+    from swl.wavelet import _KeyIndex, _kept_sums, _places, _read_sums, _read_values, _reads
 
     rng = random.Random(3)
 
@@ -365,24 +370,24 @@ def test_shifted_sums_match_a_dict_reference():
         return z.real.hex(), z.imag.hex()
 
     def read(index, groups, keys, terms):
-        places = groups.places(index.code(keys))
+        places = _places(groups, index.code(keys))
         hit = places < len(groups)
         sums = _kept_sums(group_sums(places[hit], terms[hit], len(groups)))
-        reads = {p: _reads(groups.places(index.codes - p), len(groups)) for p in ps}
+        reads = {p: _reads(_places(groups, index.codes - p), len(groups)) for p in ps}
         vals, real = _read_values(psi._vals, reads)
         return _read_sums(vals, reads, ps, sums, real)
 
     ps = {4, 3, 2, 0, -1, -5, -6}
-    cases = [  # psi's labels, other target labels, real psi, real terms, tables expected
-        (range(6), [6, 7, 8, 2 ** 63 - 1], False, False, True),
-        ([0, 5, 2 ** 40], [1, 2 ** 40 + 1], False, False, False),
-        ([0, 2 ** 62 + 1, 2 ** 70 + 3], [1, 2 ** 70 + 4], False, False, False),
-        (range(6), [6, 2 ** 70], False, False, True),
-        (range(6), [6, 7, 8], True, True, True),
-        (range(6), [6, 7, 8], True, False, True),
-        (range(6), [6, 7, 8], False, True, True),
+    cases = [  # psi's labels, other target labels, real psi, real terms
+        (range(6), [6, 7, 8, 2 ** 63 - 1], False, False),
+        ([0, 5, 2 ** 40], [1, 2 ** 40 + 1], False, False),
+        ([0, 2 ** 62 + 1, 2 ** 70 + 3], [1, 2 ** 70 + 4], False, False),
+        (range(6), [6, 2 ** 70], False, False),
+        (range(6), [6, 7, 8], True, True),
+        (range(6), [6, 7, 8], True, False),
+        (range(6), [6, 7, 8], False, True),
     ]
-    for labels, others, real_psi, real_terms, tables in cases:
+    for labels, others, real_psi, real_terms in cases:
         def key(labels):
             return rng.choice((PLUS, MINUS)), rng.choice(labels), rng.randrange(-6, 7)
 
@@ -406,20 +411,18 @@ def test_shifted_sums_match_a_dict_reference():
             other = GCoordVec._from_terms(key_columns(keys, 3), np.array(terms))
             assert (PLUS, 0, 7) not in other and (MINUS, 0, 7) in other
             index = _KeyIndex(psi._cols, sorted(ps))
-            assert bool(index.tables) == tables
-            # the read groups as a table and as sorted codes
-            parts = [index.codes - p for p in ps] + [index.codes]
-            for groups in (_CodeSet(parts, index.stride), _CodeSet(parts, 1 << 62)):
-                got = read(index, groups, key_columns(keys, 3), np.array(terms))
-                sums = np.zeros(len(groups), dtype=complex)
-                sums[groups.places(index.codes)] = psi._vals
-                reads = {p: _reads(groups.places(index.codes - p), len(groups)) for p in ps}
-                vals, real = _read_values(psi._vals, reads)
-                own = _read_sums(vals, reads, ps, sums, real)
-                for p in ps:
-                    want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
-                    assert bits(got[p]) == bits(want)
-                    want = csum(x * psi[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
-                    assert bits(own[p]) == bits(want)
-                empty = read(index, groups, key_columns([], 3), np.zeros(0, dtype=complex))
-                assert empty == dict.fromkeys(ps, 0j)
+            # the read groups as sorted codes
+            groups = sorted_unique(np.concatenate([index.codes - p for p in ps] + [index.codes]))
+            got = read(index, groups, key_columns(keys, 3), np.array(terms))
+            sums = np.zeros(len(groups), dtype=complex)
+            sums[_places(groups, index.codes)] = psi._vals
+            reads = {p: _reads(_places(groups, index.codes - p), len(groups)) for p in ps}
+            vals, real = _read_values(psi._vals, reads)
+            own = _read_sums(vals, reads, ps, sums, real)
+            for p in ps:
+                want = csum(x * other[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
+                assert bits(got[p]) == bits(want)
+                want = csum(x * psi[(s, j, m - p)].conjugate() for (s, j, m), x in psi.items())
+                assert bits(own[p]) == bits(want)
+            empty = read(index, groups, key_columns([], 3), np.zeros(0, dtype=complex))
+            assert empty == dict.fromkeys(ps, 0j)
